@@ -19,14 +19,12 @@ package main
 
 import (
 	"flag"
-	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/memsys"
 	"repro/internal/obs"
-	"repro/internal/obs/flightrec"
 	"repro/internal/report"
 )
 
@@ -35,125 +33,76 @@ import (
 type appFlags struct {
 	quick    *bool
 	which    *string
-	memmodel *string
+	memModel memsys.MemModel
 	ofl      obs.Flags
 	hp       obs.HostProfile
 }
 
 func registerFlags(fs *flag.FlagSet) *appFlags {
 	af := &appFlags{
-		quick:    fs.Bool("quick", false, "reduced runs"),
-		which:    fs.String("which", "", "run one study (ism, gc, latency, protocol, volano, cosim)"),
-		memmodel: fs.String("memmodel", "fixed", "memory timing model: fixed (unloaded scalar latencies) or loaded (bandwidth-latency curve)"),
+		quick: fs.Bool("quick", false, "reduced runs"),
+		which: fs.String("which", "", "run one study (ism, gc, latency, protocol, volano, cosim)"),
 	}
+	af.memModel.RegisterFlag(fs)
 	af.ofl.Register(fs)
 	af.hp.Register(fs)
 	return af
 }
 
 func main() {
-	af := registerFlags(flag.CommandLine)
-	flag.Parse()
-	quick, which, ofl, hp := af.quick, af.which, &af.ofl, &af.hp
-	memModel, err := memsys.ParseMemModel(*af.memmodel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ablations:", err)
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if err := hp.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer hp.Stop()
+// run is the whole program behind a testable seam; it returns the process
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ablations", flag.ContinueOnError)
+	af := registerFlags(fs)
+	return core.Main(fs, args, &af.ofl, &af.hp, stdout, stderr, func(sess *core.Session) error {
+		return studies(sess, af, stdout)
+	})
+}
 
+// studies renders the requested design-choice studies, then the observed
+// points.
+func studies(sess *core.Session, af *appFlags, stdout io.Writer) error {
 	o := core.DefaultAblationOpts()
-	if *quick {
+	if *af.quick {
 		o = core.QuickAblationOpts()
 	}
-	o.MemModel = memModel
+	o.MemModel = af.memModel
 
-	start := time.Now()
-	hb := obs.StartHeartbeat(os.Stderr, "ablations", ofl.Heartbeat)
-	defer hb.Stop()
-
-	want := func(n string) bool { return *which == "" || *which == n }
+	want := func(n string) bool { return *af.which == "" || *af.which == n }
 	if want("ism") {
-		report.Render(os.Stdout, core.AblationISM(o))
+		report.Render(stdout, core.AblationISM(o))
 	}
 	if want("gc") {
-		report.Render(os.Stdout, core.AblationGCThreads(o))
+		report.Render(stdout, core.AblationGCThreads(o))
 	}
 	if want("latency") {
-		report.Render(os.Stdout, core.AblationC2CLatency(o))
+		report.Render(stdout, core.AblationC2CLatency(o))
 	}
 	if want("protocol") {
-		report.Render(os.Stdout, core.AblationProtocol(o))
+		report.Render(stdout, core.AblationProtocol(o))
 	}
 	if want("volano") {
-		report.Render(os.Stdout, core.RelatedWorkKernelTime(o))
+		report.Render(stdout, core.RelatedWorkKernelTime(o))
 	}
 	if want("cosim") {
-		report.Render(os.Stdout, core.CoSimExperiment(o))
+		report.Render(stdout, core.CoSimExperiment(o))
 	}
 
-	if ofl.Enabled() {
-		// One fully-observed point per workload at the studies' shape, the
-		// same semantics as cmd/figures' observed runs.
-		runOpts := core.Opts{
-			WarmupCycles:  o.WarmupCycles,
-			MeasureCycles: o.MeasureCycles,
-			MemModel:      o.MemModel,
-		}
-		var insp *obs.Inspector
-		if ofl.Inspect != "" {
-			var err error
-			insp, err = obs.StartInspector(ofl.Inspect, "ablations", hb)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "starting inspector: %v\n", err)
-				os.Exit(1)
-			}
-			defer insp.Close()
-			fmt.Fprintf(os.Stderr, "inspector listening on http://%s\n", insp.Addr())
-		}
-		var observers []*obs.Observer
-		var snaps []*obs.Snapshot
-		var labels []string
-		for i, kind := range []core.Kind{core.SPECjbb, core.ECperf} {
-			fmt.Fprintf(os.Stderr, "observed run: %s, %d processors, seed %d...\n", kind, o.Processors, o.Seed)
-			ob := ofl.NewObserver(i)
-			ob.Inspect = insp
-			insp.SetNote(fmt.Sprintf("observed run: %s, %d processors", kind, o.Processors))
-			ob, rec := flightrec.FromFlags(ofl, "ablations-"+kind.String(), ob)
-			rec.SetInspector(insp)
-			rt, err := core.NewLatencyCollector(ofl)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ablations:", err)
-				os.Exit(1)
-			}
-			_, snap := core.RunObservedPointFlight(kind, o.Processors, o.Seed, runOpts, ob, rt, rec)
-			if s := rec.Summary(); s != "" {
-				fmt.Fprintln(os.Stderr, s)
-			}
-			observers = append(observers, ob)
-			snaps = append(snaps, snap)
-			labels = append(labels, kind.String())
-		}
-		m := &obs.Manifest{
-			Command: "ablations",
-			Args:    os.Args[1:],
-			Git:     obs.GitDescribe(),
-			Started: start,
-			Seeds:   []uint64{o.Seed},
-			Opts: map[string]any{
-				"ablation": o,
-				"observed": map[string]any{"processors": o.Processors, "seed": o.Seed},
-			},
-			WallSeconds: time.Since(start).Seconds(),
-		}
-		if err := ofl.WriteArtifacts(labels, observers, snaps, m); err != nil {
-			fmt.Fprintf(os.Stderr, "writing observability artifacts: %v\n", err)
-			os.Exit(1)
-		}
+	// One fully-observed point per workload at the studies' shape.
+	runOpts := core.Opts{
+		WarmupCycles:  o.WarmupCycles,
+		MeasureCycles: o.MeasureCycles,
+		MemModel:      o.MemModel,
 	}
+	if err := sess.ObservePoints(o.Processors, o.Seed, runOpts); err != nil {
+		return err
+	}
+	return sess.Finish([]uint64{o.Seed}, map[string]any{
+		"ablation": o,
+		"observed": map[string]any{"processors": o.Processors, "seed": o.Seed},
+	})
 }

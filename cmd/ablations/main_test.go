@@ -4,6 +4,7 @@ import (
 	"flag"
 	"testing"
 
+	"repro/internal/drivertest"
 	"repro/internal/obs"
 )
 
@@ -20,4 +21,10 @@ func TestFlagParity(t *testing.T) {
 			t.Errorf("flag -%s not registered", name)
 		}
 	}
+}
+
+// TestStdoutPassivity: the studies' tables are byte-identical whatever
+// observability is attached (the artifact flags add observed points).
+func TestStdoutPassivity(t *testing.T) {
+	drivertest.StdoutPassivity(t, run, nil, "-quick", "-which", "ism")
 }

@@ -20,119 +20,111 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-func main() {
-	ops := flag.Int("ops", 600, "measured operations per thread")
-	warm := flag.Int("warm", 120, "warm-up operations per thread")
-	seed := flag.Uint64("seed", 20030208, "simulation seed")
-	mode := flag.String("mode", "size", "swept dimension: size, assoc, or block")
-	fixed := flag.Int("fixed", 256<<10, "cache size in bytes for assoc/block modes")
-	var ofl obs.Flags
-	ofl.Register(flag.CommandLine)
-	var hp obs.HostProfile
-	hp.Register(flag.CommandLine)
-	flag.Parse()
+// appFlags is the full flag surface; registerFlags keeps it testable (the
+// flag-parity test registers onto a scratch FlagSet).
+type appFlags struct {
+	ops, warm, fixed *int
+	seed             *uint64
+	mode             *string
+	ofl              obs.Flags
+	hp               obs.HostProfile
+}
 
-	if err := hp.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+func registerFlags(fs *flag.FlagSet) *appFlags {
+	af := &appFlags{
+		ops:   fs.Int("ops", 600, "measured operations per thread"),
+		warm:  fs.Int("warm", 120, "warm-up operations per thread"),
+		seed:  fs.Uint64("seed", 20030208, "simulation seed"),
+		mode:  fs.String("mode", "size", "swept dimension: size, assoc, or block"),
+		fixed: fs.Int("fixed", 256<<10, "cache size in bytes for assoc/block modes"),
 	}
-	defer hp.Stop()
+	af.ofl.Register(fs)
+	af.hp.Register(fs)
+	return af
+}
 
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole program behind a testable seam; it returns the process
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cachesweep", flag.ContinueOnError)
+	af := registerFlags(fs)
+	return core.Main(fs, args, &af.ofl, &af.hp, stdout, stderr, func(sess *core.Session) error {
+		return sweep(sess, af, stdout, stderr)
+	})
+}
+
+// sweep runs the requested cache sweeps and prints the miss-rate table.
+func sweep(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
+	ofl, mode := &af.ofl, *af.mode
 	if ofl.LatencyEnabled() {
 		// The sweeper has no timing model, so there is no request latency to
 		// measure; accept-and-warn keeps shared flag sets usable across tools.
-		fmt.Fprintln(os.Stderr, "cachesweep: -latency/-slo ignored (trace-driven sweep has no timing model)")
+		fmt.Fprintln(stderr, "cachesweep: -latency/-slo ignored (trace-driven sweep has no timing model)")
 		ofl.Latency, ofl.SLO = "", ""
 	}
 	if ofl.Flight != "on" && ofl.FlightEnabled() {
 		// Same accept-and-warn policy for the flight recorder: the sweeper has
 		// no run loop (and no simulated clock) to tick a black box with.
-		fmt.Fprintln(os.Stderr, "cachesweep: -flight ignored (trace-driven sweep has no run loop to record)")
+		fmt.Fprintln(stderr, "cachesweep: -flight ignored (trace-driven sweep has no run loop to record)")
 	}
-
-	start := time.Now()
-	hb := obs.StartHeartbeat(os.Stderr, "cachesweep", ofl.Heartbeat)
-	defer hb.Stop() // Stop is idempotent: this flushes a final line even on early return
-	o := core.SweepOpts{WarmupOps: *warm, MeasureOps: *ops, Seed: *seed, Progress: hb}
 
 	// The workload configurations run concurrently, each with its own
 	// observer; artifacts merge at the end, in creation order.
-	var mu sync.Mutex
-	var observers []*obs.Observer
-	var labels []string
+	o := core.SweepOpts{WarmupOps: *af.warm, MeasureOps: *af.ops, Seed: *af.seed, Progress: sess.Heartbeat()}
 	if ofl.Enabled() {
-		o.Observe = func(label string) *obs.Observer {
-			mu.Lock()
-			defer mu.Unlock()
-			ob := ofl.NewObserver(len(observers))
-			observers = append(observers, ob)
-			labels = append(labels, label)
-			return ob
-		}
+		o.Observe = sess.SweepObserver
 	}
 	var cs *core.CacheSweeps
 	var dim string
-	switch *mode {
+	switch mode {
 	case "size":
 		cs = core.RunCacheSweeps(o)
 		dim = "size"
 	case "assoc":
-		cs = core.RunGeometrySweeps(o, core.SweepAssoc, *fixed)
+		cs = core.RunGeometrySweeps(o, core.SweepAssoc, *af.fixed)
 		dim = "ways"
 	case "block":
-		cs = core.RunGeometrySweeps(o, core.SweepBlock, *fixed)
+		cs = core.RunGeometrySweeps(o, core.SweepBlock, *af.fixed)
 		dim = "block"
 	default:
-		fmt.Println("unknown -mode; use size, assoc, or block")
-		return
+		fmt.Fprintln(stdout, "unknown -mode; use size, assoc, or block")
+		return nil
 	}
 
-	fmt.Printf("misses per 1000 instructions, sweeping %s\n", dim)
-	fmt.Printf("%10s", dim)
+	fmt.Fprintf(stdout, "misses per 1000 instructions, sweeping %s\n", dim)
+	fmt.Fprintf(stdout, "%10s", dim)
 	for _, r := range cs.Results {
-		fmt.Printf(" | %10s-I %10s-D", r.Label, r.Label)
+		fmt.Fprintf(stdout, " | %10s-I %10s-D", r.Label, r.Label)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for i := range cs.Results[0].ICurve {
-		switch *mode {
+		switch mode {
 		case "assoc":
-			fmt.Printf("%9dw", 1<<uint(i))
+			fmt.Fprintf(stdout, "%9dw", 1<<uint(i))
 		case "block":
-			fmt.Printf("%9dB", 16<<uint(i))
+			fmt.Fprintf(stdout, "%9dB", 16<<uint(i))
 		default:
-			fmt.Printf("%8dKB", cs.Results[0].ICurve[i].SizeBytes/1024)
+			fmt.Fprintf(stdout, "%8dKB", cs.Results[0].ICurve[i].SizeBytes/1024)
 		}
 		for _, r := range cs.Results {
-			fmt.Printf(" | %12.3f %12.3f", r.ICurve[i].MissesPer1000, r.DCurve[i].MissesPer1000)
+			fmt.Fprintf(stdout, " | %12.3f %12.3f", r.ICurve[i].MissesPer1000, r.DCurve[i].MissesPer1000)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	hb.Stop()
 
-	if ofl.Enabled() {
-		m := &obs.Manifest{
-			Command: "cachesweep",
-			Args:    os.Args[1:],
-			Git:     obs.GitDescribe(),
-			Started: start,
-			Seeds:   []uint64{*seed},
-			Opts: map[string]any{
-				"warmup_ops": *warm, "measure_ops": *ops,
-				"mode": *mode, "fixed_bytes": *fixed,
-			},
-			WallSeconds: time.Since(start).Seconds(),
-		}
-		if err := ofl.WriteArtifacts(labels, observers, nil, m); err != nil {
-			fmt.Fprintf(os.Stderr, "writing observability artifacts: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	return sess.Finish([]uint64{*af.seed}, map[string]any{
+		"warmup_ops": *af.warm, "measure_ops": *af.ops,
+		"mode": mode, "fixed_bytes": *af.fixed,
+	})
 }

@@ -19,13 +19,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/memsys"
 	"repro/internal/obs"
-	"repro/internal/obs/flightrec"
 )
 
 // appFlags is the full flag surface; registerFlags keeps it testable (the
@@ -33,53 +33,50 @@ import (
 type appFlags struct {
 	measure  *uint64
 	seed     *uint64
-	memmodel *string
+	memModel memsys.MemModel
 	ofl      obs.Flags
 	hp       obs.HostProfile
 }
 
 func registerFlags(fs *flag.FlagSet) *appFlags {
 	af := &appFlags{
-		measure:  fs.Uint64("measure", 30_000_000, "measurement window in cycles"),
-		seed:     fs.Uint64("seed", 1, "simulation seed"),
-		memmodel: fs.String("memmodel", "fixed", "memory timing model: fixed (unloaded scalar latencies) or loaded (bandwidth-latency curve)"),
+		measure: fs.Uint64("measure", 30_000_000, "measurement window in cycles"),
+		seed:    fs.Uint64("seed", 1, "simulation seed"),
 	}
+	af.memModel.RegisterFlag(fs)
 	af.ofl.Register(fs)
 	af.hp.Register(fs)
 	return af
 }
 
 func main() {
-	af := registerFlags(flag.CommandLine)
-	flag.Parse()
-	measure, seed, ofl, hp := af.measure, af.seed, &af.ofl, &af.hp
-	memModel, err := memsys.ParseMemModel(*af.memmodel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "calibrate:", err)
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if err := hp.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer hp.Stop()
+// run is the whole program behind a testable seam; it returns the process
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("calibrate", flag.ContinueOnError)
+	af := registerFlags(fs)
+	return core.Main(fs, args, &af.ofl, &af.hp, stdout, stderr, func(sess *core.Session) error {
+		return calibrate(sess, af, stdout)
+	})
+}
 
+// calibrate prints the diagnostic table, then runs the observed points.
+func calibrate(sess *core.Session, af *appFlags, stdout io.Writer) error {
+	seed := *af.seed
 	o := core.QuickOpts()
-	o.MeasureCycles = *measure
-	o.MemModel = memModel
-
-	start := time.Now()
-	hb := obs.StartHeartbeat(os.Stderr, "calibrate", ofl.Heartbeat)
-	defer hb.Stop()
-	o.Progress = hb
+	o.MeasureCycles = *af.measure
+	o.MemModel = af.memModel
+	o.Progress = sess.Heartbeat()
 
 	procs := []int{1, 2, 4, 8, 12, 15}
 	for _, kind := range []core.Kind{core.SPECjbb, core.ECperf} {
 		for _, p := range procs {
 			t0 := time.Now()
-			pt := core.RunScalingPointDebug(kind, p, *seed, o)
-			fmt.Printf("%-8s P=%-2d thr=%8.0f cpi=%.2f(o=%.2f i=%.2f d=%.2f) u=%.2f s=%.2f io=%.2f id=%.2f gci=%.2f c2c=%.2f gc=%d gcf=%.3f i/op=%.0f\n  %s [%s]\n",
+			pt := core.RunScalingPointDebug(kind, p, seed, o)
+			fmt.Fprintf(stdout, "%-8s P=%-2d thr=%8.0f cpi=%.2f(o=%.2f i=%.2f d=%.2f) u=%.2f s=%.2f io=%.2f id=%.2f gci=%.2f c2c=%.2f gc=%d gcf=%.3f i/op=%.0f\n  %s [%s]\n",
 				kind, p, pt.Throughput, pt.CPI, pt.OtherCPI, pt.IStallCPI, pt.DStallCPI,
 				pt.UserFrac, pt.SystemFrac, pt.IOFrac, pt.IdleFrac, pt.GCIdleFrac,
 				pt.C2CRatio, pt.GCCount, pt.GCWallFrac, pt.InstrPerOp, pt.Debug,
@@ -87,61 +84,15 @@ func main() {
 		}
 	}
 
-	if ofl.Enabled() {
-		// One fully-observed point per workload at the largest sweep shape,
-		// the same semantics as cmd/figures' observed runs.
-		obsProcs := procs[len(procs)-1]
-		var insp *obs.Inspector
-		if ofl.Inspect != "" {
-			var err error
-			insp, err = obs.StartInspector(ofl.Inspect, "calibrate", hb)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "starting inspector: %v\n", err)
-				os.Exit(1)
-			}
-			defer insp.Close()
-			fmt.Fprintf(os.Stderr, "inspector listening on http://%s\n", insp.Addr())
-		}
-		var observers []*obs.Observer
-		var snaps []*obs.Snapshot
-		var labels []string
-		for i, kind := range []core.Kind{core.SPECjbb, core.ECperf} {
-			fmt.Fprintf(os.Stderr, "observed run: %s, %d processors, seed %d...\n", kind, obsProcs, *seed)
-			ob := ofl.NewObserver(i)
-			ob.Inspect = insp
-			insp.SetNote(fmt.Sprintf("observed run: %s, %d processors", kind, obsProcs))
-			ob, rec := flightrec.FromFlags(ofl, "calibrate-"+kind.String(), ob)
-			rec.SetInspector(insp)
-			rt, err := core.NewLatencyCollector(ofl)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "calibrate:", err)
-				os.Exit(1)
-			}
-			_, snap := core.RunObservedPointFlight(kind, obsProcs, *seed, o, ob, rt, rec)
-			if s := rec.Summary(); s != "" {
-				fmt.Fprintln(os.Stderr, s)
-			}
-			observers = append(observers, ob)
-			snaps = append(snaps, snap)
-			labels = append(labels, kind.String())
-		}
-		manifestOpts := o
-		manifestOpts.Progress = nil
-		m := &obs.Manifest{
-			Command: "calibrate",
-			Args:    os.Args[1:],
-			Git:     obs.GitDescribe(),
-			Started: start,
-			Seeds:   []uint64{*seed},
-			Opts: map[string]any{
-				"sweep":    manifestOpts,
-				"observed": map[string]any{"processors": obsProcs, "seed": *seed},
-			},
-			WallSeconds: time.Since(start).Seconds(),
-		}
-		if err := ofl.WriteArtifacts(labels, observers, snaps, m); err != nil {
-			fmt.Fprintf(os.Stderr, "writing observability artifacts: %v\n", err)
-			os.Exit(1)
-		}
+	// One fully-observed point per workload at the largest sweep shape.
+	obsProcs := procs[len(procs)-1]
+	if err := sess.ObservePoints(obsProcs, seed, o); err != nil {
+		return err
 	}
+	manifestOpts := o
+	manifestOpts.Progress = nil
+	return sess.Finish([]uint64{seed}, map[string]any{
+		"sweep":    manifestOpts,
+		"observed": map[string]any{"processors": obsProcs, "seed": seed},
+	})
 }

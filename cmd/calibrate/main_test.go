@@ -2,8 +2,10 @@ package main
 
 import (
 	"flag"
+	"regexp"
 	"testing"
 
+	"repro/internal/drivertest"
 	"repro/internal/obs"
 )
 
@@ -20,4 +22,10 @@ func TestFlagParity(t *testing.T) {
 			t.Errorf("flag -%s not registered", name)
 		}
 	}
+}
+
+// TestStdoutPassivity: the diagnostic table is byte-identical whatever
+// observability is attached, apart from each line's wall-clock duration.
+func TestStdoutPassivity(t *testing.T) {
+	drivertest.StdoutPassivity(t, run, regexp.MustCompile(`\[[0-9.]+[µm]?s\]`), "-measure", "1000000")
 }

@@ -36,237 +36,117 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/memsys"
 	"repro/internal/obs"
-	"repro/internal/obs/flightrec"
-	"repro/internal/obs/reqtrace"
 	"repro/internal/report"
 )
 
 // appFlags is the full flag surface; registerFlags keeps it testable (the
 // flag-parity test registers onto a scratch FlagSet).
 type appFlags struct {
-	procs, oir            *int
-	seed, warmup, measure *uint64
-	faults                *string
-	faultBin              *uint64
-	faultReport           *string
-	watchdog              *uint64
-	ckptPath, resume      *string
-	ckptEvery             *uint64
-	memmodel              *string
-	ofl                   obs.Flags
-	hp                    obs.HostProfile
+	spec        core.RunSpec
+	faults      *string
+	faultBin    *uint64
+	faultReport *string
+	ofl         obs.Flags
+	hp          obs.HostProfile
 }
 
 func registerFlags(fs *flag.FlagSet) *appFlags {
 	af := &appFlags{
-		procs:       fs.Int("p", 8, "processor-set size on the app server (1-16)"),
-		oir:         fs.Int("oir", 10, "orders injection rate (scale factor)"),
-		seed:        fs.Uint64("seed", 20030208, "simulation seed"),
-		warmup:      fs.Uint64("warmup", 12_000_000, "warm-up cycles (excluded)"),
-		measure:     fs.Uint64("measure", 50_000_000, "measurement window in cycles"),
+		spec:        core.RunSpec{Params: core.SystemParams{Kind: core.ECperf}},
 		faults:      fs.String("faults", "", "fault schedule JSON file, or \"demo\" for the built-in schedule"),
 		faultBin:    fs.Uint64("fault-bin", 4_000_000, "throughput sampling bin for -faults, in cycles"),
 		faultReport: fs.String("fault-report", "", "also write the -faults figure (markdown) to FILE"),
-		watchdog:    fs.Uint64("watchdog", 0, "abort when the run makes no progress for N simulated cycles (0 = off)"),
-		ckptPath:    fs.String("checkpoint", "", "write a resumable checkpoint to FILE"),
-		ckptEvery:   fs.Uint64("checkpoint-every", 0, "checkpoint cadence in cycles (0 = only at the end)"),
-		resume:      fs.String("resume", "", "resume from checkpoint FILE (run parameters come from the checkpoint)"),
-		memmodel:    fs.String("memmodel", "fixed", "memory timing model: fixed (unloaded scalar latencies) or loaded (bandwidth-latency curve)"),
 	}
+	af.spec.Register(fs, "processor-set size on the app server (1-16)")
+	fs.IntVar(&af.spec.Params.Scale, "oir", 10, "orders injection rate (scale factor)")
 	af.ofl.Register(fs)
 	af.hp.Register(fs)
 	return af
 }
 
 func main() {
-	af := registerFlags(flag.CommandLine)
-	flag.Parse()
-	procs, oir, seed, warmup, measure := af.procs, af.oir, af.seed, af.warmup, af.measure
-	faults, faultBin, faultReport := af.faults, af.faultBin, af.faultReport
-	watchdog, ckptPath, ckptEvery, resume := af.watchdog, af.ckptPath, af.ckptEvery, af.resume
-	ofl, hp := &af.ofl, &af.hp
-	memModel, err := memsys.ParseMemModel(*af.memmodel)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole program behind a testable seam; it returns the process
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ecperfsim", flag.ContinueOnError)
+	af := registerFlags(fs)
+	return core.Main(fs, args, &af.ofl, &af.hp, stdout, stderr, func(sess *core.Session) error {
+		if *af.faults != "" {
+			return runFaultExperiment(sess, af, stdout)
+		}
+		return simulate(sess, af, stdout)
+	})
+}
+
+// simulate runs the configured (or resumed) ECperf point and prints its
+// report.
+func simulate(sess *core.Session, af *appFlags, stdout io.Writer) error {
+	r, err := sess.Measure("ECperf", af.spec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	sys := r.Sys
+	res := sys.Engine.Results()
+	measure := af.spec.Measure
 
-	if err := hp.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer hp.Stop()
-
-	var ob *obs.Observer
-	if ofl.Enabled() {
-		ob = ofl.NewObserver(0)
-	}
-	ob, rec := flightrec.FromFlags(ofl, "ecperfsim", ob)
-	rt, err := core.NewLatencyCollector(ofl)
-	if err != nil {
-		fatal(err)
-	}
-	start := time.Now()
-	hb := obs.StartHeartbeat(os.Stderr, "ecperfsim", ofl.Heartbeat)
-	// Stop is idempotent: the deferred call flushes a final progress line
-	// even when a fault/watchdog path exits early.
-	defer hb.Stop()
-	if ofl.Inspect != "" {
-		in, err := obs.StartInspector(ofl.Inspect, "ecperfsim", hb)
-		if err != nil {
-			fatal(fmt.Errorf("starting inspector: %w", err))
-		}
-		defer in.Close()
-		ob.Inspect = in
-		rec.SetInspector(in)
-		fmt.Fprintf(os.Stderr, "inspector listening on http://%s\n", in.Addr())
-	}
-
-	var plan *core.CheckpointPlan
-	if *ckptPath != "" {
-		plan = &core.CheckpointPlan{Path: *ckptPath, Every: *ckptEvery, Command: "ecperfsim"}
-	}
-
-	if *faults != "" {
-		runFaultExperiment(*faults, *procs, *seed, *warmup, *measure, *faultBin, *faultReport, memModel, ob, rt, rec, hb, ofl, start)
-		return
-	}
-
-	var sys *core.System
-	var delta *obs.Snapshot
-	if *resume != "" {
-		if rt != nil {
-			fmt.Fprintln(os.Stderr, "ecperfsim: -latency/-slo ignored with -resume (spans cannot be reconstructed mid-run)")
-			rt = nil
-		}
-		cp, err := core.LoadCheckpoint(*resume)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "resuming %s run at cycle %d (verifying replay)\n", cp.Params.Kind, cp.Cycle)
-		sys, err = core.ResumeRun(cp, hb, *measure, plan)
-		if err != nil {
-			fatal(err)
-		}
-		*warmup = cp.Warmup
-	} else {
-		sys = core.BuildSystem(core.SystemParams{
-			Kind:           core.ECperf,
-			Processors:     *procs,
-			Scale:          *oir,
-			Seed:           *seed,
-			WatchdogCycles: *watchdog,
-			MemModel:       memModel,
-		})
-		core.AttachLatency(sys, ob, rt)
-		core.AttachFlight(sys, rec)
-		var err error
-		delta, err = core.ObserveRunCheckpointed(sys, ob, hb, *warmup, *measure, plan)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	hb.Stop()
-	if wd := sys.Engine.WatchdogTripped(); wd != nil {
-		fmt.Fprintf(os.Stderr, "watchdog tripped:\n%s\n", wd)
-		os.Exit(2)
-	}
-	eng := sys.Engine
-	res := eng.Results()
-
-	seconds := float64(*measure) / core.CyclesPerSecond
-	fmt.Printf("ECperf: %d processors, OIR %d, %.0f ms measured\n",
+	seconds := float64(measure) / core.CyclesPerSecond
+	fmt.Fprintf(stdout, "ECperf: %d processors, OIR %d, %.0f ms measured\n",
 		sys.Params.Processors, sys.Params.Scale, seconds*1000)
-	fmt.Printf("throughput        %10.0f BBops/min (%0.0f/s)\n",
+	fmt.Fprintf(stdout, "throughput        %10.0f BBops/min (%0.0f/s)\n",
 		60*float64(res.BusinessOps)/seconds, float64(res.BusinessOps)/seconds)
-	tags := make([]string, 0, len(res.OpsByTag))
-	for tag := range res.OpsByTag {
-		tags = append(tags, tag)
-	}
-	sort.Strings(tags)
-	for _, tag := range tags {
+	for _, tag := range report.Tags(res.OpsByTag) {
 		line := fmt.Sprintf("  %-15s %10d", tag, res.OpsByTag[tag])
 		if h := res.LatencyByTag[tag]; h != nil && h.Count() > 0 {
 			line += fmt.Sprintf("   p50 %5.2fms  p90 %5.2fms",
 				1000*float64(h.Quantile(0.5))/core.CyclesPerSecond,
 				1000*float64(h.Quantile(0.9))/core.CyclesPerSecond)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
-	total := float64(res.Modes.Total())
-	fmt.Printf("modes: user %.1f%%  system %.1f%%  i/o %.1f%%  idle %.1f%%  gc-idle %.1f%%\n",
-		100*float64(res.Modes.User)/total, 100*float64(res.Modes.System)/total,
-		100*float64(res.Modes.IOWait)/total, 100*float64(res.Modes.Idle)/total,
-		100*float64(res.Modes.GCIdle)/total)
+	report.Modes(stdout, res.Modes)
 	c := res.CPU
 	if c.Instructions > 0 {
 		in := float64(c.Instructions)
-		fmt.Printf("CPI %.3f (other %.3f, i-stall %.3f, d-stall %.3f); %.0f instructions/BBop\n",
+		fmt.Fprintf(stdout, "CPI %.3f (other %.3f, i-stall %.3f, d-stall %.3f); %.0f instructions/BBop\n",
 			float64(c.Total())/in, float64(c.BaseCycles)/in,
 			float64(c.IStallCycles)/in, float64(c.DStall())/in,
 			in/float64(res.BusinessOps))
 	}
 	bs := sys.Hier.Bus().Stats
-	fmt.Printf("bus: c2c ratio %.1f%% (%d transfers, %d from memory)\n",
+	fmt.Fprintf(stdout, "bus: c2c ratio %.1f%% (%d transfers, %d from memory)\n",
 		100*bs.C2CRatio(), bs.C2CTransfers, bs.MemTransfers)
-	if ls, ok := sys.Hier.LoadSnapshot(); ok {
-		// Only under -memmodel loaded, keeping fixed-mode stdout byte-stable.
-		fmt.Printf("memmodel loaded: util %.2f  mem x%.2f  c2c x%.2f  extra stall %d cycles  interventions %d\n",
-			ls.Util, ls.MemMult, ls.C2CMult, ls.MemExtraCycles+ls.C2CExtraCycles, ls.Interventions)
-	}
-	fmt.Printf("object cache: hit ratio %.1f%% (%d entries)\n",
+	report.LoadedModel(stdout, sys)
+	fmt.Fprintf(stdout, "object cache: hit ratio %.1f%% (%d entries)\n",
 		100*sys.EC.Cache().HitRatio(), sys.EC.Cache().Len())
 	if sys.DB != nil {
-		fmt.Printf("remote tiers: database %.0f%% utilized, supplier %.0f%%\n",
+		fmt.Fprintf(stdout, "remote tiers: database %.0f%% utilized, supplier %.0f%%\n",
 			100*sys.DB.Utilization(), 100*sys.Supplier.Utilization())
 	}
-	fmt.Printf("gc: %d collections, %.1f%% of wall time\n",
-		res.GCCount, 100*float64(res.GCWall)/float64(*measure))
-	if ckpt := *ckptPath; ckpt != "" {
-		fmt.Printf("checkpoint: saved to %s (resume with -resume %s)\n", ckpt, ckpt)
-	}
-	if ob != nil && ob.Attr != nil {
-		fmt.Println()
-		report.AttrSummary(os.Stdout, ob.Attr.BuildReport(ofl.AttrTop))
-	}
-	if rt != nil {
-		fmt.Println()
-		report.LatencySummary(os.Stdout, rt.BuildReport())
-	}
+	fmt.Fprintf(stdout, "gc: %d collections, %.1f%% of wall time\n",
+		res.GCCount, 100*float64(res.GCWall)/float64(measure))
+	report.RunTail(stdout, r, af.spec.Checkpoint, af.ofl.AttrTop)
 
-	if ofl.Enabled() {
-		m := &obs.Manifest{
-			Command: "ecperfsim",
-			Args:    os.Args[1:],
-			Git:     obs.GitDescribe(),
-			Started: start,
-			Seeds:   []uint64{*seed},
-			Opts: map[string]any{
-				"processors": sys.Params.Processors, "oir": sys.Params.Scale,
-				"warmup_cycles": *warmup, "measure_cycles": *measure,
-			},
-			WallSeconds: time.Since(start).Seconds(),
-		}
-		if err := ofl.WriteArtifacts([]string{"ECperf"}, []*obs.Observer{ob}, []*obs.Snapshot{delta}, m); err != nil {
-			fatal(fmt.Errorf("writing observability artifacts: %w", err))
-		}
-	}
-	if s := rec.Summary(); s != "" {
-		fmt.Fprintln(os.Stderr, s)
-	}
+	return sess.Finish([]uint64{af.spec.Params.Seed}, map[string]any{
+		"processors": sys.Params.Processors, "oir": sys.Params.Scale,
+		"warmup_cycles": r.Warmup, "measure_cycles": measure,
+	})
 }
 
 // runFaultExperiment is the -faults mode: a paired clean/faulted measurement
-// rendered as the throughput-under-fault curve. rt, when non-nil, collects
-// request latency on the faulted run.
-func runFaultExperiment(spec string, procs int, seed, warmup, measure, bin uint64, reportPath string, memModel memsys.MemModel, ob *obs.Observer, rt *reqtrace.Collector, rec *flightrec.Recorder, hb *obs.Heartbeat, ofl *obs.Flags, start time.Time) {
+// rendered as the throughput-under-fault curve. The session's attachments
+// ride the faulted run.
+func runFaultExperiment(sess *core.Session, af *appFlags, stdout io.Writer) error {
+	p := af.spec.Params
+	spec, warmup, measure := *af.faults, af.spec.Warmup, af.spec.Measure
 	var sched *fault.Schedule
 	if spec == "demo" {
 		sched = fault.Demo(warmup, measure)
@@ -274,74 +154,39 @@ func runFaultExperiment(spec string, procs int, seed, warmup, measure, bin uint6
 		var err error
 		sched, err = fault.LoadSchedule(spec)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	fmt.Printf("fault schedule (%d events):\n", len(sched.Events))
+	fmt.Fprintf(stdout, "fault schedule (%d events):\n", len(sched.Events))
 	for _, e := range sched.Events {
-		fmt.Printf("  %s\n", e)
+		fmt.Fprintf(stdout, "  %s\n", e)
 	}
 
-	o := core.FaultRunOpts{
-		Processors:    procs,
-		Seed:          seed,
-		MemModel:      memModel,
+	r := sess.FaultExperiment("ECperf-faulted", core.FaultRunOpts{
+		Processors:    p.Processors,
+		Seed:          p.Seed,
+		MemModel:      p.MemModel,
 		Schedule:      sched,
 		WarmupCycles:  warmup,
 		MeasureCycles: measure,
-		BinCycles:     bin,
-		Observer:      ob,
-		Progress:      hb,
-		Latency:       rt,
-		Flight:        rec,
-	}
-	r := core.RunFaultExperiment(o)
-	hb.Stop()
+		BinCycles:     *af.faultBin,
+	})
 	f := core.FaultFigure(r)
-	report.Render(os.Stdout, f)
-	if rt != nil {
-		fmt.Println()
-		report.LatencySummary(os.Stdout, rt.BuildReport())
+	report.Render(stdout, f)
+	if rt := r.System.Engine.ReqTrace(); rt != nil {
+		fmt.Fprintln(stdout)
+		report.LatencySummary(stdout, rt.BuildReport())
 	}
 
-	if reportPath != "" {
-		af, err := obs.AtomicCreate(reportPath, 0o644)
-		if err != nil {
-			fatal(err)
-		}
-		report.Markdown(af, f)
-		if err := af.Close(); err != nil {
-			fatal(err)
+	if path := *af.faultReport; path != "" {
+		if err := report.WriteMarkdownFile(path, f); err != nil {
+			return err
 		}
 	}
 
-	if ofl.Enabled() {
-		m := &obs.Manifest{
-			Command: "ecperfsim -faults",
-			Args:    os.Args[1:],
-			Git:     obs.GitDescribe(),
-			Started: start,
-			Seeds:   []uint64{seed},
-			Opts: map[string]any{
-				"processors": procs, "schedule": spec,
-				"warmup_cycles": warmup, "measure_cycles": measure, "bin_cycles": bin,
-			},
-			WallSeconds: time.Since(start).Seconds(),
-		}
-		var snap *obs.Snapshot
-		if ob != nil && ob.Registry != nil {
-			snap = ob.Registry.Snapshot()
-		}
-		if err := ofl.WriteArtifacts([]string{"ECperf-faulted"}, []*obs.Observer{ob}, []*obs.Snapshot{snap}, m); err != nil {
-			fatal(fmt.Errorf("writing observability artifacts: %w", err))
-		}
-	}
-	if s := rec.Summary(); s != "" {
-		fmt.Fprintln(os.Stderr, s)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ecperfsim:", err)
-	os.Exit(1)
+	sess.Command = "ecperfsim -faults"
+	return sess.Finish([]uint64{p.Seed}, map[string]any{
+		"processors": p.Processors, "schedule": spec,
+		"warmup_cycles": warmup, "measure_cycles": measure, "bin_cycles": *af.faultBin,
+	})
 }

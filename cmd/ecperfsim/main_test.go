@@ -4,6 +4,7 @@ import (
 	"flag"
 	"testing"
 
+	"repro/internal/drivertest"
 	"repro/internal/obs"
 )
 
@@ -22,4 +23,19 @@ func TestFlagParity(t *testing.T) {
 			t.Errorf("flag -%s not registered", name)
 		}
 	}
+}
+
+// TestStdoutPassivity: the report is byte-identical whatever observability
+// is attached, for a plain run and for a -faults run.
+func TestStdoutPassivity(t *testing.T) {
+	args := []string{"-p", "2", "-warmup", "1000000", "-measure", "2000000"}
+	if !testing.Short() {
+		args = []string{"-p", "4", "-warmup", "2000000", "-measure", "8000000"}
+	}
+	t.Run("plain", func(t *testing.T) {
+		drivertest.StdoutPassivity(t, run, nil, args...)
+	})
+	t.Run("faults", func(t *testing.T) {
+		drivertest.StdoutPassivity(t, run, nil, append(args, "-faults", "demo", "-fault-bin", "1000000")...)
+	})
 }

@@ -38,7 +38,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/memsys"
 	"repro/internal/obs"
-	"repro/internal/obs/flightrec"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
@@ -51,20 +50,20 @@ type appFlags struct {
 	seeds    *int
 	md       *bool
 	serial   *bool
-	memmodel *string
+	memModel memsys.MemModel
 	ofl      obs.Flags
 	hp       obs.HostProfile
 }
 
 func registerFlags(fs *flag.FlagSet) *appFlags {
 	af := &appFlags{
-		fig:      fs.Int("fig", 0, "figure number to regenerate (0 = all)"),
-		quick:    fs.Bool("quick", false, "reduced runs (single seed, short windows)"),
-		seeds:    fs.Int("seeds", 0, "override the number of seeds"),
-		md:       fs.Bool("md", false, "emit GitHub-flavored markdown tables instead of text+plots"),
-		serial:   fs.Bool("serial", false, "run simulation cells serially in submission order instead of on the global work queue"),
-		memmodel: fs.String("memmodel", "fixed", "memory timing model: fixed (unloaded scalar latencies) or loaded (bandwidth-latency curve)"),
+		fig:    fs.Int("fig", 0, "figure number to regenerate (0 = all)"),
+		quick:  fs.Bool("quick", false, "reduced runs (single seed, short windows)"),
+		seeds:  fs.Int("seeds", 0, "override the number of seeds"),
+		md:     fs.Bool("md", false, "emit GitHub-flavored markdown tables instead of text+plots"),
+		serial: fs.Bool("serial", false, "run simulation cells serially in submission order instead of on the global work queue"),
 	}
+	af.memModel.RegisterFlag(fs)
 	af.ofl.Register(fs)
 	af.hp.Register(fs)
 	return af
@@ -79,24 +78,16 @@ func main() {
 // observed points. It returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	af := registerFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	fig, quick, seeds, md := af.fig, af.quick, af.seeds, af.md
-	ofl, hp := &af.ofl, &af.hp
-	memModel, err := memsys.ParseMemModel(*af.memmodel)
-	if err != nil {
-		fmt.Fprintln(stderr, "figures:", err)
-		return 2
-	}
+	return core.Main(fs, args, &af.ofl, &af.hp, stdout, stderr, func(sess *core.Session) error {
+		return figures(sess, af, stdout, stderr)
+	})
+}
 
-	if err := hp.Start(); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	defer hp.Stop()
+// figures schedules the requested figures' cells, renders them in order,
+// and runs the observed points.
+func figures(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
+	fig, quick, seeds, md := af.fig, af.quick, af.seeds, af.md
 
 	opts := core.DefaultOpts()
 	sweepOpts := core.DefaultSweepOpts()
@@ -117,12 +108,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The memory model only affects the timing simulations (the scaling
 	// sweeps and observed points); the uniprocessor cache sweeps (Figures
 	// 12/13) count misses, not cycles.
-	opts.MemModel = memModel
+	opts.MemModel = af.memModel
 
-	hb := obs.StartHeartbeat(stderr, "figures", ofl.Heartbeat)
-	defer hb.Stop()
-	opts.Progress = hb
-	sweepOpts.Progress = hb
+	opts.Progress = sess.Heartbeat()
+	sweepOpts.Progress = sess.Heartbeat()
 
 	want := func(n int) bool { return *fig == 0 || *fig == n }
 	emitted := 0
@@ -231,76 +220,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if emitted == 0 {
-		fmt.Fprintf(stderr, "no such figure: %d (the paper has Figures 4-16)\n", *fig)
-		return 2
+		return &core.ExitError{Code: 2, Err: fmt.Errorf("no such figure: %d (the paper has Figures 4-16)", *fig)}
 	}
 
-	if ofl.Enabled() {
-		// One fully-observed point per workload: the largest sweep point,
-		// first seed. Workloads are kept apart by pid on the trace timeline
-		// and by scope in the folded profile.
-		procs := opts.Procs[len(opts.Procs)-1]
-		seed := opts.Seeds[0]
-		var insp *obs.Inspector
-		if ofl.Inspect != "" {
-			var err error
-			insp, err = obs.StartInspector(ofl.Inspect, "figures", hb)
-			if err != nil {
-				fmt.Fprintf(stderr, "starting inspector: %v\n", err)
-				return 1
-			}
-			defer insp.Close()
-			fmt.Fprintf(stderr, "inspector listening on http://%s\n", insp.Addr())
-		}
-		var observers []*obs.Observer
-		var snaps []*obs.Snapshot
-		var labels []string
-		for i, kind := range []core.Kind{core.SPECjbb, core.ECperf} {
-			fmt.Fprintf(stderr, "observed run: %s, %d processors, seed %d...\n", kind, procs, seed)
-			ob := ofl.NewObserver(i)
-			ob.Inspect = insp
-			insp.SetNote(fmt.Sprintf("observed run: %s, %d processors", kind, procs))
-			// The flight recorder rides each observed point (one recorder per
-			// workload, so dumps never mix timelines); the unobserved sweep
-			// cells stay recorder-free, keeping the figure pipeline identical
-			// to what the perf gate times.
-			ob, rec := flightrec.FromFlags(ofl, "figures-"+kind.String(), ob)
-			rec.SetInspector(insp)
-			// Each observed run gets its own latency collector; the -latency
-			// artifact keys the reports by workload label.
-			rt, err := core.NewLatencyCollector(ofl)
-			if err != nil {
-				fmt.Fprintln(stderr, "figures:", err)
-				return 1
-			}
-			_, snap := core.RunObservedPointFlight(kind, procs, seed, opts, ob, rt, rec)
-			if s := rec.Summary(); s != "" {
-				fmt.Fprintln(stderr, s)
-			}
-			observers = append(observers, ob)
-			snaps = append(snaps, snap)
-			labels = append(labels, kind.String())
-		}
-		manifestOpts := opts
-		manifestOpts.Progress = nil
-		m := &obs.Manifest{
-			Command: "figures",
-			Args:    args,
-			Git:     obs.GitDescribe(),
-			Started: start,
-			Seeds:   opts.Seeds,
-			Opts: map[string]any{
-				"scaling":  manifestOpts,
-				"observed": map[string]any{"processors": procs, "seed": seed},
-			},
-			WallSeconds: time.Since(start).Seconds(),
-		}
-		if err := ofl.WriteArtifacts(labels, observers, snaps, m); err != nil {
-			fmt.Fprintf(stderr, "writing observability artifacts: %v\n", err)
-			return 1
-		}
+	// One fully-observed point per workload: the largest sweep point, first
+	// seed.
+	procs, seed := opts.Procs[len(opts.Procs)-1], opts.Seeds[0]
+	if err := sess.ObservePoints(procs, seed, opts); err != nil {
+		return err
+	}
+	manifestOpts := opts
+	manifestOpts.Progress = nil
+	err := sess.Finish(opts.Seeds, map[string]any{
+		"scaling":  manifestOpts,
+		"observed": map[string]any{"processors": procs, "seed": seed},
+	})
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(stderr, "done: %d figure renderings in %s\n", emitted, time.Since(start).Round(time.Second))
-	return 0
+	return nil
 }

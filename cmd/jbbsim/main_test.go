@@ -4,6 +4,7 @@ import (
 	"flag"
 	"testing"
 
+	"repro/internal/drivertest"
 	"repro/internal/obs"
 )
 
@@ -21,4 +22,14 @@ func TestFlagParity(t *testing.T) {
 			t.Errorf("flag -%s not registered", name)
 		}
 	}
+}
+
+// TestStdoutPassivity: the report is byte-identical whatever observability
+// is attached.
+func TestStdoutPassivity(t *testing.T) {
+	args := []string{"-p", "2", "-warmup", "1000000", "-measure", "2000000"}
+	if !testing.Short() {
+		args = []string{"-p", "4", "-warmup", "2000000", "-measure", "8000000"}
+	}
+	drivertest.StdoutPassivity(t, run, nil, args...)
 }

@@ -43,9 +43,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/arrival"
 	"repro/internal/cluster"
@@ -202,7 +202,7 @@ type live struct {
 // injector so fault draws stay comparable across cells, and its own
 // collector so reports never mix load levels.
 func runPoint(cfg cluster.OpenConfig, mult float64, controlsOn bool, seed, horizon uint64,
-	sched *fault.Schedule, newColl func() (*reqtrace.Collector, error), lv live,
+	sched *fault.Schedule, newColl func() *reqtrace.Collector, lv live,
 	rec *flightrec.Recorder) (point, error) {
 	if cfg.ClosedClients == 0 {
 		cfg.Arrival.Rate = mult * cfg.Capacity()
@@ -215,21 +215,20 @@ func runPoint(cfg cluster.OpenConfig, mult float64, controlsOn bool, seed, horiz
 	if sched != nil {
 		s.SetFaults(fault.NewInjector(sched, simrand.New(seed+1)))
 	}
-	coll, err := newColl()
-	if err != nil {
-		return point{}, err
-	}
+	coll := newColl()
 	s.SetCollector(coll)
 	rec.SetCollector(coll)
 	rec.SetSchedule(sched)
-	s.SetTick(2_000_000, func(at uint64, sim *cluster.OpenSim) {
-		lv.hb.SetCycles(at)
+	// The harness tick (progress, live latency, flight recorder) plus the
+	// open system's extras: traffic rates, brown-out level, /overload page.
+	r := core.Run{Latency: coll, Flight: rec, Progress: lv.hb}
+	s.SetTick(core.SliceCycles, func(at uint64, sim *cluster.OpenSim) {
+		r.Tick(at)
 		sec := float64(at) / core.CyclesPerSecond
 		st := sim.Stats
 		lv.hb.SetTraffic(float64(st.Offered)/sec, float64(st.Offered-st.Shed)/sec,
 			float64(st.Shed)/sec)
 		if rec != nil {
-			rec.Tick(at)
 			lvl := 0
 			for _, n := range sim.Snapshot(at).Nodes {
 				if n.BrownLevel > lvl {
@@ -274,7 +273,7 @@ func criticalClass(mix []cluster.WorkClass) string {
 // The returned points are ordered controls-on first, each in sweep order.
 func runSweep(w io.Writer, cfg cluster.OpenConfig, mults []float64, modes []bool,
 	seed, horizon uint64, sched *fault.Schedule,
-	newColl func() (*reqtrace.Collector, error), lv live) ([]point, error) {
+	newColl func() *reqtrace.Collector, lv live) ([]point, error) {
 	capRate := cfg.Capacity() * core.CyclesPerSecond
 	fmt.Fprintf(w, "loadsim: %d nodes x %d workers, %d shards, lb %s, deadline %.1f ms, capacity %.0f req/s\n",
 		cfg.Nodes, cfg.WorkersPerNode, cfg.Shards, cfg.LB, float64(cfg.DeadlineCycles)/cyclesPerMS, capRate)
@@ -385,30 +384,39 @@ func latencyPoint(pts []point) *point {
 }
 
 func main() {
-	af := registerFlags(flag.CommandLine)
-	flag.Parse()
-	ofl, hp := &af.ofl, &af.hp
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if err := hp.Start(); err != nil {
-		fatal(err)
-	}
-	defer hp.Stop()
+// run is the whole program behind a testable seam; it returns the process
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("loadsim", flag.ContinueOnError)
+	af := registerFlags(fs)
+	return core.Main(fs, args, &af.ofl, &af.hp, stdout, stderr, func(sess *core.Session) error {
+		return sweepLoad(sess, af, stdout, stderr)
+	})
+}
+
+// sweepLoad runs every requested (load, controls) cell and prints the
+// table, the figure, and the latency report.
+func sweepLoad(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
+	ofl := &af.ofl
 	for _, inert := range []struct{ name, val string }{
 		{"-trace", ofl.Trace}, {"-metrics", ofl.Metrics},
 		{"-profile", ofl.Profile}, {"-attr", ofl.Attr},
 	} {
 		if inert.val != "" {
-			fmt.Fprintf(os.Stderr, "loadsim: %s ignored (queueing-level model, no engine instrumentation)\n", inert.name)
+			fmt.Fprintf(stderr, "loadsim: %s ignored (queueing-level model, no engine instrumentation)\n", inert.name)
 		}
 	}
 
 	cfg, err := buildConfig(af)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	mults, err := parseSweep(*af.sweep, *af.offered)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var modes []bool
 	switch *af.controls {
@@ -419,98 +427,63 @@ func main() {
 	case "both":
 		modes = []bool{true, false}
 	default:
-		fatal(fmt.Errorf("-controls %q: want on, off, or both", *af.controls))
+		return fmt.Errorf("-controls %q: want on, off, or both", *af.controls)
 	}
 	sched, err := loadFaults(*af.faults, *af.horizon)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	newColl := func() (*reqtrace.Collector, error) {
-		if c, err := core.NewLatencyCollector(ofl); err != nil || c != nil {
-			return c, err
+	// Every cell tracks latency for the table's quantiles; -latency/-slo
+	// (validated when the session started) add objectives and the report.
+	newColl := func() *reqtrace.Collector {
+		if c, _ := core.NewLatencyCollector(ofl); c != nil {
+			return c
 		}
-		return reqtrace.NewCollector(reqtrace.Options{}), nil
+		return reqtrace.NewCollector(reqtrace.Options{})
 	}
 
-	start := time.Now()
-	hb := obs.StartHeartbeat(os.Stderr, "loadsim", ofl.Heartbeat)
-	defer hb.Stop()
-	if hb != nil {
-		hb.TotalRuns = uint64(len(mults) * len(modes))
-	}
-	lv := live{hb: hb}
 	// The flight recorder rides the highest-load controls-on cell — the same
-	// one the -latency report describes. No engine here, so its ring carries
-	// only synthesized fault windows; the brown-out and SLO-burn triggers are
-	// the useful ones.
-	_, lv.rec = flightrec.FromFlags(ofl, "loadsim", nil)
-	lv.recOn = modes[0]
-	for _, m := range modes {
-		if m {
-			lv.recOn = true
-		}
-	}
-	lv.recMult = mults[0]
-	for _, m := range mults {
-		if m > lv.recMult {
-			lv.recMult = m
-		}
-	}
-	if ofl.Inspect != "" {
-		in, err := obs.StartInspector(ofl.Inspect, "loadsim", hb)
-		if err != nil {
-			fatal(fmt.Errorf("starting inspector: %w", err))
-		}
-		defer in.Close()
-		lv.insp = in
-		lv.rec.SetInspector(in)
-		fmt.Fprintf(os.Stderr, "inspector listening on http://%s\n", in.Addr())
+	// one the -latency report describes (modes lists controls-on first). No
+	// engine here, so its ring carries only synthesized fault windows; the
+	// brown-out and SLO-burn triggers are the useful ones.
+	lv := live{hb: sess.Heartbeat(), insp: sess.Inspector(), rec: sess.Recorder("loadsim"),
+		recOn: modes[0], recMult: slices.Max(mults)}
+	if lv.hb != nil {
+		lv.hb.TotalRuns = uint64(len(mults) * len(modes))
 	}
 
-	pts, err := runSweep(os.Stdout, cfg, mults, modes, *af.seed, *af.horizon, sched, newColl, lv)
+	pts, err := runSweep(stdout, cfg, mults, modes, *af.seed, *af.horizon, sched, newColl, lv)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	hb.Stop()
 
 	fig := buildFigure(pts, mults)
 	if len(mults) > 1 {
-		fmt.Println()
-		report.Render(os.Stdout, fig)
+		fmt.Fprintln(stdout)
+		report.Render(stdout, fig)
 	}
 	for _, n := range fig.Notes {
-		fmt.Println(n)
+		fmt.Fprintln(stdout, n)
 	}
 	if *af.reportPath != "" {
-		w, err := obs.AtomicCreate(*af.reportPath, 0o644)
-		if err != nil {
-			fatal(err)
-		}
-		report.Markdown(w, fig)
-		if err := w.Close(); err != nil {
-			fatal(err)
+		if err := report.WriteMarkdownFile(*af.reportPath, fig); err != nil {
+			return err
 		}
 	}
 
 	if lp := latencyPoint(pts); lp != nil && ofl.LatencyEnabled() {
-		fmt.Println()
-		fmt.Printf("latency report: %.2fx offered, controls %v\n", lp.mult, lp.controls)
-		report.LatencySummary(os.Stdout, lp.coll.BuildReport())
-		if ofl.Latency != "" && ofl.Latency != "-" {
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "latency report: %.2fx offered, controls %v\n", lp.mult, lp.controls)
+		report.LatencySummary(stdout, lp.coll.BuildReport())
+		if ofl.Latency == "-" {
+			stdout.Write(lp.coll.ReportJSON())
+		} else if ofl.Latency != "" {
 			if err := obs.AtomicWriteFile(ofl.Latency, lp.coll.ReportJSON(), 0o644); err != nil {
-				fatal(err)
+				return err
 			}
-		} else if ofl.Latency == "-" {
-			os.Stdout.Write(lp.coll.ReportJSON())
 		}
 	}
-	if s := lv.rec.Summary(); s != "" {
-		fmt.Fprintln(os.Stderr, s)
-	}
-	_ = start
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "loadsim:", err)
-	os.Exit(1)
+	// The loop is not an engine run, so there is no observer to write
+	// artifacts from: Finish only reports the flight recorder.
+	return sess.Finish(nil, nil)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/drivertest"
 	"repro/internal/obs"
 	"repro/internal/obs/reqtrace"
 )
@@ -67,8 +68,8 @@ func TestLoadFaultsBuiltins(t *testing.T) {
 	}
 }
 
-func plainColl() (*reqtrace.Collector, error) {
-	return reqtrace.NewCollector(reqtrace.Options{}), nil
+func plainColl() *reqtrace.Collector {
+	return reqtrace.NewCollector(reqtrace.Options{})
 }
 
 // TestSweepDeterministic: the full sweep — table bytes, figure, and notes —
@@ -157,4 +158,14 @@ func TestBuildConfigFlash(t *testing.T) {
 	if cfg.Arrival.FlashAt == 0 || cfg.Arrival.FlashAt >= *af.horizon {
 		t.Fatalf("flash spike at %d outside horizon %d", cfg.Arrival.FlashAt, *af.horizon)
 	}
+}
+
+// TestStdoutPassivity: the sweep table is byte-identical whatever
+// observability is attached (the artifact flags are inert here).
+func TestStdoutPassivity(t *testing.T) {
+	horizon := "10000000"
+	if !testing.Short() {
+		horizon = "40000000"
+	}
+	drivertest.StdoutPassivity(t, run, nil, "-sweep", "0.5,3", "-controls", "both", "-horizon", horizon)
 }

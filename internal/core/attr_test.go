@@ -14,7 +14,7 @@ func runAttr(t *testing.T, seed uint64, exact bool) ([]byte, *System, *attr.Coll
 	t.Helper()
 	sys := BuildSystem(SystemParams{Kind: SPECjbb, Processors: 4, Seed: seed})
 	ob := &obs.Observer{Attr: attr.NewCollector(attr.Options{Exact: exact})}
-	ObserveRun(sys, ob, nil, 2_000_000, 10_000_000)
+	observeRun(t, sys, ob, nil, 2_000_000, 10_000_000)
 	buf, err := json.Marshal(ob.Attr.BuildReport(25))
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestAttrIsPassive(t *testing.T) {
 	_, with, _ := runAttr(t, 20030208, true)
 
 	bare := BuildSystem(SystemParams{Kind: SPECjbb, Processors: 4, Seed: 20030208})
-	ObserveRun(bare, nil, nil, 2_000_000, 10_000_000)
+	observeRun(t, bare, nil, nil, 2_000_000, 10_000_000)
 
 	if with.Hier.Bus().Stats != bare.Hier.Bus().Stats {
 		t.Errorf("bus stats diverge with attribution attached:\nwith    %+v\nwithout %+v",

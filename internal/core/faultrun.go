@@ -31,11 +31,12 @@ type FaultRunOpts struct {
 	// BinCycles is the throughput sampling interval.
 	BinCycles uint64
 
-	// Observer, when non-nil, is attached to the *faulted* run: its trace
-	// carries the scheduled fault windows and resilience instants, and its
-	// registry the fault.* counters. Progress reports both runs' cycles.
+	// Observer, when non-nil, is attached to the *faulted* run, which
+	// follows the standard warm-up/measure discipline: its trace carries
+	// the scheduled fault windows and resilience instants, its registry the
+	// fault.* counters, and its profile and attribution cover the
+	// measurement window.
 	Observer *obs.Observer
-	Progress *obs.Heartbeat
 	// Latency, when non-nil, is attached to the *faulted* run too: the
 	// experiment's question is how request latency degrades and recovers
 	// around the windows, and the clean run at the same seed is already
@@ -105,39 +106,37 @@ type FaultRunResult struct {
 	Shed     uint64
 	Injected fault.InjectStats
 	Failed   uint64 // operations that took their error path
+
+	// System is the faulted run's machine, finished at the end of the
+	// measurement window.
+	System *System
 }
 
-// binnedRun drives one system through warmup then the measurement window,
-// recording business ops per bin.
-func binnedRun(sys *System, o FaultRunOpts) []uint64 {
-	eng := sys.Engine
-	eng.Run(o.WarmupCycles)
-	eng.ResetStats()
+// binnedRun measures r with one loop slice per throughput bin, recording
+// business ops per bin.
+func binnedRun(r *Run, o FaultRunOpts) []uint64 {
 	var bins []uint64
 	prev := uint64(0)
-	for t := o.WarmupCycles; t < o.WarmupCycles+o.MeasureCycles; {
-		t += o.BinCycles
-		if t > o.WarmupCycles+o.MeasureCycles {
-			t = o.WarmupCycles + o.MeasureCycles
-		}
-		eng.Run(t)
-		o.Progress.SetCycles(t)
-		flightTick(sys, t)
-		if rt := eng.ReqTrace(); rt != nil {
-			p50, p99 := rt.LiveQuantiles()
-			o.Progress.SetLatency(p50, p99)
-		}
-		ops := eng.Results().BusinessOps
+	r.slice = o.BinCycles
+	r.onSlice = func(uint64) {
+		ops := r.Sys.Engine.Results().BusinessOps
 		bins = append(bins, ops-prev)
 		prev = ops
 	}
-	o.Progress.Add(1)
+	// Without a checkpoint plan or a replay, Measure cannot fail.
+	_ = r.Measure(o.WarmupCycles, o.MeasureCycles, nil)
 	return bins
 }
 
 // RunFaultExperiment measures ECperf throughput with and without the fault
 // schedule at the same seed, and derives per-window recovery times.
 func RunFaultExperiment(o FaultRunOpts) FaultRunResult {
+	return runFaultExperiment(o, &Run{Observer: o.Observer, Latency: o.Latency, Flight: o.Flight})
+}
+
+// runFaultExperiment is RunFaultExperiment with the faulted run's
+// attachments supplied by the caller (a Session run, or o's fields).
+func runFaultExperiment(o FaultRunOpts, r *Run) FaultRunResult {
 	if o.BinCycles == 0 {
 		o.BinCycles = 4_000_000
 	}
@@ -146,17 +145,19 @@ func RunFaultExperiment(o FaultRunOpts) FaultRunResult {
 		res.BinStart = append(res.BinStart, t)
 	}
 
-	clean := BuildSystem(SystemParams{Kind: ECperf, Processors: o.Processors, Seed: o.Seed, MemModel: o.MemModel})
+	clean := &Run{
+		Sys:      BuildSystem(SystemParams{Kind: ECperf, Processors: o.Processors, Seed: o.Seed, MemModel: o.MemModel}),
+		Progress: r.Progress,
+	}
 	res.Baseline = binnedRun(clean, o)
 
-	faulted := BuildSystem(SystemParams{
+	r.attach(BuildSystem(SystemParams{
 		Kind: ECperf, Processors: o.Processors, Seed: o.Seed, MemModel: o.MemModel,
 		FaultSchedule: o.Schedule, FaultPolicy: o.Policy,
-	})
-	AttachObserver(faulted, o.Observer)
-	AttachLatency(faulted, o.Observer, o.Latency)
-	AttachFlight(faulted, o.Flight)
-	res.Faulted = binnedRun(faulted, o)
+	}))
+	res.Faulted = binnedRun(r, o)
+	faulted := r.Sys
+	res.System = faulted
 
 	if c := faulted.EC.Caller(); c != nil {
 		res.Calls = c.Stats
@@ -182,13 +183,6 @@ func RunFaultExperiment(o FaultRunOpts) FaultRunResult {
 		res.Recovery = append(res.Recovery, rec)
 	}
 	return res
-}
-
-// FaultExperiment renders the throughput-under-fault curve: clean and
-// faulted BBops/s over the measurement window, with recovery times and
-// resilience activity in the notes.
-func FaultExperiment(o FaultRunOpts) Figure {
-	return FaultFigure(RunFaultExperiment(o))
 }
 
 // FaultFigure renders an already-measured fault run.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/obs/attr"
 )
 
 // TestFaultRunCurveAndRecovery drives the quick fault experiment end to
@@ -78,6 +79,25 @@ func TestFaultRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestFaultRunMeasuresWindow: the faulted run follows the same
+// warm-up/measure discipline as every observed run — its folded profile
+// covers exactly the window the engine's counters do, and the final
+// attribution epoch is closed.
+func TestFaultRunMeasuresWindow(t *testing.T) {
+	o := QuickFaultRunOpts()
+	o.MeasureCycles = 16_000_000
+	o.Schedule.Events[0].At = 8_000_000
+	o.Schedule.Events[0].Duration = 4_000_000
+	ob := obs.NewObserver()
+	ob.Attr = attr.NewCollector(attr.Options{})
+	o.Observer = ob
+	r := RunFaultExperiment(o)
+	checkProfileMatchesCounters(t, ob.Profiler, r.System)
+	if ob.Attr.EpochCount() == 0 {
+		t.Error("the faulted run closed no attribution epoch")
+	}
+}
+
 // TestFaultMetricsAndTraceEvents checks the observability contract: an
 // observed faulted run exposes fault.* counters in the metrics snapshot and
 // fault windows / resilience instants on the trace.
@@ -91,7 +111,7 @@ func TestFaultMetricsAndTraceEvents(t *testing.T) {
 	ob := obs.NewObserver()
 	ob.Tracer = obs.NewTracer([]obs.Component{obs.CompFault})
 	ob.Registry = obs.NewRegistry()
-	delta := ObserveRun(sys, ob, nil, 2_000_000, 16_000_000)
+	delta := observeRun(t, sys, ob, nil, 2_000_000, 16_000_000)
 
 	names := delta.CounterSet().Names()
 	registered := func(name string) bool {
@@ -139,7 +159,7 @@ func TestFaultFigureRenders(t *testing.T) {
 	o.MeasureCycles = 16_000_000
 	o.Schedule.Events[0].At = 8_000_000
 	o.Schedule.Events[0].Duration = 4_000_000
-	f := FaultExperiment(o)
+	f := FaultFigure(RunFaultExperiment(o))
 	if len(f.Series) != 2 || f.Series[0].Label != "clean" || f.Series[1].Label != "faulted" {
 		t.Fatalf("unexpected series: %+v", f.Series)
 	}

@@ -7,7 +7,7 @@ import (
 // AttachFlight binds a flight recorder to an assembled system: the fault
 // schedule arms the window trigger, and the engine's latency collector (if
 // one was attached with AttachLatency) feeds the SLO-burn trigger and the
-// in-flight span table. The run loops then tick the recorder at slice
+// in-flight span table. Run.Tick then advances the recorder at slice
 // boundaries. A nil recorder leaves the system untouched.
 //
 // Call after BuildSystem and AttachLatency, before the first Run.
@@ -18,16 +18,4 @@ func AttachFlight(sys *System, rec *flightrec.Recorder) {
 	sys.Flight = rec
 	rec.SetSchedule(sys.Params.FaultSchedule)
 	rec.SetCollector(sys.Engine.ReqTrace())
-}
-
-// flightTick advances the recorder and turns a tripped watchdog into a
-// tagged dump. Called from the run loops after every engine slice; every
-// call is nil-safe, so unobserved runs pay two nil checks.
-func flightTick(sys *System, now uint64) {
-	sys.Flight.Tick(now)
-	if sys.Flight != nil {
-		if wd := sys.Engine.WatchdogTripped(); wd != nil {
-			sys.Flight.Watchdog(wd.Cycle, wd.String())
-		}
-	}
 }

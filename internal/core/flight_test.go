@@ -27,7 +27,7 @@ func TestFlightPassivity(t *testing.T) {
 	const warmup, measure = 2_000_000, 10_000_000
 
 	bare := BuildSystem(params)
-	ObserveRun(bare, nil, nil, warmup, measure)
+	observeRun(t, bare, nil, nil, warmup, measure)
 
 	recorded := BuildSystem(params)
 	ob, rec := flightrec.FromFlags(flightFlags(t.TempDir()), "passivity", nil)
@@ -35,7 +35,7 @@ func TestFlightPassivity(t *testing.T) {
 		t.Fatal("default flags must enable the recorder")
 	}
 	AttachFlight(recorded, rec)
-	delta := ObserveRun(recorded, ob, nil, warmup, measure)
+	delta := observeRun(t, recorded, ob, nil, warmup, measure)
 
 	a, b := bare.Engine.Results(), recorded.Engine.Results()
 	if a.BusinessOps != b.BusinessOps {

@@ -21,7 +21,7 @@ func runLatency(t *testing.T, kind Kind, procs int, seed uint64, spec string) (*
 	sys := BuildSystem(SystemParams{Kind: kind, Processors: procs, Seed: seed})
 	ob := &obs.Observer{}
 	AttachLatency(sys, ob, rt)
-	ObserveRun(sys, ob, nil, 4_000_000, 24_000_000)
+	observeRun(t, sys, ob, nil, 4_000_000, 24_000_000)
 	return sys, rt
 }
 
@@ -44,7 +44,7 @@ func TestLatencyIsPassive(t *testing.T) {
 	with, _ := runLatency(t, SPECjbb, 4, 20030208, "p99<=40ms")
 
 	bare := BuildSystem(SystemParams{Kind: SPECjbb, Processors: 4, Seed: 20030208})
-	ObserveRun(bare, nil, nil, 4_000_000, 24_000_000)
+	observeRun(t, bare, nil, nil, 4_000_000, 24_000_000)
 
 	if with.Hier.Bus().Stats != bare.Hier.Bus().Stats {
 		t.Errorf("bus stats diverge with latency collector attached:\nwith    %+v\nwithout %+v",

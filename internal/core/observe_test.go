@@ -9,16 +9,24 @@ import (
 	"repro/internal/obs"
 )
 
-// TestObserveRunMatchesCounters is the profile-fidelity check: the folded
-// profile's category totals must equal the engine's Figure 6/7 CPI counters
-// exactly — same charge sites, same processor set, same measurement window.
-func TestObserveRunMatchesCounters(t *testing.T) {
-	sys := BuildSystem(SystemParams{Kind: SPECjbb, Processors: 4, Seed: 20030208})
-	ob := obs.NewObserver()
-	delta := ObserveRun(sys, ob, nil, 2_000_000, 8_000_000)
+// observeRun measures a built system through the harness loop with ob and
+// hb attached, the way every driver run does.
+func observeRun(t *testing.T, sys *System, ob *obs.Observer, hb *obs.Heartbeat, warmup, measure uint64) *obs.Snapshot {
+	t.Helper()
+	delta, err := ObserveRunCheckpointed(sys, ob, hb, warmup, measure, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return delta
+}
 
+// checkProfileMatchesCounters asserts the folded profile's category totals
+// equal the engine's Figure 6/7 CPI counters exactly — same charge sites,
+// same processor set, same measurement window.
+func checkProfileMatchesCounters(t *testing.T, prof *obs.Profiler, sys *System) {
+	t.Helper()
 	c := sys.Engine.Results().CPU
-	cats := ob.Profiler.CategoryTotals()
+	cats := prof.CategoryTotals()
 	want := map[obs.Cat]uint64{
 		obs.CatBase:      c.BaseCycles,
 		obs.CatIStall:    c.IStallCycles,
@@ -37,7 +45,17 @@ func TestObserveRunMatchesCounters(t *testing.T) {
 	if c.Total() == 0 {
 		t.Fatal("no cycles measured")
 	}
+}
 
+// TestObserveRunMatchesCounters is the profile-fidelity check for a plain
+// observed run.
+func TestObserveRunMatchesCounters(t *testing.T) {
+	sys := BuildSystem(SystemParams{Kind: SPECjbb, Processors: 4, Seed: 20030208})
+	ob := obs.NewObserver()
+	delta := observeRun(t, sys, ob, nil, 2_000_000, 8_000_000)
+	checkProfileMatchesCounters(t, ob.Profiler, sys)
+
+	c := sys.Engine.Results().CPU
 	res := sys.Engine.Results()
 	if got := delta.Counter("workload.ops"); got != res.BusinessOps {
 		t.Errorf("metrics delta ops = %d, results = %d", got, res.BusinessOps)
@@ -93,7 +111,7 @@ func TestObserveRunGCSpans(t *testing.T) {
 	}
 	sys := BuildSystem(SystemParams{Kind: ECperf, Processors: 15, Seed: 20030208})
 	ob := obs.NewObserver()
-	delta := ObserveRun(sys, ob, nil, 4_000_000, 24_000_000)
+	delta := observeRun(t, sys, ob, nil, 4_000_000, 24_000_000)
 
 	res := sys.Engine.Results()
 	if res.GCCount == 0 {
@@ -131,23 +149,24 @@ func TestObserveRunGCSpans(t *testing.T) {
 	}
 }
 
-// TestRunObservedPointAgrees verifies the observed driver returns the same
+// TestRunObservedPointAgrees verifies an observed run returns the same
 // figure metrics as the plain driver — observation must not perturb the
-// simulation.
+// simulation — with a full observer and with none.
 func TestRunObservedPointAgrees(t *testing.T) {
 	o := Opts{Procs: []int{2}, Seeds: []uint64{7}, WarmupCycles: 1_000_000, MeasureCycles: 4_000_000}
 	plain := RunScalingPoint(SPECjbb, 2, 7, o)
-	observed, snap := RunObservedPoint(SPECjbb, 2, 7, o, obs.NewObserver())
-	if plain != observed {
-		t.Errorf("observed point diverged:\nplain    %+v\nobserved %+v", plain, observed)
-	}
-	if snap == nil || snap.Counter("workload.ops") == 0 {
-		t.Error("observed point returned no metrics delta")
-	}
-	// A nil observer must also work and agree.
-	unobserved, _ := RunObservedPoint(SPECjbb, 2, 7, o, nil)
-	if plain != unobserved {
-		t.Errorf("nil-observer point diverged: %+v vs %+v", plain, unobserved)
+	for _, ob := range []*obs.Observer{obs.NewObserver(), nil} {
+		r := &Run{Observer: ob}
+		r.attach(BuildSystem(o.systemParams(SPECjbb, 2, 7)))
+		if err := r.Measure(o.WarmupCycles, o.MeasureCycles, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := summarizePoint(r.Sys, 2, 7, o); got != plain {
+			t.Errorf("observed point diverged (observer %v):\nplain    %+v\nobserved %+v", ob != nil, plain, got)
+		}
+		if ob != nil && (r.Delta == nil || r.Delta.Counter("workload.ops") == 0) {
+			t.Error("observed point returned no metrics delta")
+		}
 	}
 }
 

@@ -1,0 +1,64 @@
+// Package drivertest holds the checks every driver command's tests share.
+package drivertest
+
+import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"regexp"
+	"testing"
+)
+
+// Main is a driver's testable seam: the whole program, taking its arguments
+// and output streams and returning the exit code.
+type Main func(args []string, stdout, stderr io.Writer) int
+
+// StdoutPassivity runs the driver with args three times — with the flight
+// recorder off, at the observability defaults, and with -trace, -metrics
+// and -profile written to a temporary directory — and fails unless stdout
+// is byte-identical across them: observability must never leak into a
+// report. mask, when non-nil, matches host-timing text (wall-clock
+// durations) that legitimately varies between runs; it is blanked before
+// comparing. The runs execute in a scratch working directory, so default-on
+// flight dumps cannot land in the source tree.
+func StdoutPassivity(t *testing.T, run Main, mask *regexp.Regexp, args ...string) {
+	t.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+
+	dir := t.TempDir()
+	var want []byte
+	for i, extra := range [][]string{
+		{"-flight", "off"},
+		nil, // the defaults
+		{
+			"-trace", filepath.Join(dir, "trace.json"),
+			"-metrics", filepath.Join(dir, "metrics.txt"),
+			"-profile", filepath.Join(dir, "profile.folded"),
+		},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(append([]string(nil), args...), extra...), &stdout, &stderr); code != 0 {
+			t.Fatalf("extra flags %q: exit %d\n%s", extra, code, stderr.String())
+		}
+		got := stdout.Bytes()
+		if mask != nil {
+			got = mask.ReplaceAll(got, nil)
+		}
+		switch {
+		case i == 0 && len(got) == 0:
+			t.Fatal("empty stdout")
+		case i == 0:
+			want = got
+		case !bytes.Equal(got, want):
+			t.Errorf("extra flags %q: stdout differs from -flight off:\n%s\nwant:\n%s", extra, got, want)
+		}
+	}
+}

@@ -22,6 +22,7 @@ package memsys
 // to the pre-model simulator.
 
 import (
+	"flag"
 	"fmt"
 
 	"repro/internal/coherence"
@@ -59,6 +60,20 @@ func ParseMemModel(s string) (MemModel, error) {
 	default:
 		return MemFixed, fmt.Errorf("memsys: unknown memory model %q (want fixed or loaded)", s)
 	}
+}
+
+// Set parses a -memmodel flag value, making *MemModel a flag.Value.
+func (m *MemModel) Set(s string) error {
+	v, err := ParseMemModel(s)
+	if err == nil {
+		*m = v
+	}
+	return err
+}
+
+// RegisterFlag installs -memmodel on fs, parsing into m.
+func (m *MemModel) RegisterFlag(fs *flag.FlagSet) {
+	fs.Var(m, "memmodel", "memory timing model: fixed (unloaded scalar latencies) or loaded (bandwidth-latency curve)")
 }
 
 // CurveKnot is one point of the bandwidth–latency curve: at channel

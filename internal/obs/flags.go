@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -43,6 +44,10 @@ type Flags struct {
 	Flight          string
 	FlightEvents    int
 	FlightWindow    uint64
+
+	// Stdout receives the artifacts written to "-" (nil = os.Stdout); it is
+	// not a flag, so drivers behind a testable seam can redirect it.
+	Stdout io.Writer
 }
 
 // Register installs the flags on fs.
@@ -131,6 +136,26 @@ func (f *Flags) NewObserver(pid int) *Observer {
 // snapshot. The manifest's Outputs field is filled in here.
 func (f *Flags) WriteArtifacts(labels []string, observers []*Observer, snaps []*Snapshot, m *Manifest) error {
 	var outputs []string
+	// emit writes one artifact: to stdout when path is "-" and the artifact
+	// allows it, else atomically to the file, which then gets a manifest.
+	emit := func(path string, dashIsStdout bool, write func(io.Writer) error) error {
+		if dashIsStdout && path == "-" {
+			return write(f.stdout())
+		}
+		w, err := AtomicCreate(path, 0o644)
+		if err != nil {
+			return err
+		}
+		if err := write(w); err != nil {
+			w.Abort()
+			return err
+		}
+		if err := w.Close(); err != nil {
+			return err
+		}
+		outputs = append(outputs, path)
+		return nil
+	}
 
 	if f.Trace != "" {
 		var trs []*Tracer
@@ -139,18 +164,9 @@ func (f *Flags) WriteArtifacts(labels []string, observers []*Observer, snaps []*
 				trs = append(trs, ob.Tracer)
 			}
 		}
-		w, err := AtomicCreate(f.Trace, 0o644)
-		if err != nil {
+		if err := emit(f.Trace, false, func(w io.Writer) error { return WriteChromeTrace(w, trs...) }); err != nil {
 			return err
 		}
-		if err := WriteChromeTrace(w, trs...); err != nil {
-			w.Abort()
-			return err
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		outputs = append(outputs, f.Trace)
 		// A capped trace is silently truncated otherwise; say so, with the
 		// knob that raises the cap.
 		for i, tr := range trs {
@@ -162,144 +178,70 @@ func (f *Flags) WriteArtifacts(labels []string, observers []*Observer, snaps []*
 	}
 
 	if f.Metrics != "" {
-		write := func(w io.Writer) error {
-			for i, ob := range observers {
-				if ob == nil || ob.Registry == nil {
-					continue
-				}
-				snap := ob.Registry.Snapshot()
-				if i < len(snaps) && snaps[i] != nil {
-					snap = snaps[i]
-				}
-				if i < len(labels) {
-					if _, err := fmt.Fprintf(w, "== %s ==\n", labels[i]); err != nil {
-						return err
-					}
-				}
-				if _, err := snap.WriteTo(w); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintln(w); err != nil {
-					return err
-				}
+		var buf bytes.Buffer
+		for i, ob := range observers {
+			if ob == nil || ob.Registry == nil {
+				continue
 			}
-			return nil
+			snap := ob.Registry.Snapshot()
+			if i < len(snaps) && snaps[i] != nil {
+				snap = snaps[i]
+			}
+			if i < len(labels) {
+				fmt.Fprintf(&buf, "== %s ==\n", labels[i])
+			}
+			snap.WriteTo(&buf)
+			buf.WriteByte('\n')
 		}
-		if f.Metrics == "-" {
-			if err := write(os.Stdout); err != nil {
-				return err
-			}
-		} else {
-			w, err := AtomicCreate(f.Metrics, 0o644)
-			if err != nil {
-				return err
-			}
-			if err := write(w); err != nil {
-				w.Abort()
-				return err
-			}
-			if err := w.Close(); err != nil {
-				return err
-			}
-			outputs = append(outputs, f.Metrics)
+		if err := emit(f.Metrics, true, writeBytes(buf.Bytes())); err != nil {
+			return err
 		}
 	}
 
 	if f.Profile != "" {
-		w, err := AtomicCreate(f.Profile, 0o644)
+		err := emit(f.Profile, false, func(w io.Writer) error {
+			for _, ob := range observers {
+				if ob == nil {
+					continue
+				}
+				if err := ob.Profiler.WriteFolded(w); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		for _, ob := range observers {
-			if ob == nil {
-				continue
-			}
-			if werr := ob.Profiler.WriteFolded(w); werr != nil {
-				w.Abort()
-				return werr
-			}
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		outputs = append(outputs, f.Profile)
 	}
 
 	if f.Attr != "" {
-		// One JSON object keyed by run label, so a sweep's reports land in
-		// a single machine-readable file.
-		reports := make(map[string]*attr.Report)
-		for i, ob := range observers {
-			if ob == nil || ob.Attr == nil {
-				continue
+		buf, err := byLabel(labels, observers, func(ob *Observer) any {
+			if ob.Attr == nil {
+				return nil
 			}
-			label := fmt.Sprintf("run%d", i)
-			if i < len(labels) && labels[i] != "" {
-				label = labels[i]
-			}
-			reports[label] = ob.Attr.BuildReport(f.AttrTop)
+			return ob.Attr.BuildReport(f.AttrTop)
+		})
+		if err == nil {
+			err = emit(f.Attr, true, writeBytes(buf))
 		}
-		buf, err := json.MarshalIndent(reports, "", "  ")
 		if err != nil {
 			return err
-		}
-		buf = append(buf, '\n')
-		if f.Attr == "-" {
-			if _, err := os.Stdout.Write(buf); err != nil {
-				return err
-			}
-		} else {
-			w, err := AtomicCreate(f.Attr, 0o644)
-			if err != nil {
-				return err
-			}
-			if _, err := w.Write(buf); err != nil {
-				w.Abort()
-				return err
-			}
-			if err := w.Close(); err != nil {
-				return err
-			}
-			outputs = append(outputs, f.Attr)
 		}
 	}
 
 	if f.Latency != "" {
-		// One JSON object keyed by run label, mirroring the attribution
-		// artifact, so sweeps land all latency reports in one file.
-		reports := make(map[string]json.RawMessage)
-		for i, ob := range observers {
-			if ob == nil || ob.LatencyReport == nil {
-				continue
+		buf, err := byLabel(labels, observers, func(ob *Observer) any {
+			if ob.LatencyReport == nil {
+				return nil
 			}
-			label := fmt.Sprintf("run%d", i)
-			if i < len(labels) && labels[i] != "" {
-				label = labels[i]
-			}
-			reports[label] = json.RawMessage(ob.LatencyReport())
+			return json.RawMessage(ob.LatencyReport())
+		})
+		if err == nil {
+			err = emit(f.Latency, true, writeBytes(buf))
 		}
-		buf, err := json.MarshalIndent(reports, "", "  ")
 		if err != nil {
 			return err
-		}
-		buf = append(buf, '\n')
-		if f.Latency == "-" {
-			if _, err := os.Stdout.Write(buf); err != nil {
-				return err
-			}
-		} else {
-			w, err := AtomicCreate(f.Latency, 0o644)
-			if err != nil {
-				return err
-			}
-			if _, err := w.Write(buf); err != nil {
-				w.Abort()
-				return err
-			}
-			if err := w.Close(); err != nil {
-				return err
-			}
-			outputs = append(outputs, f.Latency)
 		}
 	}
 
@@ -312,4 +254,43 @@ func (f *Flags) WriteArtifacts(labels []string, observers []*Observer, snaps []*
 		}
 	}
 	return nil
+}
+
+// byLabel renders one JSON object keyed by run label, so a sweep's reports
+// land in a single machine-readable file; report renders one observer's
+// entry (nil skips it).
+func byLabel(labels []string, observers []*Observer, report func(*Observer) any) ([]byte, error) {
+	reports := make(map[string]any)
+	for i, ob := range observers {
+		if ob == nil {
+			continue
+		}
+		r := report(ob)
+		if r == nil {
+			continue
+		}
+		label := fmt.Sprintf("run%d", i)
+		if i < len(labels) && labels[i] != "" {
+			label = labels[i]
+		}
+		reports[label] = r
+	}
+	buf, err := json.MarshalIndent(reports, "", "  ")
+	return append(buf, '\n'), err
+}
+
+// writeBytes is an emit writer for an already-rendered artifact.
+func writeBytes(buf []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	}
+}
+
+// stdout is where "-" artifacts go.
+func (f *Flags) stdout() io.Writer {
+	if f.Stdout != nil {
+		return f.Stdout
+	}
+	return os.Stdout
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // Markdown renders the figure as a GitHub-flavored markdown table — the
@@ -45,4 +46,14 @@ func Markdown(w io.Writer, f core.Figure) {
 		}
 	}
 	fmt.Fprintln(w)
+}
+
+// WriteMarkdownFile writes f as markdown to path, atomically.
+func WriteMarkdownFile(path string, f core.Figure) error {
+	w, err := obs.AtomicCreate(path, 0o644)
+	if err != nil {
+		return err
+	}
+	Markdown(w, f)
+	return w.Close()
 }
