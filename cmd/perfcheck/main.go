@@ -50,11 +50,13 @@ import (
 
 // pinnedBench is the default benchmark selection, chosen to cover the
 // simulator's perf-critical layers: the figure pipelines (engine + memory
-// system + generators), the local-hit fast path, and the snoop-heavy bus
-// patterns the duplicate-tag filter exists for, and the loaded-latency hot
-// path (curve lookup + utilization-window update) every bus transaction pays
-// under -memmodel loaded.
+// system + generators), the cache layer (the coherent ProbeTouch hit path
+// and the Figure 12/13 sweep), the local-hit fast path, and the snoop-heavy
+// bus patterns the duplicate-tag filter exists for, and the loaded-latency
+// hot path (curve lookup + utilization-window update) every bus transaction
+// pays under -memmodel loaded.
 const pinnedBench = "^(BenchmarkFig08C2CRatio|BenchmarkFig13DCacheMissRate|BenchmarkFig16SharedCaches|" +
+	"BenchmarkProbeTouchHit|BenchmarkSweepNineConfigs|" +
 	"BenchmarkReadLocalHit|BenchmarkMigratoryWrite16Nodes|BenchmarkReadSharedGetS16Nodes|" +
 	"BenchmarkHDRRecord|BenchmarkHDRMerge|BenchmarkCurveLookup|BenchmarkLoadTrackerRecord)$"
 
@@ -83,7 +85,7 @@ var allocsField = regexp.MustCompile(`(\d+) allocs/op`)
 
 func main() {
 	bench := flag.String("bench", pinnedBench, "benchmark regex passed to go test -bench")
-	pkgs := flag.String("pkgs", ".,./internal/coherence,./internal/memsys,./internal/obs", "comma-separated packages to benchmark")
+	pkgs := flag.String("pkgs", ".,./internal/cache,./internal/coherence,./internal/memsys,./internal/obs", "comma-separated packages to benchmark")
 	count := flag.Int("count", 3, "runs per benchmark; the minimum is kept")
 	tol := flag.Float64("tol", 0.30, "allowed fractional ns/op (and wall-clock) regression vs baseline")
 	allocTol := flag.Float64("alloc-tol", 0.10, "allowed fractional allocs/op regression vs baseline")

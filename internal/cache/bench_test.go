@@ -6,23 +6,29 @@ import (
 	"repro/internal/mem"
 )
 
-// Substrate micro-benchmarks: the simulator's throughput is dominated by
-// cache accesses, so regressions here slow every experiment.
+// Substrate micro-benchmarks: the coherent cache's ProbeTouch hit and
+// Allocate miss paths carry every timed-engine access, and the sweep carries
+// Figures 12/13, so regressions here slow every experiment.
 
-func BenchmarkAccessHit(b *testing.B) {
+var sinkLine *Line
+
+func BenchmarkProbeTouchHit(b *testing.B) {
 	c := New(Config{Name: "b", SizeBytes: 1 << 20, Assoc: 4, BlockBytes: 64})
-	c.Access(0x1000, mem.Read)
+	c.Allocate(0x1000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Access(0x1000, mem.Read)
+		sinkLine = c.ProbeTouch(0x1000)
 	}
 }
 
-func BenchmarkAccessMissStream(b *testing.B) {
+func BenchmarkAllocateMissStream(b *testing.B) {
 	c := New(Config{Name: "b", SizeBytes: 1 << 20, Assoc: 4, BlockBytes: 64})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Access(mem.Addr(i)*64, mem.Read)
+		ba := uint64(i) * 64
+		if sinkLine = c.ProbeTouch(ba); sinkLine == nil {
+			sinkLine, _, _ = c.Allocate(ba, 1)
+		}
 	}
 }
 

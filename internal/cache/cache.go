@@ -5,8 +5,8 @@
 // A Cache is a purely structural model: tags, ways, LRU, and an opaque
 // per-line state byte. The coherence protocol (internal/coherence) and the
 // hierarchy assembly (internal/memsys) decide what states mean and when to
-// allocate or invalidate; the uniprocessor sweep mode drives caches directly
-// through Access.
+// allocate or invalidate. The uniprocessor Sweep does not use Cache: it keeps
+// its own compact move-to-front tag arrays (see Sweep).
 package cache
 
 import (
@@ -81,34 +81,18 @@ type Stats struct {
 }
 
 // Accesses returns the total access count.
-func (s *Stats) Accesses() uint64 { return s.Reads + s.Writes + s.Fetches }
+func (s Stats) Accesses() uint64 { return s.Reads + s.Writes + s.Fetches }
 
 // Misses returns the total miss count.
-func (s *Stats) Misses() uint64 { return s.ReadMisses + s.WriteMisses + s.FetchMisses }
+func (s Stats) Misses() uint64 { return s.ReadMisses + s.WriteMisses + s.FetchMisses }
 
 // MissRatio returns misses/accesses, or 0 with no accesses.
-func (s *Stats) MissRatio() float64 {
+func (s Stats) MissRatio() float64 {
 	a := s.Accesses()
 	if a == 0 {
 		return 0
 	}
 	return float64(s.Misses()) / float64(a)
-}
-
-// counters returns the access and miss counters for t, so batch drivers can
-// resolve the access-type dispatch once per stream instead of once per
-// reference. Unknown access types return nils (counted nowhere), matching
-// Access's historical ignore-unknown behavior.
-func (s *Stats) counters(t mem.AccessType) (acc, miss *uint64) {
-	switch t {
-	case mem.Read:
-		return &s.Reads, &s.ReadMisses
-	case mem.Write:
-		return &s.Writes, &s.WriteMisses
-	case mem.IFetch:
-		return &s.Fetches, &s.FetchMisses
-	}
-	return nil, nil
 }
 
 // Cache is a set-associative cache with true-LRU replacement.
@@ -337,60 +321,6 @@ func (c *Cache) Invalidate(ba uint64) (wasDirty, wasPresent bool) {
 		}
 	}
 	return false, false
-}
-
-// simpleValid is the single valid state used by uniprocessor Access mode.
-const simpleValid State = 1
-
-// Access performs a whole load/store/fetch in uniprocessor writeback-
-// allocate mode, updating stats and LRU. It returns true on a hit. It is the
-// entry point for the sweep simulator; coherent hierarchies use
-// Probe/Allocate/Invalidate instead.
-func (c *Cache) Access(a mem.Addr, t mem.AccessType) bool {
-	acc, miss := c.Stats.counters(t)
-	return c.access(c.BlockAddr(a), t == mem.Write, acc, miss)
-}
-
-// access is Access with the block address precomputed and the stat counters
-// already resolved, so range and sweep drivers pay the access-type dispatch
-// once per reference stream rather than once per block.
-func (c *Cache) access(ba uint64, write bool, acc, miss *uint64) bool {
-	if acc != nil {
-		*acc++
-	}
-	if l := c.ProbeTouch(ba); l != nil {
-		if write {
-			l.Dirty = true
-		}
-		return true
-	}
-	if miss != nil {
-		*miss++
-	}
-	l, _, _ := c.Allocate(ba, simpleValid)
-	if write {
-		l.Dirty = true
-	}
-	return false
-}
-
-// AccessRange performs an access for every block the byte range [a, a+size)
-// touches, in this cache's block size. Returns the number of misses.
-func (c *Cache) AccessRange(a mem.Addr, size uint64, t mem.AccessType) int {
-	if size == 0 {
-		return 0
-	}
-	acc, miss := c.Stats.counters(t)
-	write := t == mem.Write
-	misses := 0
-	bs := uint64(c.cfg.BlockBytes)
-	last := c.BlockAddr(a + size - 1)
-	for ba := c.BlockAddr(a); ba <= last; ba += bs {
-		if !c.access(ba, write, acc, miss) {
-			misses++
-		}
-	}
-	return misses
 }
 
 // ResetStats zeroes the counters without disturbing cache contents, so a

@@ -11,6 +11,47 @@ func small() Config {
 	return Config{Name: "t", SizeBytes: 1024, Assoc: 2, BlockBytes: 64} // 8 sets
 }
 
+// refAccess is the reference model the sweep is checked against: one
+// uniprocessor write-back, write-allocate access on the coherent Cache
+// (ProbeTouch, then Allocate on a miss, then Dirty on a write). It counts the
+// access in c.Stats by type, an unknown type nowhere, and reports whether it
+// hit.
+func refAccess(c *Cache, a mem.Addr, t mem.AccessType) bool {
+	var acc, miss *uint64
+	switch t {
+	case mem.Read:
+		acc, miss = &c.Stats.Reads, &c.Stats.ReadMisses
+	case mem.Write:
+		acc, miss = &c.Stats.Writes, &c.Stats.WriteMisses
+	case mem.IFetch:
+		acc, miss = &c.Stats.Fetches, &c.Stats.FetchMisses
+	}
+	if acc != nil {
+		*acc++
+	}
+	ba := c.BlockAddr(a)
+	l := c.ProbeTouch(ba)
+	hit := l != nil
+	if !hit {
+		if miss != nil {
+			*miss++
+		}
+		l, _, _ = c.Allocate(ba, 1)
+	}
+	if t == mem.Write {
+		l.Dirty = true
+	}
+	return hit
+}
+
+// hit feeds one reference to the first geometry of a sweep and reports
+// whether it hit there.
+func hit(sw *Sweep, a mem.Addr, t mem.AccessType) bool {
+	before := sw.stats(0).Misses()
+	sw.Access(a, t)
+	return sw.stats(0).Misses() == before
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := []Config{
 		small(),
@@ -38,57 +79,57 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestHitAfterMiss(t *testing.T) {
-	c := New(small())
-	if c.Access(0x1000, mem.Read) {
+	sw := NewSweep([]Config{small()})
+	if hit(sw, 0x1000, mem.Read) {
 		t.Fatal("cold access hit")
 	}
-	if !c.Access(0x1000, mem.Read) {
+	if !hit(sw, 0x1000, mem.Read) {
 		t.Fatal("warm access missed")
 	}
-	if !c.Access(0x1030, mem.Read) {
+	if !hit(sw, 0x1030, mem.Read) {
 		t.Fatal("same-block access missed")
 	}
-	if c.Stats.Reads != 3 || c.Stats.ReadMisses != 1 {
-		t.Fatalf("stats = %+v", c.Stats)
+	if st := sw.stats(0); st.Reads != 3 || st.ReadMisses != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(small()) // 2-way, 8 sets, 64B blocks: set stride = 512B
+	sw := NewSweep([]Config{small()}) // 2-way, 8 sets, 64B blocks: set stride = 512B
 	a0 := mem.Addr(0x0000)
 	a1 := mem.Addr(0x0200) // same set (8 sets * 64B = 512)
 	a2 := mem.Addr(0x0400) // same set
-	c.Access(a0, mem.Read)
-	c.Access(a1, mem.Read)
-	c.Access(a0, mem.Read) // a0 now MRU; a1 is LRU
-	c.Access(a2, mem.Read) // evicts a1
-	if !c.Access(a0, mem.Read) {
+	sw.Access(a0, mem.Read)
+	sw.Access(a1, mem.Read)
+	sw.Access(a0, mem.Read) // a0 now MRU; a1 is LRU
+	sw.Access(a2, mem.Read) // evicts a1
+	if !hit(sw, a0, mem.Read) {
 		t.Fatal("a0 should have survived")
 	}
-	if c.Access(a1, mem.Read) {
+	if hit(sw, a1, mem.Read) {
 		t.Fatal("a1 should have been evicted")
 	}
 }
 
 func TestDirtyEviction(t *testing.T) {
-	c := New(small())
-	c.Access(0x0000, mem.Write)
-	c.Access(0x0200, mem.Read)
-	c.Access(0x0400, mem.Read) // evicts dirty 0x0000
-	if c.Stats.DirtyEvictions != 1 {
-		t.Fatalf("dirty evictions = %d", c.Stats.DirtyEvictions)
+	sw := NewSweep([]Config{small()})
+	sw.Access(0x0000, mem.Write)
+	sw.Access(0x0200, mem.Read)
+	sw.Access(0x0400, mem.Read) // evicts dirty 0x0000
+	if st := sw.stats(0); st.DirtyEvictions != 1 || st.Evictions != 1 {
+		t.Fatalf("evictions = %d, dirty = %d", st.Evictions, st.DirtyEvictions)
 	}
 }
 
 func TestWriteMarksDirtyOnMissAndHit(t *testing.T) {
 	c := New(small())
-	c.Access(0x1000, mem.Write) // miss-allocate-dirty
+	refAccess(c, 0x1000, mem.Write) // miss-allocate-dirty
 	if l := c.Probe(c.BlockAddr(0x1000)); l == nil || !l.Dirty {
 		t.Fatal("write miss did not leave dirty line")
 	}
 	c2 := New(small())
-	c2.Access(0x1000, mem.Read)
-	c2.Access(0x1000, mem.Write)
+	refAccess(c2, 0x1000, mem.Read)
+	refAccess(c2, 0x1000, mem.Write)
 	if l := c2.Probe(c2.BlockAddr(0x1000)); l == nil || !l.Dirty {
 		t.Fatal("write hit did not mark dirty")
 	}
@@ -96,12 +137,12 @@ func TestWriteMarksDirtyOnMissAndHit(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := New(small())
-	c.Access(0x1000, mem.Write)
+	refAccess(c, 0x1000, mem.Write)
 	dirty, present := c.Invalidate(c.BlockAddr(0x1000))
 	if !present || !dirty {
 		t.Fatal("invalidate of dirty line misreported")
 	}
-	if c.Access(0x1000, mem.Read) {
+	if refAccess(c, 0x1000, mem.Read) {
 		t.Fatal("line survived invalidation")
 	}
 	if _, present := c.Invalidate(0xdead000); present {
@@ -112,71 +153,77 @@ func TestInvalidate(t *testing.T) {
 func TestProbeDoesNotTouchLRU(t *testing.T) {
 	c := New(small())
 	a0, a1, a2 := mem.Addr(0), mem.Addr(0x200), mem.Addr(0x400)
-	c.Access(a0, mem.Read)
-	c.Access(a1, mem.Read)
-	c.Probe(c.BlockAddr(a0)) // must NOT refresh a0
-	c.Access(a2, mem.Read)   // evicts a0 (LRU by access order)
-	if c.Access(a0, mem.Read) {
+	refAccess(c, a0, mem.Read)
+	refAccess(c, a1, mem.Read)
+	c.Probe(c.BlockAddr(a0))   // must NOT refresh a0
+	refAccess(c, a2, mem.Read) // evicts a0 (LRU by access order)
+	if refAccess(c, a0, mem.Read) {
 		t.Fatal("Probe refreshed LRU")
 	}
 }
 
 func TestAccessRange(t *testing.T) {
-	c := New(Config{Name: "t", SizeBytes: 4096, Assoc: 4, BlockBytes: 64})
-	misses := c.AccessRange(0x100, 256, mem.Read) // 4 blocks
-	if misses != 4 {
-		t.Fatalf("misses = %d, want 4", misses)
+	misses := func(sw *Sweep, a mem.Addr, size uint64) uint64 {
+		before := sw.stats(0).Misses()
+		sw.AccessRange(a, size, mem.Read)
+		return sw.stats(0).Misses() - before
 	}
-	if c.AccessRange(0x100, 256, mem.Read) != 0 {
+	sw := NewSweep([]Config{{Name: "t", SizeBytes: 4096, Assoc: 4, BlockBytes: 64}})
+	if got := misses(sw, 0x100, 256); got != 4 { // 4 blocks
+		t.Fatalf("misses = %d, want 4", got)
+	}
+	if misses(sw, 0x100, 256) != 0 {
 		t.Fatal("warm range missed")
 	}
-	if c.AccessRange(0x100, 0, mem.Read) != 0 {
+	before := sw.stats(0).Accesses()
+	if misses(sw, 0x100, 0) != 0 || sw.stats(0).Accesses() != before {
 		t.Fatal("zero-size range accessed something")
 	}
 	// Range crossing one block boundary with size < block.
-	c2 := New(small())
-	if got := c2.AccessRange(0x3f, 2, mem.Read); got != 2 {
+	if got := misses(NewSweep([]Config{small()}), 0x3f, 2); got != 2 {
 		t.Fatalf("boundary-crossing range misses = %d, want 2", got)
 	}
 }
 
 func TestWorkingSetFitsMeansNoMisses(t *testing.T) {
-	c := New(Config{Name: "t", SizeBytes: 1 << 16, Assoc: 4, BlockBytes: 64})
+	sw := NewSweep([]Config{{Name: "t", SizeBytes: 1 << 16, Assoc: 4, BlockBytes: 64}})
 	// 32 KB working set in a 64 KB cache: after warmup, zero misses.
 	for pass := 0; pass < 3; pass++ {
 		if pass == 1 {
-			c.ResetStats()
+			sw.ResetStats()
 		}
 		for a := mem.Addr(0); a < 32<<10; a += 64 {
-			c.Access(a, mem.Read)
+			sw.Access(a, mem.Read)
 		}
 	}
-	if c.Stats.Misses() != 0 {
-		t.Fatalf("steady-state misses = %d, want 0", c.Stats.Misses())
+	if m := sw.stats(0).Misses(); m != 0 {
+		t.Fatalf("steady-state misses = %d, want 0", m)
 	}
 }
 
 func TestWorkingSetExceedsDirectCapacity(t *testing.T) {
-	c := New(Config{Name: "t", SizeBytes: 1 << 12, Assoc: 1, BlockBytes: 64})
+	sw := NewSweep([]Config{{Name: "t", SizeBytes: 1 << 12, Assoc: 1, BlockBytes: 64}})
 	// 8 KB cyclic working set in a 4 KB direct-mapped cache: every access
 	// misses in steady state (classic LRU pathological).
 	for pass := 0; pass < 4; pass++ {
 		if pass == 2 {
-			c.ResetStats()
+			sw.ResetStats()
 		}
 		for a := mem.Addr(0); a < 8<<10; a += 64 {
-			c.Access(a, mem.Read)
+			sw.Access(a, mem.Read)
 		}
 	}
-	if ratio := c.Stats.MissRatio(); ratio != 1.0 {
+	st := sw.stats(0)
+	if ratio := st.MissRatio(); ratio != 1.0 {
 		t.Fatalf("cyclic overflow miss ratio = %v, want 1.0", ratio)
 	}
 }
 
 func TestMissRatioMonotoneInSize(t *testing.T) {
-	// Bigger caches can't miss more on the same stream (same assoc & block,
-	// LRU is a stack algorithm per set; with pow2 sets this holds for
-	// nested set mappings on this access pattern).
+	// Bigger caches can't miss more on the same stream: at the same
+	// associativity and block size, LRU keeps every block of a cache in each
+	// larger one whose power-of-two sets nest inside its own, so this holds
+	// for every stream.
 	sw := NewSweep(SizeSweepConfigs("L"))
 	r := uint64(12345)
 	for i := 0; i < 200000; i++ {
@@ -201,11 +248,11 @@ func TestSweepResetStats(t *testing.T) {
 	sw.Access(0x1000, mem.Read)
 	sw.CountInstructions(10)
 	sw.ResetStats()
-	if sw.Instructions != 0 || sw.Caches()[0].Stats.Accesses() != 0 {
+	if sw.Instructions != 0 || sw.stats(0).Accesses() != 0 {
 		t.Fatal("ResetStats incomplete")
 	}
 	// Contents stay warm.
-	if !sw.Caches()[0].Access(0x1000, mem.Read) {
+	if !hit(sw, 0x1000, mem.Read) {
 		t.Fatal("ResetStats cleared contents")
 	}
 }
@@ -291,30 +338,27 @@ func TestAssociativityReducesConflicts(t *testing.T) {
 			sw.Access(mem.Addr(i*(8<<10)), mem.Read)
 		}
 	}
-	caches := sw.Caches()
-	dm := caches[0].Stats.MissRatio()   // 1-way
-	high := caches[3].Stats.MissRatio() // 8-way
-	if dm < 0.9 {
-		t.Fatalf("direct-mapped conflict stream miss ratio %v, want ~1", dm)
+	dm, high := sw.stats(0), sw.stats(3) // 1-way, 8-way
+	if r := dm.MissRatio(); r < 0.9 {
+		t.Fatalf("direct-mapped conflict stream miss ratio %v, want ~1", r)
 	}
-	if high > 0.05 {
-		t.Fatalf("8-way miss ratio %v, want ~0 after warmup", high)
+	if r := high.MissRatio(); r > 0.05 {
+		t.Fatalf("8-way miss ratio %v, want ~0 after warmup", r)
 	}
 }
 
 // TestLargerBlocksExploitSpatialLocality: a sequential byte stream misses
 // once per block, so larger blocks mean fewer misses.
 func TestLargerBlocksExploitSpatialLocality(t *testing.T) {
-	sw := NewSweep(BlockSweepConfigs("B", 64<<10))
+	cfgs := BlockSweepConfigs("B", 64<<10)
+	sw := NewSweep(cfgs)
 	for a := mem.Addr(0); a < 32<<10; a += 16 {
 		sw.Access(a, mem.Read)
 	}
-	caches := sw.Caches()
-	for i := 1; i < len(caches); i++ {
-		if caches[i].Stats.Misses() >= caches[i-1].Stats.Misses() {
+	for i := 1; i < len(cfgs); i++ {
+		if cur, prev := sw.stats(i).Misses(), sw.stats(i-1).Misses(); cur >= prev {
 			t.Fatalf("block %dB misses (%d) not below block %dB (%d)",
-				caches[i].Config().BlockBytes, caches[i].Stats.Misses(),
-				caches[i-1].Config().BlockBytes, caches[i-1].Stats.Misses())
+				cfgs[i].BlockBytes, cur, cfgs[i-1].BlockBytes, prev)
 		}
 	}
 }

@@ -6,29 +6,37 @@ import (
 	"repro/internal/mem"
 )
 
-// FuzzAccessConsistency drives one cache with arbitrary access bytes and
-// checks structural invariants: a just-accessed block always probes
-// present, and stats monotonically account every access.
-func FuzzAccessConsistency(f *testing.F) {
+// fuzzLadder is a small multi-geometry sweep: two groups of nested sizes, a
+// direct-mapped pair, and a 16 B-block cache.
+var fuzzLadder = []Config{
+	{Name: "f", SizeBytes: 4 << 10, Assoc: 2, BlockBytes: 64},
+	{Name: "f", SizeBytes: 512, Assoc: 2, BlockBytes: 64},
+	{Name: "f", SizeBytes: 1 << 10, Assoc: 2, BlockBytes: 64},
+	{Name: "f", SizeBytes: 512, Assoc: 1, BlockBytes: 32},
+	{Name: "f", SizeBytes: 2 << 10, Assoc: 1, BlockBytes: 32},
+	{Name: "f", SizeBytes: 1 << 10, Assoc: 4, BlockBytes: 16},
+}
+
+// FuzzSweepMatchesReference drives the sweep and the reference model with
+// arbitrary 3-byte records: a 16-bit address, then a byte whose low two bits
+// pick the access type (3 is unknown) and whose upper six bits give a range
+// length, 0 meaning a single Access. Every geometry's Stats must match, and
+// the inclusion invariants must hold at the end.
+func FuzzSweepMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{255, 0, 255, 0, 128, 64, 32, 16, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := New(Config{Name: "f", SizeBytes: 4 << 10, Assoc: 2, BlockBytes: 64})
-		var accesses uint64
+		var refs []ref
 		for i := 0; i+2 < len(data); i += 3 {
-			addr := mem.Addr(data[i])<<8 | mem.Addr(data[i+1])
-			kind := mem.AccessType(data[i+2] % 3)
-			c.Access(addr, kind)
-			accesses++
-			if c.Probe(c.BlockAddr(addr)) == nil {
-				t.Fatalf("block %x absent immediately after access", addr)
-			}
+			refs = append(refs, ref{
+				a:    mem.Addr(data[i])<<8 | mem.Addr(data[i+1]),
+				size: uint64(data[i+2] >> 2),
+				t:    mem.AccessType(data[i+2] & 3),
+			})
 		}
-		if c.Stats.Accesses() != accesses {
-			t.Fatalf("accounted %d of %d accesses", c.Stats.Accesses(), accesses)
-		}
-		if c.Stats.Misses() > c.Stats.Accesses() {
-			t.Fatal("more misses than accesses")
+		sw := checkAgainstReference(t, fuzzLadder, refs)
+		if err := sw.checkInclusion(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

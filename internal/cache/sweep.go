@@ -1,45 +1,106 @@
 package cache
 
-import "repro/internal/mem"
+import (
+	"math/bits"
+	"sort"
+
+	"repro/internal/mem"
+)
 
 // Sweep drives many cache geometries with the same reference stream in one
 // pass, reproducing the paper's Simics+Sumo flow for Figures 12 and 13:
 // miss rate versus cache size for a fixed associativity and block size.
+//
+// It does not use Cache: the sweep needs no coherence state and no stable
+// *Line pointers, so each geometry is a bare array of tag words, assoc per
+// set, kept in most-recently-used-first order. A word is
+// block<<2 | dirty<<1 | valid; a hit moves its word to the front and a miss
+// shifts the set right, evicting the last word when it is valid. That is
+// exact true LRU in 8 bytes per way with no clock. Block numbers must fit in
+// 62 bits.
+//
+// Geometries sharing a block size and associativity form a group, sorted by
+// set count. Power-of-two bit-selection sets nest, so under LRU every block
+// resident in a group member is resident in each member with more sets
+// (Mattson; Hill & Smith), and a block at the front of its set in the
+// smallest member is at the front of its set in every member. A reference to
+// such a block changes no member's contents (for a write, provided the
+// smallest member already holds it dirty: the larger members have held it at
+// least as long), so it skips every probe.
 type Sweep struct {
-	caches []*Cache
-	// groups batch the caches by block size so AccessRange splits a byte
-	// range into blocks once per distinct block size, not once per cache —
-	// the size sweeps run 9 geometries that all share one block size.
-	groups []sweepGroup
+	groups []*sweepGroup
+	// order locates each geometry, in configuration order, for MissCurve.
+	order []geomRef
 	// Instructions counts retired instructions reported by the driver, the
 	// denominator for misses-per-1000-instructions.
 	Instructions uint64
 }
 
+// sweepGroup is the geometries of one (block size, associativity) pair.
 type sweepGroup struct {
-	blockBytes uint64
-	caches     []*Cache
+	blockShift uint
+	assoc      uint64
+	geoms      []sweepGeom // ascending set count
+	// acc counts block accesses by kind: every reference to the group is an
+	// access in every member, so accesses are counted once per group.
+	acc [4]uint64
 }
 
-// NewSweep builds a sweep over the given geometries.
+// sweepGeom is one geometry's MRU-first tag words and its own counters.
+type sweepGeom struct {
+	words          []uint64
+	setMask        uint64
+	miss           [4]uint64 // by kind, like sweepGroup.acc
+	evictions      uint64
+	dirtyEvictions uint64
+}
+
+type geomRef struct {
+	sizeBytes int
+	grp       *sweepGroup
+	idx       int
+}
+
+// kind maps an access type to a counter slot. Slot 3 takes unknown types,
+// which change cache contents but are reported nowhere.
+func kind(t mem.AccessType) int {
+	if t > mem.IFetch {
+		return 3
+	}
+	return int(t)
+}
+
+// NewSweep builds a sweep over the given geometries; like New, it panics on
+// an invalid one.
 func NewSweep(cfgs []Config) *Sweep {
-	s := &Sweep{}
-	for _, cfg := range cfgs {
-		c := New(cfg)
-		s.caches = append(s.caches, c)
-		bs := uint64(cfg.BlockBytes)
-		gi := -1
-		for i := range s.groups {
-			if s.groups[i].blockBytes == bs {
-				gi = i
-				break
-			}
+	s := &Sweep{order: make([]geomRef, len(cfgs))}
+	var members [][]int // configuration indices, parallel to s.groups
+	for i, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			panic(err)
 		}
-		if gi < 0 {
-			s.groups = append(s.groups, sweepGroup{blockBytes: bs})
-			gi = len(s.groups) - 1
+		shift := uint(bits.TrailingZeros(uint(cfg.BlockBytes)))
+		gi := 0
+		for gi < len(s.groups) && (s.groups[gi].blockShift != shift || s.groups[gi].assoc != uint64(cfg.Assoc)) {
+			gi++
 		}
-		s.groups[gi].caches = append(s.groups[gi].caches, c)
+		if gi == len(s.groups) {
+			s.groups = append(s.groups, &sweepGroup{blockShift: shift, assoc: uint64(cfg.Assoc)})
+			members = append(members, nil)
+		}
+		members[gi] = append(members[gi], i)
+	}
+	for gi, g := range s.groups {
+		m := members[gi]
+		sort.SliceStable(m, func(a, b int) bool { return cfgs[m[a]].Sets() < cfgs[m[b]].Sets() })
+		for j, i := range m {
+			sets := cfgs[i].Sets()
+			g.geoms = append(g.geoms, sweepGeom{
+				words:   make([]uint64, sets*cfgs[i].Assoc),
+				setMask: uint64(sets - 1),
+			})
+			s.order[i] = geomRef{sizeBytes: cfgs[i].SizeBytes, grp: g, idx: j}
+		}
 	}
 	return s
 }
@@ -79,47 +140,92 @@ func BlockSweepConfigs(name string, sizeBytes int) []Config {
 }
 
 // Access feeds one reference to every cache in the sweep.
-func (s *Sweep) Access(a mem.Addr, t mem.AccessType) {
-	for _, c := range s.caches {
-		c.Access(a, t)
-	}
-}
+func (s *Sweep) Access(a mem.Addr, t mem.AccessType) { s.AccessRange(a, 1, t) }
 
-// AccessRange feeds a byte-range reference to every cache in the sweep; the
-// range is split into blocks once per distinct block size and every cache of
-// that block size replays the same block stream.
+// AccessRange feeds a byte-range reference to every cache in the sweep: one
+// access per block the range touches, in each geometry's block size.
 func (s *Sweep) AccessRange(a mem.Addr, size uint64, t mem.AccessType) {
 	if size == 0 {
 		return
 	}
-	write := t == mem.Write
-	for gi := range s.groups {
-		g := &s.groups[gi]
-		bs := g.blockBytes
-		first := a &^ (bs - 1)
-		last := (a + size - 1) &^ (bs - 1)
-		for _, c := range g.caches {
-			acc, miss := c.Stats.counters(t)
-			for ba := first; ba <= last; ba += bs {
-				c.access(ba, write, acc, miss)
-			}
+	var dirty uint64
+	if t == mem.Write {
+		dirty = 2
+	}
+	k := kind(t)
+	for _, g := range s.groups {
+		g.access(a>>g.blockShift, (a+size-1)>>g.blockShift, dirty, k)
+	}
+}
+
+// access feeds blocks first..last to every member of the group; dirty is 2
+// for a write and 0 otherwise.
+func (g *sweepGroup) access(first, last, dirty uint64, k int) {
+	g.acc[k&3] += last - first + 1
+	small := &g.geoms[0]
+	for blk := first; blk <= last; blk++ {
+		want := blk<<2 | 1
+		if w := small.words[(blk&small.setMask)*g.assoc]; w&^2 == want && w|dirty == w {
+			continue // at the front everywhere, and dirty already if written
+		}
+		for i := range g.geoms {
+			g.geoms[i].touch(blk, want, dirty, k, g.assoc)
 		}
 	}
+}
+
+// touch moves block blk (tag word want) to the front of its set, allocating
+// it on a miss.
+func (m *sweepGeom) touch(blk, want, dirty uint64, k int, assoc uint64) {
+	base := (blk & m.setMask) * assoc
+	set := m.words[base : base+assoc : base+assoc]
+	for i, w := range set {
+		if w&^2 == want {
+			for ; i > 0; i-- {
+				set[i] = set[i-1]
+			}
+			set[0] = w | dirty
+			return
+		}
+	}
+	m.miss[k&3]++
+	n := len(set) - 1
+	if victim := set[n]; victim&1 != 0 {
+		m.evictions++
+		m.dirtyEvictions += victim >> 1 & 1
+	}
+	for ; n > 0; n-- {
+		set[n] = set[n-1]
+	}
+	set[0] = want | dirty
 }
 
 // CountInstructions adds to the retired-instruction denominator.
 func (s *Sweep) CountInstructions(n uint64) { s.Instructions += n }
 
-// Caches exposes the underlying caches for inspection.
-func (s *Sweep) Caches() []*Cache { return s.caches }
-
-// ResetStats zeroes every cache's counters and the instruction count,
+// ResetStats zeroes every geometry's counters and the instruction count,
 // keeping contents warm.
 func (s *Sweep) ResetStats() {
-	for _, c := range s.caches {
-		c.ResetStats()
+	for _, g := range s.groups {
+		g.acc = [4]uint64{}
+		for i := range g.geoms {
+			m := &g.geoms[i]
+			m.miss, m.evictions, m.dirtyEvictions = [4]uint64{}, 0, 0
+		}
 	}
 	s.Instructions = 0
+}
+
+// stats returns the counters of the i-th configured geometry.
+func (s *Sweep) stats(i int) Stats {
+	r := s.order[i]
+	acc, m := &r.grp.acc, &r.grp.geoms[r.idx]
+	return Stats{
+		Reads: acc[mem.Read], ReadMisses: m.miss[mem.Read],
+		Writes: acc[mem.Write], WriteMisses: m.miss[mem.Write],
+		Fetches: acc[mem.IFetch], FetchMisses: m.miss[mem.IFetch],
+		Evictions: m.evictions, DirtyEvictions: m.dirtyEvictions,
+	}
 }
 
 // Point is one (size, miss-rate) sample of a sweep result.
@@ -132,11 +238,12 @@ type Point struct {
 // MissCurve returns misses-per-1000-instructions (and per-access ratios) for
 // each geometry in the sweep, in configuration order.
 func (s *Sweep) MissCurve() []Point {
-	out := make([]Point, 0, len(s.caches))
-	for _, c := range s.caches {
-		p := Point{SizeBytes: c.Config().SizeBytes, MissRatio: c.Stats.MissRatio()}
+	out := make([]Point, 0, len(s.order))
+	for i, r := range s.order {
+		st := s.stats(i)
+		p := Point{SizeBytes: r.sizeBytes, MissRatio: st.MissRatio()}
 		if s.Instructions > 0 {
-			p.MissesPer1000 = 1000 * float64(c.Stats.Misses()) / float64(s.Instructions)
+			p.MissesPer1000 = 1000 * float64(st.Misses()) / float64(s.Instructions)
 		}
 		out = append(out, p)
 	}

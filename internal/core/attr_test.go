@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
 )
@@ -119,7 +120,8 @@ func TestSweepAttr(t *testing.T) {
 		col = ob.Attr
 		return ob
 	}
-	r := runUniSweep(SPECjbb, 2, "SPECjbb-2", o)
+	r := runUniSweep(SPECjbb, 2, "SPECjbb-2", o,
+		cache.SizeSweepConfigs("I"), cache.SizeSweepConfigs("D"))
 	if r.Instructions == 0 {
 		t.Fatal("sweep ran nothing")
 	}

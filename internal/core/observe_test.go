@@ -182,7 +182,7 @@ func TestSweepObserve(t *testing.T) {
 		labels = append(labels, label)
 		return ob
 	}
-	r := runUniSweepConfigs(SPECjbb, 1, "SPECjbb-1", o,
+	r := runUniSweep(SPECjbb, 1, "SPECjbb-1", o,
 		cache.SizeSweepConfigs("I"), cache.SizeSweepConfigs("D"))
 	if len(observers) != 1 || labels[0] != "SPECjbb-1" {
 		t.Fatalf("observer callback misfired: %v", labels)

@@ -133,14 +133,8 @@ type SweepResult struct {
 
 // runUniSweep builds the workload on a uniprocessor machine and streams
 // its operations (round-robin over threads, like a time-shared CPU)
-// through the sweeper.
-func runUniSweep(kind Kind, scale int, label string, o SweepOpts) SweepResult {
-	return runUniSweepConfigs(kind, scale, label, o,
-		cache.SizeSweepConfigs("I"), cache.SizeSweepConfigs("D"))
-}
-
-// runUniSweepConfigs is runUniSweep over arbitrary cache geometries.
-func runUniSweepConfigs(kind Kind, scale int, label string, o SweepOpts, icfgs, dcfgs []cache.Config) SweepResult {
+// through sweeps over the given instruction- and data-cache geometries.
+func runUniSweep(kind Kind, scale int, label string, o SweepOpts, icfgs, dcfgs []cache.Config) SweepResult {
 	sys := BuildSystem(SystemParams{Kind: kind, Processors: 1, Scale: scale, Seed: o.Seed})
 	f := newFeeder(sys.Layout, simrand.New(o.Seed).Derive(77), icfgs, dcfgs)
 
@@ -237,16 +231,22 @@ func sweepSpecs() []sweepSpec {
 	}
 }
 
-// ScheduleCacheSweeps submits the four uniprocessor configurations as
-// cells; the results are filled by sched.Wait. Result order is fixed at
-// submission.
+// ScheduleCacheSweeps submits the four uniprocessor configurations over the
+// paper's size ladder as cells; the results are filled by sched.Wait.
 func ScheduleCacheSweeps(sched *Scheduler, o SweepOpts) *CacheSweeps {
+	return scheduleSweeps(sched, o, cache.SizeSweepConfigs)
+}
+
+// scheduleSweeps submits the four uniprocessor configurations as cells,
+// each sweeping the geometries ladder returns for its I and D sides. Result
+// order is fixed at submission.
+func scheduleSweeps(sched *Scheduler, o SweepOpts, ladder func(name string) []cache.Config) *CacheSweeps {
 	specs := sweepSpecs()
 	cs := &CacheSweeps{Results: make([]SweepResult, len(specs))}
 	for i, sp := range specs {
 		i, sp := i, sp
 		sched.Submit(func() {
-			cs.Results[i] = runUniSweep(sp.kind, sp.scale, sp.label, o)
+			cs.Results[i] = runUniSweep(sp.kind, sp.scale, sp.label, o, ladder("I"), ladder("D"))
 		})
 	}
 	return cs
@@ -254,12 +254,7 @@ func ScheduleCacheSweeps(sched *Scheduler, o SweepOpts) *CacheSweeps {
 
 // RunCacheSweeps runs the paper's four uniprocessor configurations on a
 // private scheduler sized to the host.
-func RunCacheSweeps(o SweepOpts) *CacheSweeps {
-	sched := NewScheduler(DefaultWorkers())
-	cs := ScheduleCacheSweeps(sched, o)
-	sched.Wait()
-	return cs
-}
+func RunCacheSweeps(o SweepOpts) *CacheSweeps { return RunGeometrySweeps(o, SweepSize, 0) }
 
 func curveFigure(id, title string, cs *CacheSweeps, pick func(SweepResult) []cache.Point) Figure {
 	f := Figure{
@@ -323,25 +318,15 @@ const (
 // RunCacheSweeps, the four workload configurations are independent and
 // execute concurrently; result order is fixed.
 func RunGeometrySweeps(o SweepOpts, mode GeometryMode, fixedBytes int) *CacheSweeps {
-	mk := func(name string) []cache.Config {
-		switch mode {
-		case SweepAssoc:
-			return cache.AssocSweepConfigs(name, fixedBytes)
-		case SweepBlock:
-			return cache.BlockSweepConfigs(name, fixedBytes)
-		default:
-			return cache.SizeSweepConfigs(name)
-		}
+	ladder := cache.SizeSweepConfigs
+	switch mode {
+	case SweepAssoc:
+		ladder = func(name string) []cache.Config { return cache.AssocSweepConfigs(name, fixedBytes) }
+	case SweepBlock:
+		ladder = func(name string) []cache.Config { return cache.BlockSweepConfigs(name, fixedBytes) }
 	}
-	specs := sweepSpecs()
 	sched := NewScheduler(DefaultWorkers())
-	cs := &CacheSweeps{Results: make([]SweepResult, len(specs))}
-	for i, sp := range specs {
-		i, sp := i, sp
-		sched.Submit(func() {
-			cs.Results[i] = runUniSweepConfigs(sp.kind, sp.scale, sp.label, o, mk("I"), mk("D"))
-		})
-	}
+	cs := scheduleSweeps(sched, o, ladder)
 	sched.Wait()
 	return cs
 }

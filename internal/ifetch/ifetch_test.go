@@ -150,16 +150,16 @@ func TestFootprintDrivesMissCurve(t *testing.T) {
 		l := NewCodeLayout(mem.NewAddrSpace())
 		c := l.Add("x", codeBytes, false, p)
 		g := NewGen(l, simrand.New(5))
-		cc := cache.New(cache.Config{Name: "I", SizeBytes: cacheBytes, Assoc: 4, BlockBytes: 64})
+		sw := cache.NewSweep([]cache.Config{{Name: "I", SizeBytes: cacheBytes, Assoc: 4, BlockBytes: 64}})
 		// Warm up (long enough to touch the cold tail), then measure.
 		for i := 0; i < 600000; i++ {
-			cc.Access(g.NextBlock(c.ID), mem.IFetch)
+			sw.Access(g.NextBlock(c.ID), mem.IFetch)
 		}
-		cc.ResetStats()
+		sw.ResetStats()
 		for i := 0; i < 200000; i++ {
-			cc.Access(g.NextBlock(c.ID), mem.IFetch)
+			sw.Access(g.NextBlock(c.ID), mem.IFetch)
 		}
-		return cc.Stats.MissRatio()
+		return sw.MissCurve()[0].MissRatio
 	}
 	bigFlat := Profile{
 		Tiers:     []Tier{{CodeFrac: 0.3, FetchFrac: 0.5}, {CodeFrac: 0.7, FetchFrac: 0.5}},
