@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/arrival"
 	"repro/internal/db"
+	"repro/internal/evq"
 	"repro/internal/fault"
 	"repro/internal/netsim"
 	"repro/internal/obs/reqtrace"
@@ -335,61 +336,11 @@ const (
 	evTick
 )
 
-// event is one scheduled occurrence; ties break by insertion order.
+// event is one scheduled occurrence, queued by (time, insertion order).
 type event struct {
-	at   uint64
-	seq  uint64
 	kind uint8
 	node int
 	req  *openReq
-}
-
-func evLess(a, b *event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// eventQueue is a binary min-heap on (at, seq).
-type eventQueue []*event
-
-func (q *eventQueue) push(e *event) {
-	*q = append(*q, e)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !evLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func (q *eventQueue) pop() *event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && evLess(h[l], h[m]) {
-			m = l
-		}
-		if r < n && evLess(h[r], h[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	*q = h
-	return top
 }
 
 // openNode is one app server: a bounded FIFO, a worker pool, and its
@@ -424,57 +375,27 @@ func (n *openNode) popFront() *openReq {
 // tracking: held slots are released when their call's wire time expires.
 type shardLimiter struct {
 	aimd *fault.AIMD
-	rel  []uint64 // min-heap of slot release times
+	rel  evq.Queue[struct{}] // slot release times
 }
 
 func (l *shardLimiter) expire(t uint64) {
-	for len(l.rel) > 0 && l.rel[0] <= t {
-		h := l.rel
-		n := len(h) - 1
-		h[0] = h[n]
-		h = h[:n]
-		i := 0
-		for {
-			a, b := 2*i+1, 2*i+2
-			m := i
-			if a < n && h[a] < h[m] {
-				m = a
-			}
-			if b < n && h[b] < h[m] {
-				m = b
-			}
-			if m == i {
-				break
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-		l.rel = h
+	for l.rel.Len() > 0 && l.rel.Min().At <= t {
+		l.rel.Pop()
 	}
 }
 
 func (l *shardLimiter) tryAcquire(t uint64) bool {
 	l.expire(t)
-	return len(l.rel) < int(l.aimd.Limit())
+	return l.rel.Len() < int(l.aimd.Limit())
 }
 
 func (l *shardLimiter) hold(release uint64) {
-	l.rel = append(l.rel, release)
-	h := l.rel
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[i] >= h[p] {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
+	l.rel.Push(evq.Item[struct{}]{At: release})
 }
 
 func (l *shardLimiter) inFlight(t uint64) int {
 	l.expire(t)
-	return len(l.rel)
+	return l.rel.Len()
 }
 
 // OpenSim is the open-system cluster simulation.
@@ -488,7 +409,7 @@ type OpenSim struct {
 
 	now    uint64
 	seq    uint64
-	events eventQueue
+	events evq.Queue[event]
 
 	nodes    []*openNode
 	shards   []*db.Server
@@ -607,7 +528,7 @@ func (s *OpenSim) InFlight() uint64 {
 // schedule pushes an event at time at.
 func (s *OpenSim) schedule(at uint64, kind uint8, node int, r *openReq) {
 	s.seq++
-	s.events.push(&event{at: at, seq: s.seq, kind: kind, node: node, req: r})
+	s.events.Push(evq.Item[event]{At: at, Seq: s.seq, V: event{kind: kind, node: node, req: r}})
 }
 
 // newReq draws a request's class and shard (one Float64 + one Intn, in
@@ -651,30 +572,31 @@ func (s *OpenSim) Run(horizon uint64) uint64 {
 	if s.tickEvery > 0 && s.onTick != nil {
 		s.schedule(s.tickEvery, evTick, -1, nil)
 	}
-	for len(s.events) > 0 {
-		e := s.events.pop()
-		s.now = e.at
+	for s.events.Len() > 0 {
+		it := s.events.Pop()
+		at, e := it.At, it.V
+		s.now = at
 		switch e.kind {
 		case evArrival:
 			s.Stats.Offered++
 			// Keep the open arrival process primed.
 			if s.arr != nil {
-				if at := s.arr.Next(); at < horizon {
-					s.pushArrival(s.newReq(at, -1))
+				if next := s.arr.Next(); next < horizon {
+					s.pushArrival(s.newReq(next, -1))
 				}
 			}
-			s.admit(e.req, e.at)
+			s.admit(e.req, at)
 		case evCall:
-			s.stepCall(e.req, e.at)
+			s.stepCall(e.req, at)
 		case evDone:
 			n := s.nodes[e.node]
 			n.busy--
-			s.finalize(e.req, e.at, horizon)
-			s.dispatch(n, e.at)
+			s.finalize(e.req, at, horizon)
+			s.dispatch(n, at)
 		case evTick:
-			s.onTick(e.at, s)
-			if len(s.events) > 0 {
-				s.schedule(e.at+s.tickEvery, evTick, -1, nil)
+			s.onTick(at, s)
+			if s.events.Len() > 0 {
+				s.schedule(at+s.tickEvery, evTick, -1, nil)
 			}
 		}
 	}
@@ -1032,7 +954,7 @@ func (s *OpenSim) Snapshot(t uint64) OpenSnapshot {
 		ss := ShardSnap{ID: k, Util: sh.Utilization(), Served: sh.Served()}
 		if s.limiters != nil {
 			ss.Limit = s.limiters[k].aimd.Limit()
-			ss.InFlight = len(s.limiters[k].rel)
+			ss.InFlight = s.limiters[k].rel.Len()
 		}
 		ss.Down, _ = s.faults.PeerDown(ShardPeer(k), t)
 		snap.Shards = append(snap.Shards, ss)

@@ -50,11 +50,8 @@ func QuickAblationOpts() AblationOpts {
 func ablationPoint(params SystemParams, o AblationOpts) (float64, ScalingPoint, *System) {
 	params.MemModel = o.MemModel
 	sys := BuildSystem(params)
-	eng := sys.Engine
-	eng.Run(o.WarmupCycles)
-	eng.ResetStats()
-	eng.Run(o.WarmupCycles + o.MeasureCycles)
-	res := eng.Results()
+	measureBare(sys, o.WarmupCycles, o.MeasureCycles)
+	res := sys.Engine.Results()
 	seconds := float64(o.MeasureCycles) / CyclesPerSecond
 	thr := float64(res.BusinessOps) / seconds
 
@@ -181,11 +178,8 @@ func RelatedWorkKernelTime(o AblationOpts) Figure {
 	s := Series{Label: "system %"}
 	for i, kind := range []Kind{SPECjbb, ECperf, VolanoMark} {
 		sys := BuildSystem(SystemParams{Kind: kind, Processors: o.Processors, Seed: o.Seed, MemModel: o.MemModel})
-		eng := sys.Engine
-		eng.Run(o.WarmupCycles)
-		eng.ResetStats()
-		eng.Run(o.WarmupCycles + o.MeasureCycles)
-		res := eng.Results()
+		measureBare(sys, o.WarmupCycles, o.MeasureCycles)
+		res := sys.Engine.Results()
 		pct := 0.0
 		if busy := res.Modes.Busy(); busy > 0 {
 			pct = 100 * float64(res.Modes.System) / float64(busy)

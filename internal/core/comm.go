@@ -67,11 +67,8 @@ func RunCommProfile(kind Kind, o CommOpts) CommProfile {
 	bus := sys.Hier.Bus()
 	bus.EnableProfile()
 	bus.EnableTimeline(o.TimelineBin)
-	eng := sys.Engine
-	eng.Run(o.WarmupCycles)
-	eng.ResetStats() // restarts profile and timeline too
-	eng.Run(o.WarmupCycles + o.MeasureCycles)
-	res := eng.Results()
+	measureBare(sys, o.WarmupCycles, o.MeasureCycles) // the reset restarts profile and timeline
+	res := sys.Engine.Results()
 
 	dist := bus.Profile()
 	transferring := 0

@@ -96,9 +96,7 @@ func RunCoSim(procs int, seed uint64, warmup, measure uint64) CoSimResult {
 
 	// Queueing-model baseline.
 	base := BuildSystem(SystemParams{Kind: ECperf, Processors: procs, Seed: seed})
-	base.Engine.Run(warmup)
-	base.Engine.ResetStats()
-	base.Engine.Run(warmup + measure)
+	measureBare(base, warmup, measure)
 	res.ModelThroughput = float64(base.Engine.Results().BusinessOps) / seconds
 
 	// Co-simulated deployment.

@@ -102,10 +102,13 @@ func TestLatencyGCChargeback(t *testing.T) {
 	if res.GCCount == 0 {
 		t.Fatal("window produced no collections; lengthen it")
 	}
-	if got := rt.GCPause().Count(); got != res.GCCount {
+	rep := rt.BuildReport()
+	if got := sys.Engine.GCPauses().Count(); got != res.GCCount {
 		t.Errorf("gc pause histogram has %d pauses, engine counted %d collections", got, res.GCCount)
 	}
-	rep := rt.BuildReport()
+	if rep.GCPause != sys.Engine.GCPauses().Summarize() {
+		t.Errorf("report jvm_gc_pause %+v does not read the engine's histogram", rep.GCPause)
+	}
 	var charged uint64
 	for _, c := range rep.Classes {
 		charged += c.Phases.GCPause

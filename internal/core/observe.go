@@ -5,7 +5,6 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
-	"repro/internal/stats"
 )
 
 // inspectTopN bounds the hot-line/object tables rendered for the live
@@ -126,7 +125,7 @@ func registerMetrics(sys *System, r *obs.Registry) {
 
 	r.Counter("jvm.gc.count", func() uint64 { return eng.Results().GCCount })
 	r.Counter("jvm.gc.wall_cycles", func() uint64 { return eng.Results().GCWall })
-	r.Histogram("jvm.gc.pause_cycles", func() stats.Histogram { return *eng.GCPauses() })
+	r.Histogram("jvm.gc.pause_cycles", eng.GCPauses())
 	r.Gauge("jvm.heap.eden_used_bytes", func() float64 { return float64(sys.Heap.EdenUsed()) })
 	r.Gauge("jvm.heap.old_used_bytes", func() float64 { return float64(sys.Heap.OldUsed()) })
 

@@ -77,6 +77,19 @@ func (r *Run) Tick(t uint64) {
 	}
 }
 
+// measureBare runs sys through Measure with nothing attached: the sweep
+// cells that only read the engine's results afterwards. Each phase is one
+// slice. Slicing is not free of effects: an idle processor re-checks the
+// ready queue at every slice boundary, which can move a steal earlier, so
+// these cells keep the one-run-per-phase schedule their figures were
+// calibrated on.
+func measureBare(sys *System, warmup, measure uint64) {
+	r := &Run{Sys: sys, slice: warmup + measure}
+	if err := r.Measure(warmup, measure, nil); err != nil {
+		panic(err) // unreachable: Measure fails only on checkpoints
+	}
+}
+
 // Measure drives the run through the standard warm-up/measure discipline;
 // it is the harness's one loop that advances the engine in slices. Warm-up
 // runs in profiler phase "warmup". At the boundary the engine's stats, the

@@ -172,10 +172,7 @@ func runScalingPoint(kind Kind, procs int, seed uint64, o Opts) (ScalingPoint, *
 }
 
 func measureScalingPoint(sys *System, procs int, seed uint64, o Opts) (ScalingPoint, *System) {
-	eng := sys.Engine
-	eng.Run(o.WarmupCycles)
-	eng.ResetStats()
-	eng.Run(o.WarmupCycles + o.MeasureCycles)
+	measureBare(sys, o.WarmupCycles, o.MeasureCycles)
 	return summarizePoint(sys, procs, seed, o), sys
 }
 

@@ -166,6 +166,33 @@ func (h *HDR) Merge(o *HDR) {
 	h.sum += o.sum
 }
 
+// Sub returns the bucket-wise difference h - base: the distribution of the
+// samples recorded after base was cloned from h. Counts and the sum
+// saturate at zero, so a Reset between the two captures degrades
+// gracefully instead of underflowing. Min and Max are h's, which bound the
+// difference's samples from outside, so Quantile still clamps to the later
+// maximum. A nil base returns a copy of h; neither argument is modified.
+func (h *HDR) Sub(base *HDR) *HDR {
+	if base == nil {
+		return h.Clone()
+	}
+	d := &HDR{counts: make([]uint64, len(h.counts)), min: h.min, max: h.max}
+	for i, c := range h.counts {
+		var b uint64
+		if i < len(base.counts) {
+			b = base.counts[i]
+		}
+		if c > b {
+			d.counts[i] = c - b
+			d.count += c - b
+		}
+	}
+	if h.sum > base.sum {
+		d.sum = h.sum - base.sum
+	}
+	return d
+}
+
 // Reset empties the histogram in place, keeping its bucket storage.
 func (h *HDR) Reset() {
 	for i := range h.counts {

@@ -196,6 +196,72 @@ func TestHDRReset(t *testing.T) {
 	}
 }
 
+// TestHDRMeanAndMedian: count and mean are exact, and the median of
+// 1..1000 is bounded within one sub-bucket.
+func TestHDRMeanAndMedian(t *testing.T) {
+	var h HDR
+	for i := uint64(1); i <= 1000; i++ {
+		h.Record(i)
+	}
+	if h.Count() != 1000 {
+		t.Fatalf("count = %d", h.Count())
+	}
+	if h.Mean() != 500.5 {
+		t.Fatalf("mean = %v", h.Mean())
+	}
+	if q := h.Quantile(0.5); q < 500 || q > 500+500>>hdrSubBits {
+		t.Fatalf("median bound %d not within one sub-bucket of 500", q)
+	}
+}
+
+func TestHDRSub(t *testing.T) {
+	var base HDR
+	for _, v := range []uint64{1, 10, 100} {
+		base.Record(v)
+	}
+	later := base.Clone()
+	for _, v := range []uint64{1000, 1000, 2000} {
+		later.Record(v)
+	}
+	d := later.Sub(&base)
+	if d.Count() != 3 || d.Sum() != 4000 {
+		t.Fatalf("delta count/sum = %d/%d, want 3/4000", d.Count(), d.Sum())
+	}
+	// The delta holds only the later samples: its median is 1000 within a
+	// sub-bucket, and its p99 clamps to the later maximum.
+	if q := d.Quantile(0.5); q < 1000 || q > 1000+1000>>hdrSubBits {
+		t.Fatalf("delta median = %d, want ~1000", q)
+	}
+	if q := d.Quantile(0.99); q != 2000 {
+		t.Fatalf("delta p99 = %d, want the later max 2000", q)
+	}
+	if later.Count() != 6 || base.Count() != 3 {
+		t.Fatal("Sub modified an argument")
+	}
+	if n := later.Sub(nil); n.Count() != 6 || n == later {
+		t.Fatal("Sub(nil) must return a copy of the receiver")
+	}
+}
+
+// TestHDRSubSaturates: a base larger than the receiver — as after a Reset
+// between the two captures — yields an empty delta, not wrapped counts.
+func TestHDRSubSaturates(t *testing.T) {
+	var h HDR
+	for _, v := range []uint64{5, 5000, 90_000} {
+		h.Record(v)
+	}
+	base := h.Clone()
+	h.Reset()
+	h.Record(5)
+	d := h.Sub(base)
+	if d.Count() != 0 || d.Sum() != 0 || d.Quantile(0.99) != 0 {
+		t.Fatalf("saturating delta = %+v, want empty", d.Summarize())
+	}
+	if z := base.Sub(base.Clone()); z.Count() != 0 {
+		t.Fatalf("self delta count = %d, want 0", z.Count())
+	}
+}
+
 func BenchmarkHDRRecord(b *testing.B) {
 	rng := simrand.New(1)
 	vals := make([]uint64, 4096)

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"repro/internal/stats"
 )
 
 func TestNilReceiversAreDisabled(t *testing.T) {
@@ -97,22 +95,22 @@ func TestTracerSamplingAndCap(t *testing.T) {
 
 func TestRegistrySnapshotDelta(t *testing.T) {
 	var miss uint64
-	var hist stats.Histogram
+	var hist HDR
 	util := 0.25
 
 	r := NewRegistry()
 	r.Counter("memsys.l2.miss", func() uint64 { return miss })
 	r.Gauge("db.utilization", func() float64 { return util })
-	r.Histogram("jvm.gc.pause_cycles", func() stats.Histogram { return hist })
+	r.Histogram("jvm.gc.pause_cycles", &hist)
 
 	miss = 100
-	hist.Add(5000)
+	hist.Record(5000)
 	base := r.Snapshot()
 
 	miss = 250
 	util = 0.75
-	hist.Add(9000)
-	hist.Add(11000)
+	hist.Record(9000)
+	hist.Record(11000)
 	cur := r.Snapshot()
 
 	d := cur.Delta(base)
@@ -140,6 +138,26 @@ func TestRegistrySnapshotDelta(t *testing.T) {
 	cs := d.CounterSet()
 	if cs.Get("memsys.l2.miss") != 150 {
 		t.Fatal("CounterSet interop lost the delta")
+	}
+}
+
+// TestRegistrySnapshotCopiesHistogram: a snapshot must deep-copy a bound
+// histogram. Sharing its bucket storage would make the base see later
+// samples recorded into the same buckets, and every delta read as zero.
+func TestRegistrySnapshotCopiesHistogram(t *testing.T) {
+	var pauses HDR
+	r := NewRegistry()
+	r.Histogram("jvm.gc.pause_cycles", &pauses)
+	pauses.Record(40_000)
+	base := r.Snapshot()
+	pauses.Record(40_000)
+	pauses.Record(40_001)
+	d := r.Snapshot().Delta(base)
+	if got := d.Histo("jvm.gc.pause_cycles").Count(); got != 2 {
+		t.Fatalf("delta pause count = %d, want 2", got)
+	}
+	if got := base.Histo("jvm.gc.pause_cycles").Count(); got != 1 {
+		t.Fatalf("base snapshot changed after capture: count %d, want 1", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/stats"
@@ -24,7 +23,7 @@ type Registry struct {
 	kinds   map[string]metricKind
 	counter map[string]func() uint64
 	gauge   map[string]func() float64
-	histo   map[string]func() stats.Histogram
+	histo   map[string]*HDR
 }
 
 type metricKind uint8
@@ -41,7 +40,7 @@ func NewRegistry() *Registry {
 		kinds:   map[string]metricKind{},
 		counter: map[string]func() uint64{},
 		gauge:   map[string]func() float64{},
-		histo:   map[string]func() stats.Histogram{},
+		histo:   map[string]*HDR{},
 	}
 }
 
@@ -73,14 +72,15 @@ func (r *Registry) Gauge(name string, read func() float64) {
 	r.gauge[name] = read
 }
 
-// Histogram binds a distribution; read returns a value copy so snapshots
-// can subtract bucket-wise.
-func (r *Registry) Histogram(name string, read func() stats.Histogram) {
+// Histogram binds a distribution that its owner records into (and
+// resets) in place; every snapshot clones it so deltas subtract
+// bucket-wise.
+func (r *Registry) Histogram(name string, h *HDR) {
 	if r == nil {
 		return
 	}
 	r.register(name, kindHisto)
-	r.histo[name] = read
+	r.histo[name] = h
 }
 
 // Names returns the metric names in registration order.
@@ -100,7 +100,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		reg:      r,
 		counters: make(map[string]uint64, len(r.counter)),
 		gauges:   make(map[string]float64, len(r.gauge)),
-		histos:   make(map[string]stats.Histogram, len(r.histo)),
+		histos:   make(map[string]*HDR, len(r.histo)),
 	}
 	for n, f := range r.counter {
 		s.counters[n] = f()
@@ -108,8 +108,8 @@ func (r *Registry) Snapshot() *Snapshot {
 	for n, f := range r.gauge {
 		s.gauges[n] = f()
 	}
-	for n, f := range r.histo {
-		s.histos[n] = f()
+	for n, h := range r.histo {
+		s.histos[n] = h.Clone()
 	}
 	return s
 }
@@ -119,7 +119,7 @@ type Snapshot struct {
 	reg      *Registry
 	counters map[string]uint64
 	gauges   map[string]float64
-	histos   map[string]stats.Histogram
+	histos   map[string]*HDR
 }
 
 // Counter returns a captured counter value.
@@ -128,8 +128,8 @@ func (s *Snapshot) Counter(name string) uint64 { return s.counters[name] }
 // Gauge returns a captured gauge value.
 func (s *Snapshot) Gauge(name string) float64 { return s.gauges[name] }
 
-// Histo returns a captured histogram.
-func (s *Snapshot) Histo(name string) stats.Histogram { return s.histos[name] }
+// Histo returns a captured histogram (nil for an unknown name).
+func (s *Snapshot) Histo(name string) *HDR { return s.histos[name] }
 
 // Delta returns this snapshot with the base subtracted: counters and
 // histogram buckets subtract (saturating at zero, so a ResetStats between
@@ -143,7 +143,7 @@ func (s *Snapshot) Delta(base *Snapshot) *Snapshot {
 		reg:      s.reg,
 		counters: make(map[string]uint64, len(s.counters)),
 		gauges:   s.gauges,
-		histos:   make(map[string]stats.Histogram, len(s.histos)),
+		histos:   make(map[string]*HDR, len(s.histos)),
 	}
 	for n, v := range s.counters {
 		b := base.counters[n]
@@ -152,8 +152,7 @@ func (s *Snapshot) Delta(base *Snapshot) *Snapshot {
 		}
 	}
 	for n, h := range s.histos {
-		b := base.histos[n]
-		d.histos[n] = h.Sub(&b)
+		d.histos[n] = h.Sub(base.histos[n])
 	}
 	return d
 }
@@ -203,12 +202,4 @@ func topSegment(name string) string {
 		return name[:i]
 	}
 	return name
-}
-
-// SortedNames returns the metric names sorted (for tests needing a stable
-// view independent of registration order).
-func (r *Registry) SortedNames() []string {
-	out := append([]string(nil), r.Names()...)
-	sort.Strings(out)
-	return out
 }

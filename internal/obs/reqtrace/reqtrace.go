@@ -134,8 +134,8 @@ type Collector struct {
 	origin  uint64
 	classes map[string]*classAcc
 	bins    []*intervalAcc
-	all     obs.HDR // every tracked completion, for live heartbeat quantiles
-	gcPause obs.HDR // stop-the-world pause lengths (jvm.gc.pause)
+	all     obs.HDR  // every tracked completion, for live heartbeat quantiles
+	gcPause *obs.HDR // the engine's pause-length histogram; nil without one
 
 	// seq numbers spans in Begin order; inflight indexes the spans opened
 	// but not yet ended — the flight recorder's "what was running when it
@@ -247,18 +247,15 @@ func (c *Collector) End(s *Span, end uint64) {
 	h.Record(total)
 }
 
-// RecordGCPause records one stop-the-world pause length. Pause *overlap*
-// with in-flight requests is charged to their spans by the engine; this
-// histogram is the pause-length distribution itself (the jvm.gc.pause view).
-func (c *Collector) RecordGCPause(cycles uint64) {
-	if c == nil {
-		return
+// BindGCPauses makes the report's jvm_gc_pause summary read h, the
+// engine's stop-the-world pause-length histogram, which the engine records
+// and resets; the collector keeps no copy. Pause *overlap* with in-flight
+// requests is charged to their spans by the engine.
+func (c *Collector) BindGCPauses(h *obs.HDR) {
+	if c != nil {
+		c.gcPause = h
 	}
-	c.gcPause.Record(cycles)
 }
-
-// GCPause returns the pause-length histogram.
-func (c *Collector) GCPause() *obs.HDR { return &c.gcPause }
 
 // Reset clears all accumulated spans and re-anchors the time series at
 // origin — the warm-up/measurement boundary. Spans still in flight keep
@@ -272,7 +269,6 @@ func (c *Collector) Reset(origin uint64) {
 	c.classes = make(map[string]*classAcc)
 	c.bins = nil
 	c.all.Reset()
-	c.gcPause.Reset()
 }
 
 // Origin returns the time-series anchor set by the last Reset.
@@ -376,7 +372,6 @@ func (c *Collector) Merge(o *Collector) {
 		}
 	}
 	c.all.Merge(&o.all)
-	c.gcPause.Merge(&o.gcPause)
 }
 
 // PhaseBreakdown is the per-phase cycle decomposition of a class, plus the
@@ -433,7 +428,10 @@ type Report struct {
 
 // BuildReport digests the collector and evaluates its objectives.
 func (c *Collector) BuildReport() *Report {
-	r := &Report{IntervalCycles: c.opt.IntervalCycles, OriginCycle: c.origin, GCPause: c.gcPause.Summarize()}
+	r := &Report{IntervalCycles: c.opt.IntervalCycles, OriginCycle: c.origin}
+	if c.gcPause != nil {
+		r.GCPause = c.gcPause.Summarize()
+	}
 
 	names := make([]string, 0, len(c.classes))
 	for k := range c.classes {

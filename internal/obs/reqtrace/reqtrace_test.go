@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -109,7 +110,6 @@ func TestMergeAcrossNodes(t *testing.T) {
 		for i, l := range lat {
 			s := c.Begin(mkOp("m", true), uint64(i))
 			c.End(s, uint64(i)+l)
-			c.RecordGCPause(l / 2)
 		}
 		return c
 	}
@@ -131,9 +131,6 @@ func TestMergeAcrossNodes(t *testing.T) {
 	}
 	if m1.classes["m"].hdr.Count() != 9 {
 		t.Fatalf("merged count = %d, want 9", m1.classes["m"].hdr.Count())
-	}
-	if m1.GCPause().Count() != 9 {
-		t.Fatalf("merged gc pauses = %d, want 9", m1.GCPause().Count())
 	}
 }
 
@@ -184,7 +181,8 @@ func TestParseObjectives(t *testing.T) {
 		t.Fatalf("bad cy objective: %+v", objs[4])
 	}
 
-	for _, bad := range []string{"p98<=40ms", "p99=40ms", "err<=0%", "err<=bogus", "p99<=0ms"} {
+	for _, bad := range []string{"p98<=40ms", "p99=40ms", "err<=0%", "err<=bogus", "p99<=0ms",
+		"err<=nan%", "p99<=nanms", "p99<=infms", "p99<=1e300s"} {
 		if _, err := ParseObjectives(bad); err == nil {
 			t.Errorf("ParseObjectives(%q) accepted invalid spec", bad)
 		}
@@ -277,13 +275,30 @@ func TestSLOBurnRates(t *testing.T) {
 	}
 }
 
+// TestReportReadsBoundGCPauses: the jvm_gc_pause summary is a view of the
+// histogram bound by the engine, zero when none is bound; the collector
+// neither records into it nor resets it.
+func TestReportReadsBoundGCPauses(t *testing.T) {
+	c := NewCollector(Options{IntervalCycles: 1000})
+	if got := c.BuildReport().GCPause; got != (obs.HDRSummary{}) {
+		t.Fatalf("unbound pause summary = %+v, want zero", got)
+	}
+	var pauses obs.HDR
+	c.BindGCPauses(&pauses)
+	pauses.Record(4000)
+	pauses.Record(6000)
+	c.Reset(100)
+	if got := c.BuildReport().GCPause; got.Count != 2 || got.Max != 6000 {
+		t.Fatalf("bound pause summary = %+v, want count 2, max 6000", got)
+	}
+}
+
 func TestResetReanchors(t *testing.T) {
 	c := NewCollector(Options{IntervalCycles: 1000})
 	s := c.Begin(mkOp("m", true), 10)
 	c.End(s, 20)
-	c.RecordGCPause(99)
 	c.Reset(5000)
-	if len(c.CountByClass()) != 0 || c.GCPause().Count() != 0 {
+	if len(c.CountByClass()) != 0 {
 		t.Fatal("reset did not clear accumulators")
 	}
 	s = c.Begin(mkOp("m", true), 5100)

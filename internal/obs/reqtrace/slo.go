@@ -90,7 +90,7 @@ func parseObjective(s string) (Objective, error) {
 			return o, fmt.Errorf("error objective bound must be a percentage")
 		}
 		p, err := strconv.ParseFloat(strings.TrimSuffix(rhs, "%"), 64)
-		if err != nil || p <= 0 || p >= 100 {
+		if err != nil || !(p > 0 && p < 100) { // also rejects NaN
 			return o, fmt.Errorf("bad error percentage %q", rhs)
 		}
 		o.Budget = p / 100
@@ -116,19 +116,22 @@ func parseObjective(s string) (Objective, error) {
 		}
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(num), 64)
-	if err != nil || v <= 0 {
+	if err != nil || !(v > 0) { // also rejects NaN
 		return o, fmt.Errorf("bad latency bound %q", rhs)
 	}
+	cy := v // "cy": raw simulated cycles
 	switch unit {
 	case "us":
-		o.ThresholdCycles = uint64(v * obs.CyclesPerMicrosecond)
+		cy = v * obs.CyclesPerMicrosecond
 	case "ms", "": // default milliseconds: the natural unit for request SLOs
-		o.ThresholdCycles = uint64(v * obs.CyclesPerMicrosecond * 1e3)
+		cy = v * obs.CyclesPerMicrosecond * 1e3
 	case "s":
-		o.ThresholdCycles = uint64(v * obs.CyclesPerMicrosecond * 1e6)
-	case "cy":
-		o.ThresholdCycles = uint64(v)
+		cy = v * obs.CyclesPerMicrosecond * 1e6
 	}
+	if cy >= 1<<64 { // also rejects +Inf
+		return o, fmt.Errorf("latency bound %q overflows the cycle counter", rhs)
+	}
+	o.ThresholdCycles = uint64(cy)
 	if o.ThresholdCycles == 0 {
 		return o, fmt.Errorf("latency bound rounds to zero cycles")
 	}

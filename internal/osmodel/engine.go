@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"repro/internal/cpu"
+	"repro/internal/evq"
 	"repro/internal/fault"
 	"repro/internal/ifetch"
 	"repro/internal/memsys"
@@ -28,7 +29,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/reqtrace"
 	"repro/internal/simrand"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -187,66 +187,6 @@ type semState struct {
 // idleSentinel marks a processor that is not in an idle stretch.
 const idleSentinel = ^uint64(0)
 
-type event struct {
-	time uint64
-	seq  uint64
-	th   *thread
-}
-
-// eventHeap is a binary min-heap ordered by (time, seq). It is typed —
-// not container/heap — so pushes and pops move event values directly
-// instead of boxing them through interface{} (one heap allocation per
-// wakeup otherwise, millions per run). Pop order is a total order (seq is
-// unique), so it is independent of the internal array layout.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	hh := *h
-	i := len(hh) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !hh.less(i, p) {
-			break
-		}
-		hh[i], hh[p] = hh[p], hh[i]
-		i = p
-	}
-}
-
-func (h *eventHeap) pop() event {
-	hh := *h
-	n := len(hh) - 1
-	hh[0], hh[n] = hh[n], hh[0]
-	ev := hh[n]
-	*h = hh[:n]
-	hh = hh[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && hh.less(r, l) {
-			m = r
-		}
-		if !hh.less(m, i) {
-			break
-		}
-		hh[i], hh[m] = hh[m], hh[i]
-		i = m
-	}
-	return ev
-}
-
 // Engine is the machine: processors, scheduler, locks, and accounting.
 type Engine struct {
 	cfg    Config
@@ -268,7 +208,7 @@ type Engine struct {
 
 	threads  []*thread
 	readyQ   []*thread
-	events   eventHeap
+	events   evq.Queue[*thread] // wakeups; Seq is the eventSeq push counter
 	eventSeq uint64
 
 	// Per-run scratch state reused across stop-the-world collections.
@@ -292,10 +232,10 @@ type Engine struct {
 	// Measurement counters (cleared by ResetStats).
 	businessOps                uint64
 	opsByTag                   map[string]uint64
-	latByTag                   map[string]*stats.Histogram
+	latByTag                   map[string]*obs.HDR
 	gcWall                     uint64
 	gcCount                    uint64
-	gcPauses                   stats.Histogram
+	gcPauses                   obs.HDR
 	lockWaitCycles             uint64
 	lockBlocks                 uint64
 	lockAcquires               uint64
@@ -354,14 +294,17 @@ func (e *Engine) AttachObs(o *obs.Observer) {
 
 // GCPauses returns the distribution of stop-the-world pause lengths in
 // cycles since the last ResetStats (the jvm.gc.pause_cycles metric).
-func (e *Engine) GCPauses() *stats.Histogram { return &e.gcPauses }
+func (e *Engine) GCPauses() *obs.HDR { return &e.gcPauses }
 
 // SetReqTrace attaches a request-latency collector: every tracked operation
-// gets a span decomposed into phase segments as the engine plays it. nil
-// (the default) keeps the zero-overhead path; an attached collector is
-// passive — it never changes scheduling, timing, or RNG draws. Call it
-// before Run.
-func (e *Engine) SetReqTrace(rt *reqtrace.Collector) { e.rt = rt }
+// gets a span decomposed into phase segments as the engine plays it, and
+// the collector's report reads the engine's GC pause histogram. nil (the
+// default) keeps the zero-overhead path; an attached collector is passive —
+// it never changes scheduling, timing, or RNG draws. Call it before Run.
+func (e *Engine) SetReqTrace(rt *reqtrace.Collector) {
+	e.rt = rt
+	rt.BindGCPauses(&e.gcPauses)
+}
 
 // ReqTrace returns the attached latency collector, or nil.
 func (e *Engine) ReqTrace() *reqtrace.Collector { return e.rt }
@@ -389,7 +332,7 @@ func NewEngine(cfg Config, hier *memsys.Hierarchy, layout *ifetch.CodeLayout, ne
 		locks:    make(map[uint64]*lockState),
 		sems:     make(map[uint64]*semState),
 		opsByTag: make(map[string]uint64),
-		latByTag: make(map[string]*stats.Histogram),
+		latByTag: make(map[string]*obs.HDR),
 	}
 	for _, c := range cfg.PSet {
 		if c < 0 || c >= cfg.CPUs {
@@ -433,7 +376,7 @@ func (e *Engine) addThread(name string, src OpSource, mask uint64) int {
 
 func (e *Engine) wakeAt(th *thread, t uint64) {
 	e.eventSeq++
-	e.events.push(event{time: t, seq: e.eventSeq, th: th})
+	e.events.Push(evq.Item[*thread]{At: t, Seq: e.eventSeq, V: th})
 	// If an eligible processor is sitting in an idle stretch that covers
 	// t, pull it back so the thread is dispatched at its wake time —
 	// preferring its cache-warm home processor.
@@ -455,24 +398,24 @@ func (e *Engine) wakeAt(th *thread, t uint64) {
 }
 
 func (e *Engine) drainEvents(now uint64) {
-	for len(e.events) > 0 && e.events[0].time <= now {
-		ev := e.events.pop()
-		th := ev.th
+	for e.events.Len() > 0 && e.events.Min().At <= now {
+		ev := e.events.Pop()
+		th := ev.V
 		if th.state == stBlockedIO {
 			e.ioBlocked--
 		}
 		th.state = stReady
 		th.bound = false
-		th.readyAt = ev.time
+		th.readyAt = ev.At
 		e.readyQ = append(e.readyQ, th)
 	}
 }
 
 func (e *Engine) nextEventTime() (uint64, bool) {
-	if len(e.events) == 0 {
+	if e.events.Len() == 0 {
 		return 0, false
 	}
-	return e.events[0].time, true
+	return e.events.Min().At, true
 }
 
 // pickThread removes and returns the best ready thread for cpuID: first a
@@ -689,11 +632,11 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 				e.opsByTag[th.op.Tag]++
 				h := e.latByTag[th.op.Tag]
 				if h == nil {
-					h = &stats.Histogram{}
+					h = &obs.HDR{}
 					e.latByTag[th.op.Tag] = h
 				}
 				if t > th.opStart {
-					h.Add(t - th.opStart)
+					h.Record(t - th.opStart)
 				}
 				if e.tracer.Enabled(obs.CompWorkload) {
 					e.tracer.Span(obs.CompWorkload, th.op.Tag, threadTrackBase+th.id,
@@ -1059,7 +1002,7 @@ func (e *Engine) stopTheWorld(c int, t uint64, gc *trace.GC) uint64 {
 	e.freeAt[c] = stwEnd
 	e.gcWall += stwEnd - stwStart
 	e.gcCount++
-	e.gcPauses.Add(stwEnd - stwStart)
+	e.gcPauses.Record(stwEnd - stwStart)
 	if e.rt != nil {
 		// The pause freezes the whole machine: nothing dispatches before
 		// stwEnd, so every request in flight absorbs the full pause. That is
@@ -1067,7 +1010,6 @@ func (e *Engine) stopTheWorld(c int, t uint64, gc *trace.GC) uint64 {
 		// request blocked on a remote tier is stalled by the pause and the
 		// wire at once.
 		pause := stwEnd - stwStart
-		e.rt.RecordGCPause(pause)
 		for _, oth := range e.threads {
 			oth.span.Add(reqtrace.PhaseGC, pause)
 		}
@@ -1136,10 +1078,12 @@ func (e *Engine) ResetStats() {
 	e.hier.ResetStats()
 	e.businessOps = 0
 	e.opsByTag = make(map[string]uint64)
-	e.latByTag = make(map[string]*stats.Histogram)
+	for _, h := range e.latByTag {
+		h.Reset()
+	}
 	e.gcWall = 0
 	e.gcCount = 0
-	e.gcPauses = stats.Histogram{}
+	e.gcPauses.Reset()
 	e.lockWaitCycles = 0
 	e.lockBlocks = 0
 	e.lockAcquires = 0
@@ -1158,7 +1102,9 @@ type Results struct {
 	// LatencyByTag holds per-operation-type response-time histograms in
 	// cycles (ECperf's specification bounds the 90th percentile; the paper
 	// relaxed it, §2.2 — these histograms let either policy be checked).
-	LatencyByTag map[string]*stats.Histogram
+	// Only tags with samples appear; the histograms are the engine's own,
+	// which the next ResetStats empties in place.
+	LatencyByTag map[string]*obs.HDR
 	// PSet accounting, summed over the processor set.
 	Modes Modes
 	// CPU aggregates CPI decomposition over the processor set's cores.
@@ -1180,7 +1126,7 @@ func (e *Engine) Results() Results {
 	r := Results{
 		BusinessOps:    e.businessOps,
 		OpsByTag:       make(map[string]uint64, len(e.opsByTag)),
-		LatencyByTag:   e.latByTag,
+		LatencyByTag:   make(map[string]*obs.HDR, len(e.latByTag)),
 		GCWall:         e.gcWall,
 		GCCount:        e.gcCount,
 		LockWaitCycles: e.lockWaitCycles,
@@ -1192,6 +1138,11 @@ func (e *Engine) Results() Results {
 	}
 	for k, v := range e.opsByTag {
 		r.OpsByTag[k] = v
+	}
+	for k, h := range e.latByTag {
+		if h.Count() > 0 {
+			r.LatencyByTag[k] = h
+		}
 	}
 	for i := 0; i < e.cfg.CPUs; i++ {
 		if !e.inPSet[i] {

@@ -95,7 +95,7 @@ func (e *Engine) checkWatchdog(t uint64) bool {
 		LastDispatch:  e.lastDispatch,
 		Threads:       e.DebugThreads(),
 		Locks:         e.DebugLocks(),
-		PendingEvents: len(e.events),
+		PendingEvents: e.events.Len(),
 	}
 	e.tracer.Instant(obs.CompFault, "watchdog."+reason, 0, t,
 		obs.Arg{Key: "last_dispatch", Val: e.lastDispatch})
@@ -106,7 +106,7 @@ func (e *Engine) checkWatchdog(t uint64) bool {
 // ready, no wake event queued, no thread that the cluster coordinator
 // could still wake externally — but blocked threads remain.
 func (e *Engine) provableDeadlock() bool {
-	if len(e.readyQ) > 0 || len(e.events) > 0 {
+	if len(e.readyQ) > 0 || e.events.Len() > 0 {
 		return false
 	}
 	blocked := false

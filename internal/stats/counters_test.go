@@ -42,26 +42,3 @@ func TestCounterSetStringOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestHistogramSub(t *testing.T) {
-	var base, later Histogram
-	for _, v := range []uint64{1, 10, 100} {
-		base.Add(v)
-		later.Add(v)
-	}
-	for _, v := range []uint64{1000, 1000, 2000} {
-		later.Add(v)
-	}
-	d := later.Sub(&base)
-	if d.Count() != 3 {
-		t.Fatalf("delta count = %d, want 3", d.Count())
-	}
-	if m := d.Mean(); m < 1000 || m > 2000 {
-		t.Fatalf("delta mean = %v, want within [1000,2000]", m)
-	}
-	// Saturation: subtracting a larger histogram yields zero, not wrap.
-	z := base.Sub(&later)
-	if z.Count() != 0 {
-		t.Fatalf("saturating delta count = %d, want 0", z.Count())
-	}
-}

@@ -1,6 +1,6 @@
 // Package stats is the measurement toolkit of the simulator: scalar
-// summaries with error bars, log-scale histograms, interval time series
-// (Figure 10), and per-key share distributions (Figures 14/15).
+// summaries with error bars, interval time series (Figure 10), and per-key
+// share distributions (Figures 14/15).
 //
 // Every result the simulator reports follows the variability methodology of
 // Alameldeen & Wood (HPCA 2003), which the paper adopts: each configuration
@@ -69,79 +69,6 @@ func (s *Summary) Max() float64 { return s.max }
 // String formats the summary as "mean ± stddev".
 func (s *Summary) String() string {
 	return fmt.Sprintf("%.4g ± %.2g", s.Mean(), s.StdDev())
-}
-
-// Histogram is a power-of-two bucketed histogram for positive values, used
-// for latency and size distributions.
-type Histogram struct {
-	buckets [64]uint64
-	count   uint64
-	sum     uint64
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v uint64) {
-	h.buckets[log2Bucket(v)]++
-	h.count++
-	h.sum += v
-}
-
-func log2Bucket(v uint64) int {
-	b := 0
-	for v > 1 {
-		v >>= 1
-		b++
-	}
-	return b
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the mean sample value.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1) at
-// bucket resolution.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.count))
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
-		if cum > target {
-			return 1 << uint(i+1)
-		}
-	}
-	return 1 << 63
-}
-
-// Sub returns the bucket-wise difference h - base: the distribution of
-// samples added after base was captured. Counts saturate at zero so a
-// reset between the two captures degrades gracefully instead of
-// underflowing. Receiver and argument are unmodified.
-func (h *Histogram) Sub(base *Histogram) Histogram {
-	var d Histogram
-	if base == nil {
-		return *h
-	}
-	for i := range h.buckets {
-		if h.buckets[i] > base.buckets[i] {
-			d.buckets[i] = h.buckets[i] - base.buckets[i]
-			d.count += d.buckets[i]
-		}
-	}
-	if h.sum > base.sum {
-		d.sum = h.sum - base.sum
-	}
-	return d
 }
 
 // TimeSeries bins a counter into fixed-width intervals of simulated time.
@@ -302,7 +229,3 @@ func (d *ShareDist) CDF(points int) []CDFPoint {
 	}
 	return out
 }
-
-// ShareAtKeys interpolates the cumulative event share at exactly k hottest
-// keys; convenience for reading fixed points off the Figure 15 curve.
-func (d *ShareDist) ShareAtKeys(k int) float64 { return d.TopShare(k) }

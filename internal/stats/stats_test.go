@@ -61,23 +61,6 @@ func TestQuickSummaryBounds(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	for i := uint64(1); i <= 1000; i++ {
-		h.Add(i)
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if math.Abs(h.Mean()-500.5) > 1e-9 {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-	q := h.Quantile(0.5)
-	if q < 256 || q > 2048 {
-		t.Fatalf("median bucket bound %d implausible", q)
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	ts := NewTimeSeries(100)
 	ts.Add(0, 1)

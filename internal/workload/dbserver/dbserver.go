@@ -20,7 +20,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/osmodel"
 	"repro/internal/simrand"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -105,12 +104,6 @@ type Server struct {
 	inflight map[*trace.Op]Request
 
 	Served uint64
-	// PickupDelay records how long delivered requests waited for a worker
-	// (a co-simulation health diagnostic); NextOps and LastNow track the
-	// workers' dispatch cadence.
-	PickupDelay stats.Histogram
-	NextOps     uint64
-	LastNow     uint64
 }
 
 // New builds the buffer-pool-resident tables.
@@ -184,10 +177,6 @@ func (s *Server) WorkerSource(i int) osmodel.OpSource {
 // NextOp processes the next delivered request, or polls when none is due.
 func (w *workerSource) NextOp(tid int, now uint64) *trace.Op {
 	s, cfg := w.s, w.s.cfg
-	s.NextOps++
-	if now > s.LastNow {
-		s.LastNow = now
-	}
 	if len(s.queue) == 0 || s.queue[0].DeliverAt > now {
 		// Idle poll: a short sleep, as a blocked accept loop would.
 		rec := w.rec
@@ -197,9 +186,6 @@ func (w *workerSource) NextOp(tid int, now uint64) *trace.Op {
 	}
 	req := s.queue[0]
 	s.queue = s.queue[1:]
-	if now > req.DeliverAt {
-		s.PickupDelay.Add(now - req.DeliverAt)
-	}
 
 	rec := w.rec
 	rec.Reset("query", true)
