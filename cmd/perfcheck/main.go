@@ -54,11 +54,13 @@ import (
 // and the Figure 12/13 sweep), the local-hit fast path, and the snoop-heavy
 // bus patterns the duplicate-tag filter exists for, and the loaded-latency
 // hot path (curve lookup + utilization-window update) every bus transaction
-// pays under -memmodel loaded.
+// pays under -memmodel loaded, and the trace recorder (a sampled-out and a
+// ring-recorded event, both allocation-free, and the Chrome trace encoder).
 const pinnedBench = "^(BenchmarkFig08C2CRatio|BenchmarkFig13DCacheMissRate|BenchmarkFig16SharedCaches|" +
 	"BenchmarkProbeTouchHit|BenchmarkSweepNineConfigs|" +
 	"BenchmarkReadLocalHit|BenchmarkMigratoryWrite16Nodes|BenchmarkReadSharedGetS16Nodes|" +
-	"BenchmarkHDRRecord|BenchmarkHDRMerge|BenchmarkCurveLookup|BenchmarkLoadTrackerRecord)$"
+	"BenchmarkHDRRecord|BenchmarkHDRMerge|BenchmarkCurveLookup|BenchmarkLoadTrackerRecord|" +
+	"BenchmarkTracerInstantSampledOut|BenchmarkTracerInstantRing|BenchmarkWriteChromeTrace)$"
 
 // E2E pseudo-benchmark keys: wall-clock timings of the figures binary.
 const (
@@ -186,11 +188,8 @@ func main() {
 		}
 		fmt.Printf("%s %-40s %12.1f ns/op  baseline %12.1f  (%+.1f%%)\n",
 			status, b, cur.NsPerOp, bl.NsPerOp, (ratio-1)*100)
-		// Alloc gate: allocation counts are near-deterministic, so they get
-		// a tighter relative tolerance plus a small absolute slack (tiny
-		// counts jitter by a few allocations of runtime noise).
-		if bl.AllocsPerOp != nil && cur.AllocsPerOp != nil && *bl.AllocsPerOp > 0 {
-			limit := uint64(float64(*bl.AllocsPerOp)*(1+*allocTol)) + 16
+		if bl.AllocsPerOp != nil && cur.AllocsPerOp != nil {
+			limit := allocLimit(*bl.AllocsPerOp, *allocTol)
 			st := "ok  "
 			if *cur.AllocsPerOp > limit {
 				st = "FAIL"
@@ -206,6 +205,19 @@ func main() {
 		emitTriage(*baselinePath, outPath)
 		os.Exit(1)
 	}
+}
+
+// allocLimit is the most allocs/op a benchmark may report against its
+// baseline. Allocation counts are near-deterministic, so they get a tighter
+// relative tolerance plus a small absolute slack (tiny counts jitter by a
+// few allocations of runtime noise) — except that an allocation-free
+// baseline must stay allocation-free, so a hot path that starts allocating
+// per operation fails the gate.
+func allocLimit(base uint64, tol float64) uint64 {
+	if base == 0 {
+		return 0
+	}
+	return uint64(float64(base)*(1+tol)) + 16
 }
 
 // emitTriage runs the obsdiff engine over baseline-vs-current when the gate

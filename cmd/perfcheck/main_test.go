@@ -56,3 +56,21 @@ func TestEmitTriageBadBaseline(t *testing.T) {
 		t.Fatal("triage artifact written despite unreadable inputs")
 	}
 }
+
+// TestAllocLimit: an allocation-free baseline admits no allocation at all,
+// while a non-zero one gets the relative tolerance plus the noise slack.
+func TestAllocLimit(t *testing.T) {
+	for _, c := range []struct {
+		base uint64
+		tol  float64
+		want uint64
+	}{
+		{0, 0.10, 0},
+		{1, 0.10, 17},
+		{1000, 0.10, 1116},
+	} {
+		if got := allocLimit(c.base, c.tol); got != c.want {
+			t.Errorf("allocLimit(%d, %v) = %d, want %d", c.base, c.tol, got, c.want)
+		}
+	}
+}

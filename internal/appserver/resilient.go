@@ -108,7 +108,9 @@ func (c *Caller) Admit(now uint64) bool {
 	if c.shed.Admit(now, c.rng) {
 		return true
 	}
-	c.inj.Instant("resilience.shed", now)
+	if c.inj.Admit() {
+		c.inj.Instant("resilience.shed", now)
+	}
 	return false
 }
 
@@ -152,19 +154,25 @@ func (c *Caller) Call(rec *trace.Recorder, ns *netsim.NetStack, peer uint8, reqB
 			c.Stats.FastFails++
 			rec.Think(c.pol.FastFailCycles)
 			t += uint64(c.pol.FastFailCycles)
-			c.inj.Instant("resilience.fastfail", t, obs.Arg{Key: "peer", Val: uint64(peer)})
+			if c.inj.Admit() {
+				c.inj.Instant("resilience.fastfail", t, obs.U64("peer", uint64(peer)))
+			}
 		case fault.Lost:
 			// The request (or its reply) vanished: the caller burns the
 			// full timeout discovering that.
 			c.Stats.Timeouts++
 			rec.Think(c.pol.TimeoutCycles)
 			t += uint64(c.pol.TimeoutCycles)
-			c.inj.Instant("resilience.timeout", t, obs.Arg{Key: "peer", Val: uint64(peer)})
+			if c.inj.Admit() {
+				c.inj.Instant("resilience.timeout", t, obs.U64("peer", uint64(peer)))
+			}
 		}
 		br.Record(t, false)
 		c.shed.Observe(t, false)
 		if br.Stats.Opens > opensBefore {
-			c.inj.Instant("resilience.breaker_open", t, obs.Arg{Key: "peer", Val: uint64(peer)})
+			if c.inj.Admit() {
+				c.inj.Instant("resilience.breaker_open", t, obs.U64("peer", uint64(peer)))
+			}
 		}
 		if attempt >= c.pol.MaxAttempts {
 			break

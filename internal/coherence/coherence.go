@@ -223,9 +223,8 @@ func NewBus() *Bus {
 func (b *Bus) noteFilterFallback(reason string) {
 	b.filterFallbacks++
 	b.filterFallbackWhy = reason
-	if b.Tracer.Enabled(obs.CompMem) {
-		b.Tracer.Instant(obs.CompMem, "snoop.brute_fallback", 0, 0,
-			obs.Arg{Key: "reason", Val: reason})
+	if b.Tracer.Admit(obs.CompMem) {
+		b.Tracer.Instant(obs.CompMem, "snoop.brute_fallback", 0, 0, obs.Str("reason", reason))
 	}
 }
 
@@ -402,9 +401,9 @@ func (n *Node) Read(addr mem.Addr, now uint64) Source {
 	if n.bus.Attr != nil {
 		n.bus.Attr.RecordGetS(ba, n.id, src == SrcCache)
 	}
-	if n.bus.Tracer.Enabled(obs.CompMem) {
+	if n.bus.Tracer.Admit(obs.CompMem) {
 		n.bus.Tracer.Instant(obs.CompMem, "bus.gets", n.id, now,
-			obs.Arg{Key: "src", Val: src.String()}, obs.Arg{Key: "addr", Val: ba})
+			obs.Str("src", src.String()), obs.U64("addr", ba))
 	}
 	st := Shared
 	if n.bus.Protocol == MESI && !anyCopy {
@@ -478,9 +477,8 @@ func (n *Node) Write(addr mem.Addr, now uint64) Source {
 			if n.bus.Attr != nil {
 				n.bus.Attr.RecordUpgrade(ba, n.id)
 			}
-			if n.bus.Tracer.Enabled(obs.CompMem) {
-				n.bus.Tracer.Instant(obs.CompMem, "bus.upgrade", n.id, now,
-					obs.Arg{Key: "addr", Val: ba})
+			if n.bus.Tracer.Admit(obs.CompMem) {
+				n.bus.Tracer.Instant(obs.CompMem, "bus.upgrade", n.id, now, obs.U64("addr", ba))
 			}
 			if n.bus.Sanitize {
 				n.bus.sanitize(ba)
@@ -554,9 +552,9 @@ func (n *Node) Write(addr mem.Addr, now uint64) Source {
 	if n.bus.Attr != nil {
 		n.bus.Attr.RecordGetM(ba, n.id, src == SrcCache)
 	}
-	if n.bus.Tracer.Enabled(obs.CompMem) {
+	if n.bus.Tracer.Admit(obs.CompMem) {
 		n.bus.Tracer.Instant(obs.CompMem, "bus.getm", n.id, now,
-			obs.Arg{Key: "src", Val: src.String()}, obs.Arg{Key: "addr", Val: ba})
+			obs.Str("src", src.String()), obs.U64("addr", ba))
 	}
 	n.insert(ba, Modified).Dirty = true
 	if n.bus.Sanitize {

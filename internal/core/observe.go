@@ -58,10 +58,8 @@ func AttachObserver(sys *System, ob *obs.Observer) {
 	// A bus that has already abandoned its snoop filter (env override,
 	// or growth past the sharer-mask width) surfaces that on the trace
 	// timeline too; later fallbacks emit their own instants.
-	if ob.Tracer != nil && ob.Tracer.Enabled(obs.CompMem) {
-		if n, why := sys.Hier.Bus().FilterFallbacks(); n > 0 {
-			ob.Tracer.Instant(obs.CompMem, "snoop.brute_fallback", 0, 0, obs.Arg{Key: "reason", Val: why})
-		}
+	if n, why := sys.Hier.Bus().FilterFallbacks(); n > 0 && ob.Tracer.Admit(obs.CompMem) {
+		ob.Tracer.Instant(obs.CompMem, "snoop.brute_fallback", 0, 0, obs.Str("reason", why))
 	}
 }
 

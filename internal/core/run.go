@@ -163,7 +163,7 @@ func (r *Run) Measure(warmup, measure uint64, plan *CheckpointPlan) error {
 	ob.Profiler.Reset()
 	ob.Attr.Reset()
 	base := ob.Registry.Snapshot()
-	if ob.Tracer.Enabled(obs.CompWorkload) {
+	if ob.Tracer.Admit(obs.CompWorkload) {
 		ob.Tracer.Instant(obs.CompWorkload, "measure.start", 0, eng.Now())
 	}
 	ob.Profiler.SetPhase("measure")

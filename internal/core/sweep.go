@@ -60,9 +60,8 @@ func (f *feeder) feedItems(items []trace.Item) {
 			f.attrRange(it.Addr, uint64(it.N), true)
 		case trace.KindGCPause:
 			if it.GC != nil {
-				if f.tracer.Enabled(obs.CompJVM) {
-					f.tracer.Instant(obs.CompJVM, "gc", 0, f.instr,
-						obs.Arg{Key: "live_bytes", Val: it.GC.LiveBytes})
+				if f.tracer.Admit(obs.CompJVM) {
+					f.tracer.Instant(obs.CompJVM, "gc", 0, f.instr, obs.U64("live_bytes", it.GC.LiveBytes))
 				}
 				f.feedItems(it.GC.Items)
 			}
@@ -187,7 +186,7 @@ func runUniSweep(kind Kind, scale int, label string, o SweepOpts, icfgs, dcfgs [
 				op := src.NextOp(tid, now)
 				before := f.instr
 				f.feedItems(op.Items)
-				if op.Business && f.tracer.Enabled(obs.CompWorkload) {
+				if op.Business && f.tracer.Admit(obs.CompWorkload) {
 					f.tracer.Span(obs.CompWorkload, op.Tag, tid, before, f.instr)
 				}
 				now += op.Instructions() // ~1 cycle/instr on the uniprocessor

@@ -308,18 +308,21 @@ func (inj *Injector) Schedule() *Schedule {
 // track (obs.CompFault) so degraded intervals are visible alongside the GC,
 // lock, and network events the stack already records.
 func (inj *Injector) AttachTracer(t *obs.Tracer, tid int) {
-	if inj == nil || !t.Enabled(obs.CompFault) {
+	if inj == nil {
 		return
 	}
 	inj.tracer = t
 	inj.tid = tid
 	for _, e := range inj.sched.Events {
-		args := []obs.Arg{{Key: "kind", Val: e.Kind.String()}}
+		if !t.Admit(obs.CompFault) {
+			continue
+		}
+		args := []obs.Arg{obs.Str("kind", e.Kind.String())}
 		if e.Peer != 0 {
-			args = append(args, obs.Arg{Key: "peer", Val: uint64(e.Peer)})
+			args = append(args, obs.U64("peer", uint64(e.Peer)))
 		}
 		if e.Magnitude != 0 {
-			args = append(args, obs.Arg{Key: "magnitude", Val: e.Magnitude})
+			args = append(args, obs.F64("magnitude", e.Magnitude))
 		}
 		t.Span(obs.CompFault, "fault."+e.Kind.String(), tid, e.At, e.End(), args...)
 	}
@@ -427,10 +430,14 @@ func (inj *Injector) GCFactor(t uint64) float64 {
 	return 1
 }
 
+// Admit reports whether the attached tracer records the next fault-component
+// instant; see obs.Tracer.Admit. Call Instant only when it returns true.
+func (inj *Injector) Admit() bool {
+	return inj != nil && inj.tracer.Admit(obs.CompFault)
+}
+
 // Instant records a fault-component instant event (retries, sheds, breaker
-// transitions) if a tracer is attached.
+// transitions) that Admit let through.
 func (inj *Injector) Instant(name string, t uint64, args ...obs.Arg) {
-	if inj != nil && inj.tracer != nil {
-		inj.tracer.Instant(obs.CompFault, name, inj.tid, t, args...)
-	}
+	inj.tracer.Instant(obs.CompFault, name, inj.tid, t, args...)
 }

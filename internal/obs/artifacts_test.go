@@ -24,8 +24,10 @@ func goldenObserver(pid int, scale uint64) *Observer {
 	}
 	ob.Tracer.Pid = pid
 	ob.Tracer.NameProcess(pid, "run"+string(rune('A'+pid)))
-	ob.Tracer.Span(CompWorkload, "op.neworder", 1, 10*scale, 40*scale, Arg{Key: "ok", Val: true})
-	ob.Tracer.Instant(CompMem, "bus.gets", 2, 25*scale)
+	ob.Tracer.Span(CompWorkload, "op.neworder", 1, 10*scale, 40*scale, Bool("ok", true))
+	if ob.Tracer.Admit(CompMem) { // the first of every 16 is sampled out
+		ob.Tracer.Instant(CompMem, "bus.gets", 2, 25*scale)
+	}
 
 	ops := 7 * scale
 	ob.Registry.Counter("workload.ops", func() uint64 { return ops })

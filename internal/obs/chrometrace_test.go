@@ -21,23 +21,23 @@ func goldenTracers() []*Tracer {
 	a.NameThread(0, 1, "cpu-1")
 	a.NameThread(7, 0, "döner")
 	a.Span(CompJVM, "gc.minor", 3, 1000, 3501,
-		Arg{Key: "live_bytes", Val: uint64(math.MaxUint64)},
-		Arg{Key: "delta", Val: int64(-42)},
-		Arg{Key: "ok", Val: true},
-		Arg{Key: "full", Val: false})
+		U64("live_bytes", math.MaxUint64),
+		I64("delta", -42),
+		Bool("ok", true),
+		Bool("full", false))
 	a.Instant(CompMem, "bus.getm", 1, 777,
-		Arg{Key: "src", Val: "c2c"},
-		Arg{Key: "note", Val: "q\"b\\s\x01\nt\té€\xff"})
+		Str("src", "c2c"),
+		Str("note", "q\"b\\s\x01\nt\té€\xff"))
 	a.Span(CompFault, "fault.dbslow", -1, 250, 250,
-		Arg{Key: "tenth", Val: 0.1},
-		Arg{Key: "big", Val: 1e21},
-		Arg{Key: "negzero", Val: math.Copysign(0, -1)})
+		F64("tenth", 0.1),
+		F64("big", 1e21),
+		F64("negzero", math.Copysign(0, -1)))
 	a.Span(CompOS, "lock.wait", 1, 40, 10) // end < start clamps to a zero span
 
 	b := NewTracer(AllComponents())
 	b.Pid = 7
 	b.Instant(CompWorkload, "measure.start", 0, 12_000_001)
-	b.Instant(CompNet, "ke\"y", 2, 3, Arg{Key: "k\x7fé", Val: ""})
+	b.Instant(CompNet, "ke\"y", 2, 3, Str("k\x7fé", ""))
 	return []*Tracer{a, b}
 }
 

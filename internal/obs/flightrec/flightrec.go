@@ -186,9 +186,7 @@ func FromFlags(f *obs.Flags, label string, ob *obs.Observer) (*obs.Observer, *Re
 	if ob.Tracer != nil {
 		ob.Tracer.SetRing(rec.ring)
 	} else {
-		tr := obs.NewRingTracer(obs.AllComponents(), 1)
-		tr.SetRing(rec.ring) // share the recorder's ring, not the stub's
-		ob.Tracer = tr
+		ob.Tracer = obs.NewRingTracer(obs.AllComponents(), rec.ring)
 	}
 	if ob.Registry == nil {
 		ob.Registry = obs.NewRegistry()
@@ -468,7 +466,7 @@ func (r *Recorder) windowEvents(winStart, now uint64) []obs.Event {
 		out = append(out, obs.Event{
 			Name: "fault.window", Comp: obs.CompFault, Phase: 'X', Tid: -1,
 			Time: w.At, Dur: end - w.At,
-			Args: []obs.Arg{{Key: "kind", Val: w.Kind.String()}, {Key: "magnitude", Val: w.Magnitude}},
+			Args: []obs.Arg{obs.Str("kind", w.Kind.String()), obs.F64("magnitude", w.Magnitude)},
 		})
 	}
 	for _, e := range r.ring.Events() {

@@ -13,7 +13,7 @@ func TestNilReceiversAreDisabled(t *testing.T) {
 	var hb *Heartbeat
 	tr.Span(CompJVM, "gc", 0, 10, 20)
 	tr.Instant(CompMem, "bus", 0, 5)
-	if tr.Enabled(CompJVM) || tr.Len() != 0 {
+	if tr.Admit(CompJVM) || tr.Len() != 0 {
 		t.Fatal("nil tracer should be disabled")
 	}
 	pf.AddCycles(1, CatBase, 100)
@@ -32,9 +32,9 @@ func TestTracerChromeJSON(t *testing.T) {
 	tr.SampleEvery(CompMem, 1)
 	tr.NameProcess(0, "SPECjbb")
 	tr.NameThread(0, 3, "jbb-worker")
-	tr.Span(CompJVM, "gc.minor", 0, 1000, 3500, Arg{"live_bytes", uint64(42)})
+	tr.Span(CompJVM, "gc.minor", 0, 1000, 3500, U64("live_bytes", 42))
 	tr.Span(CompOS, "lock.wait", 3, 200, 450)
-	tr.Instant(CompMem, "bus.getm", 1, 777, Arg{"src", "c2c"})
+	tr.Instant(CompMem, "bus.getm", 1, 777, Str("src", "c2c"))
 
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, tr); err != nil {
@@ -73,7 +73,9 @@ func TestTracerSamplingAndCap(t *testing.T) {
 	tr := NewTracer([]Component{CompMem})
 	tr.SampleEvery(CompMem, 10)
 	for i := 0; i < 100; i++ {
-		tr.Instant(CompMem, "bus", 0, uint64(i))
+		if tr.Admit(CompMem) {
+			tr.Instant(CompMem, "bus", 0, uint64(i))
+		}
 	}
 	if tr.Len() != 10 {
 		t.Fatalf("sampled %d of 100, want 10", tr.Len())
@@ -81,13 +83,17 @@ func TestTracerSamplingAndCap(t *testing.T) {
 	tr2 := NewTracer([]Component{CompOS})
 	tr2.SetMaxEvents(5)
 	for i := 0; i < 20; i++ {
-		tr2.Instant(CompOS, "x", 0, uint64(i))
+		if tr2.Admit(CompOS) {
+			tr2.Instant(CompOS, "x", 0, uint64(i))
+		}
 	}
 	if tr2.Len() != 5 || tr2.Dropped() != 15 {
 		t.Fatalf("cap: len=%d dropped=%d", tr2.Len(), tr2.Dropped())
 	}
-	// Disabled component records nothing.
-	tr2.Instant(CompJVM, "y", 0, 1)
+	// A disabled component is never admitted.
+	if tr2.Admit(CompJVM) {
+		t.Fatal("disabled component admitted an event")
+	}
 	if tr2.Len() != 5 {
 		t.Fatal("disabled component leaked an event")
 	}

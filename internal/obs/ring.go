@@ -7,41 +7,79 @@ package obs
 // recent events, so a post-mortem dump sees the moments before the trigger
 // no matter how long the run has been going.
 //
+// Slots live in chunks allocated the first time the ring reaches them, so
+// a large ring costs nothing up front, and each slot owns storage for its
+// event's arguments, so a push copies instead of allocating.
+//
 // A nil *EventRing is valid and inert.
 type EventRing struct {
-	buf     []Event
-	next    int
-	full    bool
-	evicted uint64
+	chunks   [][]ringSlot
+	capacity int
+	n        int // events held
+	next     int // slot the next push writes
+	evicted  uint64
 }
+
+// ringSlot is one event plus the argument storage its Args point into.
+type ringSlot struct {
+	ev   Event
+	args [ringSlotArgs]Arg
+}
+
+const (
+	// ringSlotArgs fits every event the simulator emits; an event with
+	// more arguments gets its own copy.
+	ringSlotArgs = 4
+	// ringChunk is the number of slots allocated at a time.
+	ringChunk = 1024
+)
 
 // NewEventRing returns a ring holding at most capacity events (minimum 1).
 func NewEventRing(capacity int) *EventRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &EventRing{buf: make([]Event, 0, capacity)}
+	capacity = max(capacity, 1)
+	return &EventRing{capacity: capacity, chunks: make([][]ringSlot, (capacity+ringChunk-1)/ringChunk)}
 }
 
 // Push appends an event, evicting the oldest when the ring is full.
 func (r *EventRing) Push(e Event) {
+	r.push(&e, e.Args)
+}
+
+// push stores a copy of *e with a copy of args (e.Args is ignored),
+// evicting the oldest event when the ring is full. Neither e nor args
+// escapes.
+func (r *EventRing) push(e *Event, args []Arg) {
 	if r == nil {
 		return
 	}
-	if !r.full {
-		r.buf = append(r.buf, e)
-		if len(r.buf) == cap(r.buf) {
-			r.full = true
-			r.next = 0
-		}
-		return
-	}
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
+	s := r.slot(r.next)
+	if r.next++; r.next == r.capacity {
 		r.next = 0
 	}
-	r.evicted++
+	if r.n == r.capacity {
+		r.evicted++
+	} else {
+		r.n++
+	}
+	s.ev = *e
+	switch n := len(args); {
+	case n == 0:
+		s.ev.Args = nil
+	case n <= ringSlotArgs:
+		s.ev.Args = s.args[:n:n]
+		copy(s.ev.Args, args)
+	default:
+		s.ev.Args = append([]Arg(nil), args...)
+	}
+}
+
+// slot returns slot i, allocating its chunk on first use.
+func (r *EventRing) slot(i int) *ringSlot {
+	c := &r.chunks[i/ringChunk]
+	if *c == nil {
+		*c = make([]ringSlot, min(ringChunk, r.capacity-i))
+	}
+	return &(*c)[i%ringChunk]
 }
 
 // Len returns the number of events currently held.
@@ -49,7 +87,7 @@ func (r *EventRing) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.buf)
+	return r.n
 }
 
 // Cap returns the ring's capacity.
@@ -57,7 +95,7 @@ func (r *EventRing) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return cap(r.buf)
+	return r.capacity
 }
 
 // Evicted returns how many events were overwritten by newer ones.
@@ -73,28 +111,27 @@ func (r *EventRing) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	return uint64(len(r.buf)) + r.evicted
+	return uint64(r.n) + r.evicted
 }
 
-// Events returns the held events oldest-first (a copy; the ring keeps
-// recording).
+// Events returns the held events oldest-first. It is a deep copy, Args
+// included, so it stays valid while the ring keeps recording.
 func (r *EventRing) Events() []Event {
-	if r == nil || len(r.buf) == 0 {
+	if r == nil || r.n == 0 {
 		return nil
 	}
-	out := make([]Event, 0, len(r.buf))
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
+	out := make([]Event, r.n)
+	nargs := 0
+	for k := range out {
+		out[k] = r.slot((r.next - r.n + k + r.capacity) % r.capacity).ev
+		nargs += len(out[k].Args)
 	}
-	out = append(out, r.buf[:r.nextOr(len(r.buf))]...)
+	args := make([]Arg, 0, nargs)
+	for k := range out {
+		if a := out[k].Args; len(a) > 0 {
+			args = append(args, a...)
+			out[k].Args = args[len(args)-len(a) : len(args) : len(args)]
+		}
+	}
 	return out
-}
-
-// nextOr returns the write cursor, or n before the ring first fills (the
-// cursor is only meaningful once wrapping starts).
-func (r *EventRing) nextOr(n int) int {
-	if r.full {
-		return r.next
-	}
-	return n
 }

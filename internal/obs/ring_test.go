@@ -57,7 +57,7 @@ func TestEventRingMinCapacityAndNil(t *testing.T) {
 // TestRingTracerBypassesBuffer checks the ring-only tracer mode: events land
 // in the ring without growing (or dropping from) the bounded event buffer.
 func TestRingTracerBypassesBuffer(t *testing.T) {
-	tr := NewRingTracer(AllComponents(), 8)
+	tr := NewRingTracer(AllComponents(), NewEventRing(8))
 	for i := uint64(0); i < 20; i++ {
 		tr.Instant(CompWorkload, "tick", 0, i)
 	}

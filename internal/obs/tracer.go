@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"sort"
-	"strings"
-)
+import "math"
 
 // CyclesPerMicrosecond converts the simulated 250 MHz cycle clock to the
 // microsecond timestamps the Chrome trace_event format expects.
@@ -38,15 +32,61 @@ type Event struct {
 	Args []Arg
 }
 
-// Arg is one event annotation.
+// Arg is one typed event annotation, built by Str, U64, I64, F64 or Bool.
+// The value is held unboxed, so passing arguments to Span or Instant never
+// allocates.
 type Arg struct {
-	Key string
-	Val any
+	Key  string
+	kind argKind
+	num  uint64 // U64; I64 as two's complement; F64 as IEEE bits; Bool as 0/1
+	str  string
 }
+
+type argKind uint8
+
+const (
+	argStr argKind = iota
+	argU64
+	argI64
+	argF64
+	argBool
+)
+
+// Str is a string argument.
+func Str(key, v string) Arg { return Arg{Key: key, kind: argStr, str: v} }
+
+// U64 is an unsigned integer argument.
+func U64(key string, v uint64) Arg { return Arg{Key: key, kind: argU64, num: v} }
+
+// I64 is a signed integer argument.
+func I64(key string, v int64) Arg { return Arg{Key: key, kind: argI64, num: uint64(v)} }
+
+// F64 is a floating-point argument.
+func F64(key string, v float64) Arg { return Arg{Key: key, kind: argF64, num: math.Float64bits(v)} }
+
+// Bool is a boolean argument.
+func Bool(key string, v bool) Arg {
+	a := Arg{Key: key, kind: argBool}
+	if v {
+		a.num = 1
+	}
+	return a
+}
+
+// traceChunk and argChunk size the linear buffer's storage blocks. The
+// buffer grows a block at a time and never copies what it already holds.
+const (
+	traceChunk = 2048
+	argChunk   = 4096
+)
 
 // Tracer records simulated-time events. A nil *Tracer is valid and
 // disabled: every method returns immediately, so instrumentation sites pay
 // one nil check when tracing is off.
+//
+// Every emit site follows one pattern: ask Admit, and only when it says yes
+// build the arguments and call Span or Instant. An event that sampling
+// drops therefore costs a counter increment and nothing else.
 //
 // The tracer is not safe for concurrent use; one run owns one tracer.
 type Tracer struct {
@@ -54,7 +94,11 @@ type Tracer struct {
 	sample  [numComponents]uint64 // record 1 in N (0/1 = all)
 	seen    [numComponents]uint64
 
-	events  []Event
+	// The linear buffer: events in fixed-size chunks, their arguments in
+	// argBuf blocks that the events' Args slices point into.
+	chunks  [][]Event
+	argBuf  []Arg
+	n       int
 	max     int
 	dropped uint64
 
@@ -84,13 +128,13 @@ func NewTracer(comps []Component) *Tracer {
 	return t
 }
 
-// NewRingTracer returns a tracer that records only into a bounded event
-// ring: the flight recorder's always-on mode, where memory stays capped by
-// eviction rather than by refusing new events. Component enablement and
-// sampling behave exactly like NewTracer's.
-func NewRingTracer(comps []Component, capacity int) *Tracer {
+// NewRingTracer returns a tracer that records only into ring: the flight
+// recorder's always-on mode, where memory stays capped by eviction rather
+// than by refusing new events. Component enablement and sampling behave
+// exactly like NewTracer's.
+func NewRingTracer(comps []Component, ring *EventRing) *Tracer {
 	t := NewTracer(comps)
-	t.ring = NewEventRing(capacity)
+	t.ring = ring
 	t.ringOnly = true
 	return t
 }
@@ -126,12 +170,6 @@ func (t *Tracer) SampleEvery(c Component, n uint64) {
 	}
 }
 
-// Enabled reports whether the component is traced. Call it before building
-// expensive arguments; Span and Instant re-check internally.
-func (t *Tracer) Enabled(c Component) bool {
-	return t != nil && t.enabled[c]
-}
-
 // NameProcess labels a pid track in the exported trace.
 func (t *Tracer) NameProcess(pid int, name string) {
 	if t != nil {
@@ -146,56 +184,81 @@ func (t *Tracer) NameThread(pid, tid int, name string) {
 	}
 }
 
-func (t *Tracer) admit(c Component) bool {
+// Admit reports whether the next event of component c is recorded: c is
+// enabled and the event survives c's 1-in-N sampling. Each call counts one
+// would-be event against the sampler, so call it exactly once per event,
+// before building the event's arguments, and emit only on true:
+//
+//	if t.Admit(obs.CompMem) {
+//		t.Instant(obs.CompMem, "bus.gets", id, now, obs.U64("addr", addr))
+//	}
+func (t *Tracer) Admit(c Component) bool {
 	if t == nil || !t.enabled[c] {
 		return false
 	}
 	if n := t.sample[c]; n > 1 {
 		t.seen[c]++
-		if t.seen[c]%n != 0 {
-			return false
-		}
+		return t.seen[c]%n == 0
 	}
 	return true
 }
 
-// record stores an admitted event: always into the ring when one is
-// attached, and into the linear buffer unless this is a ring-only tracer or
-// the buffer is at its cap (counted as dropped).
-func (t *Tracer) record(e Event) {
-	t.ring.Push(e)
+// record stores an admitted event and a copy of its arguments: always into
+// the ring when one is attached, and into the linear buffer unless this is
+// a ring-only tracer or the buffer is at its cap (counted as dropped). The
+// caller's args are only copied, so a variadic argument list stays on the
+// caller's stack.
+func (t *Tracer) record(e *Event, args []Arg) {
+	t.ring.push(e, args)
 	if t.ringOnly {
 		return
 	}
-	if len(t.events) >= t.max {
+	if t.n >= t.max {
 		t.dropped++
 		return
 	}
-	t.events = append(t.events, e)
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == traceChunk {
+		t.chunks = append(t.chunks, make([]Event, 0, traceChunk))
+		last++
+	}
+	c := &t.chunks[last]
+	*c = append(*c, *e)
+	if len(args) > 0 {
+		if len(t.argBuf)+len(args) > cap(t.argBuf) {
+			t.argBuf = make([]Arg, 0, max(argChunk, len(args)))
+		}
+		off := len(t.argBuf)
+		t.argBuf = append(t.argBuf, args...)
+		(*c)[len(*c)-1].Args = t.argBuf[off:len(t.argBuf):len(t.argBuf)]
+	}
+	t.n++
 }
 
 // Span records a complete [start, end) interval on track (t.Pid, tid).
+// Call it only for an event Admit(c) let through.
 func (t *Tracer) Span(c Component, name string, tid int, start, end uint64, args ...Arg) {
-	if !t.admit(c) {
+	if t == nil {
 		return
 	}
 	if end < start {
 		end = start
 	}
-	t.record(Event{
+	t.record(&Event{
 		Name: name, Comp: c, Phase: 'X', Pid: t.Pid, Tid: tid,
-		Time: start, Dur: end - start, Args: args,
-	})
+		Time: start, Dur: end - start,
+	}, args)
 }
 
-// Instant records a point event on track (t.Pid, tid).
+// Instant records a point event on track (t.Pid, tid). Call it only for an
+// event Admit(c) let through.
 func (t *Tracer) Instant(c Component, name string, tid int, at uint64, args ...Arg) {
-	if !t.admit(c) {
+	if t == nil {
 		return
 	}
-	t.record(Event{
-		Name: name, Comp: c, Phase: 'i', Pid: t.Pid, Tid: tid, Time: at, Args: args,
-	})
+	t.record(&Event{
+		Name: name, Comp: c, Phase: 'i', Pid: t.Pid, Tid: tid, Time: at,
+	}, args)
 }
 
 // Len returns the number of recorded events.
@@ -203,7 +266,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
+	return t.n
 }
 
 // MaxEvents returns the linear buffer's event cap.
@@ -222,157 +285,15 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// Events returns the recorded events (for tests and merging).
+// Events returns the recorded events in order, copied out of the chunked
+// buffer (for tests).
 func (t *Tracer) Events() []Event {
-	if t == nil {
+	if t == nil || t.n == 0 {
 		return nil
 	}
-	return t.events
-}
-
-// WriteChromeTrace writes the tracers' merged events as Chrome trace_event
-// JSON (the "JSON array format"), loadable in Perfetto or chrome://tracing.
-// Cycle timestamps become microseconds at the simulated 250 MHz clock.
-func WriteChromeTrace(w io.Writer, tracers ...*Tracer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("[\n"); err != nil {
-		return err
+	out := make([]Event, 0, t.n)
+	for _, c := range t.chunks {
+		out = append(out, c...)
 	}
-	first := true
-	emit := func(line string) {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		bw.WriteString(line)
-	}
-	for _, t := range tracers {
-		if t == nil {
-			continue
-		}
-		// Track-name metadata first, in deterministic order.
-		pids := make([]int, 0, len(t.procNames))
-		for pid := range t.procNames {
-			pids = append(pids, pid)
-		}
-		sort.Ints(pids)
-		for _, pid := range pids {
-			emit(fmt.Sprintf(`{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":%s}}`,
-				pid, quoteJSON(t.procNames[pid])))
-		}
-		keys := make([][2]int, 0, len(t.tidNames))
-		for k := range t.tidNames {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i][0] != keys[j][0] {
-				return keys[i][0] < keys[j][0]
-			}
-			return keys[i][1] < keys[j][1]
-		})
-		for _, k := range keys {
-			emit(fmt.Sprintf(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%s}}`,
-				k[0], k[1], quoteJSON(t.tidNames[k])))
-		}
-		for i := range t.events {
-			emit(formatEvent(&t.events[i]))
-		}
-	}
-	if _, err := bw.WriteString("\n]\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ChromeTraceEvents renders a plain event slice as Chrome trace_event JSON
-// bytes — the flight recorder's dump path, where events come from a ring
-// rather than live tracers. procNames (may be nil) labels pid tracks.
-func ChromeTraceEvents(events []Event, procNames map[int]string) []byte {
-	var b strings.Builder
-	b.WriteString("[\n")
-	first := true
-	emit := func(line string) {
-		if !first {
-			b.WriteString(",\n")
-		}
-		first = false
-		b.WriteString(line)
-	}
-	pids := make([]int, 0, len(procNames))
-	for pid := range procNames {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	for _, pid := range pids {
-		emit(fmt.Sprintf(`{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":%s}}`,
-			pid, quoteJSON(procNames[pid])))
-	}
-	for i := range events {
-		emit(formatEvent(&events[i]))
-	}
-	b.WriteString("\n]\n")
-	return []byte(b.String())
-}
-
-func formatEvent(e *Event) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, `{"name":%s,"cat":%s,"ph":"%c","pid":%d,"tid":%d,"ts":%.3f`,
-		quoteJSON(e.Name), quoteJSON(e.Comp.String()), e.Phase, e.Pid, e.Tid,
-		float64(e.Time)/CyclesPerMicrosecond)
-	if e.Phase == 'X' {
-		fmt.Fprintf(&b, `,"dur":%.3f`, float64(e.Dur)/CyclesPerMicrosecond)
-	}
-	if e.Phase == 'i' {
-		b.WriteString(`,"s":"t"`)
-	}
-	if len(e.Args) > 0 {
-		b.WriteString(`,"args":{`)
-		for i, a := range e.Args {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(quoteJSON(a.Key))
-			b.WriteByte(':')
-			switch v := a.Val.(type) {
-			case string:
-				b.WriteString(quoteJSON(v))
-			case float64:
-				fmt.Fprintf(&b, "%g", v)
-			case bool:
-				fmt.Fprintf(&b, "%v", v)
-			default:
-				fmt.Fprintf(&b, "%d", v)
-			}
-		}
-		b.WriteByte('}')
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// quoteJSON escapes a string for embedding in JSON output. Names here are
-// short ASCII identifiers; the escape covers the general case anyway.
-func quoteJSON(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			if r < 0x20 {
-				fmt.Fprintf(&b, `\u%04x`, r)
-			} else {
-				b.WriteRune(r)
-			}
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
+	return out
 }

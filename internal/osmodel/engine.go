@@ -638,7 +638,7 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 				if t > th.opStart {
 					h.Record(t - th.opStart)
 				}
-				if e.tracer.Enabled(obs.CompWorkload) {
+				if e.tracer.Admit(obs.CompWorkload) {
 					e.tracer.Span(obs.CompWorkload, th.op.Tag, threadTrackBase+th.id,
 						th.opStart, t)
 				}
@@ -748,14 +748,14 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 					} else {
 						e.waitMon += grant - next.lockBlockedAt
 					}
-					if e.tracer.Enabled(obs.CompOS) {
+					if e.tracer.Admit(obs.CompOS) {
 						kind := "monitor"
 						if ls.spin {
 							kind = "spin"
 						}
 						e.tracer.Span(obs.CompOS, "lock.wait", threadTrackBase+next.id,
 							next.lockBlockedAt, grant,
-							obs.Arg{Key: "kind", Val: kind}, obs.Arg{Key: "lock", Val: it.ID})
+							obs.Str("kind", kind), obs.U64("lock", it.ID))
 					}
 				}
 				e.wakeAt(next, grant)
@@ -801,10 +801,10 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 					e.lockWaitCycles += grant - next.lockBlockedAt
 					next.span.Add(reqtrace.PhaseLockWait, grant-next.lockBlockedAt)
 					e.waitSem += grant - next.lockBlockedAt
-					if e.tracer.Enabled(obs.CompOS) {
+					if e.tracer.Admit(obs.CompOS) {
 						e.tracer.Span(obs.CompOS, "lock.wait", threadTrackBase+next.id,
 							next.lockBlockedAt, grant,
-							obs.Arg{Key: "kind", Val: "sem"}, obs.Arg{Key: "lock", Val: it.ID})
+							obs.Str("kind", "sem"), obs.U64("lock", it.ID))
 					}
 				}
 				e.wakeAt(next, grant)
@@ -843,11 +843,11 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 					th.span.Add(reqtrace.PhaseDBQueue, det.Queue)
 					th.span.Add(reqtrace.PhaseDBService, det.Service)
 				}
-				if e.tracer.Enabled(obs.CompNet) {
+				if e.tracer.Admit(obs.CompNet) {
 					e.tracer.Span(obs.CompNet, "net.call", threadTrackBase+th.id, t, done,
-						obs.Arg{Key: "peer", Val: uint64(it.Peer)},
-						obs.Arg{Key: "req_bytes", Val: it.ID},
-						obs.Arg{Key: "resp_bytes", Val: uint64(it.Aux)})
+						obs.U64("peer", uint64(it.Peer)),
+						obs.U64("req_bytes", it.ID),
+						obs.U64("resp_bytes", uint64(it.Aux)))
 				}
 				e.wakeAt(th, done)
 			}
@@ -1017,16 +1017,16 @@ func (e *Engine) stopTheWorld(c int, t uint64, gc *trace.GC) uint64 {
 	if e.prof != nil {
 		e.prof.SetPhase(prevPhase)
 	}
-	if e.tracer.Enabled(obs.CompJVM) {
+	if e.tracer.Admit(obs.CompJVM) {
 		name := "gc.minor"
 		if gc.Major {
 			name = "gc.major"
 		}
 		e.tracer.Span(obs.CompJVM, name, c, stwStart, stwEnd,
-			obs.Arg{Key: "live_bytes", Val: gc.LiveBytes},
-			obs.Arg{Key: "copied_objs", Val: gc.CopiedObjs},
-			obs.Arg{Key: "freed_bytes", Val: gc.FreedBytes},
-			obs.Arg{Key: "workers", Val: uint64(len(workers))})
+			obs.U64("live_bytes", gc.LiveBytes),
+			obs.U64("copied_objs", gc.CopiedObjs),
+			obs.U64("freed_bytes", gc.FreedBytes),
+			obs.U64("workers", uint64(len(workers))))
 	}
 	return stwEnd
 }

@@ -97,8 +97,9 @@ func (e *Engine) checkWatchdog(t uint64) bool {
 		Locks:         e.DebugLocks(),
 		PendingEvents: e.events.Len(),
 	}
-	e.tracer.Instant(obs.CompFault, "watchdog."+reason, 0, t,
-		obs.Arg{Key: "last_dispatch", Val: e.lastDispatch})
+	if e.tracer.Admit(obs.CompFault) {
+		e.tracer.Instant(obs.CompFault, "watchdog."+reason, 0, t, obs.U64("last_dispatch", e.lastDispatch))
+	}
 	return true
 }
 
