@@ -9,9 +9,6 @@ import (
 // event costs nothing, an admitted event into a ring costs nothing, and an
 // admitted event into the linear buffer costs only its share of a chunk.
 func TestTracerAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own")
-	}
 	src := "c2c"
 	var now uint64
 	busGetS := func(tr *Tracer) {
