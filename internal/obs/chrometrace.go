@@ -130,8 +130,8 @@ func (e *traceEncoder) event(ev *Event) {
 }
 
 // appendEvent appends one event record. Timestamps and durations are
-// microseconds with three decimals (%.3f); argument values render as
-// strings (quoted), integers (%d), floats (%g) and bools (%v) do in fmt.
+// microseconds with three decimals (%.3f); argument values render as fmt
+// renders them: strings quoted, integers %d, floats %g, bools %v.
 func appendEvent(b []byte, e *Event) []byte {
 	b = append(b, `{"name":`...)
 	b = appendQuoted(b, e.Name)
