@@ -11,31 +11,13 @@ func small() Config {
 	return Config{Name: "t", SizeBytes: 1024, Assoc: 2, BlockBytes: 64} // 8 sets
 }
 
-// refAccess is the reference model the sweep is checked against: one
-// uniprocessor write-back, write-allocate access on the coherent Cache
-// (ProbeTouch, then Allocate on a miss, then Dirty on a write). It counts the
-// access in c.Stats by type, an unknown type nowhere, and reports whether it
-// hit.
-func refAccess(c *Cache, a mem.Addr, t mem.AccessType) bool {
-	var acc, miss *uint64
-	switch t {
-	case mem.Read:
-		acc, miss = &c.Stats.Reads, &c.Stats.ReadMisses
-	case mem.Write:
-		acc, miss = &c.Stats.Writes, &c.Stats.WriteMisses
-	case mem.IFetch:
-		acc, miss = &c.Stats.Fetches, &c.Stats.FetchMisses
-	}
-	if acc != nil {
-		*acc++
-	}
+// access is one write-back, write-allocate access on c: ProbeTouch, then
+// Allocate on a miss, then Dirty on a write. It reports whether it hit.
+func access(c *Cache, a mem.Addr, t mem.AccessType) bool {
 	ba := c.BlockAddr(a)
 	l := c.ProbeTouch(ba)
 	hit := l != nil
 	if !hit {
-		if miss != nil {
-			*miss++
-		}
 		l, _, _ = c.Allocate(ba, 1)
 	}
 	if t == mem.Write {
@@ -123,13 +105,13 @@ func TestDirtyEviction(t *testing.T) {
 
 func TestWriteMarksDirtyOnMissAndHit(t *testing.T) {
 	c := New(small())
-	refAccess(c, 0x1000, mem.Write) // miss-allocate-dirty
+	access(c, 0x1000, mem.Write) // miss-allocate-dirty
 	if l := c.Probe(c.BlockAddr(0x1000)); l == nil || !l.Dirty {
 		t.Fatal("write miss did not leave dirty line")
 	}
 	c2 := New(small())
-	refAccess(c2, 0x1000, mem.Read)
-	refAccess(c2, 0x1000, mem.Write)
+	access(c2, 0x1000, mem.Read)
+	access(c2, 0x1000, mem.Write)
 	if l := c2.Probe(c2.BlockAddr(0x1000)); l == nil || !l.Dirty {
 		t.Fatal("write hit did not mark dirty")
 	}
@@ -137,12 +119,12 @@ func TestWriteMarksDirtyOnMissAndHit(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := New(small())
-	refAccess(c, 0x1000, mem.Write)
+	access(c, 0x1000, mem.Write)
 	dirty, present := c.Invalidate(c.BlockAddr(0x1000))
 	if !present || !dirty {
 		t.Fatal("invalidate of dirty line misreported")
 	}
-	if refAccess(c, 0x1000, mem.Read) {
+	if access(c, 0x1000, mem.Read) {
 		t.Fatal("line survived invalidation")
 	}
 	if _, present := c.Invalidate(0xdead000); present {
@@ -153,11 +135,11 @@ func TestInvalidate(t *testing.T) {
 func TestProbeDoesNotTouchLRU(t *testing.T) {
 	c := New(small())
 	a0, a1, a2 := mem.Addr(0), mem.Addr(0x200), mem.Addr(0x400)
-	refAccess(c, a0, mem.Read)
-	refAccess(c, a1, mem.Read)
-	c.Probe(c.BlockAddr(a0))   // must NOT refresh a0
-	refAccess(c, a2, mem.Read) // evicts a0 (LRU by access order)
-	if refAccess(c, a0, mem.Read) {
+	access(c, a0, mem.Read)
+	access(c, a1, mem.Read)
+	c.Probe(c.BlockAddr(a0)) // must NOT refresh a0
+	access(c, a2, mem.Read)  // evicts a0 (LRU by access order)
+	if access(c, a0, mem.Read) {
 		t.Fatal("Probe refreshed LRU")
 	}
 }

@@ -14,15 +14,15 @@ type ref struct {
 	t    mem.AccessType
 }
 
-// checkAgainstReference feeds refs to a sweep over cfgs and to one reference
-// Cache per geometry (refAccess), fails on the first geometry whose Stats
-// differ, and returns the sweep.
+// checkAgainstReference feeds refs to a sweep over cfgs and to one refCache
+// per geometry (refAccess), fails on the first geometry whose Stats differ,
+// and returns the sweep.
 func checkAgainstReference(t testing.TB, cfgs []Config, refs []ref) *Sweep {
 	t.Helper()
 	sw := NewSweep(cfgs)
-	caches := make([]*Cache, len(cfgs))
+	caches := make([]*refCache, len(cfgs))
 	for i, cfg := range cfgs {
-		caches[i] = New(cfg)
+		caches[i] = newRefCache(cfg)
 	}
 	for _, r := range refs {
 		n := r.size
@@ -33,7 +33,7 @@ func checkAgainstReference(t testing.TB, cfgs []Config, refs []ref) *Sweep {
 			sw.AccessRange(r.a, n, r.t)
 		}
 		for _, c := range caches {
-			bs := uint64(c.Config().BlockBytes)
+			bs := uint64(c.cfg.BlockBytes)
 			for ba := c.BlockAddr(r.a); ba <= c.BlockAddr(r.a+n-1); ba += bs {
 				refAccess(c, ba, r.t)
 			}
@@ -162,7 +162,7 @@ func referenceGeometries() []Config {
 }
 
 // TestSweepMatchesReference: the move-to-front sweep, shortcut included,
-// reports exactly the Stats of one reference Cache per geometry.
+// reports exactly the Stats of one reference cache per geometry.
 func TestSweepMatchesReference(t *testing.T) {
 	for _, st := range testStreams(20000) {
 		t.Run(st.name, func(t *testing.T) {
