@@ -3,9 +3,9 @@
 // (the stand-in for the Sumo cache simulator the paper used with Simics).
 //
 // A Cache is a purely structural model: tags, ways, LRU, and an opaque
-// per-line state byte. The coherence protocol (internal/coherence) and the
-// hierarchy assembly (internal/memsys) decide what states mean and when to
-// allocate or invalidate. The uniprocessor Sweep does not use Cache: it keeps
+// three-bit per-line state, packed into one word per way. The coherence
+// protocol (internal/coherence) and the hierarchy assembly (internal/memsys)
+// decide what states mean and when to allocate or invalidate. The uniprocessor Sweep does not use Cache: it keeps
 // its own compact move-to-front tag arrays (see Sweep).
 package cache
 
@@ -17,8 +17,8 @@ import (
 )
 
 // State is an opaque per-line coherence state. The cache package only
-// distinguishes StateInvalid (line absent); all other values belong to the
-// protocol layer.
+// distinguishes StateInvalid (line absent); the valid values, 1 to 7, belong
+// to the protocol layer.
 type State uint8
 
 // StateInvalid marks an absent line. Protocols must use non-zero values for
@@ -59,17 +59,55 @@ func (c Config) String() string {
 	return fmt.Sprintf("%s %dKB/%dway/%dB", c.Name, c.SizeBytes/1024, c.Assoc, c.BlockBytes)
 }
 
-// Line is one cache line's bookkeeping. Recency lives in the cache's
-// parallel lru array rather than here, so a probe hit touches only the
-// compact tag/lru arrays and never dirties the Line itself.
-type Line struct {
-	Tag uint64 // block address (already shifted)
-	// State may be rewritten by callers (the coherence protocol does), but
-	// only between valid states: invalidation must go through Invalidate so
-	// the cache's internal tag mirror stays exact.
-	State State
-	Dirty bool
+// Line is one way of a cache set packed into a word: the block address in
+// the high bits, the dirty bit in bit 3 and the state in bits 0-2. A way whose
+// state is StateInvalid is all zero. Read and write it only through its
+// methods.
+type Line uint64
+
+const (
+	stateBits Line = 7
+	dirtyBit  Line = 8
+	// minBlockBytes keeps a block address's low four bits free for the state
+	// and dirty bit.
+	minBlockBytes = 16
+)
+
+// Tag returns the line's block address.
+func (l Line) Tag() uint64 { return uint64(l &^ (stateBits | dirtyBit)) }
+
+// State returns the line's state.
+func (l Line) State() State { return State(l & stateBits) }
+
+// Dirty reports whether the line is dirty.
+func (l Line) Dirty() bool { return l&dirtyBit != 0 }
+
+// SetState moves a valid line to another valid state, 1 to 7. A line leaves
+// the cache only through Invalidate or eviction, which clear its whole word.
+func (l *Line) SetState(st State) {
+	checkState(st)
+	*l = *l&^stateBits | Line(st)
 }
+
+// checkState panics unless st is a valid state, 1 to 7; st-1 wraps past 6 for
+// StateInvalid. The panic lives in badState so SetState stays inlinable.
+func checkState(st State) {
+	if st-1 >= State(stateBits) {
+		badState(st)
+	}
+}
+
+// SetDirty sets or clears the line's dirty bit.
+func (l *Line) SetDirty(d bool) {
+	if d {
+		*l |= dirtyBit
+	} else {
+		*l &^= dirtyBit
+	}
+}
+
+//go:noinline
+func badState(st State) { panic(fmt.Sprintf("cache: state %d outside 1..%d", st, stateBits)) }
 
 // Stats counts cache events. Hits/misses are split by access type.
 type Stats struct {
@@ -95,42 +133,43 @@ func (s Stats) MissRatio() float64 {
 	return float64(s.Misses()) / float64(a)
 }
 
-// Cache is a set-associative cache with true-LRU replacement.
+// Cache is a set-associative cache with true-LRU replacement. Each set is
+// assoc Lines, one 8-byte word per way, with the valid ways in
+// most-recently-used-first order: a hit moves its word to the front, Allocate
+// shifts the set right from its first invalid way (or its last way, the LRU
+// victim, when the set is full) and puts the new word at the front, and
+// Invalidate clears a word in place. A probe reads one contiguous run of
+// words, and no clock is kept.
+//
+// A *Line returned by Probe, ProbeTouch or Allocate stays valid until the
+// next ProbeTouch or Allocate on the same set, which may shift it to another
+// way. Invalidate moves no other word, so a pointer survives invalidations of
+// other blocks.
 type Cache struct {
-	cfg  Config
-	sets []Line // flat: sets[set*assoc : (set+1)*assoc]
-	// tags mirrors sets for the probe scan: tags[i] is sets[i].Tag|1 while
-	// the way is valid, 0 while invalid. A probe touches 8 bytes per way
-	// instead of a full Line, so even a 4-way set's tags share one machine
-	// cache line. Validity only ever changes inside this package (Allocate
-	// and Invalidate), which is what keeps the mirror exact: callers adjust
-	// Line.State freely but only between valid states.
-	tags []uint64
-	// lru holds each way's last-use clock, parallel to sets/tags. Keeping
-	// recency out of Line means the replacement scan in Allocate reads two
-	// dense uint64 arrays (tags for validity, lru for age) instead of
-	// walking Line structs.
-	lru        []uint64
-	assoc      int
+	cfg        Config
+	lines      []Line // flat: lines[set*assoc : (set+1)*assoc]
+	assoc      uint64
 	setMask    uint64
 	blockShift uint
-	clock      uint64
 	Stats      Stats
 }
 
 // New builds a cache; it panics on an invalid geometry (geometries are
-// static experiment configuration, so an invalid one is a programming bug).
+// static experiment configuration, so an invalid one is a programming bug)
+// and on blocks under 16 B, whose addresses leave no room for the state.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	if cfg.BlockBytes < minBlockBytes {
+		panic(fmt.Sprintf("cache %q: block %d B under the %d B minimum: a block address's low 4 bits hold the line state",
+			cfg.Name, cfg.BlockBytes, minBlockBytes))
+	}
 	sets := cfg.Sets()
 	return &Cache{
 		cfg:        cfg,
-		sets:       make([]Line, sets*cfg.Assoc),
-		tags:       make([]uint64, sets*cfg.Assoc),
-		lru:        make([]uint64, sets*cfg.Assoc),
-		assoc:      cfg.Assoc,
+		lines:      make([]Line, sets*cfg.Assoc),
+		assoc:      uint64(cfg.Assoc),
 		setMask:    uint64(sets - 1),
 		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
 	}
@@ -143,180 +182,92 @@ func (c *Cache) Config() Config { return c.cfg }
 // block size.
 func (c *Cache) BlockAddr(a mem.Addr) uint64 { return a >> c.blockShift << c.blockShift }
 
+// set returns the ways of block ba's set. The full-slice expression gives
+// the compiler the way count, so scans over it carry no bounds checks.
+func (c *Cache) set(ba uint64) []Line {
+	base := (ba >> c.blockShift & c.setMask) * c.assoc
+	return c.lines[base : base+c.assoc : base+c.assoc]
+}
+
+// holds reports whether word l is a valid line of block ba. An invalid word
+// is zero and ba's low four bits are, so l^ba is 1..15 exactly when the block
+// matches and the state is non-zero.
+func holds(l Line, ba uint64) bool { return uint64(l)^ba-1 < 15 }
+
 // Probe returns the line holding block ba, or nil. It does not update LRU.
-// ba must be block-aligned (a BlockAddr result), which leaves bit 0 free for
-// the tag array's valid marker. The common associativities are unrolled:
-// the probe is the single hottest operation in the simulator.
+// ba must be block-aligned (a BlockAddr result).
 func (c *Cache) Probe(ba uint64) *Line {
-	base := (ba >> c.blockShift & c.setMask) * uint64(c.assoc)
-	want := ba | 1
-	switch c.assoc {
-	case 2:
-		t := c.tags[base : base+2 : base+2]
-		if t[0] == want {
-			return &c.sets[base]
-		}
-		if t[1] == want {
-			return &c.sets[base+1]
-		}
-		return nil
-	case 4:
-		t := c.tags[base : base+4 : base+4]
-		if t[0] == want {
-			return &c.sets[base]
-		}
-		if t[1] == want {
-			return &c.sets[base+1]
-		}
-		if t[2] == want {
-			return &c.sets[base+2]
-		}
-		if t[3] == want {
-			return &c.sets[base+3]
-		}
-		return nil
-	}
-	tags := c.tags[base : base+uint64(c.assoc)]
-	for i := range tags {
-		if tags[i] == want {
-			return &c.sets[base+uint64(i)]
+	set := c.set(ba)
+	for i := range set {
+		if holds(set[i], ba) {
+			return &set[i]
 		}
 	}
 	return nil
 }
 
-// ProbeTouch is Probe plus a most-recently-used update in one associative
-// scan — the hit path of every L1/L2 access. On a hit only the tag and lru
-// arrays are touched; the Line itself stays untouched unless the caller
-// dereferences the returned pointer.
+// ProbeTouch is Probe plus a most-recently-used update: a hit moves its word
+// to the front of the set. It is the hit path of every L1/L2 access.
 func (c *Cache) ProbeTouch(ba uint64) *Line {
-	base := (ba >> c.blockShift & c.setMask) * uint64(c.assoc)
-	want := ba | 1
-	// Full-slice expressions give the compiler the way count, so the
-	// per-way tag compares below carry no bounds checks.
-	switch c.assoc {
-	case 2:
-		t := c.tags[base : base+2 : base+2]
-		if t[0] == want {
-			c.clock++
-			c.lru[base] = c.clock
-			return &c.sets[base]
-		}
-		if t[1] == want {
-			c.clock++
-			c.lru[base+1] = c.clock
-			return &c.sets[base+1]
-		}
-		return nil
-	case 4:
-		t := c.tags[base : base+4 : base+4]
-		if t[0] == want {
-			c.clock++
-			c.lru[base] = c.clock
-			return &c.sets[base]
-		}
-		if t[1] == want {
-			c.clock++
-			c.lru[base+1] = c.clock
-			return &c.sets[base+1]
-		}
-		if t[2] == want {
-			c.clock++
-			c.lru[base+2] = c.clock
-			return &c.sets[base+2]
-		}
-		if t[3] == want {
-			c.clock++
-			c.lru[base+3] = c.clock
-			return &c.sets[base+3]
-		}
-		return nil
-	}
-	tags := c.tags[base : base+uint64(c.assoc)]
-	for i := range tags {
-		if tags[i] == want {
-			j := base + uint64(i)
-			c.clock++
-			c.lru[j] = c.clock
-			return &c.sets[j]
+	set := c.set(ba)
+	for i, l := range set {
+		if holds(l, ba) {
+			for ; i > 0; i-- {
+				set[i] = set[i-1]
+			}
+			set[0] = l
+			return &set[0]
 		}
 	}
 	return nil
 }
 
-// Victim describes a line evicted by Allocate.
-type Victim struct {
-	Tag   uint64
-	State State
-	Dirty bool
-}
-
-// Allocate inserts block ba with the given state, evicting the LRU way if
-// the set is full. It returns the inserted line and the victim, if any, so
-// callers that need to mark the fresh line (Dirty, a state tweak) can do so
-// without paying a second associative Probe. The new line is marked most
-// recently used and clean.
-func (c *Cache) Allocate(ba uint64, st State) (*Line, Victim, bool) {
-	if st == StateInvalid {
-		panic("cache: Allocate with StateInvalid")
-	}
-	base := (ba >> c.blockShift & c.setMask) * uint64(c.assoc)
-	// The victim scan runs over the dense tag mirror (0 = invalid way) and
-	// the lru array, so a full set costs 2×assoc adjacent uint64 reads
-	// instead of walking Line structs.
-	tags := c.tags[base : base+uint64(c.assoc)]
-	lru := c.lru[base : base+uint64(c.assoc)]
-	victimIdx := 0
-	var victim Victim
-	hadVictim := false
-	found := false
-	for i := range tags {
-		if tags[i] == 0 {
-			victimIdx = i
-			found = true
+// Allocate inserts block ba, which must not be resident, with the given
+// state, evicting the LRU way if the set is full. It returns the inserted
+// line and the victim, if any, so callers that need to mark the fresh line
+// (Dirty, a state tweak) can do so without paying a second associative
+// Probe. The new line is most recently used and clean.
+func (c *Cache) Allocate(ba uint64, st State) (l *Line, victim Line, evicted bool) {
+	checkState(st)
+	set := c.set(ba)
+	n := len(set) - 1
+	for i, w := range set {
+		if w == 0 {
+			n = i
 			break
 		}
-		if lru[i] < lru[victimIdx] {
-			victimIdx = i
-		}
 	}
-	ways := c.sets[base : base+uint64(c.assoc)]
-	if !found {
-		v := &ways[victimIdx]
-		victim = Victim{Tag: v.Tag, State: v.State, Dirty: v.Dirty}
-		hadVictim = true
+	if victim = set[n]; victim != 0 {
+		evicted = true
 		c.Stats.Evictions++
-		if v.Dirty {
+		if victim.Dirty() {
 			c.Stats.DirtyEvictions++
 		}
 	}
-	c.clock++
-	ways[victimIdx] = Line{Tag: ba, State: st}
-	lru[victimIdx] = c.clock
-	c.tags[base+uint64(victimIdx)] = ba | 1
-	return &ways[victimIdx], victim, hadVictim
+	for ; n > 0; n-- {
+		set[n] = set[n-1]
+	}
+	set[0] = Line(ba) | Line(st)
+	return &set[0], victim, evicted
 }
 
 // VisitLines calls fn for every valid line, in set/way order. Bus-side
 // indexes (the coherence snoop filter) use it to rebuild from contents.
 func (c *Cache) VisitLines(fn func(l *Line)) {
-	for i := range c.sets {
-		if c.sets[i].State != StateInvalid {
-			fn(&c.sets[i])
+	for i := range c.lines {
+		if c.lines[i] != 0 {
+			fn(&c.lines[i])
 		}
 	}
 }
 
 // Invalidate removes block ba if present, returning whether it was dirty.
 func (c *Cache) Invalidate(ba uint64) (wasDirty, wasPresent bool) {
-	base := (ba >> c.blockShift & c.setMask) * uint64(c.assoc)
-	want := ba | 1
-	for i := base; i < base+uint64(c.assoc); i++ {
-		if c.tags[i] == want {
-			wasDirty = c.sets[i].Dirty
-			c.sets[i] = Line{}
-			c.tags[i] = 0
-			c.lru[i] = 0
+	set := c.set(ba)
+	for i := range set {
+		if holds(set[i], ba) {
+			wasDirty = set[i].Dirty()
+			set[i] = 0
 			return wasDirty, true
 		}
 	}

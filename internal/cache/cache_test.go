@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -21,7 +23,7 @@ func access(c *Cache, a mem.Addr, t mem.AccessType) bool {
 		l, _, _ = c.Allocate(ba, 1)
 	}
 	if t == mem.Write {
-		l.Dirty = true
+		l.SetDirty(true)
 	}
 	return hit
 }
@@ -106,13 +108,13 @@ func TestDirtyEviction(t *testing.T) {
 func TestWriteMarksDirtyOnMissAndHit(t *testing.T) {
 	c := New(small())
 	access(c, 0x1000, mem.Write) // miss-allocate-dirty
-	if l := c.Probe(c.BlockAddr(0x1000)); l == nil || !l.Dirty {
+	if l := c.Probe(c.BlockAddr(0x1000)); l == nil || !l.Dirty() {
 		t.Fatal("write miss did not leave dirty line")
 	}
 	c2 := New(small())
 	access(c2, 0x1000, mem.Read)
 	access(c2, 0x1000, mem.Write)
-	if l := c2.Probe(c2.BlockAddr(0x1000)); l == nil || !l.Dirty {
+	if l := c2.Probe(c2.BlockAddr(0x1000)); l == nil || !l.Dirty() {
 		t.Fatal("write hit did not mark dirty")
 	}
 }
@@ -248,13 +250,50 @@ func TestAllocatePanicsOnInvalidState(t *testing.T) {
 	New(small()).Allocate(0, StateInvalid)
 }
 
+// TestNewRejectsSmallBlocks: a block address's low four bits hold the packed
+// line state, so New refuses blocks under 16 B while the sweep, which keeps
+// its own tag words, still takes them.
+func TestNewRejectsSmallBlocks(t *testing.T) {
+	tiny := Config{Name: "s", SizeBytes: 1 << 10, Assoc: 2, BlockBytes: 8}
+	func() {
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "16 B minimum") {
+				t.Errorf("New with 8 B blocks: panic %q, want the 16 B minimum", msg)
+			}
+		}()
+		New(tiny)
+	}()
+	New(Config{Name: "s", SizeBytes: 1 << 10, Assoc: 2, BlockBytes: 16})
+	sw := NewSweep([]Config{tiny})
+	sw.Access(0x100, mem.Read)
+	if !hit(sw, 0x104, mem.Read) || hit(sw, 0x108, mem.Read) {
+		t.Fatal("8 B sweep geometry does not hit within a block and miss across one")
+	}
+}
+
+// TestSetStateRejectsInvalid: a line leaves the cache only through
+// Invalidate or eviction, and a state must fit the three state bits.
+func TestSetStateRejectsInvalid(t *testing.T) {
+	for _, st := range []State{StateInvalid, 8} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetState(%d) did not panic", st)
+				}
+			}()
+			l, _, _ := New(small()).Allocate(0x40, 1)
+			l.SetState(st)
+		}()
+	}
+}
+
 func TestQuickProbeAfterAllocate(t *testing.T) {
 	c := New(Config{Name: "q", SizeBytes: 1 << 14, Assoc: 4, BlockBytes: 64})
 	f := func(raw uint32) bool {
 		ba := c.BlockAddr(mem.Addr(raw))
 		nl, _, _ := c.Allocate(ba, 2)
 		l := c.Probe(ba)
-		return l != nil && l == nl && l.Tag == ba && l.State == 2
+		return l != nil && l == nl && l.Tag() == ba && l.State() == 2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -265,10 +304,10 @@ func TestVictimReported(t *testing.T) {
 	c := New(Config{Name: "v", SizeBytes: 128, Assoc: 1, BlockBytes: 64}) // 2 sets
 	c.Allocate(0, 2)
 	l, v, had := c.Allocate(128, 3) // same set (2 sets * 64 = 128 stride)
-	if !had || v.Tag != 0 || v.State != 2 {
+	if !had || v.Tag() != 0 || v.State() != 2 {
 		t.Fatalf("victim = %+v had=%v", v, had)
 	}
-	if l == nil || l.Tag != 128 || l.State != 3 {
+	if l == nil || l.Tag() != 128 || l.State() != 3 {
 		t.Fatalf("inserted line = %+v", l)
 	}
 	_, _, had = c.Allocate(64, 2) // other set, empty

@@ -128,7 +128,7 @@ func (c *refCache) resident() []string {
 func resident(c *Cache) []string {
 	var out []string
 	c.VisitLines(func(l *Line) {
-		out = append(out, fmt.Sprintf("%#x %d %v", l.Tag, l.State, l.Dirty))
+		out = append(out, fmt.Sprintf("%#x %d %v", l.Tag(), l.State(), l.Dirty()))
 	})
 	sort.Strings(out)
 	return out
@@ -161,7 +161,7 @@ func checkCacheAgainstReference(t testing.TB, cfg Config, ops []byte) {
 		if l == nil || rl == nil {
 			return l == nil && rl == nil
 		}
-		return l.Tag == rl.Tag && l.State == rl.State && l.Dirty == rl.Dirty
+		return l.Tag() == rl.Tag && l.State() == rl.State && l.Dirty() == rl.Dirty
 	}
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, arg, sel := ops[i]&7, ops[i]>>3, uint64(ops[i+1])
@@ -190,8 +190,8 @@ func checkCacheAgainstReference(t testing.TB, cfg Config, ops []byte) {
 			}
 			l, v, ev := c.Allocate(ba, st)
 			rl, rv, rev := r.Allocate(ba, st)
-			if !same(l, rl) || ev != rev || v.Tag != rv.Tag || v.State != rv.State || v.Dirty != rv.Dirty {
-				t.Fatalf("%v: op %d: %s: line %+v victim %+v %v, reference %+v victim %+v %v",
+			if !same(l, rl) || ev != rev || v.Tag() != rv.Tag || v.State() != rv.State || v.Dirty() != rv.Dirty {
+				t.Fatalf("%v: op %d: %s: line %#x victim %#x %v, reference %+v victim %+v %v",
 					cfg, i/2, what, *l, v, ev, *rl, rv, rev)
 			}
 		case 5:
@@ -203,12 +203,14 @@ func checkCacheAgainstReference(t testing.TB, cfg Config, ops []byte) {
 		case 6:
 			what = fmt.Sprintf("SetState(%#x, %d)", ba, st)
 			if l, rl := c.Probe(ba), r.Probe(ba); l != nil && rl != nil {
-				l.State, rl.State = st, st
+				l.SetState(st)
+				rl.State = st
 			}
 		case 7:
 			what = fmt.Sprintf("SetDirty(%#x, %v)", ba, arg&1 != 0)
 			if l, rl := c.Probe(ba), r.Probe(ba); l != nil && rl != nil {
-				l.Dirty, rl.Dirty = arg&1 != 0, arg&1 != 0
+				l.SetDirty(arg&1 != 0)
+				rl.Dirty = arg&1 != 0
 			}
 		}
 		if c.Stats != r.Stats {

@@ -30,8 +30,8 @@ import (
 	"repro/internal/stats"
 )
 
-// MOSI states stored in cache.Line.State. StateInvalid (0) is inherited
-// from the cache package.
+// MOSI states, stored in a cache.Line's state bits. StateInvalid (0) is
+// inherited from the cache package.
 const (
 	// Modified: sole dirty copy.
 	Modified cache.State = 1 + iota
@@ -362,7 +362,7 @@ func (n *Node) Read(addr mem.Addr, now uint64) Source {
 					if n.bus.snoopGetS(l) {
 						src = SrcCache
 					}
-					if l.State == Shared {
+					if l.State() == Shared {
 						// The holder was downgraded all the way to Shared
 						// (M under MSI/MESI, or E): the block has no owner
 						// now.
@@ -419,18 +419,18 @@ func (n *Node) Read(addr mem.Addr, now uint64) Source {
 // snoopGetS applies a GetS snoop to one remote copy of the block, returning
 // whether that cache supplies the data (a snoop copyback).
 func (b *Bus) snoopGetS(l *cache.Line) bool {
-	switch l.State {
+	switch l.State() {
 	case Modified:
 		if b.Protocol == MOSI {
 			// Owner supplies data and retains a dirty shared copy.
-			l.State = Owned
+			l.SetState(Owned)
 		} else {
 			// MSI/MESI: supply, write back, both Shared and clean.
-			l.State = Shared
-			l.Dirty = false
+			l.SetState(Shared)
+			l.SetDirty(false)
 			b.Stats.Writebacks++
 			if b.Attr != nil {
-				b.Attr.RecordWriteback(l.Tag, -1)
+				b.Attr.RecordWriteback(l.Tag(), -1)
 			}
 		}
 		return true
@@ -439,7 +439,7 @@ func (b *Bus) snoopGetS(l *cache.Line) bool {
 	case Exclusive:
 		// Clean sole copy downgrades; memory still supplies the data on
 		// this bus (no clean cache-to-cache on the E6000).
-		l.State = Shared
+		l.SetState(Shared)
 	}
 	return false
 }
@@ -451,10 +451,10 @@ func (n *Node) Write(addr mem.Addr, now uint64) Source {
 	ba := n.l2.BlockAddr(addr)
 	n.bus.touch(ba)
 	if l := n.l2.ProbeTouch(ba); l != nil {
-		switch l.State {
+		switch l.State() {
 		case Modified:
 			n.bus.Stats.L2Hits++
-			l.Dirty = true
+			l.SetDirty(true)
 			if n.bus.Sanitize {
 				n.bus.sanitize(ba)
 			}
@@ -462,8 +462,8 @@ func (n *Node) Write(addr mem.Addr, now uint64) Source {
 		case Exclusive:
 			// MESI silent upgrade: no bus transaction at all.
 			n.bus.Stats.L2Hits++
-			l.State = Modified
-			l.Dirty = true
+			l.SetState(Modified)
+			l.SetDirty(true)
 			if n.bus.Sanitize {
 				n.bus.sanitize(ba)
 			}
@@ -472,8 +472,8 @@ func (n *Node) Write(addr mem.Addr, now uint64) Source {
 			// Upgrade: invalidate remote copies, no data transfer.
 			n.bus.Stats.Upgrades++
 			n.invalidateRemotes(ba)
-			l.State = Modified
-			l.Dirty = true
+			l.SetState(Modified)
+			l.SetDirty(true)
 			if n.bus.Attr != nil {
 				n.bus.Attr.RecordUpgrade(ba, n.id)
 			}
@@ -523,7 +523,7 @@ func (n *Node) Write(addr mem.Addr, now uint64) Source {
 			}
 			if l := other.l2.Probe(ba); l != nil {
 				anyCopy = true
-				if l.State == Modified || l.State == Owned {
+				if l.State() == Modified || l.State() == Owned {
 					src = SrcCache
 				}
 				other.l2.Invalidate(ba)
@@ -556,7 +556,7 @@ func (n *Node) Write(addr mem.Addr, now uint64) Source {
 		n.bus.Tracer.Instant(obs.CompMem, "bus.getm", n.id, now,
 			obs.Str("src", src.String()), obs.U64("addr", ba))
 	}
-	n.insert(ba, Modified).Dirty = true
+	n.insert(ba, Modified).SetDirty(true)
 	if n.bus.Sanitize {
 		n.bus.sanitize(ba)
 	}
@@ -605,19 +605,19 @@ func (n *Node) insert(ba uint64, st cache.State) *cache.Line {
 	if n.bus.filter != nil {
 		n.bus.filterAdd(n.id, ba, st != Shared)
 		if had {
-			n.bus.filterEvict(n.id, victim.Tag)
+			n.bus.filterEvict(n.id, victim.Tag())
 		}
 	}
 	if !had {
 		return l
 	}
-	if victim.State == Modified || victim.State == Owned {
+	if victim.State() == Modified || victim.State() == Owned {
 		n.bus.Stats.Writebacks++
 		if n.bus.Attr != nil {
-			n.bus.Attr.RecordWriteback(victim.Tag, n.id)
+			n.bus.Attr.RecordWriteback(victim.Tag(), n.id)
 		}
 	}
-	n.notifyInvalidate(victim.Tag)
+	n.notifyInvalidate(victim.Tag())
 	return l
 }
 
@@ -625,7 +625,7 @@ func (n *Node) insert(ba uint64, st cache.State) *cache.Line {
 // (StateInvalid when absent). For tests and debugging.
 func (n *Node) HasBlock(addr mem.Addr) cache.State {
 	if l := n.l2.Probe(n.l2.BlockAddr(addr)); l != nil {
-		return l.State
+		return l.State()
 	}
 	return cache.StateInvalid
 }

@@ -97,9 +97,9 @@ func (b *Bus) RebuildSnoopFilter() {
 func (b *Bus) filterScan(n *Node) {
 	id := n.id
 	n.l2.VisitLines(func(l *cache.Line) {
-		p := b.filter.ref(l.Tag)
+		p := b.filter.ref(l.Tag())
 		v := *p | 1<<uint(id)
-		if l.State == Modified || l.State == Owned || l.State == Exclusive {
+		if l.State() == Modified || l.State() == Owned || l.State() == Exclusive {
 			v = fSetOwner(v, id)
 		}
 		*p = v

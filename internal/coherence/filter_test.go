@@ -123,18 +123,18 @@ func (p *busPair) verify(t *testing.T) {
 	// in the other's with the same state and dirty bit.
 	for i := range p.fNodes {
 		fl := map[uint64]cache.Line{}
-		p.fNodes[i].l2.VisitLines(func(l *cache.Line) { fl[l.Tag] = *l })
+		p.fNodes[i].l2.VisitLines(func(l *cache.Line) { fl[l.Tag()] = *l })
 		n := 0
 		p.bNodes[i].l2.VisitLines(func(l *cache.Line) {
 			n++
-			got, ok := fl[l.Tag]
+			got, ok := fl[l.Tag()]
 			if !ok {
-				t.Errorf("node %d: block %#x in brute cache only", i, l.Tag)
+				t.Errorf("node %d: block %#x in brute cache only", i, l.Tag())
 				return
 			}
-			if got.State != l.State || got.Dirty != l.Dirty {
+			if got.State() != l.State() || got.Dirty() != l.Dirty() {
 				t.Errorf("node %d block %#x: filtered (%s dirty=%v) vs brute (%s dirty=%v)",
-					i, l.Tag, StateName(got.State), got.Dirty, StateName(l.State), l.Dirty)
+					i, l.Tag(), StateName(got.State()), got.Dirty(), StateName(l.State()), l.Dirty())
 			}
 		})
 		if n != len(fl) {
@@ -175,7 +175,7 @@ func TestSnoopFilterRebuild(t *testing.T) {
 	// Tamper: plant a copy directly, bypassing the protocol and filter.
 	c.l2.Allocate(c.l2.BlockAddr(0x2000), Modified)
 	if l := c.l2.Probe(c.l2.BlockAddr(0x2000)); l != nil {
-		l.Dirty = true
+		l.SetDirty(true)
 	}
 	b.RebuildSnoopFilter()
 	b.EnableSanitizer() // cross-checks filter vs probes on every transaction

@@ -52,7 +52,7 @@ func TestSanitizerCatchesTampering(t *testing.T) {
 	// first being invalidated.
 	c.l2.Allocate(c.l2.BlockAddr(0x1000), Modified)
 	if l := c.l2.Probe(c.l2.BlockAddr(0x1000)); l != nil {
-		l.Dirty = true
+		l.SetDirty(true)
 	}
 
 	defer func() {

@@ -281,10 +281,10 @@ func (h *Hierarchy) Write(cpu int, addr mem.Addr, now uint64) Result {
 	// shared-cache benefit of Figure 16.
 	h.invalidateSiblings(cpu, ba)
 	if l := p.l1d.ProbeTouch(ba); l != nil {
-		if l.State == l1Modified {
+		if l.State() == l1Modified {
 			// L1 write hit with permission: still ensure L2 ownership is
 			// recorded (it is, by the earlier miss that set l1Modified).
-			l.Dirty = true
+			l.SetDirty(true)
 			return Result{TLBStall: ts}
 		}
 		// Shared in L1: need ownership from the L2/bus.
@@ -292,8 +292,8 @@ func (h *Hierarchy) Write(cpu int, addr mem.Addr, now uint64) Result {
 		if src == coherence.SrcCache || src == coherence.SrcMemory {
 			h.DataMisses++
 		}
-		l.State = l1Modified
-		l.Dirty = true
+		l.SetState(l1Modified)
+		l.SetDirty(true)
 		r := h.result(src)
 		r.TLBStall = ts
 		return r
@@ -304,7 +304,7 @@ func (h *Hierarchy) Write(cpu int, addr mem.Addr, now uint64) Result {
 		h.DataMisses++
 	}
 	l, _, _ := p.l1d.Allocate(ba, l1Modified)
-	l.Dirty = true
+	l.SetDirty(true)
 	r := h.result(src)
 	r.TLBStall = ts
 	return r

@@ -125,6 +125,42 @@ func TestWritePermissionUpgrade(t *testing.T) {
 	}
 }
 
+// TestWriteKeepsL1LinePointer pins the *Line lifetime Write relies on: it
+// holds the L1D line from its ProbeTouch across node.Write, whose L2 victim's
+// inclusion invalidate can land in the same L1D set, then upgrades the line
+// through that pointer. Invalidate clears a way in place, so the pointer must
+// still name the written block. Inclusion normally makes such a write hit in
+// the L2, so the test fills the L1D behind the L2's back to force the
+// eviction.
+func TestWriteKeepsL1LinePointer(t *testing.T) {
+	h := New(smallCfg(1, 1))
+	l1d := h.L1D(0)
+	const stride = 16 << 10 // one L2 set, and so one L1D set
+	a, b := uint64(0x10000), uint64(0x10000+stride)
+	for i := uint64(1); i <= 4; i++ {
+		h.Read(0, a+i*stride, 0) // the L2 set becomes b..a+4·stride, b LRU
+	}
+	for i := uint64(3); i <= 4; i++ {
+		l1d.Invalidate(a + i*stride)
+	}
+	l1d.Allocate(b, l1Shared)
+	l1d.Allocate(a, l1Shared) // L1D set: a (most recent), b
+
+	h.Write(0, a, 0)
+	if l1d.Probe(b) != nil {
+		t.Fatal("the L2 victim's inclusion invalidate missed the L1D")
+	}
+	l := l1d.Probe(a)
+	if l == nil || l.State() != l1Modified || !l.Dirty() {
+		t.Fatalf("written block in L1D = %v, want Modified and dirty", l)
+	}
+	n := 0
+	l1d.VisitLines(func(*cache.Line) { n++ })
+	if n != 1 {
+		t.Fatalf("L1D holds %d lines, want only the written block", n)
+	}
+}
+
 func TestL1InclusionOnRemoteWrite(t *testing.T) {
 	h := New(smallCfg(2, 1))
 	h.Read(0, 0x10000, 0) // CPU0 L1D + L2 have it
