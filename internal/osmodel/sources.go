@@ -37,10 +37,12 @@ func DefaultDaemonConfig(comp *ifetch.Component, lines []mem.Addr) DaemonConfig 
 }
 
 // Daemon is an OpSource producing periodic kernel bouts. Create one per
-// processor and pin it there with AddPinnedThread.
+// processor and pin it there with AddPinnedThread: it serves one thread, so
+// it records every bout into one reused recorder.
 type Daemon struct {
 	cfg DaemonConfig
 	rng *simrand.Rand
+	rec trace.Recorder
 }
 
 // NewDaemon returns a daemon with its own RNG stream.
@@ -53,7 +55,8 @@ func NewDaemon(cfg DaemonConfig, rng *simrand.Rand) *Daemon {
 
 // NextOp emits one sleep-then-work bout.
 func (d *Daemon) NextOp(tid int, now uint64) *trace.Op {
-	rec := trace.NewRecorder("os-daemon", false)
+	rec := &d.rec
+	rec.Reset("os-daemon", false)
 	rec.Think(uint32(d.rng.Exp(float64(d.cfg.MeanIntervalCycles))))
 	rec.Instr(d.cfg.Comp.ID, d.cfg.BoutInstr)
 	for i, a := range d.cfg.SharedLines {
@@ -64,7 +67,7 @@ func (d *Daemon) NextOp(tid int, now uint64) *trace.Op {
 		}
 	}
 	rec.Instr(d.cfg.Comp.ID, d.cfg.BoutInstr/4)
-	return rec.Finish()
+	return rec.Handoff()
 }
 
 // AddOSDaemons registers one pinned daemon per processor of the machine,
