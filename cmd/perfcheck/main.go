@@ -50,17 +50,20 @@ import (
 
 // pinnedBench is the default benchmark selection, chosen to cover the
 // simulator's perf-critical layers: the figure pipelines (engine + memory
-// system + generators), the cache layer (the coherent ProbeTouch hit path
-// and the Figure 12/13 sweep), the local-hit fast path, and the snoop-heavy
-// bus patterns the duplicate-tag filter exists for, and the loaded-latency
-// hot path (curve lookup + utilization-window update) every bus transaction
-// pays under -memmodel loaded, and the trace recorder (a sampled-out and a
-// ring-recorded event, both allocation-free, and the Chrome trace encoder).
+// system + generators), the cache layer (the coherent cache's ProbeTouch hit
+// in the first and in the last way, its Allocate miss path, and the Figure
+// 12/13 sweep), the local-hit fast path, and the snoop-heavy bus patterns the
+// duplicate-tag filter exists for, and the loaded-latency hot path (curve
+// lookup + utilization-window update) every bus transaction pays under
+// -memmodel loaded, the trace recorder (a sampled-out and a ring-recorded
+// event, both allocation-free, and the Chrome trace encoder), the osmodel
+// playback engine, and the jvm heap's allocation and minor-GC paths.
 const pinnedBench = "^(BenchmarkFig08C2CRatio|BenchmarkFig13DCacheMissRate|BenchmarkFig16SharedCaches|" +
-	"BenchmarkProbeTouchHit|BenchmarkSweepNineConfigs|" +
+	"BenchmarkProbeTouchHit|BenchmarkProbeTouchLRUWay|BenchmarkAllocateMissStream|BenchmarkSweepNineConfigs|" +
 	"BenchmarkReadLocalHit|BenchmarkMigratoryWrite16Nodes|BenchmarkReadSharedGetS16Nodes|" +
 	"BenchmarkHDRRecord|BenchmarkHDRMerge|BenchmarkCurveLookup|BenchmarkLoadTrackerRecord|" +
-	"BenchmarkTracerInstantSampledOut|BenchmarkTracerInstantRing|BenchmarkWriteChromeTrace)$"
+	"BenchmarkTracerInstantSampledOut|BenchmarkTracerInstantRing|BenchmarkWriteChromeTrace|" +
+	"BenchmarkEngineThroughput|BenchmarkAllocSmall|BenchmarkMinorGC)$"
 
 // E2E pseudo-benchmark keys: wall-clock timings of the figures binary.
 const (
@@ -87,7 +90,7 @@ var allocsField = regexp.MustCompile(`(\d+) allocs/op`)
 
 func main() {
 	bench := flag.String("bench", pinnedBench, "benchmark regex passed to go test -bench")
-	pkgs := flag.String("pkgs", ".,./internal/cache,./internal/coherence,./internal/memsys,./internal/obs", "comma-separated packages to benchmark")
+	pkgs := flag.String("pkgs", ".,./internal/cache,./internal/coherence,./internal/memsys,./internal/obs,./internal/osmodel,./internal/jvm", "comma-separated packages to benchmark")
 	count := flag.Int("count", 3, "runs per benchmark; the minimum is kept")
 	tol := flag.Float64("tol", 0.30, "allowed fractional ns/op (and wall-clock) regression vs baseline")
 	allocTol := flag.Float64("alloc-tol", 0.10, "allowed fractional allocs/op regression vs baseline")

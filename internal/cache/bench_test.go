@@ -21,6 +21,22 @@ func BenchmarkProbeTouchHit(b *testing.B) {
 	}
 }
 
+// BenchmarkProbeTouchLRUWay hits the last way every time: it cycles through
+// the four blocks of one full set, so each hit moves a word from the back of
+// the set to the front.
+func BenchmarkProbeTouchLRUWay(b *testing.B) {
+	const size, assoc = 1 << 20, 4
+	c := New(Config{Name: "b", SizeBytes: size, Assoc: assoc, BlockBytes: 64})
+	const stride = size / assoc // the distance between blocks of one set
+	for i := uint64(0); i < assoc; i++ {
+		c.Allocate(i*stride, 1)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkLine = c.ProbeTouch(uint64(i%assoc) * stride)
+	}
+}
+
 func BenchmarkAllocateMissStream(b *testing.B) {
 	c := New(Config{Name: "b", SizeBytes: 1 << 20, Assoc: 4, BlockBytes: 64})
 	b.ResetTimer()
