@@ -5,8 +5,9 @@
 // A Cache is a purely structural model: tags, ways, LRU, and an opaque
 // three-bit per-line state, packed into one word per way. The coherence
 // protocol (internal/coherence) and the hierarchy assembly (internal/memsys)
-// decide what states mean and when to allocate or invalidate. The uniprocessor Sweep does not use Cache: it keeps
-// its own compact move-to-front tag arrays (see Sweep).
+// decide what states mean and when to allocate or invalidate. The
+// uniprocessor Sweep does not use Cache: it keeps its own compact
+// move-to-front tag arrays (see Sweep).
 package cache
 
 import (
@@ -89,20 +90,20 @@ func (l *Line) SetState(st State) {
 	*l = *l&^stateBits | Line(st)
 }
 
-// checkState panics unless st is a valid state, 1 to 7; st-1 wraps past 6 for
-// StateInvalid. The panic lives in badState so SetState stays inlinable.
-func checkState(st State) {
-	if st-1 >= State(stateBits) {
-		badState(st)
-	}
-}
-
 // SetDirty sets or clears the line's dirty bit.
 func (l *Line) SetDirty(d bool) {
 	if d {
 		*l |= dirtyBit
 	} else {
 		*l &^= dirtyBit
+	}
+}
+
+// checkState panics unless st is a valid state, 1 to 7; st-1 wraps past 6 for
+// StateInvalid. The panic lives in badState so SetState stays inlinable.
+func checkState(st State) {
+	if st-1 >= State(stateBits) {
+		badState(st)
 	}
 }
 

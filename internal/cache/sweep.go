@@ -11,13 +11,13 @@ import (
 // pass, reproducing the paper's Simics+Sumo flow for Figures 12 and 13:
 // miss rate versus cache size for a fixed associativity and block size.
 //
-// It does not use Cache: the sweep needs no coherence state and no stable
-// *Line pointers, so each geometry is a bare array of tag words, assoc per
-// set, kept in most-recently-used-first order. A word is
+// It does not use Cache: the sweep needs no coherence state and no *Line
+// pointers, so each geometry is a bare array of tag words, assoc per set, kept
+// in most-recently-used-first order as in Cache. A word is
 // block<<2 | dirty<<1 | valid; a hit moves its word to the front and a miss
 // shifts the set right, evicting the last word when it is valid. That is
 // exact true LRU in 8 bytes per way with no clock. Block numbers must fit in
-// 62 bits.
+// 62 bits; unlike Cache, the sweep takes blocks of any power-of-two size.
 //
 // Geometries sharing a block size and associativity form a group, sorted by
 // set count. Power-of-two bit-selection sets nest, so under LRU every block

@@ -45,14 +45,15 @@ func (b *Bus) sanitize(ba uint64) {
 			continue
 		}
 		probed |= 1 << uint(node.id)
-		if l.State() == Modified || l.State() == Owned || l.State() == Exclusive {
+		st, dirty := l.State(), l.Dirty()
+		if st == Modified || st == Owned || st == Exclusive {
 			probedOwner = node.id
 		}
-		copies = append(copies, copyInfo{node.id, l.State(), l.Dirty()})
-		switch l.State() {
+		copies = append(copies, copyInfo{node.id, st, dirty})
+		switch st {
 		case Modified:
 			exclusive++
-			if !l.Dirty() {
+			if !dirty {
 				b.sanitizeFail(ba, copies, "Modified copy with clean dirty bit")
 			}
 		case Exclusive:
@@ -60,7 +61,7 @@ func (b *Bus) sanitize(ba uint64) {
 			if b.Protocol != MESI {
 				b.sanitizeFail(ba, copies, fmt.Sprintf("Exclusive state under %v", b.Protocol))
 			}
-			if l.Dirty() {
+			if dirty {
 				b.sanitizeFail(ba, copies, "Exclusive copy with dirty bit set")
 			}
 		case Owned:
@@ -68,15 +69,15 @@ func (b *Bus) sanitize(ba uint64) {
 			if b.Protocol != MOSI {
 				b.sanitizeFail(ba, copies, fmt.Sprintf("Owned state under %v", b.Protocol))
 			}
-			if !l.Dirty() {
+			if !dirty {
 				b.sanitizeFail(ba, copies, "Owned copy with clean dirty bit")
 			}
 		case Shared:
-			if l.Dirty() {
+			if dirty {
 				b.sanitizeFail(ba, copies, "Shared copy with dirty bit set")
 			}
 		default:
-			b.sanitizeFail(ba, copies, fmt.Sprintf("unknown state %v", l.State()))
+			b.sanitizeFail(ba, copies, fmt.Sprintf("unknown state %v", st))
 		}
 	}
 	if exclusive > 1 {
