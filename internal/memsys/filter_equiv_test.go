@@ -5,9 +5,25 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/coherence"
 	"repro/internal/mem"
 	"repro/internal/simrand"
 )
+
+// filterEquivGolden is what the filtered machine produces for each
+// cpusPerL2 shape under the traffic below: final bus counters and the
+// hierarchy's data/fetch miss counts.
+var filterEquivGolden = map[int]struct {
+	stats               coherence.Stats
+	dataMiss, fetchMiss uint64
+}{
+	1: {coherence.Stats{GetS: 41712, GetM: 20610, Upgrades: 4195, C2CTransfers: 18816, MemTransfers: 43506,
+		Writebacks: 15932, Invalidations: 17637, L2Hits: 9790}, 41454, 20868},
+	2: {coherence.Stats{GetS: 40873, GetM: 20064, Upgrades: 4137, C2CTransfers: 6852, MemTransfers: 54085,
+		Writebacks: 20725, Invalidations: 6304, L2Hits: 11758}, 40615, 20322},
+	4: {coherence.Stats{GetS: 39966, GetM: 20103, Upgrades: 3993, C2CTransfers: 0, MemTransfers: 60069,
+		Writebacks: 23674, Invalidations: 0, L2Hits: 13662}, 40137, 19932},
+}
 
 // TestSnoopFilterEquivalenceMemsys runs the snoop-filter equivalence check
 // through the full hierarchy (L1s, sibling invalidation, shared-L2
@@ -61,6 +77,14 @@ func TestSnoopFilterEquivalenceMemsys(t *testing.T) {
 			if filtered.DataMisses != brute.DataMisses || filtered.FetchMisses != brute.FetchMisses {
 				t.Errorf("hierarchy miss counts diverge: data %d/%d, fetch %d/%d",
 					filtered.DataMisses, brute.DataMisses, filtered.FetchMisses, brute.FetchMisses)
+			}
+			want := filterEquivGolden[perL2]
+			if filtered.Bus().Stats != want.stats {
+				t.Errorf("bus stats:\ngot  %+v\nwant %+v", filtered.Bus().Stats, want.stats)
+			}
+			if filtered.DataMisses != want.dataMiss || filtered.FetchMisses != want.fetchMiss {
+				t.Errorf("hierarchy misses: data %d fetch %d, want data %d fetch %d",
+					filtered.DataMisses, filtered.FetchMisses, want.dataMiss, want.fetchMiss)
 			}
 		})
 	}
