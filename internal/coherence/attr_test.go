@@ -70,82 +70,19 @@ func TestAttrConservation(t *testing.T) {
 	}
 }
 
-// TestAttrIdenticalAcrossSnoopModes drives a filtered and a brute-force bus
-// with identical traffic: attribution, like Stats, must not depend on which
-// snoop implementation answered.
+// TestAttrIdenticalAcrossSnoopModes drives the filtered Bus and the
+// brute-force refBus with identical traffic: attribution, like Stats, must
+// not depend on which snoop implementation answered.
 func TestAttrIdenticalAcrossSnoopModes(t *testing.T) {
-	if bruteSnoopEnv {
-		t.Skip("COHERENCE_BRUTE_SNOOP=1: both buses would be brute-force, nothing to compare")
-	}
-	run := func(brute bool) *attr.Collector {
-		b := NewBus()
-		b.Protocol = MOSI
-		if brute {
-			b.DisableSnoopFilter()
-		}
-		c := attr.NewCollector(attr.Options{Exact: true})
-		b.Attr = c
-		geo := cache.Config{Name: "L2", SizeBytes: 16 << 10, Assoc: 2, BlockBytes: 64}
-		var ns []*Node
-		for i := 0; i < 4; i++ {
-			ns = append(ns, b.AddNode(cache.New(geo), nil))
-		}
-		rng := simrand.New(0xC0117)
-		blocks := uint64(geo.SizeBytes) / uint64(geo.BlockBytes) * 3
-		for i := 0; i < 30000; i++ {
-			n := rng.Intn(4)
-			ba := uint64(rng.Int63n(int64(blocks))) * uint64(geo.BlockBytes)
-			if rng.Bool(0.3) {
-				ns[n].Write(mem.Addr(ba), uint64(i))
-			} else {
-				ns[n].Read(mem.Addr(ba), uint64(i))
-			}
-		}
-		return c
-	}
-	fc, bc := run(false), run(true)
+	geo := cache.Config{Name: "L2", SizeBytes: 16 << 10, Assoc: 2, BlockBytes: 64}
+	p := newBusPair(MOSI, 4, geo)
+	p.attachAttr()
+	p.run(t, 0xC0117, 30000)
+	fc, bc := p.bus.Attr, p.ref.attr
 	if fc.SumCounts() != bc.SumCounts() {
 		t.Errorf("attribution sums diverge between snoop modes:\nfiltered %+v\nbrute    %+v", fc.SumCounts(), bc.SumCounts())
 	}
 	if fc.Events() != bc.Events() {
 		t.Errorf("event counts diverge: filtered %d, brute %d", fc.Events(), bc.Events())
-	}
-}
-
-// TestFilterFallbackNoted checks the brute-force fallback observability:
-// the counter-with-reason must fire when the filter is dropped explicitly
-// and when the bus grows past the sharer-mask width, and must stay zero on
-// a filtered bus.
-func TestFilterFallbackNoted(t *testing.T) {
-	if bruteSnoopEnv {
-		t.Skip("COHERENCE_BRUTE_SNOOP=1 makes every bus fall back at construction")
-	}
-	geo := cache.Config{Name: "L2", SizeBytes: 4 << 10, Assoc: 2, BlockBytes: 64}
-
-	b := NewBus()
-	b.AddNode(cache.New(geo), nil)
-	b.AddNode(cache.New(geo), nil)
-	if n, _ := b.FilterFallbacks(); n != 0 {
-		t.Fatalf("fresh filtered bus reports %d fallbacks, want 0", n)
-	}
-	b.DisableSnoopFilter()
-	if n, why := b.FilterFallbacks(); n != 1 || why == "" {
-		t.Fatalf("after DisableSnoopFilter: count %d (want 1), reason %q (want non-empty)", n, why)
-	}
-	// Disabling an already-brute bus is not a second fallback.
-	b.DisableSnoopFilter()
-	if n, _ := b.FilterFallbacks(); n != 1 {
-		t.Fatalf("second DisableSnoopFilter changed the count to %d, want 1", n)
-	}
-
-	wide := NewBus()
-	for i := 0; i <= maxFilterNodes; i++ {
-		wide.AddNode(cache.New(geo), nil)
-	}
-	if wide.SnoopFilterEnabled() {
-		t.Fatalf("bus with %d nodes kept its snoop filter", maxFilterNodes+1)
-	}
-	if n, why := wide.FilterFallbacks(); n != 1 || why == "" {
-		t.Fatalf("bus grown past %d nodes: count %d (want 1), reason %q (want non-empty)", maxFilterNodes, n, why)
 	}
 }

@@ -14,9 +14,10 @@
 // the E6000's duplicate tag arrays, which answer snoops without touching the
 // processors' caches — implemented as a block-address → (sharer bitmask,
 // owner) index so an invalidation visits only the nodes that actually hold
-// the block and a read miss probes at most the one M/O/E holder, instead of
-// scanning all P nodes (see filter.go; COHERENCE_BRUTE_SNOOP=1 restores the
-// O(P) scan, and the two are statistic-for-statistic equivalent).
+// the block and a read miss probes at most the one M/O/E holder (see
+// filter.go). The filter is the bus's only snoop mechanism; the tests keep a
+// probe-every-node reference bus (refBus) and require the two to agree
+// statistic for statistic.
 package coherence
 
 import (
@@ -193,72 +194,28 @@ type Bus struct {
 	Sanitize bool
 
 	// filter is the duplicate-tag snoop filter: block address → packed
-	// (sharer bitmask, owner) pair (see filter.go). nil means brute-force
-	// snooping: COHERENCE_BRUTE_SNOOP=1, DisableSnoopFilter, more nodes than
-	// the mask holds, or fewer than two nodes (nothing to snoop).
-	filter   *filterTable
-	noFilter bool
-
-	// Brute-force fallback bookkeeping: a snoop filter silently reverting
-	// to the O(P) scan is a performance cliff worth surfacing, so each
-	// fallback is counted and its reason retained. Deliberately not part of
-	// Stats — the filter-vs-brute equivalence suites assert identical Stats
-	// across the two modes.
-	filterFallbacks   uint64
-	filterFallbackWhy string
+	// (sharer bitmask, owner) pair (see filter.go).
+	filter filterTable
 }
 
 // NewBus returns an empty bus; attach caches with AddNode.
 func NewBus() *Bus {
-	b := &Bus{Sanitize: sanitizeEnv, noFilter: bruteSnoopEnv}
-	if bruteSnoopEnv {
-		b.noteFilterFallback("COHERENCE_BRUTE_SNOOP=1 environment override")
-	}
-	return b
+	return &Bus{Sanitize: sanitizeEnv, filter: newFilterTable()}
 }
 
-// noteFilterFallback records one reversion to brute-force snooping and
-// emits a trace instant when a tracer is already attached (drivers that
-// attach the tracer later re-emit from the recorded reason).
-func (b *Bus) noteFilterFallback(reason string) {
-	b.filterFallbacks++
-	b.filterFallbackWhy = reason
-	if b.Tracer.Admit(obs.CompMem) {
-		b.Tracer.Instant(obs.CompMem, "snoop.brute_fallback", 0, 0, obs.Str("reason", reason))
-	}
-}
-
-// FilterFallbacks returns how many times this bus reverted to brute-force
-// snooping and the most recent reason ("" when the filter never fell back).
-func (b *Bus) FilterFallbacks() (uint64, string) {
-	return b.filterFallbacks, b.filterFallbackWhy
-}
-
-// AddNode attaches an L2 cache to the bus and returns its node handle.
-// onInvalidate, if non-nil, is called whenever the protocol removes or
-// downgrades a block in this node's L2 so the owner can maintain L1
-// inclusion (it is also called for local evictions caused by Allocate).
+// AddNode attaches an L2 cache to the bus and returns its node handle. l2
+// must be fresh from cache.New: the snoop filter learns a node's contents
+// from the bus transactions that fill it, so a block already resident at
+// attach time would be invisible to snoops. onInvalidate, if non-nil, is
+// called whenever the protocol removes or downgrades a block in this node's
+// L2 so the owner can maintain L1 inclusion (it is also called for local
+// evictions caused by Allocate). A bus holds at most MaxNodes nodes.
 func (b *Bus) AddNode(l2 *cache.Cache, onInvalidate func(ba uint64)) *Node {
+	if len(b.nodes) == MaxNodes {
+		panic(fmt.Sprintf("coherence: bus holds at most %d nodes", MaxNodes))
+	}
 	n := &Node{id: len(b.nodes), l2: l2, bus: b, onInvalidate: onInvalidate}
 	b.nodes = append(b.nodes, n)
-	if len(b.nodes) > maxFilterNodes {
-		// The sharer bitmask is 32 bits; wider buses snoop by brute force.
-		if len(b.nodes) == maxFilterNodes+1 {
-			b.noteFilterFallback(fmt.Sprintf(
-				"bus grew past %d nodes (sharer mask width)", maxFilterNodes))
-		}
-		b.filter = nil
-	} else if b.filter == nil {
-		// The filter is built lazily on the second attach: one node has no
-		// one to snoop, so single-node buses never pay for it.
-		if len(b.nodes) == 2 && !b.noFilter {
-			b.RebuildSnoopFilter()
-		}
-	} else {
-		// Later attaches fold the new cache (normally empty) into the
-		// existing index.
-		b.filterScan(n)
-	}
 	return n
 }
 
@@ -351,35 +308,20 @@ func (n *Node) Read(addr mem.Addr, now uint64) Source {
 	n.bus.Stats.GetS++
 	src := SrcMemory
 	anyCopy := false
-	if n.bus.filter != nil {
-		// Only the M/O/E holder reacts to a GetS; Shared copies are left
-		// untouched, so the filter answers for them without a probe.
-		if p := n.bus.filter.lookup(ba); p != nil {
-			v := *p
-			anyCopy = v&fMaskBits&^(1<<uint(n.id)) != 0
-			if o := fOwner(v); o >= 0 {
-				if l := n.bus.nodes[o].l2.Probe(ba); l != nil {
-					if n.bus.snoopGetS(l) {
-						src = SrcCache
-					}
-					if l.State() == Shared {
-						// The holder was downgraded all the way to Shared
-						// (M under MSI/MESI, or E): the block has no owner
-						// now.
-						*p = fClearOwner(v)
-					}
-				}
-			}
-		}
-	} else {
-		for _, other := range n.bus.nodes {
-			if other == n {
-				continue
-			}
-			if l := other.l2.Probe(ba); l != nil {
-				anyCopy = true
+	// Only the M/O/E holder reacts to a GetS; Shared copies are left
+	// untouched, so the filter answers for them without a probe.
+	if p := n.bus.filter.lookup(ba); p != nil {
+		v := *p
+		anyCopy = v&fMaskBits&^(1<<uint(n.id)) != 0
+		if o := fOwner(v); o >= 0 {
+			if l := n.bus.nodes[o].l2.Probe(ba); l != nil {
 				if n.bus.snoopGetS(l) {
 					src = SrcCache
+				}
+				if l.State() == Shared {
+					// The holder was downgraded all the way to Shared (M
+					// under MSI/MESI, or E): the block has no owner now.
+					*p = fClearOwner(v)
 				}
 			}
 		}
@@ -489,51 +431,12 @@ func (n *Node) Write(addr mem.Addr, now uint64) Source {
 	// Bus GetM (read-for-ownership).
 	n.bus.Stats.GetM++
 	src := SrcMemory
-	anyCopy := false
-	if n.bus.filter != nil {
-		if p := n.bus.filter.lookup(ba); p != nil {
-			// Invalidate exactly the recorded sharers, in ascending node
-			// order (the brute-force scan's order). A dirty victim means the
-			// holder was Modified or Owned — the dirty bit and those states
-			// coincide by protocol invariant — so it supplied the data.
-			for m := *p & fMaskBits &^ (1 << uint(n.id)); m != 0; m &= m - 1 {
-				other := n.bus.nodes[bits.TrailingZeros64(m)]
-				if wasDirty, present := other.l2.Invalidate(ba); present {
-					anyCopy = true
-					if wasDirty {
-						src = SrcCache
-					}
-					other.notifyInvalidate(ba)
-					n.bus.Stats.Invalidations++
-					if n.bus.Attr != nil {
-						n.bus.Attr.RecordInval(ba, other.id)
-					}
-				}
-			}
-			// All remote copies are gone and this node is about to fill the
-			// block Modified; write the entry's final value in place (the
-			// insert below re-derives the same value) rather than deleting
-			// and re-inserting it.
-			*p = fSetOwner(1<<uint(n.id), n.id)
-		}
-	} else {
-		for _, other := range n.bus.nodes {
-			if other == n {
-				continue
-			}
-			if l := other.l2.Probe(ba); l != nil {
-				anyCopy = true
-				if l.State() == Modified || l.State() == Owned {
-					src = SrcCache
-				}
-				other.l2.Invalidate(ba)
-				other.notifyInvalidate(ba)
-				n.bus.Stats.Invalidations++
-				if n.bus.Attr != nil {
-					n.bus.Attr.RecordInval(ba, other.id)
-				}
-			}
-		}
+	// A dirty victim means the holder was Modified or Owned — the dirty bit
+	// and those states coincide by protocol invariant — so it supplied the
+	// data.
+	anyCopy, dirty := n.invalidateRemotes(ba)
+	if dirty {
+		src = SrcCache
 	}
 	if src == SrcMemory && anyCopy && n.bus.Load != nil && n.bus.Load.Intervene() {
 		// Loaded model only: the dying clean copy forwards the line on its
@@ -563,32 +466,22 @@ func (n *Node) Write(addr mem.Addr, now uint64) Source {
 	return src
 }
 
-// invalidateRemotes removes every other node's copy of ba. It is the
-// upgrade path's snoop: the caller promotes its own copy to Modified right
-// after, so the filter entry is collapsed to "this node alone, as owner" in
-// the same step.
-func (n *Node) invalidateRemotes(ba uint64) {
-	if n.bus.filter != nil {
-		if p := n.bus.filter.lookup(ba); p != nil {
-			for m := *p & fMaskBits &^ (1 << uint(n.id)); m != 0; m &= m - 1 {
-				other := n.bus.nodes[bits.TrailingZeros64(m)]
-				if _, present := other.l2.Invalidate(ba); present {
-					other.notifyInvalidate(ba)
-					n.bus.Stats.Invalidations++
-					if n.bus.Attr != nil {
-						n.bus.Attr.RecordInval(ba, other.id)
-					}
-				}
-			}
-			*p = fSetOwner(1<<uint(n.id), n.id)
-		}
-		return
+// invalidateRemotes removes every other node's copy of ba — the snoop of
+// both GetM and Upgrade — visiting the filter's recorded sharers in
+// ascending node order. It reports whether any remote copy existed and
+// whether one of them was dirty. The caller holds or is about to fill the
+// block Modified, so the filter entry is collapsed to "this node alone, as
+// owner" in the same step (a GetM's insert re-derives the same value).
+func (n *Node) invalidateRemotes(ba uint64) (anyCopy, dirty bool) {
+	p := n.bus.filter.lookup(ba)
+	if p == nil {
+		return false, false
 	}
-	for _, other := range n.bus.nodes {
-		if other == n {
-			continue
-		}
-		if _, present := other.l2.Invalidate(ba); present {
+	for m := *p & fMaskBits &^ (1 << uint(n.id)); m != 0; m &= m - 1 {
+		other := n.bus.nodes[bits.TrailingZeros64(m)]
+		if wasDirty, present := other.l2.Invalidate(ba); present {
+			anyCopy = true
+			dirty = dirty || wasDirty
 			other.notifyInvalidate(ba)
 			n.bus.Stats.Invalidations++
 			if n.bus.Attr != nil {
@@ -596,21 +489,19 @@ func (n *Node) invalidateRemotes(ba uint64) {
 			}
 		}
 	}
+	*p = fSetOwner(1<<uint(n.id), n.id)
+	return anyCopy, dirty
 }
 
 // insert allocates ba in this node's L2, returning the fresh line, writing
 // back a dirty victim, and notifying the node's L1s of the eviction.
 func (n *Node) insert(ba uint64, st cache.State) *cache.Line {
 	l, victim, had := n.l2.Allocate(ba, st)
-	if n.bus.filter != nil {
-		n.bus.filterAdd(n.id, ba, st != Shared)
-		if had {
-			n.bus.filterEvict(n.id, victim.Tag())
-		}
-	}
+	n.bus.filterAdd(n.id, ba, st != Shared)
 	if !had {
 		return l
 	}
+	n.bus.filterEvict(n.id, victim.Tag())
 	if victim.State() == Modified || victim.State() == Owned {
 		n.bus.Stats.Writebacks++
 		if n.bus.Attr != nil {

@@ -1,11 +1,6 @@
 package coherence
 
-import (
-	"fmt"
-	"os"
-
-	"repro/internal/cache"
-)
+import "fmt"
 
 // Duplicate-tag snoop filter.
 //
@@ -27,27 +22,19 @@ import (
 // The index is maintained on the only events that change L2 residency or
 // ownership (miss fill, the eviction that fill causes, invalidation, and
 // the ownership up/downgrades of the protocol), so it is exact, not
-// conservative. Statistics stay bit-identical to the brute-force scan
-// because sharers are visited in ascending node order — the same order the
-// scan used — and because a GetS leaves Shared copies untouched either way.
+// conservative. Every bus has one, a single-node bus included (its masks
+// hold only its own bit), and it is the bus's only snoop mechanism.
 //
-// The brute-force scan is kept behind a flag: COHERENCE_BRUTE_SNOOP=1
-// disables the filter process-wide, and (*Bus).DisableSnoopFilter disables
-// it per bus — the snoop-filter equivalence test drives both paths with
-// identical traffic and asserts identical results. With COHERENCE_SANITIZE=1
-// the sanitizer cross-checks mask and owner against a full probe of every
-// node after every transaction.
-//
-// The packed value holds a 32-bit mask, so the filter serves buses of up to
-// 32 nodes; wider buses (the paper's machine has 16 processors) fall back
-// to the brute-force scan. Single-node buses never build the filter at all:
-// with no remote caches there is nothing to snoop.
+// Statistics match a probe-every-node scan because sharers are visited in
+// ascending node order and a GetS leaves Shared copies untouched either
+// way. The tests keep that scan as a frozen reference bus (refBus in
+// reference_test.go) and drive both with identical traffic; with
+// COHERENCE_SANITIZE=1 the sanitizer also cross-checks mask and owner
+// against a probe of every node after every transaction.
 
-// bruteSnoopEnv caches the COHERENCE_BRUTE_SNOOP environment switch.
-var bruteSnoopEnv = os.Getenv("COHERENCE_BRUTE_SNOOP") == "1"
-
-// maxFilterNodes is the widest bus the packed sharer mask can describe.
-const maxFilterNodes = 32
+// MaxNodes is the widest bus the filter's 32-bit sharer mask can describe
+// (the paper's machine has 16 processors).
+const MaxNodes = 32
 
 // Packed filter value: bits 0-31 sharer mask, bits 32-38 owner id plus one
 // (zero = no owner). A zero value means "no node holds the block" and doubles
@@ -64,47 +51,6 @@ func fSetOwner(v uint64, id int) uint64 {
 }
 
 func fClearOwner(v uint64) uint64 { return v & fMaskBits }
-
-// DisableSnoopFilter reverts this bus to the brute-force snoop scan that
-// probes every node on every transaction. Safe to call at any time; the
-// filter index is dropped, not merely bypassed.
-func (b *Bus) DisableSnoopFilter() {
-	b.noFilter = true
-	if b.filter != nil {
-		b.filter = nil
-		b.noteFilterFallback("DisableSnoopFilter call")
-	}
-}
-
-// SnoopFilterEnabled reports whether the duplicate-tag filter is active.
-func (b *Bus) SnoopFilterEnabled() bool { return b.filter != nil }
-
-// RebuildSnoopFilter reconstructs the filter index from the caches' current
-// contents. AddNode uses it when the second node attaches (a one-node bus
-// has nothing to snoop, so the filter is built lazily); tests that mutate a
-// node's L2 directly can call it to resynchronize.
-func (b *Bus) RebuildSnoopFilter() {
-	if b.noFilter || len(b.nodes) < 2 || len(b.nodes) > maxFilterNodes {
-		return
-	}
-	b.filter = newFilterTable()
-	for _, n := range b.nodes {
-		b.filterScan(n)
-	}
-}
-
-// filterScan folds one node's current L2 contents into the filter index.
-func (b *Bus) filterScan(n *Node) {
-	id := n.id
-	n.l2.VisitLines(func(l *cache.Line) {
-		p := b.filter.ref(l.Tag())
-		v := *p | 1<<uint(id)
-		if l.State() == Modified || l.State() == Owned || l.State() == Exclusive {
-			v = fSetOwner(v, id)
-		}
-		*p = v
-	})
-}
 
 // filterAdd records that node id filled block ba; owning marks it the
 // block's M/E holder.
@@ -136,13 +82,10 @@ func (b *Bus) filterEvict(id int, ba uint64) {
 }
 
 // checkFilter compares the filter's view of ba against a fresh probe of
-// every node (the sanitizer's brute-force scan) and panics on the first
+// every node (the sanitizer's probe sweep) and panics on the first
 // mismatch. probedMask and probedOwner are what the sanitizer just
 // gathered; probedOwner is -1 when no node holds the block M/O/E.
 func (b *Bus) checkFilter(ba uint64, probedMask uint64, probedOwner int, copies any) {
-	if b.filter == nil {
-		return
-	}
 	var got uint64
 	if p := b.filter.lookup(ba); p != nil {
 		got = *p
@@ -175,12 +118,12 @@ type fslot struct {
 	key, val uint64
 }
 
-func newFilterTable() *filterTable {
+func newFilterTable() filterTable {
 	// Sized for a few L2s' worth of resident blocks up front; multi-node
 	// runs reach hundreds of thousands of entries anyway, so starting tiny
 	// only buys a cascade of rehashes.
 	const initial = 1 << 16
-	return &filterTable{slots: make([]fslot, initial), mask: initial - 1}
+	return filterTable{slots: make([]fslot, initial), mask: initial - 1}
 }
 
 func (t *filterTable) hash(key uint64) uint64 {

@@ -89,9 +89,9 @@ func (b *Bus) sanitize(ba uint64) {
 	if owned > 1 {
 		b.sanitizeFail(ba, copies, "more than one Owned copy")
 	}
-	// Cross-check the duplicate-tag snoop filter against the brute-force
-	// probe sweep just performed: every transaction under the sanitizer
-	// verifies the two snoop mechanisms agree.
+	// Cross-check the duplicate-tag snoop filter against the probe sweep
+	// just performed: under the sanitizer every transaction verifies that
+	// the filter's sharers and owner are exactly the caches holding ba.
 	b.checkFilter(ba, probed, probedOwner, copies)
 }
 

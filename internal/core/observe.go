@@ -40,8 +40,6 @@ func AttachObserver(sys *System, ob *obs.Observer) {
 	}
 	registerMetrics(sys, ob.Registry)
 	if r := ob.Registry; r != nil {
-		bus := sys.Hier.Bus()
-		r.Counter("memsys.bus.snoop_fallback", func() uint64 { n, _ := bus.FilterFallbacks(); return n })
 		if t := ob.Tracer; t != nil {
 			// Events the linear trace buffer refused at its cap, and events
 			// the flight-recorder ring overwrote with newer ones.
@@ -54,12 +52,6 @@ func AttachObserver(sys *System, ob *obs.Observer) {
 			r.Counter("attr.resamples", func() uint64 { return uint64(a.Resamples()) })
 			r.Gauge("attr.lines", func() float64 { return float64(a.Len()) })
 		}
-	}
-	// A bus that has already abandoned its snoop filter (env override,
-	// or growth past the sharer-mask width) surfaces that on the trace
-	// timeline too; later fallbacks emit their own instants.
-	if n, why := sys.Hier.Bus().FilterFallbacks(); n > 0 && ob.Tracer.Admit(obs.CompMem) {
-		ob.Tracer.Instant(obs.CompMem, "snoop.brute_fallback", 0, 0, obs.Str("reason", why))
 	}
 }
 

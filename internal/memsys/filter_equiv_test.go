@@ -2,7 +2,6 @@ package memsys
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/coherence"
@@ -10,9 +9,10 @@ import (
 	"repro/internal/simrand"
 )
 
-// filterEquivGolden is what the filtered machine produces for each
-// cpusPerL2 shape under the traffic below: final bus counters and the
-// hierarchy's data/fetch miss counts.
+// filterEquivGolden is what the machine produces for each cpusPerL2 shape
+// under the traffic below: final bus counters and the hierarchy's
+// data/fetch miss counts. They were recorded when a brute-force snooping
+// machine still ran beside the filtered one and matched it exactly.
 var filterEquivGolden = map[int]struct {
 	stats               coherence.Stats
 	dataMiss, fetchMiss uint64
@@ -25,24 +25,21 @@ var filterEquivGolden = map[int]struct {
 		Writebacks: 23674, Invalidations: 0, L2Hits: 13662}, 40137, 19932},
 }
 
-// TestSnoopFilterEquivalenceMemsys runs the snoop-filter equivalence check
-// through the full hierarchy (L1s, sibling invalidation, shared-L2
-// grouping) rather than raw bus nodes, for private and shared-cache shapes:
-// a filtered and a brute-force machine see identical randomized traffic and
-// must return identical results and counters. The bus-level variant lives
-// in internal/coherence.
+// TestSnoopFilterEquivalenceMemsys checks the snoop filter through the full
+// hierarchy (L1s, sibling invalidation, shared-L2 grouping) rather than raw
+// bus nodes, for private and shared-cache shapes, including the one-node
+// bus of cpusPerL2=4. The sanitizer compares the filter against a probe of
+// every node after each transaction, and the final counters must reproduce
+// the goldens. The bus-level comparison against the brute-force reference
+// lives in internal/coherence.
 func TestSnoopFilterEquivalenceMemsys(t *testing.T) {
 	for _, perL2 := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("cpusPerL2=%d", perL2), func(t *testing.T) {
 			cfg := DefaultConfig(4)
 			cfg.CPUsPerL2 = perL2
 			cfg.L2.SizeBytes = 64 << 10
-			if os.Getenv("COHERENCE_BRUTE_SNOOP") == "1" {
-				t.Skip("COHERENCE_BRUTE_SNOOP=1: both machines would be brute-force, nothing to compare")
-			}
-			filtered := New(cfg)
-			brute := New(cfg)
-			brute.Bus().DisableSnoopFilter()
+			h := New(cfg)
+			h.Bus().EnableSanitizer()
 
 			rng := simrand.New(0xCAFE + uint64(perL2))
 			for i := 0; i < 80000; i++ {
@@ -51,40 +48,20 @@ func TestSnoopFilterEquivalenceMemsys(t *testing.T) {
 				now := uint64(i)
 				switch rng.Intn(3) {
 				case 0:
-					fr := filtered.Read(cpu, addr, now)
-					br := brute.Read(cpu, addr, now)
-					if fr != br {
-						t.Fatalf("access %d: Read(%#x) cpu %d: %+v vs %+v", i, addr, cpu, fr, br)
-					}
+					h.Read(cpu, addr, now)
 				case 1:
-					fr := filtered.Write(cpu, addr, now)
-					br := brute.Write(cpu, addr, now)
-					if fr != br {
-						t.Fatalf("access %d: Write(%#x) cpu %d: %+v vs %+v", i, addr, cpu, fr, br)
-					}
+					h.Write(cpu, addr, now)
 				default:
-					fr := filtered.Fetch(cpu, addr, now)
-					br := brute.Fetch(cpu, addr, now)
-					if fr != br {
-						t.Fatalf("access %d: Fetch(%#x) cpu %d: %+v vs %+v", i, addr, cpu, fr, br)
-					}
+					h.Fetch(cpu, addr, now)
 				}
 			}
-			if filtered.Bus().Stats != brute.Bus().Stats {
-				t.Errorf("bus stats diverge:\nfiltered %+v\nbrute    %+v",
-					filtered.Bus().Stats, brute.Bus().Stats)
-			}
-			if filtered.DataMisses != brute.DataMisses || filtered.FetchMisses != brute.FetchMisses {
-				t.Errorf("hierarchy miss counts diverge: data %d/%d, fetch %d/%d",
-					filtered.DataMisses, brute.DataMisses, filtered.FetchMisses, brute.FetchMisses)
-			}
 			want := filterEquivGolden[perL2]
-			if filtered.Bus().Stats != want.stats {
-				t.Errorf("bus stats:\ngot  %+v\nwant %+v", filtered.Bus().Stats, want.stats)
+			if h.Bus().Stats != want.stats {
+				t.Errorf("bus stats:\ngot  %+v\nwant %+v", h.Bus().Stats, want.stats)
 			}
-			if filtered.DataMisses != want.dataMiss || filtered.FetchMisses != want.fetchMiss {
+			if h.DataMisses != want.dataMiss || h.FetchMisses != want.fetchMiss {
 				t.Errorf("hierarchy misses: data %d fetch %d, want data %d fetch %d",
-					filtered.DataMisses, filtered.FetchMisses, want.dataMiss, want.fetchMiss)
+					h.DataMisses, h.FetchMisses, want.dataMiss, want.fetchMiss)
 			}
 		})
 	}
