@@ -118,6 +118,9 @@ func (c Config) Validate() error {
 	if c.CPUsPerL2 <= 0 || c.CPUs%c.CPUsPerL2 != 0 {
 		return fmt.Errorf("memsys: %d CPUs not divisible into groups of %d", c.CPUs, c.CPUsPerL2)
 	}
+	if l2s := c.CPUs / c.CPUsPerL2; l2s > coherence.MaxNodes {
+		return fmt.Errorf("memsys: %d L2s exceed the bus's %d-node snoop filter", l2s, coherence.MaxNodes)
+	}
 	if c.L1I.BlockBytes != c.L2.BlockBytes || c.L1D.BlockBytes != c.L2.BlockBytes {
 		return fmt.Errorf("memsys: L1/L2 block sizes differ")
 	}

@@ -37,6 +37,30 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateBusWidth: the snoop filter's sharer mask describes at most
+// coherence.MaxNodes L2s, so a machine with more is rejected up front.
+func TestValidateBusWidth(t *testing.T) {
+	for _, tc := range []struct {
+		cpus, perL2 int
+		ok          bool
+	}{
+		{16, 1, true},
+		{32, 1, true},
+		{33, 1, false},
+		{64, 1, false},
+		{64, 2, true},
+		{66, 2, false},
+		{256, 8, true},
+		{264, 8, false},
+	} {
+		c := DefaultConfig(tc.cpus)
+		c.CPUsPerL2 = tc.perL2
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%d CPUs, %d per L2: Validate() = %v, want ok=%v", tc.cpus, tc.perL2, err, tc.ok)
+		}
+	}
+}
+
 func TestL1HitNoStall(t *testing.T) {
 	h := New(smallCfg(2, 1))
 	if r := h.Read(0, 0x10000, 0); r.Class != StallMem {

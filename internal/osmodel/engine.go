@@ -133,7 +133,7 @@ type thread struct {
 	id      int
 	name    string
 	source  OpSource
-	mask    uint64 // allowed CPUs bitmask
+	mask    uint64 // allowed CPUs bitmask; hence at most maxCPUs CPUs
 	state   threadState
 	op      *trace.Op
 	opStart uint64 // dispatch time of the current op (for response times)
@@ -309,12 +309,18 @@ func (e *Engine) SetReqTrace(rt *reqtrace.Collector) {
 // ReqTrace returns the attached latency collector, or nil.
 func (e *Engine) ReqTrace() *reqtrace.Collector { return e.rt }
 
-// NewEngine builds a machine. The hierarchy must have cfg.CPUs slots; the
-// layout provides code components; net resolves NetCall items (may be nil
-// for single-machine workloads).
+// maxCPUs is the widest machine a thread's uint64 affinity mask describes.
+const maxCPUs = 64
+
+// NewEngine builds a machine. The hierarchy must have cfg.CPUs slots, at
+// most maxCPUs; the layout provides code components; net resolves NetCall
+// items (may be nil for single-machine workloads).
 func NewEngine(cfg Config, hier *memsys.Hierarchy, layout *ifetch.CodeLayout, net *netsim.Network, rng *simrand.Rand) *Engine {
 	if hier.Config().CPUs != cfg.CPUs {
 		panic(fmt.Sprintf("osmodel: hierarchy has %d CPUs, engine %d", hier.Config().CPUs, cfg.CPUs))
+	}
+	if cfg.CPUs > maxCPUs {
+		panic(fmt.Sprintf("osmodel: %d CPUs exceed the %d-bit thread affinity mask", cfg.CPUs, maxCPUs))
 	}
 	if len(cfg.PSet) == 0 || len(cfg.PSet) > cfg.CPUs {
 		panic("osmodel: invalid processor set")

@@ -373,6 +373,33 @@ func TestResetStatsClearsMeasurement(t *testing.T) {
 	}
 }
 
+// TestNewEngineRejectsWideMachines: a thread's affinity is a uint64 mask,
+// so a machine past 64 CPUs would hold CPUs no pinned thread could run on.
+func TestNewEngineRejectsWideMachines(t *testing.T) {
+	for _, tc := range []struct {
+		cpus, perL2 int
+		ok          bool
+	}{
+		{16, 1, true},
+		{64, 2, true},
+		{65, 5, false},
+		{128, 4, false},
+	} {
+		mcfg := memsys.DefaultConfig(tc.cpus)
+		mcfg.CPUsPerL2 = tc.perL2
+		mcfg.L2 = cache.Config{Name: "L2", SizeBytes: 16 << 10, Assoc: 4, BlockBytes: 64}
+		hier := memsys.New(mcfg)
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			NewEngine(DefaultConfig(tc.cpus), hier, ifetch.NewCodeLayout(mem.NewAddrSpace()), nil, simrand.New(1))
+			return false
+		}()
+		if panicked == tc.ok {
+			t.Errorf("NewEngine with %d CPUs: panicked=%v, want ok=%v", tc.cpus, panicked, tc.ok)
+		}
+	}
+}
+
 func TestRecursiveLockPanics(t *testing.T) {
 	r := newRig(t, 1, nil)
 	src := &ScriptSource{Ops: []*trace.Op{
