@@ -393,11 +393,6 @@ func (l *shardLimiter) hold(release uint64) {
 	l.rel.Push(evq.Item[struct{}]{At: release})
 }
 
-func (l *shardLimiter) inFlight(t uint64) int {
-	l.expire(t)
-	return l.rel.Len()
-}
-
 // OpenSim is the open-system cluster simulation.
 type OpenSim struct {
 	cfg    OpenConfig

@@ -29,10 +29,6 @@ type CoSim struct {
 // 8-processor system of the same family running the dbserver workload with
 // 16 worker threads.
 func BuildCoSim(procs int, seed uint64) *CoSim {
-	return buildCoSimInner(procs, seed, true)
-}
-
-func buildCoSimInner(procs int, seed uint64, withWorkers bool) *CoSim {
 	app := BuildSystem(SystemParams{
 		Kind:       ECperf,
 		Processors: procs,
@@ -64,20 +60,12 @@ func buildCoSimInner(procs int, seed uint64, withWorkers bool) *CoSim {
 	osmodel.AddOSDaemons(eng, space, kern, rng.Derive(3))
 
 	srv := dbserver.New(dbserver.DefaultConfig(), heap, comps, ns, rng.Derive(4))
-	if withWorkers {
-		for i := 0; i < 16; i++ {
-			eng.AddThread("db-worker", srv.WorkerSource(i))
-		}
+	for i := 0; i < 16; i++ {
+		eng.AddThread("db-worker", srv.WorkerSource(i))
 	}
 
 	coord := cluster.New(app.Engine, eng, srv, netsim.DefaultLink().LatencyCycles)
 	return &CoSim{App: app, DBEng: eng, DBSrv: srv, Coord: coord}
-}
-
-// BuildCoSimProbe is BuildCoSim without the database worker threads added,
-// so diagnostics can wrap the worker sources before registering them.
-func BuildCoSimProbe(procs int, seed uint64) *CoSim {
-	return buildCoSimInner(procs, seed, false)
 }
 
 // CoSimResult compares the queueing-model database against the

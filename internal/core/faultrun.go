@@ -48,21 +48,6 @@ type FaultRunOpts struct {
 	Flight *flightrec.Recorder
 }
 
-// DefaultFaultRunOpts returns the documented fault demo: the full standard
-// measurement window with the demo schedule (every fault kind once) spread
-// across it.
-func DefaultFaultRunOpts() FaultRunOpts {
-	const warmup, measure = 12_000_000, 120_000_000
-	return FaultRunOpts{
-		Processors:    4,
-		Seed:          20030208,
-		Schedule:      fault.Demo(warmup, measure),
-		WarmupCycles:  warmup,
-		MeasureCycles: measure,
-		BinCycles:     4_000_000,
-	}
-}
-
 // QuickFaultRunOpts is the reduced test/CI configuration: one partition
 // window inside a short run.
 func QuickFaultRunOpts() FaultRunOpts {

@@ -302,9 +302,6 @@ func (b *RetryBudget) Allow() bool {
 	return false
 }
 
-// Tokens returns the current bucket level.
-func (b *RetryBudget) Tokens() float64 { return b.tokens }
-
 // BrownoutConfig parameterizes stepped degradation.
 type BrownoutConfig struct {
 	// MaxLevel is the deepest degradation level (work classes carry a

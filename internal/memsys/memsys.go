@@ -353,9 +353,6 @@ func (h *Hierarchy) L1I(cpu int) *cache.Cache { return h.ports[cpu].l1i }
 // L1D returns a CPU's data cache (for stats).
 func (h *Hierarchy) L1D(cpu int) *cache.Cache { return h.ports[cpu].l1d }
 
-// L2ForCPU returns the L2 node serving a CPU.
-func (h *Hierarchy) L2ForCPU(cpu int) *coherence.Node { return h.ports[cpu].node }
-
 // DTLB returns a CPU's data TLB, or nil when translation is not modeled.
 func (h *Hierarchy) DTLB(cpu int) *tlb.TLB { return h.ports[cpu].dtlb }
 

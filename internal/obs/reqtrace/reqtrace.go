@@ -271,9 +271,6 @@ func (c *Collector) Reset(origin uint64) {
 	c.all.Reset()
 }
 
-// Origin returns the time-series anchor set by the last Reset.
-func (c *Collector) Origin() uint64 { return c.origin }
-
 // CountByClass returns completed-span counts per class — the conservation
 // check against the engine's completed-transaction counters.
 func (c *Collector) CountByClass() map[string]uint64 {
@@ -320,14 +317,6 @@ func (c *Collector) InFlightTable(now uint64) []InFlightSpan {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
-}
-
-// InFlightCount returns the number of open spans.
-func (c *Collector) InFlightCount() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.inflight)
 }
 
 // LiveQuantiles returns the running p50/p99 across all tracked completions,

@@ -1,28 +1,7 @@
 package stats
 
-// Replicate runs fn once per seed and summarizes each named metric across
-// runs. fn returns a map from metric name to value for one run. This is the
-// multi-seed variability harness used by every figure driver: the paper
-// reports "means and standard deviations (shown as error bars) for all
-// measured and most simulated results" following Alameldeen & Wood.
-func Replicate(seeds []uint64, fn func(seed uint64) map[string]float64) map[string]*Summary {
-	out := make(map[string]*Summary)
-	for _, seed := range seeds {
-		metrics := fn(seed)
-		for name, v := range metrics {
-			s, ok := out[name]
-			if !ok {
-				s = &Summary{}
-				out[name] = s
-			}
-			s.Add(v)
-		}
-	}
-	return out
-}
-
-// Seeds returns n deterministic seeds derived from a base seed, for use with
-// Replicate.
+// Seeds returns n deterministic seeds derived from a base seed: the seed
+// list of a multi-seed run, such as the figures driver's -seeds replicas.
 func Seeds(base uint64, n int) []uint64 {
 	out := make([]uint64, n)
 	x := base

@@ -196,7 +196,7 @@ func TestCounterSetRatioZero(t *testing.T) {
 	}
 }
 
-func TestReplicate(t *testing.T) {
+func TestSeedsDistinct(t *testing.T) {
 	seeds := Seeds(1, 5)
 	if len(seeds) != 5 {
 		t.Fatalf("Seeds returned %d", len(seeds))
@@ -207,27 +207,6 @@ func TestReplicate(t *testing.T) {
 				t.Fatal("duplicate seeds")
 			}
 		}
-	}
-	res := Replicate(seeds, func(seed uint64) map[string]float64 {
-		return map[string]float64{"x": float64(seed % 10), "y": 2}
-	})
-	if res["y"].Mean() != 2 || res["y"].StdDev() != 0 {
-		t.Fatalf("metric y = %v", res["y"])
-	}
-	if res["x"].N() != 5 {
-		t.Fatalf("metric x has %d samples", res["x"].N())
-	}
-}
-
-func TestReplicateDeterministic(t *testing.T) {
-	run := func() float64 {
-		res := Replicate(Seeds(42, 3), func(seed uint64) map[string]float64 {
-			return map[string]float64{"v": float64(seed >> 32)}
-		})
-		return res["v"].Mean()
-	}
-	if run() != run() {
-		t.Fatal("Replicate not deterministic")
 	}
 }
 
