@@ -57,13 +57,16 @@ import (
 // lookup + utilization-window update) every bus transaction pays under
 // -memmodel loaded, the trace recorder (a sampled-out and a ring-recorded
 // event, both allocation-free, and the Chrome trace encoder), the osmodel
-// playback engine, and the jvm heap's allocation and minor-GC paths.
+// playback engine, the jvm heap's allocation and minor-GC paths, the fetch
+// generator's NextRun, the cpu core's ExecInstr segment, and simrand's
+// uniform and bounded draws.
 const pinnedBench = "^(BenchmarkFig08C2CRatio|BenchmarkFig13DCacheMissRate|BenchmarkFig16SharedCaches|" +
 	"BenchmarkProbeTouchHit|BenchmarkProbeTouchLRUWay|BenchmarkAllocateMissStream|BenchmarkSweepNineConfigs|" +
 	"BenchmarkReadLocalHit|BenchmarkMigratoryWrite16Nodes|BenchmarkReadSharedGetS16Nodes|" +
 	"BenchmarkHDRRecord|BenchmarkHDRMerge|BenchmarkCurveLookup|BenchmarkLoadTrackerRecord|" +
 	"BenchmarkTracerInstantSampledOut|BenchmarkTracerInstantRing|BenchmarkWriteChromeTrace|" +
-	"BenchmarkEngineThroughput|BenchmarkAllocSmall|BenchmarkMinorGC)$"
+	"BenchmarkEngineThroughput|BenchmarkAllocSmall|BenchmarkMinorGC|" +
+	"BenchmarkNextRun|BenchmarkExecInstr|BenchmarkFloat64|BenchmarkIntn)$"
 
 // E2E pseudo-benchmark keys: wall-clock timings of the figures binary.
 const (
@@ -90,7 +93,7 @@ var allocsField = regexp.MustCompile(`(\d+) allocs/op`)
 
 func main() {
 	bench := flag.String("bench", pinnedBench, "benchmark regex passed to go test -bench")
-	pkgs := flag.String("pkgs", ".,./internal/cache,./internal/coherence,./internal/memsys,./internal/obs,./internal/osmodel,./internal/jvm", "comma-separated packages to benchmark")
+	pkgs := flag.String("pkgs", ".,./internal/cache,./internal/coherence,./internal/memsys,./internal/obs,./internal/osmodel,./internal/jvm,./internal/ifetch,./internal/cpu,./internal/simrand", "comma-separated packages to benchmark")
 	count := flag.Int("count", 3, "runs per benchmark; the minimum is kept")
 	tol := flag.Float64("tol", 0.30, "allowed fractional ns/op (and wall-clock) regression vs baseline")
 	allocTol := flag.Float64("alloc-tol", 0.10, "allowed fractional allocs/op regression vs baseline")
