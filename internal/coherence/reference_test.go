@@ -237,15 +237,12 @@ func (p *busPair) attachAttr() {
 // buses and fails when they report different data sources.
 func (p *busPair) access(t *testing.T, i, n int, ba uint64, write bool) {
 	t.Helper()
-	now := uint64(i)
-	op, got, want := "Read", Source(0), Source(0)
+	a, now := mem.Addr(ba), uint64(i)
+	op, busOp, refOp := "Read", p.nodes[n].Read, p.ref.read
 	if write {
-		op = "Write"
-		got, want = p.nodes[n].Write(mem.Addr(ba), now), p.ref.write(n, mem.Addr(ba), now)
-	} else {
-		got, want = p.nodes[n].Read(mem.Addr(ba), now), p.ref.read(n, mem.Addr(ba), now)
+		op, busOp, refOp = "Write", p.nodes[n].Write, p.ref.write
 	}
-	if got != want {
+	if got, want := busOp(a, now), refOp(n, a, now); got != want {
 		t.Fatalf("access %d: %s(%#x) by node %d: bus src %v, reference src %v", i, op, ba, n, got, want)
 	}
 }
