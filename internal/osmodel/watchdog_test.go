@@ -142,3 +142,52 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 		t.Fatal("threads did not finish")
 	}
 }
+
+// TestDebugLocksTable pins the watchdog report's lock table byte for byte.
+// Thread a holds semaphore 7 (capacity 1) and waits on monitor 7; thread b
+// holds monitor 7 and waits on the semaphore — a provable deadlock. Both
+// IDs are 7, so the table also shows that lock and semaphore IDs are
+// separate spaces. Lock 3 (released), semaphore 5 (released) and
+// semaphore 9 (held, no waiters) are left out; lock 0x10 (held, no
+// waiters) is listed.
+func TestDebugLocksTable(t *testing.T) {
+	r := newRig(t, 2, nil)
+	addr := r.data.Base
+	r.eng.AddThread("a", &ScriptSource{Ops: []*trace.Op{
+		op("a", false, func(rec *trace.Recorder) {
+			rec.SemAcquire(5, 2)
+			rec.SemRelease(5)
+			rec.LockAcquire(3, addr)
+			rec.LockRelease(3, addr)
+			rec.SemAcquire(9, 2)
+			rec.SemAcquire(7, 1)
+			rec.Instr(r.user.ID, 500_000)
+			rec.LockAcquire(7, addr+64)
+		}),
+	}})
+	r.eng.AddThread("b", &ScriptSource{Ops: []*trace.Op{
+		op("b", false, func(rec *trace.Recorder) {
+			rec.LockAcquire(0x10, addr+128)
+			rec.LockAcquire(7, addr+64)
+			rec.Instr(r.user.ID, 500_000)
+			rec.SemAcquire(7, 1)
+		}),
+	}})
+	r.eng.SetWatchdog(50_000_000)
+	r.eng.Run(1_000_000_000)
+
+	rep := r.eng.WatchdogTripped()
+	if rep == nil || rep.Reason != "deadlock" {
+		t.Fatalf("want a deadlock report, got %v", rep)
+	}
+	want := []string{
+		"lock 0x7 held=true spin=false owner=b#1 waiters=[a#0]",
+		"lock 0x10 held=true spin=false owner=b#1 waiters=[]",
+		"sem 0x7 available=0 waiters=[b#1]",
+	}
+	for _, got := range [][]string{rep.Locks, r.eng.DebugLocks()} {
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("lock table:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
