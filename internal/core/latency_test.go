@@ -63,9 +63,10 @@ func TestLatencyIsPassive(t *testing.T) {
 	}
 }
 
-// TestLatencyConservation: per-class histogram totals must equal the
-// engine's completed-transaction counts exactly — every business operation
-// that completes in the measurement window is recorded once, none invented.
+// TestLatencyConservation: per-class histograms must equal the engine's
+// per-tag ones exactly — every business operation that completes in the
+// measurement window is recorded once, none invented, with the same
+// latency (zero-length completions included on both sides).
 func TestLatencyConservation(t *testing.T) {
 	sys, rt := runLatency(t, ECperf, 4, 20030208, "")
 	res := sys.Engine.Results()
@@ -84,6 +85,19 @@ func TestLatencyConservation(t *testing.T) {
 	for tag, n := range res.OpsByTag {
 		if counts[tag] != n {
 			t.Errorf("tag %s: engine completed %d, collector has %d", tag, n, counts[tag])
+		}
+	}
+	for _, c := range rt.BuildReport().Classes {
+		if c.Error {
+			continue
+		}
+		h := res.LatencyByTag[c.Class]
+		if h == nil {
+			t.Errorf("class %s: engine has no latency histogram", c.Class)
+			continue
+		}
+		if got := h.Summarize(); got != c.Latency {
+			t.Errorf("class %s: collector latency %+v, engine %+v", c.Class, c.Latency, got)
 		}
 	}
 }

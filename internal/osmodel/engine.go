@@ -172,16 +172,29 @@ type thread struct {
 	extFrom uint64
 }
 
-type lockState struct {
-	held    bool
+// String names the thread as the trace tracks and diagnostics show it.
+func (th *thread) String() string { return fmt.Sprintf("%s#%d", th.name, th.id) }
+
+// Wait kinds: the lock classes of DESIGN.md's lock taxonomy, each with its
+// own handoff policy. waitKindNames doubles as the lock.wait trace kind.
+const (
+	waitMonitor = iota // Java monitor: blocked waiter, full wakeup handoff
+	waitSpin           // kernel adaptive lock: spin, then a short handoff
+	waitSem            // pool semaphore: blocked waiter, full wakeup handoff
+	numWaitKinds
+)
+
+var waitKindNames = [numWaitKinds]string{"monitor", "spin", "sem"}
+
+// waitQ is one lock or semaphore: its free units (1 for a lock, the
+// capacity for a semaphore), its owner (locks only), and the FIFO of
+// blocked threads a release hands a unit to directly. spin is sticky: set
+// once a spin acquisition contends on the lock.
+type waitQ struct {
+	free    int
 	spin    bool
 	owner   *thread
 	waiters []*thread
-}
-
-type semState struct {
-	available int
-	waiters   []*thread
 }
 
 // idleSentinel marks a processor that is not in an idle stretch.
@@ -215,8 +228,9 @@ type Engine struct {
 	gcWorkers   []int
 	gcWorkerEnd []uint64
 
-	locks map[uint64]*lockState
-	sems  map[uint64]*semState
+	// Locks and semaphores are separate ID spaces.
+	locks map[uint64]*waitQ
+	sems  map[uint64]*waitQ
 
 	ioBlocked int
 
@@ -229,17 +243,17 @@ type Engine struct {
 	// completion time — the cluster coordinator uses it to send replies.
 	OnOpComplete func(op *trace.Op, tid int, t uint64)
 
-	// Measurement counters (cleared by ResetStats).
-	businessOps                uint64
-	opsByTag                   map[string]uint64
-	latByTag                   map[string]*obs.HDR
-	gcWall                     uint64
-	gcCount                    uint64
-	gcPauses                   obs.HDR
-	lockWaitCycles             uint64
-	lockBlocks                 uint64
-	lockAcquires               uint64
-	waitMon, waitSpin, waitSem uint64
+	// Measurement counters (cleared by ResetStats). latByTag holds each
+	// business tag's response times; its Count is the tag's completed ops.
+	businessOps    uint64
+	latByTag       map[string]*obs.HDR
+	gcWall         uint64
+	gcCount        uint64
+	gcPauses       obs.HDR
+	lockWaitCycles uint64
+	lockBlocks     uint64
+	lockAcquires   uint64
+	waitCycles     [numWaitKinds]uint64
 
 	// Observability (nil when disabled — the zero-overhead default).
 	tracer *obs.Tracer
@@ -286,8 +300,7 @@ func (e *Engine) AttachObs(o *obs.Observer) {
 			o.Tracer.NameThread(o.Tracer.Pid, i, fmt.Sprintf("cpu%d", i))
 		}
 		for _, th := range e.threads {
-			o.Tracer.NameThread(o.Tracer.Pid, threadTrackBase+th.id,
-				fmt.Sprintf("%s#%d", th.name, th.id))
+			o.Tracer.NameThread(o.Tracer.Pid, threadTrackBase+th.id, th.String())
 		}
 	}
 }
@@ -335,9 +348,8 @@ func NewEngine(cfg Config, hier *memsys.Hierarchy, layout *ifetch.CodeLayout, ne
 		idleIO:   make([]bool, cfg.CPUs),
 		acct:     make([]Modes, cfg.CPUs),
 		inPSet:   make([]bool, cfg.CPUs),
-		locks:    make(map[uint64]*lockState),
-		sems:     make(map[uint64]*semState),
-		opsByTag: make(map[string]uint64),
+		locks:    make(map[uint64]*waitQ),
+		sems:     make(map[uint64]*waitQ),
 		latByTag: make(map[string]*obs.HDR),
 	}
 	for _, c := range cfg.PSet {
@@ -635,15 +647,18 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 			}
 			if th.op.Business {
 				e.businessOps++
-				e.opsByTag[th.op.Tag]++
 				h := e.latByTag[th.op.Tag]
 				if h == nil {
 					h = &obs.HDR{}
 					e.latByTag[th.op.Tag] = h
 				}
+				// Every completion counts, as in reqtrace: one that per-CPU
+				// clock skew leaves at or before its start records zero.
+				var d uint64
 				if t > th.opStart {
-					h.Record(t - th.opStart)
+					d = t - th.opStart
 				}
+				h.Record(d)
 				if e.tracer.Admit(obs.CompWorkload) {
 					e.tracer.Span(obs.CompWorkload, th.op.Tag, threadTrackBase+th.id,
 						th.opStart, t)
@@ -696,29 +711,34 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 			t += cy
 			th.idx++
 
-		case trace.KindLockAcq:
-			ls := e.lock(it.ID)
+		case trace.KindLockAcq, trace.KindSemAcq:
+			isLock := it.Kind == trace.KindLockAcq
+			q := e.queue(it)
 			e.lockAcquires++
-			if !ls.held {
-				ls.held = true
-				ls.owner = th
-				th.locksHeld++
+			if q.free > 0 {
+				q.free--
+				if isLock {
+					q.owner = th
+					th.locksHeld++
+				}
 				th.idx++
 				continue
 			}
-			if ls.owner == th {
-				panic("osmodel: recursive lock acquisition: " + th.name)
-			}
-			// Contended. Adaptive (spin) locks burn busy cycles first —
-			// kernel time for kernel locks — then block.
-			if it.Aux == 1 {
-				ls.spin = true
-				e.chargeBusy(c, th.mode, e.cfg.SpinCycles)
-				th.span.Add(reqtrace.PhaseLockWait, e.cfg.SpinCycles)
-				t += e.cfg.SpinCycles
+			if isLock {
+				if q.owner == th {
+					panic("osmodel: recursive lock acquisition: " + th.name)
+				}
+				// Adaptive (spin) locks burn busy cycles first — kernel
+				// time for kernel locks — then block.
+				if it.Aux == 1 {
+					q.spin = true
+					e.chargeBusy(c, th.mode, e.cfg.SpinCycles)
+					th.span.Add(reqtrace.PhaseLockWait, e.cfg.SpinCycles)
+					t += e.cfg.SpinCycles
+				}
 			}
 			e.lockBlocks++
-			ls.waiters = append(ls.waiters, th)
+			q.waiters = append(q.waiters, th)
 			th.state = stBlockedLock
 			th.lockBlockedAt = t
 			th.quantumLeft = 0
@@ -726,98 +746,52 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 			e.freeAt[c] = t
 			return
 
-		case trace.KindLockRel:
-			ls := e.lock(it.ID)
-			if !ls.held || ls.owner != th {
-				panic("osmodel: release of lock not held: " + th.name)
-			}
-			th.locksHeld--
-			if len(ls.waiters) > 0 {
-				next := ls.waiters[0]
-				ls.waiters = ls.waiters[1:]
-				ls.owner = next
-				next.locksHeld++
-				// Direct handoff: the waiter resumes past its acquire item.
-				next.idx++
-				handoff := e.cfg.MonitorHandoff
-				if ls.spin {
-					handoff = e.cfg.HandoffCycles
+		case trace.KindLockRel, trace.KindSemRel:
+			isLock := it.Kind == trace.KindLockRel
+			var q *waitQ
+			if isLock {
+				if q = e.locks[it.ID]; q == nil || q.owner != th {
+					panic("osmodel: release of lock not held: " + th.name)
 				}
-				grant := t + handoff
-				// Per-CPU clocks may skew by up to a quantum; a release
-				// observed "before" the block is a zero wait.
-				if grant > next.lockBlockedAt {
-					e.lockWaitCycles += grant - next.lockBlockedAt
-					next.span.Add(reqtrace.PhaseLockWait, grant-next.lockBlockedAt)
-					if ls.spin {
-						e.waitSpin += grant - next.lockBlockedAt
-					} else {
-						e.waitMon += grant - next.lockBlockedAt
-					}
-					if e.tracer.Admit(obs.CompOS) {
-						kind := "monitor"
-						if ls.spin {
-							kind = "spin"
-						}
-						e.tracer.Span(obs.CompOS, "lock.wait", threadTrackBase+next.id,
-							next.lockBlockedAt, grant,
-							obs.Str("kind", kind), obs.U64("lock", it.ID))
-					}
-				}
-				e.wakeAt(next, grant)
-			} else {
-				ls.held = false
-				ls.owner = nil
-			}
-			th.idx++
-
-		case trace.KindSemAcq:
-			ss, ok := e.sems[it.ID]
-			if !ok {
-				ss = &semState{available: int(it.Aux)}
-				e.sems[it.ID] = ss
-			}
-			e.lockAcquires++
-			if ss.available > 0 {
-				ss.available--
-				th.idx++
-				continue
-			}
-			// Pool exhausted: wait for a unit.
-			e.lockBlocks++
-			ss.waiters = append(ss.waiters, th)
-			th.state = stBlockedLock
-			th.lockBlockedAt = t
-			th.quantumLeft = 0
-			core.DrainStoreBuffer()
-			e.freeAt[c] = t
-			return
-
-		case trace.KindSemRel:
-			ss := e.sems[it.ID]
-			if ss == nil {
+				th.locksHeld--
+			} else if q = e.sems[it.ID]; q == nil {
 				panic("osmodel: release of unknown semaphore")
 			}
-			if len(ss.waiters) > 0 {
-				next := ss.waiters[0]
-				ss.waiters = ss.waiters[1:]
-				next.idx++ // the unit passes directly to the waiter
-				grant := t + e.cfg.MonitorHandoff
-				if grant > next.lockBlockedAt {
-					e.lockWaitCycles += grant - next.lockBlockedAt
-					next.span.Add(reqtrace.PhaseLockWait, grant-next.lockBlockedAt)
-					e.waitSem += grant - next.lockBlockedAt
-					if e.tracer.Admit(obs.CompOS) {
-						e.tracer.Span(obs.CompOS, "lock.wait", threadTrackBase+next.id,
-							next.lockBlockedAt, grant,
-							obs.Str("kind", "sem"), obs.U64("lock", it.ID))
-					}
-				}
-				e.wakeAt(next, grant)
-			} else {
-				ss.available++
-			}
 			th.idx++
+			if len(q.waiters) == 0 {
+				q.free++
+				q.owner = nil
+				continue
+			}
+			// Direct handoff: the unit passes to the head waiter, which
+			// resumes past its acquire item.
+			next := q.waiters[0]
+			q.waiters = q.waiters[1:]
+			next.idx++
+			kind, handoff := waitSem, e.cfg.MonitorHandoff
+			if isLock {
+				q.owner = next
+				next.locksHeld++
+				kind = waitMonitor
+				if q.spin {
+					kind, handoff = waitSpin, e.cfg.HandoffCycles
+				}
+			}
+			grant := t + handoff
+			// Per-CPU clocks may skew by up to a quantum; a release
+			// observed "before" the block is a zero wait.
+			if grant > next.lockBlockedAt {
+				wait := grant - next.lockBlockedAt
+				e.lockWaitCycles += wait
+				e.waitCycles[kind] += wait
+				next.span.Add(reqtrace.PhaseLockWait, wait)
+				if e.tracer.Admit(obs.CompOS) {
+					e.tracer.Span(obs.CompOS, "lock.wait", threadTrackBase+next.id,
+						next.lockBlockedAt, grant,
+						obs.Str("kind", waitKindNames[kind]), obs.U64("lock", it.ID))
+				}
+			}
+			e.wakeAt(next, grant)
 
 		case trace.KindNetCall:
 			if e.net == nil {
@@ -1037,13 +1011,20 @@ func (e *Engine) stopTheWorld(c int, t uint64, gc *trace.GC) uint64 {
 	return stwEnd
 }
 
-func (e *Engine) lock(id uint64) *lockState {
-	ls, ok := e.locks[id]
-	if !ok {
-		ls = &lockState{}
-		e.locks[id] = ls
+// queue returns the lock or semaphore an acquire item names, creating it
+// with its units free: one for a lock, the recorded capacity for a
+// semaphore.
+func (e *Engine) queue(it *trace.Item) *waitQ {
+	m, units := e.locks, 1
+	if it.Kind == trace.KindSemAcq {
+		m, units = e.sems, int(it.Aux)
 	}
-	return ls
+	q := m[it.ID]
+	if q == nil {
+		q = &waitQ{free: units}
+		m[it.ID] = q
+	}
+	return q
 }
 
 // WakeExternal unblocks a thread that is waiting on a co-simulated peer
@@ -1083,7 +1064,6 @@ func (e *Engine) ResetStats() {
 	}
 	e.hier.ResetStats()
 	e.businessOps = 0
-	e.opsByTag = make(map[string]uint64)
 	for _, h := range e.latByTag {
 		h.Reset()
 	}
@@ -1093,10 +1073,10 @@ func (e *Engine) ResetStats() {
 	e.lockWaitCycles = 0
 	e.lockBlocks = 0
 	e.lockAcquires = 0
-	e.waitMon, e.waitSpin, e.waitSem = 0, 0, 0
+	e.waitCycles = [numWaitKinds]uint64{}
 	// Latency spans reset with everything else: completed spans are dropped
 	// and the time series re-anchors at the boundary. In-flight spans stay
-	// open and complete into the fresh window, exactly like opsByTag counts
+	// open and complete into the fresh window, exactly like latByTag counts
 	// boundary-spanning operations at completion time.
 	e.rt.Reset(e.Now())
 }
@@ -1131,22 +1111,20 @@ type Results struct {
 func (e *Engine) Results() Results {
 	r := Results{
 		BusinessOps:    e.businessOps,
-		OpsByTag:       make(map[string]uint64, len(e.opsByTag)),
+		OpsByTag:       make(map[string]uint64, len(e.latByTag)),
 		LatencyByTag:   make(map[string]*obs.HDR, len(e.latByTag)),
 		GCWall:         e.gcWall,
 		GCCount:        e.gcCount,
 		LockWaitCycles: e.lockWaitCycles,
 		LockBlocks:     e.lockBlocks,
 		LockAcquires:   e.lockAcquires,
-		WaitMonitor:    e.waitMon,
-		WaitSpin:       e.waitSpin,
-		WaitSem:        e.waitSem,
-	}
-	for k, v := range e.opsByTag {
-		r.OpsByTag[k] = v
+		WaitMonitor:    e.waitCycles[waitMonitor],
+		WaitSpin:       e.waitCycles[waitSpin],
+		WaitSem:        e.waitCycles[waitSem],
 	}
 	for k, h := range e.latByTag {
 		if h.Count() > 0 {
+			r.OpsByTag[k] = h.Count()
 			r.LatencyByTag[k] = h
 		}
 	}
@@ -1175,8 +1153,8 @@ func (e *Engine) DebugThreads() []string {
 				inQ++
 			}
 		}
-		out = append(out, fmt.Sprintf("%s#%d state=%s home=%d bound=%v readyAt=%d qleft=%d inQ=%d locksHeld=%d",
-			th.name, th.id, names[th.state], th.lastCPU, th.bound, th.readyAt, th.quantumLeft, inQ, th.locksHeld))
+		out = append(out, fmt.Sprintf("%v state=%s home=%d bound=%v readyAt=%d qleft=%d inQ=%d locksHeld=%d",
+			th, names[th.state], th.lastCPU, th.bound, th.readyAt, th.quantumLeft, inQ, th.locksHeld))
 	}
 	return out
 }

@@ -659,7 +659,8 @@ func TestLatencyHistogramRecorded(t *testing.T) {
 // TestAccountingConservation is the engine's core bookkeeping invariant:
 // across a randomized mix of compute, memory, locks, I/O, sleeps, and GC,
 // every processor cycle of the horizon lands in exactly one accounting
-// bucket (busy, I/O wait, idle, or GC idle).
+// bucket (busy, I/O wait, idle, or GC idle), and the lock-wait cycles split
+// exactly into the monitor, spin and semaphore classes.
 func TestAccountingConservation(t *testing.T) {
 	net := netsim.NewNetwork(netsim.DefaultLink())
 	net.AddPeer(2, db.NewServer(db.Config{Workers: 2, BaseServiceCycles: 80_000}, simrand.New(4)))
@@ -677,7 +678,7 @@ func TestAccountingConservation(t *testing.T) {
 		r.eng.AddThread("w", FuncSource(func(id int, now uint64) *trace.Op {
 			rec := trace.NewRecorder("op", true)
 			rec.Instr(r.user.ID, uint32(1_000+rng.Intn(20_000)))
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				rec.LockAcquire(7, r.data.Base)
 				rec.Instr(r.user.ID, 3_000)
@@ -694,6 +695,10 @@ func TestAccountingConservation(t *testing.T) {
 				if rng.Bool(0.1) {
 					rec.GCPause(gc)
 				}
+			case 5:
+				rec.LockAcquireSpin(8, r.data.Base+64)
+				rec.Instr(r.kern.ID, 1_500)
+				rec.LockRelease(8, r.data.Base+64)
 			default:
 				rec.Read(r.data.Base+uint64(rng.Intn(1<<14))*64, 64)
 				rec.Write(r.data.Base+uint64(rng.Intn(1<<14))*64, 64)
@@ -712,5 +717,13 @@ func TestAccountingConservation(t *testing.T) {
 	}
 	if res.BusinessOps == 0 {
 		t.Fatal("randomized workload made no progress")
+	}
+	if res.WaitMonitor == 0 || res.WaitSpin == 0 || res.WaitSem == 0 {
+		t.Fatalf("a wait class never contended: monitor %d spin %d sem %d",
+			res.WaitMonitor, res.WaitSpin, res.WaitSem)
+	}
+	if sum := res.WaitMonitor + res.WaitSpin + res.WaitSem; sum != res.LockWaitCycles {
+		t.Fatalf("wait classes monitor %d + spin %d + sem %d = %d, lock wait %d",
+			res.WaitMonitor, res.WaitSpin, res.WaitSem, sum, res.LockWaitCycles)
 	}
 }

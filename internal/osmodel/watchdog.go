@@ -2,7 +2,7 @@ package osmodel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -130,45 +130,31 @@ func (e *Engine) provableDeadlock() bool {
 }
 
 // DebugLocks returns one line per lock or semaphore with an owner or
-// waiters — the companion to DebugThreads for deadlock diagnosis.
+// waiters — the companion to DebugThreads for deadlock diagnosis. Locks
+// come first, each kind in ID order.
 func (e *Engine) DebugLocks() []string {
-	var out []string
-	ids := make([]uint64, 0, len(e.locks))
-	for id := range e.locks {
+	return appendQueues(appendQueues(nil, e.locks, true), e.sems, false)
+}
+
+// appendQueues appends the DebugLocks lines of one ID space. A lock with
+// no waiters is listed while it has an owner; a semaphore only while it
+// has waiters.
+func appendQueues(out []string, m map[uint64]*waitQ, locks bool) []string {
+	ids := make([]uint64, 0, len(m))
+	for id := range m {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
-		ls := e.locks[id]
-		if !ls.held && len(ls.waiters) == 0 {
-			continue
+		q := m[id]
+		switch {
+		case q.owner == nil && len(q.waiters) == 0:
+		case locks:
+			out = append(out, fmt.Sprintf("lock %#x held=%v spin=%v owner=%v waiters=%v",
+				id, q.free == 0, q.spin, q.owner, q.waiters))
+		default:
+			out = append(out, fmt.Sprintf("sem %#x available=%d waiters=%v", id, q.free, q.waiters))
 		}
-		owner := "-"
-		if ls.owner != nil {
-			owner = fmt.Sprintf("%s#%d", ls.owner.name, ls.owner.id)
-		}
-		var waiters []string
-		for _, w := range ls.waiters {
-			waiters = append(waiters, fmt.Sprintf("%s#%d", w.name, w.id))
-		}
-		out = append(out, fmt.Sprintf("lock %#x held=%v spin=%v owner=%s waiters=%v",
-			id, ls.held, ls.spin, owner, waiters))
-	}
-	ids = ids[:0]
-	for id := range e.sems {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		ss := e.sems[id]
-		if len(ss.waiters) == 0 {
-			continue
-		}
-		var waiters []string
-		for _, w := range ss.waiters {
-			waiters = append(waiters, fmt.Sprintf("%s#%d", w.name, w.id))
-		}
-		out = append(out, fmt.Sprintf("sem %#x available=%d waiters=%v", id, ss.available, waiters))
 	}
 	return out
 }
