@@ -22,10 +22,8 @@ type Opts struct {
 	// with each run's simulated cycles — the sweep's liveness heartbeat.
 	Progress *obs.Heartbeat
 	// MemModel selects the memory timing model for every run in the sweep
-	// (default memsys.MemFixed); MemCurve optionally overrides the loaded
-	// model's parameters.
+	// (default memsys.MemFixed).
 	MemModel memsys.MemModel
-	MemCurve *memsys.LoadedConfig
 }
 
 // DefaultOpts is the full-fidelity configuration used by cmd/figures:
@@ -133,8 +131,7 @@ func runScalingPointDiag(kind Kind, procs int, seed uint64, o Opts) (ScalingPoin
 // systemParams builds one sweep run's parameters from the sweep options.
 func (o Opts) systemParams(kind Kind, procs int, seed uint64) SystemParams {
 	return SystemParams{
-		Kind: kind, Processors: procs, Seed: seed,
-		MemModel: o.MemModel, MemCurve: o.MemCurve,
+		Kind: kind, Processors: procs, Seed: seed, MemModel: o.MemModel,
 	}
 }
 
