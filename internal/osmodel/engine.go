@@ -712,8 +712,18 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 			th.idx++
 
 		case trace.KindLockAcq, trace.KindSemAcq:
+			// A lock or semaphore starts with its units free: one for a
+			// lock, the recorded capacity for a semaphore.
 			isLock := it.Kind == trace.KindLockAcq
-			q := e.queue(it)
+			m, units := e.locks, 1
+			if !isLock {
+				m, units = e.sems, int(it.Aux)
+			}
+			q := m[it.ID]
+			if q == nil {
+				q = &waitQ{free: units}
+				m[it.ID] = q
+			}
 			e.lockAcquires++
 			if q.free > 0 {
 				q.free--
@@ -1009,22 +1019,6 @@ func (e *Engine) stopTheWorld(c int, t uint64, gc *trace.GC) uint64 {
 			obs.U64("workers", uint64(len(workers))))
 	}
 	return stwEnd
-}
-
-// queue returns the lock or semaphore an acquire item names, creating it
-// with its units free: one for a lock, the recorded capacity for a
-// semaphore.
-func (e *Engine) queue(it *trace.Item) *waitQ {
-	m, units := e.locks, 1
-	if it.Kind == trace.KindSemAcq {
-		m, units = e.sems, int(it.Aux)
-	}
-	q := m[it.ID]
-	if q == nil {
-		q = &waitQ{free: units}
-		m[it.ID] = q
-	}
-	return q
 }
 
 // WakeExternal unblocks a thread that is waiting on a co-simulated peer
