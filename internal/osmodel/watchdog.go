@@ -147,12 +147,13 @@ func appendQueues(out []string, m map[uint64]*waitQ, locks bool) []string {
 	slices.Sort(ids)
 	for _, id := range ids {
 		q := m[id]
-		switch {
-		case q.owner == nil && len(q.waiters) == 0:
-		case locks:
+		if q.owner == nil && len(q.waiters) == 0 {
+			continue
+		}
+		if locks {
 			out = append(out, fmt.Sprintf("lock %#x held=%v spin=%v owner=%v waiters=%v",
 				id, q.free == 0, q.spin, q.owner, q.waiters))
-		default:
+		} else {
 			out = append(out, fmt.Sprintf("sem %#x available=%d waiters=%v", id, q.free, q.waiters))
 		}
 	}
