@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // TestFlagParity fails when this driver drifts from the shared flag surface:
 // every standard observability flag, the host-profile pair, the memory-model
@@ -37,7 +41,9 @@ func runFigures(t *testing.T, args ...string) (stdout, stderr string, code int) 
 // global-work-queue mode must be byte-identical to -serial (the old
 // one-sweep-at-a-time order) — for the full set and for every individual
 // figure. Figures render after the queue drains, in serial figure order,
-// so completion order must never leak into the output.
+// so completion order must never leak into the output. The full quick set
+// is also pinned against testdata/quick.golden, so a refactor of the run
+// harness cannot move any figure value.
 func TestParallelMatchesSerial(t *testing.T) {
 	figs := []string{"0"}
 	if !testing.Short() {
@@ -57,7 +63,31 @@ func TestParallelMatchesSerial(t *testing.T) {
 			if par != ser {
 				t.Fatalf("-fig %s: parallel stdout differs from -serial (%d vs %d bytes)", fig, len(par), len(ser))
 			}
+			if fig == "0" {
+				checkGolden(t, filepath.Join("testdata", "quick.golden"), par)
+			}
 		})
+	}
+}
+
+// checkGolden compares got against the golden file, rewriting it first
+// under -update.
+func checkGolden(t *testing.T, golden, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("stdout differs from %s (rerun with -update only for an intended change)", golden)
 	}
 }
 

@@ -287,6 +287,7 @@ func TestAblationISM(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	f := AblationISM(QuickAblationOpts())
+	checkGolden(t, "ablation_ism", f)
 	ism, base := f.Series[0].Y[0], f.Series[0].Y[1]
 	if gain := ism/base - 1; gain < 0.05 {
 		t.Fatalf("ISM gain %.1f%% too small (paper: >10%%)", 100*gain)
@@ -300,6 +301,7 @@ func TestAblationGCThreads(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	f := AblationGCThreads(QuickAblationOpts())
+	checkGolden(t, "ablation_gcthreads", f)
 	thr := f.Series[0]
 	if thr.Y[len(thr.Y)-1] <= thr.Y[0] {
 		t.Fatalf("parallel GC did not help: %v", thr.Y)
@@ -317,6 +319,7 @@ func TestAblationC2CLatency(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	f := AblationC2CLatency(QuickAblationOpts())
+	checkGolden(t, "ablation_c2c", f)
 	for _, s := range f.Series {
 		if s.Y[len(s.Y)-1] >= s.Y[0] {
 			t.Fatalf("%s: throughput did not fall from fast (%v) to NUMA-like (%v) C2C",
@@ -332,6 +335,7 @@ func TestAblationProtocol(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	f := AblationProtocol(QuickAblationOpts())
+	checkGolden(t, "ablation_protocol", f)
 	c2c := f.Series[0] // MOSI, MSI, MESI
 	if c2c.Y[1] >= c2c.Y[0] {
 		t.Fatalf("MSI C2C ratio (%v) not below MOSI's (%v)", c2c.Y[1], c2c.Y[0])
@@ -399,6 +403,7 @@ func TestRelatedWorkKernelOrdering(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	f := RelatedWorkKernelTime(QuickAblationOpts())
+	checkGolden(t, "kerneltime", f)
 	y := f.Series[0].Y // SPECjbb, ECperf, VolanoMark
 	if !(y[2] > y[1] && y[1] > y[0]) {
 		t.Fatalf("kernel-time ordering broken: jbb=%v ec=%v volano=%v", y[0], y[1], y[2])
@@ -429,6 +434,7 @@ func TestCoSimAgreesWithModel(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	r := RunCoSim(4, 1, 4_000_000, 12_000_000)
+	checkGolden(t, "cosim", r)
 	if r.CoSimThroughput <= 0 || r.ModelThroughput <= 0 {
 		t.Fatalf("degenerate run: %+v", r)
 	}
