@@ -33,16 +33,36 @@ type Inspector struct {
 	ln    net.Listener
 	srv   *http.Server
 
-	mu       sync.Mutex
-	metrics  []byte
-	attr     []byte
-	latency  []byte
-	overload []byte
-	flight   []byte
-	dumpReq  bool
-	note     string
-	pubs     uint64
-	lastPub  time.Time
+	mu      sync.Mutex
+	bodies  [numPages][]byte // the last published body per page; nil before
+	dumpReq bool
+	note    string
+	pubs    uint64
+	lastPub time.Time
+}
+
+// The published pages, indexes into pages and Inspector.bodies.
+const (
+	pageMetrics = iota
+	pageAttr
+	pageLatency
+	pageOverload
+	pageFlight
+	numPages
+)
+
+// pages is the one table of published pages: each is served by handlePage
+// from the last bytes set for it, or its empty body before that. /status
+// always lists a page marked always, and any other once it is live.
+var pages = [numPages]struct {
+	path, contentType, empty, desc string
+	always                         bool
+}{
+	pageMetrics:  {"/metrics", "text/plain; charset=utf-8", "# no metrics snapshot published yet\n", "metrics-registry snapshot (text)", true},
+	pageAttr:     {"/attr", "application/json", "{}\n", "memory-attribution report (JSON)", true},
+	pageLatency:  {"/latency", "application/json", "{}\n", "request-latency/SLO report (JSON)", false},
+	pageOverload: {"/overload", "application/json", "{}\n", "open-system overload state: queues, limiters, shed counters (JSON)", false},
+	pageFlight:   {"/flight", "application/json", "{}\n", "flight-recorder status: ring occupancy, dumps written (JSON)", false},
 }
 
 // publishInterval is the minimum wall time between non-forced Publish
@@ -61,11 +81,9 @@ func StartInspector(addr, label string, hb *Heartbeat) (*Inspector, error) {
 	in := &Inspector{label: label, hb: hb, start: time.Now(), ln: ln}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", in.handleIndex)
-	mux.HandleFunc("/metrics", in.handleMetrics)
-	mux.HandleFunc("/attr", in.handleAttr)
-	mux.HandleFunc("/latency", in.handleLatency)
-	mux.HandleFunc("/overload", in.handleOverload)
-	mux.HandleFunc("/flight", in.handleFlight)
+	for i := range pages {
+		mux.HandleFunc(pages[i].path, in.handlePage(i))
+	}
 	mux.HandleFunc("/flight/dump", in.handleFlightDump)
 	mux.HandleFunc("/status", in.handleStatus)
 	in.srv = &http.Server{Handler: mux}
@@ -127,9 +145,9 @@ func (in *Inspector) Publish(ob *Observer, topN int, force bool) {
 	}
 
 	in.mu.Lock()
-	in.metrics = metrics
-	in.attr = attrJSON
-	in.latency = latJSON
+	in.bodies[pageMetrics] = metrics
+	in.bodies[pageAttr] = attrJSON
+	in.bodies[pageLatency] = latJSON
 	in.pubs++
 	in.mu.Unlock()
 }
@@ -138,24 +156,20 @@ func (in *Inspector) Publish(ob *Observer, topN int, force bool) {
 // queue depth and brown-out level, per-shard AIMD limiter state) as the
 // /overload page. The caller renders the bytes on its simulation thread at
 // tick boundaries; nil clears the page.
-func (in *Inspector) SetOverload(buf []byte) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	in.overload = buf
-	in.mu.Unlock()
-}
+func (in *Inspector) SetOverload(buf []byte) { in.set(pageOverload, buf) }
 
 // SetFlight publishes the flight recorder's status document (JSON: ring
 // occupancy, snapshot cadence, dumps written so far) as the /flight page.
 // The recorder renders the bytes on the simulation thread; nil clears.
-func (in *Inspector) SetFlight(buf []byte) {
+func (in *Inspector) SetFlight(buf []byte) { in.set(pageFlight, buf) }
+
+// set makes buf the body of page i; nil clears it to the empty body.
+func (in *Inspector) set(i int, buf []byte) {
 	if in == nil {
 		return
 	}
 	in.mu.Lock()
-	in.flight = buf
+	in.bodies[i] = buf
 	in.mu.Unlock()
 }
 
@@ -191,67 +205,25 @@ func (in *Inspector) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "%s inspector\n\n/metrics  metrics-registry snapshot (text)\n/attr     memory-attribution report (JSON)\n/latency  request-latency/SLO report (JSON)\n/overload open-system overload state: queues, limiters, shed counters (JSON)\n/flight   flight-recorder status: ring occupancy, dumps written (JSON)\n/flight/dump  request a post-mortem dump at the next slice boundary\n/status   run status (JSON)\n", in.label)
+	fmt.Fprintf(w, "%s inspector\n\n", in.label)
+	for _, p := range pages {
+		fmt.Fprintf(w, "%-9s %s\n", p.path, p.desc)
+	}
+	fmt.Fprint(w, "/flight/dump  request a post-mortem dump at the next slice boundary\n/status   run status (JSON)\n")
 }
 
-func (in *Inspector) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	in.mu.Lock()
-	body := in.metrics
-	in.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if body == nil {
-		fmt.Fprintln(w, "# no metrics snapshot published yet")
-		return
+// handlePage serves page i's last published body, or its empty body.
+func (in *Inspector) handlePage(i int) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		in.mu.Lock()
+		body := in.bodies[i]
+		in.mu.Unlock()
+		w.Header().Set("Content-Type", pages[i].contentType)
+		if body == nil {
+			body = []byte(pages[i].empty)
+		}
+		w.Write(body)
 	}
-	w.Write(body)
-}
-
-func (in *Inspector) handleAttr(w http.ResponseWriter, _ *http.Request) {
-	in.mu.Lock()
-	body := in.attr
-	in.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	if body == nil {
-		fmt.Fprintln(w, "{}")
-		return
-	}
-	w.Write(body)
-}
-
-func (in *Inspector) handleLatency(w http.ResponseWriter, _ *http.Request) {
-	in.mu.Lock()
-	body := in.latency
-	in.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	if body == nil {
-		fmt.Fprintln(w, "{}")
-		return
-	}
-	w.Write(body)
-}
-
-func (in *Inspector) handleOverload(w http.ResponseWriter, _ *http.Request) {
-	in.mu.Lock()
-	body := in.overload
-	in.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	if body == nil {
-		fmt.Fprintln(w, "{}")
-		return
-	}
-	w.Write(body)
-}
-
-func (in *Inspector) handleFlight(w http.ResponseWriter, _ *http.Request) {
-	in.mu.Lock()
-	body := in.flight
-	in.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	if body == nil {
-		fmt.Fprintln(w, "{}")
-		return
-	}
-	w.Write(body)
 }
 
 func (in *Inspector) handleFlightDump(w http.ResponseWriter, _ *http.Request) {
@@ -267,26 +239,19 @@ func (in *Inspector) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	note := in.note
 	pubs := in.pubs
 	last := in.lastPub
-	latencyLive := in.latency != nil
-	overloadLive := in.overload != nil
-	flightLive := in.flight != nil
+	var listed []string
+	for i, p := range pages {
+		if p.always || in.bodies[i] != nil {
+			listed = append(listed, p.path)
+		}
+	}
 	in.mu.Unlock()
 
-	pages := []string{"/metrics", "/attr", "/status"}
-	if latencyLive {
-		pages = append(pages, "/latency")
-	}
-	if overloadLive {
-		pages = append(pages, "/overload")
-	}
-	if flightLive {
-		pages = append(pages, "/flight")
-	}
 	st := map[string]any{
 		"label":        in.label,
 		"wall_seconds": time.Since(in.start).Seconds(),
 		"publishes":    pubs,
-		"pages":        pages,
+		"pages":        append(listed, "/status"),
 	}
 	if !last.IsZero() {
 		st["last_publish_age_seconds"] = time.Since(last).Seconds()

@@ -164,3 +164,81 @@ func TestNilInspectorIsSafe(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestInspectorPages covers every published page: the placeholder served
+// before anything is published, the content type, the body after publish,
+// and whether /status lists the page before and after.
+func TestInspectorPages(t *testing.T) {
+	cases := []struct {
+		path, contentType, empty string
+		listedEmpty              bool // /status lists the page before any publish
+		publish                  func(in *Inspector)
+		want                     string
+	}{
+		{"/metrics", "text/plain; charset=utf-8", "# no metrics snapshot published yet\n", true, func(in *Inspector) {
+			ob := &Observer{Registry: NewRegistry()}
+			ob.Registry.Counter("page.counter", func() uint64 { return 7 })
+			in.Publish(ob, 5, true)
+		}, "page.counter"},
+		{"/attr", "application/json", "{}\n", true, func(in *Inspector) {
+			ob := &Observer{Attr: attr.NewCollector(attr.Options{Exact: true})}
+			ob.Attr.RecordGetS(0x40, 0, false)
+			in.Publish(ob, 5, true)
+		}, `"events": 1`},
+		{"/latency", "application/json", "{}\n", false, func(in *Inspector) {
+			in.Publish(&Observer{LatencyReport: func() []byte { return []byte(`{"classes":3}` + "\n") }}, 5, true)
+		}, `"classes":3`},
+		{"/overload", "application/json", "{}\n", false, func(in *Inspector) {
+			in.SetOverload([]byte(`{"queue":7}` + "\n"))
+		}, `"queue":7`},
+		{"/flight", "application/json", "{}\n", false, func(in *Inspector) {
+			in.SetFlight([]byte(`{"dumps":2}` + "\n"))
+		}, `"dumps":2`},
+	}
+	listed := func(t *testing.T, base, path string) bool {
+		t.Helper()
+		body, _ := get(t, base+"/status")
+		var st struct{ Pages []string }
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range st.Pages {
+			if p == path {
+				return true
+			}
+		}
+		return false
+	}
+	for _, c := range cases {
+		t.Run(strings.TrimPrefix(c.path, "/"), func(t *testing.T) {
+			in, err := StartInspector("127.0.0.1:0", "pages", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer in.Close()
+			base := "http://" + in.Addr()
+
+			body, ct := get(t, base+c.path)
+			if body != c.empty || ct != c.contentType {
+				t.Errorf("unpublished %s = %q (%s), want %q (%s)", c.path, body, ct, c.empty, c.contentType)
+			}
+			if got := listed(t, base, c.path); got != c.listedEmpty {
+				t.Errorf("before publish, /status lists %s = %v, want %v", c.path, got, c.listedEmpty)
+			}
+			if index, _ := get(t, base+"/"); !strings.Contains(index, c.path+" ") {
+				t.Errorf("index does not mention %s", c.path)
+			}
+
+			c.publish(in)
+			body, ct = get(t, base+c.path)
+			if !strings.Contains(body, c.want) || ct != c.contentType {
+				t.Errorf("published %s = %q (%s), want %q (%s)", c.path, body, ct, c.want, c.contentType)
+			}
+			if !listed(t, base, c.path) {
+				t.Errorf("/status does not list the live %s page", c.path)
+			}
+		})
+	}
+	var nilIn *Inspector
+	nilIn.SetFlight([]byte("x")) // must not panic
+}
