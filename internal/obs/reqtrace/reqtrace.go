@@ -127,8 +127,8 @@ type intervalAcc struct {
 }
 
 // Collector folds completed spans into per-class and per-interval
-// histograms. One engine owns one collector; cluster co-simulations give
-// each machine its own and Merge them for the machine-room view.
+// histograms. Each run owns one collector: its engine's, or the open
+// cluster's.
 type Collector struct {
 	opt     Options
 	origin  uint64
@@ -326,41 +326,6 @@ func (c *Collector) LiveQuantiles() (p50, p99 uint64) {
 		return 0, 0
 	}
 	return c.all.Quantile(0.50), c.all.Quantile(0.99)
-}
-
-// Merge folds another collector (a cluster peer measured over the same
-// window) into c: class and interval histograms add bucket-wise, so the
-// merged view is independent of node order.
-func (c *Collector) Merge(o *Collector) {
-	if c == nil || o == nil {
-		return
-	}
-	for k, oa := range o.classes {
-		a := c.classes[k]
-		if a == nil {
-			a = &classAcc{}
-			c.classes[k] = a
-		}
-		a.hdr.Merge(&oa.hdr)
-		a.total += oa.total
-		for p, v := range oa.phases {
-			a.phases[p] += v
-		}
-	}
-	for i, ob := range o.bins {
-		for len(c.bins) <= i {
-			c.bins = append(c.bins, &intervalAcc{classes: make(map[string]*obs.HDR)})
-		}
-		for k, oh := range ob.classes {
-			h := c.bins[i].classes[k]
-			if h == nil {
-				h = &obs.HDR{}
-				c.bins[i].classes[k] = h
-			}
-			h.Merge(oh)
-		}
-	}
-	c.all.Merge(&o.all)
 }
 
 // PhaseBreakdown is the per-phase cycle decomposition of a class, plus the

@@ -104,36 +104,6 @@ func TestIntervalBinning(t *testing.T) {
 	}
 }
 
-func TestMergeAcrossNodes(t *testing.T) {
-	mk := func(lat ...uint64) *Collector {
-		c := NewCollector(Options{IntervalCycles: 1000})
-		for i, l := range lat {
-			s := c.Begin(mkOp("m", true), uint64(i))
-			c.End(s, uint64(i)+l)
-		}
-		return c
-	}
-	a, b, c3 := mk(100, 200, 300), mk(150, 250), mk(1000, 2000, 3000, 4000)
-
-	// (a+b)+c vs (c+b)+a must agree on every digest.
-	m1 := mk()
-	m1.Merge(a)
-	m1.Merge(b)
-	m1.Merge(c3)
-	m2 := mk()
-	m2.Merge(c3)
-	m2.Merge(b)
-	m2.Merge(a)
-
-	r1, r2 := m1.ReportJSON(), m2.ReportJSON()
-	if !bytes.Equal(r1, r2) {
-		t.Fatalf("merge order changed the report:\n%s\nvs\n%s", r1, r2)
-	}
-	if m1.classes["m"].hdr.Count() != 9 {
-		t.Fatalf("merged count = %d, want 9", m1.classes["m"].hdr.Count())
-	}
-}
-
 func TestReportDeterminism(t *testing.T) {
 	build := func() []byte {
 		objs, err := ParseObjectives("p99<=1ms,err<=5%")
