@@ -50,7 +50,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 		figs = append(figs, "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16")
 	}
 	for _, fig := range figs {
-		fig := fig
 		t.Run("fig"+fig, func(t *testing.T) {
 			par, _, code := runFigures(t, "-quick", "-fig", fig)
 			if code != 0 {
@@ -111,7 +110,6 @@ func TestSingleFigureRunsOnlyItsSweeps(t *testing.T) {
 		{"11", "running memory-scaling study"},
 	}
 	for _, c := range cases {
-		c := c
 		t.Run("fig"+c.fig, func(t *testing.T) {
 			_, stderr, code := runFigures(t, "-quick", "-fig", c.fig)
 			if code != 0 {

@@ -45,28 +45,13 @@ func QuickAblationOpts() AblationOpts {
 	return AblationOpts{Processors: 8, Seed: 20030208, WarmupCycles: 4_000_000, MeasureCycles: 16_000_000}
 }
 
-// ablationPoint runs one configured system and returns (throughput ops/s,
-// CPI, the built system for extra metrics).
-func ablationPoint(params SystemParams, o AblationOpts) (float64, ScalingPoint, *System) {
-	params.MemModel = o.MemModel
+// point runs one study cell: params on the study's processors, seed and
+// memory model, measured over the study's window. The system is returned
+// for study-specific reads.
+func (o AblationOpts) point(params SystemParams) (ScalingPoint, *System) {
+	params.Processors, params.Seed, params.MemModel = o.Processors, o.Seed, o.MemModel
 	sys := BuildSystem(params)
-	measureBare(sys, o.WarmupCycles, o.MeasureCycles)
-	res := sys.Engine.Results()
-	seconds := float64(o.MeasureCycles) / CyclesPerSecond
-	thr := float64(res.BusinessOps) / seconds
-
-	var p ScalingPoint
-	p.Processors = params.Processors
-	if res.CPU.Instructions > 0 {
-		p.CPI = float64(res.CPU.Total()) / float64(res.CPU.Instructions)
-		p.DStallCPI = float64(res.CPU.DStall()) / float64(res.CPU.Instructions)
-	}
-	p.GCWallFrac = float64(res.GCWall) / float64(o.MeasureCycles)
-	if total := float64(res.Modes.Total()); total > 0 {
-		p.GCIdleFrac = float64(res.Modes.GCIdle) / total
-	}
-	p.C2CRatio = sys.Hier.Bus().Stats.C2CRatio()
-	return thr, p, sys
+	return measurePoint(sys, o.WarmupCycles, o.MeasureCycles), sys
 }
 
 // AblationISM compares ECperf with ISM (4 MB pages, the paper's tuning)
@@ -78,13 +63,13 @@ func AblationISM(o AblationOpts) Figure {
 		XLabel: "configuration (0=ISM, 1=base pages)",
 		YLabel: "Throughput (BBops/s)",
 	}
-	ismThr, _, _ := ablationPoint(SystemParams{Kind: ECperf, Processors: o.Processors, Seed: o.Seed}, o)
-	baseThr, basePt, baseSys := ablationPoint(SystemParams{Kind: ECperf, Processors: o.Processors, Seed: o.Seed, BasePages: true}, o)
+	ism, _ := o.point(SystemParams{Kind: ECperf})
+	base, baseSys := o.point(SystemParams{Kind: ECperf, BasePages: true})
 
 	f.Series = append(f.Series, Series{
 		Label: "ECperf",
 		X:     []float64{0, 1},
-		Y:     []float64{ismThr, baseThr},
+		Y:     []float64{ism.Throughput, base.Throughput},
 		Err:   []float64{0, 0},
 	})
 	var tlbMiss float64
@@ -92,8 +77,8 @@ func AblationISM(o AblationOpts) Figure {
 		tlbMiss = d.MissRatio()
 	}
 	f.Notes = append(f.Notes,
-		fmt.Sprintf("ISM speedup over base pages: %.1f%% (paper: \"more than 10%%\")", 100*(ismThr/baseThr-1)),
-		fmt.Sprintf("base-page dTLB miss ratio %.3f; CPI with base pages %.2f", tlbMiss, basePt.CPI))
+		fmt.Sprintf("ISM speedup over base pages: %.1f%% (paper: \"more than 10%%\")", 100*(ism.Throughput/base.Throughput-1)),
+		fmt.Sprintf("base-page dTLB miss ratio %.3f; CPI with base pages %.2f", tlbMiss, base.CPI))
 	return f
 }
 
@@ -112,11 +97,9 @@ func AblationGCThreads(o AblationOpts) Figure {
 	thrS := Series{Label: "throughput"}
 	idleS := Series{Label: "GC idle frac ×1e5"}
 	for _, threads := range []int{1, 2, 4, 8} {
-		thr, pt, _ := ablationPoint(SystemParams{
-			Kind: SPECjbb, Processors: o.Processors, Seed: o.Seed, GCThreads: threads,
-		}, o)
+		pt, _ := o.point(SystemParams{Kind: SPECjbb, GCThreads: threads})
 		thrS.X = append(thrS.X, float64(threads))
-		thrS.Y = append(thrS.Y, thr)
+		thrS.Y = append(thrS.Y, pt.Throughput)
 		thrS.Err = append(thrS.Err, 0)
 		idleS.X = append(idleS.X, float64(threads))
 		idleS.Y = append(idleS.Y, 1e5*pt.GCIdleFrac)
@@ -145,14 +128,12 @@ func AblationC2CLatency(o AblationOpts) Figure {
 		s := Series{Label: kind.String()}
 		var base float64
 		for _, lat := range lats {
-			thr, _, _ := ablationPoint(SystemParams{
-				Kind: kind, Processors: o.Processors, Seed: o.Seed, C2CLatency: lat,
-			}, o)
+			pt, _ := o.point(SystemParams{Kind: kind, C2CLatency: lat})
 			if lat == 105 {
-				base = thr
+				base = pt.Throughput
 			}
 			s.X = append(s.X, float64(lat))
-			s.Y = append(s.Y, thr)
+			s.Y = append(s.Y, pt.Throughput)
 			s.Err = append(s.Err, 0)
 		}
 		for i := range s.Y {
@@ -177,8 +158,7 @@ func RelatedWorkKernelTime(o AblationOpts) Figure {
 	}
 	s := Series{Label: "system %"}
 	for i, kind := range []Kind{SPECjbb, ECperf, VolanoMark} {
-		sys := BuildSystem(SystemParams{Kind: kind, Processors: o.Processors, Seed: o.Seed, MemModel: o.MemModel})
-		measureBare(sys, o.WarmupCycles, o.MeasureCycles)
+		_, sys := o.point(SystemParams{Kind: kind})
 		res := sys.Engine.Results()
 		pct := 0.0
 		if busy := res.Modes.Busy(); busy > 0 {
@@ -206,14 +186,12 @@ func AblationProtocol(o AblationOpts) Figure {
 	c2c := Series{Label: "C2C ratio (%)"}
 	thr := Series{Label: "throughput (k tx/s)"}
 	for i, proto := range protos {
-		t, pt, sys := ablationPoint(SystemParams{
-			Kind: SPECjbb, Processors: o.Processors, Seed: o.Seed, Protocol: proto,
-		}, o)
+		pt, sys := o.point(SystemParams{Kind: SPECjbb, Protocol: proto})
 		c2c.X = append(c2c.X, float64(i))
 		c2c.Y = append(c2c.Y, 100*pt.C2CRatio)
 		c2c.Err = append(c2c.Err, 0)
 		thr.X = append(thr.X, float64(i))
-		thr.Y = append(thr.Y, t/1000)
+		thr.Y = append(thr.Y, pt.Throughput/1000)
 		thr.Err = append(thr.Err, 0)
 		f.Notes = append(f.Notes, fmt.Sprintf("%v: c2c ratio %.1f%%, writebacks %d, upgrades %d",
 			proto, 100*pt.C2CRatio, sys.Hier.Bus().Stats.Writebacks, sys.Hier.Bus().Stats.Upgrades))

@@ -67,8 +67,7 @@ func RunCommProfile(kind Kind, o CommOpts) CommProfile {
 	bus := sys.Hier.Bus()
 	bus.EnableProfile()
 	bus.EnableTimeline(o.TimelineBin)
-	measureBare(sys, o.WarmupCycles, o.MeasureCycles) // the reset restarts profile and timeline
-	res := sys.Engine.Results()
+	pt := measurePoint(sys, o.WarmupCycles, o.MeasureCycles) // the reset restarts profile and timeline
 
 	dist := bus.Profile()
 	transferring := 0
@@ -77,12 +76,14 @@ func RunCommProfile(kind Kind, o CommOpts) CommProfile {
 			transferring++
 		}
 	}
-	// The timeline bins are indexed by absolute simulated time; drop the
-	// warm-up prefix so the series starts at the measurement window.
+	// The timeline bins are indexed by absolute simulated time; keep the
+	// measurement window's bins. The engine can finish an event a little
+	// past the window's end, so the bin that starts there holds only a
+	// sliver of accesses and is dropped with the warm-up prefix.
 	bins := bus.Timeline().Bins()
-	if skip := int(o.WarmupCycles / o.TimelineBin); skip < len(bins) {
-		bins = bins[skip:]
-	}
+	lo := min(int(o.WarmupCycles/o.TimelineBin), len(bins))
+	hi := min(lo+int(o.MeasureCycles/o.TimelineBin), len(bins))
+	bins = bins[lo:hi]
 	return CommProfile{
 		Kind:              kind,
 		Dist:              dist,
@@ -91,7 +92,7 @@ func RunCommProfile(kind Kind, o CommOpts) CommProfile {
 		LinesTouched:      dist.Keys(),
 		LinesTransferring: transferring,
 		Timeline:          bins,
-		GCCount:           res.GCCount,
+		GCCount:           pt.GCCount,
 	}
 }
 

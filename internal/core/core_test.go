@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -49,15 +50,35 @@ func TestScalingPointDeterministic(t *testing.T) {
 	}
 }
 
+// quickSweeps hold one quick scaling sweep per workload, run once and
+// shared by the Figure 4–8 shape tests.
+var quickSweeps = map[Kind]func() *ScalingSweep{
+	SPECjbb: sync.OnceValue(func() *ScalingSweep { return RunScalingSweep(SPECjbb, QuickOpts()) }),
+	ECperf:  sync.OnceValue(func() *ScalingSweep { return RunScalingSweep(ECperf, QuickOpts()) }),
+}
+
+// quickPoint returns kind's quick-sweep point at procs processors (first
+// seed): the same point RunScalingPoint measures with QuickOpts.
+func quickPoint(t *testing.T, kind Kind, procs int) ScalingPoint {
+	t.Helper()
+	sw := quickSweeps[kind]()
+	for i := range sw.Cells {
+		if sw.Cells[i].Processors == procs {
+			return sw.Cells[i].Points[0]
+		}
+	}
+	t.Fatalf("%v: quick sweep has no %d-processor cell", kind, procs)
+	return ScalingPoint{}
+}
+
 // TestFig4Shapes: throughput grows with processors and flattens; neither
 // workload keeps scaling linearly to 15.
 func TestFig4Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	o := QuickOpts()
 	for _, kind := range []Kind{SPECjbb, ECperf} {
-		sw := RunScalingSweep(kind, o)
+		sw := quickSweeps[kind]()
 		base := sw.BaseThroughput()
 		var sp []float64
 		for i := range sw.Cells {
@@ -84,11 +105,10 @@ func TestFig5ModeShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	o := QuickOpts()
-	jbb1 := RunScalingPoint(SPECjbb, 1, o.Seeds[0], o)
-	jbb15 := RunScalingPoint(SPECjbb, 15, o.Seeds[0], o)
-	ec1 := RunScalingPoint(ECperf, 1, o.Seeds[0], o)
-	ec15 := RunScalingPoint(ECperf, 15, o.Seeds[0], o)
+	jbb1 := quickPoint(t, SPECjbb, 1)
+	jbb15 := quickPoint(t, SPECjbb, 15)
+	ec1 := quickPoint(t, ECperf, 1)
+	ec15 := quickPoint(t, ECperf, 15)
 
 	if ec1.SystemFrac < 0.05 {
 		t.Fatalf("ECperf system time at 1P = %v, want noticeable (networking)", ec1.SystemFrac)
@@ -112,10 +132,9 @@ func TestFig6CPIShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	o := QuickOpts()
 	for _, kind := range []Kind{SPECjbb, ECperf} {
-		p1 := RunScalingPoint(kind, 1, o.Seeds[0], o)
-		p15 := RunScalingPoint(kind, 15, o.Seeds[0], o)
+		p1 := quickPoint(t, kind, 1)
+		p15 := quickPoint(t, kind, 15)
 		sum := p1.OtherCPI + p1.IStallCPI + p1.DStallCPI
 		if diff := sum - p1.CPI; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("%v: CPI does not decompose: %v vs %v", kind, sum, p1.CPI)
@@ -135,8 +154,7 @@ func TestFig7DataStallShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	o := QuickOpts()
-	p := RunScalingPoint(ECperf, 15, o.Seeds[0], o)
+	p := quickPoint(t, ECperf, 15)
 	if p.DSStoreBuf > 0.2 || p.DSRAW > 0.2 {
 		t.Fatalf("store buffer (%v) or RAW (%v) dominate data stall", p.DSStoreBuf, p.DSRAW)
 	}
@@ -155,11 +173,10 @@ func TestFig8C2CShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	o := QuickOpts()
 	for _, kind := range []Kind{SPECjbb, ECperf} {
-		p1 := RunScalingPoint(kind, 1, o.Seeds[0], o)
-		p8 := RunScalingPoint(kind, 8, o.Seeds[0], o)
-		p15 := RunScalingPoint(kind, 15, o.Seeds[0], o)
+		p1 := quickPoint(t, kind, 1)
+		p8 := quickPoint(t, kind, 8)
+		p15 := quickPoint(t, kind, 15)
 		if p8.C2CRatio <= p1.C2CRatio {
 			t.Fatalf("%v: C2C ratio not growing: 1P=%v 8P=%v", kind, p1.C2CRatio, p8.C2CRatio)
 		}
@@ -244,7 +261,7 @@ func TestFig10And14And15Shapes(t *testing.T) {
 	// Fig 10: at least one GC, and the minimum bin during the window is
 	// far below the peak (the collapse).
 	if jbb.GCCount == 0 {
-		t.Skip("no GC in reduced window; full runs cover this")
+		t.Skip("no GC in reduced window; the Fig 10 collapse is an open ROADMAP item (\"Fig 10 collapse does not reproduce\")")
 	}
 	peak, min := 0.0, 1e18
 	for _, v := range jbb.Timeline {

@@ -79,13 +79,9 @@ type CoSimResult struct {
 
 // RunCoSim measures both configurations at the same seed and window.
 func RunCoSim(procs int, seed uint64, warmup, measure uint64) CoSimResult {
-	var res CoSimResult
-	seconds := float64(measure) / CyclesPerSecond
-
 	// Queueing-model baseline.
 	base := BuildSystem(SystemParams{Kind: ECperf, Processors: procs, Seed: seed})
-	measureBare(base, warmup, measure)
-	res.ModelThroughput = float64(base.Engine.Results().BusinessOps) / seconds
+	res := CoSimResult{ModelThroughput: measurePoint(base, warmup, measure).Throughput}
 
 	// Co-simulated deployment.
 	cs := BuildCoSim(procs, seed)
@@ -93,7 +89,7 @@ func RunCoSim(procs int, seed uint64, warmup, measure uint64) CoSimResult {
 	cs.App.Engine.ResetStats()
 	cs.DBEng.ResetStats()
 	cs.Coord.Run(warmup + measure)
-	res.CoSimThroughput = float64(cs.App.Engine.Results().BusinessOps) / seconds
+	res.CoSimThroughput = float64(cs.App.Engine.Results().BusinessOps) / (float64(measure) / CyclesPerSecond)
 	dbm := cs.DBEng.Results().Modes
 	if total := float64(dbm.Total()); total > 0 {
 		res.DBBusyFrac = float64(dbm.Busy()) / total

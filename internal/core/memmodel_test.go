@@ -40,7 +40,8 @@ func TestMemModelLoadedDeterministic(t *testing.T) {
 	o := QuickOpts()
 	o.MemModel = memsys.MemLoaded
 	run := func() uint64 {
-		_, sys := runScalingPoint(ECperf, 8, o.Seeds[0], o)
+		sys := BuildSystem(o.systemParams(ECperf, 8, o.Seeds[0]))
+		measurePoint(sys, o.WarmupCycles, o.MeasureCycles)
 		return Fingerprint(sys)
 	}
 	a, b := run(), run()

@@ -2,15 +2,17 @@ package core
 
 import (
 	"repro/internal/jvm"
-	"repro/internal/osmodel"
+	"repro/internal/trace"
 )
 
 // MemScaleOpts size the Figure 11 experiment.
 type MemScaleOpts struct {
 	// Scales are the scale-factor values to sweep (warehouses / OIR).
 	Scales []int
-	// OpsPerScaleUnit is the transaction budget per scale unit for
-	// SPECjbb (per warehouse) and a fixed multiple for ECperf.
+	// OpsPerScaleUnit is the op budget in rounds of the uniprocessor
+	// thread set: one op per warehouse thread per round for SPECjbb, so
+	// the budget grows with scale. ECperf plays twice as many rounds of
+	// its six-thread pool, whatever its OIR.
 	OpsPerScaleUnit int
 	Seed            uint64
 }
@@ -62,35 +64,20 @@ func memScalePoint(kind Kind, scale int, o MemScaleOpts) float64 {
 	sys := buildMemScaleSystem(kind, scale, o.Seed)
 	heap := sys.Heap
 
-	var sources []osmodel.OpSource
-	totalOps := 0
-	switch kind {
-	case SPECjbb:
-		for i := 0; i < scale; i++ {
-			sources = append(sources, sys.JBB.Source(i, -1))
-		}
-		totalOps = o.OpsPerScaleUnit * scale
-	case ECperf:
-		for i := 0; i < 6; i++ {
-			sources = append(sources, sys.EC.Source(i, -1))
-		}
-		// ECperf's middle-tier op budget is independent of OIR — the
-		// larger database lives on the other machine.
-		totalOps = o.OpsPerScaleUnit * 12
+	// ECperf's middle-tier budget is independent of OIR: the larger
+	// database lives on the other machine.
+	rounds := o.OpsPerScaleUnit
+	if kind == ECperf {
+		rounds *= 2
 	}
-
-	now := uint64(0)
 	var samples []float64
 	lastGCs := heap.Stats.MinorGCs + heap.Stats.MajorGCs
-	for k := 0; k < totalOps; k++ {
-		src := sources[k%len(sources)]
-		op := src.NextOp(k%len(sources), now)
-		now += op.Instructions()
+	newUniPlayer(sys).play(rounds, func(int, *trace.Op) {
 		if n := heap.Stats.MinorGCs + heap.Stats.MajorGCs; n != lastGCs {
 			lastGCs = n
 			samples = append(samples, float64(heap.Stats.LiveAfterLastGC))
 		}
-	}
+	})
 	if len(samples) == 0 {
 		// No natural collection in the budget: force one for the sample.
 		gc := heap.MinorGC(nil)
@@ -135,7 +122,6 @@ func ScheduleMemScale(sched *Scheduler, o MemScaleOpts) *MemScaleRuns {
 	}
 	for ki, kind := range r.kinds {
 		for si, scale := range o.Scales {
-			ki, si, kind, scale := ki, si, kind, scale
 			sched.Submit(func() {
 				r.vals[ki][si] = memScalePoint(kind, scale, o)
 			})

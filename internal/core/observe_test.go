@@ -161,7 +161,7 @@ func TestRunObservedPointAgrees(t *testing.T) {
 		if err := r.Measure(o.WarmupCycles, o.MeasureCycles, nil); err != nil {
 			t.Fatal(err)
 		}
-		if got := summarizePoint(r.Sys, 2, 7, o); got != plain {
+		if got := summarizePoint(r.Sys, o.MeasureCycles); got != plain {
 			t.Errorf("observed point diverged (observer %v):\nplain    %+v\nobserved %+v", ob != nil, plain, got)
 		}
 		if ob != nil && (r.Delta == nil || r.Delta.Counter("workload.ops") == 0) {

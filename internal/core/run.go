@@ -77,17 +77,19 @@ func (r *Run) Tick(t uint64) {
 	}
 }
 
-// measureBare runs sys through Measure with nothing attached: the sweep
-// cells that only read the engine's results afterwards. Each phase is one
-// slice. Slicing is not free of effects: an idle processor re-checks the
-// ready queue at every slice boundary, which can move a steal earlier, so
-// these cells keep the one-run-per-phase schedule their figures were
-// calibrated on.
-func measureBare(sys *System, warmup, measure uint64) {
+// measurePoint runs sys through Measure with nothing attached and reduces
+// the window to the figure metrics: every timed experiment cell (scaling,
+// communication, shared-cache, ablation and co-simulation baseline) is one
+// call. Each phase is one slice. Slicing is not free of effects: an idle
+// processor re-checks the ready queue at every slice boundary, which can
+// move a steal earlier, so these cells keep the one-run-per-phase schedule
+// their figures were calibrated on.
+func measurePoint(sys *System, warmup, measure uint64) ScalingPoint {
 	r := &Run{Sys: sys, slice: warmup + measure}
 	if err := r.Measure(warmup, measure, nil); err != nil {
 		panic(err) // unreachable: Measure fails only on checkpoints
 	}
+	return summarizePoint(sys, measure)
 }
 
 // Measure drives the run through the standard warm-up/measure discipline;

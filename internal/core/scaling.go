@@ -88,24 +88,26 @@ type ScalingPoint struct {
 
 // RunScalingPoint builds the system, warms it, and measures one point.
 func RunScalingPoint(kind Kind, procs int, seed uint64, o Opts) ScalingPoint {
-	p, _ := runScalingPoint(kind, procs, seed, o)
-	return p
+	return measurePoint(BuildSystem(o.systemParams(kind, procs, seed)), o.WarmupCycles, o.MeasureCycles)
 }
 
 // RunScalingPointDebug is RunScalingPoint plus a bus-level diagnostic
-// string (miss mix per 1000 instructions) for calibration work.
+// string (miss mix per 1000 instructions, with the address-class miss
+// diagnostic enabled) for calibration work.
 func RunScalingPointDebug(kind Kind, procs int, seed uint64, o Opts) ScalingPoint {
-	p, sys := runScalingPointDiag(kind, procs, seed, o)
+	sys := BuildSystem(o.systemParams(kind, procs, seed))
+	sys.Hier.Bus().ClassifyAddr = regionClassifier(sys)
+	p := measurePoint(sys, o.WarmupCycles, o.MeasureCycles)
+	r := sys.Engine.Results()
 	bs := sys.Hier.Bus().Stats
-	instr := float64(sys.Engine.Results().CPU.Instructions)
+	instr := float64(r.CPU.Instructions)
 	if instr > 0 {
 		p.Debug = fmt.Sprintf("bus/1k[gets=%.2f getm=%.2f upg=%.2f c2c=%.2f mem=%.2f dmiss=%.2f fmiss=%.2f] lockwait=%.2f",
 			1000*float64(bs.GetS)/instr, 1000*float64(bs.GetM)/instr,
 			1000*float64(bs.Upgrades)/instr, 1000*float64(bs.C2CTransfers)/instr,
 			1000*float64(bs.MemTransfers)/instr,
 			1000*float64(sys.Hier.DataMisses)/instr, 1000*float64(sys.Hier.FetchMisses)/instr,
-			float64(sys.Engine.Results().LockWaitCycles)/float64(o.MeasureCycles)/float64(procs))
-		r := sys.Engine.Results()
+			float64(r.LockWaitCycles)/float64(o.MeasureCycles)/float64(procs))
 		p.Debug += fmt.Sprintf(" blk=%d/%d wait[mon=%.1fM spin=%.1fM sem=%.1fM]",
 			r.LockBlocks, r.LockAcquires,
 			float64(r.WaitMonitor)/1e6, float64(r.WaitSpin)/1e6, float64(r.WaitSem)/1e6)
@@ -119,13 +121,6 @@ func RunScalingPointDebug(kind Kind, procs int, seed uint64, o Opts) ScalingPoin
 			1000*float64(mc[6])/instr)
 	}
 	return p
-}
-
-// runScalingPointDiag enables the address-class miss diagnostic.
-func runScalingPointDiag(kind Kind, procs int, seed uint64, o Opts) (ScalingPoint, *System) {
-	sys := BuildSystem(o.systemParams(kind, procs, seed))
-	sys.Hier.Bus().ClassifyAddr = regionClassifier(sys)
-	return measureScalingPoint(sys, procs, seed, o)
 }
 
 // systemParams builds one sweep run's parameters from the sweep options.
@@ -163,31 +158,21 @@ func regionClassifier(sys *System) func(a uint64) int {
 	}
 }
 
-func runScalingPoint(kind Kind, procs int, seed uint64, o Opts) (ScalingPoint, *System) {
-	sys := BuildSystem(o.systemParams(kind, procs, seed))
-	return measureScalingPoint(sys, procs, seed, o)
-}
-
-func measureScalingPoint(sys *System, procs int, seed uint64, o Opts) (ScalingPoint, *System) {
-	measureBare(sys, o.WarmupCycles, o.MeasureCycles)
-	return summarizePoint(sys, procs, seed, o), sys
-}
-
 // summarizePoint reduces a finished measurement window to the figure
 // metrics. The engine must have been reset at the warm-up boundary and run
-// through o.MeasureCycles.
-func summarizePoint(sys *System, procs int, seed uint64, o Opts) ScalingPoint {
+// through measure cycles.
+func summarizePoint(sys *System, measure uint64) ScalingPoint {
 	res := sys.Engine.Results()
 
-	window := float64(o.MeasureCycles)
+	window := float64(measure)
 	seconds := window / CyclesPerSecond
 	p := ScalingPoint{
-		Processors: procs,
-		Seed:       seed,
+		Processors: sys.Params.Processors,
+		Seed:       sys.Params.Seed,
 		Throughput: float64(res.BusinessOps) / seconds,
 		GCCount:    res.GCCount,
 	}
-	if res.GCWall < o.MeasureCycles {
+	if res.GCWall < measure {
 		p.ThroughputNoGC = float64(res.BusinessOps) / ((window - float64(res.GCWall)) / CyclesPerSecond)
 	} else {
 		p.ThroughputNoGC = p.Throughput
@@ -263,7 +248,6 @@ func ScheduleScalingSweep(sched *Scheduler, kind Kind, o Opts) *ScalingSweep {
 	}
 	for pi := range o.Procs {
 		for si := range o.Seeds {
-			pi, si := pi, si
 			sched.Submit(func() {
 				sw.Cells[pi].Points[si] = RunScalingPoint(kind, o.Procs[pi], o.Seeds[si], o)
 				o.Progress.Add(1)

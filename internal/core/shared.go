@@ -56,7 +56,7 @@ func sharedCacheCell(kind Kind, cpusPerL2 int, seed uint64, o SharedCacheOpts) f
 		Scale:      scale,
 		Seed:       seed,
 	})
-	measureBare(sys, o.WarmupCycles, o.MeasureCycles)
+	measurePoint(sys, o.WarmupCycles, o.MeasureCycles)
 	return sys.Hier.DataMissesPer1000(sys.Engine.Results().CPU.Instructions)
 }
 
@@ -79,7 +79,6 @@ func RunSharedCachePoint(kind Kind, cpusPerL2 int, o SharedCacheOpts) SharedCach
 func scheduleSharedCacheSeeds(sched *Scheduler, kind Kind, cpusPerL2 int, o SharedCacheOpts) []float64 {
 	vals := make([]float64, len(o.Seeds))
 	for si := range o.Seeds {
-		si := si
 		sched.Submit(func() {
 			vals[si] = sharedCacheCell(kind, cpusPerL2, o.Seeds[si], o)
 		})

@@ -96,6 +96,43 @@ func (f *feeder) curves() (icurve, dcurve []cache.Point) {
 	return f.sweepI.MissCurve(), f.sweepD.MissCurve()
 }
 
+// uniPlayer plays a workload's functional uniprocessor thread set — one
+// thread per SPECjbb warehouse, or ECperf's six-thread pool — round-robin
+// at one cycle per instruction, like a time-shared CPU. The cache sweeps
+// (Figures 12/13) and the memory-scaling study (Figure 11) both run on it.
+type uniPlayer struct {
+	sources []osmodel.OpSource
+	now     uint64
+}
+
+func newUniPlayer(sys *System) *uniPlayer {
+	p := &uniPlayer{}
+	switch sys.Params.Kind {
+	case SPECjbb:
+		for i := 0; i < sys.Params.Scale; i++ {
+			p.sources = append(p.sources, sys.JBB.Source(i, -1))
+		}
+	case ECperf:
+		// A uniprocessor app server still runs a small thread pool.
+		for i := 0; i < 6; i++ {
+			p.sources = append(p.sources, sys.EC.Source(i, -1))
+		}
+	}
+	return p
+}
+
+// play runs rounds rounds, each giving every thread one operation in
+// thread order, and hands each operation to fn.
+func (p *uniPlayer) play(rounds int, fn func(tid int, op *trace.Op)) {
+	for range rounds {
+		for tid, src := range p.sources {
+			op := src.NextOp(tid, p.now)
+			fn(tid, op)
+			p.now += op.Instructions()
+		}
+	}
+}
+
 // SweepOpts size the uniprocessor cache-sweep experiment.
 type SweepOpts struct {
 	// WarmupOps and MeasureOps are per-thread operation counts.
@@ -166,40 +203,21 @@ func runUniSweep(kind Kind, scale int, label string, o SweepOpts, icfgs, dcfgs [
 		}
 	}
 
-	var sources []osmodel.OpSource
-	switch kind {
-	case SPECjbb:
-		for i := 0; i < scale; i++ {
-			sources = append(sources, sys.JBB.Source(i, -1))
-		}
-	case ECperf:
-		// A uniprocessor app server still runs a small thread pool.
-		for i := 0; i < 6; i++ {
-			sources = append(sources, sys.EC.Source(i, -1))
-		}
-	}
-
-	now := uint64(0)
-	feedRound := func(ops int) {
-		for k := 0; k < ops; k++ {
-			for tid, src := range sources {
-				op := src.NextOp(tid, now)
-				before := f.instr
-				f.feedItems(op.Items)
-				if op.Business && f.tracer.Admit(obs.CompWorkload) {
-					f.tracer.Span(obs.CompWorkload, op.Tag, tid, before, f.instr)
-				}
-				now += op.Instructions() // ~1 cycle/instr on the uniprocessor
-			}
+	player := newUniPlayer(sys)
+	feed := func(tid int, op *trace.Op) {
+		before := f.instr
+		f.feedItems(op.Items)
+		if op.Business && f.tracer.Admit(obs.CompWorkload) {
+			f.tracer.Span(obs.CompWorkload, op.Tag, tid, before, f.instr)
 		}
 	}
 	f.prof.SetPhase("warmup")
-	feedRound(o.WarmupOps)
+	player.play(o.WarmupOps, feed)
 	f.reset()
 	f.prof.Reset()
 	f.attrc.Reset()
 	f.prof.SetPhase("measure")
-	feedRound(o.MeasureOps)
+	player.play(o.MeasureOps, feed)
 	if f.attrc != nil {
 		f.attrc.CloseEpoch(sys.Heap.SiteResolver(), "final")
 	}
@@ -243,7 +261,6 @@ func scheduleSweeps(sched *Scheduler, o SweepOpts, ladder func(name string) []ca
 	specs := sweepSpecs()
 	cs := &CacheSweeps{Results: make([]SweepResult, len(specs))}
 	for i, sp := range specs {
-		i, sp := i, sp
 		sched.Submit(func() {
 			cs.Results[i] = runUniSweep(sp.kind, sp.scale, sp.label, o, ladder("I"), ladder("D"))
 		})
