@@ -3,11 +3,11 @@ package main
 import (
 	"bytes"
 	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/drivertest"
 	"repro/internal/obs"
 )
 
@@ -63,30 +63,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("-fig %s: parallel stdout differs from -serial (%d vs %d bytes)", fig, len(par), len(ser))
 			}
 			if fig == "0" {
-				checkGolden(t, filepath.Join("testdata", "quick.golden"), par)
+				drivertest.Golden(t, filepath.Join("testdata", "quick.golden"), []byte(par), *updateGolden)
 			}
 		})
-	}
-}
-
-// checkGolden compares got against the golden file, rewriting it first
-// under -update.
-func checkGolden(t *testing.T, golden, got string) {
-	t.Helper()
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got != string(want) {
-		t.Errorf("stdout differs from %s (rerun with -update only for an intended change)", golden)
 	}
 }
 

@@ -3,34 +3,18 @@ package core
 import (
 	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/drivertest"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // checkGolden compares v's %v text against testdata/<name>.golden, which
 // pins a quick study's exact result: a refactor of the run harness must
-// leave every figure value where it was. Run with -update to rewrite the
-// file after an intended change.
+// leave every figure value where it was.
 func checkGolden(t *testing.T, name string, v any) {
 	t.Helper()
-	got := fmt.Sprintf("%v\n", v)
-	golden := filepath.Join("testdata", name+".golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got != string(want) {
-		t.Errorf("result differs from %s (rerun with -update only for an intended change):\ngot  %swant %s", golden, got, want)
-	}
+	drivertest.Golden(t, filepath.Join("testdata", name+".golden"), []byte(fmt.Sprintf("%v\n", v)), *updateGolden)
 }

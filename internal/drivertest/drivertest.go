@@ -1,4 +1,5 @@
-// Package drivertest holds the checks every driver command's tests share.
+// Package drivertest holds the checks every driver command's tests share,
+// and the golden-file comparison the output-pinning tests share.
 package drivertest
 
 import (
@@ -7,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -61,4 +63,39 @@ func StdoutPassivity(t *testing.T, run Main, mask *regexp.Regexp, args ...string
 			t.Errorf("extra flags %q: stdout differs from -flight off:\n%s\nwant:\n%s", extra, got, want)
 		}
 	}
+}
+
+// Golden compares got with the golden file at path, first rewriting the
+// file when update is set (each test package's -update flag). A mismatch
+// reports the first line that differs.
+func Golden(t *testing.T, path string, got []byte, update bool) {
+	t.Helper()
+	if update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	line := func(lines []string) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "<end of output>"
+	}
+	t.Errorf("output differs from %s at line %d (rerun with -update only for an intended change):\ngot  %s\nwant %s",
+		path, i+1, line(g), line(w))
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/drivertest"
 	"repro/internal/obs/attr"
 )
 
@@ -89,20 +90,5 @@ func TestWriteArtifactsGolden(t *testing.T) {
 		}
 	}
 
-	golden := filepath.Join("testdata", "artifacts.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("artifacts differ from %s (rerun with -update only for an intended format change):\n%s", golden, got.String())
-	}
+	drivertest.Golden(t, filepath.Join("testdata", "artifacts.golden"), []byte(got.String()), *updateGolden)
 }

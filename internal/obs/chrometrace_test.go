@@ -2,10 +2,11 @@ package obs
 
 import (
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/drivertest"
 )
 
 // goldenTracers builds two tracers whose events cover every argument kind
@@ -57,17 +58,5 @@ func TestChromeTraceGolden(t *testing.T) {
 	got.WriteString("=== ChromeTraceEvents (no names) ===\n")
 	got.Write(ChromeTraceEvents(nil, nil))
 
-	golden := filepath.Join("testdata", "chrometrace.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("chrome trace differs from %s (rerun with -update only for an intended format change):\n%s", golden, got.String())
-	}
+	drivertest.Golden(t, filepath.Join("testdata", "chrometrace.golden"), []byte(got.String()), *updateGolden)
 }
