@@ -6,9 +6,6 @@ import (
 	"repro/internal/appserver"
 	"repro/internal/fault"
 	"repro/internal/memsys"
-	"repro/internal/obs"
-	"repro/internal/obs/flightrec"
-	"repro/internal/obs/reqtrace"
 )
 
 // FaultRunOpts size a throughput-under-fault experiment: the same (seed,
@@ -30,22 +27,6 @@ type FaultRunOpts struct {
 	MeasureCycles uint64
 	// BinCycles is the throughput sampling interval.
 	BinCycles uint64
-
-	// Observer, when non-nil, is attached to the *faulted* run, which
-	// follows the standard warm-up/measure discipline: its trace carries
-	// the scheduled fault windows and resilience instants, its registry the
-	// fault.* counters, and its profile and attribution cover the
-	// measurement window.
-	Observer *obs.Observer
-	// Latency, when non-nil, is attached to the *faulted* run too: the
-	// experiment's question is how request latency degrades and recovers
-	// around the windows, and the clean run at the same seed is already
-	// characterized by a plain observed run.
-	Latency *reqtrace.Collector
-	// Flight, when non-nil, rides the *faulted* run: every scheduled window
-	// entry triggers a post-mortem bundle, so the experiment's storms leave
-	// black-box dumps behind.
-	Flight *flightrec.Recorder
 }
 
 // QuickFaultRunOpts is the reduced test/CI configuration: one partition
@@ -113,14 +94,11 @@ func binnedRun(r *Run, o FaultRunOpts) []uint64 {
 	return bins
 }
 
-// RunFaultExperiment measures ECperf throughput with and without the fault
-// schedule at the same seed, and derives per-window recovery times.
-func RunFaultExperiment(o FaultRunOpts) FaultRunResult {
-	return runFaultExperiment(o, &Run{Observer: o.Observer, Latency: o.Latency, Flight: o.Flight})
-}
-
-// runFaultExperiment is RunFaultExperiment with the faulted run's
-// attachments supplied by the caller (a Session run, or o's fields).
+// runFaultExperiment measures ECperf throughput with and without the fault
+// schedule at the same seed, and derives per-window recovery times. The
+// faulted run is r, whose attachments ride it: its trace carries the
+// scheduled fault windows, its flight recorder dumps on every window entry,
+// and its latency collector shows the degradation and the recovery.
 func runFaultExperiment(o FaultRunOpts, r *Run) FaultRunResult {
 	if o.BinCycles == 0 {
 		o.BinCycles = 4_000_000

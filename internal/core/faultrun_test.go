@@ -14,7 +14,7 @@ import (
 // engage, and throughput must recover after the heal.
 func TestFaultRunCurveAndRecovery(t *testing.T) {
 	o := QuickFaultRunOpts()
-	r := RunFaultExperiment(o)
+	r := runFaultExperiment(o, &Run{})
 
 	if len(r.Baseline) != len(r.BinStart) || len(r.Faulted) != len(r.BinStart) {
 		t.Fatalf("bin shapes differ: %d starts, %d baseline, %d faulted",
@@ -67,7 +67,7 @@ func TestFaultRunDeterministic(t *testing.T) {
 	o.MeasureCycles = 16_000_000
 	o.Schedule.Events[0].At = 8_000_000
 	o.Schedule.Events[0].Duration = 4_000_000
-	a, b := RunFaultExperiment(o), RunFaultExperiment(o)
+	a, b := runFaultExperiment(o, &Run{}), runFaultExperiment(o, &Run{})
 	if a.Calls != b.Calls || a.Shed != b.Shed || a.Injected != b.Injected || a.Failed != b.Failed {
 		t.Fatalf("counters differ:\n%+v %d %+v %d\n%+v %d %+v %d",
 			a.Calls, a.Shed, a.Injected, a.Failed, b.Calls, b.Shed, b.Injected, b.Failed)
@@ -90,8 +90,7 @@ func TestFaultRunMeasuresWindow(t *testing.T) {
 	o.Schedule.Events[0].Duration = 4_000_000
 	ob := obs.NewObserver()
 	ob.Attr = attr.NewCollector(attr.Options{})
-	o.Observer = ob
-	r := RunFaultExperiment(o)
+	r := runFaultExperiment(o, &Run{Observer: ob})
 	checkProfileMatchesCounters(t, ob.Profiler, r.System)
 	if ob.Attr.EpochCount() == 0 {
 		t.Error("the faulted run closed no attribution epoch")
@@ -113,7 +112,7 @@ func TestFaultMetricsAndTraceEvents(t *testing.T) {
 	ob.Registry = obs.NewRegistry()
 	delta := observeRun(t, sys, ob, nil, 2_000_000, 16_000_000)
 
-	names := delta.CounterSet().Names()
+	names := ob.Registry.Names()
 	registered := func(name string) bool {
 		for _, n := range names {
 			if n == name {
@@ -159,7 +158,7 @@ func TestFaultFigureRenders(t *testing.T) {
 	o.MeasureCycles = 16_000_000
 	o.Schedule.Events[0].At = 8_000_000
 	o.Schedule.Events[0].Duration = 4_000_000
-	f := FaultFigure(RunFaultExperiment(o))
+	f := FaultFigure(runFaultExperiment(o, &Run{}))
 	if len(f.Series) != 2 || f.Series[0].Label != "clean" || f.Series[1].Label != "faulted" {
 		t.Fatalf("unexpected series: %+v", f.Series)
 	}

@@ -35,7 +35,7 @@ func TestFlightPassivity(t *testing.T) {
 		t.Fatal("default flags must enable the recorder")
 	}
 	AttachFlight(recorded, rec)
-	delta := observeRun(t, recorded, ob, nil, warmup, measure)
+	observeRun(t, recorded, ob, nil, warmup, measure)
 
 	a, b := bare.Engine.Results(), recorded.Engine.Results()
 	if a.BusinessOps != b.BusinessOps {
@@ -66,7 +66,7 @@ func TestFlightPassivity(t *testing.T) {
 	if rec.Ring().Total() == 0 {
 		t.Fatal("flight ring recorded no events")
 	}
-	names := delta.CounterSet().Names()
+	names := ob.Registry.Names()
 	for _, want := range []string{"trace.dropped", "trace.ring_evicted"} {
 		found := false
 		for _, n := range names {
@@ -92,8 +92,6 @@ func stormOpts(dir string) (FaultRunOpts, *flightrec.Recorder, *obs.Observer) {
 		Schedule: &fault.Schedule{Events: []fault.Event{
 			{Kind: fault.DBLockStorm, At: 12_000_000, Duration: 8_000_000, Magnitude: 30},
 		}},
-		Observer: ob,
-		Flight:   rec,
 	}, rec, ob
 }
 
@@ -101,8 +99,8 @@ func stormOpts(dir string) (FaultRunOpts, *flightrec.Recorder, *obs.Observer) {
 // produces a triggered dump whose trace window contains the storm interval.
 func TestDBLockStormDump(t *testing.T) {
 	dir := t.TempDir()
-	o, rec, _ := stormOpts(dir)
-	RunFaultExperiment(o)
+	o, rec, ob := stormOpts(dir)
+	runFaultExperiment(o, &Run{Observer: ob, Flight: rec})
 
 	dumps := rec.Dumps()
 	if len(dumps) != 1 {
@@ -167,10 +165,10 @@ func TestDBLockStormDump(t *testing.T) {
 func TestFlightDumpDeterminism(t *testing.T) {
 	read := func() []byte {
 		dir := t.TempDir()
-		o, rec, _ := stormOpts(dir)
+		o, rec, ob := stormOpts(dir)
 		o.MeasureCycles = 16_000_000
 		o.Schedule.Events[0].Duration = 4_000_000
-		RunFaultExperiment(o)
+		runFaultExperiment(o, &Run{Observer: ob, Flight: rec})
 		dumps := rec.Dumps()
 		if len(dumps) != 1 {
 			t.Fatalf("want 1 dump, got %+v", dumps)

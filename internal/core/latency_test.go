@@ -152,9 +152,8 @@ func TestLatencySLOUnderDBLockStorm(t *testing.T) {
 			// bins (origin re-anchors to the warm-up boundary at 4M).
 			{Kind: fault.DBLockStorm, At: 16_000_000, Duration: 10_000_000, Magnitude: 40},
 		}},
-		Latency: rt,
 	}
-	RunFaultExperiment(o)
+	runFaultExperiment(o, &Run{Latency: rt})
 
 	rep := rt.BuildReport()
 	if len(rep.SLO) != 1 {

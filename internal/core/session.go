@@ -250,7 +250,7 @@ func (s *Session) ObservePoints(procs int, seed uint64, o Opts) error {
 	return nil
 }
 
-// FaultExperiment runs RunFaultExperiment with the session's attachments
+// FaultExperiment runs the fault experiment with the session's attachments
 // on the faulted run, whose artifacts Finish writes under label.
 func (s *Session) FaultExperiment(label string, o FaultRunOpts) FaultRunResult {
 	return runFaultExperiment(o, s.newRun(label, s.Label))

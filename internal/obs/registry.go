@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"repro/internal/stats"
 )
 
 // Registry is the unified, hierarchical metrics registry. Components bind
@@ -182,19 +180,6 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	}
 	k, err := io.WriteString(w, b.String())
 	return int64(k), err
-}
-
-// CounterSet flattens the snapshot's counters into a stats.CounterSet (in
-// registration order), interoperating with the pre-registry reporting
-// paths.
-func (s *Snapshot) CounterSet() *stats.CounterSet {
-	cs := stats.NewCounterSet()
-	for _, n := range s.reg.names {
-		if s.reg.kinds[n] == kindCounter {
-			cs.Inc(n, s.counters[n])
-		}
-	}
-	return cs
 }
 
 func topSegment(name string) string {

@@ -163,39 +163,6 @@ func TestShareDistTopFractionShare(t *testing.T) {
 	}
 }
 
-func TestCounterSet(t *testing.T) {
-	c := NewCounterSet()
-	c.Inc("a", 3)
-	c.Inc("b", 1)
-	c.Inc("a", 2)
-	if c.Get("a") != 5 || c.Get("b") != 1 || c.Get("zzz") != 0 {
-		t.Fatal("counter values wrong")
-	}
-	if got := c.Ratio("a", "b"); math.Abs(got-5.0/6.0) > 1e-12 {
-		t.Fatalf("Ratio = %v", got)
-	}
-	if got := c.Per1000("b", "a"); got != 200 {
-		t.Fatalf("Per1000 = %v", got)
-	}
-	other := NewCounterSet()
-	other.Inc("a", 1)
-	other.Inc("c", 7)
-	c.Merge(other)
-	if c.Get("a") != 6 || c.Get("c") != 7 {
-		t.Fatal("merge wrong")
-	}
-	if len(c.Names()) != 3 {
-		t.Fatalf("Names = %v", c.Names())
-	}
-}
-
-func TestCounterSetRatioZero(t *testing.T) {
-	c := NewCounterSet()
-	if c.Ratio("x", "y") != 0 || c.Per1000("x", "y") != 0 {
-		t.Fatal("zero-division guards failed")
-	}
-}
-
 func TestSeedsDistinct(t *testing.T) {
 	seeds := Seeds(1, 5)
 	if len(seeds) != 5 {
