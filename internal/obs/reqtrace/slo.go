@@ -166,7 +166,7 @@ type SLOResult struct {
 
 // matches reports whether the objective covers the class. Latency
 // objectives on "*" skip error classes (their latency is not a promise);
-// error objectives use class counts directly in evaluate.
+// error objectives match classes by prefix in count.
 func (o *Objective) matches(class string) bool {
 	if o.Class == "*" {
 		return !IsErrorClass(class)
@@ -183,35 +183,37 @@ func (c *Collector) BinBurn(bin int) float64 {
 		return 0
 	}
 	worst := 0.0
-	b := c.bins[bin]
 	for i := range c.opt.Objectives {
 		o := &c.opt.Objectives[i]
-		var n, bad uint64
-		for class, h := range b.classes {
-			if o.Quantile > 0 {
-				if !o.matches(class) {
-					continue
-				}
-				n += h.Count()
-				bad += h.Count() - h.CountLE(o.ThresholdCycles)
-			} else {
-				if o.Class != "*" && !strings.HasPrefix(class, o.Class) {
-					continue
-				}
-				n += h.Count()
-				if IsErrorClass(class) {
-					bad += h.Count()
-				}
-			}
-		}
-		if n == 0 {
-			continue
-		}
-		if burn := float64(bad) / float64(n) / o.Budget; burn > worst {
-			worst = burn
+		if n, bad := o.count(c.bins[bin]); n > 0 {
+			worst = max(worst, float64(bad)/float64(n)/o.Budget)
 		}
 	}
 	return worst
+}
+
+// count returns the requests the objective covers in one interval and how
+// many of them were bad: over the latency threshold for a latency
+// objective, in an error class for an error objective.
+func (o *Objective) count(b *intervalAcc) (n, bad uint64) {
+	for class, h := range b.classes {
+		if o.Quantile > 0 { // latency objective
+			if !o.matches(class) {
+				continue
+			}
+			n += h.Count()
+			bad += h.Count() - h.CountLE(o.ThresholdCycles)
+		} else { // error objective
+			if o.Class != "*" && !strings.HasPrefix(class, o.Class) {
+				continue
+			}
+			n += h.Count()
+			if IsErrorClass(class) {
+				bad += h.Count()
+			}
+		}
+	}
+	return n, bad
 }
 
 // CompletedBins returns the number of time-series bins fully behind `now`
@@ -237,26 +239,7 @@ func (c *Collector) evaluateSLOs() []SLOResult {
 func (c *Collector) evaluate(o *Objective) SLOResult {
 	res := SLOResult{Objective: *o, Met: true, WorstInterval: -1}
 	for i, b := range c.bins {
-		var n, bad uint64
-		// Deterministic accumulation order is irrelevant here — only sums —
-		// but iterate sorted anyway to keep the code shape uniform.
-		for class, h := range b.classes {
-			if o.Quantile > 0 { // latency objective
-				if !o.matches(class) {
-					continue
-				}
-				n += h.Count()
-				bad += h.Count() - h.CountLE(o.ThresholdCycles)
-			} else { // error objective
-				if o.Class != "*" && !strings.HasPrefix(class, o.Class) {
-					continue
-				}
-				n += h.Count()
-				if IsErrorClass(class) {
-					bad += h.Count()
-				}
-			}
-		}
+		n, bad := o.count(b)
 		ib := IntervalBurn{Index: i, Requests: n, Bad: bad, Met: true}
 		if n > 0 {
 			ib.BurnRate = float64(bad) / float64(n) / o.Budget
