@@ -1,28 +1,19 @@
 package main
 
 import (
-	"flag"
 	"testing"
 
 	"repro/internal/drivertest"
-	"repro/internal/obs"
 )
 
 // TestFlagParity fails when this driver drifts from the shared flag surface:
 // every standard observability flag, the host-profile pair, the memory-model
 // switch, and the driver's own flags must all be registered.
 func TestFlagParity(t *testing.T) {
-	fs := flag.NewFlagSet("ecperfsim", flag.ContinueOnError)
-	registerFlags(fs)
-	want := append(obs.StandardFlagNames(), obs.HostProfileFlagNames()...)
-	want = append(want, "memmodel", "p", "oir", "seed", "warmup", "measure",
-		"faults", "fault-bin", "fault-report",
-		"watchdog", "checkpoint", "checkpoint-every", "resume")
-	for _, name := range want {
-		if fs.Lookup(name) == nil {
-			t.Errorf("flag -%s not registered", name)
-		}
-	}
+	drivertest.FlagParity(t, registerFlags,
+		"memmodel", "p", "oir", "seed", "warmup", "measure", "faults",
+		"fault-bin", "fault-report", "watchdog", "checkpoint",
+		"checkpoint-every", "resume")
 }
 
 // TestStdoutPassivity: the report is byte-identical whatever observability

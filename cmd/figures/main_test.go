@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/drivertest"
-	"repro/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -17,15 +16,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 // every standard observability flag, the host-profile pair, the memory-model
 // switch, and the driver's own flags must all be registered.
 func TestFlagParity(t *testing.T) {
-	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
-	registerFlags(fs)
-	want := append(obs.StandardFlagNames(), obs.HostProfileFlagNames()...)
-	want = append(want, "memmodel", "fig", "quick", "seeds", "md", "serial")
-	for _, name := range want {
-		if fs.Lookup(name) == nil {
-			t.Errorf("flag -%s not registered", name)
-		}
-	}
+	drivertest.FlagParity(t, registerFlags,
+		"memmodel", "fig", "quick", "seeds", "md", "serial")
 }
 
 // runFigures drives the whole program in-process and returns its stdout,

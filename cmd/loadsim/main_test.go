@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/drivertest"
-	"repro/internal/obs"
 	"repro/internal/obs/reqtrace"
 )
 
@@ -26,17 +25,10 @@ func parseArgs(t *testing.T, args ...string) *appFlags {
 // every standard observability flag, the host-profile pair, and the driver's
 // own flags must all be registered.
 func TestFlagParity(t *testing.T) {
-	fs := flag.NewFlagSet("loadsim", flag.ContinueOnError)
-	registerFlags(fs)
-	want := append(obs.StandardFlagNames(), obs.HostProfileFlagNames()...)
-	want = append(want, "nodes", "workers", "shards", "queue-cap", "clients",
-		"lb", "arrival", "sweep", "controls", "faults", "report",
-		"offered", "deadline-ms", "think-ms", "seed", "horizon")
-	for _, name := range want {
-		if fs.Lookup(name) == nil {
-			t.Errorf("flag -%s not registered", name)
-		}
-	}
+	drivertest.FlagParity(t, registerFlags,
+		"nodes", "workers", "shards", "queue-cap", "clients", "lb",
+		"arrival", "sweep", "controls", "faults", "report", "offered",
+		"deadline-ms", "think-ms", "seed", "horizon")
 }
 
 func TestParseSweep(t *testing.T) {

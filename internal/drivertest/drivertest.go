@@ -4,17 +4,35 @@ package drivertest
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // Main is a driver's testable seam: the whole program, taking its arguments
 // and output streams and returning the exit code.
 type Main func(args []string, stdout, stderr io.Writer) int
+
+// FlagParity registers a driver's flags onto a scratch FlagSet and fails
+// unless every standard observability and host-profile flag is there, and
+// every flag in own, the driver's own surface.
+func FlagParity[T any](t *testing.T, register func(*flag.FlagSet) T, own ...string) {
+	t.Helper()
+	fs := flag.NewFlagSet("parity", flag.ContinueOnError)
+	register(fs)
+	want := append(obs.StandardFlagNames(), obs.HostProfileFlagNames()...)
+	for _, name := range append(want, own...) {
+		if fs.Lookup(name) == nil {
+			t.Errorf("flag -%s not registered", name)
+		}
+	}
+}
 
 // StdoutPassivity runs the driver with args three times — with the flight
 // recorder off, at the observability defaults, and with -trace, -metrics

@@ -1,4 +1,4 @@
-package obs
+package obs_test
 
 import (
 	"flag"
@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/drivertest"
+	. "repro/internal/obs" // an external test package: drivertest imports obs
 	"repro/internal/obs/attr"
 )
 

@@ -1,4 +1,4 @@
-package obs
+package obs_test
 
 import (
 	"math"
@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/drivertest"
+	. "repro/internal/obs" // an external test package: drivertest imports obs
 )
 
 // goldenTracers builds two tracers whose events cover every argument kind
