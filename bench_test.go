@@ -181,13 +181,11 @@ func BenchmarkFig15C2CFootprint(b *testing.B) {
 
 func BenchmarkFig16SharedCaches(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := core.QuickSharedCacheOpts()
-		ecPriv := core.RunSharedCachePoint(core.ECperf, 1, o).DataMissesPer1000.Mean()
-		ecShared := core.RunSharedCachePoint(core.ECperf, 8, o).DataMissesPer1000.Mean()
-		jbbPriv := core.RunSharedCachePoint(core.SPECjbb, 1, o).DataMissesPer1000.Mean()
-		jbbShared := core.RunSharedCachePoint(core.SPECjbb, 8, o).DataMissesPer1000.Mean()
-		b.ReportMetric(ecShared/ecPriv, "ecperf-shared-over-private")
-		b.ReportMetric(jbbShared/jbbPriv, "jbb25-shared-over-private")
+		// The quick grouping is {1, 8}: each series reads (private, shared).
+		f := core.Fig16SharedCaches(core.QuickSharedCacheOpts())
+		ec, jbb := f.Series[0].Y, f.Series[1].Y
+		b.ReportMetric(ec[1]/ec[0], "ecperf-shared-over-private")
+		b.ReportMetric(jbb[1]/jbb[0], "jbb25-shared-over-private")
 	}
 }
 

@@ -81,26 +81,27 @@ func sweep(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
 
 	// The workload configurations run concurrently, each with its own
 	// observer; artifacts merge at the end, in creation order.
-	o := core.SweepOpts{WarmupOps: *af.warm, MeasureOps: *af.ops, Seed: *af.seed, Progress: sess.Heartbeat()}
+	o := core.SweepOpts{WarmupOps: *af.warm, MeasureOps: *af.ops, Seed: *af.seed}
 	if ofl.Enabled() {
 		o.Observe = sess.SweepObserver
 	}
-	var cs *core.CacheSweeps
+	var gm core.GeometryMode
 	var dim string
 	switch mode {
 	case "size":
-		cs = core.RunCacheSweeps(o)
-		dim = "size"
+		gm, dim = core.SweepSize, "size"
 	case "assoc":
-		cs = core.RunGeometrySweeps(o, core.SweepAssoc, *af.fixed)
-		dim = "ways"
+		gm, dim = core.SweepAssoc, "ways"
 	case "block":
-		cs = core.RunGeometrySweeps(o, core.SweepBlock, *af.fixed)
-		dim = "block"
+		gm, dim = core.SweepBlock, "block"
 	default:
 		fmt.Fprintln(stdout, "unknown -mode; use size, assoc, or block")
 		return nil
 	}
+	sched := core.NewScheduler(core.DefaultWorkers())
+	sched.Progress = sess.Heartbeat()
+	cs := core.ScheduleCacheSweeps(sched, o, gm, *af.fixed)
+	sched.Wait()
 
 	fmt.Fprintf(stdout, "misses per 1000 instructions, sweeping %s\n", dim)
 	fmt.Fprintf(stdout, "%10s", dim)

@@ -69,7 +69,6 @@ func calibrate(sess *core.Session, af *appFlags, stdout io.Writer) error {
 	o := core.QuickOpts()
 	o.MeasureCycles = *af.measure
 	o.MemModel = af.memModel
-	o.Progress = sess.Heartbeat()
 
 	procs := []int{1, 2, 4, 8, 12, 15}
 	for _, kind := range []core.Kind{core.SPECjbb, core.ECperf} {
@@ -89,10 +88,8 @@ func calibrate(sess *core.Session, af *appFlags, stdout io.Writer) error {
 	if err := sess.ObservePoints(obsProcs, seed, o); err != nil {
 		return err
 	}
-	manifestOpts := o
-	manifestOpts.Progress = nil
 	return sess.Finish([]uint64{seed}, map[string]any{
-		"sweep":    manifestOpts,
+		"sweep":    o,
 		"observed": map[string]any{"processors": obsProcs, "seed": seed},
 	})
 }

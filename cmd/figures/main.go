@@ -110,9 +110,6 @@ func figures(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
 	// 12/13) count misses, not cycles.
 	opts.MemModel = af.memModel
 
-	opts.Progress = sess.Heartbeat()
-	sweepOpts.Progress = sess.Heartbeat()
-
 	want := func(n int) bool { return *fig == 0 || *fig == n }
 	emitted := 0
 	emit := func(f core.Figure) {
@@ -134,6 +131,7 @@ func figures(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
 		workers = 1
 	}
 	sched := core.NewScheduler(workers)
+	sched.Progress = sess.Heartbeat()
 
 	var jbb, ec *core.ScalingSweep
 	if want(4) || want(5) || want(6) || want(7) || want(8) || want(9) {
@@ -148,22 +146,22 @@ func figures(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
 		commJbb, commEc = core.ScheduleCommProfiles(sched, commOpts)
 	}
 
-	var memRuns *core.MemScaleRuns
+	var fig11 func() core.Figure
 	if want(11) {
 		fmt.Fprintln(stderr, "running memory-scaling study...")
-		memRuns = core.ScheduleMemScale(sched, memOpts)
+		fig11 = core.ScheduleMemScale(sched, memOpts)
 	}
 
 	var cs *core.CacheSweeps
 	if want(12) || want(13) {
 		fmt.Fprintln(stderr, "running uniprocessor cache sweeps...")
-		cs = core.ScheduleCacheSweeps(sched, sweepOpts)
+		cs = core.ScheduleCacheSweeps(sched, sweepOpts, core.SweepSize, 0)
 	}
 
-	var shared *core.SharedCacheRuns
+	var fig16 func() core.Figure
 	if want(16) {
 		fmt.Fprintln(stderr, "running shared-cache CMP study...")
-		shared = core.ScheduleSharedCache(sched, sharedOpts)
+		fig16 = core.ScheduleSharedCache(sched, sharedOpts)
 	}
 
 	sched.Wait()
@@ -204,8 +202,8 @@ func figures(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
 			emit(core.Fig15C2CFootprint(*commJbb, *commEc))
 		}
 	}
-	if memRuns != nil {
-		emit(memRuns.Figure())
+	if fig11 != nil {
+		emit(fig11())
 	}
 	if cs != nil {
 		if want(12) {
@@ -215,8 +213,8 @@ func figures(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
 			emit(core.Fig13DCacheMissRate(cs))
 		}
 	}
-	if shared != nil {
-		emit(shared.Figure())
+	if fig16 != nil {
+		emit(fig16())
 	}
 
 	if emitted == 0 {
@@ -229,10 +227,8 @@ func figures(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
 	if err := sess.ObservePoints(procs, seed, opts); err != nil {
 		return err
 	}
-	manifestOpts := opts
-	manifestOpts.Progress = nil
 	err := sess.Finish(opts.Seeds, map[string]any{
-		"scaling":  manifestOpts,
+		"scaling":  opts,
 		"observed": map[string]any{"processors": procs, "seed": seed},
 	})
 	if err != nil {

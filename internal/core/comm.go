@@ -99,10 +99,12 @@ func RunCommProfile(kind Kind, o CommOpts) CommProfile {
 // ScheduleCommProfiles submits both workloads' communication profiles as
 // cells; the pointees are filled by sched.Wait.
 func ScheduleCommProfiles(sched *Scheduler, o CommOpts) (jbb, ec *CommProfile) {
-	jbb, ec = new(CommProfile), new(CommProfile)
-	sched.Submit(func() { *jbb = RunCommProfile(SPECjbb, o) })
-	sched.Submit(func() { *ec = RunCommProfile(ECperf, o) })
-	return jbb, ec
+	ps := grid(sched, 2, func(i int) CommProfile {
+		p := RunCommProfile([]Kind{SPECjbb, ECperf}[i], o)
+		sched.Progress.AddCycles(o.WarmupCycles + o.MeasureCycles)
+		return p
+	})
+	return &ps[0], &ps[1]
 }
 
 // Fig14C2CDistribution reproduces Figure 14: the cumulative fraction of

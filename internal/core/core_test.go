@@ -283,11 +283,10 @@ func TestFig16Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	o := QuickSharedCacheOpts()
-	ecPriv := RunSharedCachePoint(ECperf, 1, o).DataMissesPer1000.Mean()
-	ecShared := RunSharedCachePoint(ECperf, 8, o).DataMissesPer1000.Mean()
-	jbbPriv := RunSharedCachePoint(SPECjbb, 1, o).DataMissesPer1000.Mean()
-	jbbShared := RunSharedCachePoint(SPECjbb, 8, o).DataMissesPer1000.Mean()
+	// The quick grouping is {1, 8}: each series reads (private, shared).
+	f := Fig16SharedCaches(QuickSharedCacheOpts())
+	ecPriv, ecShared := f.Series[0].Y[0], f.Series[0].Y[1]
+	jbbPriv, jbbShared := f.Series[1].Y[0], f.Series[1].Y[1]
 
 	if ecShared >= ecPriv {
 		t.Fatalf("ECperf: shared L2 (%v) not better than private (%v)", ecShared, ecPriv)

@@ -105,57 +105,37 @@ func buildMemScaleSystem(kind Kind, scale int, seed uint64) *System {
 	})
 }
 
-// MemScaleRuns is the Figure 11 grid scheduled on a global scheduler;
-// render with Figure after the scheduler drains.
-type MemScaleRuns struct {
-	opts  MemScaleOpts
-	kinds []Kind
-	vals  [][]float64 // [kind][scale]
-}
-
 // ScheduleMemScale submits every (workload, scale factor) cell of the
-// memory-scaling study.
-func ScheduleMemScale(sched *Scheduler, o MemScaleOpts) *MemScaleRuns {
-	r := &MemScaleRuns{opts: o, kinds: []Kind{ECperf, SPECjbb}}
-	for range r.kinds {
-		r.vals = append(r.vals, make([]float64, len(o.Scales)))
-	}
-	for ki, kind := range r.kinds {
-		for si, scale := range o.Scales {
-			sched.Submit(func() {
-				r.vals[ki][si] = memScalePoint(kind, scale, o)
-			})
+// memory-scaling study and returns Figure 11's renderer, which reads the
+// cells once the scheduler has drained.
+func ScheduleMemScale(sched *Scheduler, o MemScaleOpts) func() Figure {
+	kinds := []Kind{ECperf, SPECjbb}
+	ns := len(o.Scales)
+	vals := grid(sched, len(kinds)*ns, func(i int) float64 {
+		return memScalePoint(kinds[i/ns], o.Scales[i%ns], o)
+	})
+	return func() Figure {
+		f := Figure{
+			ID:     "Fig 11",
+			Title:  "Memory Use vs. Scale Factor",
+			XLabel: "Scale factor (warehouses / orders injection rate)",
+			YLabel: "Live memory (MB)",
 		}
-	}
-	return r
-}
-
-// Figure renders Figure 11 from the completed grid. The scheduler the
-// runs were submitted to must have drained.
-func (r *MemScaleRuns) Figure() Figure {
-	f := Figure{
-		ID:     "Fig 11",
-		Title:  "Memory Use vs. Scale Factor",
-		XLabel: "Scale factor (warehouses / orders injection rate)",
-		YLabel: "Live memory (MB)",
-	}
-	for ki, kind := range r.kinds {
-		s := Series{Label: kind.String()}
-		for si, scale := range r.opts.Scales {
-			s.X = append(s.X, float64(scale))
-			s.Y = append(s.Y, r.vals[ki][si])
-			s.Err = append(s.Err, 0)
+		for ki, kind := range kinds {
+			s := Series{Label: kind.String()}
+			for si, scale := range o.Scales {
+				s.X = append(s.X, float64(scale))
+				s.Y = append(s.Y, vals[ki*ns+si])
+				s.Err = append(s.Err, 0)
+			}
+			f.Series = append(f.Series, s)
 		}
-		f.Series = append(f.Series, s)
+		return f
 	}
-	return f
 }
 
 // Fig11MemoryScaling reproduces Figure 11: live memory (MB, after GC)
 // versus scale factor for both workloads.
 func Fig11MemoryScaling(o MemScaleOpts) Figure {
-	sched := NewScheduler(DefaultWorkers())
-	r := ScheduleMemScale(sched, o)
-	sched.Wait()
-	return r.Figure()
+	return runPrivate(func(s *Scheduler) func() Figure { return ScheduleMemScale(s, o) })()
 }

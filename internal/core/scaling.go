@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/memsys"
-	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -18,9 +17,6 @@ type Opts struct {
 	WarmupCycles uint64
 	// MeasureCycles is the steady-state measurement window.
 	MeasureCycles uint64
-	// Progress, when non-nil, is ticked once per completed run and credited
-	// with each run's simulated cycles — the sweep's liveness heartbeat.
-	Progress *obs.Heartbeat
 	// MemModel selects the memory timing model for every run in the sweep
 	// (default memsys.MemFixed).
 	MemModel memsys.MemModel
@@ -239,21 +235,15 @@ type ScalingSweep struct {
 // independent single-threaded simulation writing to its own slot, so the
 // sweep is deterministic regardless of completion order.
 func ScheduleScalingSweep(sched *Scheduler, kind Kind, o Opts) *ScalingSweep {
+	ns := len(o.Seeds)
+	pts := grid(sched, len(o.Procs)*ns, func(i int) ScalingPoint {
+		p := RunScalingPoint(kind, o.Procs[i/ns], o.Seeds[i%ns], o)
+		sched.Progress.AddCycles(o.WarmupCycles + o.MeasureCycles)
+		return p
+	})
 	sw := &ScalingSweep{Kind: kind, Opts: o}
-	for pi := range o.Procs {
-		sw.Cells = append(sw.Cells, SweepCell{
-			Processors: o.Procs[pi],
-			Points:     make([]ScalingPoint, len(o.Seeds)),
-		})
-	}
-	for pi := range o.Procs {
-		for si := range o.Seeds {
-			sched.Submit(func() {
-				sw.Cells[pi].Points[si] = RunScalingPoint(kind, o.Procs[pi], o.Seeds[si], o)
-				o.Progress.Add(1)
-				o.Progress.AddCycles(o.WarmupCycles + o.MeasureCycles)
-			})
-		}
+	for pi, procs := range o.Procs {
+		sw.Cells = append(sw.Cells, SweepCell{Processors: procs, Points: pts[pi*ns : (pi+1)*ns]})
 	}
 	return sw
 }
@@ -261,10 +251,7 @@ func ScheduleScalingSweep(sched *Scheduler, kind Kind, o Opts) *ScalingSweep {
 // RunScalingSweep measures every (processor count × seed) cell on a
 // private scheduler sized to the host.
 func RunScalingSweep(kind Kind, o Opts) *ScalingSweep {
-	sched := NewScheduler(DefaultWorkers())
-	sw := ScheduleScalingSweep(sched, kind, o)
-	sched.Wait()
-	return sw
+	return runPrivate(func(s *Scheduler) *ScalingSweep { return ScheduleScalingSweep(s, kind, o) })
 }
 
 // BaseThroughput returns mean single-processor throughput (speedup

@@ -3,11 +3,13 @@ package core
 import (
 	"runtime"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // Scheduler is the figure runner's global work queue. Every requested
-// figure submits its independent simulation cells (one cell = one
-// deterministic single-threaded run: a (workload, processor-count, seed)
+// figure submits its independent simulation cells through grid (one cell =
+// one deterministic single-threaded run: a (workload, processor-count, seed)
 // scaling point, one uniprocessor sweep configuration, one shared-cache
 // seed, one memory-scaling scale factor, one communication profile) into
 // a single pool, so host cores stay busy across figure boundaries instead
@@ -23,6 +25,10 @@ import (
 // each cell inline at Submit time, in submission order — exactly the old
 // one-sweep-at-a-time behavior.
 type Scheduler struct {
+	// Progress, when non-nil, is credited with one run per finished cell;
+	// cells that know their simulated cycles credit those too.
+	Progress *obs.Heartbeat
+
 	serial bool
 
 	mu      sync.Mutex
@@ -45,8 +51,9 @@ func NewScheduler(workers int) *Scheduler {
 // host core.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// Submit enqueues one cell. Serial schedulers run it before returning;
-// concurrent ones start a worker if the pool is not yet at width.
+// Submit enqueues one cell; grid is its only caller. Serial schedulers run
+// the cell before returning; concurrent ones start a worker if the pool is
+// not yet at width. Workers take cells first in, first out.
 func (s *Scheduler) Submit(fn func()) {
 	if s.serial {
 		fn()
@@ -88,4 +95,27 @@ func (s *Scheduler) Wait() {
 		return
 	}
 	s.wg.Wait()
+}
+
+// grid submits cells 0..n-1 in index order and returns their result slots:
+// slot i holds cell(i) once s has drained. Each finished cell credits one
+// run to s.Progress.
+func grid[T any](s *Scheduler, n int, cell func(i int) T) []T {
+	out := make([]T, n)
+	for i := range n {
+		s.Submit(func() {
+			out[i] = cell(i)
+			s.Progress.Add(1)
+		})
+	}
+	return out
+}
+
+// runPrivate runs schedule's cells on a private scheduler sized to the host
+// and returns its result once every cell has finished.
+func runPrivate[T any](schedule func(*Scheduler) T) T {
+	s := NewScheduler(DefaultWorkers())
+	r := schedule(s)
+	s.Wait()
+	return r
 }

@@ -32,12 +32,6 @@ func QuickSharedCacheOpts() SharedCacheOpts {
 	}
 }
 
-// SharedCachePoint is one (workload, grouping) measurement.
-type SharedCachePoint struct {
-	CPUsPerL2         int
-	DataMissesPer1000 *stats.Summary
-}
-
 // sharedCacheCell measures one (workload, grouping, seed) run: L2 data
 // misses per 1000 instructions on an 8-processor machine with the given
 // L2 grouping. SPECjbb runs at 25 warehouses (the paper's
@@ -60,81 +54,43 @@ func sharedCacheCell(kind Kind, cpusPerL2 int, seed uint64, o SharedCacheOpts) f
 	return sys.Hier.DataMissesPer1000(sys.Engine.Results().CPU.Instructions)
 }
 
-// RunSharedCachePoint measures one (workload, grouping) configuration
-// over all seeds on a private scheduler. The summary is accumulated in
-// seed order, keeping the point deterministic.
-func RunSharedCachePoint(kind Kind, cpusPerL2 int, o SharedCacheOpts) SharedCachePoint {
-	sched := NewScheduler(DefaultWorkers())
-	vals := scheduleSharedCacheSeeds(sched, kind, cpusPerL2, o)
-	sched.Wait()
-	pt := SharedCachePoint{CPUsPerL2: cpusPerL2, DataMissesPer1000: &stats.Summary{}}
-	for _, v := range vals {
-		pt.DataMissesPer1000.Add(v)
-	}
-	return pt
-}
-
-// scheduleSharedCacheSeeds submits one cell per seed; the returned slice
-// is filled by sched.Wait.
-func scheduleSharedCacheSeeds(sched *Scheduler, kind Kind, cpusPerL2 int, o SharedCacheOpts) []float64 {
-	vals := make([]float64, len(o.Seeds))
-	for si := range o.Seeds {
-		sched.Submit(func() {
-			vals[si] = sharedCacheCell(kind, cpusPerL2, o.Seeds[si], o)
-		})
-	}
-	return vals
-}
-
-// SharedCacheRuns is the Figure 16 grid scheduled on a global scheduler;
-// render with Figure after the scheduler drains.
-type SharedCacheRuns struct {
-	opts  SharedCacheOpts
-	kinds []Kind
-	vals  [][][]float64 // [kind][grouping][seed]
-}
-
 // ScheduleSharedCache submits every (workload, grouping, seed) cell of
-// Figure 16.
-func ScheduleSharedCache(sched *Scheduler, o SharedCacheOpts) *SharedCacheRuns {
-	r := &SharedCacheRuns{opts: o, kinds: []Kind{ECperf, SPECjbb}}
-	for _, kind := range r.kinds {
-		grid := make([][]float64, len(o.Grouping))
-		for gi, g := range o.Grouping {
-			grid[gi] = scheduleSharedCacheSeeds(sched, kind, g, o)
+// Figure 16 and returns the figure's renderer, which reads the cells once
+// the scheduler has drained.
+func ScheduleSharedCache(sched *Scheduler, o SharedCacheOpts) func() Figure {
+	kinds := []Kind{ECperf, SPECjbb}
+	ng, ns := len(o.Grouping), len(o.Seeds)
+	vals := grid(sched, len(kinds)*ng*ns, func(i int) float64 {
+		v := sharedCacheCell(kinds[i/(ng*ns)], o.Grouping[i/ns%ng], o.Seeds[i%ns], o)
+		sched.Progress.AddCycles(o.WarmupCycles + o.MeasureCycles)
+		return v
+	})
+	return func() Figure {
+		f := Figure{
+			ID:     "Fig 16",
+			Title:  "Cache Miss Rate on Shared Caches (Processors Per Shared 1 MB Cache)",
+			XLabel: "Processors per shared L2",
+			YLabel: "Data misses / 1000 instructions",
 		}
-		r.vals = append(r.vals, grid)
-	}
-	return r
-}
-
-// Figure renders Figure 16 from the completed grid. The scheduler the
-// runs were submitted to must have drained.
-func (r *SharedCacheRuns) Figure() Figure {
-	f := Figure{
-		ID:     "Fig 16",
-		Title:  "Cache Miss Rate on Shared Caches (Processors Per Shared 1 MB Cache)",
-		XLabel: "Processors per shared L2",
-		YLabel: "Data misses / 1000 instructions",
-	}
-	for ki, kind := range r.kinds {
-		label := kind.String()
-		if kind == SPECjbb {
-			label = "SPECjbb-25"
-		}
-		s := Series{Label: label}
-		for gi, g := range r.opts.Grouping {
-			var sum stats.Summary
-			for _, v := range r.vals[ki][gi] {
-				sum.Add(v)
+		for ki, kind := range kinds {
+			label := kind.String()
+			if kind == SPECjbb {
+				label = "SPECjbb-25"
 			}
-			s.X = append(s.X, float64(g))
-			s.Y = append(s.Y, sum.Mean())
-			s.Err = append(s.Err, sum.StdDev())
+			s := Series{Label: label}
+			for gi, g := range o.Grouping {
+				var sum stats.Summary
+				for _, v := range vals[(ki*ng+gi)*ns:][:ns] {
+					sum.Add(v)
+				}
+				s.X = append(s.X, float64(g))
+				s.Y = append(s.Y, sum.Mean())
+				s.Err = append(s.Err, sum.StdDev())
+			}
+			f.Series = append(f.Series, s)
 		}
-		f.Series = append(f.Series, s)
+		return f
 	}
-	return f
 }
 
 // Fig16SharedCaches reproduces Figure 16: data miss rate with 1/2/4/8
@@ -142,8 +98,5 @@ func (r *SharedCacheRuns) Figure() Figure {
 // helps ECperf (coherence misses vanish, small footprint) and hurts
 // SPECjbb-25 (the emulated database no longer fits).
 func Fig16SharedCaches(o SharedCacheOpts) Figure {
-	sched := NewScheduler(DefaultWorkers())
-	r := ScheduleSharedCache(sched, o)
-	sched.Wait()
-	return r.Figure()
+	return runPrivate(func(s *Scheduler) func() Figure { return ScheduleSharedCache(s, o) })()
 }

@@ -144,8 +144,6 @@ type SweepOpts struct {
 	// own). Trace timestamps are instruction counts — the sweeper has no
 	// timing model.
 	Observe func(label string) *obs.Observer
-	// Progress is ticked once per completed configuration.
-	Progress *obs.Heartbeat
 }
 
 // DefaultSweepOpts is the full-fidelity configuration.
@@ -222,8 +220,6 @@ func runUniSweep(kind Kind, scale int, label string, o SweepOpts, icfgs, dcfgs [
 		f.attrc.CloseEpoch(sys.Heap.SiteResolver(), "final")
 	}
 	ic, dc := f.curves()
-	o.Progress.Add(1)
-	o.Progress.AddCycles(f.instr)
 	return SweepResult{Label: label, ICurve: ic, DCurve: dc, Instructions: f.instr}
 }
 
@@ -248,24 +244,26 @@ func sweepSpecs() []sweepSpec {
 	}
 }
 
-// ScheduleCacheSweeps submits the four uniprocessor configurations over the
-// paper's size ladder as cells; the results are filled by sched.Wait.
-func ScheduleCacheSweeps(sched *Scheduler, o SweepOpts) *CacheSweeps {
-	return scheduleSweeps(sched, o, cache.SizeSweepConfigs)
-}
-
-// scheduleSweeps submits the four uniprocessor configurations as cells,
-// each sweeping the geometries ladder returns for its I and D sides. Result
-// order is fixed at submission.
-func scheduleSweeps(sched *Scheduler, o SweepOpts, ladder func(name string) []cache.Config) *CacheSweeps {
-	specs := sweepSpecs()
-	cs := &CacheSweeps{Results: make([]SweepResult, len(specs))}
-	for i, sp := range specs {
-		sched.Submit(func() {
-			cs.Results[i] = runUniSweep(sp.kind, sp.scale, sp.label, o, ladder("I"), ladder("D"))
-		})
+// ScheduleCacheSweeps submits the four uniprocessor configurations as
+// cells, each sweeping the chosen dimension (fixedBytes is the cache size
+// for the non-size modes) on its I and D sides; the results are filled by
+// sched.Wait, in the fixed configuration order.
+func ScheduleCacheSweeps(sched *Scheduler, o SweepOpts, mode GeometryMode, fixedBytes int) *CacheSweeps {
+	ladder := cache.SizeSweepConfigs
+	switch mode {
+	case SweepAssoc:
+		ladder = func(name string) []cache.Config { return cache.AssocSweepConfigs(name, fixedBytes) }
+	case SweepBlock:
+		ladder = func(name string) []cache.Config { return cache.BlockSweepConfigs(name, fixedBytes) }
 	}
-	return cs
+	specs := sweepSpecs()
+	results := grid(sched, len(specs), func(i int) SweepResult {
+		sp := specs[i]
+		r := runUniSweep(sp.kind, sp.scale, sp.label, o, ladder("I"), ladder("D"))
+		sched.Progress.AddCycles(r.Instructions)
+		return r
+	})
+	return &CacheSweeps{Results: results}
 }
 
 // RunCacheSweeps runs the paper's four uniprocessor configurations on a
@@ -330,21 +328,11 @@ const (
 )
 
 // RunGeometrySweeps runs the uniprocessor sweeps along the chosen
-// dimension; fixedBytes is the cache size for the non-size modes. Like
-// RunCacheSweeps, the four workload configurations are independent and
-// execute concurrently; result order is fixed.
+// dimension on a private scheduler sized to the host. Like RunCacheSweeps,
+// the four workload configurations are independent and execute
+// concurrently; result order is fixed.
 func RunGeometrySweeps(o SweepOpts, mode GeometryMode, fixedBytes int) *CacheSweeps {
-	ladder := cache.SizeSweepConfigs
-	switch mode {
-	case SweepAssoc:
-		ladder = func(name string) []cache.Config { return cache.AssocSweepConfigs(name, fixedBytes) }
-	case SweepBlock:
-		ladder = func(name string) []cache.Config { return cache.BlockSweepConfigs(name, fixedBytes) }
-	}
-	sched := NewScheduler(DefaultWorkers())
-	cs := scheduleSweeps(sched, o, ladder)
-	sched.Wait()
-	return cs
+	return runPrivate(func(s *Scheduler) *CacheSweeps { return ScheduleCacheSweeps(s, o, mode, fixedBytes) })
 }
 
 // missAt reads one point off a sweep curve (for notes and tests).
