@@ -1,8 +1,9 @@
 // GC study: the paper's three garbage-collection observations in one run.
 //
-//  1. Figure 10 — cache-to-cache transfers collapse during stop-the-world
-//     collection (only the single collector thread runs, so nobody is
-//     exchanging lines).
+//  1. Figure 10 — cache-to-cache transfers over time. The paper's rate
+//     collapses during stop-the-world collection (only the single collector
+//     thread runs, so nobody is exchanging lines); the simulated rate does
+//     not collapse (ROADMAP item 8).
 //  2. Figure 11 — SPECjbb's live memory grows linearly with warehouses;
 //     ECperf's middle tier stays flat past a small knee because the
 //     database it feeds lives on another machine.
@@ -25,7 +26,6 @@ func main() {
 		Seed:          3,
 		WarmupCycles:  8_000_000,
 		MeasureCycles: 40_000_000,
-		TimelineBin:   1_000_000,
 	})
 	report.Render(os.Stdout, core.Fig10C2CTimeline(comm))
 	fmt.Printf("collections in window: %d\n\n", comm.GCCount)

@@ -77,7 +77,6 @@ func TestAttrConservation(t *testing.T) {
 func TestAttrIdenticalAcrossSnoopModes(t *testing.T) {
 	geo := cache.Config{Name: "L2", SizeBytes: 16 << 10, Assoc: 2, BlockBytes: 64}
 	p := newBusPair(MOSI, 4, geo)
-	p.attachAttr()
 	p.run(t, 0xC0117, 30000)
 	p.verify(t)
 }

@@ -6,9 +6,10 @@
 // shared-cache CMP configurations of Figure 16 attach 2, 4, or 8 processors
 // to one node). The bus serializes GetS/GetM/Upgrade transactions, counts
 // "snoop copybacks" — requests satisfied by another cache holding the block
-// Modified or Owned, the event the paper reads from cpustat — and can keep a
-// per-line profile of communication for Figures 14 and 15 plus a time series
-// of transfers for Figure 10.
+// Modified or Owned, the event the paper reads from cpustat — and reports
+// every access and transaction to an attached attribution collector, whose
+// exact mode is the per-line communication profile of Figures 14 and 15 and
+// the transfer timeline of Figure 10.
 //
 // Snoops are resolved through a bus-side duplicate-tag filter — the model of
 // the E6000's duplicate tag arrays, which answer snoops without touching the
@@ -28,7 +29,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
-	"repro/internal/stats"
 )
 
 // MOSI states, stored in a cache.Line's state bits. StateInvalid (0) is
@@ -159,12 +159,6 @@ type Bus struct {
 	Protocol Protocol
 	Stats    Stats
 
-	// profile, when non-nil, tracks touched lines and per-line C2C counts
-	// for the communication-footprint figures.
-	profile *stats.ShareDist
-	// timeline, when non-nil, bins C2C transfers by simulated time.
-	timeline *stats.TimeSeries
-
 	// ClassifyAddr, when set, attributes memory-served misses to address
 	// classes (a calibration diagnostic); MissClass counts per class.
 	ClassifyAddr func(addr uint64) int
@@ -176,10 +170,10 @@ type Bus struct {
 	// other traced event by orders of magnitude).
 	Tracer *obs.Tracer
 
-	// Attr, when non-nil, receives every bus-level event (miss, C2C
-	// transfer, upgrade, writeback, invalidation) with its block address
-	// for per-line and per-object attribution. Off (nil) costs one pointer
-	// compare per transaction.
+	// Attr, when non-nil, receives every L2 access (Touch) and every
+	// bus-level event (miss, C2C transfer, upgrade, writeback, invalidation)
+	// with its block address for per-line and per-object attribution. Off
+	// (nil) costs one pointer compare per access and per transaction.
 	Attr *attr.Collector
 
 	// Load, when non-nil, records every data-moving transaction (GetS and
@@ -222,47 +216,8 @@ func (b *Bus) AddNode(l2 *cache.Cache, onInvalidate func(ba uint64)) *Node {
 // Nodes returns the attached nodes in attachment order.
 func (b *Bus) Nodes() []*Node { return b.nodes }
 
-// EnableProfile starts per-line communication profiling (Figures 14/15).
-func (b *Bus) EnableProfile() { b.profile = stats.NewShareDist() }
-
-// Profile returns the per-line communication profile, or nil if profiling
-// is off.
-func (b *Bus) Profile() *stats.ShareDist { return b.profile }
-
-// EnableTimeline starts binning C2C transfers by simulated time with the
-// given bin width (Figure 10).
-func (b *Bus) EnableTimeline(interval uint64) { b.timeline = stats.NewTimeSeries(interval) }
-
-// Timeline returns the C2C time series, or nil if disabled.
-func (b *Bus) Timeline() *stats.TimeSeries { return b.timeline }
-
-// ResetStats zeroes the bus counters (cache contents stay warm). The
-// profile and timeline, if enabled, are restarted too.
-func (b *Bus) ResetStats() {
-	b.Stats = Stats{}
-	if b.profile != nil {
-		b.profile = stats.NewShareDist()
-	}
-	if b.timeline != nil {
-		b.timeline = stats.NewTimeSeries(b.timeline.Interval)
-	}
-}
-
-func (b *Bus) recordC2C(ba uint64, now uint64) {
-	b.Stats.C2CTransfers++
-	if b.profile != nil {
-		b.profile.Add(ba, 1)
-	}
-	if b.timeline != nil {
-		b.timeline.Add(now, 1)
-	}
-}
-
-func (b *Bus) touch(ba uint64) {
-	if b.profile != nil {
-		b.profile.Touch(ba)
-	}
-}
+// ResetStats zeroes the bus counters (cache contents stay warm).
+func (b *Bus) ResetStats() { b.Stats = Stats{} }
 
 func (b *Bus) classifyMem(ba uint64) {
 	if b.ClassifyAddr != nil {
@@ -296,7 +251,7 @@ func (n *Node) notifyInvalidate(ba uint64) {
 // time now, returning who supplied the data.
 func (n *Node) Read(addr mem.Addr, now uint64) Source {
 	ba := n.l2.BlockAddr(addr)
-	n.bus.touch(ba)
+	n.bus.Attr.Touch(ba)
 	if l := n.l2.ProbeTouch(ba); l != nil {
 		n.bus.Stats.L2Hits++
 		if n.bus.Sanitize {
@@ -332,7 +287,7 @@ func (n *Node) Read(addr mem.Addr, now uint64) Source {
 		src = SrcCache
 	}
 	if src == SrcCache {
-		n.bus.recordC2C(ba, now)
+		n.bus.Stats.C2CTransfers++
 	} else {
 		n.bus.Stats.MemTransfers++
 		n.bus.classifyMem(ba)
@@ -341,7 +296,7 @@ func (n *Node) Read(addr mem.Addr, now uint64) Source {
 		n.bus.Load.Record(now, false)
 	}
 	if n.bus.Attr != nil {
-		n.bus.Attr.RecordGetS(ba, n.id, src == SrcCache)
+		n.bus.Attr.RecordGetS(ba, n.id, src == SrcCache, now)
 	}
 	if n.bus.Tracer.Admit(obs.CompMem) {
 		n.bus.Tracer.Instant(obs.CompMem, "bus.gets", n.id, now,
@@ -391,7 +346,7 @@ func (b *Bus) snoopGetS(l *cache.Line) bool {
 // SrcUpgrade for an ownership upgrade, SrcCache/SrcMemory for a full GetM).
 func (n *Node) Write(addr mem.Addr, now uint64) Source {
 	ba := n.l2.BlockAddr(addr)
-	n.bus.touch(ba)
+	n.bus.Attr.Touch(ba)
 	if l := n.l2.ProbeTouch(ba); l != nil {
 		switch l.State() {
 		case Modified:
@@ -444,7 +399,7 @@ func (n *Node) Write(addr mem.Addr, now uint64) Source {
 		src = SrcCache
 	}
 	if src == SrcCache {
-		n.bus.recordC2C(ba, now)
+		n.bus.Stats.C2CTransfers++
 	} else {
 		n.bus.Stats.MemTransfers++
 		n.bus.classifyMem(ba)
@@ -453,7 +408,7 @@ func (n *Node) Write(addr mem.Addr, now uint64) Source {
 		n.bus.Load.Record(now, true)
 	}
 	if n.bus.Attr != nil {
-		n.bus.Attr.RecordGetM(ba, n.id, src == SrcCache)
+		n.bus.Attr.RecordGetM(ba, n.id, src == SrcCache, now)
 	}
 	if n.bus.Tracer.Admit(obs.CompMem) {
 		n.bus.Tracer.Instant(obs.CompMem, "bus.getm", n.id, now,

@@ -1,9 +1,11 @@
 package coherence
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/obs/attr"
 	"repro/internal/simrand"
 )
 
@@ -154,46 +156,34 @@ func TestOnInvalidateHook(t *testing.T) {
 	}
 }
 
+// TestProfileRecordsTouchAndC2C: an exact collector on the bus is the
+// communication profile — every touched line with its C2C transfers, and
+// the transfers binned by simulated time.
 func TestProfileRecordsTouchAndC2C(t *testing.T) {
 	b, a, c := twoNodes()
-	b.EnableProfile()
+	b.Attr = attr.NewCollector(attr.Options{Exact: true, TimelineBin: 100})
 	a.Read(0x2000, 0)  // touched, no c2c
 	a.Write(0x1000, 0) // touched
 	c.Read(0x1000, 1)  // c2c on line 0x1000
-	p := b.Profile()
-	if p.Keys() != 2 {
-		t.Fatalf("touched lines = %d, want 2", p.Keys())
+	if got := b.Attr.Shares(); !slices.Equal(got, []uint64{1, 0}) {
+		t.Fatalf("per-line transfers = %v, want [1 0] (2 touched lines, 1 transfer)", got)
 	}
-	if p.Total() != 1 {
-		t.Fatalf("c2c total = %d, want 1", p.Total())
-	}
-	if p.TopShare(1) != 1 {
-		t.Fatalf("hottest line share = %v", p.TopShare(1))
-	}
-}
 
-func TestTimelineBinsC2C(t *testing.T) {
-	b, a, c := twoNodes()
-	b.EnableTimeline(100)
+	b.Attr.Reset()
 	a.Write(0x40, 0)
 	c.Read(0x40, 50)   // bin 0
-	c.Write(0x40, 250) // upgrade at c (c has S, a has O)... may or may not be c2c
+	c.Write(0x40, 250) // upgrade at c (c has S, a has O): no data moves
 	a.Write(0x40, 260) // a lost its copy; GetM from c's M copy: c2c in bin 2
-	bins := b.Timeline().Bins()
-	if len(bins) < 3 || bins[0] != 1 {
-		t.Fatalf("bins = %v", bins)
-	}
-	if bins[2] == 0 {
-		t.Fatalf("expected c2c in bin 2: %v", bins)
+	if got := b.Attr.Timeline(); !slices.Equal(got, []uint64{1, 0, 1}) {
+		t.Fatalf("bins = %v, want [1 0 1]", got)
 	}
 }
 
 func TestResetStatsKeepsContents(t *testing.T) {
 	b, a, _ := twoNodes()
-	b.EnableProfile()
 	a.Write(0x1000, 0)
 	b.ResetStats()
-	if b.Stats.GetM != 0 || b.Profile().Keys() != 0 {
+	if b.Stats.GetM != 0 {
 		t.Fatal("ResetStats incomplete")
 	}
 	if a.HasBlock(0x1000) != Modified {

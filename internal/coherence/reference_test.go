@@ -1,31 +1,29 @@
 package coherence
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/obs/attr"
 	"repro/internal/simrand"
-	"repro/internal/stats"
 )
 
 // refBus is the reference model Bus is checked against: the brute-force
 // snooping bus the duplicate-tag filter replaced. Every GetS, GetM and
 // upgrade probes every other node's L2 in ascending node order. It keeps the
-// observables the equivalence tests compare — Stats, the per-line profile,
-// the C2C timeline, attribution events and invalidation callbacks — and
-// nothing else: no loaded-latency model, tracer, sanitizer or address
+// observables the equivalence tests compare — Stats, attribution events
+// (with the touched lines and the C2C timeline) and invalidation callbacks
+// — and nothing else: no loaded-latency model, tracer, sanitizer or address
 // classifier. It shares no snoop code with Bus, so a filter bug cannot hide
 // in its own reference.
 type refBus struct {
-	proto    Protocol
-	l2       []*cache.Cache
-	onInv    []func(ba uint64)
-	Stats    Stats
-	profile  *stats.ShareDist
-	timeline *stats.TimeSeries
-	attr     *attr.Collector
+	proto Protocol
+	l2    []*cache.Cache
+	onInv []func(ba uint64)
+	Stats Stats
+	attr  *attr.Collector
 }
 
 func (b *refBus) addNode(l2 *cache.Cache, onInvalidate func(ba uint64)) {
@@ -39,26 +37,10 @@ func (b *refBus) notify(id int, ba uint64) {
 	}
 }
 
-func (b *refBus) touch(ba uint64) {
-	if b.profile != nil {
-		b.profile.Touch(ba)
-	}
-}
-
-func (b *refBus) recordC2C(ba, now uint64) {
-	b.Stats.C2CTransfers++
-	if b.profile != nil {
-		b.profile.Add(ba, 1)
-	}
-	if b.timeline != nil {
-		b.timeline.Add(now, 1)
-	}
-}
-
 // read is a coherent load by node id.
 func (b *refBus) read(id int, addr mem.Addr, now uint64) Source {
 	ba := b.l2[id].BlockAddr(addr)
-	b.touch(ba)
+	b.attr.Touch(ba)
 	if b.l2[id].ProbeTouch(ba) != nil {
 		b.Stats.L2Hits++
 		return SrcLocal
@@ -78,13 +60,11 @@ func (b *refBus) read(id int, addr mem.Addr, now uint64) Source {
 		}
 	}
 	if src == SrcCache {
-		b.recordC2C(ba, now)
+		b.Stats.C2CTransfers++
 	} else {
 		b.Stats.MemTransfers++
 	}
-	if b.attr != nil {
-		b.attr.RecordGetS(ba, id, src == SrcCache)
-	}
+	b.attr.RecordGetS(ba, id, src == SrcCache, now)
 	st := Shared
 	if b.proto == MESI && !anyCopy {
 		st = Exclusive
@@ -104,9 +84,7 @@ func (b *refBus) snoopGetS(l *cache.Line) bool {
 			l.SetState(Shared)
 			l.SetDirty(false)
 			b.Stats.Writebacks++
-			if b.attr != nil {
-				b.attr.RecordWriteback(l.Tag(), -1)
-			}
+			b.attr.RecordWriteback(l.Tag(), -1)
 		}
 		return true
 	case Owned:
@@ -120,7 +98,7 @@ func (b *refBus) snoopGetS(l *cache.Line) bool {
 // write is a coherent store by node id.
 func (b *refBus) write(id int, addr mem.Addr, now uint64) Source {
 	ba := b.l2[id].BlockAddr(addr)
-	b.touch(ba)
+	b.attr.Touch(ba)
 	if l := b.l2[id].ProbeTouch(ba); l != nil {
 		switch l.State() {
 		case Modified:
@@ -141,16 +119,12 @@ func (b *refBus) write(id int, addr mem.Addr, now uint64) Source {
 				if _, present := other.Invalidate(ba); present {
 					b.notify(o, ba)
 					b.Stats.Invalidations++
-					if b.attr != nil {
-						b.attr.RecordInval(ba, o)
-					}
+					b.attr.RecordInval(ba, o)
 				}
 			}
 			l.SetState(Modified)
 			l.SetDirty(true)
-			if b.attr != nil {
-				b.attr.RecordUpgrade(ba, id)
-			}
+			b.attr.RecordUpgrade(ba, id)
 			return SrcUpgrade
 		}
 	}
@@ -167,19 +141,15 @@ func (b *refBus) write(id int, addr mem.Addr, now uint64) Source {
 			other.Invalidate(ba)
 			b.notify(o, ba)
 			b.Stats.Invalidations++
-			if b.attr != nil {
-				b.attr.RecordInval(ba, o)
-			}
+			b.attr.RecordInval(ba, o)
 		}
 	}
 	if src == SrcCache {
-		b.recordC2C(ba, now)
+		b.Stats.C2CTransfers++
 	} else {
 		b.Stats.MemTransfers++
 	}
-	if b.attr != nil {
-		b.attr.RecordGetM(ba, id, src == SrcCache)
-	}
+	b.attr.RecordGetM(ba, id, src == SrcCache, now)
 	b.insert(id, ba, Modified).SetDirty(true)
 	return src
 }
@@ -193,16 +163,15 @@ func (b *refBus) insert(id int, ba uint64, st cache.State) *cache.Line {
 	}
 	if victim.State() == Modified || victim.State() == Owned {
 		b.Stats.Writebacks++
-		if b.attr != nil {
-			b.attr.RecordWriteback(victim.Tag(), id)
-		}
+		b.attr.RecordWriteback(victim.Tag(), id)
 	}
 	b.notify(id, victim.Tag())
 	return l
 }
 
 // busPair drives a Bus and a refBus with identical traffic; every
-// observable of the two must agree.
+// observable of the two must agree. Both carry an exact attribution
+// collector with a 1000-cycle timeline.
 type busPair struct {
 	bus         *Bus
 	ref         *refBus
@@ -216,21 +185,13 @@ func newBusPair(proto Protocol, nodes int, geo cache.Config) *busPair {
 		inv: make([]int, nodes), refInv: make([]int, nodes),
 	}
 	p.bus.Protocol = proto
-	p.bus.EnableProfile()
-	p.ref.profile = stats.NewShareDist()
-	p.bus.EnableTimeline(1000)
-	p.ref.timeline = stats.NewTimeSeries(1000)
+	p.bus.Attr = attr.NewCollector(attr.Options{Exact: true, TimelineBin: 1000})
+	p.ref.attr = attr.NewCollector(attr.Options{Exact: true, TimelineBin: 1000})
 	for i := 0; i < nodes; i++ {
 		p.nodes = append(p.nodes, p.bus.AddNode(cache.New(geo), func(ba uint64) { p.inv[i]++ }))
 		p.ref.addNode(cache.New(geo), func(ba uint64) { p.refInv[i]++ })
 	}
 	return p
-}
-
-// attachAttr gives both buses an exact-mode attribution collector.
-func (p *busPair) attachAttr() {
-	p.bus.Attr = attr.NewCollector(attr.Options{Exact: true})
-	p.ref.attr = attr.NewCollector(attr.Options{Exact: true})
 }
 
 // access applies access i — a load or store of block ba by node n — to both
@@ -263,31 +224,24 @@ func (p *busPair) run(t *testing.T, seed uint64, accesses int) {
 	}
 }
 
-func sameShareDist(a, b *stats.ShareDist) bool {
-	if a.Keys() != b.Keys() || a.Total() != b.Total() {
-		return false
-	}
-	ac, bc := a.SortedCounts(), b.SortedCounts()
-	for i := range ac {
-		if ac[i] != bc[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// verify compares Stats, profile, timeline, invalidation callbacks, the
-// final state and dirty bit of every block in every cache, and, when
-// attached, the attribution sums.
+// verify compares Stats, the attribution sums and event counts, per-line
+// transfers, timeline, invalidation callbacks, and the final state and
+// dirty bit of every block in every cache.
 func (p *busPair) verify(t *testing.T) {
 	t.Helper()
 	if p.bus.Stats != p.ref.Stats {
 		t.Errorf("stats diverge:\nbus       %+v\nreference %+v", p.bus.Stats, p.ref.Stats)
 	}
-	if !sameShareDist(p.bus.Profile(), p.ref.profile) {
-		t.Error("per-line communication profiles diverge")
+	if got, want := p.bus.Attr.SumCounts(), p.ref.attr.SumCounts(); got != want {
+		t.Errorf("attribution sums diverge:\nbus       %+v\nreference %+v", got, want)
 	}
-	fb, rb := p.bus.Timeline().Bins(), p.ref.timeline.Bins()
+	if got, want := p.bus.Attr.Events(), p.ref.attr.Events(); got != want {
+		t.Errorf("event counts diverge: bus %d, reference %d", got, want)
+	}
+	if !slices.Equal(p.bus.Attr.Shares(), p.ref.attr.Shares()) {
+		t.Error("per-line transfers diverge")
+	}
+	fb, rb := p.bus.Attr.Timeline(), p.ref.attr.Timeline()
 	if len(fb) != len(rb) {
 		t.Fatalf("timeline bin counts diverge: %d vs %d", len(fb), len(rb))
 	}
@@ -321,14 +275,6 @@ func (p *busPair) verify(t *testing.T) {
 			t.Errorf("node %d: bus cache holds %d blocks, reference holds %d", i, len(fl), count)
 		}
 	}
-	if p.bus.Attr != nil {
-		if got, want := p.bus.Attr.SumCounts(), p.ref.attr.SumCounts(); got != want {
-			t.Errorf("attribution sums diverge:\nbus       %+v\nreference %+v", got, want)
-		}
-		if got, want := p.bus.Attr.Events(), p.ref.attr.Events(); got != want {
-			t.Errorf("event counts diverge: bus %d, reference %d", got, want)
-		}
-	}
 }
 
 // FuzzBusMatchesReference drives a sanitized Bus and the refBus with fuzzed
@@ -354,7 +300,6 @@ func FuzzBusMatchesReference(f *testing.F) {
 		geo := geos[int(data[2])%len(geos)]
 		p := newBusPair(Protocol(data[0]%3), nodes, geo)
 		p.bus.EnableSanitizer()
-		p.attachAttr()
 		for i, op := 0, data[3:]; len(op) >= 2; i, op = i+1, op[2:] {
 			ba := uint64(op[1]&63) * uint64(geo.BlockBytes)
 			p.access(t, i, int(op[0]&7)%nodes, ba, op[0]&8 != 0)

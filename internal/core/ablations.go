@@ -51,7 +51,7 @@ func QuickAblationOpts() AblationOpts {
 func (o AblationOpts) point(params SystemParams) (ScalingPoint, *System) {
 	params.Processors, params.Seed, params.MemModel = o.Processors, o.Seed, o.MemModel
 	sys := BuildSystem(params)
-	return measurePoint(sys, o.WarmupCycles, o.MeasureCycles), sys
+	return measurePoint(sys, nil, o.WarmupCycles, o.MeasureCycles), sys
 }
 
 // AblationISM compares ECperf with ISM (4 MB pages, the paper's tuning)

@@ -2,9 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
 
-	"repro/internal/stats"
+	"repro/internal/obs"
+	"repro/internal/obs/attr"
 )
+
+// commTimelineBin is the Figure 10 sampling interval in cycles (the paper
+// used 100 ms of wall time; the simulated equivalent is scaled).
+const commTimelineBin = 1_000_000
 
 // CommOpts size the communication-behavior experiments (Figures 10/14/15).
 type CommOpts struct {
@@ -12,9 +18,6 @@ type CommOpts struct {
 	Seed          uint64
 	WarmupCycles  uint64
 	MeasureCycles uint64
-	// TimelineBin is the Figure 10 sampling interval in cycles (the paper
-	// used 100 ms of wall time; the simulated equivalent is scaled).
-	TimelineBin uint64
 }
 
 // DefaultCommOpts is the full-fidelity configuration.
@@ -24,7 +27,6 @@ func DefaultCommOpts() CommOpts {
 		Seed:          20030208,
 		WarmupCycles:  12_000_000,
 		MeasureCycles: 60_000_000,
-		TimelineBin:   1_000_000,
 	}
 }
 
@@ -35,15 +37,17 @@ func QuickCommOpts() CommOpts {
 		Seed:          20030208,
 		WarmupCycles:  4_000_000,
 		MeasureCycles: 20_000_000,
-		TimelineBin:   1_000_000,
 	}
 }
 
 // CommProfile is one workload's measured communication behavior.
 type CommProfile struct {
 	Kind Kind
-	// Dist is the per-line cache-to-cache transfer distribution.
-	Dist *stats.ShareDist
+	// Shares are the cache-to-cache transfer counts of every line touched
+	// in the window, hottest first (untransferred lines count 0), and
+	// Transfers is their sum.
+	Shares    []uint64
+	Transfers uint64
 	// TopLineShare is the hottest single line's share of all transfers
 	// (§5.2: 20% for SPECjbb, 14% for ECperf).
 	TopLineShare float64
@@ -59,41 +63,48 @@ type CommProfile struct {
 	GCCount  uint64
 }
 
-// RunCommProfile measures one workload's communication profile on an
-// 8-processor run with per-line profiling and the transfer timeline
-// enabled.
+// RunCommProfile measures one workload's communication profile on a run
+// with an exact attribution collector attached: its touched lines and
+// per-line transfers give Figures 14/15, its transfer timeline Figure 10.
 func RunCommProfile(kind Kind, o CommOpts) CommProfile {
 	sys := BuildSystem(SystemParams{Kind: kind, Processors: o.Processors, Seed: o.Seed})
-	bus := sys.Hier.Bus()
-	bus.EnableProfile()
-	bus.EnableTimeline(o.TimelineBin)
-	pt := measurePoint(sys, o.WarmupCycles, o.MeasureCycles) // the reset restarts profile and timeline
+	ac := attr.NewCollector(attr.Options{Exact: true, TimelineBin: commTimelineBin})
+	pt := measurePoint(sys, &obs.Observer{Attr: ac}, o.WarmupCycles, o.MeasureCycles) // the reset restarts ac
 
-	dist := bus.Profile()
-	transferring := 0
-	for _, c := range dist.SortedCounts() {
+	p := CommProfile{Kind: kind, Shares: ac.Shares(), GCCount: pt.GCCount}
+	for _, c := range p.Shares {
+		p.Transfers += c
 		if c > 0 {
-			transferring++
+			p.LinesTransferring++
 		}
 	}
+	p.LinesTouched = len(p.Shares)
+	p.TopLineShare = p.topShare(1)
+	p.Top01PctShare = p.topShare(max(1, int(math.Ceil(0.001*float64(p.LinesTouched)))))
 	// The timeline bins are indexed by absolute simulated time; keep the
 	// measurement window's bins. The engine can finish an event a little
 	// past the window's end, so the bin that starts there holds only a
 	// sliver of accesses and is dropped with the warm-up prefix.
-	bins := bus.Timeline().Bins()
-	lo := min(int(o.WarmupCycles/o.TimelineBin), len(bins))
-	hi := min(lo+int(o.MeasureCycles/o.TimelineBin), len(bins))
-	bins = bins[lo:hi]
-	return CommProfile{
-		Kind:              kind,
-		Dist:              dist,
-		TopLineShare:      dist.TopShare(1),
-		Top01PctShare:     dist.TopFractionShare(0.001),
-		LinesTouched:      dist.Keys(),
-		LinesTransferring: transferring,
-		Timeline:          bins,
-		GCCount:           pt.GCCount,
+	bins := ac.Timeline()
+	lo := min(int(o.WarmupCycles/commTimelineBin), len(bins))
+	hi := min(lo+int(o.MeasureCycles/commTimelineBin), len(bins))
+	for _, v := range bins[lo:hi] {
+		p.Timeline = append(p.Timeline, float64(v))
 	}
+	return p
+}
+
+// topShare returns the fraction of all transfers carried by the hottest k
+// lines.
+func (p *CommProfile) topShare(k int) float64 {
+	if p.Transfers == 0 {
+		return 0
+	}
+	var sum uint64
+	for _, c := range p.Shares[:min(k, len(p.Shares))] {
+		sum += c
+	}
+	return float64(sum) / float64(p.Transfers)
 }
 
 // ScheduleCommProfiles submits both workloads' communication profiles as
@@ -119,10 +130,17 @@ func Fig14C2CDistribution(jbb, ec CommProfile) Figure {
 	}
 	for _, p := range []CommProfile{ec, jbb} {
 		s := Series{Label: p.Kind.String()}
-		for _, pt := range p.Dist.CDF(100) {
-			s.X = append(s.X, 100*pt.KeyFrac)
-			s.Y = append(s.Y, 100*pt.EventShare)
-			s.Err = append(s.Err, 0)
+		// Sample the cumulative curve at every step-th line and the last.
+		n := len(p.Shares)
+		step := max(n/100, 1)
+		var cum uint64
+		for i, c := range p.Shares {
+			cum += c
+			if p.Transfers > 0 && ((i+1)%step == 0 || i+1 == n) {
+				s.X = append(s.X, 100*(float64(i+1)/float64(n)))
+				s.Y = append(s.Y, 100*(float64(cum)/float64(p.Transfers)))
+				s.Err = append(s.Err, 0)
+			}
 		}
 		f.Series = append(f.Series, s)
 		f.Notes = append(f.Notes, fmt.Sprintf(
@@ -147,7 +165,7 @@ func Fig15C2CFootprint(jbb, ec CommProfile) Figure {
 		s := Series{Label: p.Kind.String()}
 		for k := 1; k <= p.LinesTouched; k *= 2 {
 			s.X = append(s.X, float64(k))
-			s.Y = append(s.Y, 100*p.Dist.TopShare(k))
+			s.Y = append(s.Y, 100*p.topShare(k))
 			s.Err = append(s.Err, 0)
 		}
 		s.X = append(s.X, float64(p.LinesTouched))
@@ -162,8 +180,9 @@ func Fig15C2CFootprint(jbb, ec CommProfile) Figure {
 }
 
 // Fig10C2CTimeline reproduces Figure 10: cache-to-cache transfers per
-// interval over time for SPECjbb, normalized to the peak bin — the rate
-// collapses during each garbage collection.
+// interval over time for SPECjbb, normalized to the peak bin. The
+// single-threaded collector is meant to collapse the rate during each
+// garbage collection; that does not reproduce (ROADMAP item 8).
 func Fig10C2CTimeline(p CommProfile) Figure {
 	f := Figure{
 		ID:     "Fig 10",

@@ -81,7 +81,7 @@ type CoSimResult struct {
 func RunCoSim(procs int, seed uint64, warmup, measure uint64) CoSimResult {
 	// Queueing-model baseline.
 	base := BuildSystem(SystemParams{Kind: ECperf, Processors: procs, Seed: seed})
-	res := CoSimResult{ModelThroughput: measurePoint(base, warmup, measure).Throughput}
+	res := CoSimResult{ModelThroughput: measurePoint(base, nil, warmup, measure).Throughput}
 
 	// Co-simulated deployment.
 	cs := BuildCoSim(procs, seed)

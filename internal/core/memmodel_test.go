@@ -41,7 +41,7 @@ func TestMemModelLoadedDeterministic(t *testing.T) {
 	o.MemModel = memsys.MemLoaded
 	run := func() uint64 {
 		sys := BuildSystem(o.systemParams(ECperf, 8, o.Seeds[0]))
-		measurePoint(sys, o.WarmupCycles, o.MeasureCycles)
+		measurePoint(sys, nil, o.WarmupCycles, o.MeasureCycles)
 		return Fingerprint(sys)
 	}
 	a, b := run(), run()

@@ -77,15 +77,15 @@ func (r *Run) Tick(t uint64) {
 	}
 }
 
-// measurePoint runs sys through Measure with nothing attached and reduces
-// the window to the figure metrics: every timed experiment cell (scaling,
-// communication, shared-cache, ablation and co-simulation baseline) is one
-// call. Each phase is one slice. Slicing is not free of effects: an idle
-// processor re-checks the ready queue at every slice boundary, which can
-// move a steal earlier, so these cells keep the one-run-per-phase schedule
-// their figures were calibrated on.
-func measurePoint(sys *System, warmup, measure uint64) ScalingPoint {
-	r := &Run{Sys: sys, slice: warmup + measure}
+// measurePoint runs sys through Measure with ob (nil: nothing) attached and
+// reduces the window to the figure metrics: every timed experiment cell
+// (scaling, communication, shared-cache, ablation and co-simulation
+// baseline) is one call. Each phase is one slice. Slicing is not free of
+// effects: an idle processor re-checks the ready queue at every slice
+// boundary, which can move a steal earlier, so these cells keep the
+// one-run-per-phase schedule their figures were calibrated on.
+func measurePoint(sys *System, ob *obs.Observer, warmup, measure uint64) ScalingPoint {
+	r := &Run{Sys: sys, Observer: ob, slice: warmup + measure}
 	if err := r.Measure(warmup, measure, nil); err != nil {
 		panic(err) // unreachable: Measure fails only on checkpoints
 	}

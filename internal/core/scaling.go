@@ -84,7 +84,7 @@ type ScalingPoint struct {
 
 // RunScalingPoint builds the system, warms it, and measures one point.
 func RunScalingPoint(kind Kind, procs int, seed uint64, o Opts) ScalingPoint {
-	return measurePoint(BuildSystem(o.systemParams(kind, procs, seed)), o.WarmupCycles, o.MeasureCycles)
+	return measurePoint(BuildSystem(o.systemParams(kind, procs, seed)), nil, o.WarmupCycles, o.MeasureCycles)
 }
 
 // RunScalingPointDebug is RunScalingPoint plus a bus-level diagnostic
@@ -93,7 +93,7 @@ func RunScalingPoint(kind Kind, procs int, seed uint64, o Opts) ScalingPoint {
 func RunScalingPointDebug(kind Kind, procs int, seed uint64, o Opts) ScalingPoint {
 	sys := BuildSystem(o.systemParams(kind, procs, seed))
 	sys.Hier.Bus().ClassifyAddr = regionClassifier(sys)
-	p := measurePoint(sys, o.WarmupCycles, o.MeasureCycles)
+	p := measurePoint(sys, nil, o.WarmupCycles, o.MeasureCycles)
 	r := sys.Engine.Results()
 	bs := sys.Hier.Bus().Stats
 	instr := float64(r.CPU.Instructions)

@@ -50,7 +50,7 @@ func sharedCacheCell(kind Kind, cpusPerL2 int, seed uint64, o SharedCacheOpts) f
 		Scale:      scale,
 		Seed:       seed,
 	})
-	measurePoint(sys, o.WarmupCycles, o.MeasureCycles)
+	measurePoint(sys, nil, o.WarmupCycles, o.MeasureCycles)
 	return sys.Hier.DataMissesPer1000(sys.Engine.Results().CPU.Instructions)
 }
 

@@ -77,9 +77,9 @@ func (f *feeder) attrRange(addr mem.Addr, n uint64, write bool) {
 	const line = 64
 	for ba := uint64(addr) &^ (line - 1); ba < uint64(addr)+n; ba += line {
 		if write {
-			f.attrc.RecordGetM(ba, 0, false)
+			f.attrc.RecordGetM(ba, 0, false, f.instr)
 		} else {
-			f.attrc.RecordGetS(ba, 0, false)
+			f.attrc.RecordGetS(ba, 0, false, f.instr)
 		}
 	}
 }

@@ -71,8 +71,8 @@ func TestGCEpochClosesAgainstPreGCLayout(t *testing.T) {
 	h.ClearStack(0)
 
 	pre := uint64(h.Addr(id))
-	c.RecordGetS(pre&^63, 0, false)
-	c.RecordGetM(pre&^63, 1, true)
+	c.RecordGetS(pre&^63, 0, false, 0)
+	c.RecordGetM(pre&^63, 1, true, 0)
 
 	h.MinorGC(nil)
 

@@ -36,9 +36,10 @@ func sortedTIDs(m map[int][]ObjectID) []int {
 //
 // The collector is deliberately single-threaded, like HotSpot 1.3.1's: the
 // playback engine runs the returned trace on one processor while every
-// other processor idles, which is what produces the paper's Figure 10
-// (cache-to-cache transfers collapse during collection) and the GC-idle
-// component of Figure 5.
+// other processor idles. That produces the GC-idle component of Figure 5,
+// and is meant to produce the paper's Figure 10 (cache-to-cache transfers
+// collapse during collection), which does not reproduce: the simulated
+// rate rises during a collection (ROADMAP item 8).
 func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 	// The copying collector is about to reassign addresses: close the
 	// attribution epoch against the still-valid pre-GC layout.

@@ -9,10 +9,11 @@
 // them with SetRef, and read them back; the collector traces actual
 // reachability and copies actual live objects, emitting its own memory
 // references into the operation trace. That realism is what makes the
-// paper's GC observations reproducible here: Figure 10's collapse of
-// cache-to-cache transfers during collection, Figure 11's live-memory
-// scaling (and its dip once old-generation compaction begins), and
-// Figure 9's modest GC share of total time.
+// paper's GC observations reproducible here: Figure 11's live-memory
+// scaling (and its dip once old-generation compaction begins) and Figure
+// 9's modest GC share of total time. The single-threaded collector is also
+// meant to produce Figure 10's collapse of cache-to-cache transfers during
+// collection; that one does not reproduce (ROADMAP item 8).
 //
 // Contract: workload code may only retain ObjectIDs that are reachable from
 // registered roots. IDs of unreachable objects are recycled by the collector.

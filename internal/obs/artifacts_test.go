@@ -40,9 +40,9 @@ func goldenObserver(pid int, scale uint64) *Observer {
 	ob.Profiler.AddCycles(0, CatBase, 100*scale)
 	ob.Profiler.AddCycles(0, CatDC2C, 30*scale)
 
-	ob.Attr.RecordGetS(0x1000, 0, false)
-	ob.Attr.RecordGetM(0x1000, 1, true)
-	ob.Attr.RecordGetS(0x2040*scale, 1, true)
+	ob.Attr.RecordGetS(0x1000, 0, false, 0)
+	ob.Attr.RecordGetM(0x1000, 1, true, 0)
+	ob.Attr.RecordGetS(0x2040*scale, 1, true, 0)
 	ob.Attr.CloseEpoch(nil, "final")
 
 	rep := `{"run": ` + string(rune('0'+pid)) + `, "classes": [{"class": "neworder", "count": 3}]}`

@@ -19,7 +19,10 @@
 // history is complete, and scaling counts by 2^shift estimates the
 // population. Exact mode pins the shift at zero and never resamples — the
 // conservation property (per-line counts sum to the bus's global Stats) is
-// tested in that mode.
+// tested in that mode. An exact collector is also the communication profile
+// of Figures 14/15: the bus marks every L2 access with Touch, so Shares
+// ranks every touched line, transferring or not. Options.TimelineBin bins
+// C2C transfers by simulated time for Figure 10.
 //
 // Object attribution works in GC epochs: the JVM heap closes an epoch at
 // every collection boundary (addresses are about to be reassigned), handing
@@ -133,6 +136,7 @@ const (
 // is what the classifier reads; it is cumulative across epochs because the
 // sharing pattern is a property of the address, not of one GC epoch.
 type lineState struct {
+	addr  uint64
 	total Counts
 	epoch Counts
 
@@ -182,6 +186,9 @@ type Options struct {
 	// increases (halving the tracked set) until the table fits. 0 means
 	// DefaultMaxLines. Ignored in exact mode.
 	MaxLines int
+	// TimelineBin, when positive, bins C2C transfers by simulated time in
+	// bins of this many cycles (Figure 10; see Timeline).
+	TimelineBin uint64
 }
 
 // DefaultMaxLines bounds the sampled per-line table (~64K lines ≈ a few
@@ -217,7 +224,15 @@ type Collector struct {
 	opt      Options
 	maxLines int
 	shift    uint // sample shift: track iff hash(addr)>>(64-shift) == 0
-	table    map[uint64]*lineState
+
+	// lines holds the tracked lines by value. index maps a block address to
+	// (slot+1)<<1, with bit 0 set once Touch marked the line; a line that
+	// was only touched has no slot. A sampled table is allocated once, at
+	// its cap, on the first event rather than in NewCollector, which keeps
+	// a run's setup cheap.
+	lines    []lineState
+	index    map[uint64]uint32
+	timeline []uint64
 
 	// Fallback resolves addresses the epoch resolver does not cover (code
 	// regions, stacks, network buffers). Set once at wiring time.
@@ -236,12 +251,11 @@ func NewCollector(opt Options) *Collector {
 	if opt.MaxLines <= 0 {
 		opt.MaxLines = DefaultMaxLines
 	}
-	return &Collector{
-		opt:      opt,
-		maxLines: opt.MaxLines,
-		table:    make(map[uint64]*lineState),
-		sites:    make(map[string]Counts),
+	c := &Collector{opt: opt, maxLines: opt.MaxLines, sites: make(map[string]Counts)}
+	if opt.Exact {
+		c.index = make(map[uint64]uint32)
 	}
+	return c
 }
 
 // Exact reports whether the collector runs unsampled.
@@ -260,7 +274,7 @@ func (c *Collector) Len() int {
 	if c == nil {
 		return 0
 	}
-	return len(c.table)
+	return len(c.lines)
 }
 
 // Events returns the total recorded (post-sampling) event count.
@@ -294,7 +308,9 @@ func (c *Collector) Reset() {
 	if c == nil {
 		return
 	}
-	c.table = make(map[uint64]*lineState)
+	c.lines = c.lines[:0]
+	clear(c.index)
+	c.timeline = nil
 	c.sites = make(map[string]Counts)
 	c.epochs = nil
 	c.epochIndex = 0
@@ -321,31 +337,95 @@ func (c *Collector) entry(ba uint64) *lineState {
 	if !c.opt.Exact && !c.sampled(ba) {
 		return nil
 	}
-	e := c.table[ba]
-	if e == nil {
-		if !c.opt.Exact && len(c.table) >= c.maxLines {
-			c.resample()
-			if !c.sampled(ba) {
-				return nil
+	v := c.index[ba]
+	if v>>1 == 0 {
+		if !c.opt.Exact {
+			if len(c.lines) >= c.maxLines {
+				c.resample()
+				if !c.sampled(ba) {
+					return nil
+				}
+			}
+			if c.index == nil {
+				c.lines = make([]lineState, 0, c.maxLines)
+				c.index = make(map[uint64]uint32, c.maxLines)
 			}
 		}
-		e = &lineState{lastWriter: -1, lastReader: -1}
-		c.table[ba] = e
+		c.lines = append(c.lines, lineState{addr: ba, lastWriter: -1, lastReader: -1})
+		v |= uint32(len(c.lines)) << 1
+		c.index[ba] = v
 	}
-	return e
+	return &c.lines[v>>1-1]
 }
 
 // resample raises the sample shift until the table fits under its cap,
-// dropping lines that fall outside the finer sample.
+// dropping lines that fall outside the finer sample, and re-indexes the
+// survivors.
 func (c *Collector) resample() {
-	for len(c.table) >= c.maxLines {
+	for len(c.lines) >= c.maxLines {
 		c.shift++
 		c.resamples++
-		for ba := range c.table {
-			if !c.sampled(ba) {
-				delete(c.table, ba)
+		kept := c.lines[:0]
+		for _, e := range c.lines {
+			if c.sampled(e.addr) {
+				kept = append(kept, e)
 			}
 		}
+		c.lines = kept
+	}
+	clear(c.index)
+	for i := range c.lines {
+		c.index[c.lines[i].addr] = uint32(i+1) << 1
+	}
+}
+
+// Touch marks an L2 access to ba, so Shares counts the line even if it
+// never transfers. It does nothing on a sampled collector.
+func (c *Collector) Touch(ba uint64) {
+	if c != nil && c.opt.Exact {
+		c.index[ba] |= 1
+	}
+}
+
+// Shares returns the C2C transfer count of every touched line, hottest
+// first; a touched line with no transfers counts 0 (Figures 14/15).
+func (c *Collector) Shares() []uint64 {
+	if c == nil {
+		return nil
+	}
+	out := make([]uint64, 0, len(c.index))
+	for _, v := range c.index {
+		if v&1 == 0 {
+			continue
+		}
+		var n uint64
+		if v>>1 > 0 {
+			n = c.lines[v>>1-1].total.C2C
+		}
+		out = append(out, n)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
+	return out
+}
+
+// Timeline returns the C2C transfers per TimelineBin cycles, indexed by
+// absolute simulated time (Figure 10); nil when TimelineBin is 0.
+func (c *Collector) Timeline() []uint64 {
+	if c == nil {
+		return nil
+	}
+	return c.timeline
+}
+
+// recordC2C bins one C2C transfer at simulated time now. The timeline
+// counts every transfer, sampled line or not.
+func (c *Collector) recordC2C(now uint64) {
+	if bin := c.opt.TimelineBin; bin > 0 {
+		i := int(now / bin)
+		for len(c.timeline) <= i {
+			c.timeline = append(c.timeline, 0)
+		}
+		c.timeline[i]++
 	}
 }
 
@@ -356,11 +436,14 @@ func nodeBit(node int) uint64 {
 	return 0
 }
 
-// RecordGetS attributes a read-miss bus transaction by node; c2c marks it
-// served by another cache.
-func (c *Collector) RecordGetS(ba uint64, node int, c2c bool) {
+// RecordGetS attributes a read-miss bus transaction by node at simulated
+// time now; c2c marks it served by another cache.
+func (c *Collector) RecordGetS(ba uint64, node int, c2c bool, now uint64) {
 	if c == nil {
 		return
+	}
+	if c2c {
+		c.recordC2C(now)
 	}
 	e := c.entry(ba)
 	if e == nil {
@@ -381,10 +464,14 @@ func (c *Collector) RecordGetS(ba uint64, node int, c2c bool) {
 	e.lastOp = opRead
 }
 
-// RecordGetM attributes a write-miss bus transaction by node.
-func (c *Collector) RecordGetM(ba uint64, node int, c2c bool) {
+// RecordGetM attributes a write-miss bus transaction by node at simulated
+// time now.
+func (c *Collector) RecordGetM(ba uint64, node int, c2c bool, now uint64) {
 	if c == nil {
 		return
+	}
+	if c2c {
+		c.recordC2C(now)
 	}
 	e := c.entry(ba)
 	if e == nil {
@@ -489,11 +576,12 @@ func (c *Collector) CloseEpoch(res Resolver, trigger string) {
 		return
 	}
 	mix := make(map[string]PatternStat)
-	for ba, e := range c.table {
+	for i := range c.lines {
+		e := &c.lines[i]
 		if e.epoch.Total() == 0 {
 			continue
 		}
-		label := c.resolve(ba, res)
+		label := c.resolve(e.addr, res)
 		e.label = label
 		s := c.sites[label]
 		s.add(e.epoch)
@@ -566,7 +654,7 @@ func (c *Collector) BuildReport(topN int) *Report {
 		Exact:           c.opt.Exact,
 		SampleShift:     c.shift,
 		ScaleFactor:     1 << c.shift,
-		LinesTracked:    len(c.table),
+		LinesTracked:    len(c.lines),
 		Resamples:       c.resamples,
 		Events:          c.events,
 		Epochs:          c.epochIndex,
@@ -575,8 +663,9 @@ func (c *Collector) BuildReport(topN int) *Report {
 		EpochMix:        c.epochs,
 	}
 
-	lines := make([]HotLine, 0, len(c.table))
-	for ba, e := range c.table {
+	lines := make([]HotLine, 0, len(c.lines))
+	for i := range c.lines {
+		e := &c.lines[i]
 		r.Totals.add(e.total)
 		p := e.classify()
 		ps := r.PatternMix[p.String()]
@@ -585,7 +674,7 @@ func (c *Collector) BuildReport(topN int) *Report {
 		ps.C2C += e.total.C2C
 		r.PatternMix[p.String()] = ps
 		lines = append(lines, HotLine{
-			Addr:    ba,
+			Addr:    e.addr,
 			Pattern: p.String(),
 			Label:   e.label,
 			Readers: bits.OnesCount64(e.readers),
@@ -607,8 +696,8 @@ func (c *Collector) BuildReport(topN int) *Report {
 	// Site roll-ups include only epoch-closed counts; count per-site lines
 	// from the lines' latest labels.
 	siteLines := make(map[string]uint64)
-	for _, e := range c.table {
-		if e.label != "" {
+	for i := range c.lines {
+		if e := &c.lines[i]; e.label != "" {
 			siteLines[e.label]++
 		}
 	}
@@ -636,8 +725,8 @@ func (c *Collector) SumCounts() Counts {
 	if c == nil {
 		return out
 	}
-	for _, e := range c.table {
-		out.add(e.total)
+	for i := range c.lines {
+		out.add(c.lines[i].total)
 	}
 	return out
 }

@@ -2,19 +2,21 @@ package attr
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
-	c.RecordGetS(0x1000, 0, true)
-	c.RecordGetM(0x1000, 1, false)
+	c.RecordGetS(0x1000, 0, true, 0)
+	c.RecordGetM(0x1000, 1, false, 0)
 	c.RecordUpgrade(0x1000, 0)
 	c.RecordWriteback(0x1000, -1)
 	c.RecordInval(0x1000, 2)
+	c.Touch(0x1000)
 	c.CloseEpoch(nil, "final")
 	c.Reset()
-	if c.Len() != 0 || c.Events() != 0 || c.EpochCount() != 0 || c.Exact() {
+	if c.Len() != 0 || c.Events() != 0 || c.EpochCount() != 0 || c.Exact() || c.Shares() != nil || c.Timeline() != nil {
 		t.Error("nil collector reported non-zero state")
 	}
 	if r := c.BuildReport(5); r != nil {
@@ -51,7 +53,7 @@ func TestClassifier(t *testing.T) {
 	// Never written: read-only, however many nodes read it.
 	if p := classify(t, func(c *Collector) {
 		for n := 0; n < 4; n++ {
-			c.RecordGetS(ba, n, false)
+			c.RecordGetS(ba, n, false, 0)
 		}
 	}); p != ReadOnly {
 		t.Errorf("all-reader line classified %v, want %v", p, ReadOnly)
@@ -59,8 +61,8 @@ func TestClassifier(t *testing.T) {
 
 	// One node reads and writes, nobody else: private.
 	if p := classify(t, func(c *Collector) {
-		c.RecordGetS(ba, 2, false)
-		c.RecordGetM(ba, 2, false)
+		c.RecordGetS(ba, 2, false, 0)
+		c.RecordGetM(ba, 2, false, 0)
 		c.RecordUpgrade(ba, 2)
 	}); p != Private {
 		t.Errorf("single-node line classified %v, want %v", p, Private)
@@ -69,9 +71,9 @@ func TestClassifier(t *testing.T) {
 	// One writer, distinct readers: producer-consumer.
 	if p := classify(t, func(c *Collector) {
 		for i := 0; i < 3; i++ {
-			c.RecordGetM(ba, 0, false)
-			c.RecordGetS(ba, 1, true)
-			c.RecordGetS(ba, 2, true)
+			c.RecordGetM(ba, 0, false, 0)
+			c.RecordGetS(ba, 1, true, 0)
+			c.RecordGetS(ba, 2, true, 0)
 		}
 	}); p != ProducerConsumer {
 		t.Errorf("one-writer line classified %v, want %v", p, ProducerConsumer)
@@ -81,7 +83,7 @@ func TestClassifier(t *testing.T) {
 	if p := classify(t, func(c *Collector) {
 		for i := 0; i < 4; i++ {
 			n := i % 2
-			c.RecordGetS(ba, n, true)
+			c.RecordGetS(ba, n, true, 0)
 			c.RecordUpgrade(ba, n)
 		}
 	}); p != Migratory {
@@ -91,7 +93,7 @@ func TestClassifier(t *testing.T) {
 	// Ownership bounces write-to-write: ping-pong.
 	if p := classify(t, func(c *Collector) {
 		for i := 0; i < 6; i++ {
-			c.RecordGetM(ba, i%2, true)
+			c.RecordGetM(ba, i%2, true, 0)
 		}
 	}); p != PingPong {
 		t.Errorf("write-write handoffs classified %v, want %v", p, PingPong)
@@ -105,7 +107,7 @@ func TestSamplingBoundsTableAndKeepsSurvivorHistory(t *testing.T) {
 	// history from both.
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 8*maxLines; i++ {
-			c.RecordGetS(uint64(i)*64, 0, false)
+			c.RecordGetS(uint64(i)*64, 0, false, 0)
 		}
 	}
 	if c.Len() >= maxLines {
@@ -131,7 +133,7 @@ func TestSamplingBoundsTableAndKeepsSurvivorHistory(t *testing.T) {
 func TestExactModeNeverResamples(t *testing.T) {
 	c := NewCollector(Options{Exact: true, MaxLines: 16})
 	for i := 0; i < 4096; i++ {
-		c.RecordGetS(uint64(i)*64, 0, false)
+		c.RecordGetS(uint64(i)*64, 0, false, 0)
 	}
 	if c.Len() != 4096 {
 		t.Fatalf("exact mode tracked %d of 4096 lines", c.Len())
@@ -156,13 +158,13 @@ func TestEpochRollupAndResolverChain(t *testing.T) {
 		return "", false
 	}
 
-	c.RecordGetM(0x1000, 0, false)  // site.a
-	c.RecordGetS(0x20000, 1, false) // region.code
-	c.RecordGetS(0x9000, 1, false)  // neither → unattributed
+	c.RecordGetM(0x1000, 0, false, 0)  // site.a
+	c.RecordGetS(0x20000, 1, false, 0) // region.code
+	c.RecordGetS(0x9000, 1, false, 0)  // neither → unattributed
 	c.CloseEpoch(heapRes, "minor")
 
 	// Second epoch: the same heap line now maps elsewhere (post-GC layout).
-	c.RecordGetS(0x1000, 1, true)
+	c.RecordGetS(0x1000, 1, true, 0)
 	c.CloseEpoch(func(addr uint64) (string, bool) { return "site.b", true }, "final")
 
 	r := c.BuildReport(10)
@@ -198,9 +200,9 @@ func TestReportDeterministic(t *testing.T) {
 		c := NewCollector(Options{Exact: true})
 		for i := 0; i < 500; i++ {
 			ba := uint64(i%97) * 64
-			c.RecordGetS(ba, i%4, i%3 == 0)
+			c.RecordGetS(ba, i%4, i%3 == 0, 0)
 			if i%2 == 0 {
-				c.RecordGetM(ba, (i+1)%4, false)
+				c.RecordGetM(ba, (i+1)%4, false, 0)
 			}
 		}
 		c.CloseEpoch(nil, "final")
@@ -219,7 +221,7 @@ func TestReportDeterministic(t *testing.T) {
 func TestResetKeepsShiftDropsState(t *testing.T) {
 	c := NewCollector(Options{MaxLines: 64})
 	for i := 0; i < 1024; i++ {
-		c.RecordGetS(uint64(i)*64, 0, false)
+		c.RecordGetS(uint64(i)*64, 0, false, 0)
 	}
 	shift := c.SampleShift()
 	if shift == 0 {
@@ -232,5 +234,72 @@ func TestResetKeepsShiftDropsState(t *testing.T) {
 	}
 	if c.SampleShift() != shift {
 		t.Errorf("Reset changed the sample shift: %d → %d", shift, c.SampleShift())
+	}
+}
+
+// TestTouchSharesTimeline: in exact mode Shares lists every touched line's
+// C2C transfers hottest first, and Timeline bins the transfers by time.
+// Touched-only lines, and Touch on a sampled collector, leave everything a
+// report reads unchanged.
+func TestTouchSharesTimeline(t *testing.T) {
+	const hot = 0x40000
+	drive := func(opt Options, touch bool) *Collector {
+		opt.TimelineBin = 100
+		c := NewCollector(opt)
+		for i := uint64(0); i < 64; i++ {
+			ba := i * 64
+			if touch {
+				c.Touch(ba)
+				c.Touch(hot)
+				c.Touch(ba + 1000*64) // touched, never a bus event
+			}
+			c.RecordGetS(ba, int(i%4), i%8 == 0, 100*i)
+			c.RecordGetM(hot, int(i%2), i%2 == 1, 100*i)
+		}
+		c.CloseEpoch(nil, "final")
+		return c
+	}
+	report := func(c *Collector) string {
+		buf, err := json.Marshal(c.BuildReport(25))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(buf)
+	}
+
+	c := drive(Options{Exact: true}, true)
+	wantShares := []uint64{32, 1, 1, 1, 1, 1, 1, 1, 1}
+	wantShares = append(wantShares, make([]uint64, 120)...)
+	if got := c.Shares(); !slices.Equal(got, wantShares) {
+		t.Errorf("Shares = %v, want %v", got, wantShares)
+	}
+	var wantBins []uint64
+	for i := 0; i < 64; i++ {
+		wantBins = append(wantBins, uint64(i%2)) // the hot line's GetM
+		if i%8 == 0 {
+			wantBins[i]++
+		}
+	}
+	if got := c.Timeline(); !slices.Equal(got, wantBins) {
+		t.Errorf("Timeline = %v, want %v", got, wantBins)
+	}
+
+	for _, opt := range []Options{{Exact: true}, {MaxLines: 16}} {
+		touched, plain := drive(opt, true), drive(opt, false)
+		if touched.Len() != plain.Len() || touched.Events() != plain.Events() ||
+			touched.SumCounts() != plain.SumCounts() || report(touched) != report(plain) {
+			t.Errorf("%+v: Touch changed the tracked lines or the report", opt)
+		}
+		if !slices.Equal(touched.Timeline(), wantBins) {
+			t.Errorf("%+v: Timeline = %v, want every transfer %v", opt, touched.Timeline(), wantBins)
+		}
+	}
+	if n := len(drive(Options{MaxLines: 16}, true).Shares()); n != 0 {
+		t.Errorf("a sampled collector has %d touched lines, want 0", n)
+	}
+
+	c.Reset()
+	if len(c.Shares()) != 0 || c.Timeline() != nil {
+		t.Error("Reset kept touched lines or timeline bins")
 	}
 }

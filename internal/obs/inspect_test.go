@@ -49,8 +49,8 @@ func TestInspectorServesPublishedState(t *testing.T) {
 	ob := &Observer{Registry: NewRegistry(), Attr: attr.NewCollector(attr.Options{Exact: true})}
 	var n uint64 = 42
 	ob.Registry.Counter("test.counter", func() uint64 { return n })
-	ob.Attr.RecordGetS(0x4040, 0, true)
-	ob.Attr.RecordGetM(0x4040, 1, false)
+	ob.Attr.RecordGetS(0x4040, 0, true, 0)
+	ob.Attr.RecordGetM(0x4040, 1, false, 0)
 	in.SetNote("mid-run")
 	in.Publish(ob, 10, true)
 
@@ -131,9 +131,9 @@ func TestInspectorThrottlesPublish(t *testing.T) {
 	}
 	defer in.Close()
 	ob := &Observer{Attr: attr.NewCollector(attr.Options{Exact: true})}
-	ob.Attr.RecordGetS(0x40, 0, false)
+	ob.Attr.RecordGetS(0x40, 0, false, 0)
 	in.Publish(ob, 5, true)
-	ob.Attr.RecordGetS(0x80, 0, false)
+	ob.Attr.RecordGetS(0x80, 0, false, 0)
 	in.Publish(ob, 5, false) // inside the throttle window: dropped
 	body, _ := get(t, "http://"+in.Addr()+"/attr")
 	var rep attr.Report
@@ -182,7 +182,7 @@ func TestInspectorPages(t *testing.T) {
 		}, "page.counter"},
 		{"/attr", "application/json", "{}\n", true, func(in *Inspector) {
 			ob := &Observer{Attr: attr.NewCollector(attr.Options{Exact: true})}
-			ob.Attr.RecordGetS(0x40, 0, false)
+			ob.Attr.RecordGetS(0x40, 0, false, 0)
 			in.Publish(ob, 5, true)
 		}, `"events": 1`},
 		{"/latency", "application/json", "{}\n", false, func(in *Inspector) {

@@ -61,108 +61,6 @@ func TestQuickSummaryBounds(t *testing.T) {
 	}
 }
 
-func TestTimeSeries(t *testing.T) {
-	ts := NewTimeSeries(100)
-	ts.Add(0, 1)
-	ts.Add(99, 1)
-	ts.Add(100, 5)
-	ts.Add(350, 2)
-	bins := ts.Bins()
-	want := []float64{2, 5, 0, 2}
-	if len(bins) != len(want) {
-		t.Fatalf("bins = %v", bins)
-	}
-	for i := range want {
-		if bins[i] != want[i] {
-			t.Fatalf("bin %d = %v, want %v", i, bins[i], want[i])
-		}
-	}
-	if ts.MaxBin() != 5 {
-		t.Fatalf("MaxBin = %v", ts.MaxBin())
-	}
-	rate := ts.Rate()
-	if rate[1] != 0.05 {
-		t.Fatalf("rate[1] = %v", rate[1])
-	}
-}
-
-func TestTimeSeriesPanicsOnZeroInterval(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewTimeSeries(0)
-}
-
-func TestShareDistTopShare(t *testing.T) {
-	d := NewShareDist()
-	d.Add(1, 80)
-	d.Add(2, 15)
-	d.Add(3, 5)
-	if got := d.TopShare(1); math.Abs(got-0.80) > 1e-12 {
-		t.Fatalf("TopShare(1) = %v", got)
-	}
-	if got := d.TopShare(2); math.Abs(got-0.95) > 1e-12 {
-		t.Fatalf("TopShare(2) = %v", got)
-	}
-	if got := d.TopShare(10); got != 1 {
-		t.Fatalf("TopShare beyond keys = %v", got)
-	}
-}
-
-func TestShareDistTouch(t *testing.T) {
-	d := NewShareDist()
-	d.Add(1, 10)
-	d.Touch(2)
-	d.Touch(1) // must not reset
-	if d.Keys() != 2 {
-		t.Fatalf("Keys = %d", d.Keys())
-	}
-	if d.Total() != 10 {
-		t.Fatalf("Total = %d", d.Total())
-	}
-	if d.TopShare(1) != 1 {
-		t.Fatalf("TopShare(1) = %v", d.TopShare(1))
-	}
-}
-
-func TestShareDistCDFMonotone(t *testing.T) {
-	d := NewShareDist()
-	for k := uint64(0); k < 500; k++ {
-		d.Add(k, k*k+1)
-	}
-	pts := d.CDF(20)
-	if len(pts) == 0 {
-		t.Fatal("empty CDF")
-	}
-	prevShare, prevFrac := 0.0, 0.0
-	for _, p := range pts {
-		if p.EventShare < prevShare || p.KeyFrac < prevFrac {
-			t.Fatalf("CDF not monotone: %+v", pts)
-		}
-		prevShare, prevFrac = p.EventShare, p.KeyFrac
-	}
-	last := pts[len(pts)-1]
-	if math.Abs(last.EventShare-1) > 1e-12 || math.Abs(last.KeyFrac-1) > 1e-12 {
-		t.Fatalf("CDF does not end at (1,1): %+v", last)
-	}
-}
-
-func TestShareDistTopFractionShare(t *testing.T) {
-	d := NewShareDist()
-	d.Add(0, 1000) // one very hot key
-	for k := uint64(1); k < 1000; k++ {
-		d.Add(k, 1)
-	}
-	// Hottest 0.1% of 1000 keys = 1 key = 1000/1999 of events.
-	got := d.TopFractionShare(0.001)
-	want := 1000.0 / 1999.0
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("TopFractionShare = %v, want %v", got, want)
-	}
-}
-
 func TestSeedsDistinct(t *testing.T) {
 	seeds := Seeds(1, 5)
 	if len(seeds) != 5 {
