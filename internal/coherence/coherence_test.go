@@ -157,19 +157,23 @@ func TestOnInvalidateHook(t *testing.T) {
 }
 
 // TestProfileRecordsTouchAndC2C: an exact collector on the bus is the
-// communication profile — every touched line with its C2C transfers, and
-// the transfers binned by simulated time.
+// communication profile — every touched line with its C2C transfers.
 func TestProfileRecordsTouchAndC2C(t *testing.T) {
 	b, a, c := twoNodes()
-	b.Attr = attr.NewCollector(attr.Options{Exact: true, TimelineBin: 100})
+	b.Attr = attr.NewCollector(attr.Options{Exact: true})
 	a.Read(0x2000, 0)  // touched, no c2c
 	a.Write(0x1000, 0) // touched
 	c.Read(0x1000, 1)  // c2c on line 0x1000
 	if got := b.Attr.Shares(); !slices.Equal(got, []uint64{1, 0}) {
 		t.Fatalf("per-line transfers = %v, want [1 0] (2 touched lines, 1 transfer)", got)
 	}
+}
 
-	b.Attr.Reset()
+// TestTimelineBinsC2C: the bus's collector bins C2C transfers by simulated
+// time.
+func TestTimelineBinsC2C(t *testing.T) {
+	b, a, c := twoNodes()
+	b.Attr = attr.NewCollector(attr.Options{Exact: true, TimelineBin: 100})
 	a.Write(0x40, 0)
 	c.Read(0x40, 50)   // bin 0
 	c.Write(0x40, 250) // upgrade at c (c has S, a has O): no data moves
