@@ -98,11 +98,11 @@ func studies(sess *core.Session, af *appFlags, stdout io.Writer) error {
 		MeasureCycles: o.MeasureCycles,
 		MemModel:      o.MemModel,
 	}
-	if err := sess.ObservePoints(o.Processors, o.Seed, runOpts); err != nil {
+	if err := sess.ObservePoints(core.StudyProcessors, o.Seed, runOpts); err != nil {
 		return err
 	}
 	return sess.Finish([]uint64{o.Seed}, map[string]any{
 		"ablation": o,
-		"observed": map[string]any{"processors": o.Processors, "seed": o.Seed},
+		"observed": map[string]any{"processors": core.StudyProcessors, "seed": o.Seed},
 	})
 }

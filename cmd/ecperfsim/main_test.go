@@ -1,8 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/drivertest"
 )
 
@@ -29,4 +35,29 @@ func TestStdoutPassivity(t *testing.T) {
 	t.Run("faults", func(t *testing.T) {
 		drivertest.StdoutPassivity(t, run, nil, append(args, "-faults", "demo", "-fault-bin", "1000000")...)
 	})
+}
+
+// TestInvalidRunParameters: a processor set larger than the machine, or a
+// checkpoint naming an unknown workload, ends the run with exit code 1 and a
+// one-line error instead of a panic.
+func TestInvalidRunParameters(t *testing.T) {
+	cp := filepath.Join(t.TempDir(), "bad.json")
+	doc := fmt.Sprintf(`{"version": %d, "params": {"Kind": 7, "Processors": 2}}`, core.CheckpointVersion)
+	if err := os.WriteFile(cp, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-p", "40"}, "ecperfsim: processor set 40 outside 1..16\n"},
+		{[]string{"-resume", cp}, "ecperfsim: checkpoint " + cp + ": unknown workload kind 7\n"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append(tc.args, "-flight", "off"), &stdout, &stderr)
+		if code != 1 || stdout.Len() != 0 || stderr.String() != tc.want {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 and %q",
+				strings.Join(tc.args, " "), code, stdout.String(), stderr.String(), tc.want)
+		}
+	}
 }

@@ -22,7 +22,6 @@ func main() {
 	// 1. Transfer-rate timeline on an 8-processor SPECjbb run.
 	fmt.Fprintln(os.Stderr, "profiling cache-to-cache transfers over time...")
 	comm := core.RunCommProfile(core.SPECjbb, core.CommOpts{
-		Processors:    8,
 		Seed:          3,
 		WarmupCycles:  8_000_000,
 		MeasureCycles: 40_000_000,

@@ -19,7 +19,6 @@ import (
 func main() {
 	fmt.Fprintln(os.Stderr, "running three workloads on 8 processors...")
 	f := core.RelatedWorkKernelTime(core.AblationOpts{
-		Processors:    8,
 		Seed:          17,
 		WarmupCycles:  6_000_000,
 		MeasureCycles: 24_000_000,

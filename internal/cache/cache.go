@@ -252,8 +252,8 @@ func (c *Cache) Allocate(ba uint64, st State) (l *Line, victim Line, evicted boo
 	return &set[0], victim, evicted
 }
 
-// VisitLines calls fn for every valid line, in set/way order. Bus-side
-// indexes (the coherence snoop filter) use it to rebuild from contents.
+// VisitLines calls fn for every valid line, in set/way order. Tests use it
+// to compare whole cache contents against their reference models.
 func (c *Cache) VisitLines(fn func(l *Line)) {
 	for i := range c.lines {
 		if c.lines[i] != 0 {

@@ -494,8 +494,15 @@ func NewOpen(cfg OpenConfig, seed uint64) (*OpenSim, error) {
 }
 
 // SetFaults arms a fault injector over the topology's peer-id space
-// (ShardPeer/NodePeer). nil disarms.
-func (s *OpenSim) SetFaults(inj *fault.Injector) { s.faults = inj }
+// (ShardPeer/NodePeer): each shard server answers to its ShardPeer, so
+// db-lock-storm windows and crash recovery ramps aimed at it stretch its
+// service times. nil disarms.
+func (s *OpenSim) SetFaults(inj *fault.Injector) {
+	s.faults = inj
+	for k, shard := range s.shards {
+		shard.SetFaults(inj, ShardPeer(k))
+	}
+}
 
 // SetCollector attaches a passive latency collector (nil detaches). The
 // collector never perturbs the simulation: same seed, same results, with
@@ -820,7 +827,7 @@ func (s *OpenSim) attempt(n *openNode, r *openReq, br *fault.Breaker, lim *shard
 	}
 	reqX := scale(s.cfg.Link.TransferCycles(m.DBReqBytes))
 	respX := scale(s.cfg.Link.TransferCycles(m.DBRespBytes))
-	done, q, svc := s.shards[r.shard].RespondDetail(t+reqX, m.DBReqBytes, m.DBRespBytes)
+	done, q, svc := s.shards[r.shard].Respond(t+reqX, m.DBReqBytes, m.DBRespBytes)
 	rtt := done + respX - t
 	if rtt > timeout {
 		// The caller abandons the attempt; the shard still does the work.

@@ -301,6 +301,51 @@ func TestOpenShardCrashBreakerAndRetries(t *testing.T) {
 	}
 }
 
+// TestOpenShardStorm: SetFaults arms every shard under its ShardPeer id, so
+// a db-lock-storm aimed at a shard stretches that shard's service and fails
+// requests at the default load, while one aimed only at a node leaves every
+// shard's service alone.
+func TestOpenShardStorm(t *testing.T) {
+	const at, mag = 20_000_000, 30
+	storm := func(peer uint8) *fault.Injector {
+		sched := &fault.Schedule{Events: []fault.Event{{
+			Kind: fault.DBLockStorm, At: at, Duration: 40_000_000, Magnitude: mag, Peer: peer,
+		}}}
+		if err := sched.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return fault.NewInjector(sched, nil)
+	}
+	cfg := DefaultOpenConfig()
+	cfg.Shard.Jitter = 0 // a visit costs its base service unless a fault scales it
+	for _, tc := range []struct {
+		peer    uint8
+		stormed int
+	}{{ShardPeer(0), 0}, {NodePeer(0), -1}} {
+		s, err := NewOpen(cfg, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetFaults(storm(tc.peer))
+		for k, sh := range s.shards {
+			want := cfg.Shard.BaseServiceCycles
+			if k == tc.stormed {
+				want *= mag
+			}
+			if _, _, got := sh.Respond(at+1, 0, 0); got != want {
+				t.Errorf("storm on peer %d: shard %d service %d, want %d", tc.peer, k, got, want)
+			}
+		}
+	}
+
+	const horizon = 100_000_000
+	calm := openRun(t, DefaultOpenConfig(), 1, horizon, nil, nil)
+	hit := openRun(t, DefaultOpenConfig(), 1, horizon, storm(ShardPeer(0)), nil)
+	if hit.Stats.Failed <= calm.Stats.Failed {
+		t.Errorf("a x%d storm on shard 0 failed %d requests, no more than the %d without it", mag, hit.Stats.Failed, calm.Stats.Failed)
+	}
+}
+
 // TestOpenClosedLoopMode: the closed-loop population self-throttles — no
 // shedding, goodput equals offered, and the run drains clean.
 func TestOpenClosedLoopMode(t *testing.T) {

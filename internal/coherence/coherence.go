@@ -216,8 +216,9 @@ func (b *Bus) AddNode(l2 *cache.Cache, onInvalidate func(ba uint64)) *Node {
 // Nodes returns the attached nodes in attachment order.
 func (b *Bus) Nodes() []*Node { return b.nodes }
 
-// ResetStats zeroes the bus counters (cache contents stay warm).
-func (b *Bus) ResetStats() { b.Stats = Stats{} }
+// ResetStats zeroes the bus counters and the miss classes (cache contents
+// stay warm).
+func (b *Bus) ResetStats() { b.Stats, b.MissClass = Stats{}, [8]uint64{} }
 
 func (b *Bus) classifyMem(ba uint64) {
 	if b.ClassifyAddr != nil {

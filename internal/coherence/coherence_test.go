@@ -185,10 +185,14 @@ func TestTimelineBinsC2C(t *testing.T) {
 
 func TestResetStatsKeepsContents(t *testing.T) {
 	b, a, _ := twoNodes()
-	a.Write(0x1000, 0)
+	b.ClassifyAddr = func(uint64) int { return 2 }
+	a.Write(0x1000, 0) // served by memory: one classified miss
+	if b.MissClass[2] != 1 {
+		t.Fatalf("MissClass = %v, want the memory miss in class 2", b.MissClass)
+	}
 	b.ResetStats()
-	if b.Stats.GetM != 0 {
-		t.Fatal("ResetStats incomplete")
+	if b.Stats.GetM != 0 || b.MissClass != [8]uint64{} {
+		t.Fatalf("ResetStats incomplete: %+v, MissClass %v", b.Stats, b.MissClass)
 	}
 	if a.HasBlock(0x1000) != Modified {
 		t.Fatal("ResetStats disturbed cache contents")

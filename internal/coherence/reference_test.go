@@ -299,7 +299,7 @@ func FuzzBusMatchesReference(f *testing.F) {
 		nodes := 1 + int(data[1])%8
 		geo := geos[int(data[2])%len(geos)]
 		p := newBusPair(Protocol(data[0]%3), nodes, geo)
-		p.bus.EnableSanitizer()
+		p.bus.Sanitize = true
 		for i, op := 0, data[3:]; len(op) >= 2; i, op = i+1, op[2:] {
 			ba := uint64(op[1]&63) * uint64(geo.BlockBytes)
 			p.access(t, i, int(op[0]&7)%nodes, ba, op[0]&8 != 0)

@@ -19,9 +19,6 @@ import (
 // sanitizeEnv caches the COHERENCE_SANITIZE environment switch.
 var sanitizeEnv = os.Getenv("COHERENCE_SANITIZE") == "1"
 
-// EnableSanitizer turns on per-transaction invariant checking.
-func (b *Bus) EnableSanitizer() { b.Sanitize = true }
-
 // sanitize validates the cross-cache invariants for block ba:
 //
 //   - at most one cache holds the block Modified or Exclusive, and then no

@@ -17,7 +17,7 @@ func TestSanitizerCleanUnderRandomTraffic(t *testing.T) {
 		t.Run(proto.String(), func(t *testing.T) {
 			b := NewBus()
 			b.Protocol = proto
-			b.EnableSanitizer()
+			b.Sanitize = true
 			var nodes []*Node
 			for i := 0; i < 4; i++ {
 				nodes = append(nodes, b.AddNode(cache.New(cfg()), nil))
@@ -45,7 +45,7 @@ func TestSanitizerCleanUnderRandomTraffic(t *testing.T) {
 // rather than letting the broken state propagate.
 func TestSanitizerCatchesTampering(t *testing.T) {
 	b, a, c := twoNodes()
-	b.EnableSanitizer()
+	b.Sanitize = true
 	a.Write(0x1000, 0)
 
 	// Simulate a protocol bug: a second Modified copy appears without the

@@ -24,9 +24,12 @@ import (
 //     MSI invalidation protocol". AblationProtocol runs MSI, MESI, and the
 //     E6000's MOSI.
 
+// StudyProcessors is the processor-set size of the communication profile
+// (Figures 10/14/15), the ablation studies and the co-simulation.
+const StudyProcessors = 8
+
 // AblationOpts size the ablation runs.
 type AblationOpts struct {
-	Processors    int
 	Seed          uint64
 	WarmupCycles  uint64
 	MeasureCycles uint64
@@ -37,19 +40,19 @@ type AblationOpts struct {
 
 // DefaultAblationOpts is the full-fidelity configuration.
 func DefaultAblationOpts() AblationOpts {
-	return AblationOpts{Processors: 8, Seed: 20030208, WarmupCycles: 10_000_000, MeasureCycles: 40_000_000}
+	return AblationOpts{Seed: 20030208, WarmupCycles: 10_000_000, MeasureCycles: 40_000_000}
 }
 
 // QuickAblationOpts is the reduced test/bench configuration.
 func QuickAblationOpts() AblationOpts {
-	return AblationOpts{Processors: 8, Seed: 20030208, WarmupCycles: 4_000_000, MeasureCycles: 16_000_000}
+	return AblationOpts{Seed: 20030208, WarmupCycles: 4_000_000, MeasureCycles: 16_000_000}
 }
 
-// point runs one study cell: params on the study's processors, seed and
-// memory model, measured over the study's window. The system is returned
+// point runs one study cell: params on StudyProcessors with the study's
+// seed and memory model, measured over the study's window. The system is returned
 // for study-specific reads.
 func (o AblationOpts) point(params SystemParams) (ScalingPoint, *System) {
-	params.Processors, params.Seed, params.MemModel = o.Processors, o.Seed, o.MemModel
+	params.Processors, params.Seed, params.MemModel = StudyProcessors, o.Seed, o.MemModel
 	sys := BuildSystem(params)
 	return measurePoint(sys, nil, o.WarmupCycles, o.MeasureCycles), sys
 }

@@ -14,7 +14,6 @@ const commTimelineBin = 1_000_000
 
 // CommOpts size the communication-behavior experiments (Figures 10/14/15).
 type CommOpts struct {
-	Processors    int
 	Seed          uint64
 	WarmupCycles  uint64
 	MeasureCycles uint64
@@ -23,7 +22,6 @@ type CommOpts struct {
 // DefaultCommOpts is the full-fidelity configuration.
 func DefaultCommOpts() CommOpts {
 	return CommOpts{
-		Processors:    8,
 		Seed:          20030208,
 		WarmupCycles:  12_000_000,
 		MeasureCycles: 60_000_000,
@@ -33,7 +31,6 @@ func DefaultCommOpts() CommOpts {
 // QuickCommOpts is the reduced test/bench configuration.
 func QuickCommOpts() CommOpts {
 	return CommOpts{
-		Processors:    8,
 		Seed:          20030208,
 		WarmupCycles:  4_000_000,
 		MeasureCycles: 20_000_000,
@@ -67,7 +64,7 @@ type CommProfile struct {
 // with an exact attribution collector attached: its touched lines and
 // per-line transfers give Figures 14/15, its transfer timeline Figure 10.
 func RunCommProfile(kind Kind, o CommOpts) CommProfile {
-	sys := BuildSystem(SystemParams{Kind: kind, Processors: o.Processors, Seed: o.Seed})
+	sys := BuildSystem(SystemParams{Kind: kind, Processors: StudyProcessors, Seed: o.Seed})
 	ac := attr.NewCollector(attr.Options{Exact: true, TimelineBin: commTimelineBin})
 	pt := measurePoint(sys, &obs.Observer{Attr: ac}, o.WarmupCycles, o.MeasureCycles) // the reset restarts ac
 

@@ -103,7 +103,7 @@ func RunCoSim(procs int, seed uint64, warmup, measure uint64) CoSimResult {
 // within a modest margin, and the database machine itself should be far
 // from saturated ("ECperf does not overly stress the database", §2.2).
 func CoSimExperiment(o AblationOpts) Figure {
-	r := RunCoSim(o.Processors, o.Seed, o.WarmupCycles, o.MeasureCycles)
+	r := RunCoSim(StudyProcessors, o.Seed, o.WarmupCycles, o.MeasureCycles)
 	f := Figure{
 		ID:     "Co-simulation",
 		Title:  "Queueing-model database vs. co-simulated database machine",

@@ -200,8 +200,8 @@ func (s *RunSpec) Register(fs *flag.FlagSet, procsHelp string) {
 
 // Measure builds spec's system (or the checkpoint's, with spec.Resume),
 // attaches the session's facilities under label, and drives it through
-// Run.Measure. A tripped watchdog ends the run with exit code 2 and its
-// diagnostic.
+// Run.Measure. Parameters BuildSystem cannot build are an error. A tripped
+// watchdog ends the run with exit code 2 and its diagnostic.
 func (s *Session) Measure(label string, spec RunSpec) (*Run, error) {
 	var cp *Checkpoint
 	if spec.Resume != "" {
@@ -209,8 +209,13 @@ func (s *Session) Measure(label string, spec RunSpec) (*Run, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := c.Params.validate(); err != nil {
+			return nil, fmt.Errorf("checkpoint %s: %w", spec.Resume, err)
+		}
 		fmt.Fprintf(s.stderr, "resuming %s run at cycle %d (verifying replay)\n", c.Params.Kind, c.Cycle)
 		cp, spec.Params, spec.Warmup = &c, c.Params, c.Warmup
+	} else if err := spec.Params.validate(); err != nil {
+		return nil, err
 	}
 	var plan *CheckpointPlan
 	if spec.Checkpoint != "" {

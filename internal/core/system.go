@@ -187,6 +187,21 @@ func heapConfig() jvm.Config {
 	return c
 }
 
+// validate rejects parameters BuildSystem cannot build, so a bad flag or
+// checkpoint ends a run with an error instead of a panic.
+func (p SystemParams) validate() error {
+	p = p.withDefaults()
+	switch {
+	case p.Kind < SPECjbb || p.Kind > VolanoMark:
+		return fmt.Errorf("unknown workload kind %d", p.Kind)
+	case p.Processors > p.TotalCPUs:
+		return fmt.Errorf("processor set %d outside 1..%d", p.Processors, p.TotalCPUs)
+	case p.MemModel > memsys.MemLoaded:
+		return fmt.Errorf("unknown memory model %s", p.MemModel)
+	}
+	return nil
+}
+
 func (p SystemParams) withDefaults() SystemParams {
 	if p.HeapConfig == nil {
 		p.HeapConfig = heapConfig

@@ -64,16 +64,9 @@ func NewServer(cfg Config, rng *simrand.Rand) *Server {
 }
 
 // Respond queues the request on the earliest-free worker and returns the
-// completion time.
-func (s *Server) Respond(arrive uint64, reqBytes, respBytes uint32) uint64 {
-	done, _, _ := s.RespondDetail(arrive, reqBytes, respBytes)
-	return done
-}
-
-// RespondDetail is Respond plus the visit decomposition: cycles queued for
-// a worker and cycles in service. Respond delegates here (one code path,
-// one RNG draw), satisfying netsim.DetailedResponder.
-func (s *Server) RespondDetail(arrive uint64, reqBytes, respBytes uint32) (done, queue, service uint64) {
+// completion time, the cycles it queued for a worker and the cycles in
+// service.
+func (s *Server) Respond(arrive uint64, reqBytes, respBytes uint32) (done, queue, service uint64) {
 	// Earliest-free worker.
 	w := 0
 	for i := 1; i < len(s.free); i++ {

@@ -10,9 +10,15 @@ func deterministic() Config {
 	return Config{Workers: 2, BaseServiceCycles: 1000, PerByteCycles: 0, Jitter: 0}
 }
 
+// respond returns only the completion time of one request.
+func respond(s *Server, arrive uint64, reqBytes, respBytes uint32) uint64 {
+	done, _, _ := s.Respond(arrive, reqBytes, respBytes)
+	return done
+}
+
 func TestSingleRequest(t *testing.T) {
 	s := NewServer(deterministic(), simrand.New(1))
-	if done := s.Respond(100, 10, 10); done != 1100 {
+	if done := respond(s, 100, 10, 10); done != 1100 {
 		t.Fatalf("done = %d, want 1100", done)
 	}
 	if s.Served() != 1 {
@@ -23,21 +29,21 @@ func TestSingleRequest(t *testing.T) {
 func TestQueueingWhenSaturated(t *testing.T) {
 	s := NewServer(deterministic(), simrand.New(1))
 	// Three simultaneous arrivals on two workers: the third queues.
-	d1 := s.Respond(0, 0, 0)
-	d2 := s.Respond(0, 0, 0)
-	d3 := s.Respond(0, 0, 0)
+	d1 := respond(s, 0, 0, 0)
+	d2 := respond(s, 0, 0, 0)
+	d3, queue, service := s.Respond(0, 0, 0)
 	if d1 != 1000 || d2 != 1000 {
 		t.Fatalf("first two = %d, %d", d1, d2)
 	}
-	if d3 != 2000 {
-		t.Fatalf("queued request done = %d, want 2000", d3)
+	if d3 != 2000 || queue != 1000 || service != 1000 {
+		t.Fatalf("queued request = (%d, %d, %d), want (2000, 1000, 1000)", d3, queue, service)
 	}
 }
 
 func TestIdleWorkersServeImmediately(t *testing.T) {
 	s := NewServer(deterministic(), simrand.New(1))
-	s.Respond(0, 0, 0)
-	if done := s.Respond(5000, 0, 0); done != 6000 {
+	respond(s, 0, 0, 0)
+	if done := respond(s, 5000, 0, 0); done != 6000 {
 		t.Fatalf("late arrival done = %d, want 6000", done)
 	}
 }
@@ -46,7 +52,7 @@ func TestPerByteCost(t *testing.T) {
 	cfg := deterministic()
 	cfg.PerByteCycles = 2
 	s := NewServer(cfg, simrand.New(1))
-	if done := s.Respond(0, 100, 50); done != 1000+300 {
+	if done := respond(s, 0, 100, 50); done != 1000+300 {
 		t.Fatalf("done = %d", done)
 	}
 }
@@ -57,7 +63,7 @@ func TestJitterVariesService(t *testing.T) {
 	s := NewServer(cfg, simrand.New(2))
 	seen := map[uint64]bool{}
 	for i := 0; i < 50; i++ {
-		seen[s.Respond(uint64(i)*100_000, 0, 0)-uint64(i)*100_000] = true
+		seen[respond(s, uint64(i)*100_000, 0, 0)-uint64(i)*100_000] = true
 	}
 	if len(seen) < 10 {
 		t.Fatalf("jittered service produced only %d distinct times", len(seen))
@@ -69,7 +75,7 @@ func TestUtilization(t *testing.T) {
 	if s.Utilization() != 0 {
 		t.Fatal("idle server utilization nonzero")
 	}
-	s.Respond(0, 0, 0) // one worker busy 0..1000, the other idle
+	respond(s, 0, 0, 0) // one worker busy 0..1000, the other idle
 	if u := s.Utilization(); u != 0.5 {
 		t.Fatalf("utilization = %v, want 0.5", u)
 	}

@@ -39,7 +39,7 @@ func TestSnoopFilterEquivalenceMemsys(t *testing.T) {
 			cfg.CPUsPerL2 = perL2
 			cfg.L2.SizeBytes = 64 << 10
 			h := New(cfg)
-			h.Bus().EnableSanitizer()
+			h.Bus().Sanitize = true
 
 			rng := simrand.New(0xCAFE + uint64(perL2))
 			for i := 0; i < 80000; i++ {

@@ -21,20 +21,11 @@ import (
 )
 
 // Responder models a remote machine: given a request arriving at `arrive`,
-// it returns when the response leaves the peer. Implementations queue
+// it returns when the response leaves the peer, and how the visit split into
+// queueing (waiting for a peer worker) and service. Implementations queue
 // internally (see internal/db).
 type Responder interface {
-	Respond(arrive uint64, reqBytes, respBytes uint32) (done uint64)
-}
-
-// DetailedResponder is a Responder that can also report how the visit
-// decomposed into queueing (waiting for a peer worker) and service. The
-// split is pure bookkeeping: RespondDetail must return the same done time
-// and consume the same randomness as Respond, so attaching a latency
-// collector never perturbs the simulation.
-type DetailedResponder interface {
-	Responder
-	RespondDetail(arrive uint64, reqBytes, respBytes uint32) (done, queue, service uint64)
+	Respond(arrive uint64, reqBytes, respBytes uint32) (done, queue, service uint64)
 }
 
 // RTDetail is the remote decomposition of one round trip.
@@ -100,18 +91,11 @@ func (n *Network) Link() Link { return n.link }
 func (n *Network) SetFaults(inj *fault.Injector) { n.faults = inj }
 
 // RoundTrip computes when a synchronous call issued at `now` completes:
-// request transfer, peer service (with queueing), response transfer.
-// Unknown peers answer after a bare round trip, so a miswired experiment
+// request transfer, peer service (with queueing), response transfer. The
+// detail is the peer's queue/service decomposition. Unknown peers answer
+// after a bare round trip with a zero detail, so a miswired experiment
 // fails loudly in results rather than silently hanging.
-func (n *Network) RoundTrip(peer uint8, now uint64, reqBytes, respBytes uint32) uint64 {
-	done, _ := n.RoundTripDetail(peer, now, reqBytes, respBytes)
-	return done
-}
-
-// RoundTripDetail is RoundTrip plus the remote queue/service decomposition
-// (zero for peers that cannot report one). RoundTrip delegates here, so
-// both entry points share one code path and are cycle- and RNG-identical.
-func (n *Network) RoundTripDetail(peer uint8, now uint64, reqBytes, respBytes uint32) (uint64, RTDetail) {
+func (n *Network) RoundTrip(peer uint8, now uint64, reqBytes, respBytes uint32) (uint64, RTDetail) {
 	reqXfer := n.link.TransferCycles(reqBytes)
 	respXfer := n.link.TransferCycles(respBytes)
 	// A latency-spike fault stretches the wire time both ways. The factor is
@@ -122,16 +106,9 @@ func (n *Network) RoundTripDetail(peer uint8, now uint64, reqBytes, respBytes ui
 		respXfer = uint64(float64(respXfer) * f)
 	}
 	arrive := now + reqXfer
-	var done uint64
-	var det RTDetail
+	done, det := arrive, RTDetail{}
 	if r, ok := n.peers[peer]; ok {
-		if dr, ok := r.(DetailedResponder); ok {
-			done, det.Queue, det.Service = dr.RespondDetail(arrive, reqBytes, respBytes)
-		} else {
-			done = r.Respond(arrive, reqBytes, respBytes)
-		}
-	} else {
-		done = arrive
+		done, det.Queue, det.Service = r.Respond(arrive, reqBytes, respBytes)
 	}
 	return done + respXfer, det
 }

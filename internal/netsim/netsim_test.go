@@ -11,8 +11,8 @@ import (
 
 type fixedResponder struct{ service uint64 }
 
-func (f fixedResponder) Respond(arrive uint64, req, resp uint32) uint64 {
-	return arrive + f.service
+func (f fixedResponder) Respond(arrive uint64, req, resp uint32) (done, queue, service uint64) {
+	return arrive + f.service, 0, f.service
 }
 
 func TestTransferCycles(t *testing.T) {
@@ -30,15 +30,15 @@ func TestRoundTrip(t *testing.T) {
 	n := NewNetwork(Link{LatencyCycles: 100, BytesPerCycle: 1})
 	n.AddPeer(2, fixedResponder{service: 1000})
 	// 100+req(10) + 1000 + 100+resp(20) = 1230
-	if got := n.RoundTrip(2, 0, 10, 20); got != 1230 {
-		t.Fatalf("RoundTrip = %d, want 1230", got)
+	if got, det := n.RoundTrip(2, 0, 10, 20); got != 1230 || det != (RTDetail{Service: 1000}) {
+		t.Fatalf("RoundTrip = %d %+v, want 1230 {Service:1000}", got, det)
 	}
 }
 
 func TestRoundTripUnknownPeer(t *testing.T) {
 	n := NewNetwork(Link{LatencyCycles: 100, BytesPerCycle: 1})
-	if got := n.RoundTrip(9, 0, 10, 10); got != 220 {
-		t.Fatalf("unknown-peer RoundTrip = %d", got)
+	if got, det := n.RoundTrip(9, 0, 10, 10); got != 220 || det != (RTDetail{}) {
+		t.Fatalf("unknown-peer RoundTrip = %d %+v", got, det)
 	}
 }
 

@@ -182,17 +182,14 @@ type Options struct {
 	// unbounded. Conservation against the bus's global counters holds only
 	// in this mode.
 	Exact bool
-	// MaxLines caps the sampled table; when exceeded the sample shift
-	// increases (halving the tracked set) until the table fits. 0 means
-	// DefaultMaxLines. Ignored in exact mode.
-	MaxLines int
 	// TimelineBin, when positive, bins C2C transfers by simulated time in
 	// bins of this many cycles (Figure 10; see Timeline).
 	TimelineBin uint64
 }
 
 // DefaultMaxLines bounds the sampled per-line table (~64K lines ≈ a few
-// MB of collector state).
+// MB of collector state); when exceeded the sample shift increases
+// (halving the tracked set) until the table fits.
 const DefaultMaxLines = 1 << 16
 
 // PatternStat aggregates the lines and events attributed to one pattern.
@@ -248,10 +245,7 @@ type Collector struct {
 
 // NewCollector returns an empty collector.
 func NewCollector(opt Options) *Collector {
-	if opt.MaxLines <= 0 {
-		opt.MaxLines = DefaultMaxLines
-	}
-	c := &Collector{opt: opt, maxLines: opt.MaxLines, sites: make(map[string]Counts)}
+	c := &Collector{opt: opt, maxLines: DefaultMaxLines, sites: make(map[string]Counts)}
 	if opt.Exact {
 		c.index = make(map[uint64]uint32)
 	}

@@ -100,9 +100,17 @@ func TestClassifier(t *testing.T) {
 	}
 }
 
+// sampled returns a sampled collector whose table is capped at n lines
+// instead of DefaultMaxLines.
+func sampled(n int) *Collector {
+	c := NewCollector(Options{})
+	c.maxLines = n
+	return c
+}
+
 func TestSamplingBoundsTableAndKeepsSurvivorHistory(t *testing.T) {
 	const maxLines = 256
-	c := NewCollector(Options{MaxLines: maxLines})
+	c := sampled(maxLines)
 	// Far more distinct lines than the cap; two rounds so survivors have
 	// history from both.
 	for round := 0; round < 2; round++ {
@@ -131,7 +139,8 @@ func TestSamplingBoundsTableAndKeepsSurvivorHistory(t *testing.T) {
 }
 
 func TestExactModeNeverResamples(t *testing.T) {
-	c := NewCollector(Options{Exact: true, MaxLines: 16})
+	c := NewCollector(Options{Exact: true})
+	c.maxLines = 16
 	for i := 0; i < 4096; i++ {
 		c.RecordGetS(uint64(i)*64, 0, false, 0)
 	}
@@ -219,7 +228,7 @@ func TestReportDeterministic(t *testing.T) {
 }
 
 func TestResetKeepsShiftDropsState(t *testing.T) {
-	c := NewCollector(Options{MaxLines: 64})
+	c := sampled(64)
 	for i := 0; i < 1024; i++ {
 		c.RecordGetS(uint64(i)*64, 0, false, 0)
 	}
@@ -243,9 +252,12 @@ func TestResetKeepsShiftDropsState(t *testing.T) {
 // report reads unchanged.
 func TestTouchSharesTimeline(t *testing.T) {
 	const hot = 0x40000
-	drive := func(opt Options, touch bool) *Collector {
-		opt.TimelineBin = 100
-		c := NewCollector(opt)
+	drive := func(exact, touch bool) *Collector {
+		c := sampled(16)
+		if exact {
+			c = NewCollector(Options{Exact: true})
+		}
+		c.opt.TimelineBin = 100
 		for i := uint64(0); i < 64; i++ {
 			ba := i * 64
 			if touch {
@@ -267,7 +279,7 @@ func TestTouchSharesTimeline(t *testing.T) {
 		return string(buf)
 	}
 
-	c := drive(Options{Exact: true}, true)
+	c := drive(true, true)
 	wantShares := []uint64{32, 1, 1, 1, 1, 1, 1, 1, 1}
 	wantShares = append(wantShares, make([]uint64, 120)...)
 	if got := c.Shares(); !slices.Equal(got, wantShares) {
@@ -284,17 +296,17 @@ func TestTouchSharesTimeline(t *testing.T) {
 		t.Errorf("Timeline = %v, want %v", got, wantBins)
 	}
 
-	for _, opt := range []Options{{Exact: true}, {MaxLines: 16}} {
-		touched, plain := drive(opt, true), drive(opt, false)
+	for _, exact := range []bool{true, false} {
+		touched, plain := drive(exact, true), drive(exact, false)
 		if touched.Len() != plain.Len() || touched.Events() != plain.Events() ||
 			touched.SumCounts() != plain.SumCounts() || report(touched) != report(plain) {
-			t.Errorf("%+v: Touch changed the tracked lines or the report", opt)
+			t.Errorf("exact=%v: Touch changed the tracked lines or the report", exact)
 		}
 		if !slices.Equal(touched.Timeline(), wantBins) {
-			t.Errorf("%+v: Timeline = %v, want every transfer %v", opt, touched.Timeline(), wantBins)
+			t.Errorf("exact=%v: Timeline = %v, want every transfer %v", exact, touched.Timeline(), wantBins)
 		}
 	}
-	if n := len(drive(Options{MaxLines: 16}, true).Shares()); n != 0 {
+	if n := len(drive(false, true).Shares()); n != 0 {
 		t.Errorf("a sampled collector has %d touched lines, want 0", n)
 	}
 

@@ -167,12 +167,11 @@ func (f *Flags) WriteArtifacts(labels []string, observers []*Observer, snaps []*
 		if err := emit(f.Trace, false, func(w io.Writer) error { return WriteChromeTrace(w, trs...) }); err != nil {
 			return err
 		}
-		// A capped trace is silently truncated otherwise; say so, with the
-		// knob that raises the cap.
+		// A capped trace is silently truncated otherwise; say so.
 		for i, tr := range trs {
 			if n := tr.Dropped(); n > 0 {
-				fmt.Fprintf(os.Stderr, "obs: trace %q run %d dropped %d events past the %d-event cap (SetMaxEvents raises it)\n",
-					f.Trace, i, n, tr.MaxEvents())
+				fmt.Fprintf(os.Stderr, "obs: trace %q run %d dropped %d events past the %d-event cap\n",
+					f.Trace, i, n, DefaultMaxEvents)
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 // Package flightrec is the simulator's always-on black box: a bounded
-// flight recorder that keeps the recent past — a ring of trace events, a
-// short deque of metrics-registry snapshots, and the in-flight request
+// flight recorder that keeps the recent past — a ring of trace events, the
+// newest periodic metrics-registry snapshot, and the in-flight request
 // table — in simulated time, and writes an atomic post-mortem bundle when
 // something goes wrong.
 //
@@ -10,7 +10,7 @@
 // question — "what just happened?" — for runs nobody was watching. It is on
 // by default, so it must be strictly passive (engine results bit-identical
 // with it on or off: it only ever reads simulated state) and strictly
-// bounded (the ring evicts, the snapshot deque is capped, dumps are
+// bounded (the ring evicts, one metrics snapshot is kept, dumps are
 // capped).
 //
 // Triggers: entry into a scheduled fault window, an SLO budget-burn
@@ -38,14 +38,12 @@ import (
 	"repro/internal/obs/reqtrace"
 )
 
-// Defaults for Options' zero values.
+// Defaults for Options' zero values, and the recorder's fixed limits.
 const (
 	// DefaultRingEvents bounds the event ring (~64 B/event → a few MB).
 	DefaultRingEvents = 65536
 	// DefaultWindowCycles is one simulated second at the 250 MHz clock.
 	DefaultWindowCycles = 250_000_000
-	// DefaultSnapKeep bounds the metrics-snapshot deque.
-	DefaultSnapKeep = 16
 	// DefaultBurnThreshold is the per-interval SLO burn rate that triggers
 	// a dump (2 = the interval spent its error budget twice over).
 	DefaultBurnThreshold = 2.0
@@ -63,17 +61,9 @@ type Options struct {
 	Label string
 	// RingEvents caps the trace-event ring.
 	RingEvents int
-	// WindowCycles is the simulated-time span a dump's trace covers.
+	// WindowCycles is the simulated-time span a dump's trace covers; a
+	// metrics snapshot is taken every quarter of it.
 	WindowCycles uint64
-	// SnapEvery is the metrics-snapshot cadence (default WindowCycles/4).
-	SnapEvery uint64
-	// SnapKeep bounds the snapshot deque.
-	SnapKeep int
-	// BurnThreshold is the per-interval SLO burn rate that triggers a dump
-	// (needs a collector with objectives; <0 disables the trigger).
-	BurnThreshold float64
-	// MaxDumps caps bundles written per run.
-	MaxDumps int
 }
 
 func (o Options) withDefaults() Options {
@@ -89,18 +79,6 @@ func (o Options) withDefaults() Options {
 	if o.WindowCycles == 0 {
 		o.WindowCycles = DefaultWindowCycles
 	}
-	if o.SnapEvery == 0 {
-		o.SnapEvery = o.WindowCycles / 4
-	}
-	if o.SnapKeep <= 0 {
-		o.SnapKeep = DefaultSnapKeep
-	}
-	if o.BurnThreshold == 0 {
-		o.BurnThreshold = DefaultBurnThreshold
-	}
-	if o.MaxDumps <= 0 {
-		o.MaxDumps = DefaultMaxDumps
-	}
 	return o
 }
 
@@ -110,11 +88,6 @@ type DumpInfo struct {
 	Trigger string `json:"trigger"`
 	Cycle   uint64 `json:"cycle"`
 	Path    string `json:"path"`
-}
-
-type regSnap struct {
-	cycle uint64
-	snap  *obs.Snapshot
 }
 
 // Recorder is the black box. A nil *Recorder is valid and disabled — every
@@ -136,8 +109,11 @@ type Recorder struct {
 	windows []fault.Event
 	nextWin int
 
-	snaps    []regSnap
-	nextSnap uint64
+	// snap is the newest periodic metrics snapshot, taken at snapCycle;
+	// dumps report the registry's change since it.
+	snap      *obs.Snapshot
+	snapCycle uint64
+	nextSnap  uint64
 
 	lastBin      int
 	lastBurnDump uint64
@@ -157,7 +133,7 @@ func New(opt Options) *Recorder {
 	return &Recorder{
 		opt:      o,
 		ring:     obs.NewEventRing(o.RingEvents),
-		nextSnap: o.SnapEvery,
+		nextSnap: o.WindowCycles / 4,
 		procNames: map[int]string{
 			0: o.Label,
 		},
@@ -241,9 +217,9 @@ func (r *Recorder) Tick(now uint64) {
 	}
 	dirty := false
 	if r.reg != nil && now >= r.nextSnap {
-		r.pushSnap(now)
+		r.snap, r.snapCycle = r.reg.Snapshot(), now
 		for r.nextSnap <= now {
-			r.nextSnap += r.opt.SnapEvery
+			r.nextSnap += r.opt.WindowCycles / 4
 		}
 		dirty = true
 	}
@@ -254,11 +230,11 @@ func (r *Recorder) Tick(now uint64) {
 			fmt.Sprintf("entered scheduled %s window [%d, %d) magnitude %g", w.Kind, w.At, w.End(), w.Magnitude))
 		dirty = true
 	}
-	if r.coll != nil && r.opt.BurnThreshold > 0 {
+	if r.coll != nil {
 		done := r.coll.CompletedBins(now)
 		for b := r.lastBin; b < done; b++ {
 			burn := r.coll.BinBurn(b)
-			if burn < r.opt.BurnThreshold {
+			if burn < DefaultBurnThreshold {
 				continue
 			}
 			// One burn dump per window, not one per hot interval: a storm
@@ -304,15 +280,6 @@ func (r *Recorder) Brownout(now uint64, level int) {
 	r.publish(now)
 }
 
-// DumpNow writes a bundle immediately with the given trigger tag.
-func (r *Recorder) DumpNow(now uint64, trigger, reason string) {
-	if r == nil {
-		return
-	}
-	r.dump(now, trigger, reason)
-	r.publish(now)
-}
-
 // Dumps lists the bundles written so far.
 func (r *Recorder) Dumps() []DumpInfo {
 	if r == nil {
@@ -344,19 +311,12 @@ func (r *Recorder) Summary() string {
 		s += ": " + strings.Join(parts, ", ")
 	}
 	if r.skipped > 0 {
-		s += fmt.Sprintf(" (%d trigger(s) past the %d-dump cap not written)", r.skipped, r.opt.MaxDumps)
+		s += fmt.Sprintf(" (%d trigger(s) past the %d-dump cap not written)", r.skipped, DefaultMaxDumps)
 	}
 	if r.err != nil {
 		s += fmt.Sprintf(" (write error: %v)", r.err)
 	}
 	return s
-}
-
-func (r *Recorder) pushSnap(cycle uint64) {
-	r.snaps = append(r.snaps, regSnap{cycle: cycle, snap: r.reg.Snapshot()})
-	if len(r.snaps) > r.opt.SnapKeep {
-		r.snaps = r.snaps[len(r.snaps)-r.opt.SnapKeep:]
-	}
 }
 
 // ringStats summarizes the ring's accounting in bundles and /flight.
@@ -380,7 +340,7 @@ type bundle struct {
 	Ring         ringStats       `json:"ring"`
 	Trace        json.RawMessage `json:"trace,omitempty"`
 	// Metrics is the full registry snapshot at the dump; MetricsDelta the
-	// change since the newest kept periodic snapshot, DeltaCycles back.
+	// change since the newest periodic snapshot, DeltaCycles back.
 	Metrics      string                  `json:"metrics,omitempty"`
 	MetricsDelta string                  `json:"metrics_delta,omitempty"`
 	DeltaCycles  uint64                  `json:"metrics_delta_cycles,omitempty"`
@@ -389,7 +349,7 @@ type bundle struct {
 }
 
 func (r *Recorder) dump(now uint64, trigger, reason string) {
-	if len(r.dumps) >= r.opt.MaxDumps {
+	if len(r.dumps) >= DefaultMaxDumps {
 		r.skipped++
 		return
 	}
@@ -415,10 +375,9 @@ func (r *Recorder) dump(now uint64, trigger, reason string) {
 	if r.reg != nil {
 		cur := r.reg.Snapshot()
 		b.Metrics = snapText(cur)
-		if n := len(r.snaps); n > 0 {
-			prev := r.snaps[n-1]
-			b.MetricsDelta = snapText(cur.Delta(prev.snap))
-			b.DeltaCycles = now - prev.cycle
+		if r.snap != nil {
+			b.MetricsDelta = snapText(cur.Delta(r.snap))
+			b.DeltaCycles = now - r.snapCycle
 		}
 	}
 	if r.attr != nil {
@@ -499,9 +458,11 @@ func (r *Recorder) publish(now uint64) {
 			Events: r.ring.Len(), Cap: r.ring.Cap(),
 			Evicted: r.ring.Evicted(), Total: r.ring.Total(),
 		},
-		Snapshots: len(r.snaps),
-		Dumps:     r.dumps,
-		Skipped:   r.skipped,
+		Dumps:   r.dumps,
+		Skipped: r.skipped,
+	}
+	if r.snap != nil {
+		doc.Snapshots = 1
 	}
 	if doc.Dumps == nil {
 		doc.Dumps = []DumpInfo{}

@@ -3,6 +3,7 @@ package flightrec
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,49 +92,44 @@ func TestFaultWindowTrigger(t *testing.T) {
 	}
 }
 
-// TestManualDumpAndCap checks DumpNow, the MaxDumps cap, and the skipped
-// accounting in Summary.
+// TestManualDumpAndCap checks manual dumps, the DefaultMaxDumps cap, and
+// the skipped accounting in Summary.
 func TestManualDumpAndCap(t *testing.T) {
 	dir := t.TempDir()
-	rec, _ := newTestRecorder(t, dir, Options{MaxDumps: 2, WindowCycles: 100})
-	rec.DumpNow(10, "manual", "first")
-	rec.DumpNow(20, "manual", "second")
-	rec.DumpNow(30, "manual", "third — over the cap")
-	if got := len(rec.Dumps()); got != 2 {
-		t.Fatalf("%d dumps written, want cap of 2", got)
+	rec, _ := newTestRecorder(t, dir, Options{WindowCycles: 100})
+	for i := 0; i <= DefaultMaxDumps; i++ {
+		rec.dump(uint64(10*(i+1)), "manual", "one more")
 	}
-	if !strings.Contains(rec.Summary(), "1 trigger(s) past the 2-dump cap") {
+	if got := len(rec.Dumps()); got != DefaultMaxDumps {
+		t.Fatalf("%d dumps written, want cap of %d", got, DefaultMaxDumps)
+	}
+	if want := fmt.Sprintf("1 trigger(s) past the %d-dump cap", DefaultMaxDumps); !strings.Contains(rec.Summary(), want) {
 		t.Fatalf("summary does not report the skipped trigger: %q", rec.Summary())
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 2 {
-		t.Fatalf("%d files on disk, want 2", len(ents))
+	if len(ents) != DefaultMaxDumps {
+		t.Fatalf("%d files on disk, want %d", len(ents), DefaultMaxDumps)
 	}
 }
 
-// TestSnapshotDequeBound checks the periodic metrics snapshots stay capped
-// and that dumps carry the delta since the newest kept snapshot.
-func TestSnapshotDequeBound(t *testing.T) {
+// TestSnapshotDelta checks the recorder snapshots the registry every
+// quarter window and that dumps carry the delta since the newest snapshot.
+func TestSnapshotDelta(t *testing.T) {
 	dir := t.TempDir()
-	rec, counter := newTestRecorder(t, dir, Options{
-		WindowCycles: 1000, SnapEvery: 100, SnapKeep: 3,
-	})
+	rec, counter := newTestRecorder(t, dir, Options{WindowCycles: 400})
 	for now := uint64(100); now <= 2000; now += 100 {
 		*counter += 7
 		rec.Tick(now)
 	}
-	if len(rec.snaps) != 3 {
-		t.Fatalf("kept %d snapshots, want cap of 3", len(rec.snaps))
-	}
-	if newest := rec.snaps[len(rec.snaps)-1].cycle; newest != 2000 {
-		t.Fatalf("newest snapshot at %d, want 2000", newest)
+	if rec.snapCycle != 2000 {
+		t.Fatalf("newest snapshot at %d, want 2000", rec.snapCycle)
 	}
 
 	*counter += 5
-	rec.DumpNow(2040, "manual", "delta check")
+	rec.dump(2040, "manual", "delta check")
 	b := readBundle(t, rec.Dumps()[0].Path)
 	if metrics, _ := b["metrics"].(string); !strings.Contains(metrics, "test.ops") {
 		t.Fatalf("bundle metrics missing the registry counter: %q", metrics)
@@ -151,7 +147,7 @@ func TestSnapshotDequeBound(t *testing.T) {
 // recorders fed identical simulated state produce byte-identical bundles.
 func TestDumpDeterminism(t *testing.T) {
 	run := func(dir string) []byte {
-		rec, counter := newTestRecorder(t, dir, Options{WindowCycles: 1000, SnapEvery: 200})
+		rec, counter := newTestRecorder(t, dir, Options{WindowCycles: 1000})
 		rec.SetSchedule(&fault.Schedule{Events: []fault.Event{
 			{Kind: fault.GCStorm, At: 300, Duration: 100, Magnitude: 4},
 		}})
@@ -185,7 +181,6 @@ func TestNilRecorderInert(t *testing.T) {
 	rec.Tick(100)
 	rec.Watchdog(1, "x")
 	rec.Brownout(1, 3)
-	rec.DumpNow(1, "manual", "x")
 	rec.SetCollector(nil)
 	rec.SetSchedule(nil)
 	rec.SetInspector(nil)

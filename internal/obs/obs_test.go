@@ -81,7 +81,7 @@ func TestTracerSamplingAndCap(t *testing.T) {
 		t.Fatalf("sampled %d of 100, want 10", tr.Len())
 	}
 	tr2 := NewTracer([]Component{CompOS})
-	tr2.SetMaxEvents(5)
+	tr2.max = 5
 	for i := 0; i < 20; i++ {
 		if tr2.Admit(CompOS) {
 			tr2.Instant(CompOS, "x", 0, uint64(i))

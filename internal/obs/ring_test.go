@@ -78,7 +78,7 @@ func TestRingTracerBypassesBuffer(t *testing.T) {
 // buffer overflow increments dropped without touching the ring.
 func TestTracerSharedRing(t *testing.T) {
 	tr := NewTracer(AllComponents())
-	tr.SetMaxEvents(4)
+	tr.max = 4
 	ring := NewEventRing(64)
 	tr.SetRing(ring)
 	for i := uint64(0); i < 10; i++ {

@@ -155,13 +155,6 @@ func (t *Tracer) Ring() *EventRing {
 	return t.ring
 }
 
-// SetMaxEvents overrides the event cap.
-func (t *Tracer) SetMaxEvents(n int) {
-	if t != nil && n > 0 {
-		t.max = n
-	}
-}
-
 // SampleEvery records one in n events of the component (n <= 1 records
 // all). Only the memory component defaults to sampling.
 func (t *Tracer) SampleEvery(c Component, n uint64) {
@@ -267,14 +260,6 @@ func (t *Tracer) Len() int {
 		return 0
 	}
 	return t.n
-}
-
-// MaxEvents returns the linear buffer's event cap.
-func (t *Tracer) MaxEvents() int {
-	if t == nil {
-		return 0
-	}
-	return t.max
 }
 
 // Dropped returns how many events the cap discarded.

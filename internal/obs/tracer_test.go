@@ -59,7 +59,7 @@ func TestTracerAllocs(t *testing.T) {
 func TestTracerChunkBoundary(t *testing.T) {
 	const extra = 10
 	tr := NewTracer([]Component{CompOS})
-	tr.SetMaxEvents(2*traceChunk + extra)
+	tr.max = 2*traceChunk + extra
 	total := 2*traceChunk + 3*extra
 	for i := 0; i < total; i++ {
 		if tr.Admit(CompOS) {

@@ -822,7 +822,7 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 				}
 				e.OnExternalCall(th.id, it.Peer, uint32(it.ID), it.Aux, t)
 			} else {
-				done, det := e.net.RoundTripDetail(it.Peer, t, uint32(it.ID), it.Aux)
+				done, det := e.net.RoundTrip(it.Peer, t, uint32(it.ID), it.Aux)
 				if th.span != nil {
 					rtt := done - t
 					remote := det.Queue + det.Service
