@@ -143,7 +143,8 @@ func simulate(sess *core.Session, af *appFlags, stdout io.Writer) error {
 
 // runFaultExperiment is the -faults mode: a paired clean/faulted measurement
 // rendered as the throughput-under-fault curve. The session's attachments
-// ride the faulted run.
+// ride the faulted run. Nothing reaches stdout before the run parameters
+// are found valid.
 func runFaultExperiment(sess *core.Session, af *appFlags, stdout io.Writer) error {
 	p := af.spec.Params
 	spec, warmup, measure := *af.faults, af.spec.Warmup, af.spec.Measure
@@ -157,12 +158,7 @@ func runFaultExperiment(sess *core.Session, af *appFlags, stdout io.Writer) erro
 			return err
 		}
 	}
-	fmt.Fprintf(stdout, "fault schedule (%d events):\n", len(sched.Events))
-	for _, e := range sched.Events {
-		fmt.Fprintf(stdout, "  %s\n", e)
-	}
-
-	r := sess.FaultExperiment("ECperf-faulted", core.FaultRunOpts{
+	r, err := sess.FaultExperiment("ECperf-faulted", core.FaultRunOpts{
 		Processors:    p.Processors,
 		Seed:          p.Seed,
 		MemModel:      p.MemModel,
@@ -171,6 +167,13 @@ func runFaultExperiment(sess *core.Session, af *appFlags, stdout io.Writer) erro
 		MeasureCycles: measure,
 		BinCycles:     *af.faultBin,
 	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "fault schedule (%d events):\n", len(sched.Events))
+	for _, e := range sched.Events {
+		fmt.Fprintf(stdout, "  %s\n", e)
+	}
 	f := core.FaultFigure(r)
 	report.Render(stdout, f)
 	if rt := r.System.Engine.ReqTrace(); rt != nil {

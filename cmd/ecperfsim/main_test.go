@@ -37,9 +37,9 @@ func TestStdoutPassivity(t *testing.T) {
 	})
 }
 
-// TestInvalidRunParameters: a processor set larger than the machine, or a
-// checkpoint naming an unknown workload, ends the run with exit code 1 and a
-// one-line error instead of a panic.
+// TestInvalidRunParameters: a processor set larger than the machine, in a
+// plain or a -faults run, or a checkpoint naming an unknown workload, ends
+// the run with exit code 1 and a one-line error instead of a panic.
 func TestInvalidRunParameters(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "bad.json")
 	doc := fmt.Sprintf(`{"version": %d, "params": {"Kind": 7, "Processors": 2}}`, core.CheckpointVersion)
@@ -51,6 +51,7 @@ func TestInvalidRunParameters(t *testing.T) {
 		want string
 	}{
 		{[]string{"-p", "40"}, "ecperfsim: processor set 40 outside 1..16\n"},
+		{[]string{"-p", "40", "-faults", "demo"}, "ecperfsim: processor set 40 outside 1..16\n"},
 		{[]string{"-resume", cp}, "ecperfsim: checkpoint " + cp + ": unknown workload kind 7\n"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/drivertest"
@@ -23,4 +24,15 @@ func TestStdoutPassivity(t *testing.T) {
 		args = []string{"-p", "4", "-warmup", "2000000", "-measure", "8000000"}
 	}
 	drivertest.StdoutPassivity(t, run, nil, args...)
+}
+
+// TestShortFlightWindow: a flight window under four cycles, whose quarter
+// is zero, still finishes the run.
+func TestShortFlightWindow(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-p", "2", "-warmup", "100000", "-measure", "200000",
+		"-flight-window", "3", "-flight", t.TempDir()}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
 }

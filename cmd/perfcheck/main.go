@@ -56,7 +56,8 @@ import (
 // duplicate-tag filter exists for, and the loaded-latency hot path (curve
 // lookup + utilization-window update) every bus transaction pays under
 // -memmodel loaded, the trace recorder (a sampled-out and a ring-recorded
-// event, both allocation-free, and the Chrome trace encoder), the osmodel
+// event, both allocation-free, an event encoded and spilled into a -trace
+// buffer, and the Chrome trace export that copies it out), the osmodel
 // playback engine, the jvm heap's allocation and minor-GC paths, the fetch
 // generator's NextRun, the cpu core's ExecInstr segment, and simrand's
 // uniform and bounded draws.
@@ -64,7 +65,7 @@ const pinnedBench = "^(BenchmarkFig08C2CRatio|BenchmarkFig13DCacheMissRate|Bench
 	"BenchmarkProbeTouchHit|BenchmarkProbeTouchLRUWay|BenchmarkAllocateMissStream|BenchmarkSweepNineConfigs|" +
 	"BenchmarkReadLocalHit|BenchmarkMigratoryWrite16Nodes|BenchmarkReadSharedGetS16Nodes|" +
 	"BenchmarkHDRRecord|BenchmarkHDRMerge|BenchmarkCurveLookup|BenchmarkLoadTrackerRecord|" +
-	"BenchmarkTracerInstantSampledOut|BenchmarkTracerInstantRing|BenchmarkWriteChromeTrace|" +
+	"BenchmarkTracerInstantSampledOut|BenchmarkTracerInstantRing|BenchmarkTracerInstantLinear|BenchmarkWriteChromeTrace|" +
 	"BenchmarkEngineThroughput|BenchmarkAllocSmall|BenchmarkMinorGC|" +
 	"BenchmarkNextRun|BenchmarkExecInstr|BenchmarkFloat64|BenchmarkIntn)$"
 

@@ -78,6 +78,12 @@ type FaultRunResult struct {
 	System *System
 }
 
+// params is the clean run's machine; the faulted run adds the schedule and
+// the policy.
+func (o FaultRunOpts) params() SystemParams {
+	return SystemParams{Kind: ECperf, Processors: o.Processors, Seed: o.Seed, MemModel: o.MemModel}
+}
+
 // binnedRun measures r with one loop slice per throughput bin, recording
 // business ops per bin.
 func binnedRun(r *Run, o FaultRunOpts) []uint64 {
@@ -108,16 +114,12 @@ func runFaultExperiment(o FaultRunOpts, r *Run) FaultRunResult {
 		res.BinStart = append(res.BinStart, t)
 	}
 
-	clean := &Run{
-		Sys:      BuildSystem(SystemParams{Kind: ECperf, Processors: o.Processors, Seed: o.Seed, MemModel: o.MemModel}),
-		Progress: r.Progress,
-	}
+	clean := &Run{Sys: BuildSystem(o.params()), Progress: r.Progress}
 	res.Baseline = binnedRun(clean, o)
 
-	r.attach(BuildSystem(SystemParams{
-		Kind: ECperf, Processors: o.Processors, Seed: o.Seed, MemModel: o.MemModel,
-		FaultSchedule: o.Schedule, FaultPolicy: o.Policy,
-	}))
+	p := o.params()
+	p.FaultSchedule, p.FaultPolicy = o.Schedule, o.Policy
+	r.attach(BuildSystem(p))
 	res.Faulted = binnedRun(r, o)
 	faulted := r.Sys
 	res.System = faulted

@@ -135,11 +135,11 @@ func TestFaultMetricsAndTraceEvents(t *testing.T) {
 	}
 
 	var windows, instants int
-	for _, e := range ob.Tracer.Events() {
-		if strings.HasPrefix(e.Name, "fault.") {
+	for _, r := range traceRecords(t, ob.Tracer) {
+		if strings.HasPrefix(r.Name, "fault.") {
 			windows++
 		}
-		if strings.HasPrefix(e.Name, "resilience.") {
+		if strings.HasPrefix(r.Name, "resilience.") {
 			instants++
 		}
 	}

@@ -20,6 +20,33 @@ func observeRun(t *testing.T, sys *System, ob *obs.Observer, hb *obs.Heartbeat, 
 	return delta
 }
 
+// traceRecord is one event record of an exported Chrome trace.
+type traceRecord struct {
+	Name, Cat, Ph string
+	Dur           float64
+}
+
+// traceRecords exports tr as Chrome trace JSON and decodes its event
+// records, leaving out the track-name metadata.
+func traceRecords(t *testing.T, tr *obs.Tracer) []traceRecord {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	var all []traceRecord
+	if err := json.Unmarshal(buf.Bytes(), &all); err != nil {
+		t.Fatalf("exported trace is not valid JSON: %v", err)
+	}
+	var recs []traceRecord
+	for _, r := range all {
+		if r.Ph != "M" {
+			recs = append(recs, r)
+		}
+	}
+	return recs
+}
+
 // checkProfileMatchesCounters asserts the folded profile's category totals
 // equal the engine's Figure 6/7 CPI counters exactly — same charge sites,
 // same processor set, same measurement window.
@@ -73,9 +100,10 @@ func TestObserveRunMatchesCounters(t *testing.T) {
 	// may legitimately have no collection).
 	seen := map[string]bool{}
 	var opSpans int
-	for _, e := range ob.Tracer.Events() {
-		seen[e.Name] = true
-		if e.Comp == obs.CompWorkload && e.Phase == 'X' {
+	recs := traceRecords(t, ob.Tracer)
+	for _, r := range recs {
+		seen[r.Name] = true
+		if r.Cat == obs.CompWorkload.String() && r.Ph == "X" {
 			opSpans++
 		}
 	}
@@ -87,18 +115,8 @@ func TestObserveRunMatchesCounters(t *testing.T) {
 	if opSpans == 0 {
 		t.Error("trace lacks business-operation spans")
 	}
-
-	// And it must export as valid Chrome trace JSON.
-	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, ob.Tracer); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("exported trace is not valid JSON: %v", err)
-	}
-	if len(events) < ob.Tracer.Len() {
-		t.Fatalf("export lost events: %d < %d", len(events), ob.Tracer.Len())
+	if len(recs) != ob.Tracer.Len() {
+		t.Fatalf("export holds %d events, tracer recorded %d", len(recs), ob.Tracer.Len())
 	}
 }
 
@@ -127,10 +145,10 @@ func TestObserveRunGCSpans(t *testing.T) {
 
 	// Spans cover warm-up too; at least the measured collections must show.
 	var gcSpans uint64
-	for _, e := range ob.Tracer.Events() {
-		if e.Comp == obs.CompJVM && e.Phase == 'X' {
+	for _, r := range traceRecords(t, ob.Tracer) {
+		if r.Cat == obs.CompJVM.String() && r.Ph == "X" {
 			gcSpans++
-			if e.Dur == 0 {
+			if r.Dur == 0 {
 				t.Error("GC span with zero duration")
 			}
 		}

@@ -256,9 +256,14 @@ func (s *Session) ObservePoints(procs int, seed uint64, o Opts) error {
 }
 
 // FaultExperiment runs the fault experiment with the session's attachments
-// on the faulted run, whose artifacts Finish writes under label.
-func (s *Session) FaultExperiment(label string, o FaultRunOpts) FaultRunResult {
-	return runFaultExperiment(o, s.newRun(label, s.Label))
+// on the faulted run, whose artifacts Finish writes under label. Run
+// parameters BuildSystem cannot build are an error, found before either run
+// starts.
+func (s *Session) FaultExperiment(label string, o FaultRunOpts) (FaultRunResult, error) {
+	if err := o.params().validate(); err != nil {
+		return FaultRunResult{}, err
+	}
+	return runFaultExperiment(o, s.newRun(label, s.Label)), nil
 }
 
 // Finish writes the artifacts the flags asked for from every run, with a

@@ -110,7 +110,10 @@ func TestSessionFaultExperimentDelta(t *testing.T) {
 	o.MeasureCycles = 16_000_000
 	o.Schedule.Events[0].At = 8_000_000
 	o.Schedule.Events[0].Duration = 4_000_000
-	res := s.FaultExperiment("ECperf-faulted", o)
+	res, err := s.FaultExperiment("ECperf-faulted", o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := s.runs[0]
 	if r.Delta == nil {
 		t.Fatal("fault run left no metrics delta")

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -92,4 +93,66 @@ func TestWriteArtifactsGolden(t *testing.T) {
 	}
 
 	drivertest.Golden(t, filepath.Join("testdata", "artifacts.golden"), []byte(got.String()), *updateGolden)
+}
+
+// TestTraceArtifactsLeaveNoSpill: a -trace tracer that spilled leaves only
+// the expected files in the artifact directory, after a successful write,
+// after a write that failed on a later artifact, and after a write that
+// failed because the spill itself could not be created.
+func TestTraceArtifactsLeaveNoSpill(t *testing.T) {
+	record := func(tr *Tracer) {
+		for i := uint64(0); i < 2000; i++ {
+			tr.Span(CompOS, "lock.wait", 1, i*100, i*100+40, Str("kind", "monitor"), U64("lock", i))
+		}
+	}
+	listing := func(dir string) string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return strings.Join(names, " ")
+	}
+
+	ok := t.TempDir()
+	f := Flags{Trace: filepath.Join(ok, "trace.json")}
+	ob := f.NewObserver(0)
+	record(ob.Tracer)
+	if err := f.WriteArtifacts(nil, []*Observer{ob}, nil, &Manifest{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := listing(ok); got != "trace.json trace.json.manifest.json" {
+		t.Errorf("after a write: %q", got)
+	}
+	if err := WriteChromeTrace(io.Discard, ob.Tracer); err == nil {
+		t.Error("a second export after the artifact released the spill succeeded")
+	}
+
+	later := t.TempDir()
+	f = Flags{Trace: filepath.Join(later, "trace.json"), Attr: filepath.Join(later, "missing", "attr.json")}
+	ob = f.NewObserver(0)
+	record(ob.Tracer)
+	if err := f.WriteArtifacts(nil, []*Observer{ob}, nil, &Manifest{}); err == nil {
+		t.Fatal("attr into a missing directory succeeded")
+	}
+	if got := listing(later); got != "trace.json" {
+		t.Errorf("after a failed attr write: %q", got)
+	}
+
+	spill := filepath.Join(t.TempDir(), "gone")
+	f = Flags{Trace: filepath.Join(spill, "trace.json")}
+	ob = f.NewObserver(0)
+	record(ob.Tracer) // the spill directory does not exist yet
+	if err := os.Mkdir(spill, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteArtifacts(nil, []*Observer{ob}, nil, &Manifest{}); err == nil {
+		t.Fatal("a trace whose spill failed was written")
+	}
+	if got := listing(spill); got != "" {
+		t.Errorf("after a failed spill: %q", got)
+	}
 }

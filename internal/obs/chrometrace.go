@@ -9,21 +9,20 @@ import (
 	"unicode/utf8"
 )
 
-// WriteChromeTrace writes the tracers' merged events as Chrome trace_event
-// JSON (the "JSON array format"), loadable in Perfetto or chrome://tracing.
+// WriteChromeTrace writes the tracers' events as Chrome trace_event JSON
+// (the "JSON array format"), loadable in Perfetto or chrome://tracing.
 // Cycle timestamps become microseconds at the simulated 250 MHz clock.
+// Tracer by tracer, in order, it writes the track-name metadata, then the
+// events the tracer encoded as it recorded them: its spill file, then the
+// rest of its buffer. A spill I/O error the tracer held is returned.
 func WriteChromeTrace(w io.Writer, tracers ...*Tracer) error {
-	enc := traceEncoder{w: w, b: make([]byte, 0, flushBytes+4<<10)}
+	enc := traceEncoder{w: w}
 	for _, t := range tracers {
 		if t == nil {
 			continue
 		}
 		enc.trackNames(t.procNames, t.tidNames)
-		for _, c := range t.chunks {
-			for i := range c {
-				enc.event(&c[i])
-			}
-		}
+		enc.recorded(t)
 	}
 	return enc.finish()
 }
@@ -41,8 +40,8 @@ func ChromeTraceEvents(events []Event, procNames map[int]string) []byte {
 	return enc.b
 }
 
-// flushBytes is how much encoded JSON a streaming encoder holds before it
-// writes through.
+// flushBytes is how much encoded JSON a streaming encoder or a tracer's
+// buffer holds before it writes through.
 const flushBytes = 64 << 10
 
 // traceEncoder appends Chrome trace_event records, one per line, between
@@ -122,6 +121,25 @@ func (e *traceEncoder) meta(kind string, pid, tid int, name string) {
 	b = append(b, `,"args":{"name":`...)
 	b = appendQuoted(b, name)
 	e.b = append(b, "}}"...)
+}
+
+// recorded writes t's encoded events as the next records: one separator,
+// then the spill file and the buffer, which t already separated.
+func (e *traceEncoder) recorded(t *Tracer) {
+	if t.n == 0 {
+		return
+	}
+	e.record()
+	e.flush()
+	if e.err == nil {
+		e.err = t.err
+	}
+	if e.err == nil && t.spill != nil {
+		_, e.err = io.Copy(e.w, io.NewSectionReader(t.spill, 0, t.spilled))
+	}
+	if e.err == nil {
+		_, e.err = e.w.Write(t.buf)
+	}
 }
 
 func (e *traceEncoder) event(ev *Event) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/obs/attr"
@@ -116,6 +117,8 @@ func (f *Flags) NewObserver(pid int) *Observer {
 	if f.Trace != "" {
 		ob.Tracer = NewTracer(AllComponents())
 		ob.Tracer.Pid = pid
+		// The trace spills beside its artifact, on the disk meant for it.
+		ob.Tracer.spillDir = filepath.Dir(f.Trace)
 	}
 	if f.Metrics != "" || f.Inspect != "" {
 		ob.Registry = NewRegistry()
@@ -164,7 +167,12 @@ func (f *Flags) WriteArtifacts(labels []string, observers []*Observer, snaps []*
 				trs = append(trs, ob.Tracer)
 			}
 		}
-		if err := emit(f.Trace, false, func(w io.Writer) error { return WriteChromeTrace(w, trs...) }); err != nil {
+		err := emit(f.Trace, false, func(w io.Writer) error { return WriteChromeTrace(w, trs...) })
+		// The artifact is the tracers' last reader: release their spills.
+		for _, tr := range trs {
+			tr.closeSpill()
+		}
+		if err != nil {
 			return err
 		}
 		// A capped trace is silently truncated otherwise; say so.

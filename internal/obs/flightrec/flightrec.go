@@ -62,7 +62,8 @@ type Options struct {
 	// RingEvents caps the trace-event ring.
 	RingEvents int
 	// WindowCycles is the simulated-time span a dump's trace covers; a
-	// metrics snapshot is taken every quarter of it.
+	// metrics snapshot is taken every quarter of it, but at most once a
+	// cycle.
 	WindowCycles uint64
 }
 
@@ -110,9 +111,11 @@ type Recorder struct {
 	nextWin int
 
 	// snap is the newest periodic metrics snapshot, taken at snapCycle;
-	// dumps report the registry's change since it.
+	// dumps report the registry's change since it. Snapshots are due every
+	// snapEvery cycles, from nextSnap on.
 	snap      *obs.Snapshot
 	snapCycle uint64
+	snapEvery uint64
 	nextSnap  uint64
 
 	lastBin      int
@@ -130,10 +133,12 @@ type Recorder struct {
 // New returns a recorder with an empty event ring.
 func New(opt Options) *Recorder {
 	o := opt.withDefaults()
+	every := max(o.WindowCycles/4, 1)
 	return &Recorder{
-		opt:      o,
-		ring:     obs.NewEventRing(o.RingEvents),
-		nextSnap: o.WindowCycles / 4,
+		opt:       o,
+		ring:      obs.NewEventRing(o.RingEvents),
+		snapEvery: every,
+		nextSnap:  every,
 		procNames: map[int]string{
 			0: o.Label,
 		},
@@ -219,7 +224,7 @@ func (r *Recorder) Tick(now uint64) {
 	if r.reg != nil && now >= r.nextSnap {
 		r.snap, r.snapCycle = r.reg.Snapshot(), now
 		for r.nextSnap <= now {
-			r.nextSnap += r.opt.WindowCycles / 4
+			r.nextSnap += r.snapEvery
 		}
 		dirty = true
 	}

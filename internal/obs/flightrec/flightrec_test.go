@@ -143,6 +143,19 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 }
 
+// TestShortWindowTicks: a window under four cycles still advances the
+// snapshot cadence, one cycle at a time, so Tick returns.
+func TestShortWindowTicks(t *testing.T) {
+	rec, counter := newTestRecorder(t, t.TempDir(), Options{WindowCycles: 3})
+	for now := uint64(1); now <= 10; now++ {
+		*counter++
+		rec.Tick(now)
+	}
+	if rec.snapCycle != 10 || rec.nextSnap != 11 {
+		t.Fatalf("newest snapshot at %d, next due %d; want 10, 11", rec.snapCycle, rec.nextSnap)
+	}
+}
+
 // TestDumpDeterminism checks the passivity contract's observable half: two
 // recorders fed identical simulated state produce byte-identical bundles.
 func TestDumpDeterminism(t *testing.T) {

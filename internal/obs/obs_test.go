@@ -35,6 +35,7 @@ func TestTracerChromeJSON(t *testing.T) {
 	tr.Span(CompJVM, "gc.minor", 0, 1000, 3500, U64("live_bytes", 42))
 	tr.Span(CompOS, "lock.wait", 3, 200, 450)
 	tr.Instant(CompMem, "bus.getm", 1, 777, Str("src", "c2c"))
+	tr.Span(CompOS, "clamped", 3, 40, 10) // end < start clamps to a zero span
 
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, tr); err != nil {
@@ -44,9 +45,9 @@ func TestTracerChromeJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("trace is not valid JSON: %v\n%s", err, buf.String())
 	}
-	// 2 metadata + 3 events.
-	if len(events) != 5 {
-		t.Fatalf("got %d events, want 5", len(events))
+	// 2 metadata + 4 events.
+	if len(events) != 6 {
+		t.Fatalf("got %d events, want 6", len(events))
 	}
 	byName := map[string]map[string]any{}
 	for _, e := range events {
@@ -59,6 +60,9 @@ func TestTracerChromeJSON(t *testing.T) {
 	// 1000 cycles at 250 MHz = 4 µs; duration 2500 cycles = 10 µs.
 	if gc["ts"].(float64) != 4 || gc["dur"].(float64) != 10 {
 		t.Fatalf("cycle->us conversion wrong: ts=%v dur=%v", gc["ts"], gc["dur"])
+	}
+	if c := byName["clamped"]; c["ts"].(float64) != 0.16 || c["dur"].(float64) != 0 {
+		t.Fatalf("end < start not clamped: %v", c)
 	}
 	if byName["bus.getm"]["ph"] != "i" {
 		t.Fatal("instant phase missing")

@@ -1,13 +1,17 @@
 package obs
 
-import "math"
+import (
+	"math"
+	"os"
+)
 
 // CyclesPerMicrosecond converts the simulated 250 MHz cycle clock to the
 // microsecond timestamps the Chrome trace_event format expects.
 const CyclesPerMicrosecond = 250.0
 
-// DefaultMaxEvents caps a tracer's buffer; past it events are counted as
-// dropped rather than recorded, so a runaway trace cannot exhaust memory.
+// DefaultMaxEvents caps how many events a tracer records; past it events
+// are counted as dropped. The recorded events live in a spill file, so the
+// cap bounds the disk a runaway trace can fill, not its memory.
 const DefaultMaxEvents = 1 << 20
 
 // DefaultMemSample records one in every N bus transactions when memory
@@ -73,13 +77,6 @@ func Bool(key string, v bool) Arg {
 	return a
 }
 
-// traceChunk and argChunk size the linear buffer's storage blocks. The
-// buffer grows a block at a time and never copies what it already holds.
-const (
-	traceChunk = 2048
-	argChunk   = 4096
-)
-
 // Tracer records simulated-time events. A nil *Tracer is valid and
 // disabled: every method returns immediately, so instrumentation sites pay
 // one nil check when tracing is off.
@@ -94,13 +91,19 @@ type Tracer struct {
 	sample  [numComponents]uint64 // record 1 in N (0/1 = all)
 	seen    [numComponents]uint64
 
-	// The linear buffer: events in fixed-size chunks, their arguments in
-	// argBuf blocks that the events' Args slices point into.
-	chunks  [][]Event
-	argBuf  []Arg
-	n       int
-	max     int
-	dropped uint64
+	// The linear buffer: admitted events already encoded as Chrome trace
+	// records, separated by ",\n". Past flushBytes the buffer is appended
+	// to spill, an unlinked file created on the first flush in spillDir
+	// ("" = os.TempDir()), and reused; spilled counts the bytes there. err
+	// holds the first spill I/O error for WriteChromeTrace to return.
+	buf      []byte
+	spill    *os.File
+	spilled  int64
+	spillDir string
+	err      error
+	n        int
+	max      int
+	dropped  uint64
 
 	// ring, when set, receives every admitted event in addition to (or, with
 	// ringOnly, instead of) the linear buffer — the flight recorder's view of
@@ -196,10 +199,10 @@ func (t *Tracer) Admit(c Component) bool {
 	return true
 }
 
-// record stores an admitted event and a copy of its arguments: always into
-// the ring when one is attached, and into the linear buffer unless this is
-// a ring-only tracer or the buffer is at its cap (counted as dropped). The
-// caller's args are only copied, so a variadic argument list stays on the
+// record stores an admitted event: always into the ring when one is
+// attached, and, unless this is a ring-only tracer or the buffer is at its
+// cap (counted as dropped), encoded at once into the linear buffer. The
+// caller's args are only read, so a variadic argument list stays on the
 // caller's stack.
 func (t *Tracer) record(e *Event, args []Arg) {
 	t.ring.push(e, args)
@@ -210,22 +213,58 @@ func (t *Tracer) record(e *Event, args []Arg) {
 		t.dropped++
 		return
 	}
-	last := len(t.chunks) - 1
-	if last < 0 || len(t.chunks[last]) == traceChunk {
-		t.chunks = append(t.chunks, make([]Event, 0, traceChunk))
-		last++
+	if t.buf == nil {
+		t.buf = make([]byte, 0, flushBytes+4<<10)
 	}
-	c := &t.chunks[last]
-	*c = append(*c, *e)
-	if len(args) > 0 {
-		if len(t.argBuf)+len(args) > cap(t.argBuf) {
-			t.argBuf = make([]Arg, 0, max(argChunk, len(args)))
-		}
-		off := len(t.argBuf)
-		t.argBuf = append(t.argBuf, args...)
-		(*c)[len(*c)-1].Args = t.argBuf[off:len(t.argBuf):len(t.argBuf)]
+	if t.n > 0 {
+		t.buf = append(t.buf, ",\n"...)
 	}
+	ev := *e
+	ev.Args = args
+	t.buf = appendEvent(t.buf, &ev)
 	t.n++
+	if len(t.buf) >= flushBytes {
+		t.flush()
+	}
+}
+
+// flush appends the buffer to the spill file, creating the file first if
+// this is the first flush, and empties the buffer. After an I/O error the
+// buffer is discarded; the error surfaces from WriteChromeTrace.
+func (t *Tracer) flush() {
+	if t.err == nil && t.spill == nil {
+		t.spill, t.err = createSpill(t.spillDir)
+	}
+	if t.err == nil {
+		var n int
+		n, t.err = t.spill.Write(t.buf)
+		t.spilled += int64(n)
+	}
+	t.buf = t.buf[:0]
+}
+
+// createSpill creates a spill file in dir and removes its name at once:
+// the open file keeps its bytes, and nothing is left on disk however the
+// process ends.
+func createSpill(dir string) (*os.File, error) {
+	f, err := os.CreateTemp(dir, ".trace-*.spill")
+	if err != nil {
+		return nil, err
+	}
+	if err := os.Remove(f.Name()); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// closeSpill releases the spill file once nothing will read it again;
+// an export after it fails. Its bytes were only ever read back, so a close
+// error changes nothing.
+func (t *Tracer) closeSpill() {
+	if t != nil && t.spill != nil {
+		t.spill.Close()
+	}
 }
 
 // Span records a complete [start, end) interval on track (t.Pid, tid).
@@ -268,17 +307,4 @@ func (t *Tracer) Dropped() uint64 {
 		return 0
 	}
 	return t.dropped
-}
-
-// Events returns the recorded events in order, copied out of the chunked
-// buffer (for tests).
-func (t *Tracer) Events() []Event {
-	if t == nil || t.n == 0 {
-		return nil
-	}
-	out := make([]Event, 0, t.n)
-	for _, c := range t.chunks {
-		out = append(out, c...)
-	}
-	return out
 }
