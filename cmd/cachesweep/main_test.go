@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/drivertest"
@@ -17,4 +20,21 @@ func TestFlagParity(t *testing.T) {
 // observability is attached.
 func TestStdoutPassivity(t *testing.T) {
 	drivertest.StdoutPassivity(t, run, nil, "-ops", "10", "-warm", "5")
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
+
+// TestModeGolden pins the associativity and block-size sweep tables at a
+// small window, so a change to the sweep or the fetch feed that moves any
+// miss rate shows.
+func TestModeGolden(t *testing.T) {
+	for _, mode := range []string{"assoc", "block"} {
+		t.Run(mode, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-mode", mode, "-ops", "20", "-warm", "10", "-flight", "off"}, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr.String())
+			}
+			drivertest.Golden(t, filepath.Join("testdata", mode+".golden"), stdout.Bytes(), *updateGolden)
+		})
+	}
 }
