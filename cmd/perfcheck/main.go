@@ -26,6 +26,13 @@
 // see — scheduling stalls, per-figure setup cost, GC pressure from the
 // drivers themselves.
 //
+// It also gates what observability costs: e2e:ObsOverhead runs ecperfsim
+// plain and with -trace -latency -attr -metrics, and jbbsim with its
+// default flight recorder and with -flight off, and records each pair's
+// observed/plain wall-clock and peak-RSS ratios (from the children's
+// rusage). A ratio gates like ns/op: it fails past its pinned value by more
+// than -tol.
+//
 // Each run appends to the BENCH_<n>.json history rather than overwriting,
 // and rewrites BENCH_TREND.md, a markdown table of every pinned
 // benchmark's ns/op and allocs/op across the recorded history.
@@ -42,6 +49,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -52,7 +60,8 @@ import (
 // simulator's perf-critical layers: the figure pipelines (engine + memory
 // system + generators), the cache layer (the coherent cache's ProbeTouch hit
 // in the first and in the last way, its Allocate miss path, and the Figure
-// 12/13 sweep), the local-hit fast path, and the snoop-heavy bus patterns the
+// 12/13 sweep fed data references and instruction-fetch runs), the
+// local-hit fast path, and the snoop-heavy bus patterns the
 // duplicate-tag filter exists for, and the loaded-latency hot path (curve
 // lookup + utilization-window update) every bus transaction pays under
 // -memmodel loaded, the trace recorder (a sampled-out and a ring-recorded
@@ -62,7 +71,7 @@ import (
 // generator's NextRun, the cpu core's ExecInstr segment, and simrand's
 // uniform and bounded draws.
 const pinnedBench = "^(BenchmarkFig08C2CRatio|BenchmarkFig13DCacheMissRate|BenchmarkFig16SharedCaches|" +
-	"BenchmarkProbeTouchHit|BenchmarkProbeTouchLRUWay|BenchmarkAllocateMissStream|BenchmarkSweepNineConfigs|" +
+	"BenchmarkProbeTouchHit|BenchmarkProbeTouchLRUWay|BenchmarkAllocateMissStream|BenchmarkSweepNineConfigs|BenchmarkSweepFetchRuns|" +
 	"BenchmarkReadLocalHit|BenchmarkMigratoryWrite16Nodes|BenchmarkReadSharedGetS16Nodes|" +
 	"BenchmarkHDRRecord|BenchmarkHDRMerge|BenchmarkCurveLookup|BenchmarkLoadTrackerRecord|" +
 	"BenchmarkTracerInstantSampledOut|BenchmarkTracerInstantRing|BenchmarkTracerInstantLinear|BenchmarkWriteChromeTrace|" +
@@ -75,11 +84,47 @@ const (
 	e2eFullKey  = "e2e:FiguresFull"
 )
 
+// obsOverheadKey prefixes the observability-cost ratios; a full key is
+// obsOverheadKey + "/" + pair + ".wall" or ".rss".
+const obsOverheadKey = "e2e:ObsOverhead"
+
+// obsPairs are the e2e:ObsOverhead measurements: one driver run plain and
+// observed.
+var obsPairs = []struct {
+	name, driver    string
+	plain, observed []string
+}{
+	{"ecperf", "ecperfsim",
+		[]string{"-p", "15", "-memmodel", "loaded", "-measure", "72000000"},
+		[]string{"-p", "15", "-memmodel", "loaded", "-measure", "72000000",
+			"-trace", "trace.json", "-latency", "latency.json", "-attr", "attr.json", "-metrics", "metrics.txt"}},
+	{"jbb-flight", "jbbsim", []string{"-flight", "off"}, nil},
+}
+
 // Result is one benchmark's summary, min across runs. For the e2e
-// pseudo-benchmarks NsPerOp is the whole run's wall clock in nanoseconds.
+// pseudo-benchmarks NsPerOp is the whole run's wall clock in nanoseconds;
+// an e2e:ObsOverhead key records only Ratio, observed over plain.
 type Result struct {
-	NsPerOp     float64 `json:"ns_per_op"`
+	NsPerOp     float64 `json:"ns_per_op,omitempty"`
 	AllocsPerOp *uint64 `json:"allocs_per_op,omitempty"`
+	Ratio       float64 `json:"ratio,omitempty"`
+}
+
+// value is the quantity the gate compares: the ratio when there is one,
+// else ns/op.
+func (r Result) value() float64 {
+	if r.Ratio != 0 {
+		return r.Ratio
+	}
+	return r.NsPerOp
+}
+
+// String renders the gated value at a human scale.
+func (r Result) String() string {
+	if r.Ratio != 0 {
+		return fmt.Sprintf("%.3fx", r.Ratio)
+	}
+	return fmtNs(r.NsPerOp)
 }
 
 // Report is the BENCH_<n>.json document.
@@ -102,7 +147,7 @@ func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "baseline file to gate against")
 	update := flag.Bool("update", false, "rewrite the baseline from this run instead of gating")
 	note := flag.String("note", "", "free-form note recorded in the result file")
-	e2e := flag.Bool("e2e", true, "measure figures -quick end-to-end wall clock")
+	e2e := flag.Bool("e2e", true, "measure figures -quick end-to-end wall clock and the observability-overhead ratios")
 	e2eCount := flag.Int("e2e-count", 2, "end-to-end runs per configuration; the minimum is kept")
 	full := flag.Bool("full", false, "also measure the full-fidelity figures run (slow; nightly/manual)")
 	trend := flag.String("trend", "BENCH_TREND.md", "markdown trend table to (re)write; empty disables")
@@ -187,14 +232,14 @@ func main() {
 			continue
 		}
 		bl := baseRep.Benchmarks[b]
-		ratio := cur.NsPerOp / bl.NsPerOp
+		ratio := cur.value() / bl.value()
 		status := "ok  "
 		if ratio > 1+*tol {
 			status = "FAIL"
 			failed = true
 		}
-		fmt.Printf("%s %-40s %12.1f ns/op  baseline %12.1f  (%+.1f%%)\n",
-			status, b, cur.NsPerOp, bl.NsPerOp, (ratio-1)*100)
+		fmt.Printf("%s %-40s %12s  baseline %12s  (%+.1f%%)\n",
+			status, b, cur, bl, (ratio-1)*100)
 		if bl.AllocsPerOp != nil && cur.AllocsPerOp != nil {
 			limit := allocLimit(*bl.AllocsPerOp, *allocTol)
 			st := "ok  "
@@ -258,33 +303,34 @@ func nextBenchPath() string {
 	}
 }
 
-// runE2E builds the figures binary once and times it end to end: -quick
-// always, the full-fidelity run when full is set. Minimum of e2eCount runs,
-// recorded in wall-clock nanoseconds under the e2e: pseudo-benchmark keys.
+// runE2E builds the drivers once and times them end to end: figures
+// -quick always, the full-fidelity run when full is set, and the
+// e2e:ObsOverhead pairs. Minimum of e2eCount runs, figures recorded in
+// wall-clock nanoseconds under the e2e: pseudo-benchmark keys. Every run
+// starts in a scratch directory, so artifacts and flight-recorder dumps
+// land there.
 func runE2E(rep *Report, e2eCount int, full bool) error {
 	dir, err := os.MkdirTemp("", "perfcheck")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	bin := filepath.Join(dir, "figures")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/figures")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("building figures: %w", err)
+	for _, name := range []string{"figures", "ecperfsim", "jbbsim"} {
+		build := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name)
+		build.Stderr = os.Stderr
+		if err := build.Run(); err != nil {
+			return fmt.Errorf("building %s: %w", name, err)
+		}
 	}
 
 	measure := func(key string, args ...string) error {
 		best := 0.0
 		for i := 0; i < e2eCount; i++ {
-			cmd := exec.Command(bin, args...)
-			cmd.Stdout = nil // discard: only wall clock matters here
-			cmd.Stderr = nil
-			start := time.Now()
-			if err := cmd.Run(); err != nil {
-				return fmt.Errorf("%s %s: %w", bin, strings.Join(args, " "), err)
+			secs, _, err := runTimed(dir, "figures", args)
+			if err != nil {
+				return err
 			}
-			if secs := time.Since(start).Seconds(); i == 0 || secs < best {
+			if i == 0 || secs < best {
 				best = secs
 			}
 		}
@@ -301,7 +347,55 @@ func runE2E(rep *Report, e2eCount int, full bool) error {
 			return err
 		}
 	}
+	return measureObsOverhead(rep, dir, e2eCount)
+}
+
+// measureObsOverhead runs each obsPairs entry e2eCount times, plain and
+// observed alternately so host drift hits both alike, and records the
+// ratios of the observed run's minimum wall clock and peak RSS to the
+// plain run's.
+func measureObsOverhead(rep *Report, dir string, e2eCount int) error {
+	for _, p := range obsPairs {
+		var wall, rss [2]float64 // plain, observed
+		for i := 0; i < e2eCount; i++ {
+			for j, args := range [][]string{p.plain, p.observed} {
+				secs, kb, err := runTimed(dir, p.driver, args)
+				if err != nil {
+					return err
+				}
+				if i == 0 || secs < wall[j] {
+					wall[j] = secs
+				}
+				if i == 0 || kb < rss[j] {
+					rss[j] = kb
+				}
+			}
+		}
+		key := obsOverheadKey + "/" + p.name
+		rep.Benchmarks[key+".wall"] = Result{Ratio: wall[1] / wall[0]}
+		rep.Benchmarks[key+".rss"] = Result{Ratio: rss[1] / rss[0]}
+		fmt.Printf("%s: wall %.2fs / %.2fs = %.3fx, peak RSS %.0f / %.0f MB = %.3fx (min of %d)\n",
+			key, wall[1], wall[0], wall[1]/wall[0], rss[1]/1024, rss[0]/1024, rss[1]/rss[0], e2eCount)
+	}
 	return nil
+}
+
+// runTimed runs the named binary from dir, in dir, discarding its output,
+// and returns its wall clock in seconds and its peak RSS as its rusage
+// reports it (kilobytes on Linux; only ratios of it are recorded).
+func runTimed(dir, name string, args []string) (float64, float64, error) {
+	cmd := exec.Command(filepath.Join(dir, name), args...)
+	cmd.Dir = dir
+	start := time.Now()
+	if err := cmd.Run(); err != nil {
+		return 0, 0, fmt.Errorf("%s %s: %w", name, strings.Join(args, " "), err)
+	}
+	secs := time.Since(start).Seconds()
+	var kb float64
+	if ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage); ok {
+		kb = float64(ru.Maxrss)
+	}
+	return secs, kb, nil
 }
 
 // trendFile is one BENCH_*.json in the recorded history.
@@ -360,7 +454,8 @@ func writeTrend(path, baselinePath, outPath string, cur Report) error {
 	b.WriteString("Min-of-count results per pinned benchmark across the recorded\n")
 	b.WriteString("BENCH_*.json history (oldest first). Cells are time/op with\n")
 	b.WriteString("allocs/op in parentheses where recorded; `e2e:` rows are whole\n")
-	b.WriteString("figures-binary wall-clock runs. Regenerated by `go run ./cmd/perfcheck`.\n\n")
+	b.WriteString("figures-binary wall-clock runs, and `e2e:ObsOverhead` rows observed/plain\n")
+	b.WriteString("driver ratios. Regenerated by `go run ./cmd/perfcheck`.\n\n")
 	b.WriteString("| benchmark |")
 	for _, f := range files {
 		fmt.Fprintf(&b, " %s |", f.label)
@@ -378,9 +473,9 @@ func writeTrend(path, baselinePath, outPath string, cur Report) error {
 			case !ok:
 				b.WriteString(" — |")
 			case r.AllocsPerOp != nil:
-				fmt.Fprintf(&b, " %s (%d) |", fmtNs(r.NsPerOp), *r.AllocsPerOp)
+				fmt.Fprintf(&b, " %s (%d) |", r, *r.AllocsPerOp)
 			default:
-				fmt.Fprintf(&b, " %s |", fmtNs(r.NsPerOp))
+				fmt.Fprintf(&b, " %s |", r)
 			}
 		}
 		b.WriteString("\n")

@@ -74,3 +74,16 @@ func TestAllocLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestResultValue: an e2e:ObsOverhead entry gates on its ratio and renders
+// as one; every other entry gates on ns/op.
+func TestResultValue(t *testing.T) {
+	ratio := Result{Ratio: 1.245}
+	if ratio.value() != 1.245 || ratio.String() != "1.245x" {
+		t.Errorf("ratio entry: value %v, %q", ratio.value(), ratio.String())
+	}
+	ns := Result{NsPerOp: 2.5e9}
+	if ns.value() != 2.5e9 || ns.String() != "2.50s" {
+		t.Errorf("ns/op entry: value %v, %q", ns.value(), ns.String())
+	}
+}

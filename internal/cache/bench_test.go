@@ -57,3 +57,21 @@ func BenchmarkSweepNineConfigs(b *testing.B) {
 		sw.Access((r>>30)%(4<<20), mem.Read)
 	}
 }
+
+// BenchmarkSweepFetchRuns is the Figure 12 instruction-cache sweep's feed:
+// one op is one fetch run of 1-8 blocks 64 B apart through the nine-size
+// ladder, seven in eight runs in a 512 KB hot region and the rest
+// anywhere in 8 MB of code.
+func BenchmarkSweepFetchRuns(b *testing.B) {
+	sw := NewSweep(SizeSweepConfigs("b"))
+	r := uint64(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r = r*6364136223846793005 + 1442695040888963407
+		span := uint64(8 << 20)
+		if r>>60 < 14 {
+			span = 512 << 10
+		}
+		sw.AccessRun((r>>20)%span&^63, 1+r>>8%8, 64, mem.IFetch)
+	}
+}

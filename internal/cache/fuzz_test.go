@@ -20,19 +20,26 @@ var fuzzLadder = []Config{
 // FuzzSweepMatchesReference drives the sweep and the reference model with
 // arbitrary 3-byte records: a 16-bit address, then a byte whose low two bits
 // pick the access type (3 is unknown) and whose upper six bits give a range
-// length, 0 meaning a single Access. Every geometry's Stats must match, and
-// the inclusion invariants must hold at the end.
+// length, 0 meaning a single Access; lengths 48-63 instead make an
+// AccessRun of 1-16 references, 16, 32, 64 or 128 B apart as the
+// address's low two bits pick. Every geometry's Stats must match, and the
+// inclusion invariants must hold at the end.
 func FuzzSweepMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{255, 0, 255, 0, 128, 64, 32, 16, 8})
+	f.Add([]byte{0, 0x42, 0xfe, 0x10, 0x01, 0xc8, 0x10, 0x01, 0xc8}) // runs, then a repeated one
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var refs []ref
 		for i := 0; i+2 < len(data); i += 3 {
-			refs = append(refs, ref{
+			r := ref{
 				a:    mem.Addr(data[i])<<8 | mem.Addr(data[i+1]),
 				size: uint64(data[i+2] >> 2),
 				t:    mem.AccessType(data[i+2] & 3),
-			})
+			}
+			if r.size >= 48 {
+				r.run, r.step, r.size = r.size-47, 16<<(r.a&3), 0
+			}
+			refs = append(refs, r)
 		}
 		sw := checkAgainstReference(t, fuzzLadder, refs)
 		if err := sw.checkInclusion(); err != nil {

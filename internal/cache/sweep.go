@@ -26,7 +26,9 @@ import (
 // smallest member is at the front of its set in every member. A reference to
 // such a block changes no member's contents (for a write, provided the
 // smallest member already holds it dirty: the larger members have held it at
-// least as long), so it skips every probe.
+// least as long), so it skips every probe. The same holds for each member
+// against the larger ones, so a reference walks the members in ascending
+// size and stops at the first that already holds the block at the front.
 type Sweep struct {
 	groups []*sweepGroup
 	// order locates each geometry, in configuration order, for MissCurve.
@@ -158,6 +160,24 @@ func (s *Sweep) AccessRange(a mem.Addr, size uint64, t mem.AccessType) {
 	}
 }
 
+// AccessRun feeds n single-byte references, step bytes apart from a, to
+// every cache in the sweep: an instruction-fetch run, one reference per
+// 64 B fetch block, so a geometry with smaller blocks sees only the first
+// block of each fetch block.
+func (s *Sweep) AccessRun(a mem.Addr, n, step uint64, t mem.AccessType) {
+	var dirty uint64
+	if t == mem.Write {
+		dirty = 2
+	}
+	k := kind(t)
+	for _, g := range s.groups {
+		for i := uint64(0); i < n; i++ {
+			blk := (a + i*step) >> g.blockShift
+			g.access(blk, blk, dirty, k)
+		}
+	}
+}
+
 // access feeds blocks first..last to every member of the group; dirty is 2
 // for a write and 0 otherwise.
 func (g *sweepGroup) access(first, last, dirty uint64, k int) {
@@ -169,23 +189,30 @@ func (g *sweepGroup) access(first, last, dirty uint64, k int) {
 			continue // at the front everywhere, and dirty already if written
 		}
 		for i := range g.geoms {
-			g.geoms[i].touch(blk, want, dirty, k, g.assoc)
+			if g.geoms[i].touch(blk, want, dirty, k, g.assoc) {
+				break // at the front here, so in every larger member too
+			}
 		}
 	}
 }
 
 // touch moves block blk (tag word want) to the front of its set, allocating
-// it on a miss.
-func (m *sweepGeom) touch(blk, want, dirty uint64, k int, assoc uint64) {
+// it on a miss. It reports whether the block was already at the front, and
+// dirty already if dirty is set: then the set is unchanged, and by
+// inclusion so is every larger member's.
+func (m *sweepGeom) touch(blk, want, dirty uint64, k int, assoc uint64) bool {
 	base := (blk & m.setMask) * assoc
 	set := m.words[base : base+assoc : base+assoc]
 	for i, w := range set {
 		if w&^2 == want {
+			if i == 0 && w|dirty == w {
+				return true
+			}
 			for ; i > 0; i-- {
 				set[i] = set[i-1]
 			}
 			set[0] = w | dirty
-			return
+			return false
 		}
 	}
 	m.miss[k&3]++
@@ -198,6 +225,7 @@ func (m *sweepGeom) touch(blk, want, dirty uint64, k int, assoc uint64) {
 		set[n] = set[n-1]
 	}
 	set[0] = want | dirty
+	return false
 }
 
 // CountInstructions adds to the retired-instruction denominator.

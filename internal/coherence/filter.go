@@ -110,6 +110,7 @@ func (b *Bus) checkFilter(ba uint64, probedMask uint64, probedOwner int, copies 
 type filterTable struct {
 	slots   []fslot
 	mask    uint64
+	shift   uint // 64 - log2(len(slots)): hash keeps the product's top bits
 	n       int
 	zeroVal uint64 // value for block address 0 (0 = absent)
 }
@@ -122,14 +123,16 @@ func newFilterTable() filterTable {
 	// Sized for a few L2s' worth of resident blocks up front; multi-node
 	// runs reach hundreds of thousands of entries anyway, so starting tiny
 	// only buys a cascade of rehashes.
-	const initial = 1 << 16
-	return filterTable{slots: make([]fslot, initial), mask: initial - 1}
+	const initialBits = 16
+	return filterTable{slots: make([]fslot, 1<<initialBits), mask: 1<<initialBits - 1, shift: 64 - initialBits}
 }
 
 func (t *filterTable) hash(key uint64) uint64 {
 	// Block addresses have at least 6 trailing zero bits; the Fibonacci
-	// multiply spreads the informative bits into the table's index range.
-	return (key >> 6 * 0x9E3779B97F4A7C15) >> 32 & t.mask
+	// multiply mixes every informative bit into the product's top bits,
+	// and only those index the table (Knuth, TAOCP 6.4). Lower bits of the
+	// product depend on fewer key bits and cluster linear-probe chains.
+	return (key >> 6 * 0x9E3779B97F4A7C15) >> t.shift
 }
 
 // lookup returns a pointer to key's value, or nil when absent. The pointer
@@ -220,6 +223,7 @@ func (t *filterTable) grow() {
 	old := t.slots
 	t.slots = make([]fslot, 2*len(old))
 	t.mask = uint64(len(t.slots) - 1)
+	t.shift--
 	t.n = 0
 	for _, s := range old {
 		if s.val != 0 {

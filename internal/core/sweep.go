@@ -49,9 +49,11 @@ func (f *feeder) feedItems(items []trace.Item) {
 		case trace.KindInstr:
 			f.instr += uint64(it.N)
 			f.prof.AddCycles(int(it.Comp), obs.CatBase, uint64(it.N))
-			f.gen.Segment(it.Comp, uint64(it.N), func(a mem.Addr) {
-				f.sweepI.Access(a, mem.IFetch)
-			})
+			for left := ifetch.BlocksFor(uint64(it.N)); left > 0; {
+				addr, n := f.gen.NextRun(it.Comp, left)
+				f.sweepI.AccessRun(addr, n, ifetch.BlockBytes, mem.IFetch)
+				left -= n
+			}
 		case trace.KindRead:
 			f.sweepD.AccessRange(it.Addr, uint64(it.N), mem.Read)
 			f.attrRange(it.Addr, uint64(it.N), false)

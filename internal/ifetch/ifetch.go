@@ -270,11 +270,3 @@ func (g *Gen) NextRun(id mem.ComponentID, max uint64) (mem.Addr, uint64) {
 func BlocksFor(n uint64) uint64 {
 	return (n + InstrPerBlock - 1) / InstrPerBlock
 }
-
-// Segment invokes fn with a fetch-block address for each block of an
-// n-instruction segment of the component.
-func (g *Gen) Segment(id mem.ComponentID, n uint64, fn func(mem.Addr)) {
-	for i := uint64(0); i < BlocksFor(n); i++ {
-		fn(g.NextBlock(id))
-	}
-}

@@ -112,11 +112,20 @@ func TestBlocksFor(t *testing.T) {
 	}
 }
 
-func TestSegmentCallCount(t *testing.T) {
+// TestNextRunCallCount: fetching an n-instruction segment run by run, each
+// run capped at the blocks still due, covers exactly ceil(n/16) blocks.
+func TestNextRunCallCount(t *testing.T) {
 	l, c := layoutWith(t, 64<<10, DefaultProfile())
 	g := NewGen(l, simrand.New(4))
-	count := 0
-	g.Segment(c.ID, 1000, func(mem.Addr) { count++ })
+	count := uint64(0)
+	for left := BlocksFor(1000); left > 0; {
+		_, n := g.NextRun(c.ID, left)
+		if n == 0 || n > left {
+			t.Fatalf("NextRun(max %d) returned %d blocks", left, n)
+		}
+		count += n
+		left -= n
+	}
 	if count != 63 { // ceil(1000/16)
 		t.Fatalf("segment blocks = %d, want 63", count)
 	}

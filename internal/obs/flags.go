@@ -137,10 +137,20 @@ func (f *Flags) NewObserver(pid int) *Observer {
 // run manifest next to each produced file. snaps supplies the metrics
 // snapshot per observer; a nil entry falls back to a live registry
 // snapshot. The manifest's Outputs field is filled in here.
+//
+// File artifacts are all staged before any is published, so a failure
+// while writing any of them publishes none.
 func (f *Flags) WriteArtifacts(labels []string, observers []*Observer, snaps []*Snapshot, m *Manifest) error {
 	var outputs []string
+	var staged []*AtomicFile
+	defer func() {
+		for _, w := range staged {
+			w.Abort() // a no-op for a published file
+		}
+	}()
 	// emit writes one artifact: to stdout when path is "-" and the artifact
-	// allows it, else atomically to the file, which then gets a manifest.
+	// allows it, else to a staged file that is published, with a manifest,
+	// once every artifact is written.
 	emit := func(path string, dashIsStdout bool, write func(io.Writer) error) error {
 		if dashIsStdout && path == "-" {
 			return write(f.stdout())
@@ -149,11 +159,8 @@ func (f *Flags) WriteArtifacts(labels []string, observers []*Observer, snaps []*
 		if err != nil {
 			return err
 		}
+		staged = append(staged, w)
 		if err := write(w); err != nil {
-			w.Abort()
-			return err
-		}
-		if err := w.Close(); err != nil {
 			return err
 		}
 		outputs = append(outputs, path)
@@ -252,6 +259,11 @@ func (f *Flags) WriteArtifacts(labels []string, observers []*Observer, snaps []*
 		}
 	}
 
+	for _, w := range staged {
+		if err := w.Close(); err != nil {
+			return err
+		}
+	}
 	if m != nil {
 		m.Outputs = outputs
 		for _, p := range outputs {

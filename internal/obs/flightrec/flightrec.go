@@ -40,7 +40,8 @@ import (
 
 // Defaults for Options' zero values, and the recorder's fixed limits.
 const (
-	// DefaultRingEvents bounds the event ring (~64 B/event → a few MB).
+	// DefaultRingEvents bounds the event ring: 96 B/event, 6 MiB when
+	// full.
 	DefaultRingEvents = 65536
 	// DefaultWindowCycles is one simulated second at the 250 MHz clock.
 	DefaultWindowCycles = 250_000_000

@@ -164,8 +164,9 @@ func TestDumpDeterminism(t *testing.T) {
 		rec.SetSchedule(&fault.Schedule{Events: []fault.Event{
 			{Kind: fault.GCStorm, At: 300, Duration: 100, Magnitude: 4},
 		}})
+		tr := obs.NewRingTracer(obs.AllComponents(), rec.ring)
 		for i := uint64(0); i < 50; i++ {
-			rec.ring.Push(obs.Event{Name: "op", Comp: obs.CompWorkload, Phase: 'X', Time: i * 10, Dur: 5})
+			tr.Span(obs.CompWorkload, "op", 0, i*10, i*10+5)
 		}
 		for now := uint64(100); now <= 400; now += 100 {
 			*counter += 3

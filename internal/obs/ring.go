@@ -1,5 +1,7 @@
 package obs
 
+import "unsafe"
+
 // EventRing is a fixed-capacity ring of trace events that overwrites its
 // oldest entry when full — the storage behind the flight recorder's
 // "last N events" window. Unlike the Tracer's linear buffer (which stops
@@ -7,9 +9,19 @@ package obs
 // recent events, so a post-mortem dump sees the moments before the trigger
 // no matter how long the run has been going.
 //
+// Slots are packed and hold no pointers, so a full ring is one flat
+// allocation per chunk that the garbage collector never scans. A slot
+// stores an event's strings — its name, argument keys and string argument
+// values — as indices into the ring's string table, which holds each
+// distinct string once; emit sites use a small fixed vocabulary, so the
+// table stays a few dozen entries. An event that does not fit a slot (more
+// than ringSlotArgs arguments, or a pid or tid outside int32) is kept whole
+// in a side table instead. Events rebuilds the exact Events that were
+// pushed.
+//
 // Slots live in chunks allocated the first time the ring reaches them, so
-// a large ring costs nothing up front, and each slot owns storage for its
-// event's arguments, so a push copies instead of allocating.
+// a large ring costs nothing up front, and a push copies into its slot
+// instead of allocating.
 //
 // A nil *EventRing is valid and inert.
 type EventRing struct {
@@ -18,31 +30,69 @@ type EventRing struct {
 	n        int // events held
 	next     int // slot the next push writes
 	evicted  uint64
+
+	// strs is the string table; strs[0] is "". index finds a string's
+	// entry, and recent caches the lookup by string data pointer and
+	// length, which for the string literals most emit sites pass skips
+	// hashing the bytes.
+	strs   []string
+	index  map[string]uint32
+	recent [1 << internCacheBits]internEntry
+
+	// wide holds, by slot index, the events whose slot is marked
+	// wideSlot.
+	wide map[int]Event
 }
 
-// ringSlot is one event plus the argument storage its Args point into.
+// ringSlot is one packed event: ring storage holds no pointers.
 type ringSlot struct {
-	ev   Event
-	args [ringSlotArgs]Arg
+	time, dur uint64
+	pid, tid  int32
+	name      uint32 // string-table index
+	comp      Component
+	phase     byte
+	nargs     uint8 // arguments in args, or wideSlot
+	args      [ringSlotArgs]ringArg
+}
+
+// ringArg is one packed argument: val is the Arg's num, or for a string
+// argument the string-table index of its value.
+type ringArg struct {
+	key  uint32
+	kind argKind
+	val  uint64
+}
+
+// internEntry is one recent-lookup cache line. Holding the data pointer
+// keeps the string alive, so an equal pointer and length are the same
+// string.
+type internEntry struct {
+	p   *byte
+	n   int
+	idx uint32
 }
 
 const (
 	// ringSlotArgs fits every event the simulator emits; an event with
-	// more arguments gets its own copy.
+	// more arguments is kept whole in the side table.
 	ringSlotArgs = 4
+	// wideSlot marks a slot whose event lives in the side table.
+	wideSlot = 0xff
 	// ringChunk is the number of slots allocated at a time.
 	ringChunk = 1024
+	// internCacheBits sizes the recent-lookup cache: 64 lines.
+	internCacheBits = 6
 )
 
 // NewEventRing returns a ring holding at most capacity events (minimum 1).
 func NewEventRing(capacity int) *EventRing {
 	capacity = max(capacity, 1)
-	return &EventRing{capacity: capacity, chunks: make([][]ringSlot, (capacity+ringChunk-1)/ringChunk)}
-}
-
-// Push appends an event, evicting the oldest when the ring is full.
-func (r *EventRing) Push(e Event) {
-	r.push(&e, e.Args)
+	return &EventRing{
+		capacity: capacity,
+		chunks:   make([][]ringSlot, (capacity+ringChunk-1)/ringChunk),
+		strs:     []string{""},
+		index:    map[string]uint32{"": 0},
+	}
 }
 
 // push stores a copy of *e with a copy of args (e.Args is ignored),
@@ -52,7 +102,8 @@ func (r *EventRing) push(e *Event, args []Arg) {
 	if r == nil {
 		return
 	}
-	s := r.slot(r.next)
+	i := r.next
+	s := r.slot(i)
 	if r.next++; r.next == r.capacity {
 		r.next = 0
 	}
@@ -61,16 +112,56 @@ func (r *EventRing) push(e *Event, args []Arg) {
 	} else {
 		r.n++
 	}
-	s.ev = *e
-	switch n := len(args); {
-	case n == 0:
-		s.ev.Args = nil
-	case n <= ringSlotArgs:
-		s.ev.Args = s.args[:n:n]
-		copy(s.ev.Args, args)
-	default:
-		s.ev.Args = append([]Arg(nil), args...)
+	if s.nargs == wideSlot {
+		delete(r.wide, i)
 	}
+	if len(args) > ringSlotArgs || int(int32(e.Pid)) != e.Pid || int(int32(e.Tid)) != e.Tid {
+		ev := *e
+		ev.Args = append([]Arg(nil), args...)
+		if r.wide == nil {
+			r.wide = map[int]Event{}
+		}
+		r.wide[i] = ev
+		s.nargs = wideSlot
+		return
+	}
+	s.time, s.dur = e.Time, e.Dur
+	s.pid, s.tid = int32(e.Pid), int32(e.Tid)
+	s.name = r.intern(e.Name)
+	s.comp, s.phase = e.Comp, e.Phase
+	s.nargs = uint8(len(args))
+	for k := range args {
+		a := &args[k]
+		val := a.num
+		if a.kind == argStr {
+			val = uint64(r.intern(a.str))
+		}
+		s.args[k] = ringArg{key: r.intern(a.Key), kind: a.kind, val: val}
+	}
+}
+
+// intern returns s's string-table index, adding s on first sight.
+func (r *EventRing) intern(s string) uint32 {
+	p := unsafe.StringData(s)
+	c := &r.recent[uint64(uintptr(unsafe.Pointer(p)))*0x9E3779B97F4A7C15>>(64-internCacheBits)]
+	if c.p != p || c.n != len(s) {
+		r.internSlow(s, c)
+	}
+	return c.idx
+}
+
+// internSlow looks s up by value and refills cache line c with it. It is
+// kept out of line so that intern's cache hit inlines into push.
+//
+//go:noinline
+func (r *EventRing) internSlow(s string, c *internEntry) {
+	idx, ok := r.index[s]
+	if !ok {
+		idx = uint32(len(r.strs))
+		r.strs = append(r.strs, s)
+		r.index[s] = idx
+	}
+	*c = internEntry{p: unsafe.StringData(s), n: len(s), idx: idx}
 }
 
 // slot returns slot i, allocating its chunk on first use.
@@ -114,23 +205,46 @@ func (r *EventRing) Total() uint64 {
 	return uint64(r.n) + r.evicted
 }
 
-// Events returns the held events oldest-first. It is a deep copy, Args
-// included, so it stays valid while the ring keeps recording.
+// Events returns the held events oldest-first, rebuilt exactly as they
+// were pushed. It is a deep copy, Args included, so it stays valid while
+// the ring keeps recording.
 func (r *EventRing) Events() []Event {
 	if r == nil || r.n == 0 {
 		return nil
 	}
-	out := make([]Event, r.n)
+	at := func(k int) int { return (r.next - r.n + k + r.capacity) % r.capacity }
 	nargs := 0
-	for k := range out {
-		out[k] = r.slot((r.next - r.n + k + r.capacity) % r.capacity).ev
-		nargs += len(out[k].Args)
+	for k := 0; k < r.n; k++ {
+		if s := r.slot(at(k)); s.nargs == wideSlot {
+			nargs += len(r.wide[at(k)].Args)
+		} else {
+			nargs += int(s.nargs)
+		}
 	}
+	out := make([]Event, r.n)
 	args := make([]Arg, 0, nargs)
 	for k := range out {
-		if a := out[k].Args; len(a) > 0 {
-			args = append(args, a...)
-			out[k].Args = args[len(args)-len(a) : len(args) : len(args)]
+		i := at(k)
+		s := r.slot(i)
+		start := len(args)
+		if s.nargs == wideSlot {
+			out[k] = r.wide[i]
+			args = append(args, out[k].Args...)
+		} else {
+			out[k] = Event{
+				Name: r.strs[s.name], Comp: s.comp, Phase: s.phase,
+				Pid: int(s.pid), Tid: int(s.tid), Time: s.time, Dur: s.dur,
+			}
+			for _, a := range s.args[:s.nargs] {
+				arg := Arg{Key: r.strs[a.key], kind: a.kind, num: a.val}
+				if a.kind == argStr {
+					arg.num, arg.str = 0, r.strs[a.val]
+				}
+				args = append(args, arg)
+			}
+		}
+		if len(args) > start {
+			out[k].Args = args[start:len(args):len(args)]
 		}
 	}
 	return out

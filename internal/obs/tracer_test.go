@@ -193,12 +193,12 @@ func TestTracerSpillTwoTracers(t *testing.T) {
 func TestRingKeepsArgs(t *testing.T) {
 	r := NewEventRing(2)
 	args := []Arg{U64("a", 1)}
-	r.Push(Event{Name: "one", Args: args})
+	r.push(&Event{Name: "one"}, args)
 	args[0] = U64("a", 99)
 	many := []Arg{U64("a", 1), U64("b", 2), U64("c", 3), U64("d", 4), U64("e", 5)}
-	r.Push(Event{Name: "two", Args: many})
+	r.push(&Event{Name: "two"}, many)
 	got := r.Events()
-	r.Push(Event{Name: "three", Args: []Arg{U64("a", 7)}})
+	r.push(&Event{Name: "three"}, []Arg{U64("a", 7)})
 	if got[0].Args[0].num != 1 {
 		t.Errorf("slot took the caller's later write: %+v", got[0].Args)
 	}
