@@ -19,8 +19,10 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/memsys"
@@ -35,17 +37,38 @@ type appFlags struct {
 	which    *string
 	memModel memsys.MemModel
 	ofl      obs.Flags
-	hp       obs.HostProfile
+}
+
+// studies are the design-choice studies in the order they render, each
+// under its -which name.
+var studies = []struct {
+	name string
+	run  func(core.AblationOpts) core.Figure
+}{
+	{"ism", core.AblationISM},
+	{"gc", core.AblationGCThreads},
+	{"latency", core.AblationC2CLatency},
+	{"protocol", core.AblationProtocol},
+	{"volano", core.RelatedWorkKernelTime},
+	{"cosim", core.CoSimExperiment},
+}
+
+// studyNames lists the -which values.
+func studyNames() string {
+	names := make([]string, len(studies))
+	for i, s := range studies {
+		names[i] = s.name
+	}
+	return strings.Join(names, ", ")
 }
 
 func registerFlags(fs *flag.FlagSet) *appFlags {
 	af := &appFlags{
 		quick: fs.Bool("quick", false, "reduced runs"),
-		which: fs.String("which", "", "run one study (ism, gc, latency, protocol, volano, cosim)"),
+		which: fs.String("which", "", "run one study ("+studyNames()+")"),
 	}
 	af.memModel.RegisterFlag(fs)
 	af.ofl.Register(fs)
-	af.hp.Register(fs)
 	return af
 }
 
@@ -58,38 +81,31 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ablations", flag.ContinueOnError)
 	af := registerFlags(fs)
-	return core.Main(fs, args, &af.ofl, &af.hp, stdout, stderr, func(sess *core.Session) error {
-		return studies(sess, af, stdout)
+	return core.Main(fs, args, &af.ofl, stdout, stderr, func(sess *core.Session) error {
+		return runStudies(sess, af, stdout)
 	})
 }
 
-// studies renders the requested design-choice studies, then the observed
-// points.
-func studies(sess *core.Session, af *appFlags, stdout io.Writer) error {
+// runStudies renders the requested design-choice studies, then the
+// observed points.
+func runStudies(sess *core.Session, af *appFlags, stdout io.Writer) error {
+	known := *af.which == ""
+	for _, s := range studies {
+		known = known || s.name == *af.which
+	}
+	if !known {
+		return &core.ExitError{Code: 2, Err: fmt.Errorf("no such study: %q (use one of %s)", *af.which, studyNames())}
+	}
 	o := core.DefaultAblationOpts()
 	if *af.quick {
 		o = core.QuickAblationOpts()
 	}
 	o.MemModel = af.memModel
 
-	want := func(n string) bool { return *af.which == "" || *af.which == n }
-	if want("ism") {
-		report.Render(stdout, core.AblationISM(o))
-	}
-	if want("gc") {
-		report.Render(stdout, core.AblationGCThreads(o))
-	}
-	if want("latency") {
-		report.Render(stdout, core.AblationC2CLatency(o))
-	}
-	if want("protocol") {
-		report.Render(stdout, core.AblationProtocol(o))
-	}
-	if want("volano") {
-		report.Render(stdout, core.RelatedWorkKernelTime(o))
-	}
-	if want("cosim") {
-		report.Render(stdout, core.CoSimExperiment(o))
+	for _, s := range studies {
+		if *af.which == "" || *af.which == s.name {
+			report.Render(stdout, s.run(o))
+		}
 	}
 
 	// One fully-observed point per workload at the studies' shape.

@@ -34,7 +34,6 @@ type appFlags struct {
 	seed             *uint64
 	mode             *string
 	ofl              obs.Flags
-	hp               obs.HostProfile
 }
 
 func registerFlags(fs *flag.FlagSet) *appFlags {
@@ -46,7 +45,6 @@ func registerFlags(fs *flag.FlagSet) *appFlags {
 		fixed: fs.Int("fixed", 256<<10, "cache size in bytes for assoc/block modes"),
 	}
 	af.ofl.Register(fs)
-	af.hp.Register(fs)
 	return af
 }
 
@@ -59,7 +57,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cachesweep", flag.ContinueOnError)
 	af := registerFlags(fs)
-	return core.Main(fs, args, &af.ofl, &af.hp, stdout, stderr, func(sess *core.Session) error {
+	return core.Main(fs, args, &af.ofl, stdout, stderr, func(sess *core.Session) error {
 		return sweep(sess, af, stdout, stderr)
 	})
 }
@@ -95,8 +93,7 @@ func sweep(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
 	case "block":
 		gm, dim = core.SweepBlock, "block"
 	default:
-		fmt.Fprintln(stdout, "unknown -mode; use size, assoc, or block")
-		return nil
+		return &core.ExitError{Code: 2, Err: fmt.Errorf("unknown -mode %q; use size, assoc, or block", mode)}
 	}
 	sched := core.NewScheduler(core.DefaultWorkers())
 	sched.Progress = sess.Heartbeat()

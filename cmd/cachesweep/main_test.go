@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"flag"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/drivertest"
 )
 
 // TestFlagParity fails when this driver drifts from the shared flag surface:
-// every standard observability flag, the host-profile pair, and the driver's
-// own flags must all be registered.
+// every standard observability flag and the driver's own flags must all be
+// registered.
 func TestFlagParity(t *testing.T) {
 	drivertest.FlagParity(t, registerFlags, "ops", "warm", "seed", "mode", "fixed")
 }
@@ -36,5 +37,15 @@ func TestModeGolden(t *testing.T) {
 			}
 			drivertest.Golden(t, filepath.Join("testdata", mode+".golden"), stdout.Bytes(), *updateGolden)
 		})
+	}
+}
+
+// TestUnknownMode: an unknown -mode is a usage error on stderr with exit
+// status 2, and stdout stays empty.
+func TestUnknownMode(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-mode", "bogus", "-flight", "off"}, &stdout, &stderr)
+	if code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), `unknown -mode "bogus"`) {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want 2, empty, the unknown mode named", code, stdout.String(), stderr.String())
 	}
 }

@@ -35,7 +35,6 @@ type appFlags struct {
 	seed     *uint64
 	memModel memsys.MemModel
 	ofl      obs.Flags
-	hp       obs.HostProfile
 }
 
 func registerFlags(fs *flag.FlagSet) *appFlags {
@@ -45,7 +44,6 @@ func registerFlags(fs *flag.FlagSet) *appFlags {
 	}
 	af.memModel.RegisterFlag(fs)
 	af.ofl.Register(fs)
-	af.hp.Register(fs)
 	return af
 }
 
@@ -58,7 +56,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("calibrate", flag.ContinueOnError)
 	af := registerFlags(fs)
-	return core.Main(fs, args, &af.ofl, &af.hp, stdout, stderr, func(sess *core.Session) error {
+	return core.Main(fs, args, &af.ofl, stdout, stderr, func(sess *core.Session) error {
 		return calibrate(sess, af, stdout)
 	})
 }

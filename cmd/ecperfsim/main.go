@@ -53,7 +53,6 @@ type appFlags struct {
 	faultBin    *uint64
 	faultReport *string
 	ofl         obs.Flags
-	hp          obs.HostProfile
 }
 
 func registerFlags(fs *flag.FlagSet) *appFlags {
@@ -66,7 +65,6 @@ func registerFlags(fs *flag.FlagSet) *appFlags {
 	af.spec.Register(fs, "processor-set size on the app server (1-16)")
 	fs.IntVar(&af.spec.Params.Scale, "oir", 10, "orders injection rate (scale factor)")
 	af.ofl.Register(fs)
-	af.hp.Register(fs)
 	return af
 }
 
@@ -79,7 +77,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ecperfsim", flag.ContinueOnError)
 	af := registerFlags(fs)
-	return core.Main(fs, args, &af.ofl, &af.hp, stdout, stderr, func(sess *core.Session) error {
+	return core.Main(fs, args, &af.ofl, stdout, stderr, func(sess *core.Session) error {
 		if *af.faults != "" {
 			return runFaultExperiment(sess, af, stdout)
 		}

@@ -13,8 +13,8 @@ import (
 )
 
 // TestFlagParity fails when this driver drifts from the shared flag surface:
-// every standard observability flag, the host-profile pair, the memory-model
-// switch, and the driver's own flags must all be registered.
+// every standard observability flag, the memory-model switch, and the
+// driver's own flags must all be registered.
 func TestFlagParity(t *testing.T) {
 	drivertest.FlagParity(t, registerFlags,
 		"memmodel", "p", "oir", "seed", "warmup", "measure", "faults",

@@ -52,7 +52,6 @@ type appFlags struct {
 	serial   *bool
 	memModel memsys.MemModel
 	ofl      obs.Flags
-	hp       obs.HostProfile
 }
 
 func registerFlags(fs *flag.FlagSet) *appFlags {
@@ -65,7 +64,6 @@ func registerFlags(fs *flag.FlagSet) *appFlags {
 	}
 	af.memModel.RegisterFlag(fs)
 	af.ofl.Register(fs)
-	af.hp.Register(fs)
 	return af
 }
 
@@ -79,7 +77,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	af := registerFlags(fs)
-	return core.Main(fs, args, &af.ofl, &af.hp, stdout, stderr, func(sess *core.Session) error {
+	return core.Main(fs, args, &af.ofl, stdout, stderr, func(sess *core.Session) error {
 		return figures(sess, af, stdout, stderr)
 	})
 }

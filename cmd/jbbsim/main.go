@@ -36,7 +36,6 @@ import (
 type appFlags struct {
 	spec core.RunSpec
 	ofl  obs.Flags
-	hp   obs.HostProfile
 }
 
 func registerFlags(fs *flag.FlagSet) *appFlags {
@@ -44,7 +43,6 @@ func registerFlags(fs *flag.FlagSet) *appFlags {
 	af.spec.Register(fs, "processor-set size (1-16)")
 	fs.IntVar(&af.spec.Params.Scale, "w", 0, "warehouses (0 = processors, the tuned value)")
 	af.ofl.Register(fs)
-	af.hp.Register(fs)
 	return af
 }
 
@@ -57,7 +55,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("jbbsim", flag.ContinueOnError)
 	af := registerFlags(fs)
-	return core.Main(fs, args, &af.ofl, &af.hp, stdout, stderr, func(sess *core.Session) error {
+	return core.Main(fs, args, &af.ofl, stdout, stderr, func(sess *core.Session) error {
 		return simulate(sess, af, stdout)
 	})
 }

@@ -74,7 +74,6 @@ type appFlags struct {
 	thinkMS                *float64
 	seed, horizon          *uint64
 	ofl                    obs.Flags
-	hp                     obs.HostProfile
 }
 
 func registerFlags(fs *flag.FlagSet) *appFlags {
@@ -97,7 +96,6 @@ func registerFlags(fs *flag.FlagSet) *appFlags {
 		horizon:    fs.Uint64("horizon", 250_000_000, "arrival horizon in cycles (250M = 1 simulated second); the run then drains"),
 	}
 	af.ofl.Register(fs)
-	af.hp.Register(fs)
 	return af
 }
 
@@ -392,7 +390,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("loadsim", flag.ContinueOnError)
 	af := registerFlags(fs)
-	return core.Main(fs, args, &af.ofl, &af.hp, stdout, stderr, func(sess *core.Session) error {
+	return core.Main(fs, args, &af.ofl, stdout, stderr, func(sess *core.Session) error {
 		return sweepLoad(sess, af, stdout, stderr)
 	})
 }

@@ -22,8 +22,8 @@ func parseArgs(t *testing.T, args ...string) *appFlags {
 }
 
 // TestFlagParity fails when this driver drifts from the shared flag surface:
-// every standard observability flag, the host-profile pair, and the driver's
-// own flags must all be registered.
+// every standard observability flag and the driver's own flags must all be
+// registered.
 func TestFlagParity(t *testing.T) {
 	drivertest.FlagParity(t, registerFlags,
 		"nodes", "workers", "shards", "queue-cap", "clients", "lb",

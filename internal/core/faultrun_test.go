@@ -108,8 +108,6 @@ func TestFaultMetricsAndTraceEvents(t *testing.T) {
 		}},
 	})
 	ob := obs.NewObserver()
-	ob.Tracer = obs.NewTracer([]obs.Component{obs.CompFault})
-	ob.Registry = obs.NewRegistry()
 	delta := observeRun(t, sys, ob, nil, 2_000_000, 16_000_000)
 
 	names := ob.Registry.Names()

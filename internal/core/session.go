@@ -19,7 +19,7 @@ import (
 // their manifest and reports the flight recorders' summaries at the end.
 // A driver keeps only its parameters and its report:
 //
-//	return core.Main(fs, args, &af.ofl, &af.hp, stdout, stderr, func(s *core.Session) error {
+//	return core.Main(fs, args, &af.ofl, stdout, stderr, func(s *core.Session) error {
 //		r, err := s.Measure("SPECjbb", spec)
 //		... print the report from r.Sys ...
 //		return s.Finish(seeds, opts)
@@ -31,7 +31,6 @@ type Session struct {
 	Command string
 
 	flags  *obs.Flags
-	hp     *obs.HostProfile
 	args   []string
 	stderr io.Writer
 	start  time.Time
@@ -44,16 +43,16 @@ type Session struct {
 }
 
 // Main runs one driver invocation behind a testable seam: it parses args
-// into fs (which registered the observability flags f and hp), opens a
+// into fs (which registered the observability flags f), opens a
 // Session labelled with fs's name around body, and returns the exit code —
 // 2 for bad flags, an *ExitError's code, or 1 for any other error, which is
 // printed as "name: err" on stderr.
-func Main(fs *flag.FlagSet, args []string, f *obs.Flags, hp *obs.HostProfile, stdout, stderr io.Writer, body func(*Session) error) int {
+func Main(fs *flag.FlagSet, args []string, f *obs.Flags, stdout, stderr io.Writer, body func(*Session) error) int {
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	s, err := NewSession(fs.Name(), f, hp, args, stdout, stderr)
+	s, err := NewSession(fs.Name(), f, args, stdout, stderr)
 	if err == nil {
 		defer s.Close()
 		err = body(s)
@@ -81,15 +80,15 @@ func (e *ExitError) Error() string { return e.Err.Error() }
 // and (with -inspect) the inspection server. Artifacts the flags send to
 // "-" go to stdout; the heartbeat and notices go to stderr. Close the
 // session when the driver is done.
-func NewSession(label string, f *obs.Flags, hp *obs.HostProfile, args []string, stdout, stderr io.Writer) (*Session, error) {
+func NewSession(label string, f *obs.Flags, args []string, stdout, stderr io.Writer) (*Session, error) {
 	if _, err := NewLatencyCollector(f); err != nil {
 		return nil, err
 	}
-	if err := hp.Start(); err != nil {
+	if err := f.StartHostProfile(); err != nil {
 		return nil, err
 	}
 	f.Stdout = stdout
-	s := &Session{Label: label, Command: label, flags: f, hp: hp, args: args, stderr: stderr, start: time.Now()}
+	s := &Session{Label: label, Command: label, flags: f, args: args, stderr: stderr, start: time.Now()}
 	s.hb = obs.StartHeartbeat(stderr, label, f.Heartbeat)
 	if f.Inspect != "" {
 		in, err := obs.StartInspector(f.Inspect, label, s.hb)
@@ -108,7 +107,7 @@ func NewSession(label string, f *obs.Flags, hp *obs.HostProfile, args []string, 
 func (s *Session) Close() {
 	s.insp.Close()
 	s.hb.Stop()
-	s.hp.Stop()
+	s.flags.StopHostProfile()
 }
 
 // Heartbeat is the session's progress reporter (nil without -heartbeat),

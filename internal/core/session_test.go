@@ -35,7 +35,7 @@ func testSession(t *testing.T) (*Session, string) {
 		Flight:  dir, FlightEvents: 4096, FlightWindow: 30_000_000,
 	}
 	var stdout, stderr bytes.Buffer
-	s, err := NewSession("test", f, &obs.HostProfile{}, nil, &stdout, &stderr)
+	s, err := NewSession("test", f, nil, &stdout, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}

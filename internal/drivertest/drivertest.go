@@ -20,14 +20,13 @@ import (
 type Main func(args []string, stdout, stderr io.Writer) int
 
 // FlagParity registers a driver's flags onto a scratch FlagSet and fails
-// unless every standard observability and host-profile flag is there, and
-// every flag in own, the driver's own surface.
+// unless every standard observability flag is there, and every flag in
+// own, the driver's own surface.
 func FlagParity[T any](t *testing.T, register func(*flag.FlagSet) T, own ...string) {
 	t.Helper()
 	fs := flag.NewFlagSet("parity", flag.ContinueOnError)
 	register(fs)
-	want := append(obs.StandardFlagNames(), obs.HostProfileFlagNames()...)
-	for _, name := range append(want, own...) {
+	for _, name := range append(obs.StandardFlagNames(), own...) {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}

@@ -20,7 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 // facility WriteArtifacts renders.
 func goldenObserver(pid int, scale uint64) *Observer {
 	ob := &Observer{
-		Tracer:   NewTracer(AllComponents()),
+		Tracer:   NewTracer(),
 		Registry: NewRegistry(),
 		Profiler: NewProfiler(),
 		Attr:     attr.NewCollector(attr.Options{Exact: true}),

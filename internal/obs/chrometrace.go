@@ -27,15 +27,17 @@ func WriteChromeTrace(w io.Writer, tracers ...*Tracer) error {
 	return enc.finish()
 }
 
-// ChromeTraceEvents renders a plain event slice as Chrome trace_event JSON
-// bytes — the flight recorder's dump path, where events come from a ring
-// rather than live tracers. procNames (may be nil) labels pid tracks.
-func ChromeTraceEvents(events []Event, procNames map[int]string) []byte {
+// ChromeTraceWindow renders a flight-recorder window as Chrome trace_event
+// JSON bytes: the track labels procNames (may be nil), the lead events,
+// then the events of ring r (may be nil) that overlap [from, to], oldest
+// first, read from the ring in place.
+func ChromeTraceWindow(lead []Event, r *EventRing, from, to uint64, procNames map[int]string) []byte {
 	var enc traceEncoder
 	enc.trackNames(procNames, nil)
-	for i := range events {
-		enc.event(&events[i])
+	for i := range lead {
+		enc.event(&lead[i])
 	}
+	r.walk(from, to, enc.event)
 	enc.finish()
 	return enc.b
 }

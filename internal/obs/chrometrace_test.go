@@ -35,16 +35,17 @@ func goldenEvents() [2][]Event {
 }
 
 // goldenTracers records goldenEvents into two tracers with several named
-// pid/tid tracks.
-func goldenTracers() []*Tracer {
-	a := NewTracer(AllComponents())
-	a.SampleEvery(CompMem, 1)
+// pid/tid tracks, and into the ring both tracers share.
+func goldenTracers(ring *EventRing) []*Tracer {
+	a := NewTracer()
+	a.SetRing(ring)
 	a.NameProcess(0, "ECperf \"15P\"")
 	a.NameProcess(7, "db\\tier")
 	a.NameThread(0, 3, "worker\t3")
 	a.NameThread(0, 1, "cpu-1")
 	a.NameThread(7, 0, "döner")
-	b := NewTracer(AllComponents())
+	b := NewTracer()
+	b.SetRing(ring)
 	b.Pid = 7
 	trs := []*Tracer{a, b}
 	for i, evs := range goldenEvents() {
@@ -61,19 +62,20 @@ func goldenTracers() []*Tracer {
 
 // TestChromeTraceGolden pins the encoder's bytes for both of its callers:
 // WriteChromeTrace over live tracers, and the flight recorder's
-// ChromeTraceEvents over a plain event slice.
+// ChromeTraceWindow over a ring that saw the same events (the golden file
+// names that section ChromeTraceEvents).
 func TestChromeTraceGolden(t *testing.T) {
-	trs := goldenTracers()
+	ring := NewEventRing(8)
+	trs := goldenTracers(ring)
 	var got strings.Builder
 	got.WriteString("=== WriteChromeTrace ===\n")
 	if err := WriteChromeTrace(&got, trs...); err != nil {
 		t.Fatal(err)
 	}
 	got.WriteString("=== ChromeTraceEvents ===\n")
-	evs := goldenEvents()
-	got.Write(ChromeTraceEvents(append(evs[0], evs[1]...), map[int]string{7: "db", 0: "run\"0\""}))
+	got.Write(ChromeTraceWindow(nil, ring, 0, math.MaxUint64, map[int]string{7: "db", 0: "run\"0\""}))
 	got.WriteString("=== ChromeTraceEvents (no names) ===\n")
-	got.Write(ChromeTraceEvents(nil, nil))
+	got.Write(ChromeTraceWindow(nil, nil, 0, 0, nil))
 
 	drivertest.Golden(t, filepath.Join("testdata", "chrometrace.golden"), []byte(got.String()), *updateGolden)
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/obs/attr"
@@ -30,6 +32,13 @@ import (
 //	-flight MODE     always-on flight recorder: "on", "off", or a dump dir
 //	-flight-events N flight-recorder ring capacity (events)
 //	-flight-window N flight-recorder dump window in simulated cycles
+//	-cpuprofile FILE Go pprof CPU profile of the simulator process
+//	-memprofile FILE Go pprof heap profile written at exit
+//
+// The simulated-cycle profiler (-profile) answers "where does simulated
+// time go"; the host profiles answer "where does the simulator's own time
+// go", which is what the performance-regression harness (cmd/perfcheck)
+// digs into when a benchmark moves.
 type Flags struct {
 	Trace           string
 	Metrics         string
@@ -45,10 +54,14 @@ type Flags struct {
 	Flight          string
 	FlightEvents    int
 	FlightWindow    uint64
+	CPUProfile      string
+	MemProfile      string
 
 	// Stdout receives the artifacts written to "-" (nil = os.Stdout); it is
 	// not a flag, so drivers behind a testable seam can redirect it.
 	Stdout io.Writer
+
+	cpuOut *os.File // the running -cpuprofile
 }
 
 // Register installs the flags on fs.
@@ -67,6 +80,8 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Flight, "flight", "on", `always-on flight recorder: "on" (dump post-mortem bundles to the current directory on triggers), "off", or a dump directory`)
 	fs.IntVar(&f.FlightEvents, "flight-events", 0, "flight-recorder ring capacity in events (0 = default 65536)")
 	fs.Uint64Var(&f.FlightWindow, "flight-window", 0, "flight-recorder dump window in simulated cycles (0 = default 250M, 1 simulated second)")
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a Go pprof CPU profile of the simulator process")
+	fs.StringVar(&f.MemProfile, "memprofile", "", "write a Go pprof heap profile at exit")
 }
 
 // StandardFlagNames lists the flag names Register installs. Driver commands
@@ -76,7 +91,48 @@ func StandardFlagNames() []string {
 	return []string{
 		"trace", "metrics", "profile", "attr", "attr-exact", "attr-top",
 		"inspect", "heartbeat", "latency", "slo", "latency-interval",
-		"flight", "flight-events", "flight-window",
+		"flight", "flight-events", "flight-window", "cpuprofile", "memprofile",
+	}
+}
+
+// StartHostProfile begins the -cpuprofile CPU profile, if requested. Call
+// StopHostProfile before exit.
+func (f *Flags) StartHostProfile() error {
+	if f.CPUProfile == "" {
+		return nil
+	}
+	out, err := os.Create(f.CPUProfile)
+	if err != nil {
+		return fmt.Errorf("cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(out); err != nil {
+		out.Close()
+		return fmt.Errorf("cpuprofile: %w", err)
+	}
+	f.cpuOut = out
+	return nil
+}
+
+// StopHostProfile ends the CPU profile and writes the -memprofile heap
+// profile, if either was requested. Safe to call when nothing was started.
+func (f *Flags) StopHostProfile() {
+	if f.cpuOut != nil {
+		pprof.StopCPUProfile()
+		f.cpuOut.Close()
+		f.cpuOut = nil
+	}
+	if f.MemProfile == "" {
+		return
+	}
+	out, err := os.Create(f.MemProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+		return
+	}
+	defer out.Close()
+	runtime.GC() // settle allocations so the heap profile reflects live data
+	if err := pprof.WriteHeapProfile(out); err != nil {
+		fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
 	}
 }
 
@@ -115,7 +171,7 @@ func (f *Flags) LatencyEnabled() bool {
 func (f *Flags) NewObserver(pid int) *Observer {
 	ob := &Observer{}
 	if f.Trace != "" {
-		ob.Tracer = NewTracer(AllComponents())
+		ob.Tracer = NewTracer()
 		ob.Tracer.Pid = pid
 		// The trace spills beside its artifact, on the disk meant for it.
 		ob.Tracer.spillDir = filepath.Dir(f.Trace)

@@ -168,7 +168,7 @@ func FromFlags(f *obs.Flags, label string, ob *obs.Observer) (*obs.Observer, *Re
 	if ob.Tracer != nil {
 		ob.Tracer.SetRing(rec.ring)
 	} else {
-		ob.Tracer = obs.NewRingTracer(obs.AllComponents(), rec.ring)
+		ob.Tracer = obs.NewRingTracer(rec.ring)
 	}
 	if ob.Registry == nil {
 		ob.Registry = obs.NewRegistry()
@@ -224,9 +224,8 @@ func (r *Recorder) Tick(now uint64) {
 	dirty := false
 	if r.reg != nil && now >= r.nextSnap {
 		r.snap, r.snapCycle = r.reg.Snapshot(), now
-		for r.nextSnap <= now {
-			r.nextSnap += r.snapEvery
-		}
+		// The next multiple of snapEvery after now, without stepping there.
+		r.nextSnap = (now/r.snapEvery + 1) * r.snapEvery
 		dirty = true
 	}
 	for r.nextWin < len(r.windows) && now >= r.windows[r.nextWin].At {
@@ -375,7 +374,7 @@ func (r *Recorder) dump(now uint64, trigger, reason string) {
 			Events: r.ring.Len(), Cap: r.ring.Cap(),
 			Evicted: r.ring.Evicted(), Total: r.ring.Total(),
 		},
-		Trace:    json.RawMessage(obs.ChromeTraceEvents(r.windowEvents(winStart, now), r.procNames)),
+		Trace:    json.RawMessage(obs.ChromeTraceWindow(r.faultSpans(winStart, now), r.ring, winStart, now, r.procNames)),
 		InFlight: r.coll.InFlightTable(now),
 	}
 	if r.reg != nil {
@@ -413,12 +412,12 @@ func (r *Recorder) fail(err error) {
 	}
 }
 
-// windowEvents returns the ring events overlapping [winStart, now], with
-// every scheduled fault window that overlaps it re-synthesized as a span —
-// the windows were emitted on the trace at attach time and may long since
-// have been evicted from the ring, but a post-mortem must always show which
-// faults were active.
-func (r *Recorder) windowEvents(winStart, now uint64) []obs.Event {
+// faultSpans re-synthesizes every scheduled fault window that overlaps
+// [winStart, now] as a span, to lead a dump's trace ahead of the ring's
+// events in the window: the windows were emitted on the trace at attach
+// time and may long since have been evicted from the ring, but a
+// post-mortem must always show which faults were active.
+func (r *Recorder) faultSpans(winStart, now uint64) []obs.Event {
 	var out []obs.Event
 	for _, w := range r.windows {
 		if w.End() <= winStart || w.At > now {
@@ -433,12 +432,6 @@ func (r *Recorder) windowEvents(winStart, now uint64) []obs.Event {
 			Time: w.At, Dur: end - w.At,
 			Args: []obs.Arg{obs.Str("kind", w.Kind.String()), obs.F64("magnitude", w.Magnitude)},
 		})
-	}
-	for _, e := range r.ring.Events() {
-		if e.Time+e.Dur < winStart || e.Time > now {
-			continue
-		}
-		out = append(out, e)
 	}
 	return out
 }

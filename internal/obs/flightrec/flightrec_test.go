@@ -164,7 +164,7 @@ func TestDumpDeterminism(t *testing.T) {
 		rec.SetSchedule(&fault.Schedule{Events: []fault.Event{
 			{Kind: fault.GCStorm, At: 300, Duration: 100, Magnitude: 4},
 		}})
-		tr := obs.NewRingTracer(obs.AllComponents(), rec.ring)
+		tr := obs.NewRingTracer(rec.ring)
 		for i := uint64(0); i < 50; i++ {
 			tr.Span(obs.CompWorkload, "op", 0, i*10, i*10+5)
 		}

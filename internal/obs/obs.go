@@ -20,8 +20,8 @@ package obs
 
 import "repro/internal/obs/attr"
 
-// Component gates tracing per simulator layer, so a trace of GC pauses is
-// not drowned by millions of bus transactions unless asked for.
+// Component names the simulator layer a trace event comes from; it becomes
+// the event's trace category.
 type Component uint8
 
 const (
@@ -77,21 +77,12 @@ type Observer struct {
 	LatencyReport func() []byte
 }
 
-// NewObserver returns an observer with every facility enabled: a tracer
-// with all components on, an empty registry, and a profiler.
+// NewObserver returns an observer with every facility enabled: a tracer,
+// an empty registry, and a profiler.
 func NewObserver() *Observer {
 	return &Observer{
-		Tracer:   NewTracer(AllComponents()),
+		Tracer:   NewTracer(),
 		Registry: NewRegistry(),
 		Profiler: NewProfiler(),
 	}
-}
-
-// AllComponents enables every trace component.
-func AllComponents() []Component {
-	out := make([]Component, numComponents)
-	for i := range out {
-		out[i] = Component(i)
-	}
-	return out
 }

@@ -16,7 +16,7 @@ import "unsafe"
 // distinct string once; emit sites use a small fixed vocabulary, so the
 // table stays a few dozen entries. An event that does not fit a slot (more
 // than ringSlotArgs arguments, or a pid or tid outside int32) is kept whole
-// in a side table instead. Events rebuilds the exact Events that were
+// in a side table instead. A walk rebuilds the exact Events that were
 // pushed.
 //
 // Slots live in chunks allocated the first time the ring reaches them, so
@@ -205,47 +205,48 @@ func (r *EventRing) Total() uint64 {
 	return uint64(r.n) + r.evicted
 }
 
-// Events returns the held events oldest-first, rebuilt exactly as they
-// were pushed. It is a deep copy, Args included, so it stays valid while
-// the ring keeps recording.
-func (r *EventRing) Events() []Event {
-	if r == nil || r.n == 0 {
-		return nil
+// walk calls fn with each held event that overlaps [from, to], oldest
+// first; an event ending before from or starting after to is skipped. An
+// event stored in a slot is rebuilt in one Event reused for every call,
+// its arguments in a fixed array, and a side-table event is passed whole,
+// so a walk allocates nothing per event; the *Event and its Args are valid
+// only until fn returns.
+func (r *EventRing) walk(from, to uint64, fn func(*Event)) {
+	if r == nil {
+		return
 	}
-	at := func(k int) int { return (r.next - r.n + k + r.capacity) % r.capacity }
-	nargs := 0
-	for k := 0; k < r.n; k++ {
-		if s := r.slot(at(k)); s.nargs == wideSlot {
-			nargs += len(r.wide[at(k)].Args)
-		} else {
-			nargs += int(s.nargs)
+	var buf struct {
+		ev   Event
+		args [ringSlotArgs]Arg
+	}
+	e := &buf.ev
+	for k := range r.n {
+		i := r.next - r.n + k
+		if i < 0 {
+			i += r.capacity
 		}
-	}
-	out := make([]Event, r.n)
-	args := make([]Arg, 0, nargs)
-	for k := range out {
-		i := at(k)
 		s := r.slot(i)
-		start := len(args)
 		if s.nargs == wideSlot {
-			out[k] = r.wide[i]
-			args = append(args, out[k].Args...)
+			*e = r.wide[i]
 		} else {
-			out[k] = Event{
+			*e = Event{
 				Name: r.strs[s.name], Comp: s.comp, Phase: s.phase,
 				Pid: int(s.pid), Tid: int(s.tid), Time: s.time, Dur: s.dur,
 			}
-			for _, a := range s.args[:s.nargs] {
+		}
+		if e.Time+e.Dur < from || e.Time > to {
+			continue
+		}
+		if s.nargs != wideSlot && s.nargs > 0 {
+			for j, a := range s.args[:s.nargs] {
 				arg := Arg{Key: r.strs[a.key], kind: a.kind, num: a.val}
 				if a.kind == argStr {
 					arg.num, arg.str = 0, r.strs[a.val]
 				}
-				args = append(args, arg)
+				buf.args[j] = arg
 			}
+			e.Args = buf.args[:s.nargs]
 		}
-		if len(args) > start {
-			out[k].Args = args[start:len(args):len(args)]
-		}
+		fn(e)
 	}
-	return out
 }

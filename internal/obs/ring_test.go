@@ -7,8 +7,20 @@ import (
 	"testing"
 )
 
+// ringEvents copies out every held event, oldest first, through the same
+// walk a flight dump reads the ring with.
+func ringEvents(r *EventRing) []Event {
+	var out []Event
+	r.walk(0, math.MaxUint64, func(e *Event) {
+		ev := *e
+		ev.Args = append([]Arg(nil), e.Args...)
+		out = append(out, ev)
+	})
+	return out
+}
+
 // TestEventRingEviction checks the bounded ring's accounting: pushes past
-// capacity evict oldest-first, Events stays in time order, and the
+// capacity evict oldest-first, the walk stays in time order, and the
 // evicted/total counters reconcile with Len.
 func TestEventRingEviction(t *testing.T) {
 	r := NewEventRing(4)
@@ -30,13 +42,13 @@ func TestEventRingEviction(t *testing.T) {
 	if r.Total() != r.Evicted()+uint64(r.Len()) {
 		t.Fatalf("accounting broken: total %d != evicted %d + len %d", r.Total(), r.Evicted(), r.Len())
 	}
-	evs := r.Events()
+	evs := ringEvents(r)
 	if len(evs) != 4 {
-		t.Fatalf("Events len %d, want 4", len(evs))
+		t.Fatalf("walked %d events, want 4", len(evs))
 	}
 	for i, e := range evs {
 		if want := uint64(6 + i); e.Time != want {
-			t.Fatalf("Events[%d].Time = %d, want %d (oldest-first survivors)", i, e.Time, want)
+			t.Fatalf("event %d: Time = %d, want %d (oldest-first survivors)", i, e.Time, want)
 		}
 	}
 }
@@ -48,13 +60,13 @@ func TestEventRingMinCapacityAndNil(t *testing.T) {
 	}
 	r.push(&Event{Time: 1}, nil)
 	r.push(&Event{Time: 2}, nil)
-	if r.Len() != 1 || r.Events()[0].Time != 2 {
-		t.Fatalf("1-slot ring keeps newest: len %d events %v", r.Len(), r.Events())
+	if evs := ringEvents(r); r.Len() != 1 || evs[0].Time != 2 {
+		t.Fatalf("1-slot ring keeps newest: len %d events %v", r.Len(), evs)
 	}
 
 	var nilRing *EventRing
 	nilRing.push(&Event{}, nil)
-	if nilRing.Len() != 0 || nilRing.Cap() != 0 || nilRing.Evicted() != 0 || nilRing.Total() != 0 || nilRing.Events() != nil {
+	if nilRing.Len() != 0 || nilRing.Cap() != 0 || nilRing.Evicted() != 0 || nilRing.Total() != 0 || ringEvents(nilRing) != nil {
 		t.Fatal("nil ring must be inert")
 	}
 }
@@ -62,7 +74,7 @@ func TestEventRingMinCapacityAndNil(t *testing.T) {
 // TestRingTracerBypassesBuffer checks the ring-only tracer mode: events land
 // in the ring without growing (or dropping from) the bounded event buffer.
 func TestRingTracerBypassesBuffer(t *testing.T) {
-	tr := NewRingTracer(AllComponents(), NewEventRing(8))
+	tr := NewRingTracer(NewEventRing(8))
 	for i := uint64(0); i < 20; i++ {
 		tr.Instant(CompWorkload, "tick", 0, i)
 	}
@@ -82,7 +94,7 @@ func TestRingTracerBypassesBuffer(t *testing.T) {
 // bounded artifact buffer and the flight ring both see the events, and
 // buffer overflow increments dropped without touching the ring.
 func TestTracerSharedRing(t *testing.T) {
-	tr := NewTracer(AllComponents())
+	tr := NewTracer()
 	tr.max = 4
 	ring := NewEventRing(64)
 	tr.SetRing(ring)
@@ -128,7 +140,7 @@ func TestRingSlotPointerFree(t *testing.T) {
 	}
 }
 
-// TestRingRoundTrip: Events rebuilds every pushed event exactly, across
+// TestRingRoundTrip: the walk rebuilds every pushed event exactly, across
 // every argument kind, strings that share bytes or differ only in length,
 // a string built at run time, events too wide for a slot (more than four
 // arguments, a pid or tid outside int32), and slots reused after wrapping.
@@ -157,11 +169,67 @@ func TestRingRoundTrip(t *testing.T) {
 			}
 		}
 		want := evs[len(evs)-min(capacity, len(evs)):]
-		if got := r.Events(); !reflect.DeepEqual(got, want) {
+		if got := ringEvents(r); !reflect.DeepEqual(got, want) {
 			t.Errorf("capacity %d:\n got %+v\nwant %+v", capacity, got, want)
 		}
 		if wide := map[int]int{len(evs): 3, 3: 1}[capacity]; len(r.wide) != wide {
 			t.Errorf("capacity %d: %d side-table events, want %d (only held events stay)", capacity, len(r.wide), wide)
 		}
+	}
+}
+
+// TestRingWalkWindow pins a walk's window boundary: a span ending exactly
+// at the window start is kept and one ending a cycle earlier is dropped,
+// an event starting exactly at the window end is kept and one a cycle
+// later is dropped, and an event too wide for a slot comes out whole.
+func TestRingWalkWindow(t *testing.T) {
+	wide := []Arg{U64("a", 1), U64("b", 2), U64("c", 3), U64("d", 4), Str("e", "five")}
+	r := NewEventRing(8)
+	for _, e := range []Event{
+		{Name: "ends.at.start", Phase: 'X', Time: 60, Dur: 40},
+		{Name: "ends.before", Phase: 'X', Time: 60, Dur: 39},
+		{Name: "wide", Phase: 'X', Time: 150, Dur: 10, Args: wide},
+		{Name: "wide.before", Phase: 'X', Time: 10, Dur: 5, Args: wide},
+		{Name: "starts.at.end", Phase: 'i', Time: 200, Args: []Arg{Bool("b", true)}},
+		{Name: "starts.after", Phase: 'i', Time: 201},
+	} {
+		r.push(&e, e.Args)
+	}
+	var got []Event
+	r.walk(100, 200, func(e *Event) {
+		ev := *e
+		ev.Args = append([]Arg(nil), e.Args...)
+		got = append(got, ev)
+	})
+	want := []Event{
+		{Name: "ends.at.start", Phase: 'X', Time: 60, Dur: 40},
+		{Name: "wide", Phase: 'X', Time: 150, Dur: 10, Args: wide},
+		{Name: "starts.at.end", Phase: 'i', Time: 200, Args: []Arg{Bool("b", true)}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("walk [100, 200]:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestRingWalkAllocs: walking a full ring of the flight recorder's
+// default size allocates nothing per event; a dump reads the ring in
+// place.
+func TestRingWalkAllocs(t *testing.T) {
+	const n = 1 << 16
+	r := NewEventRing(n)
+	for i := range uint64(n) {
+		r.push(&Event{Name: "bus.gets", Comp: CompMem, Phase: 'i', Tid: 1, Time: i},
+			[]Arg{Str("src", "c2c"), U64("addr", i<<6)})
+	}
+	walked := 0
+	a := testing.AllocsPerRun(5, func() {
+		walked = 0
+		r.walk(0, math.MaxUint64, func(*Event) { walked++ })
+	})
+	if walked != n {
+		t.Fatalf("walked %d events, want %d", walked, n)
+	}
+	if a > 1 {
+		t.Errorf("walking %d events: %v allocs, want at most 1 (none per event)", n, a)
 	}
 }

@@ -14,10 +14,9 @@ const CyclesPerMicrosecond = 250.0
 // cap bounds the disk a runaway trace can fill, not its memory.
 const DefaultMaxEvents = 1 << 20
 
-// DefaultMemSample records one in every N bus transactions when memory
-// tracing is on. Bus transactions outnumber every other traced event by
-// orders of magnitude; sampling keeps them visible without drowning the
-// trace. Set SampleEvery(CompMem, 1) for an exhaustive record.
+// DefaultMemSample records one in every N bus transactions. Bus
+// transactions outnumber every other traced event by orders of magnitude;
+// sampling keeps them visible without drowning the trace.
 const DefaultMemSample = 16
 
 // Event is one trace_event record on the simulated clock. Time and Dur are
@@ -87,9 +86,10 @@ func Bool(key string, v bool) Arg {
 //
 // The tracer is not safe for concurrent use; one run owns one tracer.
 type Tracer struct {
-	enabled [numComponents]bool
-	sample  [numComponents]uint64 // record 1 in N (0/1 = all)
-	seen    [numComponents]uint64
+	// memSample records one in memSample memory events (0/1 = all);
+	// memSeen counts the memory events Admit was asked about.
+	memSample uint64
+	memSeen   uint64
 
 	// The linear buffer: admitted events already encoded as Chrome trace
 	// records, separated by ",\n". Past flushBytes the buffer is appended
@@ -119,24 +119,20 @@ type Tracer struct {
 	tidNames  map[[2]int]string
 }
 
-// NewTracer returns a tracer with the given components enabled.
-func NewTracer(comps []Component) *Tracer {
-	t := &Tracer{max: DefaultMaxEvents, procNames: map[int]string{}, tidNames: map[[2]int]string{}}
-	for _, c := range comps {
-		if int(c) < int(numComponents) {
-			t.enabled[c] = true
-		}
+// NewTracer returns a tracer that records every component, memory events
+// sampled 1 in DefaultMemSample.
+func NewTracer() *Tracer {
+	return &Tracer{
+		memSample: DefaultMemSample, max: DefaultMaxEvents,
+		procNames: map[int]string{}, tidNames: map[[2]int]string{},
 	}
-	t.sample[CompMem] = DefaultMemSample
-	return t
 }
 
 // NewRingTracer returns a tracer that records only into ring: the flight
 // recorder's always-on mode, where memory stays capped by eviction rather
-// than by refusing new events. Component enablement and sampling behave
-// exactly like NewTracer's.
-func NewRingTracer(comps []Component, ring *EventRing) *Tracer {
-	t := NewTracer(comps)
+// than by refusing new events. Sampling behaves exactly like NewTracer's.
+func NewRingTracer(ring *EventRing) *Tracer {
+	t := NewTracer()
 	t.ring = ring
 	t.ringOnly = true
 	return t
@@ -158,14 +154,6 @@ func (t *Tracer) Ring() *EventRing {
 	return t.ring
 }
 
-// SampleEvery records one in n events of the component (n <= 1 records
-// all). Only the memory component defaults to sampling.
-func (t *Tracer) SampleEvery(c Component, n uint64) {
-	if t != nil && int(c) < int(numComponents) {
-		t.sample[c] = n
-	}
-}
-
 // NameProcess labels a pid track in the exported trace.
 func (t *Tracer) NameProcess(pid int, name string) {
 	if t != nil {
@@ -180,23 +168,24 @@ func (t *Tracer) NameThread(pid, tid int, name string) {
 	}
 }
 
-// Admit reports whether the next event of component c is recorded: c is
-// enabled and the event survives c's 1-in-N sampling. Each call counts one
-// would-be event against the sampler, so call it exactly once per event,
-// before building the event's arguments, and emit only on true:
+// Admit reports whether the next event of component c is recorded: the
+// tracer is on and, for a memory event, the event survives the 1-in-N
+// memory sampling. Each memory call counts one would-be event against the
+// sampler, so call it exactly once per event, before building the event's
+// arguments, and emit only on true:
 //
 //	if t.Admit(obs.CompMem) {
 //		t.Instant(obs.CompMem, "bus.gets", id, now, obs.U64("addr", addr))
 //	}
 func (t *Tracer) Admit(c Component) bool {
-	if t == nil || !t.enabled[c] {
+	if t == nil {
 		return false
 	}
-	if n := t.sample[c]; n > 1 {
-		t.seen[c]++
-		return t.seen[c]%n == 0
+	if c != CompMem || t.memSample <= 1 {
+		return true
 	}
-	return true
+	t.memSeen++
+	return t.memSeen%t.memSample == 0
 }
 
 // record stores an admitted event: always into the ring when one is

@@ -22,14 +22,14 @@ func TestTracerAllocs(t *testing.T) {
 		}
 	}
 
-	out := NewTracer(AllComponents())
-	out.SampleEvery(CompMem, 1<<62)
+	out := NewTracer()
+	out.memSample = 1 << 62
 	if a := testing.AllocsPerRun(1000, func() { busGetS(out) }); a != 0 || out.Len() != 0 {
 		t.Errorf("sampled-out instant: %v allocs, %d events; want 0, 0", a, out.Len())
 	}
 
-	ring := NewRingTracer(AllComponents(), NewEventRing(64))
-	ring.SampleEvery(CompMem, 1)
+	ring := NewRingTracer(NewEventRing(64))
+	ring.memSample = 1
 	if a := testing.AllocsPerRun(1000, func() { busGetS(ring) }); a != 0 {
 		t.Errorf("ring-only instant: %v allocs, want 0", a)
 	}
@@ -46,9 +46,9 @@ func TestTracerAllocs(t *testing.T) {
 	// Linear buffer: past the first spill, a batch of events that crosses
 	// flushBytes several times allocates nothing at all. One run per
 	// measurement, so a single allocation in the batch shows.
-	lin := NewTracer(AllComponents())
+	lin := NewTracer()
 	lin.spillDir = t.TempDir()
-	lin.SampleEvery(CompMem, 1)
+	lin.memSample = 1
 	for lin.spill == nil {
 		busGetS(lin)
 	}
@@ -129,7 +129,7 @@ func checkRecords(t *testing.T, got []traceRecord, want []Event) {
 // order.
 func TestTracerSpillBoundary(t *testing.T) {
 	dir := t.TempDir()
-	tr := NewTracer([]Component{CompOS})
+	tr := NewTracer()
 	tr.spillDir = dir
 	const fed, kept = 6000, 5000
 	tr.max = kept
@@ -149,7 +149,7 @@ func TestTracerSpillBoundary(t *testing.T) {
 	if err := WriteChromeTrace(&got, tr); err != nil {
 		t.Fatal(err)
 	}
-	if want := ChromeTraceEvents(evs[:kept], nil); !bytes.Equal(got.Bytes(), want) {
+	if want := ChromeTraceWindow(evs[:kept], nil, 0, 0, nil); !bytes.Equal(got.Bytes(), want) {
 		t.Fatal("spilled export differs from encoding the same events at once")
 	}
 }
@@ -160,7 +160,7 @@ func TestTracerSpillTwoTracers(t *testing.T) {
 	var trs []*Tracer
 	var want [][]Event
 	for pid, n := range []int{1500, 2200} {
-		tr := NewTracer([]Component{CompOS})
+		tr := NewTracer()
 		tr.spillDir = t.TempDir()
 		tr.Pid = pid
 		tr.NameProcess(pid, "run")
@@ -187,9 +187,8 @@ func TestTracerSpillTwoTracers(t *testing.T) {
 }
 
 // TestRingKeepsArgs checks that ring slots own their arguments: a caller
-// reusing its argument slice cannot change recorded events, Events()
-// survives later pushes, and an event with more arguments than a slot
-// holds keeps all of them.
+// reusing its argument slice cannot change recorded events, and an event
+// with more arguments than a slot holds keeps all of them.
 func TestRingKeepsArgs(t *testing.T) {
 	r := NewEventRing(2)
 	args := []Arg{U64("a", 1)}
@@ -197,8 +196,8 @@ func TestRingKeepsArgs(t *testing.T) {
 	args[0] = U64("a", 99)
 	many := []Arg{U64("a", 1), U64("b", 2), U64("c", 3), U64("d", 4), U64("e", 5)}
 	r.push(&Event{Name: "two"}, many)
-	got := r.Events()
-	r.push(&Event{Name: "three"}, []Arg{U64("a", 7)})
+	many[4] = U64("e", 99)
+	got := ringEvents(r)
 	if got[0].Args[0].num != 1 {
 		t.Errorf("slot took the caller's later write: %+v", got[0].Args)
 	}
@@ -210,9 +209,8 @@ func TestRingKeepsArgs(t *testing.T) {
 // benchTracer records n events of the simulator's typical mix: bus
 // instants with two arguments, lock spans, and argument-free op spans.
 func benchTracer(b *testing.B, n int) *Tracer {
-	tr := NewTracer(AllComponents())
+	tr := NewTracer()
 	tr.spillDir = b.TempDir()
-	tr.SampleEvery(CompMem, 1)
 	tr.NameProcess(0, "ECperf")
 	for tid := 0; tid < 16; tid++ {
 		tr.NameThread(0, tid, "cpu")
@@ -235,7 +233,7 @@ func benchTracer(b *testing.B, n int) *Tracer {
 // default 1-in-16 memory sampling, as the always-on flight recorder runs it:
 // fifteen of sixteen calls stop at Admit, the sixteenth goes to the ring.
 func BenchmarkTracerInstantSampledOut(b *testing.B) {
-	tr := NewRingTracer(AllComponents(), NewEventRing(1024))
+	tr := NewRingTracer(NewEventRing(1024))
 	src := "c2c"
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -247,7 +245,7 @@ func BenchmarkTracerInstantSampledOut(b *testing.B) {
 
 // BenchmarkTracerInstantRing is an admitted event into a ring-only tracer.
 func BenchmarkTracerInstantRing(b *testing.B) {
-	tr := NewRingTracer(AllComponents(), NewEventRing(1024))
+	tr := NewRingTracer(NewEventRing(1024))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if tr.Admit(CompOS) {
@@ -263,9 +261,9 @@ func BenchmarkTracerInstantRing(b *testing.B) {
 func BenchmarkTracerInstantLinear(b *testing.B) {
 	dir := b.TempDir()
 	fresh := func() *Tracer {
-		tr := NewTracer(AllComponents())
+		tr := NewTracer()
 		tr.spillDir = dir
-		tr.SampleEvery(CompMem, 1)
+		tr.memSample = 1
 		return tr
 	}
 	tr := fresh()
