@@ -73,7 +73,7 @@ import (
 const pinnedBench = "^(BenchmarkFig08C2CRatio|BenchmarkFig13DCacheMissRate|BenchmarkFig16SharedCaches|" +
 	"BenchmarkProbeTouchHit|BenchmarkProbeTouchLRUWay|BenchmarkAllocateMissStream|BenchmarkSweepNineConfigs|BenchmarkSweepFetchRuns|" +
 	"BenchmarkReadLocalHit|BenchmarkMigratoryWrite16Nodes|BenchmarkReadSharedGetS16Nodes|" +
-	"BenchmarkHDRRecord|BenchmarkHDRMerge|BenchmarkCurveLookup|BenchmarkLoadTrackerRecord|" +
+	"BenchmarkHDRRecord|BenchmarkCurveLookup|BenchmarkLoadTrackerRecord|" +
 	"BenchmarkTracerInstantSampledOut|BenchmarkTracerInstantRing|BenchmarkTracerInstantLinear|BenchmarkWriteChromeTrace|" +
 	"BenchmarkEngineThroughput|BenchmarkAllocSmall|BenchmarkMinorGC|" +
 	"BenchmarkNextRun|BenchmarkExecInstr|BenchmarkFloat64|BenchmarkIntn)$"

@@ -64,9 +64,6 @@ func NewCaller(pol fault.Policy, inj *fault.Injector, rng *simrand.Rand) (*Calle
 	}, nil
 }
 
-// Policy returns the caller's policy.
-func (c *Caller) Policy() fault.Policy { return c.pol }
-
 func (c *Caller) breaker(peer uint8) *fault.Breaker {
 	b, ok := c.breakers[peer]
 	if !ok {

@@ -54,7 +54,7 @@ func BenchmarkSweepNineConfigs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r = r*6364136223846793005 + 1442695040888963407
-		sw.Access((r>>30)%(4<<20), mem.Read)
+		sw.AccessRange((r>>30)%(4<<20), 1, mem.Read)
 	}
 }
 

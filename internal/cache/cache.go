@@ -18,13 +18,9 @@ import (
 )
 
 // State is an opaque per-line coherence state. The cache package only
-// distinguishes StateInvalid (line absent); the valid values, 1 to 7, belong
-// to the protocol layer.
+// distinguishes state 0, an absent line; the valid values, 1 to 7, belong to
+// the protocol layer.
 type State uint8
-
-// StateInvalid marks an absent line. Protocols must use non-zero values for
-// valid states.
-const StateInvalid State = 0
 
 // Config describes one cache geometry.
 type Config struct {
@@ -62,7 +58,7 @@ func (c Config) String() string {
 
 // Line is one way of a cache set packed into a word: the block address in
 // the high bits, the dirty bit in bit 3 and the state in bits 0-2. A way whose
-// state is StateInvalid is all zero. Read and write it only through its
+// state is 0 is all zero. Read and write it only through its
 // methods.
 type Line uint64
 
@@ -100,7 +96,7 @@ func (l *Line) SetDirty(d bool) {
 }
 
 // checkState panics unless st is a valid state, 1 to 7; st-1 wraps past 6 for
-// StateInvalid. The panic lives in badState so SetState stays inlinable.
+// state 0. The panic lives in badState so SetState stays inlinable.
 func checkState(st State) {
 	if st-1 >= State(stateBits) {
 		badState(st)
@@ -250,16 +246,6 @@ func (c *Cache) Allocate(ba uint64, st State) (l *Line, victim Line, evicted boo
 	}
 	set[0] = Line(ba) | Line(st)
 	return &set[0], victim, evicted
-}
-
-// VisitLines calls fn for every valid line, in set/way order. Tests use it
-// to compare whole cache contents against their reference models.
-func (c *Cache) VisitLines(fn func(l *Line)) {
-	for i := range c.lines {
-		if c.lines[i] != 0 {
-			fn(&c.lines[i])
-		}
-	}
 }
 
 // Invalidate removes block ba if present, returning whether it was dirty.

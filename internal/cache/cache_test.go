@@ -32,7 +32,7 @@ func access(c *Cache, a mem.Addr, t mem.AccessType) bool {
 // whether it hit there.
 func hit(sw *Sweep, a mem.Addr, t mem.AccessType) bool {
 	before := sw.stats(0).Misses()
-	sw.Access(a, t)
+	sw.AccessRange(a, 1, t)
 	return sw.stats(0).Misses() == before
 }
 
@@ -83,10 +83,10 @@ func TestLRUEviction(t *testing.T) {
 	a0 := mem.Addr(0x0000)
 	a1 := mem.Addr(0x0200) // same set (8 sets * 64B = 512)
 	a2 := mem.Addr(0x0400) // same set
-	sw.Access(a0, mem.Read)
-	sw.Access(a1, mem.Read)
-	sw.Access(a0, mem.Read) // a0 now MRU; a1 is LRU
-	sw.Access(a2, mem.Read) // evicts a1
+	sw.AccessRange(a0, 1, mem.Read)
+	sw.AccessRange(a1, 1, mem.Read)
+	sw.AccessRange(a0, 1, mem.Read) // a0 now MRU; a1 is LRU
+	sw.AccessRange(a2, 1, mem.Read) // evicts a1
 	if !hit(sw, a0, mem.Read) {
 		t.Fatal("a0 should have survived")
 	}
@@ -97,9 +97,9 @@ func TestLRUEviction(t *testing.T) {
 
 func TestDirtyEviction(t *testing.T) {
 	sw := NewSweep([]Config{small()})
-	sw.Access(0x0000, mem.Write)
-	sw.Access(0x0200, mem.Read)
-	sw.Access(0x0400, mem.Read) // evicts dirty 0x0000
+	sw.AccessRange(0x0000, 1, mem.Write)
+	sw.AccessRange(0x0200, 1, mem.Read)
+	sw.AccessRange(0x0400, 1, mem.Read) // evicts dirty 0x0000
 	if st := sw.stats(0); st.DirtyEvictions != 1 || st.Evictions != 1 {
 		t.Fatalf("evictions = %d, dirty = %d", st.Evictions, st.DirtyEvictions)
 	}
@@ -177,7 +177,7 @@ func TestWorkingSetFitsMeansNoMisses(t *testing.T) {
 			sw.ResetStats()
 		}
 		for a := mem.Addr(0); a < 32<<10; a += 64 {
-			sw.Access(a, mem.Read)
+			sw.AccessRange(a, 1, mem.Read)
 		}
 	}
 	if m := sw.stats(0).Misses(); m != 0 {
@@ -194,7 +194,7 @@ func TestWorkingSetExceedsDirectCapacity(t *testing.T) {
 			sw.ResetStats()
 		}
 		for a := mem.Addr(0); a < 8<<10; a += 64 {
-			sw.Access(a, mem.Read)
+			sw.AccessRange(a, 1, mem.Read)
 		}
 	}
 	st := sw.stats(0)
@@ -213,7 +213,7 @@ func TestMissRatioMonotoneInSize(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		r = r*6364136223846793005 + 1442695040888963407
 		addr := (r >> 33) % (8 << 20)
-		sw.Access(addr, mem.Read)
+		sw.AccessRange(addr, 1, mem.Read)
 	}
 	sw.CountInstructions(200000)
 	curve := sw.MissCurve()
@@ -229,7 +229,7 @@ func TestMissRatioMonotoneInSize(t *testing.T) {
 
 func TestSweepResetStats(t *testing.T) {
 	sw := NewSweep([]Config{small()})
-	sw.Access(0x1000, mem.Read)
+	sw.AccessRange(0x1000, 1, mem.Read)
 	sw.CountInstructions(10)
 	sw.ResetStats()
 	if sw.Instructions != 0 || sw.stats(0).Accesses() != 0 {
@@ -247,7 +247,7 @@ func TestAllocatePanicsOnInvalidState(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(small()).Allocate(0, StateInvalid)
+	New(small()).Allocate(0, 0)
 }
 
 // TestNewRejectsSmallBlocks: a block address's low four bits hold the packed
@@ -265,7 +265,7 @@ func TestNewRejectsSmallBlocks(t *testing.T) {
 	}()
 	New(Config{Name: "s", SizeBytes: 1 << 10, Assoc: 2, BlockBytes: 16})
 	sw := NewSweep([]Config{tiny})
-	sw.Access(0x100, mem.Read)
+	sw.AccessRange(0x100, 1, mem.Read)
 	if !hit(sw, 0x104, mem.Read) || hit(sw, 0x108, mem.Read) {
 		t.Fatal("8 B sweep geometry does not hit within a block and miss across one")
 	}
@@ -274,7 +274,7 @@ func TestNewRejectsSmallBlocks(t *testing.T) {
 // TestSetStateRejectsInvalid: a line leaves the cache only through
 // Invalidate or eviction, and a state must fit the three state bits.
 func TestSetStateRejectsInvalid(t *testing.T) {
-	for _, st := range []State{StateInvalid, 8} {
+	for _, st := range []State{0, 8} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -356,7 +356,7 @@ func TestAssociativityReducesConflicts(t *testing.T) {
 	// Four lines mapping to the same direct-mapped set (stride = size).
 	for pass := 0; pass < 200; pass++ {
 		for i := 0; i < 4; i++ {
-			sw.Access(mem.Addr(i*(8<<10)), mem.Read)
+			sw.AccessRange(mem.Addr(i*(8<<10)), 1, mem.Read)
 		}
 	}
 	dm, high := sw.stats(0), sw.stats(3) // 1-way, 8-way
@@ -374,7 +374,7 @@ func TestLargerBlocksExploitSpatialLocality(t *testing.T) {
 	cfgs := BlockSweepConfigs("B", 64<<10)
 	sw := NewSweep(cfgs)
 	for a := mem.Addr(0); a < 32<<10; a += 16 {
-		sw.Access(a, mem.Read)
+		sw.AccessRange(a, 1, mem.Read)
 	}
 	for i := 1; i < len(cfgs); i++ {
 		if cur, prev := sw.stats(i).Misses(), sw.stats(i-1).Misses(); cur >= prev {

@@ -55,7 +55,7 @@ func (c *refCache) set(ba uint64) []refLine {
 func (c *refCache) Probe(ba uint64) *refLine {
 	set := c.set(ba)
 	for i := range set {
-		if set[i].State != StateInvalid && set[i].Tag == ba {
+		if set[i].State != 0 && set[i].Tag == ba {
 			return &set[i]
 		}
 	}
@@ -78,7 +78,7 @@ func (c *refCache) Allocate(ba uint64, st State) (*refLine, refLine, bool) {
 	set := c.set(ba)
 	v := 0
 	for i := range set {
-		if set[i].State == StateInvalid {
+		if set[i].State == 0 {
 			v = -1 - i
 			break
 		}
@@ -117,7 +117,7 @@ func (c *refCache) Invalidate(ba uint64) (wasDirty, wasPresent bool) {
 func (c *refCache) resident() []string {
 	var out []string
 	for _, l := range c.ways {
-		if l.State != StateInvalid {
+		if l.State != 0 {
 			out = append(out, fmt.Sprintf("%#x %d %v", l.Tag, l.State, l.Dirty))
 		}
 	}
@@ -127,9 +127,11 @@ func (c *refCache) resident() []string {
 
 func resident(c *Cache) []string {
 	var out []string
-	c.VisitLines(func(l *Line) {
-		out = append(out, fmt.Sprintf("%#x %d %v", l.Tag(), l.State(), l.Dirty()))
-	})
+	for _, l := range c.lines {
+		if l != 0 {
+			out = append(out, fmt.Sprintf("%#x %d %v", l.Tag(), l.State(), l.Dirty()))
+		}
+	}
 	sort.Strings(out)
 	return out
 }

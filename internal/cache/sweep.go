@@ -141,9 +141,6 @@ func BlockSweepConfigs(name string, sizeBytes int) []Config {
 	return out
 }
 
-// Access feeds one reference to every cache in the sweep.
-func (s *Sweep) Access(a mem.Addr, t mem.AccessType) { s.AccessRange(a, 1, t) }
-
 // AccessRange feeds a byte-range reference to every cache in the sweep: one
 // access per block the range touches, in each geometry's block size.
 func (s *Sweep) AccessRange(a mem.Addr, size uint64, t mem.AccessType) {

@@ -38,7 +38,7 @@ func checkAgainstReference(t testing.TB, cfgs []Config, refs []ref) *Sweep {
 		}
 		n := r.size
 		if n == 0 {
-			sw.Access(r.a, r.t)
+			sw.AccessRange(r.a, 1, r.t)
 			n = 1
 		} else {
 			sw.AccessRange(r.a, n, r.t)

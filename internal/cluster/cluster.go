@@ -45,10 +45,9 @@ type Coordinator struct {
 	// Requests counts app→db calls; Replies counts completed round trips;
 	// Dropped counts requests lost to fault windows — on either leg:
 	// DroppedReplies of them were answered by the database but lost on the
-	// way back. At every lockstep window boundary
-	// Requests == Replies + Dropped + InFlight(), and InFlight() equals the
-	// database server's QueueDepth() + InService() (the conservation test
-	// checks both).
+	// way back. At every lockstep window boundary the requests in flight,
+	// Requests - Replies - Dropped, equal the database server's
+	// QueueDepth() + InService() (the conservation test checks it).
 	Requests       uint64
 	Replies        uint64
 	Dropped        uint64
@@ -150,23 +149,3 @@ func (c *Coordinator) Run(horizon uint64) {
 		}
 	}
 }
-
-// SetFaults arms fault injection on the app→db path: node-crash and
-// partition windows in inj's schedule aimed at dbPeer (the peer id the app
-// server dials) drop requests. A dropped caller is woken after
-// timeoutCycles (0 picks the default policy's timeout); a fast-failed one
-// (crash) after a bare wire round trip. nil disarms.
-func (c *Coordinator) SetFaults(inj *fault.Injector, dbPeer uint8, timeoutCycles uint64) {
-	if timeoutCycles == 0 {
-		timeoutCycles = uint64(fault.DefaultPolicy().TimeoutCycles)
-	}
-	c.faults = inj
-	c.dbPeer = dbPeer
-	c.dropTimeout = timeoutCycles
-}
-
-// InFlight returns the requests accepted but not yet replied or dropped.
-func (c *Coordinator) InFlight() uint64 { return c.Requests - c.Replies - c.Dropped }
-
-// Window returns the lockstep window (for tests).
-func (c *Coordinator) Window() uint64 { return c.window }

@@ -14,6 +14,11 @@ import (
 	"repro/internal/workload/dbserver"
 )
 
+// funcSource adapts a function to osmodel.OpSource.
+type funcSource func(tid int, now uint64) *trace.Op
+
+func (f funcSource) NextOp(tid int, now uint64) *trace.Op { return f(tid, now) }
+
 // rig assembles a tiny two-machine cluster: one client thread calling an
 // external peer, and a database machine answering.
 func rig(t *testing.T, calls int) (*Coordinator, *osmodel.Engine, *osmodel.Engine, *dbserver.Server) {
@@ -23,12 +28,12 @@ func rig(t *testing.T, calls int) (*Coordinator, *osmodel.Engine, *osmodel.Engin
 	// Client machine.
 	cSpace := mem.NewAddrSpace()
 	cLayout := ifetch.NewCodeLayout(cSpace)
-	user := cLayout.Add("client", 64<<10, false, ifetch.DefaultProfile())
+	user := cLayout.Add("client", 64<<10, false, ifetch.Profile{})
 	cNet := netsim.NewNetwork(netsim.DefaultLink())
 	cNet.AddExternalPeer(peerDB)
 	app := osmodel.NewEngine(osmodel.DefaultConfig(2), memsys.New(memsys.DefaultConfig(2)), cLayout, cNet, simrand.New(1))
 	n := 0
-	app.AddThread("caller", osmodel.FuncSource(func(tid int, now uint64) *trace.Op {
+	app.AddThread("caller", funcSource(func(tid int, now uint64) *trace.Op {
 		if n >= calls {
 			return nil
 		}
@@ -43,10 +48,10 @@ func rig(t *testing.T, calls int) (*Coordinator, *osmodel.Engine, *osmodel.Engin
 	// Database machine.
 	dSpace := mem.NewAddrSpace()
 	dLayout := ifetch.NewCodeLayout(dSpace)
-	comps := dbserver.Components{SQL: dLayout.Add("dbms", 128<<10, false, ifetch.DefaultProfile())}
-	kern := dLayout.Add("kernel-net", 128<<10, true, ifetch.DefaultProfile())
+	comps := dbserver.Components{SQL: dLayout.Add("dbms", 128<<10, false, ifetch.Profile{})}
+	kern := dLayout.Add("kernel-net", 128<<10, true, ifetch.Profile{})
 	dNet := netsim.NewNetwork(netsim.DefaultLink())
-	ns := netsim.NewNetStack(dSpace, kern, dNet, netsim.DefaultStackConfig(), simrand.New(2))
+	ns := netsim.NewNetStack(dSpace, kern, netsim.StackConfig{SendInstr: 3_000, RecvInstr: 3_500, PerByteInstr: 0.25, HotLines: 6, BufferBytes: 2048}, simrand.New(2))
 	hcfg := jvm.DefaultConfig()
 	hcfg.HeapBytes = 32 << 20
 	hcfg.NewGenBytes = 6 << 20
@@ -86,8 +91,8 @@ func TestCallerWaitsAtLeastTwoWireLatencies(t *testing.T) {
 
 func TestWindowRespectsLookahead(t *testing.T) {
 	coord, _, _, _ := rig(t, 1)
-	if coord.Window() > netsim.DefaultLink().LatencyCycles {
-		t.Fatalf("window %d exceeds the lookahead %d", coord.Window(), netsim.DefaultLink().LatencyCycles)
+	if coord.window > netsim.DefaultLink().LatencyCycles {
+		t.Fatalf("window %d exceeds the lookahead %d", coord.window, netsim.DefaultLink().LatencyCycles)
 	}
 }
 

@@ -7,6 +7,17 @@ import (
 	"repro/internal/simrand"
 )
 
+// setFaults arms fault injection on the app→db path: node-crash and
+// partition windows in inj's schedule aimed at dbPeer drop requests, and a
+// dropped caller wakes after the default policy's timeout. nil disarms.
+func (c *Coordinator) setFaults(inj *fault.Injector, dbPeer uint8) {
+	c.faults, c.dbPeer = inj, dbPeer
+	c.dropTimeout = uint64(fault.DefaultPolicy().TimeoutCycles)
+}
+
+// inFlight returns the requests accepted but not yet replied or dropped.
+func (c *Coordinator) inFlight() uint64 { return c.Requests - c.Replies - c.Dropped }
+
 // partitioned returns a coordinator with a partition (or crash) window on
 // the database peer, over the standard two-machine rig.
 func partitioned(t *testing.T, calls int, kind fault.Kind, at, dur uint64) (*Coordinator, func() uint64) {
@@ -16,7 +27,7 @@ func partitioned(t *testing.T, calls int, kind fault.Kind, at, dur uint64) (*Coo
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	coord.SetFaults(fault.NewInjector(s, simrand.New(9)), 1, 0)
+	coord.setFaults(fault.NewInjector(s, simrand.New(9)), 1)
 	return coord, func() uint64 { return app.Results().BusinessOps }
 }
 
@@ -39,12 +50,12 @@ func TestPartitionHealConservation(t *testing.T) {
 	if coord.Replies == 0 {
 		t.Fatal("no calls survived outside the partition")
 	}
-	if coord.Replies+coord.Dropped+coord.InFlight() != coord.Requests {
+	if coord.Replies+coord.Dropped+coord.inFlight() != coord.Requests {
 		t.Fatalf("accounting leak: %d replies + %d dropped + %d in flight != %d requests",
-			coord.Replies, coord.Dropped, coord.InFlight(), coord.Requests)
+			coord.Replies, coord.Dropped, coord.inFlight(), coord.Requests)
 	}
-	if coord.InFlight() != 0 {
-		t.Fatalf("%d requests still in flight at quiescence", coord.InFlight())
+	if coord.inFlight() != 0 {
+		t.Fatalf("%d requests still in flight at quiescence", coord.inFlight())
 	}
 	// Dropped callers resume on their timeout: every operation completes.
 	if got := ops(); got != calls {
@@ -96,16 +107,16 @@ func TestPerWindowConservationGroundTruth(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	coord.SetFaults(fault.NewInjector(s, simrand.New(9)), 1, 0)
+	coord.setFaults(fault.NewInjector(s, simrand.New(9)), 1)
 
 	windows := 0
 	coord.OnWindow = func(tw uint64) {
 		windows++
-		if coord.Replies+coord.Dropped+coord.InFlight() != coord.Requests {
+		if coord.Replies+coord.Dropped+coord.inFlight() != coord.Requests {
 			t.Fatalf("window %d: %d replies + %d dropped + %d in flight != %d requests",
-				tw, coord.Replies, coord.Dropped, coord.InFlight(), coord.Requests)
+				tw, coord.Replies, coord.Dropped, coord.inFlight(), coord.Requests)
 		}
-		if got, want := coord.InFlight(), uint64(srv.QueueDepth()+srv.InService()); got != want {
+		if got, want := coord.inFlight(), uint64(srv.QueueDepth()+srv.InService()); got != want {
 			t.Fatalf("window %d: coordinator counts %d in flight, server holds %d (%d queued + %d in service)",
 				tw, got, want, srv.QueueDepth(), srv.InService())
 		}
@@ -124,8 +135,8 @@ func TestPerWindowConservationGroundTruth(t *testing.T) {
 	if coord.DroppedReplies == coord.Dropped {
 		t.Fatal("no request was lost on the way out: the send-drop path never ran")
 	}
-	if coord.InFlight() != 0 {
-		t.Fatalf("%d requests leaked at quiescence", coord.InFlight())
+	if coord.inFlight() != 0 {
+		t.Fatalf("%d requests leaked at quiescence", coord.inFlight())
 	}
 	// Every dropped caller resumed via its timeout wake and finished.
 	if got := app.Results().BusinessOps; got != calls {
@@ -154,7 +165,7 @@ func TestNoFaultsPathUnchanged(t *testing.T) {
 	plain.Run(40_000_000)
 
 	armed, appArmed, _, _ := rig(t, 10)
-	armed.SetFaults(nil, 1, 0)
+	armed.setFaults(nil, 1)
 	armed.Run(40_000_000)
 
 	if plain.Replies != armed.Replies || armed.Dropped != 0 {

@@ -51,7 +51,7 @@ const (
 	// LeastInFlight routes to the healthy node with the fewest queued plus
 	// in-service requests.
 	LeastInFlight
-	// Weighted is smooth weighted round-robin over Config.Weights.
+	// Weighted is smooth weighted round-robin with every node weighted 1.
 	Weighted
 )
 
@@ -143,7 +143,6 @@ type OpenConfig struct {
 	Shards         int // database shards
 	Shard          db.Config
 	LB             LBPolicy
-	Weights        []float64 // per-node weights for Weighted (nil = equal)
 	Link           netsim.Link
 	Mix            []WorkClass
 	Policy         fault.Policy // timeout / retry / breaker parameters
@@ -213,9 +212,6 @@ func (c OpenConfig) Validate() error {
 	}
 	if totalW <= 0 {
 		return fmt.Errorf("cluster: work mix has no weight")
-	}
-	if c.LB == Weighted && c.Weights != nil && len(c.Weights) != c.Nodes {
-		return fmt.Errorf("cluster: %d weights for %d nodes", len(c.Weights), c.Nodes)
 	}
 	if c.DeadlineCycles == 0 {
 		return fmt.Errorf("cluster: client deadline must be positive")
@@ -482,13 +478,7 @@ func NewOpen(cfg OpenConfig, seed uint64) (*OpenSim, error) {
 	}
 	if cfg.LB == Weighted {
 		s.wrrCur = make([]float64, cfg.Nodes)
-		for i := 0; i < cfg.Nodes; i++ {
-			w := 1.0
-			if cfg.Weights != nil {
-				w = cfg.Weights[i]
-			}
-			s.wrrSum += w
-		}
+		s.wrrSum = float64(cfg.Nodes)
 	}
 	return s, nil
 }
@@ -518,14 +508,6 @@ func (s *OpenSim) SetTick(interval uint64, fn func(t uint64, s *OpenSim)) {
 
 // Config returns the (validated, possibly adjusted) configuration.
 func (s *OpenSim) Config() OpenConfig { return s.cfg }
-
-// Now returns the simulation clock.
-func (s *OpenSim) Now() uint64 { return s.now }
-
-// InFlight returns requests admitted but not yet resolved.
-func (s *OpenSim) InFlight() uint64 {
-	return s.Stats.Offered - s.Stats.Shed - s.Stats.Completed - s.Stats.Failed
-}
 
 // schedule pushes an event at time at.
 func (s *OpenSim) schedule(at uint64, kind uint8, node int, r *openReq) {
@@ -627,15 +609,11 @@ func (s *OpenSim) route(t uint64) *openNode {
 		}
 		return best
 	case Weighted:
-		// Smooth weighted round-robin (nginx): add each weight, pick the
-		// largest accumulated, subtract the total.
+		// Smooth weighted round-robin (nginx): add each node's weight of 1,
+		// pick the largest accumulated, subtract the total.
 		var best *openNode
 		for _, n := range alive {
-			w := 1.0
-			if s.cfg.Weights != nil {
-				w = s.cfg.Weights[n.id]
-			}
-			s.wrrCur[n.id] += w
+			s.wrrCur[n.id]++
 			if best == nil || s.wrrCur[n.id] > s.wrrCur[best.id] {
 				best = n
 			}

@@ -43,7 +43,7 @@ func TestAttrConservation(t *testing.T) {
 	for _, proto := range []Protocol{MOSI, MSI, MESI} {
 		for _, nodes := range []int{2, 4, 8} {
 			b, c := driveAttr(t, proto, nodes, 40000, 0xA77+uint64(nodes))
-			sum := c.SumCounts()
+			sum := c.BuildReport(1).Totals
 			st := b.Stats
 			if sum.GetS != st.GetS {
 				t.Errorf("%v/%d nodes: attributed GetS %d != bus GetS %d", proto, nodes, sum.GetS, st.GetS)

@@ -132,11 +132,6 @@ func (t *LoadTracker) advance(now uint64) {
 // totals.
 func (t *LoadTracker) Counts() (reads, writes uint64) { return t.reads, t.writes }
 
-// WindowCycles returns the window's span in cycles.
-func (t *LoadTracker) WindowCycles() uint64 {
-	return t.bucketCycles * uint64(len(t.buckets))
-}
-
 // Utilization converts the window's weighted transaction occupancy into
 // channel utilization. It can exceed 1 when offered load outruns the
 // channel; consumers clamp as needed.

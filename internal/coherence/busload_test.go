@@ -19,9 +19,6 @@ func TestLoadTrackerCounts(t *testing.T) {
 	if r != 2 || w != 1 {
 		t.Fatalf("Counts = %d,%d, want 2,1", r, w)
 	}
-	if lt.WindowCycles() != 1000 {
-		t.Fatalf("WindowCycles = %d", lt.WindowCycles())
-	}
 }
 
 func TestLoadTrackerRetiresOldBuckets(t *testing.T) {

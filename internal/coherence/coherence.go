@@ -31,8 +31,8 @@ import (
 	"repro/internal/obs/attr"
 )
 
-// MOSI states, stored in a cache.Line's state bits. StateInvalid (0) is
-// inherited from the cache package.
+// MOSI states, stored in a cache.Line's state bits. State 0, an absent
+// line, is the cache package's.
 const (
 	// Modified: sole dirty copy.
 	Modified cache.State = 1 + iota
@@ -44,24 +44,6 @@ const (
 	// Exclusive: sole clean copy; writes upgrade silently (MESI only).
 	Exclusive
 )
-
-// StateName returns a short human-readable name for a MOSI state.
-func StateName(s cache.State) string {
-	switch s {
-	case cache.StateInvalid:
-		return "I"
-	case Modified:
-		return "M"
-	case Owned:
-		return "O"
-	case Shared:
-		return "S"
-	case Exclusive:
-		return "E"
-	default:
-		return fmt.Sprintf("?%d", s)
-	}
-}
 
 // Source says who supplied the data for a request.
 type Source uint8
@@ -213,9 +195,6 @@ func (b *Bus) AddNode(l2 *cache.Cache, onInvalidate func(ba uint64)) *Node {
 	return n
 }
 
-// Nodes returns the attached nodes in attachment order.
-func (b *Bus) Nodes() []*Node { return b.nodes }
-
 // ResetStats zeroes the bus counters and the miss classes (cache contents
 // stay warm).
 func (b *Bus) ResetStats() { b.Stats, b.MissClass = Stats{}, [8]uint64{} }
@@ -235,9 +214,6 @@ type Node struct {
 	bus          *Bus
 	onInvalidate func(ba uint64)
 }
-
-// ID returns the node's index on the bus.
-func (n *Node) ID() int { return n.id }
 
 // L2 returns the node's cache.
 func (n *Node) L2() *cache.Cache { return n.l2 }
@@ -466,13 +442,4 @@ func (n *Node) insert(ba uint64, st cache.State) *cache.Line {
 	}
 	n.notifyInvalidate(victim.Tag())
 	return l
-}
-
-// HasBlock reports the node's state for the block containing addr
-// (StateInvalid when absent). For tests and debugging.
-func (n *Node) HasBlock(addr mem.Addr) cache.State {
-	if l := n.l2.Probe(n.l2.BlockAddr(addr)); l != nil {
-		return l.State()
-	}
-	return cache.StateInvalid
 }

@@ -176,13 +176,15 @@ type busPair struct {
 	bus         *Bus
 	ref         *refBus
 	nodes       []*Node
-	inv, refInv []int // invalidation-callback counts per node
+	inv, refInv []int           // invalidation-callback counts per node
+	touched     map[uint64]bool // every block either bus was asked about
 }
 
 func newBusPair(proto Protocol, nodes int, geo cache.Config) *busPair {
 	p := &busPair{
 		bus: NewBus(), ref: &refBus{proto: proto},
 		inv: make([]int, nodes), refInv: make([]int, nodes),
+		touched: map[uint64]bool{},
 	}
 	p.bus.Protocol = proto
 	p.bus.Attr = attr.NewCollector(attr.Options{Exact: true, TimelineBin: 1000})
@@ -199,6 +201,7 @@ func newBusPair(proto Protocol, nodes int, geo cache.Config) *busPair {
 func (p *busPair) access(t *testing.T, i, n int, ba uint64, write bool) {
 	t.Helper()
 	a, now := mem.Addr(ba), uint64(i)
+	p.touched[ba] = true
 	op, busOp, refOp := "Read", p.nodes[n].Read, p.ref.read
 	if write {
 		op, busOp, refOp = "Write", p.nodes[n].Write, p.ref.write
@@ -232,7 +235,7 @@ func (p *busPair) verify(t *testing.T) {
 	if p.bus.Stats != p.ref.Stats {
 		t.Errorf("stats diverge:\nbus       %+v\nreference %+v", p.bus.Stats, p.ref.Stats)
 	}
-	if got, want := p.bus.Attr.SumCounts(), p.ref.attr.SumCounts(); got != want {
+	if got, want := p.bus.Attr.BuildReport(1).Totals, p.ref.attr.BuildReport(1).Totals; got != want {
 		t.Errorf("attribution sums diverge:\nbus       %+v\nreference %+v", got, want)
 	}
 	if got, want := p.bus.Attr.Events(), p.ref.attr.Events(); got != want {
@@ -256,23 +259,15 @@ func (p *busPair) verify(t *testing.T) {
 		}
 	}
 	for i, n := range p.nodes {
-		fl := map[uint64]cache.Line{}
-		n.l2.VisitLines(func(l *cache.Line) { fl[l.Tag()] = *l })
-		count := 0
-		p.ref.l2[i].VisitLines(func(l *cache.Line) {
-			count++
-			got, ok := fl[l.Tag()]
-			if !ok {
-				t.Errorf("node %d: block %#x in reference cache only", i, l.Tag())
-				return
+		for ba := range p.touched {
+			got, want := n.l2.Probe(ba), p.ref.l2[i].Probe(ba)
+			switch {
+			case (got == nil) != (want == nil):
+				t.Errorf("node %d block %#x: held by bus %v, by reference %v", i, ba, got != nil, want != nil)
+			case got != nil && (got.State() != want.State() || got.Dirty() != want.Dirty()):
+				t.Errorf("node %d block %#x: bus (%d dirty=%v) vs reference (%d dirty=%v)",
+					i, ba, got.State(), got.Dirty(), want.State(), want.Dirty())
 			}
-			if got.State() != l.State() || got.Dirty() != l.Dirty() {
-				t.Errorf("node %d block %#x: bus (%s dirty=%v) vs reference (%s dirty=%v)",
-					i, l.Tag(), StateName(got.State()), got.Dirty(), StateName(l.State()), l.Dirty())
-			}
-		})
-		if count != len(fl) {
-			t.Errorf("node %d: bus cache holds %d blocks, reference holds %d", i, len(fl), count)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func TestAttrIsPassive(t *testing.T) {
 // every bus event in the measurement window attributed exactly once.
 func TestAttrExactConservation(t *testing.T) {
 	_, sys, c := runAttr(t, 20030208, true)
-	sum := c.SumCounts()
+	sum := c.BuildReport(1).Totals
 	st := sys.Hier.Bus().Stats
 	if sum.GetS != st.GetS || sum.GetM != st.GetM || sum.Upgrades != st.Upgrades ||
 		sum.C2C != st.C2CTransfers || sum.Writebacks != st.Writebacks || sum.Invals != st.Invalidations {

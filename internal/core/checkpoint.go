@@ -138,19 +138,6 @@ func (p *CheckpointPlan) save(sys *System, warmup, ranTo uint64) error {
 	return Capture(sys, warmup, ranTo, p.Command).Save(p.Path)
 }
 
-// Resume rebuilds the checkpointed system and replays it to the checkpoint
-// cycle through Run.Measure, reproducing the warm-up/reset discipline, and
-// verifies the state fingerprint there. The returned system continues
-// exactly where the original would have: determinism makes the replayed
-// prefix bit-identical.
-func Resume(cp Checkpoint) (*System, error) {
-	r := &Run{Sys: BuildSystem(cp.Params), replay: &cp}
-	if err := r.Measure(cp.Warmup, cp.Cycle-cp.Warmup, nil); err != nil {
-		return nil, err
-	}
-	return r.Sys, nil
-}
-
 // verifyReplay checks a system replayed to cp.Cycle against the
 // checkpoint's fingerprint.
 func verifyReplay(sys *System, cp Checkpoint) error {

@@ -18,25 +18,38 @@ func ckptParams() SystemParams {
 	}
 }
 
+// resume replays cp's system through Run.Measure to end, the path a
+// driver's -resume takes: the replay is verified at the checkpoint's cycle.
+func resume(cp Checkpoint, end uint64) (*System, error) {
+	r := &Run{Sys: BuildSystem(cp.Params), replay: &cp}
+	err := r.Measure(cp.Warmup, end-cp.Warmup, nil)
+	return r.Sys, err
+}
+
 // TestCheckpointResumeBitIdentical is the survivability contract: a run
 // resumed from a checkpoint finishes in exactly the state of a run that
 // never stopped.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
-	const warmup, mid, end = 2_000_000, 10_000_000, 18_000_000
+	const warmup, mid, end = 2_000_000, 10_000_000, 18_000_000 // on the slice grid
 
 	// The uninterrupted reference run.
-	ref := BuildSystem(ckptParams())
-	ref.Engine.Run(warmup)
-	ref.Engine.ResetStats()
-	ref.Engine.Run(end)
-	want := Fingerprint(ref)
+	ref := &Run{Sys: BuildSystem(ckptParams())}
+	if err := ref.Measure(warmup, end-warmup, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := Fingerprint(ref.Sys)
 
-	// The checkpointed run: stop at mid, save, load, resume, finish.
-	orig := BuildSystem(ckptParams())
-	orig.Engine.Run(warmup)
-	orig.Engine.ResetStats()
-	orig.Engine.Run(mid)
-	cp := Capture(orig, warmup, mid, "test")
+	// The checkpointed run: save at mid, load, resume, finish.
+	orig := &Run{Sys: BuildSystem(ckptParams())}
+	var cp Checkpoint
+	orig.onSlice = func(t uint64) {
+		if t == mid {
+			cp = Capture(orig.Sys, warmup, mid, "test")
+		}
+	}
+	if err := orig.Measure(warmup, end-warmup, nil); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	if err := cp.Save(path); err != nil {
 		t.Fatal(err)
@@ -52,17 +65,15 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if len(loaded.Params.FaultSchedule.Events) != 1 {
 		t.Fatalf("fault schedule lost in round trip: %+v", loaded.Params.FaultSchedule)
 	}
-	resumed, err := Resume(loaded)
+	resumed, err := resume(loaded, end)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed.Engine.Run(end)
 	if got := Fingerprint(resumed); got != want {
 		t.Fatalf("resumed run diverged: fingerprint %#x, want %#x", got, want)
 	}
-	// And the original, had it kept going, matches too.
-	orig.Engine.Run(end)
-	if got := Fingerprint(orig); got != want {
+	// And the original, which kept going past the save, matches too.
+	if got := Fingerprint(orig.Sys); got != want {
 		t.Fatalf("original continuation diverged: %#x, want %#x", got, want)
 	}
 }
@@ -74,8 +85,8 @@ func TestResumeDetectsDrift(t *testing.T) {
 	sys.Engine.Run(4_000_000)
 	cp := Capture(sys, 0, 4_000_000, "test")
 	cp.Digest ^= 1
-	if _, err := Resume(cp); err == nil {
-		t.Fatal("Resume accepted a tampered digest")
+	if _, err := resume(cp, cp.Cycle); err == nil {
+		t.Fatal("resume accepted a tampered digest")
 	}
 }
 

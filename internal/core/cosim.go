@@ -51,7 +51,7 @@ func BuildCoSim(procs int, seed uint64) *CoSim {
 	heap := jvm.MustNewHeap(space, hcfg)
 
 	net := netsim.NewNetwork(netsim.DefaultLink())
-	ns := netsim.NewNetStack(space, kern, net, netstackConfig(), rng.Derive(1))
+	ns := netsim.NewNetStack(space, kern, netstackConfig(), rng.Derive(1))
 
 	mcfg := memsys.DefaultConfig(8)
 	hier := memsys.New(mcfg)

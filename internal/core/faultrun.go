@@ -22,25 +22,10 @@ type FaultRunOpts struct {
 	// (default memsys.MemFixed).
 	MemModel      memsys.MemModel
 	Schedule      *fault.Schedule
-	Policy        *fault.Policy // nil = fault.DefaultPolicy
 	WarmupCycles  uint64
 	MeasureCycles uint64
 	// BinCycles is the throughput sampling interval.
 	BinCycles uint64
-}
-
-// QuickFaultRunOpts is the reduced test/CI configuration: one partition
-// window inside a short run.
-func QuickFaultRunOpts() FaultRunOpts {
-	return FaultRunOpts{
-		Processors:   2,
-		Seed:         20030208,
-		WarmupCycles: 4_000_000, MeasureCycles: 36_000_000,
-		BinCycles: 2_000_000,
-		Schedule: &fault.Schedule{Events: []fault.Event{
-			{Kind: fault.Partition, At: 12_000_000, Duration: 8_000_000, Peer: 1},
-		}},
-	}
 }
 
 // FaultRecovery is the measured recovery from one scheduled fault window.
@@ -118,7 +103,7 @@ func runFaultExperiment(o FaultRunOpts, r *Run) FaultRunResult {
 	res.Baseline = binnedRun(clean, o)
 
 	p := o.params()
-	p.FaultSchedule, p.FaultPolicy = o.Schedule, o.Policy
+	p.FaultSchedule = o.Schedule
 	r.attach(BuildSystem(p))
 	res.Faulted = binnedRun(r, o)
 	faulted := r.Sys

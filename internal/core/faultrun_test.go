@@ -5,15 +5,28 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/obs/attr"
 )
+
+// quickFaultRunOpts is the reduced test configuration: one partition window
+// inside a short run.
+func quickFaultRunOpts() FaultRunOpts {
+	return FaultRunOpts{
+		Processors:   2,
+		Seed:         20030208,
+		WarmupCycles: 4_000_000, MeasureCycles: 36_000_000,
+		BinCycles: 2_000_000,
+		Schedule: &fault.Schedule{Events: []fault.Event{
+			{Kind: fault.Partition, At: 12_000_000, Duration: 8_000_000, Peer: 1},
+		}},
+	}
+}
 
 // TestFaultRunCurveAndRecovery drives the quick fault experiment end to
 // end: the partition window must dent throughput, resilience machinery must
 // engage, and throughput must recover after the heal.
 func TestFaultRunCurveAndRecovery(t *testing.T) {
-	o := QuickFaultRunOpts()
+	o := quickFaultRunOpts()
 	r := runFaultExperiment(o, &Run{})
 
 	if len(r.Baseline) != len(r.BinStart) || len(r.Faulted) != len(r.BinStart) {
@@ -63,7 +76,7 @@ func TestFaultRunCurveAndRecovery(t *testing.T) {
 // TestFaultRunDeterministic is the acceptance bar: the same seed and
 // schedule reproduce the identical faulted curve and counters.
 func TestFaultRunDeterministic(t *testing.T) {
-	o := QuickFaultRunOpts()
+	o := quickFaultRunOpts()
 	o.MeasureCycles = 16_000_000
 	o.Schedule.Events[0].At = 8_000_000
 	o.Schedule.Events[0].Duration = 4_000_000
@@ -84,11 +97,11 @@ func TestFaultRunDeterministic(t *testing.T) {
 // covers exactly the window the engine's counters do, and the final
 // attribution epoch is closed.
 func TestFaultRunMeasuresWindow(t *testing.T) {
-	o := QuickFaultRunOpts()
+	o := quickFaultRunOpts()
 	o.MeasureCycles = 16_000_000
 	o.Schedule.Events[0].At = 8_000_000
 	o.Schedule.Events[0].Duration = 4_000_000
-	ob := obs.NewObserver()
+	ob := newObserver()
 	ob.Attr = attr.NewCollector(attr.Options{})
 	r := runFaultExperiment(o, &Run{Observer: ob})
 	checkProfileMatchesCounters(t, ob.Profiler, r.System)
@@ -107,28 +120,20 @@ func TestFaultMetricsAndTraceEvents(t *testing.T) {
 			{Kind: fault.Partition, At: 5_000_000, Duration: 8_000_000, Peer: 1},
 		}},
 	})
-	ob := obs.NewObserver()
+	ob := newObserver()
 	delta := observeRun(t, sys, ob, nil, 2_000_000, 16_000_000)
 
-	names := ob.Registry.Names()
-	registered := func(name string) bool {
-		for _, n := range names {
-			if n == name {
-				return true
-			}
-		}
-		return false
-	}
+	snap := ob.Registry.Snapshot()
 	for _, name := range []string{"fault.breaker.opens", "fault.breaker.rejects",
 		"fault.shed", "workload.ops.failed", "workload.ops.shed"} {
-		if !registered(name) {
+		if _, ok := metric(t, snap, name); !ok {
 			t.Fatalf("metric %q not registered", name)
 		}
 	}
-	if delta.Counter("fault.call.timeouts") == 0 {
+	if counter(t, delta, "fault.call.timeouts") == 0 {
 		t.Fatal("fault.call.timeouts is zero across a partition window")
 	}
-	if delta.Counter("fault.injected.dropped_partition") == 0 {
+	if counter(t, delta, "fault.injected.dropped_partition") == 0 {
 		t.Fatal("fault.injected.dropped_partition is zero")
 	}
 
@@ -152,7 +157,7 @@ func TestFaultMetricsAndTraceEvents(t *testing.T) {
 // TestFaultFigureRenders checks the figure driver produces both series and
 // the resilience note.
 func TestFaultFigureRenders(t *testing.T) {
-	o := QuickFaultRunOpts()
+	o := quickFaultRunOpts()
 	o.MeasureCycles = 16_000_000
 	o.Schedule.Events[0].At = 8_000_000
 	o.Schedule.Events[0].Duration = 4_000_000

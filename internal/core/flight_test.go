@@ -63,19 +63,13 @@ func TestFlightPassivity(t *testing.T) {
 	}
 	// The ring saw traffic, bounded, and its accounting is published as
 	// metrics alongside the tracer's dropped counter.
-	if rec.Ring().Total() == 0 {
+	if ob.Tracer.Ring().Total() == 0 {
 		t.Fatal("flight ring recorded no events")
 	}
-	names := ob.Registry.Names()
+	snap := ob.Registry.Snapshot()
 	for _, want := range []string{"trace.dropped", "trace.ring_evicted"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("metric %q not registered (have %v)", want, names)
+		if _, ok := metric(t, snap, want); !ok {
+			t.Fatalf("metric %q not registered (have\n%s)", want, snapText(t, snap))
 		}
 	}
 }

@@ -70,7 +70,10 @@ func TestLatencyIsPassive(t *testing.T) {
 func TestLatencyConservation(t *testing.T) {
 	sys, rt := runLatency(t, ECperf, 4, 20030208, "")
 	res := sys.Engine.Results()
-	counts := rt.CountByClass()
+	counts := map[string]uint64{}
+	for _, c := range rt.BuildReport().Classes {
+		counts[c.Class] = c.Latency.Count
+	}
 	if len(counts) == 0 {
 		t.Fatal("collector recorded no requests")
 	}

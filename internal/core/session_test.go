@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -21,6 +22,35 @@ func snapText(t *testing.T, s *obs.Snapshot) string {
 		t.Fatal(err)
 	}
 	return b.String()
+}
+
+// metric returns the rest of name's line in a snapshot's text rendering
+// (the -metrics format), and whether the snapshot has name.
+func metric(t *testing.T, s *obs.Snapshot, name string) (string, bool) {
+	t.Helper()
+	for _, line := range strings.Split(snapText(t, s), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == name {
+			return strings.Join(f[1:], " "), true
+		}
+	}
+	return "", false
+}
+
+// counter returns a counter's value from a snapshot's text rendering.
+func counter(t *testing.T, s *obs.Snapshot, name string) uint64 {
+	t.Helper()
+	v, ok := metric(t, s, name)
+	n, err := strconv.ParseUint(v, 10, 64)
+	if !ok || err != nil {
+		t.Fatalf("snapshot has no counter %q", name)
+	}
+	return n
+}
+
+// newObserver returns an observer with a tracer, an empty registry and a
+// profiler.
+func newObserver() *obs.Observer {
+	return &obs.Observer{Tracer: obs.NewTracer(), Registry: obs.NewRegistry(), Profiler: obs.NewProfiler()}
 }
 
 // testSession builds a session over flags with latency, metrics, and the
@@ -106,7 +136,7 @@ func TestResumeKeepsAttachments(t *testing.T) {
 // counters.
 func TestSessionFaultExperimentDelta(t *testing.T) {
 	s, dir := testSession(t)
-	o := QuickFaultRunOpts()
+	o := quickFaultRunOpts()
 	o.MeasureCycles = 16_000_000
 	o.Schedule.Events[0].At = 8_000_000
 	o.Schedule.Events[0].Duration = 4_000_000
@@ -118,7 +148,7 @@ func TestSessionFaultExperimentDelta(t *testing.T) {
 	if r.Delta == nil {
 		t.Fatal("fault run left no metrics delta")
 	}
-	if got, want := r.Delta.Counter("workload.ops"), res.System.Engine.Results().BusinessOps; got != want {
+	if got, want := counter(t, r.Delta, "workload.ops"), res.System.Engine.Results().BusinessOps; got != want {
 		t.Errorf("metrics delta ops = %d, measurement window = %d", got, want)
 	}
 	if err := s.Finish([]uint64{o.Seed}, nil); err != nil {

@@ -322,7 +322,7 @@ func BuildSystem(p SystemParams) *System {
 		}
 		sys.Supplier = db.NewServer(supplierConfig(), rng.Derive(11))
 		net.AddPeer(ecperf.PeerSupplier, sys.Supplier)
-		ns := netsim.NewNetStack(space, kern, net, netstackConfig(), rng.Derive(12))
+		ns := netsim.NewNetStack(space, kern, netstackConfig(), rng.Derive(12))
 
 		eng := osmodel.NewEngine(ecfg, hier, layout, net, rng.Derive(1))
 		osmodel.AddOSDaemons(eng, space, kern, rng.Derive(2))
@@ -366,7 +366,7 @@ func BuildSystem(p SystemParams) *System {
 		// Clients are loopback; no remote peers are needed, but the kernel
 		// stack is the whole point.
 		net := netsim.NewNetwork(netsim.DefaultLink())
-		ns := netsim.NewNetStack(space, kern, net, netstackConfig(), rng.Derive(12))
+		ns := netsim.NewNetStack(space, kern, netstackConfig(), rng.Derive(12))
 
 		eng := osmodel.NewEngine(ecfg, hier, layout, net, rng.Derive(1))
 		osmodel.AddOSDaemons(eng, space, kern, rng.Derive(2))

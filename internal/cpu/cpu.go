@@ -136,9 +136,6 @@ func NewCore(cfg Config, id int, hier *memsys.Hierarchy, gen *ifetch.Gen) *Core 
 	return &Core{cfg: cfg, id: id, hier: hier, gen: gen, sb: make([]uint64, cfg.StoreBufEntries)}
 }
 
-// ID returns the core's CPU slot.
-func (c *Core) ID() int { return c.id }
-
 // ExecInstr executes an n-instruction segment of the given component at
 // simulated time now, returning the cycles consumed (base + fetch stalls).
 func (c *Core) ExecInstr(comp mem.ComponentID, n uint64, now uint64) uint64 {

@@ -19,7 +19,7 @@ func testRig(t *testing.T) (*Core, *memsys.Hierarchy) {
 	h := memsys.New(mcfg)
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
-	layout.Add("app", 64<<10, false, ifetch.DefaultProfile())
+	layout.Add("app", 64<<10, false, hotCold)
 	gen := ifetch.NewGen(layout, simrand.New(7))
 	return NewCore(DefaultConfig(), 0, h, gen), h
 }

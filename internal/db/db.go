@@ -36,12 +36,6 @@ func DefaultDatabaseConfig() Config {
 	return Config{Workers: 16, BaseServiceCycles: 60_000, PerByteCycles: 2, Jitter: 0.3}
 }
 
-// DefaultSupplierConfig models the supplier emulator: a slower single
-// machine parsing XML documents.
-func DefaultSupplierConfig() Config {
-	return Config{Workers: 4, BaseServiceCycles: 150_000, PerByteCycles: 4, Jitter: 0.3}
-}
-
 // Server is a deterministic queueing model of one remote machine. It
 // implements netsim.Responder.
 type Server struct {

@@ -191,22 +191,6 @@ func (e *Event) validate() error {
 	return nil
 }
 
-// Horizon returns the last cycle any window (including crash-restart ramps)
-// is still in effect, or 0 for an empty schedule.
-func (s *Schedule) Horizon() uint64 {
-	var h uint64
-	for _, e := range s.Events {
-		end := e.End()
-		if e.Kind == NodeCrash {
-			end += e.Duration / 2 // restart ramp
-		}
-		if end > h {
-			h = end
-		}
-	}
-	return h
-}
-
 // Demo returns the documented demonstration schedule used by
 // `ecperfsim -faults demo`: one window of every fault kind spread across
 // [start, start+span), sized so the windows are well separated and recovery
@@ -294,14 +278,6 @@ func NewInjector(s *Schedule, rng *simrand.Rand) *Injector {
 		s = &Schedule{}
 	}
 	return &Injector{sched: s, rng: rng, tid: -1}
-}
-
-// Schedule returns the injector's schedule.
-func (inj *Injector) Schedule() *Schedule {
-	if inj == nil {
-		return nil
-	}
-	return inj.sched
 }
 
 // AttachTracer emits every scheduled window as a span on the given trace

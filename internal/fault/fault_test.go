@@ -351,7 +351,13 @@ func TestDemoScheduleCoversEveryKind(t *testing.T) {
 			t.Fatalf("demo schedule missing kind %v", k)
 		}
 	}
-	if h := s.Horizon(); h > 12_000_000+50_000_000 {
-		t.Fatalf("demo schedule overruns the window: horizon %d", h)
+	for _, e := range s.Events {
+		end := e.End()
+		if e.Kind == NodeCrash {
+			end += e.Duration / 2 // restart ramp
+		}
+		if end > 12_000_000+50_000_000 {
+			t.Fatalf("demo schedule overruns the window: %v ends at %d", e.Kind, end)
+		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // sequential run.
 func BenchmarkNextRun(b *testing.B) {
 	l := NewCodeLayout(mem.NewAddrSpace())
-	c := l.Add("app", 384<<10, false, DefaultProfile())
+	c := l.Add("app", 384<<10, false, hotCold)
 	g := NewGen(l, simrand.New(1))
 	var sink mem.Addr
 	b.ResetTimer()

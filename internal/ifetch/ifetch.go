@@ -45,18 +45,6 @@ type Profile struct {
 	RunBlocks int
 }
 
-// DefaultProfile is a generic code profile: 10% of the code takes 90% of
-// the fetches.
-func DefaultProfile() Profile {
-	return Profile{
-		Tiers: []Tier{
-			{CodeFrac: 0.10, FetchFrac: 0.90},
-			{CodeFrac: 0.90, FetchFrac: 0.10},
-		},
-		RunBlocks: 4,
-	}
-}
-
 func (p Profile) validate() error {
 	if p.RunBlocks < 0 {
 		return fmt.Errorf("ifetch: negative RunBlocks %d", p.RunBlocks)
@@ -170,18 +158,9 @@ func (l *CodeLayout) Component(id mem.ComponentID) *Component {
 // Components returns all registered components.
 func (l *CodeLayout) Components() []*Component { return l.comps }
 
-// TotalCodeBytes returns the summed code footprint of all components.
-func (l *CodeLayout) TotalCodeBytes() uint64 {
-	var n uint64
-	for _, c := range l.comps {
-		n += c.Region.Size
-	}
-	return n
-}
-
 // genComp is a Gen's per-component fetch cursor, packed with the
 // component's region base and size so the sequential-run fast path of
-// NextBlock touches exactly one small struct instead of chasing the
+// NextRun touches exactly one small struct instead of chasing the
 // component pointer and three parallel slices.
 type genComp struct {
 	base   mem.Addr
@@ -230,23 +209,10 @@ func (g *Gen) jump(c *Component) {
 	gc.left = int64(run)
 }
 
-// NextBlock returns the next fetch-block address for the component.
-func (g *Gen) NextBlock(id mem.ComponentID) mem.Addr {
-	gc := &g.comps[id]
-	if gc.left <= 0 || gc.cur >= gc.blocks {
-		g.jump(g.layout.comps[id])
-	}
-	addr := gc.base + gc.cur*BlockBytes
-	gc.cur++
-	gc.left--
-	return addr
-}
-
 // NextRun returns the next fetch blocks as one sequential run: the first
-// block's address and the block count (1..max). The run covers exactly the
-// blocks that max consecutive NextBlock calls would have produced up to the
-// next branch or region end, with the same generator state afterwards, so a
-// fetch loop can pay one call per run instead of one per 64-byte block.
+// block's address and the block count (1..max). The run ends at the next
+// branch or region end, or after max blocks, so a fetch loop pays one call
+// per run instead of one per 64-byte block.
 func (g *Gen) NextRun(id mem.ComponentID, max uint64) (mem.Addr, uint64) {
 	gc := &g.comps[id]
 	if gc.left <= 0 || gc.cur >= gc.blocks {

@@ -15,6 +15,19 @@ func layoutWith(t *testing.T, size uint64, p Profile) (*CodeLayout, *Component) 
 	return l, c
 }
 
+// hotCold is a generic code profile: 10% of the code takes 90% of the
+// fetches.
+var hotCold = Profile{
+	Tiers:     []Tier{{CodeFrac: 0.10, FetchFrac: 0.90}, {CodeFrac: 0.90, FetchFrac: 0.10}},
+	RunBlocks: 4,
+}
+
+// nextBlock returns the component's next fetch block: a run of at most one.
+func nextBlock(g *Gen, id mem.ComponentID) mem.Addr {
+	a, _ := g.NextRun(id, 1)
+	return a
+}
+
 func TestAddRoundsUpAndAssignsIDs(t *testing.T) {
 	l := NewCodeLayout(mem.NewAddrSpace())
 	a := l.Add("a", 1, false, Profile{})
@@ -34,9 +47,6 @@ func TestAddRoundsUpAndAssignsIDs(t *testing.T) {
 	if l.Component(1) != b || len(l.Components()) != 2 {
 		t.Fatal("lookup wrong")
 	}
-	if l.TotalCodeBytes() != 64+192 {
-		t.Fatalf("TotalCodeBytes = %d", l.TotalCodeBytes())
-	}
 }
 
 func TestInvalidProfilePanics(t *testing.T) {
@@ -50,10 +60,10 @@ func TestInvalidProfilePanics(t *testing.T) {
 }
 
 func TestAddressesStayInRegion(t *testing.T) {
-	l, c := layoutWith(t, 256<<10, DefaultProfile())
+	l, c := layoutWith(t, 256<<10, hotCold)
 	g := NewGen(l, simrand.New(1))
 	for i := 0; i < 100000; i++ {
-		a := g.NextBlock(c.ID)
+		a := nextBlock(g, c.ID)
 		if !c.Region.Contains(a) {
 			t.Fatalf("fetch address %x outside region [%x,%x)", a, c.Region.Base, c.Region.End())
 		}
@@ -64,16 +74,13 @@ func TestAddressesStayInRegion(t *testing.T) {
 }
 
 func TestHotTierGetsMostFetches(t *testing.T) {
-	l, c := layoutWith(t, 1<<20, Profile{
-		Tiers:     []Tier{{CodeFrac: 0.10, FetchFrac: 0.90}, {CodeFrac: 0.90, FetchFrac: 0.10}},
-		RunBlocks: 4,
-	})
+	l, c := layoutWith(t, 1<<20, hotCold)
 	g := NewGen(l, simrand.New(2))
 	hotEnd := c.Region.Base + c.tierLen[0]*BlockBytes
 	hot := 0
 	const n = 200000
 	for i := 0; i < n; i++ {
-		if g.NextBlock(c.ID) < hotEnd {
+		if nextBlock(g, c.ID) < hotEnd {
 			hot++
 		}
 	}
@@ -86,11 +93,11 @@ func TestHotTierGetsMostFetches(t *testing.T) {
 func TestSequentialRuns(t *testing.T) {
 	l, c := layoutWith(t, 1<<20, Profile{RunBlocks: 8})
 	g := NewGen(l, simrand.New(3))
-	prev := g.NextBlock(c.ID)
+	prev := nextBlock(g, c.ID)
 	sequential := 0
 	const n = 50000
 	for i := 0; i < n; i++ {
-		a := g.NextBlock(c.ID)
+		a := nextBlock(g, c.ID)
 		if a == prev+BlockBytes {
 			sequential++
 		}
@@ -115,7 +122,7 @@ func TestBlocksFor(t *testing.T) {
 // TestNextRunCallCount: fetching an n-instruction segment run by run, each
 // run capped at the blocks still due, covers exactly ceil(n/16) blocks.
 func TestNextRunCallCount(t *testing.T) {
-	l, c := layoutWith(t, 64<<10, DefaultProfile())
+	l, c := layoutWith(t, 64<<10, hotCold)
 	g := NewGen(l, simrand.New(4))
 	count := uint64(0)
 	for left := BlocksFor(1000); left > 0; {
@@ -134,11 +141,11 @@ func TestNextRunCallCount(t *testing.T) {
 func TestDeterministicStream(t *testing.T) {
 	mk := func() []mem.Addr {
 		l := NewCodeLayout(mem.NewAddrSpace())
-		c := l.Add("x", 512<<10, false, DefaultProfile())
+		c := l.Add("x", 512<<10, false, hotCold)
 		g := NewGen(l, simrand.New(9))
 		var out []mem.Addr
 		for i := 0; i < 1000; i++ {
-			out = append(out, g.NextBlock(c.ID))
+			out = append(out, nextBlock(g, c.ID))
 		}
 		return out
 	}
@@ -162,11 +169,11 @@ func TestFootprintDrivesMissCurve(t *testing.T) {
 		sw := cache.NewSweep([]cache.Config{{Name: "I", SizeBytes: cacheBytes, Assoc: 4, BlockBytes: 64}})
 		// Warm up (long enough to touch the cold tail), then measure.
 		for i := 0; i < 600000; i++ {
-			sw.Access(g.NextBlock(c.ID), mem.IFetch)
+			sw.AccessRange(nextBlock(g, c.ID), 1, mem.IFetch)
 		}
 		sw.ResetStats()
 		for i := 0; i < 200000; i++ {
-			sw.Access(g.NextBlock(c.ID), mem.IFetch)
+			sw.AccessRange(nextBlock(g, c.ID), 1, mem.IFetch)
 		}
 		return sw.MissCurve()[0].MissRatio
 	}

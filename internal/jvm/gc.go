@@ -117,7 +117,7 @@ func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 	// Sweep: free unmarked young objects, rebuild the remembered set from
 	// survivors of this collection (a promoted object may still point at a
 	// young survivor).
-	var survivorBytes uint64
+	var survivorBytes, freedBytes uint64
 	h.remset = make(map[ObjectID]struct{})
 	for i := 1; i < len(h.objects); i++ {
 		o := &h.objects[i]
@@ -134,6 +134,7 @@ func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 			continue
 		}
 		if o.young {
+			freedBytes += uint64(o.size)
 			h.free(ObjectID(i))
 		} else {
 			// Untouched old object: its refs did not change, but targets
@@ -154,6 +155,7 @@ func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 		Items:      gcRec.Finish().Items,
 		LiveBytes:  h.Stats.LiveAfterLastGC,
 		CopiedObjs: copiedObjs,
+		FreedBytes: freedBytes,
 	}
 	h.countGCInstr(gc)
 	if rec != nil {
@@ -228,14 +230,12 @@ func (h *Heap) MajorGC(rec *trace.Recorder) *trace.GC {
 			push(id)
 		}
 	}
-	var markedObjs uint64
 	for len(work) > 0 {
 		id := work[len(work)-1]
 		work = work[:len(work)-1]
 		o := &h.objects[id]
 		gcRec.Read(o.addr, HeaderBytes+uint32(8*len(o.refs)))
 		gcRec.Instr(h.cfg.GCComp, h.cfg.PerObjInstr/2+uint32(2*len(o.refs)))
-		markedObjs++
 		for _, ref := range o.refs {
 			push(ref)
 		}
@@ -248,6 +248,7 @@ func (h *Heap) MajorGC(rec *trace.Recorder) *trace.GC {
 		addr mem.Addr
 	}
 	var oldLive, youngLive []liveObj
+	var freedBytes uint64
 	for i := 1; i < len(h.objects); i++ {
 		o := &h.objects[i]
 		if !o.live {
@@ -258,6 +259,7 @@ func (h *Heap) MajorGC(rec *trace.Recorder) *trace.GC {
 			continue
 		}
 		if !o.mark {
+			freedBytes += uint64(o.size)
 			h.free(ObjectID(i))
 			continue
 		}
@@ -308,12 +310,12 @@ func (h *Heap) MajorGC(rec *trace.Recorder) *trace.GC {
 		Major:      true,
 		LiveBytes:  h.Stats.LiveAfterLastGC,
 		CopiedObjs: relocated,
+		FreedBytes: freedBytes,
 	}
 	h.countGCInstr(gc)
 	if rec != nil {
 		rec.GCPause(gc)
 	}
-	_ = markedObjs
 	return gc
 }
 

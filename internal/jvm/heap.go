@@ -225,9 +225,6 @@ func (h *Heap) IsLive(id ObjectID) bool {
 	return id != NilObject && int(id) < len(h.objects) && h.objects[id].live
 }
 
-// IsYoung reports whether the object is in the new generation (for tests).
-func (h *Heap) IsYoung(id ObjectID) bool { return h.objects[id].young }
-
 // EdenUsed returns bytes currently bump-allocated in eden (including
 // unparceled TLAB space).
 func (h *Heap) EdenUsed() uint64 { return uint64(h.edenNext - h.eden.Base) }
@@ -314,9 +311,6 @@ func (h *Heap) SetAllocSite(tid int, site string) {
 	}
 	h.curSite[tid] = id
 }
-
-// AllocSiteOf returns the object's allocation-site label ("" if unlabeled).
-func (h *Heap) AllocSiteOf(id ObjectID) string { return h.sites[h.objects[id].site] }
 
 // SetAttr attaches the attribution collector: every collection boundary
 // closes an attribution epoch against the pre-GC address layout, so line

@@ -27,6 +27,55 @@ func newHeap(t *testing.T) *Heap {
 
 func rec() *trace.Recorder { return trace.NewRecorder("test", false) }
 
+// liveSizes returns the size of every live object.
+func liveSizes(h *Heap) map[ObjectID]uint32 {
+	m := map[ObjectID]uint32{}
+	for i := 1; i < len(h.objects); i++ {
+		if h.objects[i].live {
+			m[ObjectID(i)] = h.objects[i].size
+		}
+	}
+	return m
+}
+
+// TestGCFreedBytes: each collection reports the summed size of the objects
+// that were live before it and are not after.
+func TestGCFreedBytes(t *testing.T) {
+	h := newHeap(t)
+	r := rec()
+	check := func(name string, collect func(*trace.Recorder) *trace.GC) {
+		t.Helper()
+		before := liveSizes(h)
+		gc := collect(r)
+		var want uint64
+		for id, size := range before {
+			if !h.objects[id].live {
+				want += uint64(size)
+			}
+		}
+		if want == 0 || gc.FreedBytes != want {
+			t.Errorf("%s: FreedBytes = %d, want %d (nonzero)", name, gc.FreedBytes, want)
+		}
+	}
+	keep := h.Alloc(r, 1, 200, 2)
+	old := h.Alloc(r, 1, 512, 0)
+	h.AddRoot(keep)
+	h.SetRef(r, keep, 0, old)
+	for i := 0; i < 10; i++ {
+		h.Alloc(r, 1, uint32(96+8*i), 0) // young garbage
+	}
+	h.ClearStack(1)
+	check("minor", h.MinorGC)
+
+	h.MajorGC(r) // promotes keep and old
+	h.SetRef(r, keep, 0, NilObject)
+	for i := 0; i < 5; i++ {
+		h.Alloc(r, 1, 1024, 0)
+	}
+	h.ClearStack(1)
+	check("major", h.MajorGC) // frees old (an old object) and the young garbage
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.NewGenBytes = c.HeapBytes },
@@ -55,7 +104,7 @@ func TestAllocBasics(t *testing.T) {
 	if h.Size(id) != 104 { // padded to 8
 		t.Fatalf("size = %d", h.Size(id))
 	}
-	if !h.IsYoung(id) || !h.IsLive(id) {
+	if !h.objects[id].young || !h.IsLive(id) {
 		t.Fatal("fresh object not live+young")
 	}
 	if h.NumRefs(id) != 2 {
@@ -95,7 +144,7 @@ func TestTLABsArePerThread(t *testing.T) {
 func TestLargeObjectGoesOld(t *testing.T) {
 	h := newHeap(t)
 	id := h.Alloc(rec(), 1, uint32(h.Config().LargeObject), 0)
-	if h.IsYoung(id) {
+	if h.objects[id].young {
 		t.Fatal("large object allocated young")
 	}
 	if h.OldUsed() == 0 {
@@ -158,7 +207,7 @@ func TestCopyMovesAndIDsStable(t *testing.T) {
 	if before == after {
 		t.Fatal("survivor did not move")
 	}
-	if !h.IsYoung(id) {
+	if !h.objects[id].young {
 		t.Fatal("first-copy survivor should still be young")
 	}
 }
@@ -171,7 +220,7 @@ func TestPromotionAfterAge(t *testing.T) {
 	for i := 0; i < int(h.Config().PromoteAge); i++ {
 		h.MinorGC(r)
 	}
-	if h.IsYoung(id) {
+	if h.objects[id].young {
 		t.Fatal("object not promoted after aging")
 	}
 	if h.Stats.PromotedBytes == 0 {
@@ -205,7 +254,7 @@ func TestRememberedSetKeepsYoungAlive(t *testing.T) {
 	for i := 0; i < int(h.Config().PromoteAge); i++ {
 		h.MinorGC(r)
 	}
-	if h.IsYoung(old) {
+	if h.objects[old].young {
 		t.Fatal("setup: old not promoted")
 	}
 	young := h.Alloc(r, 1, 64, 0)
@@ -264,7 +313,7 @@ func TestMajorGCCompactsAndReclaims(t *testing.T) {
 		}
 	}
 	for i := 32; i < 64; i++ {
-		if !h.IsLive(ids[i]) || h.IsYoung(ids[i]) {
+		if !h.IsLive(ids[i]) || h.objects[ids[i]].young {
 			t.Fatal("rooted old object lost or demoted")
 		}
 	}
@@ -279,7 +328,7 @@ func TestMajorGCPromotesAllYoung(t *testing.T) {
 	id := h.Alloc(r, 1, 64, 0)
 	h.AddRoot(id)
 	h.MajorGC(r)
-	if h.IsYoung(id) {
+	if h.objects[id].young {
 		t.Fatal("young survivor of full GC not promoted")
 	}
 	if h.EdenUsed() != 0 {
@@ -499,7 +548,7 @@ func TestSurvivorOverflowPromotesEarly(t *testing.T) {
 	h.MinorGC(r)
 	promoted := 0
 	for _, id := range ids {
-		if !h.IsYoung(id) {
+		if !h.objects[id].young {
 			promoted++
 		}
 	}
@@ -529,7 +578,7 @@ func TestRemsetPrunedAfterTargetPromotes(t *testing.T) {
 	for i := 0; i < int(h.Config().PromoteAge); i++ {
 		h.MinorGC(r) // child promotes too
 	}
-	if h.IsYoung(child) {
+	if h.objects[child].young {
 		t.Fatal("setup: child still young")
 	}
 	if len(h.remset) != 0 {

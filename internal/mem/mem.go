@@ -23,22 +23,8 @@ type Addr = uint64
 // sizes for its own configurations.
 const LineBytes = 64
 
-// LineShift is log2(LineBytes).
-const LineShift = 6
-
 // Line returns the cache-line-aligned address containing a.
 func Line(a Addr) Addr { return a &^ (LineBytes - 1) }
-
-// LinesSpanned returns how many coherence lines the byte range [a, a+size)
-// touches. A zero-size range spans zero lines.
-func LinesSpanned(a Addr, size uint64) uint64 {
-	if size == 0 {
-		return 0
-	}
-	first := Line(a)
-	last := Line(a + size - 1)
-	return (last-first)/LineBytes + 1
-}
 
 // AccessType classifies a memory reference.
 type AccessType uint8
@@ -114,9 +100,6 @@ func (s *AddrSpace) Reserve(name string, size uint64) Region {
 	s.next += (size + regionAlign - 1) &^ (regionAlign - 1)
 	return r
 }
-
-// Regions returns all reserved regions in reservation order.
-func (s *AddrSpace) Regions() []Region { return s.regions }
 
 // FindRegion returns the region containing a, if any. Reserve hands out
 // regions at strictly ascending bases, so the candidate is the last region

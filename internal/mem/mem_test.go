@@ -3,7 +3,6 @@ package mem
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
 )
 
 func TestLine(t *testing.T) {
@@ -14,51 +13,6 @@ func TestLine(t *testing.T) {
 		if got := Line(c.in); got != c.want {
 			t.Errorf("Line(%d) = %d, want %d", c.in, got, c.want)
 		}
-	}
-}
-
-func TestLinesSpanned(t *testing.T) {
-	cases := []struct {
-		a    Addr
-		size uint64
-		want uint64
-	}{
-		{0, 0, 0},
-		{0, 1, 1},
-		{0, 64, 1},
-		{0, 65, 2},
-		{63, 2, 2},
-		{63, 1, 1},
-		{64, 128, 2},
-		{100, 200, 4}, // 100..299 spans lines 64,128,192,256
-	}
-	for _, c := range cases {
-		if got := LinesSpanned(c.a, c.size); got != c.want {
-			t.Errorf("LinesSpanned(%d,%d) = %d, want %d", c.a, c.size, got, c.want)
-		}
-	}
-}
-
-func TestQuickLinesSpannedConsistent(t *testing.T) {
-	f := func(a uint32, size uint16) bool {
-		if size == 0 {
-			return LinesSpanned(Addr(a), 0) == 0
-		}
-		n := LinesSpanned(Addr(a), uint64(size))
-		// Count lines the slow way.
-		var slow uint64
-		seen := Addr(0xffffffffffffffff)
-		for off := uint64(0); off < uint64(size); off++ {
-			l := Line(Addr(a) + off)
-			if l != seen {
-				slow++
-				seen = l
-			}
-		}
-		return n == slow
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -150,7 +104,7 @@ func TestFindRegionMatchesLinearScan(t *testing.T) {
 		s.Reserve(fmt.Sprintf("r%d", i), sz)
 	}
 	linear := func(a Addr) (Region, bool) {
-		for _, r := range s.Regions() {
+		for _, r := range s.regions {
 			if r.Contains(a) {
 				return r, true
 			}
@@ -158,10 +112,10 @@ func TestFindRegionMatchesLinearScan(t *testing.T) {
 		return Region{}, false
 	}
 	var probes []Addr
-	for _, r := range s.Regions() {
+	for _, r := range s.regions {
 		probes = append(probes, r.Base-1, r.Base, r.Base+1, r.Base+r.Size/2, r.End()-1, r.End(), r.End()+regionAlign/2)
 	}
-	probes = append(probes, 0, 1, regionAlign/2, s.Regions()[len(sizes)-1].End()+42*regionAlign)
+	probes = append(probes, 0, 1, regionAlign/2, s.regions[len(sizes)-1].End()+42*regionAlign)
 	for _, a := range probes {
 		wantR, wantOK := linear(a)
 		gotR, gotOK := s.FindRegion(a)

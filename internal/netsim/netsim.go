@@ -83,9 +83,6 @@ func (n *Network) AddExternalPeer(id uint8) { n.externals[id] = true }
 // External reports whether the peer is co-simulated.
 func (n *Network) External(id uint8) bool { return n.externals[id] }
 
-// Link returns the network's link parameters.
-func (n *Network) Link() Link { return n.link }
-
 // SetFaults attaches a fault injector; latency-spike windows in its
 // schedule then stretch round-trip transfer times. nil detaches.
 func (n *Network) SetFaults(inj *fault.Injector) { n.faults = inj }
@@ -129,17 +126,6 @@ type StackConfig struct {
 	BufferBytes uint32
 }
 
-// DefaultStackConfig returns a Solaris-flavored kernel path.
-func DefaultStackConfig() StackConfig {
-	return StackConfig{
-		SendInstr:    3_000,
-		RecvInstr:    3_500,
-		PerByteInstr: 0.25,
-		HotLines:     6,
-		BufferBytes:  2048,
-	}
-}
-
 // kernelLockBase namespaces kernel lock IDs away from JVM monitor IDs.
 const kernelLockBase = 1 << 48
 
@@ -147,7 +133,6 @@ const kernelLockBase = 1 << 48
 type NetStack struct {
 	cfg      StackConfig
 	comp     *ifetch.Component // kernel code component
-	network  *Network
 	lockID   uint64
 	lockAddr mem.Addr
 	hot      []mem.Addr
@@ -155,12 +140,11 @@ type NetStack struct {
 	bufSize  uint64
 	bufNext  uint64
 	rng      *simrand.Rand
-	calls    uint64
 }
 
 // NewNetStack carves kernel data out of the machine's address space. comp
 // must be a kernel component registered in the machine's code layout.
-func NewNetStack(space *mem.AddrSpace, comp *ifetch.Component, network *Network, cfg StackConfig, rng *simrand.Rand) *NetStack {
+func NewNetStack(space *mem.AddrSpace, comp *ifetch.Component, cfg StackConfig, rng *simrand.Rand) *NetStack {
 	if !comp.Kernel {
 		panic("netsim: network stack component must be a kernel component")
 	}
@@ -170,7 +154,6 @@ func NewNetStack(space *mem.AddrSpace, comp *ifetch.Component, network *Network,
 	ns := &NetStack{
 		cfg:      cfg,
 		comp:     comp,
-		network:  network,
 		lockID:   kernelLockBase + 1,
 		lockAddr: lockRegion.Base,
 		bufBase:  bufRegion.Base,
@@ -182,9 +165,6 @@ func NewNetStack(space *mem.AddrSpace, comp *ifetch.Component, network *Network,
 	}
 	return ns
 }
-
-// Calls returns how many round trips have been recorded.
-func (ns *NetStack) Calls() uint64 { return ns.calls }
 
 // kernelSection records one kernel network path. Protocol state is updated
 // under the adaptive kernel lock (a short hold: header processing only);
@@ -220,7 +200,6 @@ func (ns *NetStack) kernelSection(rec *trace.Recorder, instr uint32, bytes uint3
 // Call records a full synchronous round trip to peer: kernel send path,
 // blocking wait for the response, kernel receive path.
 func (ns *NetStack) Call(rec *trace.Recorder, peer uint8, reqBytes, respBytes uint32) {
-	ns.calls++
 	ns.kernelSection(rec, ns.cfg.SendInstr, minu32(reqBytes, ns.cfg.BufferBytes))
 	rec.NetCall(peer, reqBytes, respBytes)
 	ns.kernelSection(rec, ns.cfg.RecvInstr, minu32(respBytes, ns.cfg.BufferBytes))
@@ -238,9 +217,6 @@ func (ns *NetStack) ReceiveRequest(rec *trace.Recorder, bytes uint32) {
 func (ns *NetStack) SendResponse(rec *trace.Recorder, bytes uint32) {
 	ns.kernelSection(rec, ns.cfg.SendInstr, minu32(bytes, ns.cfg.BufferBytes))
 }
-
-// Network returns the network this stack sends on.
-func (ns *NetStack) Network() *Network { return ns.network }
 
 func minu32(a, b uint32) uint32 {
 	if a < b {

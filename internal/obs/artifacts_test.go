@@ -27,7 +27,7 @@ func goldenObserver(pid int, scale uint64) *Observer {
 	}
 	ob.Tracer.Pid = pid
 	ob.Tracer.NameProcess(pid, "run"+string(rune('A'+pid)))
-	ob.Tracer.Span(CompWorkload, "op.neworder", 1, 10*scale, 40*scale, Bool("ok", true))
+	ob.Tracer.Span(CompWorkload, "op.neworder", 1, 10*scale, 40*scale, U64("ok", 1))
 	if ob.Tracer.Admit(CompMem) { // the first of every 16 is sampled out
 		ob.Tracer.Instant(CompMem, "bus.gets", 2, 25*scale)
 	}

@@ -103,9 +103,6 @@ type Counts struct {
 	Invals     uint64 `json:"invals"`
 }
 
-// Misses returns the data-moving bus transactions (the bus's DataRequests).
-func (c *Counts) Misses() uint64 { return c.GetS + c.GetM }
-
 // Total returns all attributed events.
 func (c *Counts) Total() uint64 {
 	return c.GetS + c.GetM + c.Upgrades + c.Writebacks + c.Invals
@@ -250,17 +247,6 @@ func NewCollector(opt Options) *Collector {
 		c.index = make(map[uint64]uint32)
 	}
 	return c
-}
-
-// Exact reports whether the collector runs unsampled.
-func (c *Collector) Exact() bool { return c != nil && c.opt.Exact }
-
-// SampleShift returns the current sample shift (tracked fraction 1/2^shift).
-func (c *Collector) SampleShift() uint {
-	if c == nil {
-		return 0
-	}
-	return c.shift
 }
 
 // Len returns the number of tracked lines.
@@ -710,17 +696,4 @@ func (c *Collector) BuildReport(topN int) *Report {
 	}
 	r.HotObjects = objs
 	return r
-}
-
-// SumCounts returns the sum over all tracked lines' cumulative counts (for
-// conservation tests in exact mode).
-func (c *Collector) SumCounts() Counts {
-	var out Counts
-	if c == nil {
-		return out
-	}
-	for i := range c.lines {
-		out.add(c.lines[i].total)
-	}
-	return out
 }

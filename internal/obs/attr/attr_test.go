@@ -16,7 +16,7 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	c.Touch(0x1000)
 	c.CloseEpoch(nil, "final")
 	c.Reset()
-	if c.Len() != 0 || c.Events() != 0 || c.EpochCount() != 0 || c.Exact() || c.Shares() != nil || c.Timeline() != nil {
+	if c.Len() != 0 || c.Events() != 0 || c.EpochCount() != 0 || c.Shares() != nil || c.Timeline() != nil {
 		t.Error("nil collector reported non-zero state")
 	}
 	if r := c.BuildReport(5); r != nil {
@@ -121,7 +121,7 @@ func TestSamplingBoundsTableAndKeepsSurvivorHistory(t *testing.T) {
 	if c.Len() >= maxLines {
 		t.Fatalf("sampled table holds %d lines, cap %d", c.Len(), maxLines)
 	}
-	if c.Resamples() == 0 || c.SampleShift() == 0 {
+	if c.Resamples() == 0 || c.shift == 0 {
 		t.Fatal("table exceeded its cap without resampling")
 	}
 	// Nested masks: every surviving line must have complete history — both
@@ -133,8 +133,8 @@ func TestSamplingBoundsTableAndKeepsSurvivorHistory(t *testing.T) {
 			t.Errorf("survivor %#x has %d GetS, want 2 (incomplete history)", h.Addr, h.GetS)
 		}
 	}
-	if r.ScaleFactor != 1<<c.SampleShift() {
-		t.Errorf("scale factor %d != 2^shift %d", r.ScaleFactor, uint64(1)<<c.SampleShift())
+	if r.ScaleFactor != 1<<c.shift {
+		t.Errorf("scale factor %d != 2^shift %d", r.ScaleFactor, uint64(1)<<c.shift)
 	}
 }
 
@@ -147,7 +147,7 @@ func TestExactModeNeverResamples(t *testing.T) {
 	if c.Len() != 4096 {
 		t.Fatalf("exact mode tracked %d of 4096 lines", c.Len())
 	}
-	if c.Resamples() != 0 || c.SampleShift() != 0 {
+	if c.Resamples() != 0 || c.shift != 0 {
 		t.Fatal("exact mode resampled")
 	}
 }
@@ -232,7 +232,7 @@ func TestResetKeepsShiftDropsState(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		c.RecordGetS(uint64(i)*64, 0, false, 0)
 	}
-	shift := c.SampleShift()
+	shift := c.shift
 	if shift == 0 {
 		t.Fatal("test needs an adapted shift")
 	}
@@ -241,8 +241,8 @@ func TestResetKeepsShiftDropsState(t *testing.T) {
 	if c.Len() != 0 || c.Events() != 0 || c.EpochCount() != 0 {
 		t.Error("Reset left state behind")
 	}
-	if c.SampleShift() != shift {
-		t.Errorf("Reset changed the sample shift: %d → %d", shift, c.SampleShift())
+	if c.shift != shift {
+		t.Errorf("Reset changed the sample shift: %d → %d", shift, c.shift)
 	}
 }
 
@@ -299,7 +299,7 @@ func TestTouchSharesTimeline(t *testing.T) {
 	for _, exact := range []bool{true, false} {
 		touched, plain := drive(exact, true), drive(exact, false)
 		if touched.Len() != plain.Len() || touched.Events() != plain.Events() ||
-			touched.SumCounts() != plain.SumCounts() || report(touched) != report(plain) {
+			touched.BuildReport(1).Totals != plain.BuildReport(1).Totals || report(touched) != report(plain) {
 			t.Errorf("exact=%v: Touch changed the tracked lines or the report", exact)
 		}
 		if !slices.Equal(touched.Timeline(), wantBins) {

@@ -186,12 +186,8 @@ func appendEvent(b []byte, e *Event) []byte {
 				b = appendQuoted(b, a.str)
 			case argU64:
 				b = strconv.AppendUint(b, a.num, 10)
-			case argI64:
-				b = strconv.AppendInt(b, int64(a.num), 10)
 			case argF64:
 				b = strconv.AppendFloat(b, math.Float64frombits(a.num), 'g', -1, 64)
-			case argBool:
-				b = strconv.AppendBool(b, a.num != 0)
 			}
 		}
 		b = append(b, '}')

@@ -178,14 +178,6 @@ func FromFlags(f *obs.Flags, label string, ob *obs.Observer) (*obs.Observer, *Re
 	return ob, rec
 }
 
-// Ring returns the recorder's event ring.
-func (r *Recorder) Ring() *obs.EventRing {
-	if r == nil {
-		return nil
-	}
-	return r.ring
-}
-
 // SetCollector attaches the run's latency collector: its in-flight table
 // joins dumps, and its interval burn rates feed the SLO trigger.
 func (r *Recorder) SetCollector(c *reqtrace.Collector) {

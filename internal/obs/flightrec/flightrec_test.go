@@ -198,7 +198,7 @@ func TestNilRecorderInert(t *testing.T) {
 	rec.SetCollector(nil)
 	rec.SetSchedule(nil)
 	rec.SetInspector(nil)
-	if rec.Dumps() != nil || rec.Err() != nil || rec.Summary() != "" || rec.Ring() != nil {
+	if rec.Dumps() != nil || rec.Err() != nil || rec.Summary() != "" {
 		t.Fatal("nil recorder must be fully inert")
 	}
 }

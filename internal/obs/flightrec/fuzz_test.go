@@ -85,17 +85,13 @@ func fuzzArgs(n byte, v uint64) []obs.Arg {
 	var args []obs.Arg
 	for i := range int(n) {
 		key := "a" + strconv.Itoa(i)
-		switch i % 5 {
+		switch i % 3 {
 		case 0:
 			args = append(args, obs.U64(key, v))
 		case 1:
 			args = append(args, obs.Str(key, "s"+strconv.Itoa(int(v%7))))
-		case 2:
-			args = append(args, obs.I64(key, -int64(v)))
-		case 3:
-			args = append(args, obs.F64(key, float64(v)/3))
 		default:
-			args = append(args, obs.Bool(key, v%2 == 0))
+			args = append(args, obs.F64(key, float64(v)/3))
 		}
 	}
 	return args

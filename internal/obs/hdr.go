@@ -77,9 +77,6 @@ func (h *HDR) Record(v uint64) {
 // Count returns the number of samples.
 func (h *HDR) Count() uint64 { return h.count }
 
-// Sum returns the sum of all samples.
-func (h *HDR) Sum() uint64 { return h.sum }
-
 // Mean returns the mean sample, or 0 when empty.
 func (h *HDR) Mean() float64 {
 	if h.count == 0 {
@@ -87,9 +84,6 @@ func (h *HDR) Mean() float64 {
 	}
 	return float64(h.sum) / float64(h.count)
 }
-
-// Min returns the smallest sample, or 0 when empty.
-func (h *HDR) Min() uint64 { return h.min }
 
 // Max returns the largest sample, exactly, or 0 when empty.
 func (h *HDR) Max() uint64 { return h.max }
@@ -141,29 +135,6 @@ func (h *HDR) CountLE(v uint64) uint64 {
 		cum += c
 	}
 	return cum
-}
-
-// Merge folds o into h bucket-wise. Merging per-node histograms is
-// associative and commutative, so cluster-wide views do not depend on node
-// order. o is unmodified; a nil o is a no-op.
-func (h *HDR) Merge(o *HDR) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	if len(o.counts) > len(h.counts) {
-		h.counts = append(h.counts, make([]uint64, len(o.counts)-len(h.counts))...)
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
 }
 
 // Sub returns the bucket-wise difference h - base: the distribution of the

@@ -43,8 +43,8 @@ func checkAgainstOracle(t *testing.T, name string, samples []uint64) {
 	if h.Max() != sorted[len(sorted)-1] {
 		t.Fatalf("%s: max = %d, want %d", name, h.Max(), sorted[len(sorted)-1])
 	}
-	if h.Min() != sorted[0] {
-		t.Fatalf("%s: min = %d, want %d", name, h.Min(), sorted[0])
+	if h.min != sorted[0] {
+		t.Fatalf("%s: min = %d, want %d", name, h.min, sorted[0])
 	}
 	for _, q := range []float64{0.01, 0.10, 0.25, 0.50, 0.90, 0.95, 0.99, 0.999, 1.0} {
 		got := h.Quantile(q)
@@ -114,55 +114,6 @@ func TestHDRBucketEdges(t *testing.T) {
 	}
 }
 
-func TestHDRMergeAssociativeCommutative(t *testing.T) {
-	rng := simrand.New(7)
-	mk := func(n int, scale uint64) *HDR {
-		var h HDR
-		for i := 0; i < n; i++ {
-			h.Record(uint64(rng.Int63n(int64(scale))))
-		}
-		return &h
-	}
-	// Three "nodes" of a cluster with different latency profiles.
-	a, b, c := mk(500, 1<<16), mk(300, 1<<24), mk(700, 1<<12)
-
-	// (a+b)+c
-	ab := a.Clone()
-	ab.Merge(b)
-	abc1 := ab.Clone()
-	abc1.Merge(c)
-	// a+(b+c)
-	bc := b.Clone()
-	bc.Merge(c)
-	abc2 := a.Clone()
-	abc2.Merge(bc)
-	// c+b+a
-	abc3 := c.Clone()
-	abc3.Merge(b)
-	abc3.Merge(a)
-
-	for _, o := range []*HDR{abc2, abc3} {
-		if o.Count() != abc1.Count() || o.Sum() != abc1.Sum() || o.Min() != abc1.Min() || o.Max() != abc1.Max() {
-			t.Fatalf("merge moments differ: %+v vs %+v", o.Summarize(), abc1.Summarize())
-		}
-		for _, q := range []float64{0.5, 0.95, 0.99, 0.999, 1} {
-			if o.Quantile(q) != abc1.Quantile(q) {
-				t.Fatalf("merge quantile %v differs: %d vs %d", q, o.Quantile(q), abc1.Quantile(q))
-			}
-		}
-	}
-
-	// Merging equals recording everything into one histogram.
-	if abc1.Quantile(0.99) == 0 {
-		t.Fatal("degenerate test: p99 is zero")
-	}
-	var empty HDR
-	empty.Merge(a)
-	if empty.Count() != a.Count() || empty.Quantile(0.5) != a.Quantile(0.5) {
-		t.Fatal("merge into empty histogram does not reproduce the source")
-	}
-}
-
 func TestHDRCountLE(t *testing.T) {
 	var h HDR
 	for v := uint64(0); v < 32; v++ {
@@ -187,7 +138,7 @@ func TestHDRReset(t *testing.T) {
 	h.Record(100)
 	h.Record(200_000)
 	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.sum != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatalf("reset histogram not empty: %+v", h.Summarize())
 	}
 	h.Record(7)
@@ -224,8 +175,8 @@ func TestHDRSub(t *testing.T) {
 		later.Record(v)
 	}
 	d := later.Sub(&base)
-	if d.Count() != 3 || d.Sum() != 4000 {
-		t.Fatalf("delta count/sum = %d/%d, want 3/4000", d.Count(), d.Sum())
+	if d.Count() != 3 || d.sum != 4000 {
+		t.Fatalf("delta count/sum = %d/%d, want 3/4000", d.Count(), d.sum)
 	}
 	// The delta holds only the later samples: its median is 1000 within a
 	// sub-bucket, and its p99 clamps to the later maximum.
@@ -254,7 +205,7 @@ func TestHDRSubSaturates(t *testing.T) {
 	h.Reset()
 	h.Record(5)
 	d := h.Sub(base)
-	if d.Count() != 0 || d.Sum() != 0 || d.Quantile(0.99) != 0 {
+	if d.Count() != 0 || d.sum != 0 || d.Quantile(0.99) != 0 {
 		t.Fatalf("saturating delta = %+v, want empty", d.Summarize())
 	}
 	if z := base.Sub(base.Clone()); z.Count() != 0 {
@@ -272,20 +223,5 @@ func BenchmarkHDRRecord(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Record(vals[i&4095])
-	}
-}
-
-func BenchmarkHDRMerge(b *testing.B) {
-	rng := simrand.New(2)
-	var src HDR
-	for i := 0; i < 10_000; i++ {
-		src.Record(uint64(rng.Int63n(1 << 30)))
-	}
-	var dst HDR
-	dst.Record(1) // pre-size both sides
-	dst.Merge(&src)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst.Merge(&src)
 	}
 }

@@ -76,13 +76,3 @@ type Observer struct {
 	// histogram here); drivers bind it when they attach a latency collector.
 	LatencyReport func() []byte
 }
-
-// NewObserver returns an observer with every facility enabled: a tracer,
-// an empty registry, and a profiler.
-func NewObserver() *Observer {
-	return &Observer{
-		Tracer:   NewTracer(),
-		Registry: NewRegistry(),
-		Profiler: NewProfiler(),
-	}
-}

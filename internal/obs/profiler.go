@@ -117,14 +117,6 @@ func (p *Profiler) SetPhase(name string) (prev string) {
 	return prev
 }
 
-// Phase returns the current phase name.
-func (p *Profiler) Phase() string {
-	if p == nil {
-		return ""
-	}
-	return p.phase
-}
-
 // PushSubPhase enters "<current>/<name>" and returns the previous phase
 // for restoring with SetPhase.
 func (p *Profiler) PushSubPhase(name string) (prev string) {
@@ -178,24 +170,6 @@ func (p *Profiler) Total() uint64 {
 		}
 	}
 	return n
-}
-
-// CategoryTotals sums cycles per category across phases and components —
-// the aggregate the engine's CPI counters also compute, used to verify the
-// profile against the Figure 6/7 breakdown.
-func (p *Profiler) CategoryTotals() [NumCats]uint64 {
-	var out [NumCats]uint64
-	if p == nil {
-		return out
-	}
-	for _, m := range p.cycles {
-		for c := range m {
-			for k := range m[c] {
-				out[k] += m[c][k]
-			}
-		}
-	}
-	return out
 }
 
 // ComponentTotals sums cycles per component name across phases and

@@ -81,14 +81,6 @@ func (r *Registry) Histogram(name string, h *HDR) {
 	r.histo[name] = h
 }
 
-// Names returns the metric names in registration order.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	return r.names
-}
-
 // Snapshot captures every bound metric's current value.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
@@ -119,15 +111,6 @@ type Snapshot struct {
 	gauges   map[string]float64
 	histos   map[string]*HDR
 }
-
-// Counter returns a captured counter value.
-func (s *Snapshot) Counter(name string) uint64 { return s.counters[name] }
-
-// Gauge returns a captured gauge value.
-func (s *Snapshot) Gauge(name string) float64 { return s.gauges[name] }
-
-// Histo returns a captured histogram (nil for an unknown name).
-func (s *Snapshot) Histo(name string) *HDR { return s.histos[name] }
 
 // Delta returns this snapshot with the base subtracted: counters and
 // histogram buckets subtract (saturating at zero, so a ResetStats between

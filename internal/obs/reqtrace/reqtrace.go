@@ -153,12 +153,6 @@ func NewCollector(opt Options) *Collector {
 	return &Collector{opt: opt, classes: make(map[string]*classAcc), inflight: make(map[uint64]*Span)}
 }
 
-// Interval returns the time-series bin width in cycles.
-func (c *Collector) Interval() uint64 { return c.opt.IntervalCycles }
-
-// Objectives returns the configured SLOs.
-func (c *Collector) Objectives() []Objective { return c.opt.Objectives }
-
 // Tracks reports whether an operation gets a span: business operations plus
 // the error classes the resilience layer demotes (shed admissions and
 // retry-exhausted ".fail" operations), whose latency is exactly what an
@@ -269,16 +263,6 @@ func (c *Collector) Reset(origin uint64) {
 	c.classes = make(map[string]*classAcc)
 	c.bins = nil
 	c.all.Reset()
-}
-
-// CountByClass returns completed-span counts per class — the conservation
-// check against the engine's completed-transaction counters.
-func (c *Collector) CountByClass() map[string]uint64 {
-	out := make(map[string]uint64, len(c.classes))
-	for k, a := range c.classes {
-		out[k] = a.hdr.Count()
-	}
-	return out
 }
 
 // InFlightSpan is one open request in the flight recorder's span table.

@@ -268,7 +268,7 @@ func TestResetReanchors(t *testing.T) {
 	s := c.Begin(mkOp("m", true), 10)
 	c.End(s, 20)
 	c.Reset(5000)
-	if len(c.CountByClass()) != 0 {
+	if len(c.BuildReport().Classes) != 0 {
 		t.Fatal("reset did not clear accumulators")
 	}
 	s = c.Begin(mkOp("m", true), 5100)

@@ -78,8 +78,8 @@ func TestRingTracerBypassesBuffer(t *testing.T) {
 	for i := uint64(0); i < 20; i++ {
 		tr.Instant(CompWorkload, "tick", 0, i)
 	}
-	if tr.Len() != 0 {
-		t.Fatalf("ring-only tracer buffered %d events, want 0", tr.Len())
+	if tr.n != 0 {
+		t.Fatalf("ring-only tracer buffered %d events, want 0", tr.n)
 	}
 	if tr.Dropped() != 0 {
 		t.Fatalf("ring-only tracer counted %d drops, want 0 (the ring evicts instead)", tr.Dropped())
@@ -101,8 +101,8 @@ func TestTracerSharedRing(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		tr.Instant(CompWorkload, "tick", 0, i)
 	}
-	if tr.Len() != 4 || tr.Dropped() != 6 {
-		t.Fatalf("buffer len %d dropped %d, want 4 6", tr.Len(), tr.Dropped())
+	if tr.n != 4 || tr.Dropped() != 6 {
+		t.Fatalf("buffer len %d dropped %d, want 4 6", tr.n, tr.Dropped())
 	}
 	if ring.Total() != 10 {
 		t.Fatalf("ring saw %d events, want all 10 (ring is upstream of the buffer cap)", ring.Total())
@@ -151,8 +151,8 @@ func TestRingRoundTrip(t *testing.T) {
 		{Name: "bus.gets", Comp: CompMem, Phase: 'i', Pid: 1, Tid: 7, Time: 10,
 			Args: []Arg{Str("src", "c2c"), U64("addr", 1<<40)}},
 		{Name: long, Comp: CompOS, Phase: 'X', Tid: -1, Time: 20, Dur: 400,
-			Args: []Arg{Str("kind", long[:4]), I64("d", -3), F64("f", math.Pi), Bool("b", true)}},
-		{Name: long[:4], Comp: CompOS, Phase: 'i', Time: 30, Args: []Arg{Str("", ""), Bool("b", false)}},
+			Args: []Arg{Str("kind", long[:4]), U64("d", 3), F64("f", math.Pi), U64("b", 1)}},
+		{Name: long[:4], Comp: CompOS, Phase: 'i', Time: 30, Args: []Arg{Str("", ""), U64("b", 0)}},
 		{Name: name, Comp: CompFault, Phase: 'X', Time: 40, Dur: 1,
 			Args: []Arg{U64("a", 1), U64("b", 2), U64("c", 3), U64("d", 4), Str("e", name)}},
 		{Name: "wide.pid", Comp: CompNet, Phase: 'i', Pid: math.MaxInt32 + 1, Time: 50},
@@ -190,7 +190,7 @@ func TestRingWalkWindow(t *testing.T) {
 		{Name: "ends.before", Phase: 'X', Time: 60, Dur: 39},
 		{Name: "wide", Phase: 'X', Time: 150, Dur: 10, Args: wide},
 		{Name: "wide.before", Phase: 'X', Time: 10, Dur: 5, Args: wide},
-		{Name: "starts.at.end", Phase: 'i', Time: 200, Args: []Arg{Bool("b", true)}},
+		{Name: "starts.at.end", Phase: 'i', Time: 200, Args: []Arg{U64("b", 1)}},
 		{Name: "starts.after", Phase: 'i', Time: 201},
 	} {
 		r.push(&e, e.Args)
@@ -204,7 +204,7 @@ func TestRingWalkWindow(t *testing.T) {
 	want := []Event{
 		{Name: "ends.at.start", Phase: 'X', Time: 60, Dur: 40},
 		{Name: "wide", Phase: 'X', Time: 150, Dur: 10, Args: wide},
-		{Name: "starts.at.end", Phase: 'i', Time: 200, Args: []Arg{Bool("b", true)}},
+		{Name: "starts.at.end", Phase: 'i', Time: 200, Args: []Arg{U64("b", 1)}},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("walk [100, 200]:\n got %+v\nwant %+v", got, want)

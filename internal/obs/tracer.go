@@ -50,9 +50,7 @@ type argKind uint8
 const (
 	argStr argKind = iota
 	argU64
-	argI64
 	argF64
-	argBool
 )
 
 // Str is a string argument.
@@ -61,20 +59,8 @@ func Str(key, v string) Arg { return Arg{Key: key, kind: argStr, str: v} }
 // U64 is an unsigned integer argument.
 func U64(key string, v uint64) Arg { return Arg{Key: key, kind: argU64, num: v} }
 
-// I64 is a signed integer argument.
-func I64(key string, v int64) Arg { return Arg{Key: key, kind: argI64, num: uint64(v)} }
-
 // F64 is a floating-point argument.
 func F64(key string, v float64) Arg { return Arg{Key: key, kind: argF64, num: math.Float64bits(v)} }
-
-// Bool is a boolean argument.
-func Bool(key string, v bool) Arg {
-	a := Arg{Key: key, kind: argBool}
-	if v {
-		a.num = 1
-	}
-	return a
-}
 
 // Tracer records simulated-time events. A nil *Tracer is valid and
 // disabled: every method returns immediately, so instrumentation sites pay
@@ -280,14 +266,6 @@ func (t *Tracer) Instant(c Component, name string, tid int, at uint64, args ...A
 	t.record(&Event{
 		Name: name, Comp: c, Phase: 'i', Pid: t.Pid, Tid: tid, Time: at,
 	}, args)
-}
-
-// Len returns the number of recorded events.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return t.n
 }
 
 // Dropped returns how many events the cap discarded.

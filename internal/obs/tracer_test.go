@@ -24,8 +24,8 @@ func TestTracerAllocs(t *testing.T) {
 
 	out := NewTracer()
 	out.memSample = 1 << 62
-	if a := testing.AllocsPerRun(1000, func() { busGetS(out) }); a != 0 || out.Len() != 0 {
-		t.Errorf("sampled-out instant: %v allocs, %d events; want 0, 0", a, out.Len())
+	if a := testing.AllocsPerRun(1000, func() { busGetS(out) }); a != 0 || out.n != 0 {
+		t.Errorf("sampled-out instant: %v allocs, %d events; want 0, 0", a, out.n)
 	}
 
 	ring := NewRingTracer(NewEventRing(64))
@@ -36,7 +36,7 @@ func TestTracerAllocs(t *testing.T) {
 	span := func() {
 		now++
 		if ring.Admit(CompOS) {
-			ring.Span(CompOS, "lock.wait", 3, now, now+40, Str("kind", "spin"), U64("lock", now), F64("f", 0.5), Bool("b", true))
+			ring.Span(CompOS, "lock.wait", 3, now, now+40, Str("kind", "spin"), U64("lock", now), F64("f", 0.5), U64("b", 1))
 		}
 	}
 	if a := testing.AllocsPerRun(1000, span); a != 0 {
@@ -97,7 +97,7 @@ func spillEvents(tr *Tracer, n int) []Event {
 	evs := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
 		at := uint64(i) * 97
-		args := []Arg{U64("i", uint64(i)), I64("neg", -int64(i)), Bool("odd", i%2 == 1)}
+		args := []Arg{U64("i", uint64(i)), F64("half", float64(i)/2), U64("odd", uint64(i%2))}
 		if tr.Admit(CompOS) {
 			tr.Instant(CompOS, "x", i%8, at, args...)
 		}
@@ -116,8 +116,8 @@ func checkRecords(t *testing.T, got []traceRecord, want []Event) {
 		w := &want[i]
 		if r.Name != w.Name || r.Ph != "i" || r.Pid != w.Pid || r.Tid != w.Tid ||
 			r.Ts != float64(w.Time)/CyclesPerMicrosecond ||
-			r.Args["i"] != float64(w.Args[0].num) || r.Args["neg"] != -float64(w.Args[0].num) ||
-			r.Args["odd"] != (w.Args[2].num == 1) {
+			r.Args["i"] != float64(w.Args[0].num) || r.Args["half"] != float64(w.Args[0].num)/2 ||
+			r.Args["odd"] != float64(w.Args[2].num) {
 			t.Fatalf("record %d: %+v, want %+v", i, r, *w)
 		}
 	}
@@ -134,8 +134,8 @@ func TestTracerSpillBoundary(t *testing.T) {
 	const fed, kept = 6000, 5000
 	tr.max = kept
 	evs := spillEvents(tr, fed)
-	if tr.Len() != kept || tr.Dropped() != fed-kept {
-		t.Fatalf("len %d dropped %d, want %d %d", tr.Len(), tr.Dropped(), kept, fed-kept)
+	if tr.n != kept || tr.Dropped() != fed-kept {
+		t.Fatalf("len %d dropped %d, want %d %d", tr.n, tr.Dropped(), kept, fed-kept)
 	}
 	if tr.spilled < 3*flushBytes {
 		t.Fatalf("spilled %d bytes, want several flushes of %d", tr.spilled, flushBytes)
@@ -270,7 +270,7 @@ func BenchmarkTracerInstantLinear(b *testing.B) {
 	src := "c2c"
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if tr.Len() == DefaultMaxEvents {
+		if tr.n == DefaultMaxEvents {
 			b.StopTimer()
 			if tr.err != nil {
 				b.Fatal(tr.err)

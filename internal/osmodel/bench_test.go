@@ -15,12 +15,12 @@ import (
 func BenchmarkEngineThroughput(b *testing.B) {
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
-	user := layout.Add("app", 128<<10, false, ifetch.DefaultProfile())
+	user := layout.Add("app", 128<<10, false, hotCold)
 	data := space.Reserve("data", 4<<20)
 	eng := NewEngine(DefaultConfig(16), memsys.New(memsys.DefaultConfig(16)), layout, nil, simrand.New(1))
 	for t := 0; t < 16; t++ {
 		rng := simrand.New(uint64(t + 100))
-		eng.AddThread("w", FuncSource(func(tid int, now uint64) *trace.Op {
+		eng.AddThread("w", funcSource(func(tid int, now uint64) *trace.Op {
 			rec := trace.NewRecorder("op", true)
 			rec.Instr(user.ID, 5_000)
 			for i := 0; i < 20; i++ {
@@ -36,4 +36,11 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		eng.Run(horizon)
 	}
 	b.ReportMetric(float64(horizon), "simulated-cycles")
+}
+
+// hotCold is a generic code profile: 10% of the code takes 90% of the
+// fetches.
+var hotCold = ifetch.Profile{
+	Tiers:     []ifetch.Tier{{CodeFrac: 0.10, FetchFrac: 0.90}, {CodeFrac: 0.90, FetchFrac: 0.10}},
+	RunBlocks: 4,
 }

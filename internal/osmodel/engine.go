@@ -1132,9 +1132,6 @@ func (e *Engine) Results() Results {
 	return r
 }
 
-// Hierarchy returns the machine's memory system.
-func (e *Engine) Hierarchy() *memsys.Hierarchy { return e.hier }
-
 // DebugThreads returns one line per thread (state, home CPU, flags) — a
 // scheduler-health diagnostic.
 func (e *Engine) DebugThreads() []string {

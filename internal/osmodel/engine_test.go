@@ -13,6 +13,26 @@ import (
 	"repro/internal/trace"
 )
 
+// funcSource adapts a function to OpSource.
+type funcSource func(tid int, now uint64) *trace.Op
+
+func (f funcSource) NextOp(tid int, now uint64) *trace.Op { return f(tid, now) }
+
+// scriptSource plays a fixed list of operations, then ends the thread.
+type scriptSource struct {
+	Ops []*trace.Op
+	i   int
+}
+
+func (s *scriptSource) NextOp(tid int, now uint64) *trace.Op {
+	if s.i >= len(s.Ops) {
+		return nil
+	}
+	op := s.Ops[s.i]
+	s.i++
+	return op
+}
+
 // rig bundles a small machine for engine tests.
 type rig struct {
 	eng    *Engine
@@ -27,8 +47,8 @@ func newRig(t *testing.T, cpus int, net *netsim.Network) *rig {
 	t.Helper()
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
-	user := layout.Add("app", 64<<10, false, ifetch.DefaultProfile())
-	kern := layout.Add("kernel", 64<<10, true, ifetch.DefaultProfile())
+	user := layout.Add("app", 64<<10, false, hotCold)
+	kern := layout.Add("kernel", 64<<10, true, hotCold)
 	mcfg := memsys.DefaultConfig(cpus)
 	mcfg.L1I = cache.Config{Name: "L1I", SizeBytes: 8 << 10, Assoc: 2, BlockBytes: 64}
 	mcfg.L1D = cache.Config{Name: "L1D", SizeBytes: 8 << 10, Assoc: 2, BlockBytes: 64}
@@ -54,7 +74,7 @@ func op(tag string, business bool, build func(*trace.Recorder)) *trace.Op {
 
 func TestSingleThreadAccounting(t *testing.T) {
 	r := newRig(t, 1, nil)
-	src := &ScriptSource{Ops: []*trace.Op{
+	src := &scriptSource{Ops: []*trace.Op{
 		op("work", true, func(rec *trace.Recorder) {
 			rec.Instr(r.user.ID, 10_000)
 			rec.Read(r.data.Base, 64)
@@ -82,7 +102,7 @@ func TestSingleThreadAccounting(t *testing.T) {
 
 func TestKernelModeAccounting(t *testing.T) {
 	r := newRig(t, 1, nil)
-	src := &ScriptSource{Ops: []*trace.Op{
+	src := &scriptSource{Ops: []*trace.Op{
 		op("sys", false, func(rec *trace.Recorder) {
 			rec.Instr(r.kern.ID, 5_000)
 			rec.Read(r.data.Base, 8) // data ref inherits kernel mode
@@ -102,14 +122,14 @@ func TestKernelModeAccounting(t *testing.T) {
 
 func TestTwoThreadsShareOneCPU(t *testing.T) {
 	r := newRig(t, 1, nil)
-	mk := func() *ScriptSource {
+	mk := func() *scriptSource {
 		var ops []*trace.Op
 		for i := 0; i < 5; i++ {
 			ops = append(ops, op("chunk", true, func(rec *trace.Recorder) {
 				rec.Instr(r.user.ID, 200_000) // two quanta each
 			}))
 		}
-		return &ScriptSource{Ops: ops}
+		return &scriptSource{Ops: ops}
 	}
 	r.eng.AddThread("a", mk())
 	r.eng.AddThread("b", mk())
@@ -123,7 +143,7 @@ func TestTwoThreadsShareOneCPU(t *testing.T) {
 func TestMutualExclusionAndLockWait(t *testing.T) {
 	r := newRig(t, 2, nil)
 	lockAddr := r.data.Base
-	mk := func() *ScriptSource {
+	mk := func() *scriptSource {
 		var ops []*trace.Op
 		for i := 0; i < 20; i++ {
 			ops = append(ops, op("critical", true, func(rec *trace.Recorder) {
@@ -134,7 +154,7 @@ func TestMutualExclusionAndLockWait(t *testing.T) {
 				rec.LockRelease(42, lockAddr)
 			}))
 		}
-		return &ScriptSource{Ops: ops}
+		return &scriptSource{Ops: ops}
 	}
 	r.eng.AddThread("a", mk())
 	r.eng.AddThread("b", mk())
@@ -155,7 +175,7 @@ func TestMutualExclusionAndLockWait(t *testing.T) {
 func TestSpinLockChargesBusyTime(t *testing.T) {
 	r := newRig(t, 2, nil)
 	lockAddr := r.data.Base
-	mk := func() *ScriptSource {
+	mk := func() *scriptSource {
 		var ops []*trace.Op
 		for i := 0; i < 20; i++ {
 			ops = append(ops, op("k", true, func(rec *trace.Recorder) {
@@ -164,7 +184,7 @@ func TestSpinLockChargesBusyTime(t *testing.T) {
 				rec.LockRelease(43, lockAddr)
 			}))
 		}
-		return &ScriptSource{Ops: ops}
+		return &scriptSource{Ops: ops}
 	}
 	r.eng.AddThread("a", mk())
 	r.eng.AddThread("b", mk())
@@ -180,7 +200,7 @@ func TestNetCallBlocksAndChargesIOWait(t *testing.T) {
 	net := netsim.NewNetwork(netsim.DefaultLink())
 	net.AddPeer(2, db.NewServer(db.Config{Workers: 1, BaseServiceCycles: 500_000}, simrand.New(4)))
 	r := newRig(t, 1, net)
-	src := &ScriptSource{Ops: []*trace.Op{
+	src := &scriptSource{Ops: []*trace.Op{
 		op("call", true, func(rec *trace.Recorder) {
 			rec.Instr(r.user.ID, 1_000)
 			rec.NetCall(2, 256, 1024)
@@ -200,7 +220,7 @@ func TestNetCallBlocksAndChargesIOWait(t *testing.T) {
 
 func TestThinkSleeps(t *testing.T) {
 	r := newRig(t, 1, nil)
-	src := &ScriptSource{Ops: []*trace.Op{
+	src := &scriptSource{Ops: []*trace.Op{
 		op("nap", true, func(rec *trace.Recorder) {
 			rec.Think(1_000_000)
 			rec.Instr(r.user.ID, 100)
@@ -223,7 +243,7 @@ func TestGCPauseStopsTheWorld(t *testing.T) {
 	gcRec.Instr(r.user.ID, 500_000)
 	gc := &trace.GC{Items: gcRec.Finish().Items, LiveBytes: 1 << 20}
 
-	trigger := &ScriptSource{Ops: []*trace.Op{
+	trigger := &scriptSource{Ops: []*trace.Op{
 		op("alloc", true, func(rec *trace.Recorder) {
 			rec.Instr(r.user.ID, 10_000)
 			rec.GCPause(gc)
@@ -239,7 +259,7 @@ func TestGCPauseStopsTheWorld(t *testing.T) {
 				rec.Instr(r.user.ID, 50_000)
 			}))
 		}
-		r.eng.AddThread("bg", &ScriptSource{Ops: ops})
+		r.eng.AddThread("bg", &scriptSource{Ops: ops})
 	}
 	r.eng.Run(20_000_000)
 	res := r.eng.Results()
@@ -257,8 +277,8 @@ func TestGCPauseStopsTheWorld(t *testing.T) {
 func TestPinnedThreadsAndPSetAccounting(t *testing.T) {
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
-	user := layout.Add("app", 64<<10, false, ifetch.DefaultProfile())
-	kern := layout.Add("kernel", 64<<10, true, ifetch.DefaultProfile())
+	user := layout.Add("app", 64<<10, false, hotCold)
+	kern := layout.Add("kernel", 64<<10, true, hotCold)
 	_ = kern
 	mcfg := memsys.DefaultConfig(4)
 	cfg := DefaultConfig(4)
@@ -271,7 +291,7 @@ func TestPinnedThreadsAndPSetAccounting(t *testing.T) {
 			rec.Instr(user.ID, 100_000)
 		}))
 	}
-	eng.AddThread("worker", &ScriptSource{Ops: ops})
+	eng.AddThread("worker", &scriptSource{Ops: ops})
 	// A pinned thread outside the pset; its cycles must not appear in
 	// Results.
 	var bg []*trace.Op
@@ -280,7 +300,7 @@ func TestPinnedThreadsAndPSetAccounting(t *testing.T) {
 			rec.Instr(user.ID, 100_000)
 		}))
 	}
-	eng.AddPinnedThread("outsider", &ScriptSource{Ops: bg}, 3)
+	eng.AddPinnedThread("outsider", &scriptSource{Ops: bg}, 3)
 	eng.Run(20_000_000)
 	res := eng.Results()
 	if res.BusinessOps != 10 {
@@ -298,8 +318,8 @@ func TestOSDaemonsGenerateC2CAtOneProcessor(t *testing.T) {
 	// one CPU, because OS daemons run everywhere.
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
-	user := layout.Add("app", 64<<10, false, ifetch.DefaultProfile())
-	kern := layout.Add("kernel", 64<<10, true, ifetch.DefaultProfile())
+	user := layout.Add("app", 64<<10, false, hotCold)
+	kern := layout.Add("kernel", 64<<10, true, hotCold)
 	mcfg := memsys.DefaultConfig(4)
 	cfg := DefaultConfig(4)
 	cfg.PSet = []int{0}
@@ -313,9 +333,9 @@ func TestOSDaemonsGenerateC2CAtOneProcessor(t *testing.T) {
 			rec.Instr(user.ID, 200_000)
 		}))
 	}
-	eng.AddThread("worker", &ScriptSource{Ops: ops})
+	eng.AddThread("worker", &scriptSource{Ops: ops})
 	eng.Run(60_000_000)
-	if c2c := eng.Hierarchy().Bus().Stats.C2CTransfers; c2c == 0 {
+	if c2c := eng.hier.Bus().Stats.C2CTransfers; c2c == 0 {
 		t.Fatal("no cache-to-cache transfers from background OS activity")
 	}
 }
@@ -340,7 +360,7 @@ func TestDeterminism(t *testing.T) {
 					rec.Read(r.data.Base+4096, 256)
 				}))
 			}
-			r.eng.AddThread("w", &ScriptSource{Ops: ops})
+			r.eng.AddThread("w", &scriptSource{Ops: ops})
 		}
 		r.eng.Run(100_000_000)
 		return r.eng.Results()
@@ -360,7 +380,7 @@ func TestResetStatsClearsMeasurement(t *testing.T) {
 			rec.Instr(r.user.ID, 100_000)
 		}))
 	}
-	r.eng.AddThread("w", &ScriptSource{Ops: ops})
+	r.eng.AddThread("w", &scriptSource{Ops: ops})
 	r.eng.Run(500_000)
 	r.eng.ResetStats()
 	res := r.eng.Results()
@@ -402,7 +422,7 @@ func TestNewEngineRejectsWideMachines(t *testing.T) {
 
 func TestRecursiveLockPanics(t *testing.T) {
 	r := newRig(t, 1, nil)
-	src := &ScriptSource{Ops: []*trace.Op{
+	src := &scriptSource{Ops: []*trace.Op{
 		op("bad", false, func(rec *trace.Recorder) {
 			rec.LockAcquire(9, r.data.Base)
 			rec.LockAcquire(9, r.data.Base)
@@ -433,7 +453,7 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	// Four threads, a 2-unit pool held across a long remote call: at most
 	// two calls can overlap, so the run takes at least two serial rounds.
 	for i := 0; i < 4; i++ {
-		src := &ScriptSource{Ops: []*trace.Op{
+		src := &scriptSource{Ops: []*trace.Op{
 			op("pooled", true, func(rec *trace.Recorder) {
 				rec.SemAcquire(77, 2)
 				rec.NetCall(2, 64, 64)
@@ -454,7 +474,7 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 
 func TestSemaphoreReleaseUnblocksWaiter(t *testing.T) {
 	r := newRig(t, 2, nil)
-	mk := func() *ScriptSource {
+	mk := func() *scriptSource {
 		var ops []*trace.Op
 		for i := 0; i < 10; i++ {
 			ops = append(ops, op("pooled", true, func(rec *trace.Recorder) {
@@ -463,7 +483,7 @@ func TestSemaphoreReleaseUnblocksWaiter(t *testing.T) {
 				rec.SemRelease(88)
 			}))
 		}
-		return &ScriptSource{Ops: ops}
+		return &scriptSource{Ops: ops}
 	}
 	r.eng.AddThread("a", mk())
 	r.eng.AddThread("b", mk())
@@ -477,7 +497,7 @@ func TestParallelGCShortensPause(t *testing.T) {
 	run := func(gcThreads int) (uint64, uint64) {
 		space := mem.NewAddrSpace()
 		layout := ifetch.NewCodeLayout(space)
-		user := layout.Add("app", 64<<10, false, ifetch.DefaultProfile())
+		user := layout.Add("app", 64<<10, false, hotCold)
 		cfg := DefaultConfig(4)
 		cfg.GCThreads = gcThreads
 		eng := NewEngine(cfg, memsys.New(memsys.DefaultConfig(4)), layout, nil, simrand.New(5))
@@ -491,7 +511,7 @@ func TestParallelGCShortensPause(t *testing.T) {
 			gcRec.Write(uint64(0x200000+i*4096), 256)
 		}
 		gc := &trace.GC{Items: gcRec.Finish().Items}
-		src := &ScriptSource{Ops: []*trace.Op{
+		src := &scriptSource{Ops: []*trace.Op{
 			op("alloc", true, func(rec *trace.Recorder) {
 				rec.Instr(user.ID, 1_000)
 				rec.GCPause(gc)
@@ -512,7 +532,7 @@ func TestParallelGCShortensPause(t *testing.T) {
 func TestParallelGCAccountingSums(t *testing.T) {
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
-	user := layout.Add("app", 64<<10, false, ifetch.DefaultProfile())
+	user := layout.Add("app", 64<<10, false, hotCold)
 	cfg := DefaultConfig(4)
 	cfg.GCThreads = 2
 	eng := NewEngine(cfg, memsys.New(memsys.DefaultConfig(4)), layout, nil, simrand.New(6))
@@ -533,7 +553,7 @@ func TestParallelGCAccountingSums(t *testing.T) {
 				op("alloc", true, func(rec *trace.Recorder) { rec.GCPause(gc) }),
 			}, ops[10:]...)...)
 		}
-		eng.AddThread("w", &ScriptSource{Ops: ops})
+		eng.AddThread("w", &scriptSource{Ops: ops})
 	}
 	const horizon = 10_000_000
 	eng.Run(horizon)
@@ -550,7 +570,7 @@ func TestParallelGCAccountingSums(t *testing.T) {
 func TestEmptyOpsCannotWedgeEngine(t *testing.T) {
 	r := newRig(t, 1, nil)
 	n := 0
-	src := FuncSource(func(tid int, now uint64) *trace.Op {
+	src := funcSource(func(tid int, now uint64) *trace.Op {
 		n++
 		return trace.NewRecorder("empty", true).Finish() // zero items
 	})
@@ -571,7 +591,7 @@ func TestBoundThreadsAreNeverStolen(t *testing.T) {
 			rec.Instr(r.user.ID, 50_000)
 		}))
 	}
-	r.eng.AddThread("solo", &ScriptSource{Ops: ops})
+	r.eng.AddThread("solo", &scriptSource{Ops: ops})
 	r.eng.Run(5_000_000)
 	res := r.eng.Results()
 	// CPU 1 must have been idle the whole time: if the bound thread were
@@ -597,7 +617,7 @@ func TestSemaphoreFIFOGrants(t *testing.T) {
 				rec.SemRelease(99)
 			}))
 		}
-		r.eng.AddThread("w", &ScriptSource{Ops: ops})
+		r.eng.AddThread("w", &scriptSource{Ops: ops})
 	}
 	r.eng.Run(50_000_000)
 	if got := r.eng.Results().BusinessOps; got != 15 {
@@ -617,7 +637,7 @@ func TestWakeupPullbackUsesIdleHomeCPU(t *testing.T) {
 			rec.NetCall(2, 64, 64)
 		}))
 	}
-	r.eng.AddThread("w", &ScriptSource{Ops: ops})
+	r.eng.AddThread("w", &scriptSource{Ops: ops})
 	r.eng.Run(50_000_000)
 	res := r.eng.Results()
 	if res.BusinessOps != 20 {
@@ -627,7 +647,7 @@ func TestWakeupPullbackUsesIdleHomeCPU(t *testing.T) {
 	// with pull-back the sleeper keeps returning home.
 	perCPU := 0
 	for c := 0; c < 2; c++ {
-		if r.eng.Hierarchy().L1I(c).Stats.Fetches > 0 {
+		if r.eng.hier.L1I(c).Stats.Fetches > 0 {
 			perCPU++
 		}
 	}
@@ -644,7 +664,7 @@ func TestLatencyHistogramRecorded(t *testing.T) {
 			rec.Instr(r.user.ID, 10_000)
 		}))
 	}
-	r.eng.AddThread("w", &ScriptSource{Ops: ops})
+	r.eng.AddThread("w", &scriptSource{Ops: ops})
 	r.eng.Run(10_000_000)
 	res := r.eng.Results()
 	h := res.LatencyByTag["tagged"]
@@ -675,7 +695,7 @@ func TestAccountingConservation(t *testing.T) {
 
 	for tid := 0; tid < 6; tid++ {
 		rng := simrand.New(uint64(tid) + 55)
-		r.eng.AddThread("w", FuncSource(func(id int, now uint64) *trace.Op {
+		r.eng.AddThread("w", funcSource(func(id int, now uint64) *trace.Op {
 			rec := trace.NewRecorder("op", true)
 			rec.Instr(r.user.ID, uint32(1_000+rng.Intn(20_000)))
 			switch rng.Intn(7) {

@@ -86,25 +86,3 @@ func AddOSDaemons(e *Engine, space *mem.AddrSpace, comp *ifetch.Component, rng *
 	}
 	return lines
 }
-
-// FuncSource adapts a function to OpSource.
-type FuncSource func(tid int, now uint64) *trace.Op
-
-// NextOp calls the function.
-func (f FuncSource) NextOp(tid int, now uint64) *trace.Op { return f(tid, now) }
-
-// ScriptSource plays a fixed list of operations, then ends the thread.
-type ScriptSource struct {
-	Ops []*trace.Op
-	i   int
-}
-
-// NextOp returns the next scripted op.
-func (s *ScriptSource) NextOp(tid int, now uint64) *trace.Op {
-	if s.i >= len(s.Ops) {
-		return nil
-	}
-	op := s.Ops[s.i]
-	s.i++
-	return op
-}

@@ -17,8 +17,8 @@ func TestWatchdogDeadlock(t *testing.T) {
 
 	// Each thread takes its first lock, spins long enough for the other to
 	// do the same, then blocks forever on the other's lock.
-	mk := func(first, second uint64, firstAddr, secondAddr mem.Addr) *ScriptSource {
-		return &ScriptSource{Ops: []*trace.Op{
+	mk := func(first, second uint64, firstAddr, secondAddr mem.Addr) *scriptSource {
+		return &scriptSource{Ops: []*trace.Op{
 			op("deadlock", false, func(rec *trace.Recorder) {
 				rec.LockAcquire(first, firstAddr)
 				rec.Instr(r.user.ID, 500_000)
@@ -68,7 +68,7 @@ func TestWatchdogDisarmedRunsToHorizon(t *testing.T) {
 	r.eng.OnExternalCall = func(tid int, peer uint8, reqBytes, respBytes uint32, now uint64) {
 		// Lost wakeup: the coordinator never answers.
 	}
-	r.eng.AddThread("caller", &ScriptSource{Ops: []*trace.Op{
+	r.eng.AddThread("caller", &scriptSource{Ops: []*trace.Op{
 		op("call", false, func(rec *trace.Recorder) {
 			rec.Instr(r.user.ID, 1000)
 			rec.NetCall(3, 100, 100)
@@ -94,7 +94,7 @@ func TestWatchdogStallDetection(t *testing.T) {
 	net.AddExternalPeer(3)
 	r := newRig(t, 1, net)
 	r.eng.OnExternalCall = func(tid int, peer uint8, reqBytes, respBytes uint32, now uint64) {}
-	r.eng.AddThread("caller", &ScriptSource{Ops: []*trace.Op{
+	r.eng.AddThread("caller", &scriptSource{Ops: []*trace.Op{
 		op("call", false, func(rec *trace.Recorder) {
 			rec.Instr(r.user.ID, 1000)
 			rec.NetCall(3, 100, 100)
@@ -131,7 +131,7 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 				rec.Think(20_000)
 			})
 		}
-		r.eng.AddThread("w", &ScriptSource{Ops: ops})
+		r.eng.AddThread("w", &scriptSource{Ops: ops})
 	}
 	r.eng.SetWatchdog(10_000_000)
 	r.eng.Run(500_000_000)
@@ -153,7 +153,7 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 func TestDebugLocksTable(t *testing.T) {
 	r := newRig(t, 2, nil)
 	addr := r.data.Base
-	r.eng.AddThread("a", &ScriptSource{Ops: []*trace.Op{
+	r.eng.AddThread("a", &scriptSource{Ops: []*trace.Op{
 		op("a", false, func(rec *trace.Recorder) {
 			rec.SemAcquire(5, 2)
 			rec.SemRelease(5)
@@ -165,7 +165,7 @@ func TestDebugLocksTable(t *testing.T) {
 			rec.LockAcquire(7, addr+64)
 		}),
 	}})
-	r.eng.AddThread("b", &ScriptSource{Ops: []*trace.Op{
+	r.eng.AddThread("b", &scriptSource{Ops: []*trace.Op{
 		op("b", false, func(rec *trace.Recorder) {
 			rec.LockAcquire(0x10, addr+128)
 			rec.LockAcquire(7, addr+64)

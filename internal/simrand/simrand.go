@@ -94,34 +94,6 @@ func (r *Rand) Exp(mean float64) float64 {
 	return -mean * math.Log(1-u)
 }
 
-// NormalPair returns two independent standard normal deviates (Box-Muller).
-func (r *Rand) NormalPair() (float64, float64) {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	rad := math.Sqrt(-2 * math.Log(u1))
-	return rad * math.Cos(2*math.Pi*u2), rad * math.Sin(2*math.Pi*u2)
-}
-
-// Normal returns a normal deviate with the given mean and standard deviation.
-func (r *Rand) Normal(mean, stddev float64) float64 {
-	n, _ := r.NormalPair()
-	return mean + stddev*n
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Zipf draws from a bounded Zipf distribution over [0, n) with exponent s.
 // Small ranks are the most popular. The sampler precomputes the inverse CDF
 // in O(n) once, then samples in O(log n); it is the workhorse behind skewed

@@ -114,37 +114,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := New(7)
-	sum, sumsq := 0.0, 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := r.Normal(5, 2)
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean-5) > 0.05 {
-		t.Fatalf("normal mean %v too far from 5", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-2) > 0.05 {
-		t.Fatalf("normal stddev %v too far from 2", math.Sqrt(variance))
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(8)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	r := New(9)
 	z := NewZipf(r, 1000, 1.0)

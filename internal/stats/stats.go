@@ -14,20 +14,13 @@ import (
 // Summary accumulates scalar observations and reports their moments.
 // The zero value is ready to use.
 type Summary struct {
-	n        int
-	sum      float64
-	sumsq    float64
-	min, max float64
+	n     int
+	sum   float64
+	sumsq float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
 	s.n++
 	s.sum += v
 	s.sumsq += v * v
@@ -57,12 +50,6 @@ func (s *Summary) StdDev() float64 {
 	}
 	return math.Sqrt(variance)
 }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (s *Summary) Max() float64 { return s.max }
 
 // String formats the summary as "mean ± stddev".
 func (s *Summary) String() string {

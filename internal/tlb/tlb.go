@@ -30,22 +30,6 @@ type Config struct {
 	MissPenalty uint64
 }
 
-// DefaultConfig returns the base-page configuration (no ISM). The miss
-// penalty reflects the full software cost on a loaded machine: the trap,
-// the TSB probe (which itself misses the caches for a heap-sized page
-// table), and the hash-table walk on a TSB miss.
-func DefaultConfig() Config {
-	return Config{Entries: 64, PageBytes: 8 << 10, MissPenalty: 260}
-}
-
-// ISMConfig returns the Intimate-Shared-Memory configuration: same TLB,
-// 4 MB pages.
-func ISMConfig() Config {
-	c := DefaultConfig()
-	c.PageBytes = 4 << 20
-	return c
-}
-
 // TLB is one processor's translation lookaside buffer: fully associative,
 // true-LRU.
 type TLB struct {
@@ -82,9 +66,6 @@ func New(cfg Config) *TLB {
 
 // Config returns the TLB's configuration.
 func (t *TLB) Config() Config { return t.cfg }
-
-// Reach returns the address range the TLB can map at once.
-func (t *TLB) Reach() uint64 { return uint64(t.cfg.Entries) * t.cfg.PageBytes }
 
 // Access translates addr, returning the stall cycles (0 on a hit,
 // MissPenalty on a software refill).

@@ -5,8 +5,17 @@ import (
 	"testing/quick"
 )
 
+// basePages is the UltraSPARC II dTLB with 8 KB base pages; ismPages the
+// same TLB with Solaris ISM's 4 MB pages. The miss penalty is the full
+// software refill on a loaded machine: the trap, the TSB probe and the
+// hash-table walk on a TSB miss.
+var (
+	basePages = Config{Entries: 64, PageBytes: 8 << 10, MissPenalty: 260}
+	ismPages  = Config{Entries: 64, PageBytes: 4 << 20, MissPenalty: 260}
+)
+
 func TestHitAfterMiss(t *testing.T) {
-	tl := New(DefaultConfig())
+	tl := New(basePages)
 	if tl.Access(0x12345) == 0 {
 		t.Fatal("cold access hit")
 	}
@@ -44,17 +53,29 @@ func TestLRUReplacement(t *testing.T) {
 	}
 }
 
+// TestReach: the TLB maps Entries pages at once. Cycling through Entries
+// pages hits on every pass after the first; one page more, and true LRU
+// misses on every access.
 func TestReach(t *testing.T) {
-	base := New(DefaultConfig())
-	ism := New(ISMConfig())
-	if base.Reach() != 64*(8<<10) {
-		t.Fatalf("base reach = %d", base.Reach())
-	}
-	if ism.Reach() != 64*(4<<20) {
-		t.Fatalf("ISM reach = %d", ism.Reach())
-	}
-	if ism.Reach() <= base.Reach() {
-		t.Fatal("ISM did not increase reach")
+	for _, cfg := range []Config{basePages, ismPages} {
+		for _, pages := range []int{cfg.Entries, cfg.Entries + 1} {
+			tl := New(cfg)
+			pass := func() {
+				for i := 0; i < pages; i++ {
+					tl.Access(uint64(i) * cfg.PageBytes)
+				}
+			}
+			pass()
+			tl.ResetStats()
+			pass()
+			want := uint64(0)
+			if pages > cfg.Entries {
+				want = uint64(pages)
+			}
+			if tl.Misses != want {
+				t.Errorf("%d-byte pages, %d pages cycled: %d misses, want %d", cfg.PageBytes, pages, tl.Misses, want)
+			}
+		}
 	}
 }
 
@@ -77,8 +98,8 @@ func TestISMEliminatesThrashing(t *testing.T) {
 		}
 		return tl.MissRatio()
 	}
-	base := run(DefaultConfig())
-	ism := run(ISMConfig())
+	base := run(basePages)
+	ism := run(ismPages)
 	if base < 0.5 {
 		t.Fatalf("base pages should thrash on an 8MB set: miss ratio %v", base)
 	}
@@ -88,7 +109,7 @@ func TestISMEliminatesThrashing(t *testing.T) {
 }
 
 func TestResetStatsKeepsWarmth(t *testing.T) {
-	tl := New(DefaultConfig())
+	tl := New(basePages)
 	tl.Access(0x4000)
 	tl.ResetStats()
 	if tl.Lookups != 0 || tl.Misses != 0 {
@@ -116,7 +137,7 @@ func TestBadConfigsPanic(t *testing.T) {
 }
 
 func TestQuickSamePageAlwaysHitsAfterFill(t *testing.T) {
-	tl := New(DefaultConfig())
+	tl := New(basePages)
 	f := func(a uint32, off uint16) bool {
 		base := uint64(a) << 13 // page-aligned-ish
 		tl.Access(base)

@@ -30,8 +30,8 @@ func FuzzRecorderTotals(f *testing.F) {
 		if op.Instructions() != wantInstr {
 			t.Fatalf("instructions %d, want %d", op.Instructions(), wantInstr)
 		}
-		if op.DataRefs() != wantRefs {
-			t.Fatalf("refs %d, want %d", op.DataRefs(), wantRefs)
+		if n := dataRefs(op); n != wantRefs {
+			t.Fatalf("refs %d, want %d", n, wantRefs)
 		}
 	})
 }

@@ -109,19 +109,6 @@ func (o *Op) Instructions() uint64 {
 	return n
 }
 
-// DataRefs returns the number of data reference items (not bytes) in the op
-// itself, excluding GC pauses.
-func (o *Op) DataRefs() int {
-	n := 0
-	for i := range o.Items {
-		switch o.Items[i].Kind {
-		case KindRead, KindWrite:
-			n++
-		}
-	}
-	return n
-}
-
 // Recorder builds an Op. Workload code drives it during functional
 // execution; it coalesces adjacent instruction segments of the same
 // component so that hot paths do not bloat the trace.
@@ -219,9 +206,6 @@ func (r *Recorder) SetBusiness(b bool) { r.op.Business = b }
 // SetTag renames the operation mid-recording (e.g. appending ".fail" so
 // failed operations report their own latency distribution).
 func (r *Recorder) SetTag(tag string) { r.op.Tag = tag }
-
-// Len returns the number of items recorded so far.
-func (r *Recorder) Len() int { return len(r.op.Items) }
 
 // Finish returns the completed operation. The recorder must not be used
 // afterwards.

@@ -17,17 +17,17 @@ func build(t *testing.T, oir int) (*Workload, *jvm.Heap) {
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
 	comps := Components{
-		Servlet: layout.Add("servlet", 256<<10, false, ifetch.DefaultProfile()),
-		EJB:     layout.Add("ejb", 320<<10, false, ifetch.DefaultProfile()),
-		Server:  layout.Add("appserver", 448<<10, false, ifetch.DefaultProfile()),
-		JVM:     layout.Add("jvm", 192<<10, false, ifetch.DefaultProfile()),
+		Servlet: layout.Add("servlet", 256<<10, false, ifetch.Profile{}),
+		EJB:     layout.Add("ejb", 320<<10, false, ifetch.Profile{}),
+		Server:  layout.Add("appserver", 448<<10, false, ifetch.Profile{}),
+		JVM:     layout.Add("jvm", 192<<10, false, ifetch.Profile{}),
 	}
-	kern := layout.Add("kernel-net", 320<<10, true, ifetch.DefaultProfile())
+	kern := layout.Add("kernel-net", 320<<10, true, ifetch.Profile{})
 	rng := simrand.New(99)
 	net := netsim.NewNetwork(netsim.DefaultLink())
 	net.AddPeer(PeerDatabase, db.NewServer(db.DefaultDatabaseConfig(), rng.Derive(1)))
-	net.AddPeer(PeerSupplier, db.NewServer(db.DefaultSupplierConfig(), rng.Derive(2)))
-	ns := netsim.NewNetStack(space, kern, net, netsim.DefaultStackConfig(), rng.Derive(3))
+	net.AddPeer(PeerSupplier, db.NewServer(db.Config{Workers: 4, BaseServiceCycles: 150_000, PerByteCycles: 4, Jitter: 0.3}, rng.Derive(2)))
+	ns := netsim.NewNetStack(space, kern, netsim.StackConfig{SendInstr: 3_000, RecvInstr: 3_500, PerByteInstr: 0.25, HotLines: 6, BufferBytes: 2048}, rng.Derive(3))
 
 	hcfg := jvm.DefaultConfig()
 	hcfg.HeapBytes = 64 << 20

@@ -15,8 +15,8 @@ func build(t *testing.T, warehouses int) (*Workload, *jvm.Heap) {
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
 	comps := Components{
-		App: layout.Add("jbb-app", 192<<10, false, ifetch.DefaultProfile()),
-		JVM: layout.Add("jvm", 128<<10, false, ifetch.DefaultProfile()),
+		App: layout.Add("jbb-app", 192<<10, false, ifetch.Profile{}),
+		JVM: layout.Add("jvm", 128<<10, false, ifetch.Profile{}),
 	}
 	hcfg := jvm.DefaultConfig()
 	hcfg.HeapBytes = 96 << 20

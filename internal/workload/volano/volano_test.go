@@ -15,11 +15,10 @@ func build(t *testing.T) (*Workload, *ifetch.CodeLayout) {
 	t.Helper()
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
-	comps := Components{App: layout.Add("volano", 128<<10, false, ifetch.DefaultProfile())}
-	kern := layout.Add("kernel-net", 256<<10, true, ifetch.DefaultProfile())
+	comps := Components{App: layout.Add("volano", 128<<10, false, ifetch.Profile{})}
+	kern := layout.Add("kernel-net", 256<<10, true, ifetch.Profile{})
 	rng := simrand.New(7)
-	net := netsim.NewNetwork(netsim.DefaultLink())
-	ns := netsim.NewNetStack(space, kern, net, netsim.DefaultStackConfig(), rng.Derive(1))
+	ns := netsim.NewNetStack(space, kern, netsim.StackConfig{SendInstr: 3_000, RecvInstr: 3_500, PerByteInstr: 0.25, HotLines: 6, BufferBytes: 2048}, rng.Derive(1))
 	hcfg := jvm.DefaultConfig()
 	hcfg.HeapBytes = 16 << 20
 	hcfg.NewGenBytes = 4 << 20

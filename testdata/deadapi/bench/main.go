@@ -1,0 +1,9 @@
+package main
+
+import (
+	"fmt"
+
+	"deadapi/internal/lib"
+)
+
+func main() { fmt.Println(lib.BenchOnly()) }
