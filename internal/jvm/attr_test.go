@@ -23,7 +23,7 @@ func TestAllocSiteStamping(t *testing.T) {
 		id   ObjectID
 		want string
 	}{{plain, ""}, {labeled, "test.site"}, {unlabeled, ""}, {other, "other.site"}, {mine, ""}} {
-		if got := h.sites[h.objects[c.id].site]; got != c.want {
+		if got := h.sites[h.obj(c.id).site]; got != c.want {
 			t.Errorf("site = %q, want %q", got, c.want)
 		}
 	}
@@ -122,7 +122,7 @@ func TestSiteInterningSurvivesGC(t *testing.T) {
 	h.ClearStack(0)
 	h.MinorGC(nil)
 	h.MinorGC(nil) // promote
-	if got := h.sites[h.objects[id].site]; got != "test.site" {
+	if got := h.sites[h.obj(id).site]; got != "test.site" {
 		t.Errorf("site after GC copies = %q, want test.site", got)
 	}
 	// The resolver over the post-GC layout must find the new address.

@@ -1,38 +1,83 @@
 package jvm
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
-// sortedIDs returns a map key set in ascending order. The collector must
-// visit roots in a deterministic order: heap layout after a copying
-// collection depends on visit order, and the whole simulation must replay
-// exactly from a seed.
-func sortedIDs(m map[ObjectID]struct{}) []ObjectID {
-	out := make([]ObjectID, 0, len(m))
+// sortedIDs returns a map key set in ascending order, in the heap's sort
+// buffer (valid until the next call). The collector must visit roots in a
+// deterministic order: heap layout after a copying collection depends on
+// visit order, and the whole simulation must replay exactly from a seed.
+func (h *Heap) sortedIDs(m map[ObjectID]struct{}) []ObjectID {
+	out := h.sortBuf[:0]
 	for id := range m {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
+	h.sortBuf = out
 	return out
 }
 
-// sortedTIDs returns stack-root thread IDs in ascending order.
-func sortedTIDs(m map[int][]ObjectID) []int {
-	out := make([]int, 0, len(m))
-	for tid := range m {
+// sortedTIDs returns stack-root thread IDs in ascending order, in the
+// heap's thread buffer (valid until the next call).
+func (h *Heap) sortedTIDs() []int {
+	out := h.tidBuf[:0]
+	for tid := range h.stackRoots {
 		out = append(out, tid)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
+	h.tidBuf = out
 	return out
+}
+
+// gcRecorder returns the recorder a collection records into. A played
+// collection (rec != nil) gets a fresh recorder sized to hint items, the
+// previous played collection of its kind: its trace belongs to the op that
+// plays it. An unplayed one records into the heap's scratch recorder,
+// reset, since nothing reads its trace.
+func (h *Heap) gcRecorder(rec *trace.Recorder, tag string, hint int) *trace.Recorder {
+	if rec != nil {
+		return trace.NewRecorderCap(tag, false, hint)
+	}
+	if h.scratch == nil {
+		h.scratch = trace.NewRecorder(tag, false)
+	}
+	h.scratch.Reset(tag, false)
+	return h.scratch
+}
+
+// finishGC counts the collection's instructions and, when it is played,
+// hands gc its trace, keeps the trace's length in *hint to size the next
+// collection of its kind, and appends the pause to rec.
+func (h *Heap) finishGC(rec, gcRec *trace.Recorder, gc *trace.GC, hint *int) {
+	if rec == nil {
+		h.countGCInstr(gcRec.Handoff().Items) // the scratch keeps its items
+		return
+	}
+	gc.Items = gcRec.Finish().Items
+	h.countGCInstr(gc.Items)
+	*hint = len(gc.Items)
+	rec.GCPause(gc)
+}
+
+func (h *Heap) countGCInstr(items []trace.Item) {
+	for i := range items {
+		if items[i].Kind == trace.KindInstr {
+			h.Stats.GCInstructions += uint64(items[i].N)
+		}
+	}
 }
 
 // MinorGC runs a stop-the-world copying collection of the new generation on
 // the single collector thread, recording the collector's memory behavior
 // and appending a GC pause to rec. It returns the recorded collection.
+// With rec nil the collection is not played: its trace is recorded into a
+// reused scratch buffer only to count GCInstructions, and the returned
+// GC's Items are nil.
 //
 // The collector is deliberately single-threaded, like HotSpot 1.3.1's: the
 // playback engine runs the returned trace on one processor while every
@@ -44,7 +89,7 @@ func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 	// The copying collector is about to reassign addresses: close the
 	// attribution epoch against the still-valid pre-GC layout.
 	h.closeAttrEpoch("minor")
-	gcRec := trace.NewRecorder("minor-gc", false)
+	gcRec := h.gcRecorder(rec, "minor-gc", h.minorItems)
 	gcRec.Instr(h.cfg.GCComp, h.cfg.MinorBaseInstr)
 
 	to := 1 - h.from
@@ -54,27 +99,27 @@ func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 	// Root scan: registered roots plus remembered-set entries (old objects
 	// that may hold young references). Scanning a remset entry reads its
 	// reference slots.
-	var work []ObjectID
+	work := h.work[:0]
 	pushYoung := func(id ObjectID) {
 		if id == NilObject {
 			return
 		}
-		o := &h.objects[id]
+		o := h.obj(id)
 		if o.live && o.young && !o.mark {
 			o.mark = true
 			work = append(work, id)
 		}
 	}
-	for _, id := range sortedIDs(h.roots) {
+	for _, id := range h.sortedIDs(h.roots) {
 		pushYoung(id)
 	}
-	for _, tid := range sortedTIDs(h.stackRoots) {
+	for _, tid := range h.sortedTIDs() {
 		for _, id := range h.stackRoots[tid] {
 			pushYoung(id)
 		}
 	}
-	for _, id := range sortedIDs(h.remset) {
-		o := &h.objects[id]
+	for _, id := range h.sortedIDs(h.remset) {
+		o := h.obj(id)
 		if !o.live {
 			continue
 		}
@@ -90,7 +135,7 @@ func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 	for len(work) > 0 {
 		id := work[len(work)-1]
 		work = work[:len(work)-1]
-		o := &h.objects[id]
+		o := h.obj(id)
 
 		// Read the object where it lies, then copy it to its new home.
 		gcRec.Read(o.addr, o.size)
@@ -114,13 +159,15 @@ func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 		}
 	}
 
+	h.work = work
+
 	// Sweep: free unmarked young objects, rebuild the remembered set from
 	// survivors of this collection (a promoted object may still point at a
 	// young survivor).
 	var survivorBytes, freedBytes uint64
-	h.remset = make(map[ObjectID]struct{})
-	for i := 1; i < len(h.objects); i++ {
-		o := &h.objects[i]
+	clear(h.remset)
+	for i := 1; i < h.slots; i++ {
+		o := h.obj(ObjectID(i))
 		if !o.live {
 			continue
 		}
@@ -143,24 +190,20 @@ func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 		}
 	}
 
-	// Reset eden and swap survivors.
+	// Reset eden and swap survivors. Every thread takes a fresh TLAB.
 	h.edenNext = h.eden.Base
-	h.tlabs = make(map[int]*tlab)
+	clear(h.tlabs)
 	h.from = to
 
 	h.Stats.MinorGCs++
 	h.Stats.CopiedBytes += copiedBytes
 	h.Stats.LiveAfterLastGC = survivorBytes + h.oldUsed
 	gc := &trace.GC{
-		Items:      gcRec.Finish().Items,
 		LiveBytes:  h.Stats.LiveAfterLastGC,
 		CopiedObjs: copiedObjs,
 		FreedBytes: freedBytes,
 	}
-	h.countGCInstr(gc)
-	if rec != nil {
-		rec.GCPause(gc)
-	}
+	h.finishGC(rec, gcRec, gc, &h.minorItems)
 
 	// Promotion may have pushed the old generation past its trigger.
 	if float64(h.oldUsed) > h.cfg.MajorOccupancy*float64(h.old.Size) {
@@ -184,9 +227,9 @@ func (h *Heap) promote(size uint64) mem.Addr {
 }
 
 func (h *Heap) addToRemsetIfOldWithYoungRef(id ObjectID) {
-	o := &h.objects[id]
+	o := h.obj(id)
 	for _, ref := range o.refs {
-		if ref != NilObject && h.objects[ref].live && h.objects[ref].young {
+		if ref != NilObject && h.obj(ref).live && h.obj(ref).young {
 			h.remset[id] = struct{}{}
 			return
 		}
@@ -194,7 +237,7 @@ func (h *Heap) addToRemsetIfOldWithYoungRef(id ObjectID) {
 }
 
 func (h *Heap) free(id ObjectID) {
-	h.objects[id] = object{}
+	*h.obj(id) = object{}
 	h.freeIDs = append(h.freeIDs, id)
 }
 
@@ -206,26 +249,26 @@ func (h *Heap) MajorGC(rec *trace.Recorder) *trace.GC {
 	// As in MinorGC: attribute accrued line events before compaction
 	// invalidates every object address.
 	h.closeAttrEpoch("major")
-	gcRec := trace.NewRecorder("major-gc", false)
+	gcRec := h.gcRecorder(rec, "major-gc", h.majorItems)
 	gcRec.Instr(h.cfg.GCComp, h.cfg.MajorBaseInstr)
 
 	// Mark phase: trace the full object graph from the roots. Marking
 	// reads each object's header and reference slots.
-	var work []ObjectID
+	work := h.work[:0]
 	push := func(id ObjectID) {
 		if id == NilObject {
 			return
 		}
-		o := &h.objects[id]
+		o := h.obj(id)
 		if o.live && !o.mark {
 			o.mark = true
 			work = append(work, id)
 		}
 	}
-	for _, id := range sortedIDs(h.roots) {
+	for _, id := range h.sortedIDs(h.roots) {
 		push(id)
 	}
-	for _, tid := range sortedTIDs(h.stackRoots) {
+	for _, tid := range h.sortedTIDs() {
 		for _, id := range h.stackRoots[tid] {
 			push(id)
 		}
@@ -233,13 +276,14 @@ func (h *Heap) MajorGC(rec *trace.Recorder) *trace.GC {
 	for len(work) > 0 {
 		id := work[len(work)-1]
 		work = work[:len(work)-1]
-		o := &h.objects[id]
+		o := h.obj(id)
 		gcRec.Read(o.addr, HeaderBytes+uint32(8*len(o.refs)))
 		gcRec.Instr(h.cfg.GCComp, h.cfg.PerObjInstr/2+uint32(2*len(o.refs)))
 		for _, ref := range o.refs {
 			push(ref)
 		}
 	}
+	h.work = work
 
 	// Collect live objects destined for the old generation: current old
 	// residents (in address order, for sliding) then promoted young.
@@ -249,8 +293,8 @@ func (h *Heap) MajorGC(rec *trace.Recorder) *trace.GC {
 	}
 	var oldLive, youngLive []liveObj
 	var freedBytes uint64
-	for i := 1; i < len(h.objects); i++ {
-		o := &h.objects[i]
+	for i := 1; i < h.slots; i++ {
+		o := h.obj(ObjectID(i))
 		if !o.live {
 			continue
 		}
@@ -276,7 +320,7 @@ func (h *Heap) MajorGC(rec *trace.Recorder) *trace.GC {
 	next := h.old.Base
 	var movedBytes, relocated uint64
 	place := func(id ObjectID, alwaysCopy bool) {
-		o := &h.objects[id]
+		o := h.obj(id)
 		if alwaysCopy || o.addr != next {
 			gcRec.Read(o.addr, o.size)
 			gcRec.Write(next, o.size)
@@ -299,30 +343,18 @@ func (h *Heap) MajorGC(rec *trace.Recorder) *trace.GC {
 	h.oldNext = next
 	h.oldUsed = uint64(next - h.old.Base)
 	h.edenNext = h.eden.Base
-	h.tlabs = make(map[int]*tlab)
-	h.remset = make(map[ObjectID]struct{}) // no young objects remain
+	clear(h.tlabs)
+	clear(h.remset) // no young objects remain
 
 	h.Stats.MajorGCs++
 	h.Stats.CopiedBytes += movedBytes
 	h.Stats.LiveAfterLastGC = h.oldUsed
 	gc := &trace.GC{
-		Items:      gcRec.Finish().Items,
 		Major:      true,
 		LiveBytes:  h.Stats.LiveAfterLastGC,
 		CopiedObjs: relocated,
 		FreedBytes: freedBytes,
 	}
-	h.countGCInstr(gc)
-	if rec != nil {
-		rec.GCPause(gc)
-	}
+	h.finishGC(rec, gcRec, gc, &h.majorItems)
 	return gc
-}
-
-func (h *Heap) countGCInstr(gc *trace.GC) {
-	for i := range gc.Items {
-		if gc.Items[i].Kind == trace.KindInstr {
-			h.Stats.GCInstructions += uint64(gc.Items[i].N)
-		}
-	}
 }

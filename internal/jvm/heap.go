@@ -20,7 +20,9 @@
 package jvm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/mem"
@@ -94,6 +96,13 @@ func (c Config) validate() error {
 	return nil
 }
 
+// The object table is paged: pageSize objects per page, each page allocated
+// once and never copied, so a growing heap never re-copies its table.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+)
+
 type object struct {
 	addr  mem.Addr
 	size  uint32
@@ -134,11 +143,14 @@ type Heap struct {
 	from int // index of the from-survivor (live objects reside here)
 
 	edenNext mem.Addr
-	survNext mem.Addr // allocation cursor in to-survivor during GC
 	oldNext  mem.Addr
 	permNext mem.Addr
 
-	objects []object
+	// pages is the object table, indexed by ObjectID through obj; slots
+	// counts the IDs handed out so far (slot 0 = NilObject). A freed ID
+	// goes on freeIDs and is reused last-in, first-out before a new slot.
+	pages   []*[pageSize]object
+	slots   int
 	freeIDs []ObjectID
 	roots   map[ObjectID]struct{}
 	remset  map[ObjectID]struct{} // old objects that may hold young refs
@@ -152,6 +164,18 @@ type Heap struct {
 	oldUsed    uint64 // bytes bump-allocated in old gen since last compaction
 
 	monitorSeq uint64
+
+	// Collector scratch, reused by every collection: the mark stack, the
+	// sorted root order, and the recorder of unplayed collections.
+	// minorItems/majorItems are the item counts of the last played
+	// collection of each kind, which size the next one's trace.
+	work                   []ObjectID
+	sortBuf                []ObjectID
+	tidBuf                 []int
+	scratch                *trace.Recorder
+	minorItems, majorItems int
+	// spans is SiteResolver's buffer, valid until the next collection.
+	spans []siteSpan
 
 	// Allocation-site attribution: sites interns labels (index 0 =
 	// unlabeled), curSite tracks each thread's current site, and attrc,
@@ -185,7 +209,8 @@ func NewHeap(space *mem.AddrSpace, cfg Config) (*Heap, error) {
 		remset:     make(map[ObjectID]struct{}),
 		stackRoots: make(map[int][]ObjectID),
 		tlabs:      make(map[int]*tlab),
-		objects:    make([]object, 1), // slot 0 = NilObject
+		pages:      []*[pageSize]object{new([pageSize]object)},
+		slots:      1, // slot 0 = NilObject
 		sites:      []string{""},
 		siteIDs:    make(map[string]uint16),
 		curSite:    make(map[int]uint16),
@@ -210,19 +235,24 @@ func MustNewHeap(space *mem.AddrSpace, cfg Config) *Heap {
 // Config returns the heap's configuration.
 func (h *Heap) Config() Config { return h.cfg }
 
+// obj returns the table slot of id, which must be below h.slots.
+func (h *Heap) obj(id ObjectID) *object {
+	return &h.pages[id>>pageShift][id&(pageSize-1)]
+}
+
 // Addr returns the current address of an object. Addresses are only valid
 // until the next collection.
-func (h *Heap) Addr(id ObjectID) mem.Addr { return h.objects[id].addr }
+func (h *Heap) Addr(id ObjectID) mem.Addr { return h.obj(id).addr }
 
 // Size returns the object's size in bytes.
-func (h *Heap) Size(id ObjectID) uint32 { return h.objects[id].size }
+func (h *Heap) Size(id ObjectID) uint32 { return h.obj(id).size }
 
 // NumRefs returns the number of reference slots in the object.
-func (h *Heap) NumRefs(id ObjectID) int { return len(h.objects[id].refs) }
+func (h *Heap) NumRefs(id ObjectID) int { return len(h.obj(id).refs) }
 
 // IsLive reports whether the ID currently names an object (for tests).
 func (h *Heap) IsLive(id ObjectID) bool {
-	return id != NilObject && int(id) < len(h.objects) && h.objects[id].live
+	return id != NilObject && int(id) < h.slots && h.obj(id).live
 }
 
 // EdenUsed returns bytes currently bump-allocated in eden (including
@@ -250,8 +280,11 @@ func (h *Heap) newID() ObjectID {
 		h.freeIDs = h.freeIDs[:n-1]
 		return id
 	}
-	h.objects = append(h.objects, object{})
-	return ObjectID(len(h.objects) - 1)
+	if h.slots&(pageSize-1) == 0 {
+		h.pages = append(h.pages, new([pageSize]object))
+	}
+	h.slots++
+	return ObjectID(h.slots - 1)
 }
 
 func pad(size uint32) uint32 {
@@ -275,9 +308,10 @@ func (h *Heap) Alloc(rec *trace.Recorder, tid int, size uint32, nRefs int) Objec
 		addr = h.allocTLAB(rec, tid, uint64(size))
 	}
 	id := h.newID()
-	h.objects[id] = object{addr: addr, size: size, young: h.inYoung(addr), live: true, site: h.curSite[tid]}
+	o := h.obj(id)
+	*o = object{addr: addr, size: size, young: h.inYoung(addr), live: true, site: h.curSite[tid]}
 	if nRefs > 0 {
-		h.objects[id].refs = make([]ObjectID, nRefs)
+		o.refs = make([]ObjectID, nRefs)
 	}
 	h.Stats.AllocatedBytes += uint64(size)
 	h.Stats.AllocatedObjs++
@@ -326,24 +360,29 @@ func (h *Heap) closeAttrEpoch(trigger string) {
 	}
 }
 
+// siteSpan is one site-labeled object's address range.
+type siteSpan struct {
+	base, end mem.Addr
+	site      uint16
+}
+
 // SiteResolver returns a resolver over the current addresses of all
 // site-labeled live objects (unlabeled objects defer to the collector's
 // region fallback). The snapshot is sorted once; lookups binary-search.
 // Addresses are only valid until the next collection — which is exactly
-// the window the attribution epochs cover.
+// the window the attribution epochs cover — so the snapshot lives in a
+// heap-owned buffer that the next SiteResolver call overwrites.
 func (h *Heap) SiteResolver() attr.Resolver {
-	type span struct {
-		base, end mem.Addr
-		site      uint16
-	}
-	spans := make([]span, 0, 256)
-	for i := 1; i < len(h.objects); i++ {
-		o := &h.objects[i]
+	spans := h.spans[:0]
+	for i := 1; i < h.slots; i++ {
+		o := h.obj(ObjectID(i))
 		if o.live && o.site != 0 {
-			spans = append(spans, span{o.addr, o.addr + mem.Addr(o.size), o.site})
+			spans = append(spans, siteSpan{o.addr, o.addr + mem.Addr(o.size), o.site})
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].base < spans[j].base })
+	// Live objects never share a base, so the order is total.
+	slices.SortFunc(spans, func(a, b siteSpan) int { return cmp.Compare(a.base, b.base) })
+	h.spans = spans
 	sites := h.sites
 	return func(a uint64) (string, bool) {
 		// Objects never overlap, so the candidate is the last span starting
@@ -381,9 +420,10 @@ func (h *Heap) AllocPermanent(rec *trace.Recorder, size uint32, nRefs int) Objec
 	addr := h.permNext
 	h.permNext += mem.Addr(size)
 	id := h.newID()
-	h.objects[id] = object{addr: addr, size: size, live: true}
+	o := h.obj(id)
+	*o = object{addr: addr, size: size, live: true}
 	if nRefs > 0 {
-		h.objects[id].refs = make([]ObjectID, nRefs)
+		o.refs = make([]ObjectID, nRefs)
 	}
 	h.AddRoot(id)
 	rec.Write(addr, size)
@@ -439,17 +479,17 @@ func (h *Heap) allocOld(rec *trace.Recorder, size uint64) mem.Addr {
 // SetRef stores a reference into the object's slot, recording the store and
 // maintaining the generational write barrier (remembered set).
 func (h *Heap) SetRef(rec *trace.Recorder, from ObjectID, slot int, to ObjectID) {
-	o := &h.objects[from]
+	o := h.obj(from)
 	o.refs[slot] = to
 	rec.Write(o.addr+HeaderBytes+mem.Addr(slot)*8, 8)
-	if to != NilObject && !o.young && h.objects[to].young {
+	if to != NilObject && !o.young && h.obj(to).young {
 		h.remset[from] = struct{}{}
 	}
 }
 
 // GetRef loads a reference from the object's slot, recording the load.
 func (h *Heap) GetRef(rec *trace.Recorder, from ObjectID, slot int) ObjectID {
-	o := &h.objects[from]
+	o := h.obj(from)
 	rec.Read(o.addr+HeaderBytes+mem.Addr(slot)*8, 8)
 	return o.refs[slot]
 }
@@ -457,7 +497,7 @@ func (h *Heap) GetRef(rec *trace.Recorder, from ObjectID, slot int) ObjectID {
 // fieldAddr returns the address of the field-th 8-byte scalar slot, clamped
 // into the object so an out-of-range index cannot touch a neighbor.
 func (h *Heap) fieldAddr(id ObjectID, field int) mem.Addr {
-	o := &h.objects[id]
+	o := h.obj(id)
 	off := mem.Addr(HeaderBytes + field*8)
 	if off+8 > mem.Addr(o.size) {
 		off = mem.Addr(o.size) - 8
@@ -479,6 +519,6 @@ func (h *Heap) WriteField(rec *trace.Recorder, id ObjectID, field int) {
 // ReadObject records a scan of the whole object (e.g. a field-by-field copy
 // or a toString-style traversal).
 func (h *Heap) ReadObject(rec *trace.Recorder, id ObjectID) {
-	o := &h.objects[id]
+	o := h.obj(id)
 	rec.Read(o.addr, o.size)
 }

@@ -30,9 +30,9 @@ func rec() *trace.Recorder { return trace.NewRecorder("test", false) }
 // liveSizes returns the size of every live object.
 func liveSizes(h *Heap) map[ObjectID]uint32 {
 	m := map[ObjectID]uint32{}
-	for i := 1; i < len(h.objects); i++ {
-		if h.objects[i].live {
-			m[ObjectID(i)] = h.objects[i].size
+	for i := ObjectID(1); int(i) < h.slots; i++ {
+		if h.obj(i).live {
+			m[i] = h.obj(i).size
 		}
 	}
 	return m
@@ -49,7 +49,7 @@ func TestGCFreedBytes(t *testing.T) {
 		gc := collect(r)
 		var want uint64
 		for id, size := range before {
-			if !h.objects[id].live {
+			if !h.obj(id).live {
 				want += uint64(size)
 			}
 		}
@@ -104,7 +104,7 @@ func TestAllocBasics(t *testing.T) {
 	if h.Size(id) != 104 { // padded to 8
 		t.Fatalf("size = %d", h.Size(id))
 	}
-	if !h.objects[id].young || !h.IsLive(id) {
+	if !h.obj(id).young || !h.IsLive(id) {
 		t.Fatal("fresh object not live+young")
 	}
 	if h.NumRefs(id) != 2 {
@@ -144,7 +144,7 @@ func TestTLABsArePerThread(t *testing.T) {
 func TestLargeObjectGoesOld(t *testing.T) {
 	h := newHeap(t)
 	id := h.Alloc(rec(), 1, uint32(h.Config().LargeObject), 0)
-	if h.objects[id].young {
+	if h.obj(id).young {
 		t.Fatal("large object allocated young")
 	}
 	if h.OldUsed() == 0 {
@@ -207,7 +207,7 @@ func TestCopyMovesAndIDsStable(t *testing.T) {
 	if before == after {
 		t.Fatal("survivor did not move")
 	}
-	if !h.objects[id].young {
+	if !h.obj(id).young {
 		t.Fatal("first-copy survivor should still be young")
 	}
 }
@@ -220,7 +220,7 @@ func TestPromotionAfterAge(t *testing.T) {
 	for i := 0; i < int(h.Config().PromoteAge); i++ {
 		h.MinorGC(r)
 	}
-	if h.objects[id].young {
+	if h.obj(id).young {
 		t.Fatal("object not promoted after aging")
 	}
 	if h.Stats.PromotedBytes == 0 {
@@ -254,7 +254,7 @@ func TestRememberedSetKeepsYoungAlive(t *testing.T) {
 	for i := 0; i < int(h.Config().PromoteAge); i++ {
 		h.MinorGC(r)
 	}
-	if h.objects[old].young {
+	if h.obj(old).young {
 		t.Fatal("setup: old not promoted")
 	}
 	young := h.Alloc(r, 1, 64, 0)
@@ -313,7 +313,7 @@ func TestMajorGCCompactsAndReclaims(t *testing.T) {
 		}
 	}
 	for i := 32; i < 64; i++ {
-		if !h.IsLive(ids[i]) || h.objects[ids[i]].young {
+		if !h.IsLive(ids[i]) || h.obj(ids[i]).young {
 			t.Fatal("rooted old object lost or demoted")
 		}
 	}
@@ -328,7 +328,7 @@ func TestMajorGCPromotesAllYoung(t *testing.T) {
 	id := h.Alloc(r, 1, 64, 0)
 	h.AddRoot(id)
 	h.MajorGC(r)
-	if h.objects[id].young {
+	if h.obj(id).young {
 		t.Fatal("young survivor of full GC not promoted")
 	}
 	if h.EdenUsed() != 0 {
@@ -548,7 +548,7 @@ func TestSurvivorOverflowPromotesEarly(t *testing.T) {
 	h.MinorGC(r)
 	promoted := 0
 	for _, id := range ids {
-		if !h.objects[id].young {
+		if !h.obj(id).young {
 			promoted++
 		}
 	}
@@ -578,7 +578,7 @@ func TestRemsetPrunedAfterTargetPromotes(t *testing.T) {
 	for i := 0; i < int(h.Config().PromoteAge); i++ {
 		h.MinorGC(r) // child promotes too
 	}
-	if h.objects[child].young {
+	if h.obj(child).young {
 		t.Fatal("setup: child still young")
 	}
 	if len(h.remset) != 0 {
@@ -653,5 +653,104 @@ func TestWriteBarrierOnlyForOldToYoung(t *testing.T) {
 	h.SetRef(r, a, 0, b) // young -> young: no remset entry
 	if len(h.remset) != 0 {
 		t.Fatalf("young->young ref entered remset")
+	}
+}
+
+// TestPageBoundaryIDs allocates past two object-table pages, collects,
+// and checks the table across the page boundaries: a slot never moves once
+// its page exists, objects on both sides report their own address, size
+// and liveness, and freed IDs come back last-freed first (the collector
+// frees in ascending ID order) before any new slot is opened.
+func TestPageBoundaryIDs(t *testing.T) {
+	cfg := testCfg()
+	cfg.NewGenBytes = 4 << 20
+	h, err := NewHeap(mem.NewAddrSpace(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rec()
+	const n = 2*pageSize + 100
+	type placed struct {
+		addr mem.Addr
+		size uint32
+	}
+	at := map[ObjectID]placed{}
+	var edge *object
+	for i := 0; i < n; i++ {
+		size := uint32(16 + 8*(i%5))
+		id := h.Alloc(r, 0, size, 0)
+		if want := ObjectID(i + 1); id != want {
+			t.Fatalf("allocation %d got ID %d, want %d", i, id, want)
+		}
+		last := r.Handoff().Items[len(r.Handoff().Items)-1]
+		at[id] = placed{last.Addr, size}
+		if id == pageSize-1 {
+			edge = h.obj(id)
+		}
+		if id%2 == 0 {
+			h.AddRoot(id)
+		}
+	}
+	if h.obj(pageSize-1) != edge {
+		t.Fatal("a slot moved when later pages were added")
+	}
+	for _, id := range []ObjectID{pageSize - 1, pageSize, pageSize + 1, 2*pageSize - 1, 2 * pageSize, n} {
+		if p := at[id]; h.Addr(id) != p.addr || h.Size(id) != p.size || !h.IsLive(id) {
+			t.Fatalf("ID %d: addr %#x size %d live %v, want %#x %d true", id, h.Addr(id), h.Size(id), h.IsLive(id), p.addr, p.size)
+		}
+	}
+
+	h.ClearStack(0)
+	h.MinorGC(r)
+	for _, id := range []ObjectID{pageSize - 1, pageSize, pageSize + 1, 2*pageSize - 1, 2 * pageSize, n} {
+		if live := h.IsLive(id); live != (id%2 == 0) {
+			t.Fatalf("ID %d live=%v after GC, want %v", id, live, id%2 == 0)
+		}
+		if id%2 == 0 && h.Size(id) != at[id].size {
+			t.Fatalf("ID %d size %d after GC, want %d", id, h.Size(id), at[id].size)
+		}
+	}
+	// The odd IDs were freed in ascending order; reuse pops the highest.
+	for want := n - 1; want >= 1; want -= 2 {
+		if got := h.Alloc(r, 0, 16, 0); got != ObjectID(want) {
+			t.Fatalf("recycled ID %d, want %d", got, want)
+		}
+	}
+	if got := h.Alloc(r, 0, 16, 0); got != n+1 {
+		t.Fatalf("first ID after the free list ran dry is %d, want %d", got, n+1)
+	}
+}
+
+// TestSteadyStateGCAllocs: on a warm heap, a collection costs a fixed
+// handful of Go allocations whatever its size — its trace is sized from
+// the previous one, and the collector's scratch is reused — and an
+// unplayed collection allocates only the returned GC. A rooted holder
+// keeps the last 1000 allocations alive, so every collection copies them.
+func TestSteadyStateGCAllocs(t *testing.T) {
+	const window = 1000
+	h := newHeap(t)
+	r := rec()
+	holder := h.Alloc(r, 0, 8*window, window)
+	h.AddRoot(holder)
+	next := 0
+	cycle := func() {
+		gcs := h.Stats.MinorGCs
+		for h.Stats.MinorGCs == gcs {
+			r.Reset("op", true)
+			h.SetRef(r, holder, next%window, h.Alloc(r, 0, 64, 0))
+			h.ClearStack(0)
+			next++
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	n := testing.AllocsPerRun(5, cycle)
+	t.Logf("%v allocations per played collection", n)
+	if n > 4 {
+		t.Fatalf("an allocation loop spanning one played minor GC made %v Go allocations, want <= 4", n)
+	}
+	if n := testing.AllocsPerRun(5, func() { h.MinorGC(nil) }); n > 1 {
+		t.Fatalf("MinorGC(nil) made %v Go allocations, want 1 (the returned GC)", n)
 	}
 }

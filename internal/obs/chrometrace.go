@@ -32,7 +32,7 @@ func WriteChromeTrace(w io.Writer, tracers ...*Tracer) error {
 // then the events of ring r (may be nil) that overlap [from, to], oldest
 // first, read from the ring in place.
 func ChromeTraceWindow(lead []Event, r *EventRing, from, to uint64, procNames map[int]string) []byte {
-	var enc traceEncoder
+	enc := traceEncoder{b: make([]byte, 0, (len(procNames)+len(lead)+r.Len())*windowEventBytes)}
 	enc.trackNames(procNames, nil)
 	for i := range lead {
 		enc.event(&lead[i])
@@ -41,6 +41,10 @@ func ChromeTraceWindow(lead []Event, r *EventRing, from, to uint64, procNames ma
 	enc.finish()
 	return enc.b
 }
+
+// windowEventBytes sizes ChromeTraceWindow's buffer per record it may
+// hold: a ring event with two short arguments encodes in about 110 bytes.
+const windowEventBytes = 128
 
 // flushBytes is how much encoded JSON a streaming encoder or a tracer's
 // buffer holds before it writes through.

@@ -25,6 +25,8 @@
 package flightrec
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -366,7 +368,6 @@ func (r *Recorder) dump(now uint64, trigger, reason string) {
 			Events: r.ring.Len(), Cap: r.ring.Cap(),
 			Evicted: r.ring.Evicted(), Total: r.ring.Total(),
 		},
-		Trace:    json.RawMessage(obs.ChromeTraceWindow(r.faultSpans(winStart, now), r.ring, winStart, now, r.procNames)),
 		InFlight: r.coll.InFlightTable(now),
 	}
 	if r.reg != nil {
@@ -383,19 +384,86 @@ func (r *Recorder) dump(now uint64, trigger, reason string) {
 		}
 	}
 
-	buf, err := json.MarshalIndent(&b, "", "  ")
-	if err != nil {
-		r.fail(err)
-		return
-	}
-	buf = append(buf, '\n')
+	trace := obs.ChromeTraceWindow(r.faultSpans(winStart, now), r.ring, winStart, now, r.procNames)
 	path := filepath.Join(r.opt.Dir, fmt.Sprintf("%s-flight-%03d-%s.json", r.opt.Label, len(r.dumps), safeName(trigger)))
-	if err := obs.AtomicWriteFile(path, buf, 0o644); err != nil {
+	if err := writeBundle(path, &b, trace); err != nil {
 		r.fail(err)
 		return
 	}
 	r.dumps = append(r.dumps, DumpInfo{Seq: len(r.dumps), Trigger: trigger, Cycle: now, Path: path})
 	fmt.Fprintf(os.Stderr, "flightrec: wrote %s (trigger %s, cycle %d)\n", path, trigger, now)
+}
+
+// traceKey is how json.MarshalIndent renders a bundle's trace field when
+// Trace holds the placeholder 0. JSON strings escape newlines, so the text
+// occurs nowhere else in the bundle.
+const traceKey = "\n  \"trace\": 0"
+
+// writeBundle writes b with trace as its Trace to path, atomically, with
+// the bytes json.MarshalIndent(b, "", "  ") and a newline would make.
+// MarshalIndent would compact the embedded trace and then indent the whole
+// bundle, two more copies of its largest part; instead the rest of the
+// bundle is marshaled around a placeholder and the trace is indented into
+// the file record by record.
+func writeBundle(path string, b *bundle, trace []byte) error {
+	b.Trace = json.RawMessage("0")
+	doc, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		return err
+	}
+	at := bytes.Index(doc, []byte(traceKey)) + len(traceKey) - 1
+	f, err := obs.AtomicCreate(path, 0o644)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriterSize(f, 64<<10)
+	w.Write(doc[:at])
+	err = writeIndentedTrace(w, trace)
+	w.Write(doc[at+1:])
+	w.WriteByte('\n')
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		f.Abort()
+		return err
+	}
+	return f.Close()
+}
+
+// writeIndentedTrace writes trace, a Chrome trace array with one record
+// per line ("[\n", records separated by ",\n", "\n]\n"), as MarshalIndent
+// renders an embedded json.RawMessage one level deep: compacted, with
+// '<', '>', '&', U+2028 and U+2029 escaped as Marshal escapes them, and
+// indented. Write errors stick in w.
+func writeIndentedTrace(w *bufio.Writer, trace []byte) error {
+	body := bytes.TrimSuffix(bytes.TrimPrefix(trace, []byte("[\n")), []byte("\n]\n"))
+	if len(body) == 0 {
+		w.WriteString("[]")
+		return nil
+	}
+	var ind, esc bytes.Buffer
+	w.WriteByte('[')
+	for len(body) > 0 {
+		rec, rest, more := bytes.Cut(body, []byte(",\n"))
+		if bytes.ContainsAny(rec, "<>&\u2028\u2029") {
+			esc.Reset()
+			json.HTMLEscape(&esc, rec)
+			rec = esc.Bytes()
+		}
+		ind.Reset()
+		if err := json.Indent(&ind, rec, "    ", "  "); err != nil {
+			return err
+		}
+		w.WriteString("\n    ")
+		w.Write(ind.Bytes())
+		if more {
+			w.WriteByte(',')
+		}
+		body = rest
+	}
+	w.WriteString("\n  ]")
+	return nil
 }
 
 func (r *Recorder) fail(err error) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -236,5 +237,74 @@ func TestWatchdogOnce(t *testing.T) {
 	}
 	if rec.Dumps()[0].Trigger != "watchdog" {
 		t.Fatalf("trigger %q", rec.Dumps()[0].Trigger)
+	}
+}
+
+// TestDumpAllocBound: a dump of a full default-size ring allocates less
+// than three times the bundle it writes. The trace encoder starts sized to
+// the ring, and the bundle indents the trace once instead of compacting
+// and re-indenting it.
+func TestDumpAllocBound(t *testing.T) {
+	rec, _ := newTestRecorder(t, t.TempDir(), Options{WindowCycles: 1 << 40})
+	tr := obs.NewRingTracer(rec.ring)
+	for i := uint64(0); i < DefaultRingEvents; i++ {
+		tr.Instant(obs.CompMem, "bus.gets", int(i%16), i*4, obs.Str("src", "c2c"), obs.U64("addr", i<<6))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rec.dump(DefaultRingEvents*4, "manual", "alloc bound")
+	runtime.ReadMemStats(&after)
+	if err := rec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(rec.Dumps()[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("bundle %d B, dump allocated %d B (%.2fx)", fi.Size(), alloc, float64(alloc)/float64(fi.Size()))
+	if alloc >= 3*uint64(fi.Size()) {
+		t.Fatalf("dump allocated %d B for a %d B bundle, want under 3x", alloc, fi.Size())
+	}
+}
+
+// TestBundleMatchesMarshalIndent: writeBundle writes the bytes
+// json.MarshalIndent makes of the bundle with its trace embedded, for an
+// empty trace and for records whose strings Marshal escapes or that carry
+// nested arguments.
+func TestBundleMatchesMarshalIndent(t *testing.T) {
+	ring := obs.NewEventRing(16)
+	tr := obs.NewRingTracer(ring)
+	tr.Instant(obs.CompMem, "bus<gets>&co", 1, 10, obs.Str("src", "a b c"), obs.U64("addr", 64))
+	tr.Span(obs.CompJVM, `gc "minor"`, 2, 20, 30, obs.F64("ratio", 0.25), obs.Str("s", "tab\there"))
+	tr.Span(obs.CompWorkload, "wide", 3, 40, 50, obs.U64("a", 1), obs.U64("b", 2), obs.U64("c", 3),
+		obs.U64("d", 4), obs.U64("e", 5), obs.U64("f", 6))
+	names := map[int]string{0: "cpu<0>", 1: "db & app"}
+	for _, tc := range []struct {
+		name  string
+		trace []byte
+	}{
+		{"empty", obs.ChromeTraceWindow(nil, nil, 0, 100, nil)},
+		{"names only", obs.ChromeTraceWindow(nil, nil, 0, 100, names)},
+		{"events", obs.ChromeTraceWindow(nil, ring, 0, 100, names)},
+	} {
+		b := bundle{Label: "x<y>", Trigger: "manual", Cycle: 100, Metrics: "m & n", AttrTop: json.RawMessage(`[{"a": 1}]`)}
+		path := filepath.Join(t.TempDir(), "b.json")
+		if err := writeBundle(path, &b, tc.trace); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Trace = tc.trace
+		want, err := json.MarshalIndent(&b, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Errorf("%s: bundle differs from MarshalIndent:\n--- got ---\n%s\n--- want ---\n%s", tc.name, got, want)
+		}
 	}
 }

@@ -10,10 +10,7 @@ package simrand
 
 import "math"
 
-const (
-	pcgMultiplier = 6364136223846793005
-	pcgIncrement  = 1442695040888963407
-)
+const pcgMultiplier = 6364136223846793005
 
 // Rand is a deterministic PCG-XSH-RR 64/32 generator. The zero value is not
 // valid; construct with New or Derive.
@@ -104,7 +101,9 @@ type Zipf struct {
 }
 
 // NewZipf builds a Zipf sampler over n items with exponent s (s > 0; s≈1 is
-// classic Zipf; larger s is more skewed). It panics if n <= 0.
+// classic Zipf; larger s is more skewed) that draws from r. Building draws
+// nothing from r, and r may be nil for a table that only With will sample.
+// It panics if n <= 0.
 func NewZipf(r *Rand, n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("simrand: NewZipf with non-positive n")
@@ -120,6 +119,11 @@ func NewZipf(r *Rand, n int, s float64) *Zipf {
 	}
 	return &Zipf{cdf: cdf, r: r}
 }
+
+// With returns a sampler over z's table that draws from r. Samplers made
+// this way share one read-only table, so many streams (one per worker
+// thread) cost one O(n) build.
+func (z *Zipf) With(r *Rand) *Zipf { return &Zipf{cdf: z.cdf, r: r} }
 
 // N returns the number of items in the sampler's domain.
 func (z *Zipf) N() int { return len(z.cdf) }

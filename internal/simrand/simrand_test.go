@@ -179,3 +179,19 @@ func TestQuickZipfInRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestZipfWith: a sampler from With draws the sequence NewZipf draws from
+// an equal generator — building draws nothing — and samplers sharing one
+// table do not perturb each other.
+func TestZipfWith(t *testing.T) {
+	table := NewZipf(nil, 1000, 0.9)
+	shared := table.With(New(42))
+	own := NewZipf(New(42), 1000, 0.9)
+	other := table.With(New(7))
+	for i := 0; i < 10000; i++ {
+		if a, b := shared.Next(), own.Next(); a != b {
+			t.Fatalf("draw %d: With sampler %d, NewZipf sampler %d", i, a, b)
+		}
+		other.Next()
+	}
+}

@@ -121,6 +121,12 @@ func NewRecorder(tag string, business bool) *Recorder {
 	return &Recorder{op: Op{Tag: tag, Business: business}}
 }
 
+// NewRecorderCap is NewRecorder with room for n items before the trace
+// regrows: the collector sizes each collection's trace by the last one's.
+func NewRecorderCap(tag string, business bool, n int) *Recorder {
+	return &Recorder{op: Op{Tag: tag, Business: business, Items: make([]Item, 0, n)}}
+}
+
 // Instr records n instructions of component comp. Zero counts are dropped.
 func (r *Recorder) Instr(comp mem.ComponentID, n uint32) {
 	if n == 0 {

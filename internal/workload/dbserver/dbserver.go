@@ -123,6 +123,7 @@ func New(cfg Config, heap *jvm.Heap, comps Components, ns *netsim.NetStack, rng 
 		}
 		heap.ClearStack(t)
 		s.tables = append(s.tables, tb)
+		rec.Reset("db-build", false) // construction traffic is discarded
 	}
 	heap.MinorGC(nil)
 	heap.MinorGC(nil)

@@ -158,6 +158,9 @@ type Workload struct {
 	inflightMax  int
 
 	rng *simrand.Rand
+	// The popularity tables every worker's samplers share
+	// (simrand.Zipf.With).
+	custZipf, itemZipf, ordZipf, corpZipf *simrand.Zipf
 
 	// caller, when non-nil, is the resilient remote-call path: remote
 	// round trips go through timeouts/retries/breakers, and requests may
@@ -197,6 +200,10 @@ func New(cfg Config, heap *jvm.Heap, comps Components, ns *netsim.NetStack, rng 
 		disp:        appserver.NewDispatcher(heap, rec),
 		inflightMax: max,
 		rng:         rng,
+		custZipf:    simrand.NewZipf(nil, cfg.Customers, cfg.ZipfSkew),
+		itemZipf:    simrand.NewZipf(nil, cfg.Items, cfg.ZipfSkew),
+		ordZipf:     simrand.NewZipf(nil, cfg.Orders, cfg.ZipfSkew),
+		corpZipf:    simrand.NewZipf(nil, cfg.Corporate, 1.1),
 		BBops:       make(map[string]uint64),
 	}
 	w.meta = heap.AllocPermanent(rec, cfg.MetaBytes, 0)
@@ -249,10 +256,10 @@ func (w *Workload) Source(i int, maxOps int) osmodel.OpSource {
 	return &workerSource{
 		w:         w,
 		rng:       rng,
-		custZipf:  simrand.NewZipf(rng, w.cfg.Customers, w.cfg.ZipfSkew),
-		itemZipf:  simrand.NewZipf(rng, w.cfg.Items, w.cfg.ZipfSkew),
-		ordZipf:   simrand.NewZipf(rng, w.cfg.Orders, w.cfg.ZipfSkew),
-		corpZipf:  simrand.NewZipf(rng, w.cfg.Corporate, 1.1),
+		custZipf:  w.custZipf.With(rng),
+		itemZipf:  w.itemZipf.With(rng),
+		ordZipf:   w.ordZipf.With(rng),
+		corpZipf:  w.corpZipf.With(rng),
 		remaining: maxOps,
 		rec:       trace.NewRecorder("", false),
 	}

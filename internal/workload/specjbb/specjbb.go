@@ -137,6 +137,9 @@ type Workload struct {
 	warehouses []*warehouse
 
 	rng *simrand.Rand
+	// custZipf and itemZipf are the popularity tables every thread's
+	// sampler shares (simrand.Zipf.With).
+	custZipf, itemZipf *simrand.Zipf
 
 	// Txns counts completed transactions by type.
 	Txns map[string]uint64
@@ -150,11 +153,13 @@ type Workload struct {
 // into a real run.
 func New(cfg Config, heap *jvm.Heap, comps Components, rng *simrand.Rand) *Workload {
 	w := &Workload{
-		cfg:   cfg,
-		comps: comps,
-		heap:  heap,
-		rng:   rng,
-		Txns:  make(map[string]uint64),
+		cfg:      cfg,
+		comps:    comps,
+		heap:     heap,
+		rng:      rng,
+		custZipf: simrand.NewZipf(nil, cfg.Customers, cfg.ZipfSkew),
+		itemZipf: simrand.NewZipf(nil, cfg.Items, cfg.ZipfSkew),
+		Txns:     make(map[string]uint64),
 	}
 	rec := trace.NewRecorder("jbb-build", false)
 	w.companyMon = heap.NewMonitor(rec)
@@ -163,6 +168,7 @@ func New(cfg Config, heap *jvm.Heap, comps Components, rng *simrand.Rand) *Workl
 	w.edenMon = heap.NewMonitor(rec)
 	for i := 0; i < cfg.Warehouses; i++ {
 		w.warehouses = append(w.warehouses, w.buildWarehouse(rec, i))
+		rec.Reset("jbb-build", false) // construction traffic is discarded
 	}
 	// Construction frames are done; unpin, then promote the long-lived
 	// trees as they would be minutes into a real run.
@@ -244,8 +250,8 @@ func (w *Workload) Source(whID int, maxOps int) osmodel.OpSource {
 		wh:        w.warehouses[whID],
 		whID:      whID,
 		rng:       rng,
-		custZipf:  simrand.NewZipf(rng, w.cfg.Customers, w.cfg.ZipfSkew),
-		itemZipf:  simrand.NewZipf(rng, w.cfg.Items, w.cfg.ZipfSkew),
+		custZipf:  w.custZipf.With(rng),
+		itemZipf:  w.itemZipf.With(rng),
 		remaining: maxOps,
 		rec:       trace.NewRecorder("", false),
 	}
