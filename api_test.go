@@ -1,8 +1,9 @@
-// Dead-API check: every exported name under internal/ must have a user
-// outside the _test.go files. A function, method, type, constant or
-// variable that only tests call, or a struct field that only tests set, is
-// API the simulator does not need; delete it, or move it into the test file
-// that uses it.
+// Dead-API check: every name declared under internal/, exported or not,
+// must have a user outside the _test.go files. A package-level function,
+// type, constant or variable, or a method, that only tests use, or a struct
+// field that only tests set, is code the simulator does not need; delete
+// it, or move it into the test file that uses it. Declarations local to a
+// function are out of scope.
 package main
 
 import (
@@ -76,7 +77,9 @@ func TestNoTestOnlyAPIFixture(t *testing.T) {
 	}
 	want := []string{
 		"internal/lib: field Config.Knob",
+		"internal/lib: field Config.limit",
 		"internal/lib: func TestOnly",
+		"internal/lib: func helper",
 		"internal/lib: method Counter.Reset",
 		"internal/lib: method Fake.Next",
 		"internal/lib: type Fake",
@@ -86,15 +89,15 @@ func TestNoTestOnlyAPIFixture(t *testing.T) {
 	}
 }
 
-// apiFinding is one exported name under internal/ without a non-test user.
+// apiFinding is one name under internal/ without a non-test user.
 type apiFinding struct {
 	Name string // "<package dir>: <kind> <name>"
 	Pos  string // file:line of its declaration
 }
 
 // checkAPI type-checks the non-test packages of the module at root, plus
-// rootFiles, test files of its root directory, and returns the exported
-// names under internal/ that none of that code uses. Nested modules are not
+// rootFiles, test files of its root directory, and returns the names
+// declared under internal/ that none of that code uses. Nested modules are not
 // part of the module; siblings names those (relative to root) that import
 // it, and their non-test files are read without types (see readSibling).
 //
@@ -104,7 +107,8 @@ type apiFinding struct {
 // assignment, ++/--, &x.f, a pointer-receiver call on x.f, or decoding a
 // value of its type with encoding/json. A method is used when a value of
 // its type is converted to an interface that has it. MarshalJSON,
-// UnmarshalJSON, String and Error are used by reflection, so exempt.
+// UnmarshalJSON, String and Error are used by reflection, and init by the
+// runtime, so exempt.
 func checkAPI(root string, siblings, rootFiles []string) ([]apiFinding, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -601,7 +605,7 @@ func (c *apiChecker) readSibling(dir string) error {
 // exemptMethods are found by encoding/json and fmt through reflection.
 var exemptMethods = map[string]bool{"MarshalJSON": true, "UnmarshalJSON": true, "String": true, "Error": true}
 
-// findings lists the exported names declared under internal/ without a use.
+// findings lists the names declared under internal/ without a use.
 func (c *apiChecker) findings() []apiFinding {
 	var out []apiFinding
 	report := func(p *apiPkg, kind, name string, pos token.Pos) {
@@ -615,10 +619,11 @@ func (c *apiChecker) findings() []apiFinding {
 			continue
 		}
 		for id, o := range p.info.Defs {
-			if o == nil || !id.IsExported() {
+			if o == nil || id.Name == "_" {
 				continue
 			}
-			if c.siblingUse[id.Name] && !isPkgLevel(p, o) || c.siblingUse[p.path+"."+id.Name] {
+			// A sibling module can reach only exported names.
+			if id.IsExported() && (c.siblingUse[id.Name] && !isPkgLevel(p, o) || c.siblingUse[p.path+"."+id.Name]) {
 				continue
 			}
 			pos := o.Pos()
@@ -626,7 +631,7 @@ func (c *apiChecker) findings() []apiFinding {
 			case *types.Func:
 				sig := o.Type().(*types.Signature)
 				if sig.Recv() == nil {
-					if !c.used[pos] {
+					if !c.used[pos] && o.Name() != "init" {
 						report(p, "func", o.Name(), pos)
 					}
 					continue

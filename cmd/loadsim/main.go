@@ -83,7 +83,7 @@ func registerFlags(fs *flag.FlagSet) *appFlags {
 		shards:     fs.Int("shards", 2, "database shards (1-64)"),
 		queueCap:   fs.Int("queue-cap", 64, "bounded per-node request queue (with controls on)"),
 		clients:    fs.Int("clients", 16, "closed-loop client population (only with -arrival off)"),
-		lb:         fs.String("lb", "least", "load-balancer policy: rr, least, or weighted"),
+		lb:         fs.String("lb", "least", "load-balancer policy: rr or least"),
 		arrivalPat: fs.String("arrival", "poisson", "arrival pattern: poisson, bursty, diurnal, flash, or off (closed loop)"),
 		sweep:      fs.String("sweep", "", "comma-separated offered-load multipliers, e.g. 0.3,1,3 (overrides -offered)"),
 		controls:   fs.String("controls", "on", "adaptive overload controls: on, off, or both (paired runs per point)"),
@@ -205,7 +205,7 @@ func runPoint(cfg cluster.OpenConfig, mult float64, controlsOn bool, seed, horiz
 	if cfg.ClosedClients == 0 {
 		cfg.Arrival.Rate = mult * cfg.Capacity()
 	}
-	cfg.Controls.Enabled = controlsOn
+	cfg.Controls = controlsOn
 	s, err := cluster.NewOpen(cfg, seed)
 	if err != nil {
 		return point{}, err

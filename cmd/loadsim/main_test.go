@@ -31,6 +31,19 @@ func TestFlagParity(t *testing.T) {
 		"deadline-ms", "think-ms", "seed", "horizon")
 }
 
+// TestUnknownLBPolicy: -lb takes rr or least; any other name fails the run
+// with an error naming both.
+func TestUnknownLBPolicy(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-lb", "weighted", "-horizon", "1000000", "-flight", "off"}, &stdout, &stderr)
+	if code == 0 {
+		t.Fatalf("-lb weighted exited 0; stdout:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "rr|least") {
+		t.Fatalf("-lb weighted error does not name rr|least: %q", stderr.String())
+	}
+}
+
 func TestParseSweep(t *testing.T) {
 	mults, err := parseSweep("0.3, 1,3", 1)
 	if err != nil || len(mults) != 3 || mults[0] != 0.3 || mults[2] != 3 {

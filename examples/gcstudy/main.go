@@ -3,7 +3,8 @@
 //  1. Figure 10 — cache-to-cache transfers over time. The paper's rate
 //     collapses during stop-the-world collection (only the single collector
 //     thread runs, so nobody is exchanging lines); the simulated rate does
-//     not collapse (ROADMAP item 8).
+//     not collapse (ROADMAP item "The Fig 10 collapse does not
+//     reproduce").
 //  2. Figure 11 — SPECjbb's live memory grows linearly with warehouses;
 //     ECperf's middle tier stays flat past a small knee because the
 //     database it feeds lives on another machine.

@@ -10,8 +10,8 @@ import (
 
 // Caller is the application server's resilient remote-call path: per-request
 // timeouts, capped exponential backoff with jittered retries, a per-backend
-// circuit breaker, and admission-control load shedding, all parameterized by
-// a fault.Policy and driven by the run's fault injector.
+// circuit breaker, and admission-control load shedding, all tuned by the
+// fault package's constants and driven by the run's fault injector.
 //
 // It operates at record time, like everything in the functional layer: the
 // injector decides from its schedule whether a call at the current simulated
@@ -26,7 +26,6 @@ import (
 // A nil *Caller is valid and transparent: calls go straight to the network
 // stack and admission always succeeds.
 type Caller struct {
-	pol      fault.Policy
 	inj      *fault.Injector
 	rng      *simrand.Rand
 	breakers map[uint8]*fault.Breaker
@@ -48,26 +47,22 @@ type CallStats struct {
 	Successes      uint64 // logical calls that completed
 }
 
-// NewCaller builds the resilient call path. pol must validate; inj may be
-// nil (no injected faults — the policy machinery still runs). rng must be
-// a stream derived from the run seed.
-func NewCaller(pol fault.Policy, inj *fault.Injector, rng *simrand.Rand) (*Caller, error) {
-	if err := pol.Validate(); err != nil {
-		return nil, err
-	}
+// NewCaller builds the resilient call path. inj may be nil (no injected
+// faults — the resilience machinery still runs). rng must be a stream
+// derived from the run seed.
+func NewCaller(inj *fault.Injector, rng *simrand.Rand) *Caller {
 	return &Caller{
-		pol:      pol,
 		inj:      inj,
 		rng:      rng,
 		breakers: make(map[uint8]*fault.Breaker),
-		shed:     fault.NewShedder(&pol),
-	}, nil
+		shed:     fault.NewShedder(),
+	}
 }
 
 func (c *Caller) breaker(peer uint8) *fault.Breaker {
 	b, ok := c.breakers[peer]
 	if !ok {
-		b = fault.NewBreaker(&c.pol)
+		b = fault.NewBreaker()
 		c.breakers[peer] = b
 	}
 	return b
@@ -112,10 +107,11 @@ func (c *Caller) Admit(now uint64) bool {
 }
 
 // Call records one resilient logical call to peer on ns: up to
-// MaxAttempts tries separated by jittered exponential backoff, guarded by
-// the peer's circuit breaker. It returns false when the call failed (the
-// operation should take its error path) and the simulated cycles of delay
-// it recorded, so the workload can keep its record-time clock aligned.
+// fault.MaxAttempts tries separated by jittered exponential backoff,
+// guarded by the peer's circuit breaker. It returns false when the call
+// failed (the operation should take its error path) and the simulated
+// cycles of delay it recorded, so the workload can keep its record-time
+// clock aligned.
 func (c *Caller) Call(rec *trace.Recorder, ns *netsim.NetStack, peer uint8, reqBytes, respBytes uint32, now uint64) (ok bool, delay uint64) {
 	if c == nil {
 		ns.Call(rec, peer, reqBytes, respBytes)
@@ -129,8 +125,8 @@ func (c *Caller) Call(rec *trace.Recorder, ns *netsim.NetStack, peer uint8, reqB
 			// Local rejection: the breaker answers without touching the
 			// network. Nearly free — one think tick models the error path.
 			c.Stats.BreakerRejects++
-			rec.Think(c.pol.FastFailCycles)
-			t += uint64(c.pol.FastFailCycles)
+			rec.Think(fault.FastFailCycles)
+			t += fault.FastFailCycles
 			c.shed.Observe(t, false)
 			break
 		}
@@ -149,8 +145,8 @@ func (c *Caller) Call(rec *trace.Recorder, ns *netsim.NetStack, peer uint8, reqB
 		case fault.FastFail:
 			// Connection refused by a crashed peer: fast, cheap failure.
 			c.Stats.FastFails++
-			rec.Think(c.pol.FastFailCycles)
-			t += uint64(c.pol.FastFailCycles)
+			rec.Think(fault.FastFailCycles)
+			t += fault.FastFailCycles
 			if c.inj.Admit() {
 				c.inj.Instant("resilience.fastfail", t, obs.U64("peer", uint64(peer)))
 			}
@@ -158,8 +154,8 @@ func (c *Caller) Call(rec *trace.Recorder, ns *netsim.NetStack, peer uint8, reqB
 			// The request (or its reply) vanished: the caller burns the
 			// full timeout discovering that.
 			c.Stats.Timeouts++
-			rec.Think(c.pol.TimeoutCycles)
-			t += uint64(c.pol.TimeoutCycles)
+			rec.Think(fault.TimeoutCycles)
+			t += fault.TimeoutCycles
 			if c.inj.Admit() {
 				c.inj.Instant("resilience.timeout", t, obs.U64("peer", uint64(peer)))
 			}
@@ -171,10 +167,10 @@ func (c *Caller) Call(rec *trace.Recorder, ns *netsim.NetStack, peer uint8, reqB
 				c.inj.Instant("resilience.breaker_open", t, obs.U64("peer", uint64(peer)))
 			}
 		}
-		if attempt >= c.pol.MaxAttempts {
+		if attempt >= fault.MaxAttempts {
 			break
 		}
-		d := c.pol.Backoff(attempt, c.rng)
+		d := fault.Backoff(attempt, c.rng)
 		rec.Think(d)
 		t += uint64(d)
 	}

@@ -141,38 +141,55 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// Validate rejects configurations that cannot generate a process.
+// Bounds that keep every accepted process cheap to sample.
+const (
+	// maxRate is one arrival per cycle, the finest the clock resolves.
+	maxRate = 1.0
+	// maxFlashFactor bounds the spike: off the spike, thinning draws about
+	// FlashFactor candidates per accepted arrival.
+	maxFlashFactor = 1000.0
+)
+
+// Validate rejects configurations that cannot generate a process, or that
+// would take unbounded work per arrival to generate one.
 func (c Config) Validate() error {
 	if int(c.Pattern) >= int(numPatterns) {
 		return fmt.Errorf("arrival: unknown pattern %d", c.Pattern)
 	}
-	if !(c.Rate > 0) || math.IsInf(c.Rate, 0) {
-		return fmt.Errorf("arrival: rate %g must be positive and finite", c.Rate)
+	if !(c.Rate > 0 && c.Rate <= maxRate) {
+		return fmt.Errorf("arrival: rate %g outside (0, %g] per cycle", c.Rate, maxRate)
 	}
 	switch c.Pattern {
 	case Bursty:
-		if c.BurstFactor <= 1 {
-			return fmt.Errorf("arrival: burst factor %g must exceed 1", c.BurstFactor)
+		if !(c.BurstFactor > 1) || math.IsInf(c.BurstFactor, 1) {
+			return fmt.Errorf("arrival: burst factor %g must be finite and exceed 1", c.BurstFactor)
 		}
-		if c.BurstFrac <= 0 || c.BurstFrac >= 1 {
+		if !(c.BurstFrac > 0 && c.BurstFrac < 1) {
 			return fmt.Errorf("arrival: burst fraction %g outside (0, 1)", c.BurstFrac)
 		}
-		if c.BurstDwellCycles == 0 {
-			return fmt.Errorf("arrival: burst dwell must be positive")
+		// A burst that holds less than one arrival on average is no burst,
+		// and the process would flip state many times per arrival.
+		burst := c.Rate / (1 - c.BurstFrac + c.BurstFrac*c.BurstFactor) * c.BurstFactor
+		if !(burst*float64(c.BurstDwellCycles) >= 1) {
+			return fmt.Errorf("arrival: burst dwell %d holds %.3g arrivals at burst rate %g, want at least 1",
+				c.BurstDwellCycles, burst*float64(c.BurstDwellCycles), burst)
 		}
 	case Diurnal:
 		if c.PeriodCycles == 0 {
 			return fmt.Errorf("arrival: diurnal period must be positive")
 		}
-		if c.DiurnalAmplitude < 0 || c.DiurnalAmplitude >= 1 {
+		if !(c.DiurnalAmplitude >= 0 && c.DiurnalAmplitude < 1) {
 			return fmt.Errorf("arrival: diurnal amplitude %g outside [0, 1)", c.DiurnalAmplitude)
 		}
 	case Flash:
-		if c.FlashFactor <= 1 {
-			return fmt.Errorf("arrival: flash factor %g must exceed 1", c.FlashFactor)
+		if !(c.FlashFactor > 1 && c.FlashFactor <= maxFlashFactor) {
+			return fmt.Errorf("arrival: flash factor %g outside (1, %g]", c.FlashFactor, maxFlashFactor)
 		}
 		if c.FlashRamp == 0 || c.FlashDecay == 0 {
 			return fmt.Errorf("arrival: flash ramp and decay must be positive")
+		}
+		if up := c.FlashRamp + c.FlashHold; up < c.FlashRamp || up+c.FlashDecay < up {
+			return fmt.Errorf("arrival: flash spike length overflows the clock")
 		}
 	}
 	return nil
@@ -287,14 +304,13 @@ func (s *Source) scheduleState(t uint64) {
 	if dwell < 1 {
 		dwell = 1
 	}
-	s.stateEnd = t + uint64(dwell)
-	if s.stateEnd <= t { // overflow guard near the end of the clock
-		s.stateEnd = math.MaxUint64
-	}
+	s.stateEnd = addCycles(t, dwell)
 }
 
-// Next returns the next arrival cycle. The sequence is strictly
-// non-decreasing; consecutive arrivals may share a cycle at extreme rates.
+// Next returns the next arrival cycle. The sequence is non-decreasing;
+// consecutive arrivals may share a cycle at extreme rates, and once the
+// clock runs out every further arrival lands on its last cycle,
+// math.MaxUint64.
 func (s *Source) Next() uint64 {
 	switch s.cfg.Pattern {
 	case Bursty:
@@ -302,16 +318,28 @@ func (s *Source) Next() uint64 {
 	case Diurnal, Flash:
 		s.now = s.nextThinned()
 	default:
-		s.now += s.gap(s.cfg.Rate)
+		s.now = s.after(s.now, s.cfg.Rate)
 	}
 	s.Generated++
 	return s.now
 }
 
-// gap draws one exponential inter-arrival gap at the given rate, rounded to
-// at least zero cycles.
-func (s *Source) gap(rate float64) uint64 {
-	return uint64(s.rng.Exp(1 / rate))
+// after draws one exponential inter-arrival gap at the given rate and
+// returns the cycle it ends on, counting from t.
+func (s *Source) after(t uint64, rate float64) uint64 {
+	return addCycles(t, s.rng.Exp(1/rate))
+}
+
+// addCycles returns t plus d cycles, rounded down, saturating at the end of
+// the clock (math.MaxUint64). d is non-negative, possibly +Inf or NaN.
+func addCycles(t uint64, d float64) uint64 {
+	if !(d < 1<<63) {
+		return math.MaxUint64
+	}
+	if u := t + uint64(d); u >= t {
+		return u
+	}
+	return math.MaxUint64
 }
 
 // nextBursty advances the two-state MMPP. A gap that crosses the current
@@ -319,12 +347,12 @@ func (s *Source) gap(rate float64) uint64 {
 // arrival process restarts at the boundary under the new state's rate.
 func (s *Source) nextBursty() uint64 {
 	t := s.now
-	for {
+	for t != math.MaxUint64 {
 		rate := s.quietRate
 		if s.inBurst {
 			rate = s.burstRate
 		}
-		cand := t + s.gap(rate)
+		cand := s.after(t, rate)
 		if cand < s.stateEnd {
 			return cand
 		}
@@ -332,6 +360,7 @@ func (s *Source) nextBursty() uint64 {
 		s.inBurst = !s.inBurst
 		s.scheduleState(t)
 	}
+	return t
 }
 
 // nextThinned samples the non-homogeneous process by Lewis-Shedler
@@ -342,8 +371,8 @@ func (s *Source) nextThinned() uint64 {
 	peak := s.PeakRate()
 	t := s.now
 	for {
-		t += s.gap(peak)
-		if s.rng.Float64() < s.Rate(t)/peak {
+		t = s.after(t, peak)
+		if t == math.MaxUint64 || s.rng.Float64() < s.Rate(t)/peak {
 			return t
 		}
 	}

@@ -44,6 +44,18 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{Pattern: Bursty, Rate: 1e-5, BurstFactor: 4, BurstFrac: 1.5, BurstDwellCycles: 1},
 		{Pattern: Diurnal, Rate: 1e-5, PeriodCycles: 1, DiurnalAmplitude: -0.1},
 		{Pattern: Flash, Rate: 1e-5, FlashFactor: 0.5, FlashRamp: 1, FlashDecay: 1},
+		// Non-finite knobs, and knobs that would make one arrival cost
+		// unbounded work to generate.
+		{Pattern: Poisson, Rate: math.NaN()},
+		{Pattern: Poisson, Rate: 2},
+		{Pattern: Bursty, Rate: 1e-5, BurstFactor: math.Inf(1), BurstFrac: 0.1, BurstDwellCycles: 1_000_000},
+		{Pattern: Bursty, Rate: 1e-5, BurstFactor: math.NaN(), BurstFrac: 0.1, BurstDwellCycles: 1_000_000},
+		{Pattern: Bursty, Rate: 1e-5, BurstFactor: 4, BurstFrac: math.NaN(), BurstDwellCycles: 1_000_000},
+		{Pattern: Bursty, Rate: 1e-5, BurstFactor: 4, BurstFrac: 0.1, BurstDwellCycles: 1},
+		{Pattern: Diurnal, Rate: 1e-5, PeriodCycles: 1, DiurnalAmplitude: math.NaN()},
+		{Pattern: Flash, Rate: 1e-5, FlashFactor: math.NaN(), FlashRamp: 1, FlashDecay: 1},
+		{Pattern: Flash, Rate: 1e-5, FlashFactor: 1e300, FlashRamp: 1, FlashDecay: 1},
+		{Pattern: Flash, Rate: 1e-5, FlashFactor: 6, FlashRamp: 1 << 63, FlashHold: 1 << 63, FlashDecay: 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -208,6 +220,34 @@ func TestRateEnvelope(t *testing.T) {
 			if r := src.Rate(t0); r > peak*1.0000001 {
 				t.Fatalf("%v: rate(%d) = %g exceeds peak %g", p, t0, r, peak)
 			}
+		}
+	}
+}
+
+// TestNextSaturatesAtClockEnd: a rate so low that the gaps overrun the
+// 64-bit clock parks the arrivals on its last cycle instead of wrapping
+// around to earlier ones.
+func TestNextSaturatesAtClockEnd(t *testing.T) {
+	for _, cfg := range []Config{
+		{Pattern: Poisson, Rate: 1e-300},
+		{Pattern: Bursty, Rate: 1e-18, BurstDwellCycles: 1e18},
+		{Pattern: Diurnal, Rate: 1e-300},
+		{Pattern: Flash, Rate: 1e-300},
+	} {
+		src, err := New(cfg, simrand.New(1))
+		if err != nil {
+			t.Fatalf("%v: %v", cfg.Pattern, err)
+		}
+		prev := uint64(0)
+		for i := 0; i < 1000; i++ {
+			at := src.Next()
+			if at < prev {
+				t.Fatalf("%v: arrival %d at cycle %d precedes the previous one at %d", cfg.Pattern, i, at, prev)
+			}
+			prev = at
+		}
+		if prev != math.MaxUint64 {
+			t.Errorf("%v: 1000th arrival at cycle %d, want the clock's last cycle", cfg.Pattern, prev)
 		}
 	}
 }

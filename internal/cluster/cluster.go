@@ -17,7 +17,6 @@
 package cluster
 
 import (
-	"repro/internal/fault"
 	"repro/internal/osmodel"
 	"repro/internal/trace"
 	"repro/internal/workload/dbserver"
@@ -35,27 +34,16 @@ type Coordinator struct {
 	window  uint64
 	latency uint64
 
-	// Fault injection (nil = none): during a node-crash or partition window
-	// aimed at dbPeer, requests are not delivered — the caller is woken
-	// empty-handed after dropTimeout instead of when a reply arrives.
-	faults      *fault.Injector
-	dbPeer      uint8
-	dropTimeout uint64
-
-	// Requests counts app→db calls; Replies counts completed round trips;
-	// Dropped counts requests lost to fault windows — on either leg:
-	// DroppedReplies of them were answered by the database but lost on the
-	// way back. At every lockstep window boundary the requests in flight,
-	// Requests - Replies - Dropped, equal the database server's
+	// Requests counts app→db calls; Replies counts completed round trips.
+	// At every lockstep window boundary the requests in flight,
+	// Requests - Replies, equal the database server's
 	// QueueDepth() + InService() (the conservation test checks it).
-	Requests       uint64
-	Replies        uint64
-	Dropped        uint64
-	DroppedReplies uint64
+	Requests uint64
+	Replies  uint64
 
 	// OnWindow, when set, runs after each lockstep window with the window's
-	// end cycle — both engines have reached t and all deliveries, replies,
-	// and drops up to t are accounted. Hook for heartbeats and invariant
+	// end cycle — both engines have reached t and all deliveries and
+	// replies up to t are accounted. Hook for heartbeats and invariant
 	// checks.
 	OnWindow func(t uint64)
 }
@@ -76,21 +64,6 @@ func New(app, db *osmodel.Engine, srv *dbserver.Server, latency uint64) *Coordin
 	}
 	app.OnExternalCall = func(tid int, peer uint8, req, resp uint32, t uint64) {
 		c.Requests++
-		// A crashed or partitioned database machine never sees the request:
-		// the caller blocks until its timeout and resumes empty-handed. The
-		// request (and any reply already in flight the other way) is lost —
-		// exactly the asymmetry a real partition produces.
-		if out := c.faults.CallOutcome(c.dbPeer, t); out != fault.OK {
-			c.Dropped++
-			wake := t + c.dropTimeout
-			if out == fault.FastFail {
-				// Connection refused: the crashed machine's peer OS answers
-				// with a reset after one wire round trip, not a timeout.
-				wake = t + 2*c.latency
-			}
-			app.WakeExternal(tid, wake)
-			return
-		}
 		srv.Enqueue(dbserver.Request{
 			SourceThread: tid,
 			ReqBytes:     req,
@@ -101,26 +74,6 @@ func New(app, db *osmodel.Engine, srv *dbserver.Server, latency uint64) *Coordin
 	db.OnOpComplete = func(op *trace.Op, tid int, t uint64) {
 		req, ok := srv.TakeRequest(op)
 		if !ok {
-			return
-		}
-		// The reply crosses the same faulty wire: a partition, crash, or
-		// packet-loss window active when the database answers loses the
-		// reply even though the work was done — the asymmetry that makes
-		// distributed failures expensive. The caller cannot tell a lost
-		// request from a lost reply; either way it resumes empty-handed
-		// when its timer fires, dropTimeout after it issued the request.
-		if c.faults.CallOutcome(c.dbPeer, t) != fault.OK {
-			c.Dropped++
-			c.DroppedReplies++
-			wake := req.DeliverAt - c.latency + c.dropTimeout
-			// A reply that took longer than the timeout to produce would
-			// put the timer in an already-simulated window; the lockstep
-			// cannot wake into the past, so the caller resumes at the
-			// earliest future-safe point instead.
-			if wake < t+c.latency {
-				wake = t + c.latency
-			}
-			app.WakeExternal(req.SourceThread, wake)
 			return
 		}
 		c.Replies++

@@ -125,3 +125,37 @@ func TestDBMachineMeasurable(t *testing.T) {
 		t.Fatal("a nearly idle db machine reported no idle time")
 	}
 }
+
+// TestPerWindowConservationGroundTruth checks the coordinator's books at
+// EVERY lockstep window boundary, not just at quiescence, against the
+// database server's own state: the requests in flight, Requests - Replies,
+// must equal exactly the requests the server holds (queued + claimed by
+// workers).
+func TestPerWindowConservationGroundTruth(t *testing.T) {
+	const calls = 200
+	coord, app, _, srv := rig(t, calls)
+
+	windows, busy := 0, 0
+	coord.OnWindow = func(tw uint64) {
+		windows++
+		inFlight := coord.Requests - coord.Replies
+		if got, want := inFlight, uint64(srv.QueueDepth()+srv.InService()); got != want {
+			t.Fatalf("window %d: coordinator counts %d in flight, server holds %d (%d queued + %d in service)",
+				tw, got, want, srv.QueueDepth(), srv.InService())
+		}
+		if inFlight > 0 {
+			busy++
+		}
+	}
+	coord.Run(90_000_000)
+
+	if windows == 0 || busy == 0 {
+		t.Fatalf("check never exercised: %d windows, %d with a request in flight", windows, busy)
+	}
+	if coord.Requests != calls || coord.Replies != calls {
+		t.Fatalf("requests/replies = %d/%d at quiescence, want %d/%d", coord.Requests, coord.Replies, calls, calls)
+	}
+	if got := app.Results().BusinessOps; got != calls {
+		t.Fatalf("caller completed %d ops, want %d", got, calls)
+	}
+}

@@ -51,8 +51,6 @@ const (
 	// LeastInFlight routes to the healthy node with the fewest queued plus
 	// in-service requests.
 	LeastInFlight
-	// Weighted is smooth weighted round-robin with every node weighted 1.
-	Weighted
 )
 
 // String names the policy as accepted by ParseLBPolicy.
@@ -62,24 +60,20 @@ func (p LBPolicy) String() string {
 		return "rr"
 	case LeastInFlight:
 		return "least"
-	case Weighted:
-		return "weighted"
 	default:
 		return fmt.Sprintf("LBPolicy(%d)", uint8(p))
 	}
 }
 
-// ParseLBPolicy parses rr|least|weighted.
+// ParseLBPolicy parses rr|least.
 func ParseLBPolicy(s string) (LBPolicy, error) {
 	switch s {
 	case "rr":
 		return RoundRobin, nil
 	case "least":
 		return LeastInFlight, nil
-	case "weighted":
-		return Weighted, nil
 	}
-	return 0, fmt.Errorf("cluster: unknown lb policy %q (want rr|least|weighted)", s)
+	return 0, fmt.Errorf("cluster: unknown lb policy %q (want rr|least)", s)
 }
 
 // WorkClass is one entry of the request mix.
@@ -111,30 +105,6 @@ func DefaultMix() []WorkClass {
 	}
 }
 
-// Controls bundles the adaptive overload controllers. Enabled=false is the
-// naive baseline: unbounded-ish queues, no queue-delay admission, no
-// concurrency limit, no retry budget, no degradation — timeouts and
-// retries only, the configuration that collapses under overload.
-type Controls struct {
-	Enabled bool
-	CoDel   fault.CoDelConfig
-	AIMD    fault.AIMDConfig
-	Retry   fault.RetryBudgetConfig
-	Brown   fault.BrownoutConfig
-}
-
-// DefaultControls returns the controllers at their package defaults,
-// enabled.
-func DefaultControls() Controls {
-	return Controls{
-		Enabled: true,
-		CoDel:   fault.DefaultCoDelConfig(),
-		AIMD:    fault.DefaultAIMDConfig(),
-		Retry:   fault.DefaultRetryBudgetConfig(),
-		Brown:   fault.DefaultBrownoutConfig(),
-	}
-}
-
 // OpenConfig parameterizes the open-system topology.
 type OpenConfig struct {
 	Nodes          int // app-server nodes
@@ -145,11 +115,15 @@ type OpenConfig struct {
 	LB             LBPolicy
 	Link           netsim.Link
 	Mix            []WorkClass
-	Policy         fault.Policy // timeout / retry / breaker parameters
 	// DeadlineCycles is client patience: completions later than this after
 	// the client sent the request are wasted work, excluded from goodput.
 	DeadlineCycles uint64
-	Controls       Controls
+	// Controls arms the adaptive overload controllers (the bounded queue,
+	// CoDel, the AIMD limit, the retry budget and brownout). Off is the
+	// naive baseline: unbounded-ish queues, no queue-delay admission, no
+	// concurrency limit, no retry budget, no degradation — timeouts and
+	// retries only, the configuration that collapses under overload.
+	Controls bool
 
 	// Arrival drives open-system traffic. It is ignored in closed-loop
 	// mode (ClosedClients > 0), where each client sends, waits for its
@@ -179,9 +153,8 @@ func DefaultOpenConfig() OpenConfig {
 		LB:             LeastInFlight,
 		Link:           netsim.DefaultLink(),
 		Mix:            DefaultMix(),
-		Policy:         fault.DefaultPolicy(),
 		DeadlineCycles: 6_250_000,
-		Controls:       DefaultControls(),
+		Controls:       true,
 		Arrival:        arrival.Config{Pattern: arrival.Poisson, Rate: 5e-5}.Defaults(),
 	}
 }
@@ -215,23 +188,6 @@ func (c OpenConfig) Validate() error {
 	}
 	if c.DeadlineCycles == 0 {
 		return fmt.Errorf("cluster: client deadline must be positive")
-	}
-	if err := c.Policy.Validate(); err != nil {
-		return err
-	}
-	if c.Controls.Enabled {
-		if err := c.Controls.CoDel.Validate(); err != nil {
-			return err
-		}
-		if err := c.Controls.AIMD.Validate(); err != nil {
-			return err
-		}
-		if err := c.Controls.Retry.Validate(); err != nil {
-			return err
-		}
-		if err := c.Controls.Brown.Validate(); err != nil {
-			return err
-		}
 	}
 	if c.ClosedClients > 0 {
 		if c.ThinkCycles <= 0 {
@@ -408,9 +364,7 @@ type OpenSim struct {
 	budgets  []*fault.RetryBudget // per node, nil when controls off
 	breakers [][]*fault.Breaker   // [node][shard]
 
-	lbNext int       // round-robin cursor
-	wrrCur []float64 // smooth-WRR current weights
-	wrrSum float64
+	lbNext int // round-robin cursor
 
 	tickEvery uint64
 	onTick    func(t uint64, s *OpenSim)
@@ -423,7 +377,7 @@ type OpenSim struct {
 
 // NewOpen builds the topology; every RNG stream derives from seed.
 func NewOpen(cfg OpenConfig, seed uint64) (*OpenSim, error) {
-	if !cfg.Controls.Enabled {
+	if !cfg.Controls {
 		cfg.QueueCap = uncappedQueue
 	}
 	if err := cfg.Validate(); err != nil {
@@ -452,33 +406,29 @@ func NewOpen(cfg OpenConfig, seed uint64) (*OpenSim, error) {
 
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &openNode{id: i, peer: NodePeer(i)}
-		if cfg.Controls.Enabled {
-			n.codel = fault.NewCoDel(cfg.Controls.CoDel)
-			n.brown = fault.NewBrownout(cfg.Controls.Brown)
+		if cfg.Controls {
+			n.codel = fault.NewCoDel()
+			n.brown = fault.NewBrownout()
 		}
 		s.nodes = append(s.nodes, n)
 	}
 	for k := 0; k < cfg.Shards; k++ {
 		s.shards = append(s.shards, db.NewServer(cfg.Shard, root.Derive(uint64(10+k))))
 	}
-	if cfg.Controls.Enabled {
+	if cfg.Controls {
 		for range s.shards {
-			s.limiters = append(s.limiters, &shardLimiter{aimd: fault.NewAIMD(cfg.Controls.AIMD)})
+			s.limiters = append(s.limiters, &shardLimiter{aimd: fault.NewAIMD()})
 		}
 		for range s.nodes {
-			s.budgets = append(s.budgets, fault.NewRetryBudget(cfg.Controls.Retry))
+			s.budgets = append(s.budgets, fault.NewRetryBudget())
 		}
 	}
 	s.breakers = make([][]*fault.Breaker, cfg.Nodes)
 	for i := range s.breakers {
 		s.breakers[i] = make([]*fault.Breaker, cfg.Shards)
 		for k := range s.breakers[i] {
-			s.breakers[i][k] = fault.NewBreaker(&s.cfg.Policy)
+			s.breakers[i][k] = fault.NewBreaker()
 		}
-	}
-	if cfg.LB == Weighted {
-		s.wrrCur = make([]float64, cfg.Nodes)
-		s.wrrSum = float64(cfg.Nodes)
 	}
 	return s, nil
 }
@@ -608,18 +558,6 @@ func (s *OpenSim) route(t uint64) *openNode {
 			}
 		}
 		return best
-	case Weighted:
-		// Smooth weighted round-robin (nginx): add each node's weight of 1,
-		// pick the largest accumulated, subtract the total.
-		var best *openNode
-		for _, n := range alive {
-			s.wrrCur[n.id]++
-			if best == nil || s.wrrCur[n.id] > s.wrrCur[best.id] {
-				best = n
-			}
-		}
-		s.wrrCur[best.id] -= s.wrrSum
-		return best
 	default: // RoundRobin
 		n := alive[s.lbNext%len(alive)]
 		s.lbNext++
@@ -738,12 +676,12 @@ func (s *OpenSim) stepCall(r *openReq, t uint64) {
 		s.schedule(res.doneAt, evCall, n.id, r)
 		return
 	}
-	if r.attempt >= s.cfg.Policy.MaxAttempts || (budget != nil && !budget.Allow()) {
+	if r.attempt >= fault.MaxAttempts || (budget != nil && !budget.Allow()) {
 		r.ok = false
 		s.schedule(res.doneAt, evDone, n.id, r)
 		return
 	}
-	back := uint64(s.cfg.Policy.Backoff(r.attempt, s.rng))
+	back := uint64(fault.Backoff(r.attempt, s.rng))
 	r.think += back
 	s.schedule(res.doneAt+back, evCall, n.id, r)
 }
@@ -756,9 +694,10 @@ type attemptResult struct {
 
 // attempt issues a single shard call attempt at time t.
 func (s *OpenSim) attempt(n *openNode, r *openReq, br *fault.Breaker, lim *shardLimiter, peer uint8, m WorkClass, t uint64) attemptResult {
-	const localRejectCycles = 2_000
-	pol := &s.cfg.Policy
-	timeout := uint64(pol.TimeoutCycles)
+	const (
+		localRejectCycles = 2_000
+		timeout           = fault.TimeoutCycles
+	)
 
 	// Client-side concurrency limit: refused attempts never leave the node.
 	if lim != nil && !lim.tryAcquire(t) {

@@ -35,14 +35,16 @@ func withRate(cfg OpenConfig, mult float64) OpenConfig {
 }
 
 func TestParseLBPolicyRoundTrip(t *testing.T) {
-	for _, p := range []LBPolicy{RoundRobin, LeastInFlight, Weighted} {
+	for _, p := range []LBPolicy{RoundRobin, LeastInFlight} {
 		got, err := ParseLBPolicy(p.String())
 		if err != nil || got != p {
 			t.Fatalf("ParseLBPolicy(%q) = %v, %v", p.String(), got, err)
 		}
 	}
-	if _, err := ParseLBPolicy("random"); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, bad := range []string{"random", "weighted"} {
+		if _, err := ParseLBPolicy(bad); err == nil {
+			t.Fatalf("unknown policy %q accepted", bad)
+		}
 	}
 }
 
@@ -205,7 +207,7 @@ func TestOpenOverloadControlsPreventCollapse(t *testing.T) {
 	at3x := good[len(good)-1]
 
 	off := withRate(base, 3)
-	off.Controls.Enabled = false
+	off.Controls = false
 	sOff := openRun(t, off, 21, horizon, nil, nil)
 	goodOff := float64(sOff.Stats.Good()) / horizon
 
@@ -224,7 +226,7 @@ func TestOpenOverloadControlsPreventCollapse(t *testing.T) {
 }
 
 // TestOpenLBPoliciesSpreadLoad: least-in-flight balances admissions about
-// evenly; weighted, every node weighted 1, admits to each node in turn.
+// evenly; round-robin, with no node down, admits to each node in turn.
 func TestOpenLBPoliciesSpreadLoad(t *testing.T) {
 	const horizon = 100_000_000
 	cfg := withRate(DefaultOpenConfig(), 0.8)
@@ -244,14 +246,14 @@ func TestOpenLBPoliciesSpreadLoad(t *testing.T) {
 		t.Errorf("least-in-flight imbalance: min %d max %d", min, max)
 	}
 
-	w := withRate(DefaultOpenConfig(), 0.3)
-	w.LB = Weighted
-	sw := openRun(t, w, 5, horizon, nil, nil)
-	ws := sw.Snapshot(sw.now)
-	for _, n := range ws.Nodes[1:] {
-		if n.Admitted != ws.Nodes[0].Admitted && n.Admitted+1 != ws.Nodes[0].Admitted {
-			t.Errorf("weighted lb over equal weights uneven: %d vs %d admissions",
-				ws.Nodes[0].Admitted, n.Admitted)
+	rr := withRate(DefaultOpenConfig(), 0.3)
+	rr.LB = RoundRobin
+	srr := openRun(t, rr, 5, horizon, nil, nil)
+	rs := srr.Snapshot(srr.now)
+	for _, n := range rs.Nodes[1:] {
+		if n.Admitted != rs.Nodes[0].Admitted && n.Admitted+1 != rs.Nodes[0].Admitted {
+			t.Errorf("round-robin lb uneven: %d vs %d admissions",
+				rs.Nodes[0].Admitted, n.Admitted)
 		}
 	}
 }

@@ -179,7 +179,8 @@ func Fig15C2CFootprint(jbb, ec CommProfile) Figure {
 // Fig10C2CTimeline reproduces Figure 10: cache-to-cache transfers per
 // interval over time for SPECjbb, normalized to the peak bin. The
 // single-threaded collector is meant to collapse the rate during each
-// garbage collection; that does not reproduce (ROADMAP item 8).
+// garbage collection; that does not reproduce (ROADMAP item "The Fig 10
+// collapse does not reproduce").
 func Fig10C2CTimeline(p CommProfile) Figure {
 	f := Figure{
 		ID:     "Fig 10",

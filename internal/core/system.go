@@ -123,12 +123,8 @@ type SystemParams struct {
 	// injector (seeded from Seed) is threaded through the network, the
 	// remote tiers, and the engine, and the ECperf middle tier routes its
 	// remote calls through a resilient caller (timeouts, retries, breaker,
-	// load shedding) governed by FaultPolicy.
+	// load shedding).
 	FaultSchedule *fault.Schedule
-	// FaultPolicy overrides the resilience policy (nil = DefaultPolicy).
-	// It must validate; BuildSystem panics otherwise, like any other
-	// malformed experiment configuration.
-	FaultPolicy *fault.Policy
 	// WatchdogCycles arms the engine's simulated-time watchdog: a run that
 	// makes no forward progress for this many cycles (or is provably
 	// deadlocked) aborts with a diagnostic dump instead of spinning.
@@ -337,15 +333,7 @@ func BuildSystem(p SystemParams) *System {
 				sys.DB.SetFaults(sys.Faults, ecperf.PeerDatabase)
 			}
 			sys.Supplier.SetFaults(sys.Faults, ecperf.PeerSupplier)
-			pol := fault.DefaultPolicy()
-			if p.FaultPolicy != nil {
-				pol = *p.FaultPolicy
-			}
-			caller, err := appserver.NewCaller(pol, sys.Faults, rng.Derive(21))
-			if err != nil {
-				panic(fmt.Sprintf("core: fault policy: %v", err))
-			}
-			w.EnableResilience(caller)
+			w.EnableResilience(appserver.NewCaller(sys.Faults, rng.Derive(21)))
 		}
 		for i := 0; i < wcfg.Workers; i++ {
 			eng.AddThread("ec-worker", w.Source(i, -1))

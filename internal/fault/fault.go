@@ -18,10 +18,12 @@
 // bit-identically from its seed — faults are a reproducible workload
 // dimension, not noise.
 //
-// The package also provides the matching resilience primitives (Policy,
-// Breaker, Shedder — see resilience.go): they live here rather than in the
-// application server so the timing layer and tests can reason about
-// degraded-mode behavior without importing workload code.
+// The package also provides the matching resilience primitives (the call
+// timeout and retry constants, Backoff, Breaker, Shedder — see
+// resilience.go) and the open system's overload controllers (overload.go).
+// They live here rather than in the application server so the timing layer
+// and tests can reason about degraded-mode behavior without importing
+// workload code. Each has one tuning, kept as package constants.
 package fault
 
 import (

@@ -193,74 +193,70 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.BreakerFailures = 3
-	pol.BreakerCooldownCycles = 1000
-	b := NewBreaker(&pol)
+	b := NewBreaker()
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerFailures; i++ {
 		if !b.Allow(uint64(i)) {
 			t.Fatalf("closed breaker refused call %d", i)
 		}
 		b.Record(uint64(i), false)
 	}
-	if b.State(3) != BreakerOpen {
-		t.Fatalf("breaker should open after 3 failures, state %v", b.State(3))
+	opened := uint64(breakerFailures - 1) // the failure that tripped it
+	if b.State(opened) != BreakerOpen {
+		t.Fatalf("breaker should open after %d failures, state %v", breakerFailures, b.State(opened))
 	}
-	if b.Allow(10) {
+	if b.Allow(opened + 10) {
 		t.Fatal("open breaker admitted a call")
 	}
 	if got := b.Stats.Opens; got != 1 {
 		t.Fatalf("opens = %d, want 1", got)
 	}
 
-	// Cooldown elapses at openedAt+1000: half-open admits exactly one probe.
-	if !b.Allow(1005) {
+	// Cooldown elapses at opened+cooldown: half-open admits exactly one probe.
+	probe := opened + breakerCooldownCycles + 5
+	if !b.Allow(probe) {
 		t.Fatal("half-open breaker refused the probe")
 	}
-	if b.Allow(1006) {
+	if b.Allow(probe + 1) {
 		t.Fatal("half-open breaker admitted a second concurrent call")
 	}
-	b.Record(1005, false) // probe fails: re-open
-	if b.State(1100) != BreakerOpen {
-		t.Fatalf("failed probe should re-open, state %v", b.State(1100))
+	b.Record(probe, false) // probe fails: re-open
+	if b.State(probe+100) != BreakerOpen {
+		t.Fatalf("failed probe should re-open, state %v", b.State(probe+100))
 	}
 
-	if !b.Allow(2200) { // second cooldown elapsed
+	second := probe + breakerCooldownCycles + 100 // second cooldown elapsed
+	if !b.Allow(second) {
 		t.Fatal("breaker refused second probe")
 	}
-	b.Record(2200, true)
-	if b.State(2300) != BreakerClosed {
-		t.Fatalf("successful probe should close, state %v", b.State(2300))
+	b.Record(second, true)
+	if b.State(second+100) != BreakerClosed {
+		t.Fatalf("successful probe should close, state %v", b.State(second+100))
 	}
-	if !b.Allow(2301) {
+	if !b.Allow(second + 101) {
 		t.Fatal("closed breaker refused a call after recovery")
 	}
 }
 
 func TestBackoffCapAndJitter(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.BackoffBaseCycles = 100
-	pol.BackoffCapCycles = 1000
-	pol.JitterFrac = 0
-
-	if d := pol.Backoff(1, nil); d != 100 {
-		t.Fatalf("backoff(1) = %d, want 100", d)
+	if d := Backoff(1, nil); d != backoffBaseCycles {
+		t.Fatalf("backoff(1) = %d, want %d", d, backoffBaseCycles)
 	}
-	if d := pol.Backoff(2, nil); d != 200 {
-		t.Fatalf("backoff(2) = %d, want 200", d)
+	if d := Backoff(2, nil); d != 2*backoffBaseCycles {
+		t.Fatalf("backoff(2) = %d, want %d", d, 2*backoffBaseCycles)
 	}
-	if d := pol.Backoff(10, nil); d != 1000 {
-		t.Fatalf("backoff(10) = %d, want cap 1000", d)
+	if d := Backoff(10, nil); d != backoffCapCycles {
+		t.Fatalf("backoff(10) = %d, want cap %d", d, backoffCapCycles)
 	}
 
-	pol.JitterFrac = 0.5
+	// ±jitterFrac around the nominal 2*base.
+	const lo, hi = 2 * backoffBaseCycles * (1 - jitterFrac), 2 * backoffBaseCycles * (1 + jitterFrac)
 	rng := simrand.New(7)
 	seen := map[uint32]bool{}
 	for i := 0; i < 64; i++ {
-		d := pol.Backoff(2, rng)
-		if d < 100 || d > 300 {
-			t.Fatalf("jittered backoff %d outside [100, 300]", d)
+		d := Backoff(2, rng)
+		if d < lo || d > hi {
+			t.Fatalf("jittered backoff %d outside [%d, %d]", d, uint32(lo), uint32(hi))
 		}
 		seen[d] = true
 	}
@@ -271,25 +267,23 @@ func TestBackoffCapAndJitter(t *testing.T) {
 	// Same seed, same sequence.
 	r1, r2 := simrand.New(9), simrand.New(9)
 	for i := 1; i <= 8; i++ {
-		if a, b := pol.Backoff(i, r1), pol.Backoff(i, r2); a != b {
+		if a, b := Backoff(i, r1), Backoff(i, r2); a != b {
 			t.Fatalf("backoff not deterministic: %d != %d", a, b)
 		}
 	}
 }
 
 func TestShedderProportionalControl(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.ShedWindowCycles = 1000
-	pol.ShedFailRate = 0.5
-	s := NewShedder(&pol)
+	const w = shedWindowCycles
+	s := NewShedder()
 	rng := simrand.New(3)
 
 	// Healthy window: everything admitted afterwards.
 	for i := uint64(0); i < 20; i++ {
-		s.Observe(i*10, true)
+		s.Observe(i*w/100, true)
 	}
 	for i := uint64(0); i < 50; i++ {
-		if !s.Admit(1100+i, rng) {
+		if !s.Admit(w+w/10+i, rng) {
 			t.Fatal("shedder rejected during healthy operation")
 		}
 	}
@@ -297,11 +291,11 @@ func TestShedderProportionalControl(t *testing.T) {
 	// A window of pure failures: the next window sheds everything
 	// (rate 1.0 -> shed probability 1).
 	for i := uint64(0); i < 20; i++ {
-		s.Observe(2000+i*10, false)
+		s.Observe(2*w+i*w/100, false)
 	}
 	shed := 0
 	for i := uint64(0); i < 50; i++ {
-		if !s.Admit(3100+i, rng) {
+		if !s.Admit(3*w+w/10+i, rng) {
 			shed++
 		}
 	}
@@ -311,32 +305,11 @@ func TestShedderProportionalControl(t *testing.T) {
 
 	// With no further observations the estimate decays window over window
 	// until admission resumes.
-	if !s.Admit(3100+10*pol.ShedWindowCycles, rng) {
+	if !s.Admit(3*w+w/10+10*w, rng) {
 		t.Fatal("overload estimate never decayed")
 	}
 	if s.Shed == 0 {
 		t.Fatal("shed counter not incremented")
-	}
-}
-
-func TestPolicyValidate(t *testing.T) {
-	if err := DefaultPolicy().Validate(); err != nil {
-		t.Fatalf("default policy invalid: %v", err)
-	}
-	bad := DefaultPolicy()
-	bad.MaxAttempts = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero attempts accepted")
-	}
-	bad = DefaultPolicy()
-	bad.TimeoutCycles = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero timeout accepted")
-	}
-	bad = DefaultPolicy()
-	bad.ShedFailRate = 1
-	if bad.Validate() == nil {
-		t.Fatal("shed rate 1 accepted")
 	}
 }
 

@@ -2,39 +2,34 @@ package fault
 
 import "testing"
 
+// TestOverloadConfigValidation: the controllers' constants satisfy the
+// relations their control laws rely on to converge and not wedge.
 func TestOverloadConfigValidation(t *testing.T) {
-	if err := DefaultCoDelConfig().Validate(); err != nil {
-		t.Errorf("default codel config invalid: %v", err)
+	if codelTargetCycles == 0 || codelIntervalCycles == 0 {
+		t.Error("codel target and interval must be positive")
 	}
-	if err := DefaultAIMDConfig().Validate(); err != nil {
-		t.Errorf("default aimd config invalid: %v", err)
+	if aimdMinLimit < 1 || aimdMaxLimit < aimdMinLimit {
+		t.Error("aimd limits must satisfy 1 <= min <= max")
 	}
-	if err := DefaultRetryBudgetConfig().Validate(); err != nil {
-		t.Errorf("default retry budget config invalid: %v", err)
+	if aimdIncrease <= 0 || aimdDecreaseFactor <= 0 || aimdDecreaseFactor >= 1 || aimdLatencyThresholdCycles == 0 {
+		t.Error("aimd needs a positive increase, a decrease factor in (0, 1) and a positive threshold")
 	}
-	if err := DefaultBrownoutConfig().Validate(); err != nil {
-		t.Errorf("default brownout config invalid: %v", err)
+	if aimdLatencyThresholdCycles >= TimeoutCycles {
+		t.Error("aimd must see slowness before callers time out")
 	}
-	bad := []error{
-		CoDelConfig{TargetCycles: 0, IntervalCycles: 1}.Validate(),
-		AIMDConfig{MinLimit: 0, MaxLimit: 10, Increase: 1, DecreaseFactor: 0.5, LatencyThresholdCycles: 1}.Validate(),
-		AIMDConfig{MinLimit: 2, MaxLimit: 10, Increase: 1, DecreaseFactor: 1.5, LatencyThresholdCycles: 1}.Validate(),
-		RetryBudgetConfig{Ratio: 0, Burst: 10}.Validate(),
-		BrownoutConfig{MaxLevel: 1, EngageDelayCycles: 100, DisengageDelayCycles: 200}.Validate(),
+	if retryRatio <= 0 || retryRatio > 1 || retryBurst < 1 {
+		t.Error("retry budget needs a ratio in (0, 1] and a burst of at least 1")
 	}
-	for i, err := range bad {
-		if err == nil {
-			t.Errorf("bad config %d validated", i)
-		}
+	if brownMaxLevel < 1 || brownDisengageDelayCycles >= brownEngageDelayCycles {
+		t.Error("brownout needs a level and a disengage threshold below its engage threshold")
 	}
 }
 
 // TestCoDelBelowTargetNeverDrops: short queue delays pass untouched.
 func TestCoDelBelowTargetNeverDrops(t *testing.T) {
-	cfg := DefaultCoDelConfig()
-	c := NewCoDel(cfg)
-	for now := uint64(0); now < 100*cfg.IntervalCycles; now += cfg.IntervalCycles / 10 {
-		if c.OnDequeue(now, cfg.TargetCycles/2) {
+	c := NewCoDel()
+	for now := uint64(0); now < 100*codelIntervalCycles; now += codelIntervalCycles / 10 {
+		if c.OnDequeue(now, codelTargetCycles/2) {
 			t.Fatalf("dropped at %d with delay below target", now)
 		}
 	}
@@ -47,23 +42,22 @@ func TestCoDelBelowTargetNeverDrops(t *testing.T) {
 // interval enters the dropping state, and drops accelerate; recovery (a
 // sojourn below target) exits immediately.
 func TestCoDelStandingDelayDrops(t *testing.T) {
-	cfg := DefaultCoDelConfig()
-	c := NewCoDel(cfg)
-	step := cfg.IntervalCycles / 50
+	c := NewCoDel()
+	step := uint64(codelIntervalCycles / 50)
 	now := uint64(0)
 	// Phase 1: delay persistently 4x target.
 	var firstDrop uint64
 	for i := 0; i < 1000; i++ {
 		now += step
-		if c.OnDequeue(now, 4*cfg.TargetCycles) && firstDrop == 0 {
+		if c.OnDequeue(now, 4*codelTargetCycles) && firstDrop == 0 {
 			firstDrop = now
 		}
 	}
 	if firstDrop == 0 {
 		t.Fatal("standing delay never triggered a drop")
 	}
-	if firstDrop < cfg.IntervalCycles {
-		t.Errorf("first drop at %d, before a full interval %d elapsed", firstDrop, cfg.IntervalCycles)
+	if firstDrop < codelIntervalCycles {
+		t.Errorf("first drop at %d, before a full interval %d elapsed", firstDrop, codelIntervalCycles)
 	}
 	if !c.Dropping() {
 		t.Error("controller not in dropping state under standing delay")
@@ -73,14 +67,14 @@ func TestCoDelStandingDelayDrops(t *testing.T) {
 	// must shed at least as many as the first.
 	for i := 0; i < 1000; i++ {
 		now += step
-		c.OnDequeue(now, 4*cfg.TargetCycles)
+		c.OnDequeue(now, 4*codelTargetCycles)
 	}
 	lateDrops := c.Stats.Drops - earlyDrops
 	if lateDrops < earlyDrops {
 		t.Errorf("drops decelerated: %d then %d", earlyDrops, lateDrops)
 	}
 	// Phase 2: one below-target sojourn resets everything.
-	if c.OnDequeue(now+step, cfg.TargetCycles/4) {
+	if c.OnDequeue(now+step, codelTargetCycles/4) {
 		t.Error("dropped a below-target request")
 	}
 	if c.Dropping() {
@@ -92,16 +86,15 @@ func TestCoDelStandingDelayDrops(t *testing.T) {
 // responses collapse it multiplicatively but never below the floor, and the
 // cooldown bounds the collapse rate.
 func TestAIMDConverges(t *testing.T) {
-	cfg := DefaultAIMDConfig()
-	l := NewAIMD(cfg)
+	l := NewAIMD()
 	start := l.Limit()
 	now := uint64(0)
 	for i := 0; i < 100000; i++ {
 		now += 1000
-		l.Outcome(now, cfg.LatencyThresholdCycles/2, true)
+		l.Outcome(now, aimdLatencyThresholdCycles/2, true)
 	}
-	if l.Limit() != cfg.MaxLimit {
-		t.Errorf("limit %.1f after sustained fast traffic, want cap %.1f", l.Limit(), cfg.MaxLimit)
+	if l.Limit() != aimdMaxLimit {
+		t.Errorf("limit %.1f after sustained fast traffic, want cap %.1f", l.Limit(), aimdMaxLimit)
 	}
 	if l.Limit() <= start {
 		t.Errorf("limit never grew from %.1f", start)
@@ -109,9 +102,9 @@ func TestAIMDConverges(t *testing.T) {
 	// One slow burst inside a single cooldown window: exactly one decrease.
 	before := l.Limit()
 	for i := 0; i < 10; i++ {
-		l.Outcome(now+uint64(i), 10*cfg.LatencyThresholdCycles, true)
+		l.Outcome(now+uint64(i), 10*aimdLatencyThresholdCycles, true)
 	}
-	if got, want := l.Limit(), before*cfg.DecreaseFactor; got != want {
+	if got, want := l.Limit(), before*aimdDecreaseFactor; got != want {
 		t.Errorf("limit %.2f after one congested burst, want single cut to %.2f", got, want)
 	}
 	if l.Stats.Decreases != 1 {
@@ -119,11 +112,11 @@ func TestAIMDConverges(t *testing.T) {
 	}
 	// Sustained congestion across cooldowns: floor holds.
 	for i := 0; i < 100; i++ {
-		now += cfg.CooldownCycles + 1
-		l.Outcome(now, 10*cfg.LatencyThresholdCycles, false)
+		now += aimdCooldownCycles + 1
+		l.Outcome(now, 10*aimdLatencyThresholdCycles, false)
 	}
-	if l.Limit() != cfg.MinLimit {
-		t.Errorf("limit %.2f under sustained congestion, want floor %.2f", l.Limit(), cfg.MinLimit)
+	if l.Limit() != aimdMinLimit {
+		t.Errorf("limit %.2f under sustained congestion, want floor %.2f", l.Limit(), aimdMinLimit)
 	}
 }
 
@@ -131,23 +124,22 @@ func TestAIMDConverges(t *testing.T) {
 // the initial burst of retries is admitted; steady primary traffic sustains
 // the configured retry ratio.
 func TestRetryBudgetStopsStorms(t *testing.T) {
-	cfg := RetryBudgetConfig{Ratio: 0.1, Burst: 20}
-	b := NewRetryBudget(cfg)
+	b := NewRetryBudget()
 	admitted := 0
 	for i := 0; i < 1000; i++ {
 		if b.Allow() {
 			admitted++
 		}
 	}
-	if admitted != int(cfg.Burst) {
-		t.Errorf("storm admitted %d retries, want exactly the burst %d", admitted, int(cfg.Burst))
+	if admitted != int(retryBurst) {
+		t.Errorf("storm admitted %d retries, want exactly the burst %d", admitted, int(retryBurst))
 	}
 	if b.Stats.Denied != 1000-uint64(admitted) {
 		t.Errorf("denied = %d, want %d", b.Stats.Denied, 1000-admitted)
 	}
 	// Steady state: 10 primaries earn one retry.
-	b2 := NewRetryBudget(cfg)
-	for i := 0; i < int(cfg.Burst); i++ { // drain the initial burst
+	b2 := NewRetryBudget()
+	for i := 0; i < int(retryBurst); i++ { // drain the initial burst
 		b2.Allow()
 	}
 	earned := 0
@@ -158,32 +150,31 @@ func TestRetryBudgetStopsStorms(t *testing.T) {
 		}
 	}
 	if earned < 95 || earned > 105 {
-		t.Errorf("steady-state retries %d per 1000 primaries, want ~%d", earned, int(cfg.Ratio*1000))
+		t.Errorf("steady-state retries %d per 1000 primaries, want ~%d", earned, int(retryRatio*1000))
 	}
 }
 
 // TestBrownoutSteps: queue pressure walks the level up one step per hold
 // period, relief walks it back down, and priority-0 work is never shed.
 func TestBrownoutSteps(t *testing.T) {
-	cfg := DefaultBrownoutConfig()
-	b := NewBrownout(cfg)
+	b := NewBrownout()
 	if b.DropClass(2) || b.DropClass(0) {
 		t.Fatal("un-degraded controller sheds work")
 	}
-	now := cfg.HoldCycles
-	b.Observe(now, cfg.EngageDelayCycles)
+	now := uint64(brownHoldCycles)
+	b.Observe(now, brownEngageDelayCycles)
 	if b.Level() != 1 {
 		t.Fatalf("level %d after first engage, want 1", b.Level())
 	}
 	// Within the hold period nothing moves.
-	b.Observe(now+1, cfg.EngageDelayCycles*10)
+	b.Observe(now+1, brownEngageDelayCycles*10)
 	if b.Level() != 1 {
 		t.Fatalf("level moved within hold period")
 	}
-	now += cfg.HoldCycles
-	b.Observe(now, cfg.EngageDelayCycles)
-	if b.Level() != cfg.MaxLevel {
-		t.Fatalf("level %d, want max %d", b.Level(), cfg.MaxLevel)
+	now += brownHoldCycles
+	b.Observe(now, brownEngageDelayCycles)
+	if b.Level() != brownMaxLevel {
+		t.Fatalf("level %d, want max %d", b.Level(), brownMaxLevel)
 	}
 	// At max level: optional classes shed, critical class survives.
 	if !b.DropClass(1) || !b.DropClass(2) {
@@ -193,15 +184,15 @@ func TestBrownoutSteps(t *testing.T) {
 		t.Error("priority-0 class shed")
 	}
 	// Ceiling holds.
-	now += cfg.HoldCycles
-	b.Observe(now, cfg.EngageDelayCycles)
-	if b.Level() != cfg.MaxLevel {
+	now += brownHoldCycles
+	b.Observe(now, brownEngageDelayCycles)
+	if b.Level() != brownMaxLevel {
 		t.Errorf("level %d exceeded max", b.Level())
 	}
 	// Relief walks back down.
 	for i := 0; i < 2; i++ {
-		now += cfg.HoldCycles
-		b.Observe(now, cfg.DisengageDelayCycles)
+		now += brownHoldCycles
+		b.Observe(now, brownDisengageDelayCycles)
 	}
 	if b.Level() != 0 {
 		t.Errorf("level %d after sustained relief, want 0", b.Level())
@@ -216,20 +207,19 @@ func TestBrownoutSteps(t *testing.T) {
 // the FULL cooldown from the probe's completion — not resume the old one,
 // and not land half-open or closed.
 func TestBreakerHalfOpenProbeFailure(t *testing.T) {
-	pol := DefaultPolicy()
-	b := NewBreaker(&pol)
+	b := NewBreaker()
 	// Trip the breaker at t=0.
-	for i := 0; i < pol.BreakerFailures; i++ {
+	for i := 0; i < breakerFailures; i++ {
 		if !b.Allow(0) {
 			t.Fatal("closed breaker rejected a call")
 		}
 		b.Record(0, false)
 	}
 	if b.State(0) != BreakerOpen {
-		t.Fatalf("state %v after %d failures, want open", b.State(0), pol.BreakerFailures)
+		t.Fatalf("state %v after %d failures, want open", b.State(0), breakerFailures)
 	}
 	// Cooldown elapses; the probe is admitted at t1 and fails at t2.
-	t1 := pol.BreakerCooldownCycles
+	t1 := uint64(breakerCooldownCycles)
 	if !b.Allow(t1) {
 		t.Fatal("half-open breaker rejected the probe")
 	}
@@ -241,15 +231,15 @@ func TestBreakerHalfOpenProbeFailure(t *testing.T) {
 	}
 	// A fresh full cooldown must run from t2: just before t2+cooldown the
 	// breaker still rejects; at t2+cooldown it admits exactly one new probe.
-	if b.Allow(t2 + pol.BreakerCooldownCycles - 1) {
+	if b.Allow(t2 + breakerCooldownCycles - 1) {
 		t.Error("breaker admitted a call before the restarted cooldown elapsed")
 	}
 	// In particular the OLD cooldown (from the original open at t=0) must
 	// not apply: t1+cooldown has long passed, yet the breaker stays open.
-	if got := b.State(t1 + pol.BreakerCooldownCycles); got != BreakerOpen {
+	if got := b.State(t1 + breakerCooldownCycles); got != BreakerOpen {
 		t.Errorf("state %v at old-cooldown expiry, want open (cooldown must restart)", got)
 	}
-	t3 := t2 + pol.BreakerCooldownCycles
+	t3 := t2 + breakerCooldownCycles
 	if !b.Allow(t3) {
 		t.Fatal("breaker rejected the probe after the restarted cooldown")
 	}

@@ -6,105 +6,64 @@ import (
 	"repro/internal/simrand"
 )
 
-// Policy parameterizes the application server's resilience behavior on
-// calls to remote tiers. All times are simulated cycles (250 MHz clock).
-type Policy struct {
+// The application server's resilience behavior on calls to remote tiers,
+// tuned to the simulated ECperf deployment: the timeout clears a healthy
+// database round trip (~100k cycles) by a wide margin, and the breaker
+// trips after roughly one worker's worth of consecutive timeouts. All times
+// are simulated cycles (250 MHz clock).
+const (
 	// TimeoutCycles is the per-request timeout: how long a caller waits for
 	// a response before declaring the attempt lost.
-	TimeoutCycles uint32
+	TimeoutCycles = 400_000
 	// FastFailCycles is the cost of a refused connection (crashed peer):
 	// the kernel answers almost immediately.
-	FastFailCycles uint32
+	FastFailCycles = 4_000
 	// MaxAttempts bounds tries per logical call (first attempt + retries).
-	MaxAttempts int
-	// BackoffBaseCycles is the delay before the first retry; each further
-	// retry doubles it, capped at BackoffCapCycles.
-	BackoffBaseCycles uint32
-	BackoffCapCycles  uint32
-	// JitterFrac spreads each backoff uniformly over ±JitterFrac of its
+	MaxAttempts = 3
+	// backoffBaseCycles is the delay before the first retry; each further
+	// retry doubles it, capped at backoffCapCycles.
+	backoffBaseCycles = 50_000
+	backoffCapCycles  = 800_000
+	// jitterFrac spreads each backoff uniformly over ±jitterFrac of its
 	// nominal value, decorrelating retry storms across workers.
-	JitterFrac float64
+	jitterFrac = 0.5
 
-	// BreakerFailures consecutive failures open the per-backend circuit
+	// breakerFailures consecutive failures open the per-backend circuit
 	// breaker; while open, calls fail locally without touching the network.
-	// After BreakerCooldownCycles the breaker goes half-open and admits one
+	// After breakerCooldownCycles the breaker goes half-open and admits one
 	// probe: success closes it, failure re-opens it.
-	BreakerFailures       int
-	BreakerCooldownCycles uint64
+	breakerFailures       = 5
+	breakerCooldownCycles = 2_000_000
 
 	// Admission control: requests are shed at the door when the failure
-	// rate observed over the previous ShedWindowCycles exceeds
-	// ShedFailRate. The shed probability rises linearly from 0 at the
+	// rate observed over the previous shedWindowCycles exceeds
+	// shedFailRate. The shed probability rises linearly from 0 at the
 	// threshold to 1 at a 100% failure rate, so shedding is proportional
 	// to overload rather than all-or-nothing.
-	ShedWindowCycles uint64
-	ShedFailRate     float64
-}
-
-// DefaultPolicy returns resilience defaults tuned to the simulated ECperf
-// deployment: the timeout clears a healthy database round trip (~100k
-// cycles) by a wide margin, and the breaker trips after roughly one
-// worker's worth of consecutive timeouts.
-func DefaultPolicy() Policy {
-	return Policy{
-		TimeoutCycles:         400_000,
-		FastFailCycles:        4_000,
-		MaxAttempts:           3,
-		BackoffBaseCycles:     50_000,
-		BackoffCapCycles:      800_000,
-		JitterFrac:            0.5,
-		BreakerFailures:       5,
-		BreakerCooldownCycles: 2_000_000,
-		ShedWindowCycles:      1_000_000,
-		ShedFailRate:          0.5,
-	}
-}
-
-// Validate rejects configurations that would wedge or divide by zero.
-func (p Policy) Validate() error {
-	if p.TimeoutCycles == 0 {
-		return fmt.Errorf("fault: policy timeout must be positive")
-	}
-	if p.MaxAttempts <= 0 {
-		return fmt.Errorf("fault: policy needs at least one attempt")
-	}
-	if p.BreakerFailures <= 0 {
-		return fmt.Errorf("fault: breaker threshold must be positive")
-	}
-	if p.ShedFailRate <= 0 || p.ShedFailRate >= 1 {
-		return fmt.Errorf("fault: shed failure rate %g outside (0, 1)", p.ShedFailRate)
-	}
-	if p.ShedWindowCycles == 0 {
-		return fmt.Errorf("fault: shed window must be positive")
-	}
-	return nil
-}
+	shedWindowCycles = 1_000_000
+	shedFailRate     = 0.5
+)
 
 // Backoff returns the delay before retry number n (1 = first retry):
-// capped exponential with ±JitterFrac uniform jitter drawn from rng.
-func (p Policy) Backoff(n int, rng *simrand.Rand) uint32 {
-	d := uint64(p.BackoffBaseCycles)
+// capped exponential with ±jitterFrac uniform jitter drawn from rng (nil
+// rng: no jitter).
+func Backoff(n int, rng *simrand.Rand) uint32 {
+	d := uint64(backoffBaseCycles)
 	for i := 1; i < n; i++ {
 		d *= 2
-		if d >= uint64(p.BackoffCapCycles) {
+		if d >= backoffCapCycles {
 			break
 		}
 	}
-	if cap := uint64(p.BackoffCapCycles); cap > 0 && d > cap {
-		d = cap
+	if d > backoffCapCycles {
+		d = backoffCapCycles
 	}
-	if p.JitterFrac > 0 && rng != nil {
-		lo := float64(d) * (1 - p.JitterFrac)
-		span := float64(d) * 2 * p.JitterFrac
+	if rng != nil {
+		lo := float64(d) * (1 - jitterFrac)
+		span := float64(d) * 2 * jitterFrac
 		d = uint64(lo + span*rng.Float64())
 	}
-	if d == 0 {
-		d = 1
-	}
-	if d > 1<<31 {
-		d = 1 << 31 // fits the trace item's uint32 delay field
-	}
-	return uint32(d)
+	return uint32(d) // at most backoffCapCycles*(1+jitterFrac)
 }
 
 // BreakerState is the circuit breaker's position.
@@ -143,7 +102,6 @@ type BreakerStats struct {
 // Breaker is a per-backend circuit breaker on the simulated clock. It is
 // driven by the caller: Allow before each attempt sequence, Record after.
 type Breaker struct {
-	pol      *Policy
 	state    BreakerState
 	fails    int    // consecutive failures while closed
 	openedAt uint64 // cycle the breaker last opened
@@ -152,13 +110,13 @@ type Breaker struct {
 	Stats BreakerStats
 }
 
-// NewBreaker returns a closed breaker governed by pol.
-func NewBreaker(pol *Policy) *Breaker { return &Breaker{pol: pol} }
+// NewBreaker returns a closed breaker.
+func NewBreaker() *Breaker { return &Breaker{} }
 
 // State returns the breaker's position at cycle t (it resolves the
 // open -> half-open transition lazily).
 func (b *Breaker) State(t uint64) BreakerState {
-	if b.state == BreakerOpen && t >= b.openedAt+b.pol.BreakerCooldownCycles {
+	if b.state == BreakerOpen && t >= b.openedAt+breakerCooldownCycles {
 		b.state = BreakerHalfOpen
 		b.probing = false
 	}
@@ -205,7 +163,7 @@ func (b *Breaker) Record(t uint64, ok bool) {
 			return
 		}
 		b.fails++
-		if b.fails >= b.pol.BreakerFailures {
+		if b.fails >= breakerFailures {
 			b.state = BreakerOpen
 			b.openedAt = t
 			b.fails = 0
@@ -217,9 +175,8 @@ func (b *Breaker) Record(t uint64, ok bool) {
 // Shedder is the admission controller: it watches the failure rate of
 // completed calls over fixed windows of the simulated clock and sheds
 // incoming requests in proportion to how far the previous window's rate
-// exceeded the policy threshold.
+// exceeded shedFailRate.
 type Shedder struct {
-	pol      *Policy
 	winStart uint64
 	ok, fail uint64
 	prevRate float64 // failure rate of the last completed window
@@ -229,11 +186,11 @@ type Shedder struct {
 }
 
 // NewShedder returns an idle admission controller.
-func NewShedder(pol *Policy) *Shedder { return &Shedder{pol: pol} }
+func NewShedder() *Shedder { return &Shedder{} }
 
 // roll advances the observation window to cover cycle t.
 func (s *Shedder) roll(t uint64) {
-	for t >= s.winStart+s.pol.ShedWindowCycles {
+	for t >= s.winStart+shedWindowCycles {
 		if n := s.ok + s.fail; n > 0 {
 			s.prevRate = float64(s.fail) / float64(n)
 		} else {
@@ -242,8 +199,8 @@ func (s *Shedder) roll(t uint64) {
 			s.prevRate /= 2
 		}
 		s.ok, s.fail = 0, 0
-		s.winStart += s.pol.ShedWindowCycles
-		if s.winStart+s.pol.ShedWindowCycles < s.winStart {
+		s.winStart += shedWindowCycles
+		if s.winStart+shedWindowCycles < s.winStart {
 			break // clock overflow guard
 		}
 	}
@@ -269,11 +226,10 @@ func (s *Shedder) FailRate(t uint64) float64 {
 // the shed lottery from rng when partially overloaded.
 func (s *Shedder) Admit(t uint64, rng *simrand.Rand) bool {
 	rate := s.FailRate(t)
-	th := s.pol.ShedFailRate
-	if rate <= th {
+	if rate <= shedFailRate {
 		return true
 	}
-	p := (rate - th) / (1 - th)
+	p := (rate - shedFailRate) / (1 - shedFailRate)
 	if p < 1 && !rng.Bool(p) {
 		return true
 	}

@@ -84,7 +84,8 @@ func (h *Heap) countGCInstr(items []trace.Item) {
 // other processor idles. That produces the GC-idle component of Figure 5,
 // and is meant to produce the paper's Figure 10 (cache-to-cache transfers
 // collapse during collection), which does not reproduce: the simulated
-// rate rises during a collection (ROADMAP item 8).
+// rate rises during a collection (ROADMAP item "The Fig 10 collapse does
+// not reproduce").
 func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 	// The copying collector is about to reassign addresses: close the
 	// attribution epoch against the still-valid pre-GC layout.

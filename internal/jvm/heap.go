@@ -13,7 +13,8 @@
 // scaling (and its dip once old-generation compaction begins) and Figure
 // 9's modest GC share of total time. The single-threaded collector is also
 // meant to produce Figure 10's collapse of cache-to-cache transfers during
-// collection; that one does not reproduce (ROADMAP item 8).
+// collection; that one does not reproduce (ROADMAP item "The Fig 10
+// collapse does not reproduce").
 //
 // Contract: workload code may only retain ObjectIDs that are reachable from
 // registered roots. IDs of unreachable objects are recycled by the collector.

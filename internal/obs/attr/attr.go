@@ -122,9 +122,9 @@ func (c *Counts) add(o Counts) {
 // resolver in the chain.
 type Resolver func(addr uint64) (label string, ok bool)
 
+// Access kinds a line remembers; zero means none yet.
 const (
-	opNone uint8 = iota
-	opRead
+	opRead uint8 = iota + 1
 	opWrite
 )
 

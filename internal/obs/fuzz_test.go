@@ -86,7 +86,8 @@ func FuzzChromeTraceEvent(f *testing.F) {
 		if math.IsNaN(fl) || math.IsInf(fl, 0) {
 			t.Skip("JSON has no non-finite numbers")
 		}
-		e := Event{Name: name, Comp: Component(uint64(tid) % uint64(numComponents+1)), Phase: 'i', Pid: int(i), Tid: int(tid), Time: ts, Dur: dur}
+		// Every component, plus one out of range.
+		e := Event{Name: name, Comp: Component(uint64(tid) % uint64(CompFault+2)), Phase: 'i', Pid: int(i), Tid: int(tid), Time: ts, Dur: dur}
 		if span {
 			e.Phase = 'X'
 		}

@@ -38,7 +38,6 @@ const (
 	// CompFault traces injected fault windows and the resilience layer's
 	// reactions (retries, circuit-breaker transitions, shed requests).
 	CompFault
-	numComponents
 )
 
 // String names the component as used in trace categories.

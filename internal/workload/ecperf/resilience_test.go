@@ -21,10 +21,7 @@ func resilient(t *testing.T, w *Workload, s *fault.Schedule) *appserver.Caller {
 		}
 		inj = fault.NewInjector(s, simrand.New(7))
 	}
-	c, err := appserver.NewCaller(fault.DefaultPolicy(), inj, simrand.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := appserver.NewCaller(inj, simrand.New(8))
 	w.EnableResilience(c)
 	return c
 }
@@ -172,10 +169,9 @@ func TestFailedOpsRecordThinkDelays(t *testing.T) {
 					think += uint64(it.N)
 				}
 			}
-			pol := fault.DefaultPolicy()
-			if think < uint64(pol.TimeoutCycles) {
+			if think < fault.TimeoutCycles {
 				t.Fatalf("failed op records only %d think cycles (< one timeout %d)",
-					think, pol.TimeoutCycles)
+					think, fault.TimeoutCycles)
 			}
 			return
 		}

@@ -27,14 +27,33 @@ func (f *Fake) Next() int {
 	return f.i
 }
 
-// Config is built by cmd/tool, which never sets Knob: a finding.
+// Config is built by cmd/tool, which never sets Knob or limit: both are
+// findings.
 type Config struct {
-	Name string
-	Knob int
+	Name  string
+	Knob  int
+	limit int
 }
 
-// Run reads both fields.
-func Run(c Config) string { return c.Name + strconv.Itoa(c.Knob) }
+// Run reads every field.
+func Run(c Config) string { return c.Name + strconv.Itoa(clamp(c.Knob, c.limit)) }
+
+// clamp is called by Run. Its local declarations are out of the check's
+// scope, though nothing sets or uses them.
+func clamp(n, limit int) int {
+	const unused = 0
+	type local struct{ never int }
+	if limit > 0 && n > limit {
+		return limit
+	}
+	return n
+}
+
+// helper is called only by lib_test.go: a finding.
+func helper() int { return 3 }
+
+// init runs without a caller, so it is exempt.
+func init() {}
 
 // State is decoded with encoding/json by cmd/tool, which sets Saved.
 type State struct{ Saved int }

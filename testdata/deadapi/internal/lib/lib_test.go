@@ -6,7 +6,7 @@ func TestLib(t *testing.T) {
 	var c Counter
 	c.Reset()
 	f := &Fake{}
-	if f.Next()+TestOnly() != 2 {
+	if f.Next()+TestOnly()+helper() != 5 {
 		t.Fatal("bad")
 	}
 }
