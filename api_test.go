@@ -3,7 +3,8 @@
 // type, constant or variable, or a method, that only tests use, or a struct
 // field that only tests set, is code the simulator does not need; delete
 // it, or move it into the test file that uses it. Declarations local to a
-// function are out of scope.
+// function are out of scope. The one-value knob check (TestNoOneValueKnobs,
+// below) reads the same load.
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -37,14 +39,20 @@ var apiAllowlist = map[string]string{
 
 const apiAllowlistCap = 10
 
+// loadRepo loads and type-checks this module once for both checks.
+var loadRepo = sync.OnceValues(func() (*apiChecker, error) {
+	return loadAPI(".", []string{"bench"}, []string{"bench_test.go"})
+})
+
 func TestNoTestOnlyAPI(t *testing.T) {
 	if len(apiAllowlist) > apiAllowlistCap {
 		t.Errorf("allowlist has %d entries, cap is %d", len(apiAllowlist), apiAllowlistCap)
 	}
-	findings, err := checkAPI(".", []string{"bench"}, []string{"bench_test.go"})
+	c, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings := c.findings()
 	seen := map[string]bool{}
 	for _, f := range findings {
 		seen[f.Name] = true
@@ -67,12 +75,12 @@ func TestNoTestOnlyAPI(t *testing.T) {
 }
 
 func TestNoTestOnlyAPIFixture(t *testing.T) {
-	findings, err := checkAPI(filepath.Join("testdata", "deadapi"), []string{"bench"}, nil)
+	c, err := loadAPI(filepath.Join("testdata", "deadapi"), []string{"bench"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, f := range findings {
+	for _, f := range c.findings() {
 		got = append(got, f.Name)
 	}
 	want := []string{
@@ -91,13 +99,14 @@ func TestNoTestOnlyAPIFixture(t *testing.T) {
 
 // apiFinding is one name under internal/ without a non-test user.
 type apiFinding struct {
-	Name string // "<package dir>: <kind> <name>"
-	Pos  string // file:line of its declaration
+	Name  string // "<package dir>: <kind> <name>"
+	Pos   string // file:line of its declaration
+	Value string // the one value a knob always has
 }
 
-// checkAPI type-checks the non-test packages of the module at root, plus
-// rootFiles, test files of its root directory, and returns the names
-// declared under internal/ that none of that code uses. Nested modules are not
+// loadAPI type-checks the non-test packages of the module at root, plus
+// rootFiles, test files of its root directory, and records how that code
+// uses the names declared under internal/. Nested modules are not
 // part of the module; siblings names those (relative to root) that import
 // it, and their non-test files are read without types (see readSibling).
 //
@@ -109,7 +118,7 @@ type apiFinding struct {
 // its type is converted to an interface that has it. MarshalJSON,
 // UnmarshalJSON, String and Error are used by reflection, and init by the
 // runtime, so exempt.
-func checkAPI(root string, siblings, rootFiles []string) ([]apiFinding, error) {
+func loadAPI(root string, siblings, rootFiles []string) (*apiChecker, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -169,6 +178,11 @@ func checkAPI(root string, siblings, rootFiles []string) ([]apiFinding, error) {
 		used:       map[token.Pos]bool{},
 		set:        map[token.Pos]bool{},
 		siblingUse: map[string]bool{},
+		knobs:      map[knobKey]*knobUse{},
+		decoded:    map[token.Pos]bool{},
+		callee:     map[*ast.Ident]bool{},
+		asValue:    map[token.Pos]bool{},
+		viaIface:   map[token.Pos]bool{},
 	}
 	for _, p := range sortedPkgs(pkgs) {
 		if err := c.check(p); err != nil {
@@ -188,12 +202,19 @@ func checkAPI(root string, siblings, rootFiles []string) ([]apiFinding, error) {
 			c.collectUses(p.info, f)
 		}
 	}
+	for _, p := range pkgs {
+		for id, o := range p.info.Uses {
+			if fn, ok := o.(*types.Func); ok && !c.callee[id] {
+				c.asValue[origin(fn).Pos()] = true
+			}
+		}
+	}
 	for _, s := range siblings {
 		if err := c.readSibling(filepath.Join(root, s)); err != nil {
 			return nil, err
 		}
 	}
-	return c.findings(), nil
+	return c, nil
 }
 
 type apiPkg struct {
@@ -214,6 +235,13 @@ type apiChecker struct {
 	used       map[token.Pos]bool
 	set        map[token.Pos]bool // struct fields that non-test code sets
 	siblingUse map[string]bool    // "path.Name" and member names that sibling modules use
+
+	// For the one-value knob check:
+	knobs    map[knobKey]*knobUse // the values non-test code gives each field and parameter
+	decoded  map[token.Pos]bool   // fields of types decoded with encoding/json
+	callee   map[*ast.Ident]bool  // identifiers naming the function a call calls
+	asValue  map[token.Pos]bool   // functions referred to other than by calling them
+	viaIface map[token.Pos]bool   // methods reachable through an interface
 }
 
 func modulePath(gomod string) (string, error) {
@@ -323,20 +351,24 @@ func (c *apiChecker) use(o types.Object, at token.Pos) {
 }
 
 // collectUses marks the fields one non-test file sets and the methods it
-// converts to an interface.
+// converts to an interface, and records the values its literals,
+// assignments and calls give fields and parameters (see knob).
 func (c *apiChecker) collectUses(info *types.Info, f *ast.File) {
-	// setField marks the fields selected along an lvalue such as a.b[i].c.
-	var setField func(e ast.Expr)
-	setField = func(e ast.Expr) {
+	// setField marks the fields selected along an lvalue such as a.b[i].c:
+	// c is given value v (see constValue), and a and b change in place.
+	var setField func(e ast.Expr, v string)
+	setField = func(e ast.Expr, v string) {
 		switch e := e.(type) {
 		case *ast.ParenExpr:
-			setField(e.X)
+			setField(e.X, v)
 		case *ast.IndexExpr:
-			setField(e.X)
+			setField(e.X, "")
 		case *ast.SelectorExpr:
 			if s := info.Selections[e]; s != nil && s.Kind() == types.FieldVal {
-				c.set[origin(s.Obj()).Pos()] = true
-				setField(e.X)
+				pos := origin(s.Obj()).Pos()
+				c.set[pos] = true
+				c.knob(knobKey{pos, -1}, v, true)
+				setField(e.X, "")
 			}
 		}
 	}
@@ -354,6 +386,7 @@ func (c *apiChecker) collectUses(info *types.Info, f *ast.File) {
 			m := iface.Method(i)
 			if o, _, _ := types.LookupFieldOrMethod(from, true, m.Pkg(), m.Name()); o != nil {
 				c.use(o, e.Pos())
+				c.viaIface[origin(o).Pos()] = true
 			}
 		}
 	}
@@ -384,7 +417,11 @@ func (c *apiChecker) collectUses(info *types.Info, f *ast.File) {
 			}
 		case *ast.AssignStmt:
 			for i, l := range n.Lhs {
-				setField(l)
+				v := ""
+				if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+					v = constValue(info, n.Rhs[i])
+				}
+				setField(l, v)
 				if len(n.Lhs) == len(n.Rhs) {
 					if t := info.TypeOf(l); t != nil {
 						convert(n.Rhs[i], t)
@@ -398,10 +435,10 @@ func (c *apiChecker) collectUses(info *types.Info, f *ast.File) {
 				}
 			}
 		case *ast.IncDecStmt:
-			setField(n.X)
+			setField(n.X, "")
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				setField(n.X)
+				setField(n.X, "")
 			}
 		case *ast.SendStmt:
 			if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
@@ -413,7 +450,7 @@ func (c *apiChecker) collectUses(info *types.Info, f *ast.File) {
 				if sig := s.Obj().Type().(*types.Signature); sig.Recv() != nil {
 					if _, ptr := sig.Recv().Type().(*types.Pointer); ptr && !types.IsInterface(s.Recv()) {
 						if _, isPtr := s.Recv().(*types.Pointer); !isPtr {
-							setField(n.X)
+							setField(n.X, "")
 						}
 					}
 				}
@@ -438,15 +475,28 @@ func (c *apiChecker) compositeLit(info *types.Info, n *ast.CompositeLit, convert
 	}
 	switch u := t.Underlying().(type) {
 	case *types.Struct:
+		named := map[token.Pos]bool{}
 		for i, e := range n.Elts {
 			if kv, ok := e.(*ast.KeyValueExpr); ok {
 				if o := info.Uses[kv.Key.(*ast.Ident)]; o != nil {
-					c.set[origin(o).Pos()] = true
-					convert(kv.Value, o.Type())
+					e, o = kv.Value, origin(o)
+					named[o.Pos()] = true
+					c.set[o.Pos()] = true
+					c.knob(knobKey{o.Pos(), -1}, constValue(info, e), true)
+					convert(e, o.Type())
 				}
 			} else if i < u.NumFields() {
-				c.set[origin(u.Field(i)).Pos()] = true
+				f := origin(u.Field(i))
+				named[f.Pos()] = true
+				c.set[f.Pos()] = true
+				c.knob(knobKey{f.Pos(), -1}, constValue(info, e), true)
 				convert(e, u.Field(i).Type())
+			}
+		}
+		// A field the literal leaves out gets its zero value.
+		for i := 0; i < u.NumFields(); i++ {
+			if f := origin(u.Field(i)); !named[f.Pos()] {
+				c.knob(knobKey{f.Pos(), -1}, zeroValue(f.Type()), false)
 			}
 		}
 	case *types.Slice, *types.Array, *types.Map:
@@ -472,6 +522,25 @@ func (c *apiChecker) compositeLit(info *types.Info, n *ast.CompositeLit, convert
 }
 
 func (c *apiChecker) call(info *types.Info, n *ast.CallExpr, convert func(ast.Expr, types.Type)) {
+	switch f := ast.Unparen(n.Fun).(type) {
+	case *ast.Ident:
+		c.callee[f] = true
+	case *ast.SelectorExpr:
+		c.callee[f.Sel] = true
+	}
+	if fn := calledFunc(info, n.Fun); fn != nil {
+		sig := fn.Type().(*types.Signature)
+		for i := 0; i < sig.Params().Len(); i++ {
+			if sig.Variadic() && i == sig.Params().Len()-1 {
+				break
+			}
+			v := "" // f(g()) spreads a call's results
+			if len(n.Args) >= sig.Params().Len() {
+				v = constValue(info, n.Args[i])
+			}
+			c.knob(knobKey{origin(fn).Pos(), i}, v, true)
+		}
+	}
 	tv := info.Types[n.Fun]
 	if tv.IsType() {
 		if len(n.Args) == 1 {
@@ -543,6 +612,7 @@ func (c *apiChecker) setAll(t types.Type, seen map[types.Type]bool) {
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
 			c.set[origin(u.Field(i)).Pos()] = true
+			c.decoded[origin(u.Field(i)).Pos()] = true
 			c.setAll(u.Field(i).Type(), seen)
 		}
 	}
@@ -622,8 +692,7 @@ func (c *apiChecker) findings() []apiFinding {
 			if o == nil || id.Name == "_" {
 				continue
 			}
-			// A sibling module can reach only exported names.
-			if id.IsExported() && (c.siblingUse[id.Name] && !isPkgLevel(p, o) || c.siblingUse[p.path+"."+id.Name]) {
+			if c.siblingUses(p, id, o) {
 				continue
 			}
 			pos := o.Pos()
@@ -667,6 +736,12 @@ func (c *apiChecker) findings() []apiFinding {
 	return out
 }
 
+// siblingUses reports whether a sibling module may use the name id
+// declares. A sibling module can reach only exported names.
+func (c *apiChecker) siblingUses(p *apiPkg, id *ast.Ident, o types.Object) bool {
+	return id.IsExported() && (c.siblingUse[id.Name] && !isPkgLevel(p, o) || c.siblingUse[p.path+"."+id.Name])
+}
+
 func isPkgLevel(p *apiPkg, o types.Object) bool { return o.Parent() == p.types.Scope() }
 
 func recvNamed(sig *types.Signature) *types.TypeName {
@@ -698,4 +773,204 @@ func fieldOwner(p *apiPkg, v *types.Var) string {
 		}
 	}
 	return ""
+}
+
+// One-value knob check: a setting that every production caller gives the
+// same value is a constant in disguise. The check flags an exported struct
+// field under internal/ that every non-test construction sets to one
+// constant (a literal that leaves the field out gives it its zero value),
+// and a non-string parameter of an exported function or method under
+// internal/ that every non-test call passes one constant or nil. Fields of
+// types decoded with encoding/json, functions referred to as values,
+// methods reachable through an interface, variadic parameters and names a
+// sibling module uses are exempt. Make each finding a constant of its
+// package, or drop it.
+
+// knobAllowlist names knobs that stay settable on purpose, each with its
+// reason. Keep it at most knobAllowlistCap entries.
+var knobAllowlist = map[string]string{
+	"internal/memsys: field Latencies.L2Hit":     "a memory-system latency the sensitivity map perturbs",
+	"internal/memsys: field Latencies.Memory":    "a memory-system latency the sensitivity map perturbs",
+	"internal/memsys: field Latencies.Upgrade":   "a memory-system latency the sensitivity map perturbs",
+	"internal/memsys: param Hierarchy.DTLB(cpu)": "an index, not a knob: the per-processor accessor, like L1D and L1I; the ISM ablation reads processor 0's TLB",
+}
+
+const knobAllowlistCap = 6
+
+func TestNoOneValueKnobs(t *testing.T) {
+	if len(knobAllowlist) > knobAllowlistCap {
+		t.Errorf("allowlist has %d entries, cap is %d", len(knobAllowlist), knobAllowlistCap)
+	}
+	c, err := loadRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, f := range c.knobFindings() {
+		seen[f.Name] = true
+		if reason, ok := knobAllowlist[f.Name]; ok && reason != "" {
+			continue
+		}
+		t.Errorf("%s: %s is always %s", f.Pos, f.Name, f.Value)
+	}
+	for name, reason := range knobAllowlist {
+		if reason == "" {
+			t.Errorf("allowlist entry %q has no reason", name)
+		}
+		if !seen[name] {
+			t.Errorf("allowlist entry %q matches no finding; remove it", name)
+		}
+	}
+	if t.Failed() {
+		t.Log("make each knob above a constant of its package, or drop it")
+	}
+}
+
+func TestNoOneValueKnobsFixture(t *testing.T) {
+	c, err := loadAPI(filepath.Join("testdata", "knobs"), []string{"bench"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range c.knobFindings() {
+		got = append(got, f.Name+" = "+f.Value)
+	}
+	want := []string{
+		"internal/lib: field Config.Ways = 4",
+		"internal/lib: field Config.Zero = 0",
+		"internal/lib: param New(limit) = -1",
+		"internal/lib: param New(seed) = nil",
+		"internal/lib: param Server.Serve(quiet) = false",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// knobKey is a struct field (param -1) or a function's param'th parameter,
+// by declaration position.
+type knobKey struct {
+	pos   token.Pos
+	param int
+}
+
+// knobUse collects the values non-test code gives one knob.
+type knobUse struct {
+	values   map[string]bool // "" stands for a value that is not a constant
+	explicit bool            // some construction names the knob
+}
+
+func (c *apiChecker) knob(k knobKey, v string, explicit bool) {
+	u := c.knobs[k]
+	if u == nil {
+		u = &knobUse{values: map[string]bool{}}
+		c.knobs[k] = u
+	}
+	u.values[v] = true
+	u.explicit = u.explicit || explicit
+}
+
+// oneValue returns the constant every construction or call gives k.
+func (c *apiChecker) oneValue(k knobKey) (string, bool) {
+	u := c.knobs[k]
+	if u == nil || !u.explicit || len(u.values) != 1 {
+		return "", false
+	}
+	for v := range u.values {
+		return v, v != ""
+	}
+	return "", false
+}
+
+// constValue is the exact value of a constant expression, "nil" for nil,
+// and "" for anything else.
+func constValue(info *types.Info, e ast.Expr) string {
+	tv := info.Types[e]
+	switch {
+	case tv.Value != nil:
+		return tv.Value.ExactString()
+	case tv.IsNil():
+		return "nil"
+	}
+	return ""
+}
+
+// zeroValue is the constValue of t's zero value, or "" when that is not
+// a constant (a struct or an array).
+func zeroValue(t types.Type) string {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		switch {
+		case u.Info()&types.IsBoolean != 0:
+			return "false"
+		case u.Info()&types.IsString != 0:
+			return `""`
+		case u.Info()&types.IsNumeric != 0:
+			return "0"
+		}
+	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature, *types.Interface:
+		return "nil"
+	}
+	return ""
+}
+
+// knobFindings lists the one-value knobs declared under internal/.
+func (c *apiChecker) knobFindings() []apiFinding {
+	var out []apiFinding
+	report := func(p *apiPkg, kind, name, value string, pos token.Pos) {
+		out = append(out, apiFinding{
+			Name:  fmt.Sprintf("%s: %s %s", p.dir, kind, name),
+			Pos:   c.fset.Position(pos).String(),
+			Value: value,
+		})
+	}
+	for _, p := range sortedPkgs(c.pkgs) {
+		if p.dir != "internal" && !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		for id, o := range p.info.Defs {
+			if o == nil || !id.IsExported() || c.siblingUses(p, id, o) {
+				continue
+			}
+			pos := o.Pos()
+			switch o := o.(type) {
+			case *types.Var:
+				if !o.IsField() || o.Anonymous() || c.decoded[pos] {
+					continue
+				}
+				if owner := fieldOwner(p, o); owner != "" {
+					if v, ok := c.oneValue(knobKey{pos, -1}); ok {
+						report(p, "field", owner+"."+o.Name(), v, pos)
+					}
+				}
+			case *types.Func:
+				sig := o.Type().(*types.Signature)
+				if c.asValue[pos] || c.viaIface[pos] {
+					continue
+				}
+				name := o.Name()
+				if sig.Recv() != nil {
+					tn := recvNamed(sig)
+					if tn == nil || types.IsInterface(sig.Recv().Type()) {
+						continue
+					}
+					name = tn.Name() + "." + name
+				}
+				for i := 0; i < sig.Params().Len(); i++ {
+					prm := sig.Params().At(i)
+					if sig.Variadic() && i == sig.Params().Len()-1 {
+						break
+					}
+					if b, ok := prm.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
+						continue
+					}
+					if v, ok := c.oneValue(knobKey{pos, i}); ok {
+						report(p, "param", fmt.Sprintf("%s(%s)", name, prm.Name()), v, prm.Pos())
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }

@@ -94,7 +94,7 @@ func runStudies(sess *core.Session, af *appFlags, stdout io.Writer) error {
 		known = known || s.name == *af.which
 	}
 	if !known {
-		return &core.ExitError{Code: 2, Err: fmt.Errorf("no such study: %q (use one of %s)", *af.which, studyNames())}
+		return &core.ExitError{Err: fmt.Errorf("no such study: %q (use one of %s)", *af.which, studyNames())}
 	}
 	o := core.DefaultAblationOpts()
 	if *af.quick {

@@ -65,6 +65,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 // sweep runs the requested cache sweeps and prints the miss-rate table.
 func sweep(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
 	ofl, mode := &af.ofl, *af.mode
+	var gm core.GeometryMode
+	var dim string
+	switch mode {
+	case "size":
+		gm, dim = core.SweepSize, "size"
+	case "assoc":
+		gm, dim = core.SweepAssoc, "ways"
+	case "block":
+		gm, dim = core.SweepBlock, "block"
+	default:
+		return &core.ExitError{Err: fmt.Errorf("unknown -mode %q; use size, assoc, or block", mode)}
+	}
+	if err := checkFlags(af); err != nil {
+		return &core.ExitError{Err: err}
+	}
 	if ofl.LatencyEnabled() {
 		// The sweeper has no timing model, so there is no request latency to
 		// measure; accept-and-warn keeps shared flag sets usable across tools.
@@ -82,18 +97,6 @@ func sweep(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
 	o := core.SweepOpts{WarmupOps: *af.warm, MeasureOps: *af.ops, Seed: *af.seed}
 	if ofl.Enabled() {
 		o.Observe = sess.SweepObserver
-	}
-	var gm core.GeometryMode
-	var dim string
-	switch mode {
-	case "size":
-		gm, dim = core.SweepSize, "size"
-	case "assoc":
-		gm, dim = core.SweepAssoc, "ways"
-	case "block":
-		gm, dim = core.SweepBlock, "block"
-	default:
-		return &core.ExitError{Code: 2, Err: fmt.Errorf("unknown -mode %q; use size, assoc, or block", mode)}
 	}
 	sched := core.NewScheduler(core.DefaultWorkers())
 	sched.Progress = sess.Heartbeat()
@@ -125,4 +128,21 @@ func sweep(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
 		"warmup_ops": *af.warm, "measure_ops": *af.ops,
 		"mode": mode, "fixed_bytes": *af.fixed,
 	})
+}
+
+// checkFlags rejects the flag values no sweep can run: -fixed must give
+// every geometry of the associativity and block ladders whole sets (a
+// power of two of at least 1 KiB, their largest set: 16 ways of 64 B, 4
+// ways of 256 B), and there must be operations to measure.
+func checkFlags(af *appFlags) error {
+	if fixed := *af.fixed; *af.mode != "size" && (fixed < 1<<10 || fixed&(fixed-1) != 0) {
+		return fmt.Errorf("-fixed %d: want a power of two of at least 1024 bytes", fixed)
+	}
+	if *af.ops <= 0 {
+		return fmt.Errorf("-ops %d: want at least one measured operation", *af.ops)
+	}
+	if *af.warm < 0 {
+		return fmt.Errorf("-warm %d: want zero or more warm-up operations", *af.warm)
+	}
+	return nil
 }

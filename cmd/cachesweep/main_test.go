@@ -49,3 +49,27 @@ func TestUnknownMode(t *testing.T) {
 		t.Fatalf("exit %d, stdout %q, stderr %q; want 2, empty, the unknown mode named", code, stdout.String(), stderr.String())
 	}
 }
+
+// TestBadFlags: a -fixed size the associativity or block ladder cannot
+// build, a non-positive -ops or a negative -warm is a usage error on stderr
+// with exit status 2, before any sweep runs or anything reaches stdout.
+func TestBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-mode", "assoc", "-fixed", "1000"}, "-fixed 1000"},
+		{[]string{"-mode", "block", "-fixed", "512"}, "-fixed 512"},
+		{[]string{"-mode", "assoc", "-fixed", "0"}, "-fixed 0"},
+		{[]string{"-ops", "-5"}, "-ops -5"},
+		{[]string{"-ops", "0"}, "-ops 0"},
+		{[]string{"-warm", "-1"}, "-warm -1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append(tc.args, "-flight", "off"), &stdout, &stderr)
+		if code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want 2, empty, %q named",
+				strings.Join(tc.args, " "), code, stdout.String(), stderr.String(), tc.want)
+		}
+	}
+}

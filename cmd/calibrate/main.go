@@ -2,7 +2,10 @@
 // count) point of the scaling sweep, with bus-level miss decomposition by
 // address region, lock-wait breakdown by lock class, and remote-tier
 // utilization. It is the tool the simulator's parameters were tuned with;
-// keep it around — every recalibration starts here.
+// keep it around — every recalibration starts here. The tuned values are
+// typed constant blocks in the packages they tune (the workloads, netsim,
+// osmodel, cpu, jvm, tlb, db, appserver and cluster; DESIGN.md §6 lists
+// them): edit the constant, then rerun this.
 //
 // Usage:
 //

@@ -146,6 +146,9 @@ func simulate(sess *core.Session, af *appFlags, stdout io.Writer) error {
 func runFaultExperiment(sess *core.Session, af *appFlags, stdout io.Writer) error {
 	p := af.spec.Params
 	spec, warmup, measure := *af.faults, af.spec.Warmup, af.spec.Measure
+	if measure == 0 { // before the demo schedule is laid out over it
+		return core.ErrEmptyWindow
+	}
 	var sched *fault.Schedule
 	if spec == "demo" {
 		sched = fault.Demo(warmup, measure)

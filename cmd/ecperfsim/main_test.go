@@ -38,8 +38,9 @@ func TestStdoutPassivity(t *testing.T) {
 }
 
 // TestInvalidRunParameters: a processor set larger than the machine, in a
-// plain or a -faults run, or a checkpoint naming an unknown workload, ends
-// the run with exit code 1 and a one-line error instead of a panic.
+// plain or a -faults run, a checkpoint naming an unknown workload, a
+// negative injection rate or an empty measurement window ends the run with
+// exit code 1 and a one-line error, before anything reaches stdout.
 func TestInvalidRunParameters(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "bad.json")
 	doc := fmt.Sprintf(`{"version": %d, "params": {"Kind": 7, "Processors": 2}}`, core.CheckpointVersion)
@@ -53,6 +54,9 @@ func TestInvalidRunParameters(t *testing.T) {
 		{[]string{"-p", "40"}, "ecperfsim: processor set 40 outside 1..16\n"},
 		{[]string{"-p", "40", "-faults", "demo"}, "ecperfsim: processor set 40 outside 1..16\n"},
 		{[]string{"-resume", cp}, "ecperfsim: checkpoint " + cp + ": unknown workload kind 7\n"},
+		{[]string{"-oir", "-3"}, "ecperfsim: negative scale -3\n"},
+		{[]string{"-measure", "0"}, "ecperfsim: empty measurement window (-measure 0)\n"},
+		{[]string{"-measure", "0", "-faults", "demo"}, "ecperfsim: empty measurement window (-measure 0)\n"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(append(tc.args, "-flight", "off"), &stdout, &stderr)

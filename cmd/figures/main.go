@@ -216,7 +216,7 @@ func figures(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
 	}
 
 	if emitted == 0 {
-		return &core.ExitError{Code: 2, Err: fmt.Errorf("no such figure: %d (the paper has Figures 4-16)", *fig)}
+		return &core.ExitError{Err: fmt.Errorf("no such figure: %d (the paper has Figures 4-16)", *fig)}
 	}
 
 	// One fully-observed point per workload: the largest sweep point, first

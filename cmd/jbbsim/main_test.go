@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/drivertest"
@@ -34,5 +35,25 @@ func TestShortFlightWindow(t *testing.T) {
 		"-flight-window", "3", "-flight", t.TempDir()}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+}
+
+// TestInvalidRunParameters: negative warehouses or an empty measurement
+// window end the run with exit code 1 and a one-line error, before anything
+// reaches stdout.
+func TestInvalidRunParameters(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-w", "-1"}, "jbbsim: negative scale -1\n"},
+		{[]string{"-measure", "0"}, "jbbsim: empty measurement window (-measure 0)\n"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append(tc.args, "-p", "2", "-warmup", "100000", "-flight", "off"), &stdout, &stderr)
+		if code != 1 || stdout.Len() != 0 || stderr.String() != tc.want {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 and %q",
+				strings.Join(tc.args, " "), code, stdout.String(), stderr.String(), tc.want)
+		}
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -99,9 +100,19 @@ func registerFlags(fs *flag.FlagSet) *appFlags {
 	return af
 }
 
-// buildConfig turns the flag surface into a validated topology. The arrival
-// rate is a placeholder; each sweep point sets it from its multiplier.
+// positive reports whether v is finite and above zero.
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
+// buildConfig turns the flag surface into a topology. The arrival rate is a
+// placeholder; each sweep point sets it from its multiplier (pointConfig).
 func buildConfig(af *appFlags) (cluster.OpenConfig, error) {
+	// The millisecond flags must give a positive cycle count a uint64 holds.
+	if d := *af.deadlineMS * cyclesPerMS; !(d >= 1 && d < 1<<63) {
+		return cluster.OpenConfig{}, fmt.Errorf("-deadline-ms %v: want a positive deadline", *af.deadlineMS)
+	}
+	if !positive(*af.thinkMS) {
+		return cluster.OpenConfig{}, fmt.Errorf("-think-ms %v: want a positive think time", *af.thinkMS)
+	}
 	cfg := cluster.DefaultOpenConfig()
 	cfg.Nodes = *af.nodes
 	cfg.WorkersPerNode = *af.workers
@@ -154,20 +165,32 @@ func loadFaults(spec string, horizon uint64) (*fault.Schedule, error) {
 }
 
 // parseSweep parses the -sweep list; an empty spec falls back to a single
-// point at -offered.
+// point at -offered. Every multiplier must be finite and positive.
 func parseSweep(spec string, offered float64) ([]float64, error) {
 	if spec == "" {
+		if !positive(offered) {
+			return nil, fmt.Errorf("-offered %v: want a finite positive multiplier", offered)
+		}
 		return []float64{offered}, nil
 	}
 	var mults []float64
 	for _, f := range strings.Split(spec, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("loadsim: bad sweep multiplier %q", f)
+		if err != nil || !positive(v) {
+			return nil, fmt.Errorf("bad sweep multiplier %q: want a finite positive number", f)
 		}
 		mults = append(mults, v)
 	}
 	return mults, nil
+}
+
+// pointConfig is cfg at one (multiplier, controls) cell of the sweep.
+func pointConfig(cfg cluster.OpenConfig, mult float64, controlsOn bool) cluster.OpenConfig {
+	if cfg.ClosedClients == 0 {
+		cfg.Arrival.Rate = mult * cfg.Capacity()
+	}
+	cfg.Controls = controlsOn
+	return cfg
 }
 
 // point is one finished run of the sweep.
@@ -202,10 +225,7 @@ type live struct {
 func runPoint(cfg cluster.OpenConfig, mult float64, controlsOn bool, seed, horizon uint64,
 	sched *fault.Schedule, newColl func() *reqtrace.Collector, lv live,
 	rec *flightrec.Recorder) (point, error) {
-	if cfg.ClosedClients == 0 {
-		cfg.Arrival.Rate = mult * cfg.Capacity()
-	}
-	cfg.Controls = controlsOn
+	cfg = pointConfig(cfg, mult, controlsOn)
 	s, err := cluster.NewOpen(cfg, seed)
 	if err != nil {
 		return point{}, err
@@ -220,7 +240,7 @@ func runPoint(cfg cluster.OpenConfig, mult float64, controlsOn bool, seed, horiz
 	// The harness tick (progress, live latency, flight recorder) plus the
 	// open system's extras: traffic rates, brown-out level, /overload page.
 	r := core.Run{Latency: coll, Flight: rec, Progress: lv.hb}
-	s.SetTick(core.SliceCycles, func(at uint64, sim *cluster.OpenSim) {
+	s.SetTick(func(at uint64, sim *cluster.OpenSim) {
 		r.Tick(at)
 		sec := float64(at) / core.CyclesPerSecond
 		st := sim.Stats
@@ -242,7 +262,7 @@ func runPoint(cfg cluster.OpenConfig, mult float64, controlsOn bool, seed, horiz
 		}
 	})
 	s.Run(horizon)
-	lv.hb.Add(1)
+	lv.hb.AddRun()
 
 	p := point{mult: mult, controls: controlsOn, stats: s.Stats,
 		simSec: float64(horizon) / core.CyclesPerSecond, coll: coll}
@@ -427,6 +447,14 @@ func sweepLoad(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error
 	default:
 		return fmt.Errorf("-controls %q: want on, off, or both", *af.controls)
 	}
+	// Check every cell before the table's header is printed.
+	for _, on := range modes {
+		for _, m := range mults {
+			if err := pointConfig(cfg, m, on).Validate(); err != nil {
+				return err
+			}
+		}
+	}
 	sched, err := loadFaults(*af.faults, *af.horizon)
 	if err != nil {
 		return err
@@ -476,7 +504,7 @@ func sweepLoad(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error
 		if ofl.Latency == "-" {
 			stdout.Write(lp.coll.ReportJSON())
 		} else if ofl.Latency != "" {
-			if err := obs.AtomicWriteFile(ofl.Latency, lp.coll.ReportJSON(), 0o644); err != nil {
+			if err := obs.AtomicWriteFile(ofl.Latency, lp.coll.ReportJSON()); err != nil {
 				return err
 			}
 		}

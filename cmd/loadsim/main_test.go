@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"math"
 	"strings"
 	"testing"
 
@@ -173,4 +174,54 @@ func TestStdoutPassivity(t *testing.T) {
 		horizon = "40000000"
 	}
 	drivertest.StdoutPassivity(t, run, nil, "-sweep", "0.5,3", "-controls", "both", "-horizon", horizon)
+}
+
+// TestBadFlagsPrintNothing: every flag is validated before the first line
+// is printed, so a bad value ends the run with exit code 1, an error on
+// stderr and an empty stdout.
+func TestBadFlagsPrintNothing(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sweep", "NaN,1"},
+		{"-sweep", "1,+Inf"},
+		{"-offered", "NaN"},
+		{"-offered", "-2"},
+		{"-offered", "1e12"}, // an arrival rate past one per cycle
+		{"-arrival", "off", "-think-ms", "-1"},
+		{"-deadline-ms", "-1"},
+		{"-deadline-ms", "NaN"},
+		{"-queue-cap", "0"},
+		{"-nodes", "0"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append(args, "-horizon", "1000000", "-flight", "off"), &stdout, &stderr)
+		if code != 1 || stdout.Len() != 0 || stderr.Len() == 0 {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1, an empty stdout and an error",
+				strings.Join(args, " "), code, stdout.String(), stderr.String())
+		}
+	}
+}
+
+// FuzzParseSweep: every multiplier list parseSweep accepts, from -sweep or
+// its -offered fallback, is non-empty, finite and positive.
+func FuzzParseSweep(f *testing.F) {
+	for _, s := range []string{"0.3,1,3", "", "NaN,1", "1,+Inf", "-1", "0", " 2 , 4 ", "1e308,1e309", ",", "0x1p-3"} {
+		f.Add(s, 1.0)
+	}
+	f.Add("", math.NaN())
+	f.Add("", math.Inf(1))
+	f.Add("", -1.0)
+	f.Fuzz(func(t *testing.T, spec string, offered float64) {
+		mults, err := parseSweep(spec, offered)
+		if err != nil {
+			return
+		}
+		if len(mults) == 0 {
+			t.Fatalf("parseSweep(%q, %v) accepted an empty list", spec, offered)
+		}
+		for _, v := range mults {
+			if !(v > 0) || math.IsInf(v, 0) {
+				t.Fatalf("parseSweep(%q, %v) accepted multiplier %v", spec, offered, v)
+			}
+		}
+	})
 }

@@ -49,7 +49,7 @@ func main() {
 		buf = rep.JSON()
 	}
 	if *out != "" {
-		if err := obs.AtomicWriteFile(*out, buf, 0o644); err != nil {
+		if err := obs.AtomicWriteFile(*out, buf); err != nil {
 			fmt.Fprintf(os.Stderr, "obsdiff: %v\n", err)
 			os.Exit(1)
 		}

@@ -282,12 +282,12 @@ func emitTriage(baselinePath, outPath string) {
 		fmt.Fprintf(os.Stderr, "perfcheck: triage diff failed: %v\n", err)
 		return
 	}
-	if err := obs.AtomicWriteFile("PERF_TRIAGE.md", rep.Markdown(), 0o644); err != nil {
+	if err := obs.AtomicWriteFile("PERF_TRIAGE.md", rep.Markdown()); err != nil {
 		fmt.Fprintf(os.Stderr, "perfcheck: triage write failed: %v\n", err)
 		return
 	}
 	fmt.Fprintln(os.Stderr, "perfcheck: wrote PERF_TRIAGE.md; top regressions:")
-	for i, d := range rep.TopDeltas(5) {
+	for i, d := range rep.Deltas[:min(5, len(rep.Deltas))] {
 		fmt.Fprintf(os.Stderr, "  %d. %-40s %+.1f%%\n", i+1, d.Key, d.Rel*100)
 	}
 }

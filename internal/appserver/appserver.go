@@ -25,14 +25,15 @@ import (
 	"repro/internal/trace"
 )
 
-// CacheConfig sizes the object-level (entity bean) cache.
-type CacheConfig struct {
-	// Entries is the cache capacity in beans.
-	Entries int
-	// TTLCycles is how long a cached bean stays valid. Transaction-option
-	// caching requires revalidation; the TTL is its time constant.
-	TTLCycles uint64
-}
+// The object-level (entity bean) cache's size.
+const (
+	// cacheEntries is the cache capacity in beans.
+	cacheEntries = 8192
+	// cacheTTLCycles is how long a cached bean stays valid.
+	// Transaction-option caching requires revalidation; the TTL is its time
+	// constant.
+	cacheTTLCycles uint64 = 1_500_000
+)
 
 // cacheEntry is the Go-side index of one cached bean.
 type cacheEntry struct {
@@ -47,7 +48,6 @@ type cacheEntry struct {
 // the caller's recorder.
 type ObjectCache struct {
 	heap    *jvm.Heap
-	cfg     CacheConfig
 	mon     *jvm.Monitor
 	table   jvm.ObjectID // permanent hash-table object (slot array)
 	slots   int
@@ -60,19 +60,15 @@ type ObjectCache struct {
 
 // NewObjectCache builds the cache, allocating its table and monitor in the
 // heap's permanent region.
-func NewObjectCache(heap *jvm.Heap, rec *trace.Recorder, cfg CacheConfig) *ObjectCache {
-	if cfg.Entries <= 0 {
-		panic("appserver: cache needs positive capacity")
-	}
+func NewObjectCache(heap *jvm.Heap, rec *trace.Recorder) *ObjectCache {
 	slots := 1
-	for slots < cfg.Entries*2 {
+	for slots < cacheEntries*2 {
 		slots <<= 1
 	}
 	return &ObjectCache{
 		heap:  heap,
-		cfg:   cfg,
 		mon:   heap.NewSpinMonitor(rec), // briefly held, very hot
-		table: heap.AllocPermanent(rec, uint32(8*slots+jvm.HeaderBytes), 0),
+		table: heap.AllocPermanent(rec, uint32(8*slots+jvm.HeaderBytes)),
 		slots: slots,
 		index: make(map[uint64]*cacheEntry),
 	}
@@ -117,7 +113,7 @@ func (c *ObjectCache) Get(rec *trace.Recorder, key uint64, now uint64) (jvm.Obje
 	c.mon.Lock(rec)
 	rec.Read(c.slotAddr(key), 8)
 	e, ok := c.index[key]
-	if ok && now-e.loadedAt <= c.cfg.TTLCycles {
+	if ok && now-e.loadedAt <= cacheTTLCycles {
 		c.lruUnlink(e)
 		c.lruPush(e)
 		c.Hits++
@@ -143,7 +139,7 @@ func (c *ObjectCache) Put(rec *trace.Recorder, key uint64, obj jvm.ObjectID, now
 	if e, ok := c.index[key]; ok {
 		c.removeLocked(e)
 	}
-	if len(c.index) >= c.cfg.Entries {
+	if len(c.index) >= cacheEntries {
 		c.removeLocked(c.lruTail)
 		c.Evictions++
 	}
@@ -194,7 +190,7 @@ func NewConnPool(heap *jvm.Heap, rec *trace.Recorder, n int) *ConnPool {
 	if n <= 0 {
 		panic("appserver: connection pool needs at least one connection")
 	}
-	book := heap.AllocPermanent(rec, mem.LineBytes, 0)
+	book := heap.AllocPermanent(rec, mem.LineBytes)
 	// The bookkeeping line's address doubles as the semaphore identity: it is
 	// unique within the system and derived only from simulated state, so two
 	// runs at the same seed name their semaphores identically. (A process-wide
@@ -237,7 +233,7 @@ type Dispatcher struct {
 func NewDispatcher(heap *jvm.Heap, rec *trace.Recorder) *Dispatcher {
 	return &Dispatcher{
 		mon:   heap.NewSpinMonitor(rec), // briefly held, very hot
-		state: heap.AllocPermanent(rec, 64, 0),
+		state: heap.AllocPermanent(rec, 64),
 		heap:  heap,
 	}
 }

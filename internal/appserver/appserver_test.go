@@ -17,12 +17,12 @@ func setup(t *testing.T) (*jvm.Heap, *trace.Recorder) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h, trace.NewRecorder("setup", false)
+	return h, trace.NewRecorder("setup")
 }
 
 func TestCacheMissThenHit(t *testing.T) {
 	h, rec := setup(t)
-	c := NewObjectCache(h, rec, CacheConfig{Entries: 8, TTLCycles: 1000})
+	c := NewObjectCache(h, rec)
 	if _, ok := c.Get(rec, 5, 0); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -39,10 +39,10 @@ func TestCacheMissThenHit(t *testing.T) {
 
 func TestCacheTTLExpiry(t *testing.T) {
 	h, rec := setup(t)
-	c := NewObjectCache(h, rec, CacheConfig{Entries: 8, TTLCycles: 1000})
+	c := NewObjectCache(h, rec)
 	bean := h.Alloc(rec, 0, 128, 0)
 	c.Put(rec, 5, bean, 0)
-	if _, ok := c.Get(rec, 5, 2000); ok {
+	if _, ok := c.Get(rec, 5, cacheTTLCycles+1); ok {
 		t.Fatal("stale entry hit")
 	}
 	if c.Expirations != 1 {
@@ -59,7 +59,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 func TestHitRateRisesWithRequestRate(t *testing.T) {
 	run := func(gapCycles uint64) float64 {
 		h, rec := setup(t)
-		c := NewObjectCache(h, rec, CacheConfig{Entries: 64, TTLCycles: 10_000})
+		c := NewObjectCache(h, rec)
 		now := uint64(0)
 		for i := 0; i < 500; i++ {
 			key := uint64(i % 16)
@@ -71,8 +71,8 @@ func TestHitRateRisesWithRequestRate(t *testing.T) {
 		}
 		return c.HitRatio()
 	}
-	slow := run(5_000) // low throughput: mostly expired
-	fast := run(200)   // high throughput: mostly fresh
+	slow := run(cacheTTLCycles / 2)  // low throughput: mostly expired
+	fast := run(cacheTTLCycles / 50) // high throughput: mostly fresh
 	if fast <= slow+0.2 {
 		t.Fatalf("hit rate did not rise with rate: slow=%v fast=%v", slow, fast)
 	}
@@ -80,16 +80,17 @@ func TestHitRateRisesWithRequestRate(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	h, rec := setup(t)
-	c := NewObjectCache(h, rec, CacheConfig{Entries: 2, TTLCycles: 1 << 40})
+	c := NewObjectCache(h, rec)
 	b := func() jvm.ObjectID { return h.Alloc(rec, 0, 64, 0) }
-	c.Put(rec, 1, b(), 0)
-	c.Put(rec, 2, b(), 1)
-	c.Get(rec, 1, 2)      // 1 is now MRU
-	c.Put(rec, 3, b(), 3) // evicts 2
-	if _, ok := c.Get(rec, 2, 4); ok {
+	for k := uint64(1); k <= cacheEntries; k++ {
+		c.Put(rec, k, b(), 0)
+	}
+	c.Get(rec, 1, 1)                   // 1 is now MRU, 2 the LRU
+	c.Put(rec, cacheEntries+1, b(), 2) // evicts 2
+	if _, ok := c.Get(rec, 2, 3); ok {
 		t.Fatal("LRU entry survived")
 	}
-	if _, ok := c.Get(rec, 1, 4); !ok {
+	if _, ok := c.Get(rec, 1, 3); !ok {
 		t.Fatal("MRU entry evicted")
 	}
 	if c.Evictions != 1 {
@@ -99,7 +100,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCachedBeansSurviveGC(t *testing.T) {
 	h, rec := setup(t)
-	c := NewObjectCache(h, rec, CacheConfig{Entries: 8, TTLCycles: 1 << 40})
+	c := NewObjectCache(h, rec)
 	bean := h.Alloc(rec, 0, 128, 0)
 	c.Put(rec, 7, bean, 0)
 	h.MinorGC(rec)
@@ -111,10 +112,12 @@ func TestCachedBeansSurviveGC(t *testing.T) {
 		t.Fatal("bean lost after GC")
 	}
 	// Evicted beans become garbage.
-	c2 := NewObjectCache(h, rec, CacheConfig{Entries: 1, TTLCycles: 1 << 40})
+	c2 := NewObjectCache(h, rec)
 	a := h.Alloc(rec, 0, 128, 0)
 	c2.Put(rec, 1, a, 0)
-	c2.Put(rec, 2, h.Alloc(rec, 0, 128, 0), 1) // evicts a
+	for k := uint64(2); k <= cacheEntries+1; k++ {
+		c2.Put(rec, k, h.Alloc(rec, 0, 64, 0), 1) // the last evicts a
+	}
 	h.ClearStack(0)
 	h.MinorGC(rec)
 	if h.IsLive(a) {
@@ -124,8 +127,9 @@ func TestCachedBeansSurviveGC(t *testing.T) {
 
 func TestCacheRecordsLockTraffic(t *testing.T) {
 	h, rec := setup(t)
-	c := NewObjectCache(h, rec, CacheConfig{Entries: 8, TTLCycles: 1000})
-	probe := trace.NewRecorder("op", true)
+	c := NewObjectCache(h, rec)
+	probe := trace.NewRecorder("op")
+	probe.Reset("op", true)
 	c.Get(probe, 1, 0)
 	op := probe.Finish()
 	var acq, rel bool
@@ -148,7 +152,7 @@ func TestConnPoolRecordsSemaphore(t *testing.T) {
 	if p.Size() != 3 {
 		t.Fatalf("size = %d", p.Size())
 	}
-	r := trace.NewRecorder("op", false)
+	r := trace.NewRecorder("op")
 	idx := p.Acquire(r)
 	p.Release(r, idx)
 	op := r.Finish()
@@ -180,7 +184,7 @@ func TestConnPoolRecordsSemaphore(t *testing.T) {
 func TestDispatcher(t *testing.T) {
 	h, rec := setup(t)
 	d := NewDispatcher(h, rec)
-	r := trace.NewRecorder("op", false)
+	r := trace.NewRecorder("op")
 	d.Dispatch(r)
 	op := r.Finish()
 	if len(op.Items) < 4 { // acq, cas, read, write, cas, rel
@@ -194,8 +198,7 @@ func TestDispatcher(t *testing.T) {
 func TestBadConfigsPanic(t *testing.T) {
 	h, rec := setup(t)
 	for name, fn := range map[string]func(){
-		"cache": func() { NewObjectCache(h, rec, CacheConfig{Entries: 0}) },
-		"pool":  func() { NewConnPool(h, rec, 0) },
+		"pool": func() { NewConnPool(h, rec, 0) },
 	} {
 		func() {
 			defer func() {

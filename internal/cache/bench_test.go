@@ -72,6 +72,6 @@ func BenchmarkSweepFetchRuns(b *testing.B) {
 		if r>>60 < 14 {
 			span = 512 << 10
 		}
-		sw.AccessRun((r>>20)%span&^63, 1+r>>8%8, 64, mem.IFetch)
+		sw.FetchRun((r>>20)%span&^63, 1+r>>8%8)
 	}
 }

@@ -20,10 +20,9 @@ var fuzzLadder = []Config{
 // FuzzSweepMatchesReference drives the sweep and the reference model with
 // arbitrary 3-byte records: a 16-bit address, then a byte whose low two bits
 // pick the access type (3 is unknown) and whose upper six bits give a range
-// length, 0 meaning a single Access; lengths 48-63 instead make an
-// AccessRun of 1-16 references, 16, 32, 64 or 128 B apart as the
-// address's low two bits pick. Every geometry's Stats must match, and the
-// inclusion invariants must hold at the end.
+// length, 0 meaning a single Access; lengths 48-63 instead make a FetchRun
+// of 1-16 fetches. Every geometry's Stats must match, and the inclusion
+// invariants must hold at the end.
 func FuzzSweepMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{255, 0, 255, 0, 128, 64, 32, 16, 8})
@@ -37,7 +36,7 @@ func FuzzSweepMatchesReference(f *testing.F) {
 				t:    mem.AccessType(data[i+2] & 3),
 			}
 			if r.size >= 48 {
-				r.run, r.step, r.size = r.size-47, 16<<(r.a&3), 0
+				r.run, r.size = r.size-47, 0
 			}
 			refs = append(refs, r)
 		}

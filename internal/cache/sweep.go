@@ -157,20 +157,18 @@ func (s *Sweep) AccessRange(a mem.Addr, size uint64, t mem.AccessType) {
 	}
 }
 
-// AccessRun feeds n single-byte references, step bytes apart from a, to
-// every cache in the sweep: an instruction-fetch run, one reference per
-// 64 B fetch block, so a geometry with smaller blocks sees only the first
-// block of each fetch block.
-func (s *Sweep) AccessRun(a mem.Addr, n, step uint64, t mem.AccessType) {
-	var dirty uint64
-	if t == mem.Write {
-		dirty = 2
-	}
-	k := kind(t)
+// fetchBlockBytes is the instruction-fetch block (ifetch.BlockBytes).
+const fetchBlockBytes = 64
+
+// FetchRun feeds an instruction-fetch run to every cache in the sweep: n
+// single-byte fetches, one per 64 B fetch block from a, so a geometry with
+// smaller blocks sees only the first block of each fetch block.
+func (s *Sweep) FetchRun(a mem.Addr, n uint64) {
+	k := kind(mem.IFetch)
 	for _, g := range s.groups {
 		for i := uint64(0); i < n; i++ {
-			blk := (a + i*step) >> g.blockShift
-			g.access(blk, blk, dirty, k)
+			blk := (a + i*fetchBlockBytes) >> g.blockShift
+			g.access(blk, blk, 0, k)
 		}
 	}
 }

@@ -7,13 +7,13 @@ import (
 	"repro/internal/mem"
 )
 
-// ref is one sweep input: an AccessRun of run references step bytes apart
-// when run is set, else an Access when size is 0, else an AccessRange.
+// ref is one sweep input: a FetchRun of run fetches when run is set, else
+// an Access when size is 0, else an AccessRange.
 type ref struct {
-	a         mem.Addr
-	size      uint64
-	run, step uint64
-	t         mem.AccessType
+	a    mem.Addr
+	size uint64
+	run  uint64
+	t    mem.AccessType
 }
 
 // checkAgainstReference feeds refs to a sweep over cfgs and to one refCache
@@ -28,10 +28,10 @@ func checkAgainstReference(t testing.TB, cfgs []Config, refs []ref) *Sweep {
 	}
 	for _, r := range refs {
 		if r.run > 0 {
-			sw.AccessRun(r.a, r.run, r.step, r.t)
+			sw.FetchRun(r.a, r.run)
 			for _, c := range caches {
 				for i := uint64(0); i < r.run; i++ {
-					refAccess(c, c.BlockAddr(r.a+i*r.step), r.t)
+					refAccess(c, c.BlockAddr(r.a+i*fetchBlockBytes), mem.IFetch)
 				}
 			}
 			continue
@@ -118,8 +118,8 @@ func (r *lcg) next() uint64 {
 // testStreams are the differential and metamorphic inputs: random, sequential,
 // set-strided conflict and immediate-repeat streams. Every stream mixes
 // reads, writes, fetches and an unknown access type, and single accesses
-// with byte ranges of up to a few blocks and with fetch-style runs of up to
-// 16 references 64 B apart (or 16 to 128 B apart in the random stream).
+// with byte ranges of up to a few blocks and with fetch runs of up to 16
+// blocks.
 func testStreams(n int) []struct {
 	name string
 	refs []ref
@@ -135,26 +135,17 @@ func testStreams(n int) []struct {
 			case 0:
 				out[i].size = x >> 4 % 600
 			case 1:
-				out[i].run, out[i].step = 1+x>>4%16, 64
+				out[i].run = 1 + x>>4%16
 			}
 		}
 		return out
-	}
-	// stepped varies the runs' step over 16, 32, 64 and 128 bytes.
-	stepped := func(refs []ref) []ref {
-		for i := range refs {
-			if refs[i].run > 0 {
-				refs[i].step = 16 << (i % 4)
-			}
-		}
-		return refs
 	}
 	var prev mem.Addr
 	return []struct {
 		name string
 		refs []ref
 	}{
-		{"random", stepped(mk(func(int) mem.Addr { return r.next() % (4 << 20) }))},
+		{"random", mk(func(int) mem.Addr { return r.next() % (4 << 20) })},
 		{"sequential", mk(func(i int) mem.Addr { return mem.Addr(i) * 24 })},
 		{"conflict", mk(func(int) mem.Addr { return r.next()%40<<16 | r.next()%4<<6 })},
 		{"repeat", mk(func(int) mem.Addr {

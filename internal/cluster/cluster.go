@@ -17,6 +17,7 @@
 package cluster
 
 import (
+	"repro/internal/netsim"
 	"repro/internal/osmodel"
 	"repro/internal/trace"
 	"repro/internal/workload/dbserver"
@@ -28,11 +29,6 @@ type Coordinator struct {
 	app *osmodel.Engine
 	db  *osmodel.Engine
 	srv *dbserver.Server
-
-	// window is the lockstep step; it must not exceed the one-way wire
-	// latency (the lookahead).
-	window  uint64
-	latency uint64
 
 	// Requests counts app→db calls; Replies counts completed round trips.
 	// At every lockstep window boundary the requests in flight,
@@ -48,27 +44,24 @@ type Coordinator struct {
 	OnWindow func(t uint64)
 }
 
+// latency is the one-way wire latency; window is the lockstep step, which
+// must not exceed it (the lookahead).
+const (
+	latency = netsim.LinkLatencyCycles
+	window  = latency / 2
+)
+
 // New wires the two machines together. The application server's network
-// must have the database registered with AddExternalPeer; latency is the
-// one-way wire latency in cycles.
-func New(app, db *osmodel.Engine, srv *dbserver.Server, latency uint64) *Coordinator {
-	c := &Coordinator{
-		app:     app,
-		db:      db,
-		srv:     srv,
-		latency: latency,
-		window:  latency / 2,
-	}
-	if c.window == 0 {
-		c.window = 1
-	}
+// must have the database co-simulated (netsim.Network.CoSimulateDatabase).
+func New(app, db *osmodel.Engine, srv *dbserver.Server) *Coordinator {
+	c := &Coordinator{app: app, db: db, srv: srv}
 	app.OnExternalCall = func(tid int, peer uint8, req, resp uint32, t uint64) {
 		c.Requests++
 		srv.Enqueue(dbserver.Request{
 			SourceThread: tid,
 			ReqBytes:     req,
 			RespBytes:    resp,
-			DeliverAt:    t + c.latency,
+			DeliverAt:    t + latency,
 		})
 	}
 	db.OnOpComplete = func(op *trace.Op, tid int, t uint64) {
@@ -77,7 +70,7 @@ func New(app, db *osmodel.Engine, srv *dbserver.Server, latency uint64) *Coordin
 			return
 		}
 		c.Replies++
-		app.WakeExternal(req.SourceThread, t+c.latency)
+		app.WakeExternal(req.SourceThread, t+latency)
 	}
 	return c
 }
@@ -88,7 +81,7 @@ func New(app, db *osmodel.Engine, srv *dbserver.Server, latency uint64) *Coordin
 // then safely simulate the same window; its replies likewise wake
 // application threads only in later windows.
 func (c *Coordinator) Run(horizon uint64) {
-	for t := c.window; ; t += c.window {
+	for t := window; ; t += window {
 		if t > horizon {
 			t = horizon
 		}

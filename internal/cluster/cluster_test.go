@@ -23,14 +23,12 @@ func (f funcSource) NextOp(tid int, now uint64) *trace.Op { return f(tid, now) }
 // external peer, and a database machine answering.
 func rig(t *testing.T, calls int) (*Coordinator, *osmodel.Engine, *osmodel.Engine, *dbserver.Server) {
 	t.Helper()
-	const peerDB = 1
-
 	// Client machine.
 	cSpace := mem.NewAddrSpace()
 	cLayout := ifetch.NewCodeLayout(cSpace)
 	user := cLayout.Add("client", 64<<10, false, ifetch.Profile{})
-	cNet := netsim.NewNetwork(netsim.DefaultLink())
-	cNet.AddExternalPeer(peerDB)
+	cNet := netsim.NewNetwork()
+	cNet.CoSimulateDatabase()
 	app := osmodel.NewEngine(osmodel.DefaultConfig(2), memsys.New(memsys.DefaultConfig(2)), cLayout, cNet, simrand.New(1))
 	n := 0
 	app.AddThread("caller", funcSource(func(tid int, now uint64) *trace.Op {
@@ -38,9 +36,10 @@ func rig(t *testing.T, calls int) (*Coordinator, *osmodel.Engine, *osmodel.Engin
 			return nil
 		}
 		n++
-		rec := trace.NewRecorder("call", true)
+		rec := trace.NewRecorder("call")
+		rec.Reset("call", true)
 		rec.Instr(user.ID, 2_000)
-		rec.NetCall(peerDB, 300, 1400)
+		rec.NetCall(netsim.PeerDatabase, 300, 1400)
 		rec.Instr(user.ID, 1_000)
 		return rec.Finish()
 	}))
@@ -50,19 +49,19 @@ func rig(t *testing.T, calls int) (*Coordinator, *osmodel.Engine, *osmodel.Engin
 	dLayout := ifetch.NewCodeLayout(dSpace)
 	comps := dbserver.Components{SQL: dLayout.Add("dbms", 128<<10, false, ifetch.Profile{})}
 	kern := dLayout.Add("kernel-net", 128<<10, true, ifetch.Profile{})
-	dNet := netsim.NewNetwork(netsim.DefaultLink())
-	ns := netsim.NewNetStack(dSpace, kern, netsim.StackConfig{SendInstr: 3_000, RecvInstr: 3_500, PerByteInstr: 0.25, HotLines: 6, BufferBytes: 2048}, simrand.New(2))
+	dNet := netsim.NewNetwork()
+	ns := netsim.NewNetStack(dSpace, kern, simrand.New(2))
 	hcfg := jvm.DefaultConfig()
 	hcfg.HeapBytes = 32 << 20
 	hcfg.NewGenBytes = 6 << 20
 	heap := jvm.MustNewHeap(dSpace, hcfg)
-	srv := dbserver.New(dbserver.DefaultConfig(), heap, comps, ns, simrand.New(3))
+	srv := dbserver.New(heap, comps, ns, simrand.New(3))
 	db := osmodel.NewEngine(osmodel.DefaultConfig(2), memsys.New(memsys.DefaultConfig(2)), dLayout, dNet, simrand.New(4))
 	for i := 0; i < 4; i++ {
 		db.AddThread("db-worker", srv.WorkerSource(i))
 	}
 
-	return New(app, db, srv, netsim.DefaultLink().LatencyCycles), app, db, srv
+	return New(app, db, srv), app, db, srv
 }
 
 func TestRoundTripCompletes(t *testing.T) {
@@ -84,15 +83,14 @@ func TestCallerWaitsAtLeastTwoWireLatencies(t *testing.T) {
 	if h == nil || h.Count() != 1 {
 		t.Fatal("no call latency recorded")
 	}
-	if h.Mean() < float64(2*netsim.DefaultLink().LatencyCycles) {
+	if h.Mean() < float64(2*netsim.LinkLatencyCycles) {
 		t.Fatalf("round trip %v cycles beat the wire (impossible)", h.Mean())
 	}
 }
 
 func TestWindowRespectsLookahead(t *testing.T) {
-	coord, _, _, _ := rig(t, 1)
-	if coord.window > netsim.DefaultLink().LatencyCycles {
-		t.Fatalf("window %d exceeds the lookahead %d", coord.window, netsim.DefaultLink().LatencyCycles)
+	if window == 0 || window > latency {
+		t.Fatalf("window %d outside (0, lookahead %d]", window, latency)
 	}
 }
 

@@ -87,21 +87,25 @@ type WorkClass struct {
 	CPUCycles uint64
 	// DBCalls is the number of synchronous shard round trips.
 	DBCalls int
-	// Request/response sizes on the client and shard wires.
-	ReqBytes, RespBytes     uint32
-	DBReqBytes, DBRespBytes uint32
+	// Request/response sizes on the client wire and the shard request
+	// size; every shard response is dbRespBytes.
+	ReqBytes, RespBytes uint32
+	DBReqBytes          uint32
 }
+
+// dbRespBytes is the size of every shard response.
+const dbRespBytes uint32 = 1024
 
 // DefaultMix is a three-class e-commerce mix: critical orders, bulk
 // browsing, and optional recommendations (the first brown-out victim).
 func DefaultMix() []WorkClass {
 	return []WorkClass{
 		{Name: "order", Weight: 0.3, Priority: 0, CPUCycles: 150_000, DBCalls: 3,
-			ReqBytes: 512, RespBytes: 2048, DBReqBytes: 256, DBRespBytes: 1024},
+			ReqBytes: 512, RespBytes: 2048, DBReqBytes: 256},
 		{Name: "browse", Weight: 0.5, Priority: 1, CPUCycles: 75_000, DBCalls: 1,
-			ReqBytes: 256, RespBytes: 4096, DBReqBytes: 128, DBRespBytes: 1024},
+			ReqBytes: 256, RespBytes: 4096, DBReqBytes: 128},
 		{Name: "recommend", Weight: 0.2, Priority: 2, CPUCycles: 250_000, DBCalls: 2,
-			ReqBytes: 256, RespBytes: 2048, DBReqBytes: 256, DBRespBytes: 1024},
+			ReqBytes: 256, RespBytes: 2048, DBReqBytes: 256},
 	}
 }
 
@@ -113,7 +117,6 @@ type OpenConfig struct {
 	Shards         int // database shards
 	Shard          db.Config
 	LB             LBPolicy
-	Link           netsim.Link
 	Mix            []WorkClass
 	// DeadlineCycles is client patience: completions later than this after
 	// the client sent the request are wasted work, excluded from goodput.
@@ -151,7 +154,6 @@ func DefaultOpenConfig() OpenConfig {
 		Shards:         2,
 		Shard:          db.DefaultDatabaseConfig(),
 		LB:             LeastInFlight,
-		Link:           netsim.DefaultLink(),
 		Mix:            DefaultMix(),
 		DeadlineCycles: 6_250_000,
 		Controls:       true,
@@ -167,7 +169,7 @@ func (c OpenConfig) Validate() error {
 	if c.WorkersPerNode <= 0 {
 		return fmt.Errorf("cluster: need at least one worker per node")
 	}
-	if c.QueueCap <= 0 {
+	if c.Controls && c.QueueCap <= 0 {
 		return fmt.Errorf("cluster: queue capacity must be positive")
 	}
 	if c.Shards <= 0 || c.Shards > 64 {
@@ -205,7 +207,7 @@ func (c OpenConfig) Validate() error {
 // jitter; jitter is mean-preserving around 1).
 func (c OpenConfig) meanShardService(m WorkClass) float64 {
 	return float64(c.Shard.BaseServiceCycles) +
-		c.Shard.PerByteCycles*float64(m.DBReqBytes+m.DBRespBytes)
+		c.Shard.PerByteCycles*float64(m.DBReqBytes+dbRespBytes)
 }
 
 // Capacity estimates the topology's saturation throughput in requests per
@@ -215,8 +217,8 @@ func (c OpenConfig) Capacity() float64 {
 	totalW, occ, dbWork := 0.0, 0.0, 0.0
 	for _, m := range c.Mix {
 		svc := c.meanShardService(m)
-		perCall := float64(c.Link.TransferCycles(m.DBReqBytes)) + svc +
-			float64(c.Link.TransferCycles(m.DBRespBytes))
+		perCall := float64(netsim.TransferCycles(m.DBReqBytes)) + svc +
+			float64(netsim.TransferCycles(dbRespBytes))
 		occ += m.Weight * (float64(m.CPUCycles) + float64(m.DBCalls)*perCall)
 		dbWork += m.Weight * float64(m.DBCalls) * svc
 		totalW += m.Weight
@@ -366,8 +368,7 @@ type OpenSim struct {
 
 	lbNext int // round-robin cursor
 
-	tickEvery uint64
-	onTick    func(t uint64, s *OpenSim)
+	onTick func(t uint64, s *OpenSim)
 
 	// errRespBytes sizes the response wire transfer of failed requests.
 	errRespBytes uint32
@@ -377,11 +378,11 @@ type OpenSim struct {
 
 // NewOpen builds the topology; every RNG stream derives from seed.
 func NewOpen(cfg OpenConfig, seed uint64) (*OpenSim, error) {
-	if !cfg.Controls {
-		cfg.QueueCap = uncappedQueue
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if !cfg.Controls {
+		cfg.QueueCap = uncappedQueue
 	}
 	root := simrand.New(seed)
 	s := &OpenSim{cfg: cfg, rng: root.Derive(1), errRespBytes: 64}
@@ -449,12 +450,13 @@ func (s *OpenSim) SetFaults(inj *fault.Injector) {
 // or without it.
 func (s *OpenSim) SetCollector(c *reqtrace.Collector) { s.coll = c }
 
-// SetTick arranges fn to run every interval cycles while the simulation
-// has work, for heartbeat and inspection snapshots.
-func (s *OpenSim) SetTick(interval uint64, fn func(t uint64, s *OpenSim)) {
-	s.tickEvery = interval
-	s.onTick = fn
-}
+// tickCycles is the tick's period: the drivers' run-loop step
+// (core.SliceCycles).
+const tickCycles = 2_000_000
+
+// SetTick arranges fn to run every tickCycles while the simulation has
+// work, for heartbeat and inspection snapshots.
+func (s *OpenSim) SetTick(fn func(t uint64, s *OpenSim)) { s.onTick = fn }
 
 // Config returns the (validated, possibly adjusted) configuration.
 func (s *OpenSim) Config() OpenConfig { return s.cfg }
@@ -482,7 +484,7 @@ func (s *OpenSim) newReq(sendAt uint64, client int) *openReq {
 // pushArrival schedules req's arrival at the load balancer: send time plus
 // the client-side request transfer.
 func (s *OpenSim) pushArrival(r *openReq) {
-	wire := s.cfg.Link.TransferCycles(s.cfg.Mix[r.class].ReqBytes)
+	wire := netsim.TransferCycles(s.cfg.Mix[r.class].ReqBytes)
 	r.net += wire
 	s.schedule(r.sendAt+wire, evArrival, -1, r)
 }
@@ -503,8 +505,8 @@ func (s *OpenSim) Run(horizon uint64) uint64 {
 			s.pushArrival(s.newReq(at, -1))
 		}
 	}
-	if s.tickEvery > 0 && s.onTick != nil {
-		s.schedule(s.tickEvery, evTick, -1, nil)
+	if s.onTick != nil {
+		s.schedule(tickCycles, evTick, -1, nil)
 	}
 	for s.events.Len() > 0 {
 		it := s.events.Pop()
@@ -530,7 +532,7 @@ func (s *OpenSim) Run(horizon uint64) uint64 {
 		case evTick:
 			s.onTick(at, s)
 			if s.events.Len() > 0 {
-				s.schedule(at+s.tickEvery, evTick, -1, nil)
+				s.schedule(at+tickCycles, evTick, -1, nil)
 			}
 		}
 	}
@@ -624,10 +626,7 @@ func (s *OpenSim) startService(n *openNode, r *openReq, t uint64) {
 	n.busy++
 	r.node = n.id
 	m := s.cfg.Mix[r.class]
-	cpu := m.CPUCycles
-	if s.cfg.Shard.Jitter > 0 {
-		cpu = uint64(float64(cpu) * (1 - s.cfg.Shard.Jitter + s.rng.Exp(s.cfg.Shard.Jitter)))
-	}
+	cpu := db.Jitter(m.CPUCycles, s.rng)
 	// A recently crashed node serves its drain-down with cold caches.
 	if f := s.faults.ServiceFactor(n.peer, t); f > 1 {
 		cpu = uint64(float64(cpu) * f)
@@ -722,7 +721,7 @@ func (s *OpenSim) attempt(n *openNode, r *openReq, br *fault.Breaker, lim *shard
 	switch s.faults.CallOutcome(peer, t) {
 	case fault.FastFail:
 		// Connection refused by a crashed shard: one bare round trip.
-		rtt := scale(2 * s.cfg.Link.LatencyCycles)
+		rtt := scale(2 * netsim.LinkLatencyCycles)
 		r.net += rtt
 		br.Record(t+rtt, false)
 		if lim != nil {
@@ -742,9 +741,9 @@ func (s *OpenSim) attempt(n *openNode, r *openReq, br *fault.Breaker, lim *shard
 		s.Stats.LostCalls++
 		return attemptResult{doneAt: t + timeout}
 	}
-	reqX := scale(s.cfg.Link.TransferCycles(m.DBReqBytes))
-	respX := scale(s.cfg.Link.TransferCycles(m.DBRespBytes))
-	done, q, svc := s.shards[r.shard].Respond(t+reqX, m.DBReqBytes, m.DBRespBytes)
+	reqX := scale(netsim.TransferCycles(m.DBReqBytes))
+	respX := scale(netsim.TransferCycles(dbRespBytes))
+	done, q, svc := s.shards[r.shard].Respond(t+reqX, m.DBReqBytes, dbRespBytes)
 	rtt := done + respX - t
 	if rtt > timeout {
 		// The caller abandons the attempt; the shard still does the work.
@@ -782,7 +781,7 @@ func (s *OpenSim) finalize(r *openReq, done uint64, horizon uint64) {
 		class = m.Name + ".fail"
 		respBytes = s.errRespBytes
 	}
-	respX := s.cfg.Link.TransferCycles(respBytes)
+	respX := netsim.TransferCycles(respBytes)
 	r.net += respX
 	end := done + respX
 

@@ -141,7 +141,7 @@ func TestOpenConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetFaults(fault.NewInjector(sched, simrand.New(99)))
-	s.SetTick(1_000_000, func(at uint64, sim *OpenSim) {
+	s.SetTick(func(at uint64, sim *OpenSim) {
 		checks++
 		st := sim.Stats
 		if st.Offered != st.Shed+st.Completed+st.Failed+sim.inFlight() {
@@ -323,7 +323,6 @@ func TestOpenShardStorm(t *testing.T) {
 		return fault.NewInjector(sched, nil)
 	}
 	cfg := DefaultOpenConfig()
-	cfg.Shard.Jitter = 0 // a visit costs its base service unless a fault scales it
 	for _, tc := range []struct {
 		peer    uint8
 		stormed int
@@ -333,10 +332,15 @@ func TestOpenShardStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.SetFaults(storm(tc.peer))
+		// A twin without faults draws the same jittered service.
+		calm, err := NewOpen(cfg, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for k, sh := range s.shards {
-			want := cfg.Shard.BaseServiceCycles
+			_, _, want := calm.shards[k].Respond(at+1, 0, 0)
 			if k == tc.stormed {
-				want *= mag
+				want = uint64(float64(want) * mag)
 			}
 			if _, _, got := sh.Respond(at+1, 0, 0); got != want {
 				t.Errorf("storm on peer %d: shard %d service %d, want %d", tc.peer, k, got, want)

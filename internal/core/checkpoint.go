@@ -11,9 +11,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"sort"
 
@@ -98,18 +100,25 @@ func (cp Checkpoint) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	return obs.AtomicWriteFile(path, append(data, '\n'), 0o644)
+	return obs.AtomicWriteFile(path, append(data, '\n'))
 }
 
-// LoadCheckpoint reads and validates a checkpoint file.
+// LoadCheckpoint reads and validates a checkpoint file. A key the format
+// does not have is an error that names it, so a misspelt or retired setting
+// never resumes silently on its default.
 func LoadCheckpoint(path string) (Checkpoint, error) {
 	var cp Checkpoint
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return cp, err
 	}
-	if err := json.Unmarshal(data, &cp); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cp); err != nil {
 		return cp, fmt.Errorf("checkpoint %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return cp, fmt.Errorf("checkpoint %s: data after the checkpoint", path)
 	}
 	if cp.Version != CheckpointVersion {
 		return cp, fmt.Errorf("checkpoint %s: version %d, want %d", path, cp.Version, CheckpointVersion)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -117,5 +119,33 @@ func TestLoadCheckpointRejectsBadFiles(t *testing.T) {
 
 	if _, err := LoadCheckpoint(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("accepted a missing file")
+	}
+}
+
+// TestLoadCheckpointRejectsUnknownKeys: a key the checkpoint format does not
+// have, at the top level or under params, is an error that names it — a
+// misspelt or retired setting must not resume silently on its default.
+func TestLoadCheckpointRejectsUnknownKeys(t *testing.T) {
+	dir := t.TempDir()
+	for name, doc := range map[string]string{
+		"FaultPolicy": `{"version":1,"params":{"Kind":1,"FaultPolicy":{"TimeoutCycles":1000}}}`,
+		"seed":        `{"version":1,"seed":42}`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadCheckpoint(path)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: err = %v, want an error naming %q", doc, err, name)
+		}
+	}
+	// Trailing data after the document is still rejected.
+	path := filepath.Join(dir, "trailing.json")
+	if err := os.WriteFile(path, []byte(`{"version":1} {}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(path); err == nil {
+		t.Error("accepted trailing data after the checkpoint")
 	}
 }

@@ -366,7 +366,10 @@ func TestGeometrySweeps(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	o := QuickSweepOpts()
-	assoc := RunGeometrySweeps(o, SweepAssoc, 256<<10)
+	sweep := func(mode GeometryMode) *CacheSweeps {
+		return runPrivate(func(s *Scheduler) *CacheSweeps { return ScheduleCacheSweeps(s, o, mode, 256<<10) })
+	}
+	assoc := sweep(SweepAssoc)
 	for _, r := range assoc.Results {
 		first := r.ICurve[0].MissesPer1000
 		last := r.ICurve[len(r.ICurve)-1].MissesPer1000
@@ -374,7 +377,7 @@ func TestGeometrySweeps(t *testing.T) {
 			t.Fatalf("%s: I-miss rose with associativity (%v -> %v)", r.Label, first, last)
 		}
 	}
-	block := RunGeometrySweeps(o, SweepBlock, 256<<10)
+	block := sweep(SweepBlock)
 	for _, r := range block.Results {
 		first := r.ICurve[0].MissesPer1000
 		last := r.ICurve[len(r.ICurve)-1].MissesPer1000

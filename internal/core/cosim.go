@@ -50,8 +50,8 @@ func BuildCoSim(procs int, seed uint64) *CoSim {
 	hcfg.GCComp = gcComp.ID
 	heap := jvm.MustNewHeap(space, hcfg)
 
-	net := netsim.NewNetwork(netsim.DefaultLink())
-	ns := netsim.NewNetStack(space, kern, netstackConfig(), rng.Derive(1))
+	net := netsim.NewNetwork()
+	ns := netsim.NewNetStack(space, kern, rng.Derive(1))
 
 	mcfg := memsys.DefaultConfig(8)
 	hier := memsys.New(mcfg)
@@ -59,12 +59,12 @@ func BuildCoSim(procs int, seed uint64) *CoSim {
 	eng := osmodel.NewEngine(ecfg, hier, layout, net, rng.Derive(2))
 	osmodel.AddOSDaemons(eng, space, kern, rng.Derive(3))
 
-	srv := dbserver.New(dbserver.DefaultConfig(), heap, comps, ns, rng.Derive(4))
+	srv := dbserver.New(heap, comps, ns, rng.Derive(4))
 	for i := 0; i < 16; i++ {
 		eng.AddThread("db-worker", srv.WorkerSource(i))
 	}
 
-	coord := cluster.New(app.Engine, eng, srv, netsim.DefaultLink().LatencyCycles)
+	coord := cluster.New(app.Engine, eng, srv)
 	return &CoSim{App: app, DBEng: eng, DBSrv: srv, Coord: coord}
 }
 

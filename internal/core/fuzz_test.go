@@ -16,7 +16,6 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		`{"version":1,"command":"ecperfsim","params":{"Kind":1,"Processors":2,"Seed":42},"warmup":100,"cycle":300,"digest":7}`,
 		`{"version":1,"params":{"Kind":0,"Processors":8,"MemModel":1,"MemCurve":{"window_cycles":100000,"buckets":8,"line_cycles":2.5}},"cycle":1}`,
 		`{"version":1,"params":{"Kind":1,"FaultSchedule":{"events":[{"kind":"db-lock-storm","at":10,"duration":5,"peer":2,"magnitude":30}]}}}`,
-		`{"version":1,"params":{"Kind":1,"FaultPolicy":{"TimeoutCycles":1000}}}`,
 		`{"version":1}`,
 		// Parameters the loader passes on for the run to reject.
 		`{"version":1,"params":{"Kind":7,"Processors":40,"MemModel":9}}`,
@@ -24,6 +23,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		`{"version":2}`,
 		`{"version":1,"warmup":10,"cycle":5}`,
 		`{"version":1,"params":{"Kind":"ECperf"}}`,
+		`{"version":1,"params":{"Kind":1,"FaultPolicy":{"TimeoutCycles":1000}}}`, // unknown key
 		`{"version":1,"params":{"FaultSchedule":{"events":[{"kind":"meteor","at":1,"duration":1}]}}}`,
 		`{"version":1,"params":`,
 		`[]`,

@@ -7,10 +7,6 @@ import (
 	"repro/internal/obs/attr"
 )
 
-// inspectTopN bounds the hot-line/object tables rendered for the live
-// inspection endpoint; the final report honors the -attr-top flag instead.
-const inspectTopN = 20
-
 // AttachObserver wires an observer through an assembled system (tracer into
 // the engine and bus, profiler into every core) and registers the standard
 // metric namespace against its registry. Call it after BuildSystem and
@@ -29,7 +25,7 @@ func AttachObserver(sys *System, ob *obs.Observer) {
 		// Scheduled fault windows become spans on the fault track; the
 		// injector then also emits resilience instants (retries, sheds,
 		// breaker transitions) as the run hits them.
-		sys.Faults.AttachTracer(ob.Tracer, -1)
+		sys.Faults.AttachTracer(ob.Tracer)
 	}
 	if ob.Profiler != nil && ob.Profiler.Scope == "" {
 		ob.Profiler.Scope = sys.Params.Kind.String()

@@ -73,7 +73,7 @@ func (r *Run) Tick(t uint64) {
 		}
 	}
 	if ob := r.Observer; ob != nil && ob.Inspect != nil {
-		ob.Inspect.Publish(ob, inspectTopN, false)
+		ob.Inspect.Publish(ob, false)
 	}
 }
 
@@ -180,7 +180,7 @@ func (r *Run) Measure(warmup, measure uint64, plan *CheckpointPlan) error {
 	if err := save(end); err != nil {
 		return err
 	}
-	r.Progress.Add(1)
+	r.Progress.AddRun()
 	if ob.Attr != nil {
 		// Attribute the tail of the measurement window that no GC closed.
 		var res attr.Resolver
@@ -189,7 +189,7 @@ func (r *Run) Measure(warmup, measure uint64, plan *CheckpointPlan) error {
 		}
 		ob.Attr.CloseEpoch(res, "final")
 	}
-	ob.Inspect.Publish(ob, inspectTopN, true)
+	ob.Inspect.Publish(ob, true)
 	if base != nil {
 		r.Delta = ob.Registry.Snapshot().Delta(base)
 	}

@@ -105,7 +105,7 @@ func grid[T any](s *Scheduler, n int, cell func(i int) T) []T {
 	for i := range n {
 		s.Submit(func() {
 			out[i] = cell(i)
-			s.Progress.Add(1)
+			s.Progress.AddRun()
 		})
 	}
 	return out

@@ -45,7 +45,7 @@ type Session struct {
 // Main runs one driver invocation behind a testable seam: it parses args
 // into fs (which registered the observability flags f), opens a
 // Session labelled with fs's name around body, and returns the exit code —
-// 2 for bad flags, an *ExitError's code, or 1 for any other error, which is
+// 2 for bad flags or an *ExitError, or 1 for any other error, which is
 // printed as "name: err" on stderr.
 func Main(fs *flag.FlagSet, args []string, f *obs.Flags, stdout, stderr io.Writer, body func(*Session) error) int {
 	fs.SetOutput(stderr)
@@ -63,16 +63,14 @@ func Main(fs *flag.FlagSet, args []string, f *obs.Flags, stdout, stderr io.Write
 	fmt.Fprintf(stderr, "%s: %v\n", fs.Name(), err)
 	var ee *ExitError
 	if errors.As(err, &ee) {
-		return ee.Code
+		return 2
 	}
 	return 1
 }
 
-// ExitError ends a driver with a specific exit code.
-type ExitError struct {
-	Code int
-	Err  error
-}
+// ExitError ends a driver with exit code 2, as a bad flag does: an
+// unknown study or figure, or a tripped watchdog.
+type ExitError struct{ Err error }
 
 func (e *ExitError) Error() string { return e.Err.Error() }
 
@@ -197,11 +195,19 @@ func (s *RunSpec) Register(fs *flag.FlagSet, procsHelp string) {
 	s.Params.MemModel.RegisterFlag(fs)
 }
 
+// ErrEmptyWindow rejects a run with no measurement window: every rate it
+// would report divides by zero.
+var ErrEmptyWindow = errors.New("empty measurement window (-measure 0)")
+
 // Measure builds spec's system (or the checkpoint's, with spec.Resume),
 // attaches the session's facilities under label, and drives it through
-// Run.Measure. Parameters BuildSystem cannot build are an error. A tripped
-// watchdog ends the run with exit code 2 and its diagnostic.
+// Run.Measure. Parameters BuildSystem cannot build, and an empty
+// measurement window, are an error. A tripped watchdog ends the run with
+// exit code 2 and its diagnostic.
 func (s *Session) Measure(label string, spec RunSpec) (*Run, error) {
+	if spec.Measure == 0 {
+		return nil, ErrEmptyWindow
+	}
 	var cp *Checkpoint
 	if spec.Resume != "" {
 		c, err := LoadCheckpoint(spec.Resume)
@@ -227,7 +233,7 @@ func (s *Session) Measure(label string, spec RunSpec) (*Run, error) {
 		return nil, err
 	}
 	if wd := r.Sys.Engine.WatchdogTripped(); wd != nil {
-		return nil, &ExitError{Code: 2, Err: fmt.Errorf("watchdog tripped:\n%s", wd)}
+		return nil, &ExitError{Err: fmt.Errorf("watchdog tripped:\n%s", wd)}
 	}
 	return r, nil
 }
@@ -259,6 +265,9 @@ func (s *Session) ObservePoints(procs int, seed uint64, o Opts) error {
 // parameters BuildSystem cannot build are an error, found before either run
 // starts.
 func (s *Session) FaultExperiment(label string, o FaultRunOpts) (FaultRunResult, error) {
+	if o.MeasureCycles == 0 {
+		return FaultRunResult{}, ErrEmptyWindow
+	}
 	if err := o.params().validate(); err != nil {
 		return FaultRunResult{}, err
 	}

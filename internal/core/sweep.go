@@ -51,7 +51,7 @@ func (f *feeder) feedItems(items []trace.Item) {
 			f.prof.AddCycles(int(it.Comp), obs.CatBase, uint64(it.N))
 			for left := ifetch.BlocksFor(uint64(it.N)); left > 0; {
 				addr, n := f.gen.NextRun(it.Comp, left)
-				f.sweepI.AccessRun(addr, n, ifetch.BlockBytes, mem.IFetch)
+				f.sweepI.FetchRun(addr, n)
 				left -= n
 			}
 		case trace.KindRead:
@@ -112,12 +112,12 @@ func newUniPlayer(sys *System) *uniPlayer {
 	switch sys.Params.Kind {
 	case SPECjbb:
 		for i := 0; i < sys.Params.Scale; i++ {
-			p.sources = append(p.sources, sys.JBB.Source(i, -1))
+			p.sources = append(p.sources, sys.JBB.Source(i))
 		}
 	case ECperf:
 		// A uniprocessor app server still runs a small thread pool.
 		for i := 0; i < 6; i++ {
-			p.sources = append(p.sources, sys.EC.Source(i, -1))
+			p.sources = append(p.sources, sys.EC.Source(i))
 		}
 	}
 	return p
@@ -270,7 +270,9 @@ func ScheduleCacheSweeps(sched *Scheduler, o SweepOpts, mode GeometryMode, fixed
 
 // RunCacheSweeps runs the paper's four uniprocessor configurations on a
 // private scheduler sized to the host.
-func RunCacheSweeps(o SweepOpts) *CacheSweeps { return RunGeometrySweeps(o, SweepSize, 0) }
+func RunCacheSweeps(o SweepOpts) *CacheSweeps {
+	return runPrivate(func(s *Scheduler) *CacheSweeps { return ScheduleCacheSweeps(s, o, SweepSize, 0) })
+}
 
 func curveFigure(id, title string, cs *CacheSweeps, pick func(SweepResult) []cache.Point) Figure {
 	f := Figure{
@@ -328,14 +330,6 @@ const (
 	// SweepBlock: 16-256 B blocks at a fixed size (ditto).
 	SweepBlock
 )
-
-// RunGeometrySweeps runs the uniprocessor sweeps along the chosen
-// dimension on a private scheduler sized to the host. Like RunCacheSweeps,
-// the four workload configurations are independent and execute
-// concurrently; result order is fixed.
-func RunGeometrySweeps(o SweepOpts, mode GeometryMode, fixedBytes int) *CacheSweeps {
-	return runPrivate(func(s *Scheduler) *CacheSweeps { return ScheduleCacheSweeps(s, o, mode, fixedBytes) })
-}
 
 // missAt reads one point off a sweep curve (for notes and tests).
 func missAt(cs *CacheSweeps, label string, size int, instruction bool) float64 {

@@ -28,7 +28,6 @@ import (
 	"repro/internal/obs/flightrec"
 	"repro/internal/osmodel"
 	"repro/internal/simrand"
-	"repro/internal/tlb"
 	"repro/internal/workload/ecperf"
 	"repro/internal/workload/specjbb"
 	"repro/internal/workload/volano"
@@ -192,6 +191,8 @@ func (p SystemParams) validate() error {
 		return fmt.Errorf("unknown workload kind %d", p.Kind)
 	case p.Processors > p.TotalCPUs:
 		return fmt.Errorf("processor set %d outside 1..%d", p.Processors, p.TotalCPUs)
+	case p.Scale < 0:
+		return fmt.Errorf("negative scale %d", p.Scale)
 	case p.MemModel > memsys.MemLoaded:
 		return fmt.Errorf("unknown memory model %s", p.MemModel)
 	}
@@ -219,7 +220,7 @@ func (p SystemParams) withDefaults() SystemParams {
 		}
 	}
 	if p.Kind == VolanoMark {
-		p.Scale = 1 // room shape is fixed by volano.DefaultConfig
+		p.Scale = 1 // room shape is fixed by the volano package
 	}
 	return p
 }
@@ -233,15 +234,7 @@ func BuildSystem(p SystemParams) *System {
 
 	mcfg := memsys.DefaultConfig(p.TotalCPUs)
 	mcfg.CPUsPerL2 = p.CPUsPerL2
-	if p.BasePages {
-		// The heap is scaled ~20× down from the paper's testbed, so the
-		// base-page TLB reach is scaled to match: reach/heap stays at the
-		// real machine's ratio (64 × 8 KB = 512 KB against a ~1.4 GB heap
-		// becomes 64 × 1 KB = 64 KB against the ~72 MB simulated heap).
-		// The miss penalty is the software-refill trap cost.
-		cfg := tlb.Config{Entries: 64, PageBytes: 1 << 10, MissPenalty: 110}
-		mcfg.DTLB = &cfg
-	}
+	mcfg.DTLB = p.BasePages
 	if p.C2CLatency != 0 {
 		mcfg.Lat.C2C = p.C2CLatency
 	}
@@ -289,9 +282,9 @@ func BuildSystem(p SystemParams) *System {
 		eng := osmodel.NewEngine(ecfg, hier, layout, nil, rng.Derive(1))
 		osmodel.AddOSDaemons(eng, space, kern, rng.Derive(2))
 
-		w := specjbb.New(specjbb.DefaultConfig(p.Scale), heap, comps, rng.Derive(3))
+		w := specjbb.New(p.Scale, heap, comps, rng.Derive(3))
 		for i := 0; i < p.Scale; i++ {
-			eng.AddThread("jbb-worker", w.Source(i, -1))
+			eng.AddThread("jbb-worker", w.Source(i))
 		}
 		sys.Engine, sys.Heap, sys.JBB = eng, heap, w
 
@@ -309,16 +302,16 @@ func BuildSystem(p SystemParams) *System {
 		hcfg.GCComp = gcComp.ID
 		heap := jvm.MustNewHeap(space, hcfg)
 
-		net := netsim.NewNetwork(netsim.DefaultLink())
+		net := netsim.NewNetwork()
 		if p.CoSimDB {
-			net.AddExternalPeer(ecperf.PeerDatabase)
+			net.CoSimulateDatabase()
 		} else {
 			sys.DB = db.NewServer(databaseConfig(), rng.Derive(10))
-			net.AddPeer(ecperf.PeerDatabase, sys.DB)
+			net.AddPeer(netsim.PeerDatabase, sys.DB)
 		}
 		sys.Supplier = db.NewServer(supplierConfig(), rng.Derive(11))
-		net.AddPeer(ecperf.PeerSupplier, sys.Supplier)
-		ns := netsim.NewNetStack(space, kern, netstackConfig(), rng.Derive(12))
+		net.AddPeer(netsim.PeerSupplier, sys.Supplier)
+		ns := netsim.NewNetStack(space, kern, rng.Derive(12))
 
 		eng := osmodel.NewEngine(ecfg, hier, layout, net, rng.Derive(1))
 		osmodel.AddOSDaemons(eng, space, kern, rng.Derive(2))
@@ -330,13 +323,13 @@ func BuildSystem(p SystemParams) *System {
 			// touch, and put the resilient caller in front of remote calls.
 			net.SetFaults(sys.Faults)
 			if sys.DB != nil {
-				sys.DB.SetFaults(sys.Faults, ecperf.PeerDatabase)
+				sys.DB.SetFaults(sys.Faults, netsim.PeerDatabase)
 			}
-			sys.Supplier.SetFaults(sys.Faults, ecperf.PeerSupplier)
+			sys.Supplier.SetFaults(sys.Faults, netsim.PeerSupplier)
 			w.EnableResilience(appserver.NewCaller(sys.Faults, rng.Derive(21)))
 		}
 		for i := 0; i < wcfg.Workers; i++ {
-			eng.AddThread("ec-worker", w.Source(i, -1))
+			eng.AddThread("ec-worker", w.Source(i))
 		}
 		sys.Engine, sys.Heap, sys.EC = eng, heap, w
 
@@ -353,15 +346,15 @@ func BuildSystem(p SystemParams) *System {
 
 		// Clients are loopback; no remote peers are needed, but the kernel
 		// stack is the whole point.
-		net := netsim.NewNetwork(netsim.DefaultLink())
-		ns := netsim.NewNetStack(space, kern, netstackConfig(), rng.Derive(12))
+		net := netsim.NewNetwork()
+		ns := netsim.NewNetStack(space, kern, rng.Derive(12))
 
 		eng := osmodel.NewEngine(ecfg, hier, layout, net, rng.Derive(1))
 		osmodel.AddOSDaemons(eng, space, kern, rng.Derive(2))
 
-		w := volano.New(volano.DefaultConfig(), heap, comps, ns, rng.Derive(3))
+		w := volano.New(heap, comps, ns, rng.Derive(3))
 		for i := 0; i < w.Connections(); i++ {
-			eng.AddThread("volano-conn", w.Source(i, -1))
+			eng.AddThread("volano-conn", w.Source(i))
 		}
 		sys.Engine, sys.Heap, sys.Vol = eng, heap, w
 	}
@@ -378,19 +371,9 @@ func BuildSystem(p SystemParams) *System {
 // databaseConfig sizes the remote database so it keeps up with a saturated
 // 16-processor middle tier — "ECperf does not overly stress the database".
 func databaseConfig() db.Config {
-	return db.Config{Workers: 24, BaseServiceCycles: 40_000, PerByteCycles: 2, Jitter: 0.3}
+	return db.Config{Workers: 24, BaseServiceCycles: 40_000, PerByteCycles: 2}
 }
 
 func supplierConfig() db.Config {
-	return db.Config{Workers: 6, BaseServiceCycles: 120_000, PerByteCycles: 4, Jitter: 0.3}
-}
-
-func netstackConfig() netsim.StackConfig {
-	return netsim.StackConfig{
-		SendInstr:    350,
-		RecvInstr:    400,
-		PerByteInstr: 0.04,
-		HotLines:     3,
-		BufferBytes:  2048,
-	}
+	return db.Config{Workers: 6, BaseServiceCycles: 120_000, PerByteCycles: 4}
 }

@@ -16,7 +16,7 @@ import (
 func BenchmarkExecInstr(b *testing.B) {
 	layout := ifetch.NewCodeLayout(mem.NewAddrSpace())
 	app := layout.Add("app", 256<<10, false, hotCold)
-	core := NewCore(DefaultConfig(), 0, memsys.New(memsys.DefaultConfig(1)), ifetch.NewGen(layout, simrand.New(1)))
+	core := NewCore(0, memsys.New(memsys.DefaultConfig(1)), ifetch.NewGen(layout, simrand.New(1)))
 	var now uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

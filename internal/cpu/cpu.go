@@ -18,34 +18,21 @@ import (
 	"repro/internal/obs"
 )
 
-// Config parameterizes one core's timing.
-type Config struct {
-	// BaseCPI is the non-memory cycles per instruction (issue limits,
-	// dependencies, branches). The UltraSPARC II is 4-wide in-order;
-	// commercial Java code sustains nowhere near 4 IPC even without cache
-	// misses, so the realistic base is near 1.
-	BaseCPI float64
-	// StoreBufEntries is the store buffer depth (8 on UltraSPARC II).
-	StoreBufEntries int
-	// StoreDrainCycles is the minimum spacing between store completions
+// UltraSPARC-II-flavored core timing. The base CPI (issue limits,
+// dependencies, branches) is 1: the UltraSPARC II is 4-wide in-order, but
+// commercial Java code sustains nowhere near 4 IPC even without cache
+// misses, so each instruction costs one base cycle.
+const (
+	// storeBufEntries is the store buffer depth (8 on UltraSPARC II).
+	storeBufEntries = 8
+	// storeDrainCycles is the minimum spacing between store completions
 	// (L2 write port throughput).
-	StoreDrainCycles uint64
-	// RAWPenalty is charged when a load hits a line stored within
-	// RAWWindow cycles (read-after-write hazard, §4.2).
-	RAWPenalty uint64
-	RAWWindow  uint64
-}
-
-// DefaultConfig returns UltraSPARC-II-flavored timing.
-func DefaultConfig() Config {
-	return Config{
-		BaseCPI:          1.0,
-		StoreBufEntries:  8,
-		StoreDrainCycles: 4,
-		RAWPenalty:       6,
-		RAWWindow:        24,
-	}
-}
+	storeDrainCycles uint64 = 4
+	// rawPenalty is charged when a load hits a line stored within
+	// rawWindow cycles (read-after-write hazard, §4.2).
+	rawPenalty uint64 = 6
+	rawWindow  uint64 = 24
+)
 
 // Counters attributes a core's cycles to the paper's categories.
 type Counters struct {
@@ -95,16 +82,13 @@ func (c *Counters) Add(o *Counters) {
 // Core is one processor's timing state. It is bound to a CPU slot of a
 // memsys.Hierarchy and owns that slot's instruction-fetch generator.
 type Core struct {
-	cfg  Config
 	id   int
 	hier *memsys.Hierarchy
 	gen  *ifetch.Gen
 
 	// Store buffer: completion times of in-flight stores, oldest first, as
-	// a fixed ring of StoreBufEntries slots (allocated once per core; the
-	// old slice-shift version reallocated the backing array millions of
-	// times per run).
-	sb        []uint64
+	// a fixed ring of storeBufEntries slots.
+	sb        [storeBufEntries]uint64
 	sbHead    int
 	sbLen     int
 	lastDrain uint64
@@ -113,8 +97,6 @@ type Core struct {
 	lastStoreLine uint64
 	lastStoreTime uint64
 	haveStore     bool
-
-	baseCarry float64
 
 	Counters Counters
 
@@ -129,11 +111,8 @@ type Core struct {
 }
 
 // NewCore binds a core to hierarchy slot id with its own fetch generator.
-func NewCore(cfg Config, id int, hier *memsys.Hierarchy, gen *ifetch.Gen) *Core {
-	if cfg.StoreBufEntries <= 0 {
-		panic("cpu: store buffer must have at least one entry")
-	}
-	return &Core{cfg: cfg, id: id, hier: hier, gen: gen, sb: make([]uint64, cfg.StoreBufEntries)}
+func NewCore(id int, hier *memsys.Hierarchy, gen *ifetch.Gen) *Core {
+	return &Core{id: id, hier: hier, gen: gen}
 }
 
 // ExecInstr executes an n-instruction segment of the given component at
@@ -155,19 +134,16 @@ func (c *Core) ExecInstr(comp mem.ComponentID, n uint64, now uint64) uint64 {
 		}
 		i += cnt
 	}
-	base := float64(n)*c.cfg.BaseCPI + c.baseCarry
-	baseCycles := uint64(base)
-	c.baseCarry = base - float64(baseCycles)
-
+	// One base cycle per instruction.
 	c.Counters.Instructions += n
-	c.Counters.BaseCycles += baseCycles
+	c.Counters.BaseCycles += n
 	c.Counters.IStallCycles += istall
 	c.curComp = comp
 	if c.Prof != nil {
-		c.Prof.AddCycles(int(comp), obs.CatBase, baseCycles)
+		c.Prof.AddCycles(int(comp), obs.CatBase, n)
 		c.Prof.AddCycles(int(comp), obs.CatIStall, istall)
 	}
-	return baseCycles + istall
+	return n + istall
 }
 
 // Load performs a data read of [addr, addr+size), returning stall cycles.
@@ -191,11 +167,11 @@ func (c *Core) Load(addr mem.Addr, size uint64, now uint64) uint64 {
 		case memsys.StallMem:
 			c.Counters.DStallMem += r.Stall
 		}
-		if c.haveStore && la == c.lastStoreLine && now+stall-c.lastStoreTime < c.cfg.RAWWindow {
-			stall += c.cfg.RAWPenalty
-			c.Counters.DStallRAW += c.cfg.RAWPenalty
+		if c.haveStore && la == c.lastStoreLine && now+stall-c.lastStoreTime < rawWindow {
+			stall += rawPenalty
+			c.Counters.DStallRAW += rawPenalty
 			if c.Prof != nil {
-				c.Prof.AddCycles(int(c.curComp), obs.CatDRAW, c.cfg.RAWPenalty)
+				c.Prof.AddCycles(int(c.curComp), obs.CatDRAW, rawPenalty)
 			}
 		}
 		if c.Prof != nil {
@@ -242,7 +218,7 @@ func (c *Core) Store(addr mem.Addr, size uint64, now uint64) uint64 {
 			c.sbLen--
 		}
 		// A full buffer stalls until the oldest store completes.
-		if c.sbLen >= c.cfg.StoreBufEntries {
+		if c.sbLen >= storeBufEntries {
 			wait := c.sb[c.sbHead] - t
 			stall += wait
 			t += wait
@@ -269,7 +245,7 @@ func (c *Core) Store(addr mem.Addr, size uint64, now uint64) uint64 {
 		// The store drains in the background; its completion respects both
 		// its own latency and the drain port's throughput.
 		done := t + r.Stall
-		if min := c.lastDrain + c.cfg.StoreDrainCycles; done < min {
+		if min := c.lastDrain + storeDrainCycles; done < min {
 			done = min
 		}
 		c.lastDrain = done

@@ -21,7 +21,7 @@ func testRig(t *testing.T) (*Core, *memsys.Hierarchy) {
 	layout := ifetch.NewCodeLayout(space)
 	layout.Add("app", 64<<10, false, hotCold)
 	gen := ifetch.NewGen(layout, simrand.New(7))
-	return NewCore(DefaultConfig(), 0, h, gen), h
+	return NewCore(0, h, gen), h
 }
 
 func TestExecInstrChargesBaseCPI(t *testing.T) {
@@ -41,23 +41,6 @@ func TestExecInstrChargesBaseCPI(t *testing.T) {
 	}
 	if cy != base+core.Counters.IStallCycles {
 		t.Fatalf("returned cycles %d != accounted %d", cy, base+core.Counters.IStallCycles)
-	}
-}
-
-func TestFractionalBaseCPIAccumulates(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BaseCPI = 1.25
-	mcfg := memsys.DefaultConfig(1)
-	h := memsys.New(mcfg)
-	layout := ifetch.NewCodeLayout(mem.NewAddrSpace())
-	layout.Add("app", 8<<10, false, ifetch.Profile{})
-	core := NewCore(cfg, 0, h, ifetch.NewGen(layout, simrand.New(1)))
-	for i := 0; i < 1000; i++ {
-		core.ExecInstr(0, 1, 0)
-	}
-	// 1000 instructions at 1.25 CPI = 1250 base cycles (carry preserved).
-	if core.Counters.BaseCycles != 1250 {
-		t.Fatalf("base cycles = %d, want 1250", core.Counters.BaseCycles)
 	}
 }
 
@@ -118,15 +101,15 @@ func TestRAWHazard(t *testing.T) {
 	core.Load(0x900000, 8, 0)
 	core.Store(0x900000, 8, 1000)
 	stall := core.Load(0x900000, 8, 1002) // within RAW window
-	if stall != DefaultConfig().RAWPenalty {
-		t.Fatalf("RAW stall = %d, want %d", stall, DefaultConfig().RAWPenalty)
+	if stall != rawPenalty {
+		t.Fatalf("RAW stall = %d, want %d", stall, rawPenalty)
 	}
 	if core.Counters.DStallRAW == 0 {
 		t.Fatal("RAW not attributed")
 	}
 	// Outside the window: no penalty.
 	core.Store(0x900000, 8, 10000)
-	if stall := core.Load(0x900000, 8, 10000+DefaultConfig().RAWWindow+10); stall != 0 {
+	if stall := core.Load(0x900000, 8, 10000+rawWindow+10); stall != 0 {
 		t.Fatalf("stale RAW penalty: %d", stall)
 	}
 }

@@ -24,16 +24,23 @@ type Config struct {
 	BaseServiceCycles uint64
 	// PerByteCycles adds cost proportional to request+response size.
 	PerByteCycles float64
-	// Jitter is the coefficient of variation of service time (exponential
-	// component); 0 means deterministic service.
-	Jitter float64
+}
+
+// jitter is the coefficient of variation of every tier's service time (its
+// exponential component).
+const jitter float64 = 0.3
+
+// Jitter draws a service time of mean cycles from r: a fixed part of
+// 1-jitter of the mean plus an exponential part of mean jitter.
+func Jitter(cycles uint64, r *simrand.Rand) uint64 {
+	return uint64(float64(cycles) * (1 - jitter + r.Exp(jitter)))
 }
 
 // DefaultDatabaseConfig models the ECperf database: fully cached working
 // set, fast point queries, moderate parallelism. "ECperf does not overly
 // stress the database" (§2.2) — the database must keep up, not dominate.
 func DefaultDatabaseConfig() Config {
-	return Config{Workers: 16, BaseServiceCycles: 60_000, PerByteCycles: 2, Jitter: 0.3}
+	return Config{Workers: 16, BaseServiceCycles: 60_000, PerByteCycles: 2}
 }
 
 // Server is a deterministic queueing model of one remote machine. It
@@ -72,11 +79,8 @@ func (s *Server) Respond(arrive uint64, reqBytes, respBytes uint32) (done, queue
 	if s.free[w] > start {
 		start = s.free[w]
 	}
-	service = s.cfg.BaseServiceCycles +
-		uint64(s.cfg.PerByteCycles*float64(reqBytes+respBytes))
-	if s.cfg.Jitter > 0 {
-		service = uint64(float64(service) * (1 - s.cfg.Jitter + s.rng.Exp(s.cfg.Jitter)))
-	}
+	service = Jitter(s.cfg.BaseServiceCycles+
+		uint64(s.cfg.PerByteCycles*float64(reqBytes+respBytes)), s.rng)
 	// Fault windows inflate service time: a lock storm multiplies it for the
 	// window's span, and a node crash leaves a cold-cache recovery ramp that
 	// decays back to 1 after the machine comes back.

@@ -6,8 +6,19 @@ import (
 	"repro/internal/simrand"
 )
 
-func deterministic() Config {
-	return Config{Workers: 2, BaseServiceCycles: 1000, PerByteCycles: 0, Jitter: 0}
+func twoWorkers() Config {
+	return Config{Workers: 2, BaseServiceCycles: 1000}
+}
+
+// draws returns the first n service times a server seeded like
+// simrand.New(seed) gives requests of mean cycles.
+func draws(seed, cycles uint64, n int) []uint64 {
+	r := simrand.New(seed)
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = Jitter(cycles, r)
+	}
+	return out
 }
 
 // respond returns only the completion time of one request.
@@ -17,9 +28,9 @@ func respond(s *Server, arrive uint64, reqBytes, respBytes uint32) uint64 {
 }
 
 func TestSingleRequest(t *testing.T) {
-	s := NewServer(deterministic(), simrand.New(1))
-	if done := respond(s, 100, 10, 10); done != 1100 {
-		t.Fatalf("done = %d, want 1100", done)
+	s := NewServer(twoWorkers(), simrand.New(1))
+	if done, want := respond(s, 100, 10, 10), 100+draws(1, 1000, 1)[0]; done != want {
+		t.Fatalf("done = %d, want %d", done, want)
 	}
 	if s.Served() != 1 {
 		t.Fatalf("served = %d", s.Served())
@@ -27,40 +38,41 @@ func TestSingleRequest(t *testing.T) {
 }
 
 func TestQueueingWhenSaturated(t *testing.T) {
-	s := NewServer(deterministic(), simrand.New(1))
-	// Three simultaneous arrivals on two workers: the third queues.
+	s := NewServer(twoWorkers(), simrand.New(1))
+	svc := draws(1, 1000, 3)
+	// Three simultaneous arrivals on two workers: the third queues for the
+	// worker that frees first.
 	d1 := respond(s, 0, 0, 0)
 	d2 := respond(s, 0, 0, 0)
 	d3, queue, service := s.Respond(0, 0, 0)
-	if d1 != 1000 || d2 != 1000 {
-		t.Fatalf("first two = %d, %d", d1, d2)
+	if d1 != svc[0] || d2 != svc[1] {
+		t.Fatalf("first two = %d, %d, want %d, %d", d1, d2, svc[0], svc[1])
 	}
-	if d3 != 2000 || queue != 1000 || service != 1000 {
-		t.Fatalf("queued request = (%d, %d, %d), want (2000, 1000, 1000)", d3, queue, service)
+	free := min(svc[0], svc[1])
+	if d3 != free+svc[2] || queue != free || service != svc[2] {
+		t.Fatalf("queued request = (%d, %d, %d), want (%d, %d, %d)", d3, queue, service, free+svc[2], free, svc[2])
 	}
 }
 
 func TestIdleWorkersServeImmediately(t *testing.T) {
-	s := NewServer(deterministic(), simrand.New(1))
+	s := NewServer(twoWorkers(), simrand.New(1))
 	respond(s, 0, 0, 0)
-	if done := respond(s, 5000, 0, 0); done != 6000 {
-		t.Fatalf("late arrival done = %d, want 6000", done)
+	if done, want := respond(s, 5000, 0, 0), 5000+draws(1, 1000, 2)[1]; done != want {
+		t.Fatalf("late arrival done = %d, want %d", done, want)
 	}
 }
 
 func TestPerByteCost(t *testing.T) {
-	cfg := deterministic()
+	cfg := twoWorkers()
 	cfg.PerByteCycles = 2
 	s := NewServer(cfg, simrand.New(1))
-	if done := respond(s, 0, 100, 50); done != 1000+300 {
-		t.Fatalf("done = %d", done)
+	if done, want := respond(s, 0, 100, 50), draws(1, 1000+300, 1)[0]; done != want {
+		t.Fatalf("done = %d, want %d", done, want)
 	}
 }
 
 func TestJitterVariesService(t *testing.T) {
-	cfg := deterministic()
-	cfg.Jitter = 0.5
-	s := NewServer(cfg, simrand.New(2))
+	s := NewServer(twoWorkers(), simrand.New(2))
 	seen := map[uint64]bool{}
 	for i := 0; i < 50; i++ {
 		seen[respond(s, uint64(i)*100_000, 0, 0)-uint64(i)*100_000] = true
@@ -71,11 +83,11 @@ func TestJitterVariesService(t *testing.T) {
 }
 
 func TestUtilization(t *testing.T) {
-	s := NewServer(deterministic(), simrand.New(1))
+	s := NewServer(twoWorkers(), simrand.New(1))
 	if s.Utilization() != 0 {
 		t.Fatal("idle server utilization nonzero")
 	}
-	respond(s, 0, 0, 0) // one worker busy 0..1000, the other idle
+	respond(s, 0, 0, 0) // one worker busy for the whole span, the other idle
 	if u := s.Utilization(); u != 0.5 {
 		t.Fatalf("utilization = %v, want 0.5", u)
 	}

@@ -269,8 +269,11 @@ type Injector struct {
 	Stats InjectStats
 
 	tracer *obs.Tracer
-	tid    int
 }
+
+// traceTID is the trace track of fault windows and instants: the
+// machine-wide track, not any thread's.
+const traceTID = -1
 
 // NewInjector builds an injector over a validated schedule. rng must be a
 // dedicated stream derived from the run seed (the injector's draws then
@@ -279,18 +282,17 @@ func NewInjector(s *Schedule, rng *simrand.Rand) *Injector {
 	if s == nil {
 		s = &Schedule{}
 	}
-	return &Injector{sched: s, rng: rng, tid: -1}
+	return &Injector{sched: s, rng: rng}
 }
 
-// AttachTracer emits every scheduled window as a span on the given trace
-// track (obs.CompFault) so degraded intervals are visible alongside the GC,
-// lock, and network events the stack already records.
-func (inj *Injector) AttachTracer(t *obs.Tracer, tid int) {
+// AttachTracer emits every scheduled window as a span (obs.CompFault) on
+// the machine-wide trace track so degraded intervals are visible alongside
+// the GC, lock, and network events the stack already records.
+func (inj *Injector) AttachTracer(t *obs.Tracer) {
 	if inj == nil {
 		return
 	}
 	inj.tracer = t
-	inj.tid = tid
 	for _, e := range inj.sched.Events {
 		if !t.Admit(obs.CompFault) {
 			continue
@@ -302,7 +304,7 @@ func (inj *Injector) AttachTracer(t *obs.Tracer, tid int) {
 		if e.Magnitude != 0 {
 			args = append(args, obs.F64("magnitude", e.Magnitude))
 		}
-		t.Span(obs.CompFault, "fault."+e.Kind.String(), tid, e.At, e.End(), args...)
+		t.Span(obs.CompFault, "fault."+e.Kind.String(), traceTID, e.At, e.End(), args...)
 	}
 }
 
@@ -417,5 +419,5 @@ func (inj *Injector) Admit() bool {
 // Instant records a fault-component instant event (retries, sheds, breaker
 // transitions) that Admit let through.
 func (inj *Injector) Instant(name string, t uint64, args ...obs.Arg) {
-	inj.tracer.Instant(obs.CompFault, name, inj.tid, t, args...)
+	inj.tracer.Instant(obs.CompFault, name, traceTID, t, args...)
 }

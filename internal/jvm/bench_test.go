@@ -12,13 +12,13 @@ func BenchmarkAllocSmall(b *testing.B) {
 	cfg.HeapBytes = 256 << 20
 	cfg.NewGenBytes = 64 << 20
 	h := MustNewHeap(mem.NewAddrSpace(), cfg)
-	rec := trace.NewRecorder("bench", false)
+	rec := trace.NewRecorder("bench")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Alloc(rec, 0, 64, 0)
 		if i%1024 == 0 {
 			h.ClearStack(0)
-			rec = trace.NewRecorder("bench", false) // keep the trace bounded
+			rec = trace.NewRecorder("bench") // keep the trace bounded
 		}
 	}
 }
@@ -28,7 +28,7 @@ func BenchmarkMinorGC(b *testing.B) {
 	cfg.HeapBytes = 64 << 20
 	cfg.NewGenBytes = 16 << 20
 	h := MustNewHeap(mem.NewAddrSpace(), cfg)
-	rec := trace.NewRecorder("bench", false)
+	rec := trace.NewRecorder("bench")
 	// A 2 MB live set to copy each collection.
 	var roots []ObjectID
 	for i := 0; i < 2048; i++ {

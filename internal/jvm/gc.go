@@ -41,10 +41,10 @@ func (h *Heap) sortedTIDs() []int {
 // reset, since nothing reads its trace.
 func (h *Heap) gcRecorder(rec *trace.Recorder, tag string, hint int) *trace.Recorder {
 	if rec != nil {
-		return trace.NewRecorderCap(tag, false, hint)
+		return trace.NewRecorderCap(tag, hint)
 	}
 	if h.scratch == nil {
-		h.scratch = trace.NewRecorder(tag, false)
+		h.scratch = trace.NewRecorder(tag)
 	}
 	h.scratch.Reset(tag, false)
 	return h.scratch
@@ -91,7 +91,7 @@ func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 	// attribution epoch against the still-valid pre-GC layout.
 	h.closeAttrEpoch("minor")
 	gcRec := h.gcRecorder(rec, "minor-gc", h.minorItems)
-	gcRec.Instr(h.cfg.GCComp, h.cfg.MinorBaseInstr)
+	gcRec.Instr(h.cfg.GCComp, minorBaseInstr)
 
 	to := 1 - h.from
 	toNext := h.surv[to].Base
@@ -149,7 +149,7 @@ func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 			toNext += mem.Addr(o.size)
 		}
 		gcRec.Write(newAddr, o.size)
-		gcRec.Instr(h.cfg.GCComp, h.cfg.PerObjInstr+uint32(h.cfg.PerByteInstr*float64(o.size)))
+		gcRec.Instr(h.cfg.GCComp, perObjInstr+uint32(perByteInstr*float64(o.size)))
 		o.addr = newAddr
 		o.young = h.inYoung(newAddr)
 		copiedBytes += uint64(o.size)
@@ -251,7 +251,7 @@ func (h *Heap) MajorGC(rec *trace.Recorder) *trace.GC {
 	// invalidates every object address.
 	h.closeAttrEpoch("major")
 	gcRec := h.gcRecorder(rec, "major-gc", h.majorItems)
-	gcRec.Instr(h.cfg.GCComp, h.cfg.MajorBaseInstr)
+	gcRec.Instr(h.cfg.GCComp, majorBaseInstr)
 
 	// Mark phase: trace the full object graph from the roots. Marking
 	// reads each object's header and reference slots.
@@ -279,7 +279,7 @@ func (h *Heap) MajorGC(rec *trace.Recorder) *trace.GC {
 		work = work[:len(work)-1]
 		o := h.obj(id)
 		gcRec.Read(o.addr, HeaderBytes+uint32(8*len(o.refs)))
-		gcRec.Instr(h.cfg.GCComp, h.cfg.PerObjInstr/2+uint32(2*len(o.refs)))
+		gcRec.Instr(h.cfg.GCComp, perObjInstr/2+uint32(2*len(o.refs)))
 		for _, ref := range o.refs {
 			push(ref)
 		}
@@ -325,7 +325,7 @@ func (h *Heap) MajorGC(rec *trace.Recorder) *trace.GC {
 		if alwaysCopy || o.addr != next {
 			gcRec.Read(o.addr, o.size)
 			gcRec.Write(next, o.size)
-			gcRec.Instr(h.cfg.GCComp, h.cfg.PerObjInstr+uint32(h.cfg.PerByteInstr*float64(o.size)))
+			gcRec.Instr(h.cfg.GCComp, perObjInstr+uint32(perByteInstr*float64(o.size)))
 			movedBytes += uint64(o.size)
 			relocated++
 		}

@@ -48,48 +48,40 @@ const HeaderBytes = 16
 type Config struct {
 	HeapBytes      uint64  // total heap
 	NewGenBytes    uint64  // eden + two survivors
-	SurvivorFrac   float64 // fraction of new gen per survivor space (default 0.1)
-	TLABBytes      uint64  // per-thread allocation buffer
-	LargeObject    uint64  // objects >= this allocate directly in old gen
 	PromoteAge     uint8   // survived copies before promotion to old gen
 	MajorOccupancy float64 // old-gen occupancy fraction that triggers a major GC
 
 	// GCComp is the code component the collector's instructions belong to.
 	GCComp mem.ComponentID
-	// MinorBaseInstr/MajorBaseInstr are fixed per-collection path lengths;
-	// PerObjInstr and PerByteInstr scale with copied work.
-	MinorBaseInstr uint32
-	MajorBaseInstr uint32
-	PerObjInstr    uint32
-	PerByteInstr   float64
 }
+
+// The heap's fixed shape and the collector's cost model.
+const (
+	survivorFrac float64 = 0.10     // fraction of new gen per survivor space
+	tlabBytes    uint64  = 16 << 10 // per-thread allocation buffer
+	largeObject  uint64  = 32 << 10 // objects >= this allocate directly in old gen
+
+	// minorBaseInstr/majorBaseInstr are fixed per-collection path lengths;
+	// perObjInstr and perByteInstr scale with copied work.
+	minorBaseInstr uint32  = 30_000
+	majorBaseInstr uint32  = 150_000
+	perObjInstr    uint32  = 24
+	perByteInstr   float64 = 0.3
+)
 
 // DefaultConfig returns the scaled-down default heap configuration.
 func DefaultConfig() Config {
 	return Config{
 		HeapBytes:      72 << 20,
 		NewGenBytes:    20 << 20,
-		SurvivorFrac:   0.10,
-		TLABBytes:      16 << 10,
-		LargeObject:    32 << 10,
 		PromoteAge:     2,
 		MajorOccupancy: 0.80,
-		MinorBaseInstr: 30_000,
-		MajorBaseInstr: 150_000,
-		PerObjInstr:    24,
-		PerByteInstr:   0.3,
 	}
 }
 
 func (c Config) validate() error {
 	if c.NewGenBytes >= c.HeapBytes {
 		return fmt.Errorf("jvm: new gen (%d) must be smaller than heap (%d)", c.NewGenBytes, c.HeapBytes)
-	}
-	if c.SurvivorFrac <= 0 || c.SurvivorFrac >= 0.5 {
-		return fmt.Errorf("jvm: survivor fraction %v out of (0, 0.5)", c.SurvivorFrac)
-	}
-	if c.TLABBytes < 1024 {
-		return fmt.Errorf("jvm: TLAB %d too small", c.TLABBytes)
 	}
 	if c.MajorOccupancy <= 0 || c.MajorOccupancy > 1 {
 		return fmt.Errorf("jvm: major occupancy %v out of (0, 1]", c.MajorOccupancy)
@@ -199,7 +191,7 @@ func NewHeap(space *mem.AddrSpace, cfg Config) (*Heap, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	survBytes := uint64(float64(cfg.NewGenBytes) * cfg.SurvivorFrac)
+	survBytes := uint64(float64(cfg.NewGenBytes) * survivorFrac)
 	edenBytes := cfg.NewGenBytes - 2*survBytes
 	h := &Heap{
 		cfg:        cfg,
@@ -303,7 +295,7 @@ func pad(size uint32) uint32 {
 func (h *Heap) Alloc(rec *trace.Recorder, tid int, size uint32, nRefs int) ObjectID {
 	size = pad(size)
 	var addr mem.Addr
-	if uint64(size) >= h.cfg.LargeObject {
+	if uint64(size) >= largeObject {
 		addr = h.allocOld(rec, uint64(size))
 	} else {
 		addr = h.allocTLAB(rec, tid, uint64(size))
@@ -413,7 +405,7 @@ func (h *Heap) ClearStack(tid int) {
 
 // AllocPermanent allocates a never-collected, never-moved object (class
 // metadata, monitors, JVM statics). Permanent objects are implicit roots.
-func (h *Heap) AllocPermanent(rec *trace.Recorder, size uint32, nRefs int) ObjectID {
+func (h *Heap) AllocPermanent(rec *trace.Recorder, size uint32) ObjectID {
 	size = pad(size)
 	if uint64(h.permNext-h.perm.Base)+uint64(size) > h.perm.Size {
 		panic("jvm: permanent region exhausted")
@@ -423,9 +415,6 @@ func (h *Heap) AllocPermanent(rec *trace.Recorder, size uint32, nRefs int) Objec
 	id := h.newID()
 	o := h.obj(id)
 	*o = object{addr: addr, size: size, live: true}
-	if nRefs > 0 {
-		o.refs = make([]ObjectID, nRefs)
-	}
 	h.AddRoot(id)
 	rec.Write(addr, size)
 	return id
@@ -443,7 +432,7 @@ func (h *Heap) allocTLAB(rec *trace.Recorder, tid int, size uint64) mem.Addr {
 	}
 	if t.cur+mem.Addr(size) > t.end {
 		// Need a fresh TLAB from eden.
-		want := h.cfg.TLABBytes
+		want := tlabBytes
 		if size > want {
 			want = size
 		}

@@ -12,7 +12,6 @@ func testCfg() Config {
 	c := DefaultConfig()
 	c.HeapBytes = 8 << 20
 	c.NewGenBytes = 2 << 20
-	c.TLABBytes = 4 << 10
 	return c
 }
 
@@ -25,7 +24,7 @@ func newHeap(t *testing.T) *Heap {
 	return h
 }
 
-func rec() *trace.Recorder { return trace.NewRecorder("test", false) }
+func rec() *trace.Recorder { return trace.NewRecorder("test") }
 
 // liveSizes returns the size of every live object.
 func liveSizes(h *Heap) map[ObjectID]uint32 {
@@ -79,9 +78,6 @@ func TestGCFreedBytes(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.NewGenBytes = c.HeapBytes },
-		func(c *Config) { c.SurvivorFrac = 0 },
-		func(c *Config) { c.SurvivorFrac = 0.6 },
-		func(c *Config) { c.TLABBytes = 16 },
 		func(c *Config) { c.MajorOccupancy = 0 },
 		func(c *Config) { c.MajorOccupancy = 1.5 },
 	}
@@ -136,14 +132,14 @@ func TestTLABsArePerThread(t *testing.T) {
 	if h.Addr(c) != h.Addr(a)+64 {
 		t.Fatalf("same-thread allocs not contiguous: %x then %x", h.Addr(a), h.Addr(c))
 	}
-	if h.Addr(b) >= h.Addr(a) && h.Addr(b) < h.Addr(a)+h.Config().TLABBytes {
+	if h.Addr(b) >= h.Addr(a) && h.Addr(b) < h.Addr(a)+tlabBytes {
 		t.Fatal("threads sharing a TLAB")
 	}
 }
 
 func TestLargeObjectGoesOld(t *testing.T) {
 	h := newHeap(t)
-	id := h.Alloc(rec(), 1, uint32(h.Config().LargeObject), 0)
+	id := h.Alloc(rec(), 1, uint32(largeObject), 0)
 	if h.obj(id).young {
 		t.Fatal("large object allocated young")
 	}
@@ -272,7 +268,7 @@ func TestEdenExhaustionTriggersGC(t *testing.T) {
 	r := rec()
 	keep := h.Alloc(r, 1, 1024, 0)
 	h.AddRoot(keep)
-	edenBytes := h.Config().NewGenBytes - 2*uint64(float64(h.Config().NewGenBytes)*h.Config().SurvivorFrac)
+	edenBytes := h.Config().NewGenBytes - 2*uint64(float64(h.Config().NewGenBytes)*survivorFrac)
 	n := int(edenBytes/1024) * 3
 	for i := 0; i < n; i++ {
 		h.Alloc(r, 1, 1024, 0)
@@ -339,7 +335,7 @@ func TestMajorGCPromotesAllYoung(t *testing.T) {
 func TestPermanentObjectsNeverMove(t *testing.T) {
 	h := newHeap(t)
 	r := rec()
-	id := h.AllocPermanent(r, 64, 0)
+	id := h.AllocPermanent(r, 64)
 	before := h.Addr(id)
 	h.MinorGC(r)
 	h.MajorGC(r)

@@ -29,7 +29,7 @@ const monitorBytes = mem.LineBytes
 
 // NewMonitor allocates a monitor in the permanent region.
 func (h *Heap) NewMonitor(rec *trace.Recorder) *Monitor {
-	obj := h.AllocPermanent(rec, monitorBytes, 0)
+	obj := h.AllocPermanent(rec, monitorBytes)
 	h.monitorSeq++
 	return &Monitor{ID: h.monitorSeq, Addr: h.Addr(obj)}
 }

@@ -83,11 +83,11 @@ type Config struct {
 	L1I, L1D  cache.Config
 	L2        cache.Config
 	Lat       Latencies
-	// DTLB, when non-nil, puts a data TLB in front of each processor's
-	// data accesses. The paper's runs used Solaris ISM (4 MB pages), which
+	// DTLB puts a base-page data TLB in front of each processor's data
+	// accesses. The paper's runs used Solaris ISM (4 MB pages), which
 	// makes the TLB effectively transparent; the ISM ablation sets base
-	// 8 KB pages here and measures the damage (§6 of the paper).
-	DTLB *tlb.Config
+	// pages here and measures the damage (§6 of the paper).
+	DTLB bool
 	// Model selects how Memory/C2C latencies respond to offered load:
 	// MemFixed (default) charges Lat's unloaded scalars; MemLoaded charges
 	// the bandwidth–latency curve of Loaded (see loaded.go).
@@ -212,8 +212,8 @@ func New(cfg Config) *Hierarchy {
 			p.l1d = cache.New(cfg.L1D)
 			p.node = node
 			p.group = members
-			if cfg.DTLB != nil {
-				p.dtlb = tlb.New(*cfg.DTLB)
+			if cfg.DTLB {
+				p.dtlb = tlb.New()
 			}
 		}
 	}

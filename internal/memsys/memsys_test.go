@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/simrand"
-	"repro/internal/tlb"
 )
 
 func smallCfg(cpus, perL2 int) Config {
@@ -278,8 +277,7 @@ func TestSharedVsPrivateTradeoff(t *testing.T) {
 
 func TestDTLBWiring(t *testing.T) {
 	cfg := smallCfg(1, 1)
-	tcfg := tlb.Config{Entries: 2, PageBytes: 8 << 10, MissPenalty: 40}
-	cfg.DTLB = &tcfg
+	cfg.DTLB = true
 	h := New(cfg)
 	r := h.Read(0, 0x100000, 0)
 	if r.TLBStall == 0 {

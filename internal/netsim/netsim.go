@@ -34,54 +34,47 @@ type RTDetail struct {
 	Service uint64 // peer service time
 }
 
-// Link is a full-duplex network link.
-type Link struct {
-	LatencyCycles uint64  // one-way propagation + interrupt cost
-	BytesPerCycle float64 // bandwidth
-}
+// Peer machine indices on the simulated Ethernet.
+const (
+	PeerDatabase uint8 = 1
+	PeerSupplier uint8 = 2
+)
 
-// DefaultLink models 100-Mbit Ethernet against a 250 MHz clock:
+// The link is full-duplex 100-Mbit Ethernet against a 250 MHz clock:
 // 12.5 MB/s = 0.05 B/cycle, with ~50 µs one-way software+wire latency.
-func DefaultLink() Link {
-	return Link{LatencyCycles: 12_500, BytesPerCycle: 0.05}
-}
+const (
+	LinkLatencyCycles uint64  = 12_500 // one-way propagation + interrupt cost
+	linkBytesPerCycle float64 = 0.05   // bandwidth
+)
 
 // TransferCycles returns the cycles to move n bytes one way.
-func (l Link) TransferCycles(n uint32) uint64 {
-	if l.BytesPerCycle <= 0 {
-		return l.LatencyCycles
-	}
-	return l.LatencyCycles + uint64(float64(n)/l.BytesPerCycle)
+func TransferCycles(n uint32) uint64 {
+	return LinkLatencyCycles + uint64(float64(n)/linkBytesPerCycle)
 }
 
-// Network is one machine's view of the world: a link and the peers on it.
+// Network is one machine's view of the world: the link and the peers on it.
 type Network struct {
-	link      Link
-	peers     map[uint8]Responder
-	externals map[uint8]bool
-	faults    *fault.Injector
+	peers      map[uint8]Responder
+	externalDB bool
+	faults     *fault.Injector
 }
 
-// NewNetwork returns a network over the given link.
-func NewNetwork(link Link) *Network {
-	return &Network{
-		link:      link,
-		peers:     make(map[uint8]Responder),
-		externals: make(map[uint8]bool),
-	}
+// NewNetwork returns a network with no peers.
+func NewNetwork() *Network {
+	return &Network{peers: make(map[uint8]Responder)}
 }
 
 // AddPeer registers machine `id` as a timing model (internal/db).
 func (n *Network) AddPeer(id uint8, r Responder) { n.peers[id] = r }
 
-// AddExternalPeer registers machine `id` as a co-simulated machine: calls
-// to it do not resolve locally; the cluster coordinator delivers the
+// CoSimulateDatabase registers the database as a co-simulated machine:
+// calls to it do not resolve locally; the cluster coordinator delivers the
 // request to the other machine's engine and wakes the caller when the real
 // reply comes back (internal/cluster).
-func (n *Network) AddExternalPeer(id uint8) { n.externals[id] = true }
+func (n *Network) CoSimulateDatabase() { n.externalDB = true }
 
 // External reports whether the peer is co-simulated.
-func (n *Network) External(id uint8) bool { return n.externals[id] }
+func (n *Network) External(id uint8) bool { return n.externalDB && id == PeerDatabase }
 
 // SetFaults attaches a fault injector; latency-spike windows in its
 // schedule then stretch round-trip transfer times. nil detaches.
@@ -93,8 +86,8 @@ func (n *Network) SetFaults(inj *fault.Injector) { n.faults = inj }
 // after a bare round trip with a zero detail, so a miswired experiment
 // fails loudly in results rather than silently hanging.
 func (n *Network) RoundTrip(peer uint8, now uint64, reqBytes, respBytes uint32) (uint64, RTDetail) {
-	reqXfer := n.link.TransferCycles(reqBytes)
-	respXfer := n.link.TransferCycles(respBytes)
+	reqXfer := TransferCycles(reqBytes)
+	respXfer := TransferCycles(respBytes)
 	// A latency-spike fault stretches the wire time both ways. The factor is
 	// sampled at issue time: a window opening mid-flight catches the next
 	// call, which is plenty at 50 µs one-way latency.
@@ -110,28 +103,26 @@ func (n *Network) RoundTrip(peer uint8, now uint64, reqBytes, respBytes uint32) 
 	return done + respXfer, det
 }
 
-// StackConfig parameterizes the kernel network path on the measured
-// machine.
-type StackConfig struct {
-	// SendInstr/RecvInstr are the base kernel path lengths per message
-	// (syscall, socket, TCP/IP, driver). PerByteInstr adds copy cost.
-	SendInstr    uint32
-	RecvInstr    uint32
-	PerByteInstr float64
-	// HotLines is the number of shared kernel data lines (protocol state,
+// The kernel network path on the measured machine.
+const (
+	// sendInstr/recvInstr are the base kernel path lengths per message
+	// (syscall, socket, TCP/IP, driver). perByteInstr adds copy cost.
+	sendInstr    uint32  = 350
+	recvInstr    uint32  = 400
+	perByteInstr float64 = 0.04
+	// hotLines is the number of shared kernel data lines (protocol state,
 	// socket tables) touched on every call — the source of kernel-mode
 	// sharing misses.
-	HotLines int
-	// BufferBytes is the per-call packet buffer footprint.
-	BufferBytes uint32
-}
+	hotLines = 3
+	// bufferBytes is the per-call packet buffer footprint.
+	bufferBytes uint32 = 2048
+)
 
 // kernelLockBase namespaces kernel lock IDs away from JVM monitor IDs.
 const kernelLockBase = 1 << 48
 
 // NetStack is the measured machine's kernel network stack.
 type NetStack struct {
-	cfg      StackConfig
 	comp     *ifetch.Component // kernel code component
 	lockID   uint64
 	lockAddr mem.Addr
@@ -144,15 +135,14 @@ type NetStack struct {
 
 // NewNetStack carves kernel data out of the machine's address space. comp
 // must be a kernel component registered in the machine's code layout.
-func NewNetStack(space *mem.AddrSpace, comp *ifetch.Component, cfg StackConfig, rng *simrand.Rand) *NetStack {
+func NewNetStack(space *mem.AddrSpace, comp *ifetch.Component, rng *simrand.Rand) *NetStack {
 	if !comp.Kernel {
 		panic("netsim: network stack component must be a kernel component")
 	}
 	lockRegion := space.Reserve("kernel:netlock", mem.LineBytes)
-	hotRegion := space.Reserve("kernel:netdata", uint64(cfg.HotLines)*mem.LineBytes)
+	hotRegion := space.Reserve("kernel:netdata", uint64(hotLines)*mem.LineBytes)
 	bufRegion := space.Reserve("kernel:netbuf", 96<<10) // recycled mbuf pool
 	ns := &NetStack{
-		cfg:      cfg,
 		comp:     comp,
 		lockID:   kernelLockBase + 1,
 		lockAddr: lockRegion.Base,
@@ -160,7 +150,7 @@ func NewNetStack(space *mem.AddrSpace, comp *ifetch.Component, cfg StackConfig, 
 		bufSize:  bufRegion.Size,
 		rng:      rng,
 	}
-	for i := 0; i < cfg.HotLines; i++ {
+	for i := 0; i < hotLines; i++ {
 		ns.hot = append(ns.hot, hotRegion.Base+uint64(i)*mem.LineBytes)
 	}
 	return ns
@@ -194,33 +184,26 @@ func (ns *NetStack) kernelSection(rec *trace.Recorder, instr uint32, bytes uint3
 		rec.Write(ns.bufBase+ns.bufNext, bytes)
 		ns.bufNext += uint64(bytes)
 	}
-	rec.Instr(ns.comp.ID, instr/2+uint32(ns.cfg.PerByteInstr*float64(bytes)))
+	rec.Instr(ns.comp.ID, instr/2+uint32(perByteInstr*float64(bytes)))
 }
 
 // Call records a full synchronous round trip to peer: kernel send path,
 // blocking wait for the response, kernel receive path.
 func (ns *NetStack) Call(rec *trace.Recorder, peer uint8, reqBytes, respBytes uint32) {
-	ns.kernelSection(rec, ns.cfg.SendInstr, minu32(reqBytes, ns.cfg.BufferBytes))
+	ns.kernelSection(rec, sendInstr, min(reqBytes, bufferBytes))
 	rec.NetCall(peer, reqBytes, respBytes)
-	ns.kernelSection(rec, ns.cfg.RecvInstr, minu32(respBytes, ns.cfg.BufferBytes))
+	ns.kernelSection(rec, recvInstr, min(respBytes, bufferBytes))
 }
 
 // ReceiveRequest records the kernel receive path for an inbound client
 // request (no blocking: the request has already arrived when the worker
 // picks it up).
 func (ns *NetStack) ReceiveRequest(rec *trace.Recorder, bytes uint32) {
-	ns.kernelSection(rec, ns.cfg.RecvInstr, minu32(bytes, ns.cfg.BufferBytes))
+	ns.kernelSection(rec, recvInstr, min(bytes, bufferBytes))
 }
 
 // SendResponse records the kernel send path for an outbound response to a
 // client (fire-and-forget from the worker's point of view).
 func (ns *NetStack) SendResponse(rec *trace.Recorder, bytes uint32) {
-	ns.kernelSection(rec, ns.cfg.SendInstr, minu32(bytes, ns.cfg.BufferBytes))
-}
-
-func minu32(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
+	ns.kernelSection(rec, sendInstr, min(bytes, bufferBytes))
 }

@@ -16,28 +16,24 @@ func (f fixedResponder) Respond(arrive uint64, req, resp uint32) (done, queue, s
 }
 
 func TestTransferCycles(t *testing.T) {
-	l := Link{LatencyCycles: 100, BytesPerCycle: 0.5}
-	if got := l.TransferCycles(50); got != 200 {
-		t.Fatalf("TransferCycles = %d, want 200", got)
-	}
-	degenerate := Link{LatencyCycles: 100}
-	if degenerate.TransferCycles(50) != 100 {
-		t.Fatal("zero-bandwidth guard failed")
+	// 0.05 B/cycle: 50 bytes take 1000 cycles on top of the latency.
+	if got := TransferCycles(50); got != LinkLatencyCycles+1000 {
+		t.Fatalf("TransferCycles = %d, want %d", got, LinkLatencyCycles+1000)
 	}
 }
 
 func TestRoundTrip(t *testing.T) {
-	n := NewNetwork(Link{LatencyCycles: 100, BytesPerCycle: 1})
+	n := NewNetwork()
 	n.AddPeer(2, fixedResponder{service: 1000})
-	// 100+req(10) + 1000 + 100+resp(20) = 1230
-	if got, det := n.RoundTrip(2, 0, 10, 20); got != 1230 || det != (RTDetail{Service: 1000}) {
-		t.Fatalf("RoundTrip = %d %+v, want 1230 {Service:1000}", got, det)
+	want := TransferCycles(10) + 1000 + TransferCycles(20)
+	if got, det := n.RoundTrip(2, 0, 10, 20); got != want || det != (RTDetail{Service: 1000}) {
+		t.Fatalf("RoundTrip = %d %+v, want %d {Service:1000}", got, det, want)
 	}
 }
 
 func TestRoundTripUnknownPeer(t *testing.T) {
-	n := NewNetwork(Link{LatencyCycles: 100, BytesPerCycle: 1})
-	if got, det := n.RoundTrip(9, 0, 10, 10); got != 220 || det != (RTDetail{}) {
+	n := NewNetwork()
+	if got, det := n.RoundTrip(9, 0, 10, 10); got != 2*TransferCycles(10) || det != (RTDetail{}) {
 		t.Fatalf("unknown-peer RoundTrip = %d %+v", got, det)
 	}
 }
@@ -47,21 +43,12 @@ func buildStack(t *testing.T) *NetStack {
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
 	kern := layout.Add("kernel-net", 256<<10, true, ifetch.Profile{})
-	return NewNetStack(space, kern, testStack, simrand.New(3))
-}
-
-// testStack is a Solaris-flavored kernel path.
-var testStack = StackConfig{
-	SendInstr:    3_000,
-	RecvInstr:    3_500,
-	PerByteInstr: 0.25,
-	HotLines:     6,
-	BufferBytes:  2048,
+	return NewNetStack(space, kern, simrand.New(3))
 }
 
 func TestCallRecordsKernelPath(t *testing.T) {
 	ns := buildStack(t)
-	rec := trace.NewRecorder("bbop", true)
+	rec := trace.NewRecorder("bbop")
 	ns.Call(rec, 1, 512, 4096)
 	op := rec.Finish()
 
@@ -95,8 +82,7 @@ func TestCallRecordsKernelPath(t *testing.T) {
 	if netcalls != 1 {
 		t.Fatalf("netcalls = %d", netcalls)
 	}
-	cfg := testStack
-	if kernelInstr < uint64(cfg.SendInstr+cfg.RecvInstr) {
+	if kernelInstr < uint64(sendInstr+recvInstr) {
 		t.Fatalf("kernel instructions %d below base path", kernelInstr)
 	}
 }
@@ -104,7 +90,7 @@ func TestCallRecordsKernelPath(t *testing.T) {
 func TestHotLinesAreStable(t *testing.T) {
 	ns := buildStack(t)
 	collect := func() map[uint64]bool {
-		rec := trace.NewRecorder("x", false)
+		rec := trace.NewRecorder("x")
 		ns.Call(rec, 1, 100, 100)
 		op := rec.Finish()
 		lines := map[uint64]bool{}
@@ -135,5 +121,5 @@ func TestNonKernelComponentPanics(t *testing.T) {
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
 	user := layout.Add("app", 64<<10, false, ifetch.Profile{})
-	NewNetStack(space, user, testStack, simrand.New(1))
+	NewNetStack(space, user, simrand.New(1))
 }

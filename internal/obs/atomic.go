@@ -13,9 +13,12 @@ import (
 // either the previous complete file or no file, never a truncated one that
 // a later tool would half-parse.
 
+// filePerm is every artifact's permission bits.
+const filePerm os.FileMode = 0o644
+
 // AtomicWriteFile writes data to path via a temporary file and rename.
-func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
-	w, err := AtomicCreate(path, perm)
+func AtomicWriteFile(path string, data []byte) error {
+	w, err := AtomicCreate(path)
 	if err != nil {
 		return err
 	}
@@ -37,13 +40,13 @@ type AtomicFile struct {
 
 // AtomicCreate opens a temporary file next to path for writing. Close
 // publishes it at path atomically; Abort discards it.
-func AtomicCreate(path string, perm os.FileMode) (*AtomicFile, error) {
+func AtomicCreate(path string) (*AtomicFile, error) {
 	dir, base := filepath.Split(path)
 	f, err := os.CreateTemp(dir, "."+base+".tmp*")
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Chmod(perm); err != nil {
+	if err := f.Chmod(filePerm); err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return nil, err

@@ -13,7 +13,7 @@ func TestAtomicWriteFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.json")
 
-	if err := AtomicWriteFile(path, []byte(`{"a":1}`), 0o644); err != nil {
+	if err := AtomicWriteFile(path, []byte(`{"a":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -25,7 +25,7 @@ func TestAtomicWriteFile(t *testing.T) {
 	}
 
 	// Overwrite: the new content replaces the old in one step.
-	if err := AtomicWriteFile(path, []byte(`{"a":2}`), 0o644); err != nil {
+	if err := AtomicWriteFile(path, []byte(`{"a":2}`)); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = os.ReadFile(path)
@@ -47,7 +47,7 @@ func TestAtomicAbortLeavesOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err := AtomicCreate(path, 0o644)
+	w, err := AtomicCreate(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestAtomicAbortLeavesOriginal(t *testing.T) {
 	}
 
 	// Abort after Close is a no-op and must not remove the published file.
-	w2, err := AtomicCreate(path, 0o644)
+	w2, err := AtomicCreate(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,9 @@ func TestAtomicAbortLeavesOriginal(t *testing.T) {
 func TestHeartbeatStopIdempotent(t *testing.T) {
 	var buf bytes.Buffer
 	h := StartHeartbeat(&buf, "test", time.Hour)
-	h.Add(3)
+	for i := 0; i < 3; i++ {
+		h.AddRun()
+	}
 	h.Stop()
 	h.Stop() // deferred duplicate on the clean-exit path must not panic
 	out := buf.String()

@@ -211,7 +211,7 @@ func (f *Flags) WriteArtifacts(labels []string, observers []*Observer, snaps []*
 		if dashIsStdout && path == "-" {
 			return write(f.stdout())
 		}
-		w, err := AtomicCreate(path, 0o644)
+		w, err := AtomicCreate(path)
 		if err != nil {
 			return err
 		}

@@ -412,7 +412,7 @@ func writeBundle(path string, b *bundle, trace []byte) error {
 		return err
 	}
 	at := bytes.Index(doc, []byte(traceKey)) + len(traceKey) - 1
-	f, err := obs.AtomicCreate(path, 0o644)
+	f, err := obs.AtomicCreate(path)
 	if err != nil {
 		return err
 	}

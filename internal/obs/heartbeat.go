@@ -87,10 +87,10 @@ func StartHeartbeat(w io.Writer, label string, interval time.Duration) *Heartbea
 	return h
 }
 
-// Add records n completed runs.
-func (h *Heartbeat) Add(n uint64) {
+// AddRun records one completed run.
+func (h *Heartbeat) AddRun() {
 	if h != nil {
-		h.Runs.Add(n)
+		h.Runs.Add(1)
 	}
 }
 

@@ -69,6 +69,10 @@ var pages = [numPages]struct {
 // renders. Handlers are unaffected; they only ever read published bytes.
 const publishInterval = 250 * time.Millisecond
 
+// inspectTopN bounds the hot-line/object tables rendered for the live
+// view; the final report honors the -attr-top flag instead.
+const inspectTopN = 20
+
 // StartInspector listens on addr (":0" picks a free port) and serves until
 // Close. label names the run in /status; hb, when non-nil, contributes
 // run/cycle progress counters (its fields are atomics, so reading them from
@@ -112,7 +116,7 @@ func (in *Inspector) Close() error {
 // boundaries; unless force is set, calls within publishInterval of the last
 // render return immediately so the hot loop is not billed for rendering.
 // Use force for the final publish so the end-of-run state is visible.
-func (in *Inspector) Publish(ob *Observer, topN int, force bool) {
+func (in *Inspector) Publish(ob *Observer, force bool) {
 	if in == nil || ob == nil {
 		return
 	}
@@ -135,7 +139,7 @@ func (in *Inspector) Publish(ob *Observer, topN int, force bool) {
 	}
 	var attrJSON []byte
 	if ob.Attr != nil {
-		if buf, err := json.MarshalIndent(ob.Attr.BuildReport(topN), "", "  "); err == nil {
+		if buf, err := json.MarshalIndent(ob.Attr.BuildReport(inspectTopN), "", "  "); err == nil {
 			attrJSON = append(buf, '\n')
 		}
 	}

@@ -52,7 +52,7 @@ func TestInspectorServesPublishedState(t *testing.T) {
 	ob.Attr.RecordGetS(0x4040, 0, true, 0)
 	ob.Attr.RecordGetM(0x4040, 1, false, 0)
 	in.SetNote("mid-run")
-	in.Publish(ob, 10, true)
+	in.Publish(ob, true)
 
 	if body, _ := get(t, base+"/metrics"); !strings.Contains(body, "test.counter") || !strings.Contains(body, "42") {
 		t.Errorf("/metrics missing published counter: %q", body)
@@ -132,9 +132,9 @@ func TestInspectorThrottlesPublish(t *testing.T) {
 	defer in.Close()
 	ob := &Observer{Attr: attr.NewCollector(attr.Options{Exact: true})}
 	ob.Attr.RecordGetS(0x40, 0, false, 0)
-	in.Publish(ob, 5, true)
+	in.Publish(ob, true)
 	ob.Attr.RecordGetS(0x80, 0, false, 0)
-	in.Publish(ob, 5, false) // inside the throttle window: dropped
+	in.Publish(ob, false) // inside the throttle window: dropped
 	body, _ := get(t, "http://"+in.Addr()+"/attr")
 	var rep attr.Report
 	if err := json.Unmarshal([]byte(body), &rep); err != nil {
@@ -143,7 +143,7 @@ func TestInspectorThrottlesPublish(t *testing.T) {
 	if rep.Events != 1 {
 		t.Errorf("throttled publish leaked through: %d events served, want 1", rep.Events)
 	}
-	in.Publish(ob, 5, true) // forced: must land
+	in.Publish(ob, true) // forced: must land
 	body, _ = get(t, "http://"+in.Addr()+"/attr")
 	if err := json.Unmarshal([]byte(body), &rep); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestInspectorThrottlesPublish(t *testing.T) {
 
 func TestNilInspectorIsSafe(t *testing.T) {
 	var in *Inspector
-	in.Publish(&Observer{}, 5, true)
+	in.Publish(&Observer{}, true)
 	in.SetNote("x")
 	if in.Addr() != "" {
 		t.Error("nil inspector has an address")
@@ -178,15 +178,15 @@ func TestInspectorPages(t *testing.T) {
 		{"/metrics", "text/plain; charset=utf-8", "# no metrics snapshot published yet\n", true, func(in *Inspector) {
 			ob := &Observer{Registry: NewRegistry()}
 			ob.Registry.Counter("page.counter", func() uint64 { return 7 })
-			in.Publish(ob, 5, true)
+			in.Publish(ob, true)
 		}, "page.counter"},
 		{"/attr", "application/json", "{}\n", true, func(in *Inspector) {
 			ob := &Observer{Attr: attr.NewCollector(attr.Options{Exact: true})}
 			ob.Attr.RecordGetS(0x40, 0, false, 0)
-			in.Publish(ob, 5, true)
+			in.Publish(ob, true)
 		}, `"events": 1`},
 		{"/latency", "application/json", "{}\n", false, func(in *Inspector) {
-			in.Publish(&Observer{LatencyReport: func() []byte { return []byte(`{"classes":3}` + "\n") }}, 5, true)
+			in.Publish(&Observer{LatencyReport: func() []byte { return []byte(`{"classes":3}` + "\n") }}, true)
 		}, `"classes":3`},
 		{"/overload", "application/json", "{}\n", false, func(in *Inspector) {
 			in.SetOverload([]byte(`{"queue":7}` + "\n"))

@@ -41,5 +41,5 @@ func WriteManifest(path string, m Manifest) error {
 	if err != nil {
 		return err
 	}
-	return AtomicWriteFile(path, append(b, '\n'), 0o644)
+	return AtomicWriteFile(path, append(b, '\n'))
 }

@@ -22,7 +22,7 @@ func TestNilReceiversAreDisabled(t *testing.T) {
 	if pf.Total() != 0 {
 		t.Fatal("nil profiler should accumulate nothing")
 	}
-	hb.Add(1)
+	hb.AddRun()
 	hb.SetCycles(5)
 	hb.Stop()
 }

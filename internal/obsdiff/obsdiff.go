@@ -292,14 +292,6 @@ func (r *Report) JSON() []byte {
 	return append(buf, '\n')
 }
 
-// Top returns the first n deltas (fewer if the report is shorter).
-func (r *Report) TopDeltas(n int) []Delta {
-	if n > len(r.Deltas) {
-		n = len(r.Deltas)
-	}
-	return r.Deltas[:n]
-}
-
 func fmtVal(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return strconv.FormatFloat(v, 'f', 0, 64)

@@ -21,7 +21,8 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	for t := 0; t < 16; t++ {
 		rng := simrand.New(uint64(t + 100))
 		eng.AddThread("w", funcSource(func(tid int, now uint64) *trace.Op {
-			rec := trace.NewRecorder("op", true)
+			rec := trace.NewRecorder("op")
+			rec.Reset("op", true)
 			rec.Instr(user.ID, 5_000)
 			for i := 0; i < 20; i++ {
 				rec.Read(data.Base+uint64(rng.Intn(1<<16))*64, 8)

@@ -46,29 +46,7 @@ type Config struct {
 	// PSet is the processor set the measured workload is bound to
 	// (psrset). Accounting in Results covers only these CPUs.
 	PSet []int
-	// Quantum is the scheduling time slice in cycles.
-	Quantum uint64
-	// Slice caps how many cycles one engine dispatch executes before
-	// control returns to the global loop. It is an engine granule, not a
-	// scheduling policy: small slices keep engine order close to simulated
-	// time order so that critical sections on different processors that
-	// overlap in simulated time actually contend. A sliced thread resumes
-	// at the front of the ready queue with its remaining quantum.
-	Slice uint64
-	// SpinCycles is the adaptive-mutex spin time charged busy on
-	// contended spin locks before blocking.
-	SpinCycles uint64
-	// HandoffCycles is the delay from release to resumption for spinning
-	// waiters (the lock word changes hands; the spinner notices at once).
-	HandoffCycles uint64
-	// MonitorHandoff is the delay for blocked (sleeping) waiters: a full
-	// wakeup and dispatch through the scheduler, as for Java monitors and
-	// pool semaphores. It is an order of magnitude more than a spin
-	// handoff, which is why convoys on hot monitors flatten throughput.
-	MonitorHandoff uint64
 
-	// Core is the per-processor timing configuration.
-	Core cpu.Config
 	// GCThreads is the collector's parallelism. The JVMs of the paper's
 	// era collected with ONE thread while every other processor idled
 	// (§4.1); setting this above 1 models the parallel collectors that
@@ -85,17 +63,35 @@ func DefaultConfig(n int) Config {
 		pset[i] = i
 	}
 	return Config{
-		CPUs:           n,
-		PSet:           pset,
-		Quantum:        400_000,
-		Slice:          1_500,
-		SpinCycles:     3_000,
-		HandoffCycles:  300,
-		MonitorHandoff: 2_000,
-		Core:           cpu.DefaultConfig(),
-		GCThreads:      1,
+		CPUs:      n,
+		PSet:      pset,
+		GCThreads: 1,
 	}
 }
+
+// The scheduler's and the locks' timings, in cycles.
+const (
+	// quantum is the scheduling time slice.
+	quantum uint64 = 400_000
+	// slice caps how many cycles one engine dispatch executes before
+	// control returns to the global loop. It is an engine granule, not a
+	// scheduling policy: small slices keep engine order close to simulated
+	// time order so that critical sections on different processors that
+	// overlap in simulated time actually contend. A sliced thread resumes
+	// at the front of the ready queue with its remaining quantum.
+	slice uint64 = 1_500
+	// spinCycles is the adaptive-mutex spin time charged busy on
+	// contended spin locks before blocking.
+	spinCycles uint64 = 3_000
+	// handoffCycles is the delay from release to resumption for spinning
+	// waiters (the lock word changes hands; the spinner notices at once).
+	handoffCycles uint64 = 300
+	// monitorHandoff is the delay for blocked (sleeping) waiters: a full
+	// wakeup and dispatch through the scheduler, as for Java monitors and
+	// pool semaphores. It is an order of magnitude more than a spin
+	// handoff, which is why convoys on hot monitors flatten throughput.
+	monitorHandoff uint64 = 2_000
+)
 
 // Modes is the per-mode cycle accounting of one or more processors
 // (the mpstat view).
@@ -360,7 +356,7 @@ func NewEngine(cfg Config, hier *memsys.Hierarchy, layout *ifetch.CodeLayout, ne
 	}
 	for i := 0; i < cfg.CPUs; i++ {
 		gen := ifetch.NewGen(layout, rng.Derive(uint64(i)))
-		e.cores = append(e.cores, cpu.NewCore(cfg.Core, i, hier, gen))
+		e.cores = append(e.cores, cpu.NewCore(i, hier, gen))
 		e.idleFrom[i] = idleSentinel
 	}
 	return e
@@ -483,7 +479,7 @@ func (e *Engine) pickThread(cpuID int, now uint64) *thread {
 	// this, a busy home CPU strands a pile of bound threads for whole
 	// quanta while the rest of the machine idles. The grace period keeps
 	// briefly-parked threads home (cache affinity).
-	grace := e.cfg.Quantum / 4
+	grace := quantum / 4
 	for _, other := range e.readyQ {
 		if other.bound && other.lastCPU == cpuID && now > other.readyAt+grace {
 			other.bound = false
@@ -583,13 +579,10 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 	t := start
 	th.state = stRunning
 	if th.quantumLeft == 0 {
-		th.quantumLeft = e.cfg.Quantum
+		th.quantumLeft = quantum
 	}
-	slice := e.cfg.Slice
-	if slice == 0 || slice > th.quantumLeft {
-		slice = th.quantumLeft
-	}
-	deadline := start + slice
+	run := min(slice, th.quantumLeft)
+	deadline := start + run
 
 	// requeue returns the thread to the ready queue: to the front with its
 	// remaining quantum after an engine slice, to the back with a fresh
@@ -742,9 +735,9 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 				// time for kernel locks — then block.
 				if it.Aux == 1 {
 					q.spin = true
-					e.chargeBusy(c, th.mode, e.cfg.SpinCycles)
-					th.span.Add(reqtrace.PhaseLockWait, e.cfg.SpinCycles)
-					t += e.cfg.SpinCycles
+					e.chargeBusy(c, th.mode, spinCycles)
+					th.span.Add(reqtrace.PhaseLockWait, spinCycles)
+					t += spinCycles
 				}
 			}
 			e.lockBlocks++
@@ -778,13 +771,13 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 			next := q.waiters[0]
 			q.waiters = q.waiters[1:]
 			next.idx++
-			kind, handoff := waitSem, e.cfg.MonitorHandoff
+			kind, handoff := waitSem, monitorHandoff
 			if isLock {
 				q.owner = next
 				next.locksHeld++
 				kind = waitMonitor
 				if q.spin {
-					kind, handoff = waitSpin, e.cfg.HandoffCycles
+					kind, handoff = waitSpin, handoffCycles
 				}
 			}
 			grant := t + handoff
@@ -859,8 +852,8 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 			t = e.stopTheWorld(c, t, it.GC)
 			// After the world restarts the thread gets a fresh slice.
 			start = t
-			th.quantumLeft = e.cfg.Quantum
-			deadline = t + slice
+			th.quantumLeft = quantum
+			deadline = t + run
 
 		default:
 			panic("osmodel: unknown trace item kind")

@@ -54,7 +54,6 @@ func newRig(t *testing.T, cpus int, net *netsim.Network) *rig {
 	mcfg.L1D = cache.Config{Name: "L1D", SizeBytes: 8 << 10, Assoc: 2, BlockBytes: 64}
 	mcfg.L2 = cache.Config{Name: "L2", SizeBytes: 128 << 10, Assoc: 4, BlockBytes: 64}
 	cfg := DefaultConfig(cpus)
-	cfg.Quantum = 100_000
 	eng := NewEngine(cfg, memsys.New(mcfg), layout, net, simrand.New(11))
 	return &rig{
 		eng:    eng,
@@ -67,7 +66,8 @@ func newRig(t *testing.T, cpus int, net *netsim.Network) *rig {
 }
 
 func op(tag string, business bool, build func(*trace.Recorder)) *trace.Op {
-	rec := trace.NewRecorder(tag, business)
+	rec := trace.NewRecorder(tag)
+	rec.Reset(tag, business)
 	build(rec)
 	return rec.Finish()
 }
@@ -197,7 +197,7 @@ func TestSpinLockChargesBusyTime(t *testing.T) {
 }
 
 func TestNetCallBlocksAndChargesIOWait(t *testing.T) {
-	net := netsim.NewNetwork(netsim.DefaultLink())
+	net := netsim.NewNetwork()
 	net.AddPeer(2, db.NewServer(db.Config{Workers: 1, BaseServiceCycles: 500_000}, simrand.New(4)))
 	r := newRig(t, 1, net)
 	src := &scriptSource{Ops: []*trace.Op{
@@ -213,8 +213,9 @@ func TestNetCallBlocksAndChargesIOWait(t *testing.T) {
 	if res.BusinessOps != 1 {
 		t.Fatalf("op did not complete: %+v", res)
 	}
-	if res.Modes.IOWait < 500_000 {
-		t.Fatalf("iowait = %d, want >= peer service time", res.Modes.IOWait)
+	// The peer's one service draw, from a generator seeded like its own.
+	if svc := db.Jitter(500_000, simrand.New(4)); res.Modes.IOWait < svc {
+		t.Fatalf("iowait = %d, want >= peer service time %d", res.Modes.IOWait, svc)
 	}
 }
 
@@ -239,7 +240,7 @@ func TestThinkSleeps(t *testing.T) {
 
 func TestGCPauseStopsTheWorld(t *testing.T) {
 	r := newRig(t, 4, nil)
-	gcRec := trace.NewRecorder("gc", false)
+	gcRec := trace.NewRecorder("gc")
 	gcRec.Instr(r.user.ID, 500_000)
 	gc := &trace.GC{Items: gcRec.Finish().Items, LiveBytes: 1 << 20}
 
@@ -342,7 +343,7 @@ func TestOSDaemonsGenerateC2CAtOneProcessor(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() Results {
-		net := netsim.NewNetwork(netsim.DefaultLink())
+		net := netsim.NewNetwork()
 		net.AddPeer(2, db.NewServer(db.DefaultDatabaseConfig(), simrand.New(77)))
 		r := newRig(t, 2, net)
 		lock := r.data.Base
@@ -447,7 +448,7 @@ func TestModesAddAndTotal(t *testing.T) {
 }
 
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	net := netsim.NewNetwork(netsim.DefaultLink())
+	net := netsim.NewNetwork()
 	net.AddPeer(2, db.NewServer(db.Config{Workers: 8, BaseServiceCycles: 200_000}, simrand.New(4)))
 	r := newRig(t, 4, net)
 	// Four threads, a 2-unit pool held across a long remote call: at most
@@ -502,7 +503,7 @@ func TestParallelGCShortensPause(t *testing.T) {
 		cfg.GCThreads = gcThreads
 		eng := NewEngine(cfg, memsys.New(memsys.DefaultConfig(4)), layout, nil, simrand.New(5))
 
-		gcRec := trace.NewRecorder("gc", false)
+		gcRec := trace.NewRecorder("gc")
 		for i := 0; i < 64; i++ {
 			// Interleave copy reads/writes like a real collector trace so
 			// the items do not coalesce into one segment.
@@ -536,7 +537,7 @@ func TestParallelGCAccountingSums(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.GCThreads = 2
 	eng := NewEngine(cfg, memsys.New(memsys.DefaultConfig(4)), layout, nil, simrand.New(6))
-	gcRec := trace.NewRecorder("gc", false)
+	gcRec := trace.NewRecorder("gc")
 	for i := 0; i < 16; i++ {
 		gcRec.Instr(user.ID, 10_000)
 	}
@@ -572,7 +573,7 @@ func TestEmptyOpsCannotWedgeEngine(t *testing.T) {
 	n := 0
 	src := funcSource(func(tid int, now uint64) *trace.Op {
 		n++
-		return trace.NewRecorder("empty", true).Finish() // zero items
+		return op("empty", true, func(*trace.Recorder) {}) // zero items
 	})
 	r.eng.AddThread("w", src)
 	r.eng.Run(100_000) // must return, not loop forever
@@ -627,7 +628,7 @@ func TestSemaphoreFIFOGrants(t *testing.T) {
 
 func TestWakeupPullbackUsesIdleHomeCPU(t *testing.T) {
 	// A thread that sleeps wakes on its home CPU when that CPU is idle.
-	net := netsim.NewNetwork(netsim.DefaultLink())
+	net := netsim.NewNetwork()
 	net.AddPeer(2, db.NewServer(db.Config{Workers: 1, BaseServiceCycles: 100_000}, simrand.New(4)))
 	r := newRig(t, 2, net)
 	var ops []*trace.Op
@@ -682,11 +683,11 @@ func TestLatencyHistogramRecorded(t *testing.T) {
 // bucket (busy, I/O wait, idle, or GC idle), and the lock-wait cycles split
 // exactly into the monitor, spin and semaphore classes.
 func TestAccountingConservation(t *testing.T) {
-	net := netsim.NewNetwork(netsim.DefaultLink())
+	net := netsim.NewNetwork()
 	net.AddPeer(2, db.NewServer(db.Config{Workers: 2, BaseServiceCycles: 80_000}, simrand.New(4)))
 	r := newRig(t, 4, net)
 
-	gcRec := trace.NewRecorder("gc", false)
+	gcRec := trace.NewRecorder("gc")
 	for i := 0; i < 8; i++ {
 		gcRec.Instr(r.user.ID, 5_000)
 		gcRec.Read(uint64(0x300000+i*4096), 128)
@@ -696,7 +697,8 @@ func TestAccountingConservation(t *testing.T) {
 	for tid := 0; tid < 6; tid++ {
 		rng := simrand.New(uint64(tid) + 55)
 		r.eng.AddThread("w", funcSource(func(id int, now uint64) *trace.Op {
-			rec := trace.NewRecorder("op", true)
+			rec := trace.NewRecorder("op")
+			rec.Reset("op", true)
 			rec.Instr(r.user.ID, uint32(1_000+rng.Intn(20_000)))
 			switch rng.Intn(7) {
 			case 0:
@@ -708,7 +710,7 @@ func TestAccountingConservation(t *testing.T) {
 			case 2:
 				rec.Think(uint32(rng.Intn(50_000)))
 			case 3:
-				rec.SemAcquire(9, 2)
+				rec.SemAcquire(9, 1)
 				rec.Instr(r.kern.ID, 2_000)
 				rec.SemRelease(9)
 			case 4:

@@ -7,66 +7,47 @@ import (
 	"repro/internal/trace"
 )
 
-// DaemonConfig parameterizes the background OS activity that runs on every
-// processor of the machine, inside or outside the workload's processor set.
-// The paper observes (§4.3) that snoop copybacks occur even with the
-// benchmark bound to a single processor, because "the operating system runs
-// on all 16 processors"; these daemons are that activity.
-type DaemonConfig struct {
-	// Comp is the kernel code component the daemons execute.
-	Comp *ifetch.Component
-	// SharedLines are kernel data lines every daemon reads/updates (run
-	// queues, callout tables, vm statistics) — the cross-processor
-	// communication source.
-	SharedLines []mem.Addr
-	// MeanIntervalCycles is the mean sleep between daemon bouts.
-	MeanIntervalCycles uint64
-	// BoutInstr is the kernel path length per bout.
-	BoutInstr uint32
-}
+// The background OS activity runs on every processor of the machine,
+// inside or outside the workload's processor set. The paper observes (§4.3)
+// that snoop copybacks occur even with the benchmark bound to a single
+// processor, because "the operating system runs on all 16 processors";
+// these daemons are that activity: a light background load (~1% of one CPU
+// per daemon).
+const (
+	// daemonIntervalCycles is the mean sleep between daemon bouts.
+	daemonIntervalCycles uint64 = 400_000
+	// daemonBoutInstr is the kernel path length per bout.
+	daemonBoutInstr uint32 = 4_000
+)
 
-// DefaultDaemonConfig returns a light background load (~1% of one CPU per
-// daemon) touching the given kernel lines.
-func DefaultDaemonConfig(comp *ifetch.Component, lines []mem.Addr) DaemonConfig {
-	return DaemonConfig{
-		Comp:               comp,
-		SharedLines:        lines,
-		MeanIntervalCycles: 400_000,
-		BoutInstr:          4_000,
-	}
-}
-
-// Daemon is an OpSource producing periodic kernel bouts. Create one per
-// processor and pin it there with AddPinnedThread: it serves one thread, so
-// it records every bout into one reused recorder.
-type Daemon struct {
-	cfg DaemonConfig
-	rng *simrand.Rand
-	rec trace.Recorder
-}
-
-// NewDaemon returns a daemon with its own RNG stream.
-func NewDaemon(cfg DaemonConfig, rng *simrand.Rand) *Daemon {
-	if !cfg.Comp.Kernel {
-		panic("osmodel: daemons must run kernel components")
-	}
-	return &Daemon{cfg: cfg, rng: rng}
+// daemon is an OpSource producing periodic kernel bouts. AddOSDaemons
+// creates one per processor and pins it there: it serves one thread, so it
+// records every bout into one reused recorder.
+type daemon struct {
+	// comp is the kernel code component the daemon executes.
+	comp *ifetch.Component
+	// lines are kernel data lines every daemon reads/updates (run queues,
+	// callout tables, vm statistics) — the cross-processor communication
+	// source.
+	lines []mem.Addr
+	rng   *simrand.Rand
+	rec   trace.Recorder
 }
 
 // NextOp emits one sleep-then-work bout.
-func (d *Daemon) NextOp(tid int, now uint64) *trace.Op {
+func (d *daemon) NextOp(tid int, now uint64) *trace.Op {
 	rec := &d.rec
 	rec.Reset("os-daemon", false)
-	rec.Think(uint32(d.rng.Exp(float64(d.cfg.MeanIntervalCycles))))
-	rec.Instr(d.cfg.Comp.ID, d.cfg.BoutInstr)
-	for i, a := range d.cfg.SharedLines {
+	rec.Think(uint32(d.rng.Exp(float64(daemonIntervalCycles))))
+	rec.Instr(d.comp.ID, daemonBoutInstr)
+	for i, a := range d.lines {
 		if (i+tid)%4 == 0 {
 			rec.Write(a, 8)
 		} else {
 			rec.Read(a, 8)
 		}
 	}
-	rec.Instr(d.cfg.Comp.ID, d.cfg.BoutInstr/4)
+	rec.Instr(d.comp.ID, daemonBoutInstr/4)
 	return rec.Handoff()
 }
 
@@ -79,9 +60,11 @@ func AddOSDaemons(e *Engine, space *mem.AddrSpace, comp *ifetch.Component, rng *
 	for i := 0; i < 8; i++ {
 		lines = append(lines, region.Base+uint64(i)*mem.LineBytes)
 	}
-	cfg := DefaultDaemonConfig(comp, lines)
+	if !comp.Kernel {
+		panic("osmodel: daemons must run kernel components")
+	}
 	for c := 0; c < e.cfg.CPUs; c++ {
-		d := NewDaemon(cfg, rng.Derive(uint64(c)+1000))
+		d := &daemon{comp: comp, lines: lines, rng: rng.Derive(uint64(c) + 1000)}
 		e.AddPinnedThread("osdaemon", d, c)
 	}
 	return lines

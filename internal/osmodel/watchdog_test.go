@@ -62,8 +62,8 @@ func TestWatchdogDeadlock(t *testing.T) {
 // with no watchdog armed, a run with an eternally blocked thread still
 // advances to the horizon instead of returning early.
 func TestWatchdogDisarmedRunsToHorizon(t *testing.T) {
-	net := netsim.NewNetwork(netsim.DefaultLink())
-	net.AddExternalPeer(3)
+	net := netsim.NewNetwork()
+	net.CoSimulateDatabase()
 	r := newRig(t, 1, net)
 	r.eng.OnExternalCall = func(tid int, peer uint8, reqBytes, respBytes uint32, now uint64) {
 		// Lost wakeup: the coordinator never answers.
@@ -71,7 +71,7 @@ func TestWatchdogDisarmedRunsToHorizon(t *testing.T) {
 	r.eng.AddThread("caller", &scriptSource{Ops: []*trace.Op{
 		op("call", false, func(rec *trace.Recorder) {
 			rec.Instr(r.user.ID, 1000)
-			rec.NetCall(3, 100, 100)
+			rec.NetCall(netsim.PeerDatabase, 100, 100)
 		}),
 	}})
 	for h := uint64(5_000_000); h <= 50_000_000; h += 5_000_000 {
@@ -90,14 +90,14 @@ func TestWatchdogDisarmedRunsToHorizon(t *testing.T) {
 // deadlock (a wake could still arrive), so the threshold path must fire
 // once enough idle slices accumulate.
 func TestWatchdogStallDetection(t *testing.T) {
-	net := netsim.NewNetwork(netsim.DefaultLink())
-	net.AddExternalPeer(3)
+	net := netsim.NewNetwork()
+	net.CoSimulateDatabase()
 	r := newRig(t, 1, net)
 	r.eng.OnExternalCall = func(tid int, peer uint8, reqBytes, respBytes uint32, now uint64) {}
 	r.eng.AddThread("caller", &scriptSource{Ops: []*trace.Op{
 		op("call", false, func(rec *trace.Recorder) {
 			rec.Instr(r.user.ID, 1000)
-			rec.NetCall(3, 100, 100)
+			rec.NetCall(netsim.PeerDatabase, 100, 100)
 			rec.Instr(r.user.ID, 1000)
 		}),
 	}})

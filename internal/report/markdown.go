@@ -50,7 +50,7 @@ func Markdown(w io.Writer, f core.Figure) {
 
 // WriteMarkdownFile writes f as markdown to path, atomically.
 func WriteMarkdownFile(path string, f core.Figure) error {
-	w, err := obs.AtomicCreate(path, 0o644)
+	w, err := obs.AtomicCreate(path)
 	if err != nil {
 		return err
 	}

@@ -91,15 +91,15 @@ func trunc(s string, n int) string {
 	return s[:n-1] + "…"
 }
 
-// Plot renders a crude ASCII chart of the figure (height rows by width
-// columns), one glyph per series. Log axes follow the figure's flags.
-func Plot(w io.Writer, f core.Figure, width, height int) {
-	if width < 20 {
-		width = 20
-	}
-	if height < 8 {
-		height = 8
-	}
+// The ASCII chart's grid.
+const (
+	plotWidth  = 64 // columns
+	plotHeight = 16 // rows
+)
+
+// Plot renders a crude ASCII chart of the figure, one glyph per series.
+// Log axes follow the figure's flags.
+func Plot(w io.Writer, f core.Figure) {
 	glyphs := "ox+*#@%&"
 
 	// Bounds.
@@ -152,9 +152,9 @@ func Plot(w io.Writer, f core.Figure, width, height int) {
 		maxY = minY + 1
 	}
 
-	grid := make([][]byte, height)
+	grid := make([][]byte, plotHeight)
 	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
+		grid[i] = []byte(strings.Repeat(" ", plotWidth))
 	}
 	for si, s := range f.Series {
 		g := glyphs[si%len(glyphs)]
@@ -162,10 +162,10 @@ func Plot(w io.Writer, f core.Figure, width, height int) {
 			if !plottable(s, i) {
 				continue
 			}
-			cx := int((tx(s.X[i]) - minX) / (maxX - minX) * float64(width-1))
-			cy := int((ty(s.Y[i]) - minY) / (maxY - minY) * float64(height-1))
-			row := height - 1 - cy
-			if row >= 0 && row < height && cx >= 0 && cx < width {
+			cx := int((tx(s.X[i]) - minX) / (maxX - minX) * float64(plotWidth-1))
+			cy := int((ty(s.Y[i]) - minY) / (maxY - minY) * float64(plotHeight-1))
+			row := plotHeight - 1 - cy
+			if row >= 0 && row < plotHeight && cx >= 0 && cx < plotWidth {
 				grid[row][cx] = g
 			}
 		}
@@ -186,6 +186,6 @@ func Plot(w io.Writer, f core.Figure, width, height int) {
 func Render(w io.Writer, f core.Figure) {
 	Table(w, f)
 	fmt.Fprintln(w)
-	Plot(w, f, 64, 16)
+	Plot(w, f)
 	fmt.Fprintln(w)
 }

@@ -35,7 +35,7 @@ func TestTableContainsDataAndNotes(t *testing.T) {
 
 func TestPlotDrawsAllSeries(t *testing.T) {
 	var b strings.Builder
-	Plot(&b, sample(), 40, 10)
+	Plot(&b, sample())
 	out := b.String()
 	if !strings.Contains(out, "o") || !strings.Contains(out, "x") {
 		t.Fatalf("plot missing series glyphs:\n%s", out)
@@ -51,7 +51,7 @@ func TestPlotLogAxes(t *testing.T) {
 		Series: []core.Series{{Label: "c", X: []float64{64, 1024, 16384}, Y: []float64{10, 1, 0.1}, Err: []float64{0, 0, 0}}},
 	}
 	var b strings.Builder
-	Plot(&b, f, 40, 10)
+	Plot(&b, f)
 	if !strings.Contains(b.String(), "o") {
 		t.Fatal("log plot drew nothing")
 	}
@@ -59,7 +59,7 @@ func TestPlotLogAxes(t *testing.T) {
 
 func TestPlotEmptyFigureSafe(t *testing.T) {
 	var b strings.Builder
-	Plot(&b, core.Figure{ID: "E"}, 40, 10) // must not panic
+	Plot(&b, core.Figure{ID: "E"}) // must not panic
 }
 
 func TestRenderCombined(t *testing.T) {
@@ -101,7 +101,7 @@ func TestPlotSinglePoint(t *testing.T) {
 		ID:     "Fig 1pt",
 		Series: []core.Series{{Label: "A", X: []float64{8}, Y: []float64{2.5}}},
 	}
-	Plot(&b, f, 40, 10) // degenerate ranges must not divide by zero
+	Plot(&b, f) // degenerate ranges must not divide by zero
 	out := b.String()
 	if !strings.Contains(out, "o") {
 		t.Fatalf("single point not plotted:\n%s", out)
@@ -126,7 +126,7 @@ func TestPlotAllEqualY(t *testing.T) {
 		ID:     "Fig flat",
 		Series: []core.Series{{Label: "A", X: []float64{1, 2, 4, 8}, Y: []float64{3, 3, 3, 3}}},
 	}
-	Plot(&b, f, 40, 10)
+	Plot(&b, f)
 	if gridGlyphs(b.String(), 'o') != 4 {
 		t.Fatalf("flat series lost points:\n%s", b.String())
 	}
@@ -142,7 +142,7 @@ func TestPlotNaNInfGuards(t *testing.T) {
 		},
 	}
 	var b strings.Builder
-	Plot(&b, f, 40, 10) // must not panic or poison the bounds
+	Plot(&b, f) // must not panic or poison the bounds
 	out := b.String()
 	// Only the finite points of A survive; the bounds come from them alone.
 	if !strings.Contains(out, "top=7") || !strings.Contains(out, "bottom=5") {
@@ -153,7 +153,7 @@ func TestPlotNaNInfGuards(t *testing.T) {
 	Plot(&b2, core.Figure{
 		ID:     "Fig none",
 		Series: []core.Series{{Label: "A", X: []float64{1}, Y: []float64{nan}}},
-	}, 40, 10)
+	})
 }
 
 func TestPlotLogAxisSkipsNonPositive(t *testing.T) {
@@ -163,7 +163,7 @@ func TestPlotLogAxisSkipsNonPositive(t *testing.T) {
 		Series: []core.Series{{Label: "A", X: []float64{0, 10, 100}, Y: []float64{5, 0, 50}}},
 	}
 	var b strings.Builder
-	Plot(&b, f, 40, 10)
+	Plot(&b, f)
 	// (0,5) and (10,0) are unplottable on log axes; only (100,50) remains.
 	if gridGlyphs(b.String(), 'o') != 1 {
 		t.Fatalf("log axis should keep exactly the one positive point:\n%s", b.String())

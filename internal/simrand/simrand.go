@@ -100,11 +100,10 @@ type Zipf struct {
 	r   *Rand
 }
 
-// NewZipf builds a Zipf sampler over n items with exponent s (s > 0; s≈1 is
-// classic Zipf; larger s is more skewed) that draws from r. Building draws
-// nothing from r, and r may be nil for a table that only With will sample.
-// It panics if n <= 0.
-func NewZipf(r *Rand, n int, s float64) *Zipf {
+// NewZipf builds the table of a Zipf distribution over n items with
+// exponent s (s > 0; s≈1 is classic Zipf; larger s is more skewed); With
+// makes samplers over it. It panics if n <= 0.
+func NewZipf(n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("simrand: NewZipf with non-positive n")
 	}
@@ -117,7 +116,7 @@ func NewZipf(r *Rand, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, r: r}
+	return &Zipf{cdf: cdf}
 }
 
 // With returns a sampler over z's table that draws from r. Samplers made

@@ -116,7 +116,7 @@ func TestExpMean(t *testing.T) {
 
 func TestZipfSkew(t *testing.T) {
 	r := New(9)
-	z := NewZipf(r, 1000, 1.0)
+	z := NewZipf(1000, 1.0).With(r)
 	counts := make([]int, 1000)
 	const n = 200000
 	for i := 0; i < n; i++ {
@@ -134,7 +134,7 @@ func TestZipfSkew(t *testing.T) {
 
 func TestZipfDomain(t *testing.T) {
 	r := New(10)
-	z := NewZipf(r, 5, 1.2)
+	z := NewZipf(5, 1.2).With(r)
 	for i := 0; i < 10000; i++ {
 		v := z.Next()
 		if v < 0 || v >= 5 {
@@ -171,7 +171,7 @@ func TestQuickZipfInRange(t *testing.T) {
 	f := func(n uint8, s uint8) bool {
 		domain := int(n%100) + 1
 		exp := 0.5 + float64(s%20)/10.0
-		z := NewZipf(r, domain, exp)
+		z := NewZipf(domain, exp).With(r)
 		v := z.Next()
 		return v >= 0 && v < domain
 	}
@@ -180,17 +180,17 @@ func TestQuickZipfInRange(t *testing.T) {
 	}
 }
 
-// TestZipfWith: a sampler from With draws the sequence NewZipf draws from
-// an equal generator — building draws nothing — and samplers sharing one
+// TestZipfWith: a sampler on a shared table draws the sequence a sampler
+// on its own table draws from an equal generator, and samplers sharing one
 // table do not perturb each other.
 func TestZipfWith(t *testing.T) {
-	table := NewZipf(nil, 1000, 0.9)
+	table := NewZipf(1000, 0.9)
 	shared := table.With(New(42))
-	own := NewZipf(New(42), 1000, 0.9)
+	own := NewZipf(1000, 0.9).With(New(42))
 	other := table.With(New(7))
 	for i := 0; i < 10000; i++ {
 		if a, b := shared.Next(), own.Next(); a != b {
-			t.Fatalf("draw %d: With sampler %d, NewZipf sampler %d", i, a, b)
+			t.Fatalf("draw %d: shared-table sampler %d, own-table sampler %d", i, a, b)
 		}
 		other.Next()
 	}

@@ -8,7 +8,7 @@ import "testing"
 func FuzzTLBConsistency(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tl := New(Config{Entries: 4, PageBytes: 8 << 10, MissPenalty: 40})
+		tl := New()
 		for i := 0; i+1 < len(data); i += 2 {
 			addr := uint64(data[i])<<16 | uint64(data[i+1])<<8
 			tl.Access(addr)

@@ -18,24 +18,25 @@ package tlb
 
 import "repro/internal/mem"
 
-// Config parameterizes one TLB.
-type Config struct {
-	// Entries is the TLB size (the UltraSPARC II dTLB held 64 entries).
-	Entries int
-	// PageBytes is the page size: 8 KB base pages, or 4 MB with ISM.
-	// Must be a power of two.
-	PageBytes uint64
-	// MissPenalty is the software-refill cost in cycles (a trap into the
-	// kernel TSB handler; tens of cycles on the UltraSPARC II).
-	MissPenalty uint64
-}
+// The base-page dTLB. The heap is scaled ~20× down from the paper's
+// testbed, so the base-page TLB reach is scaled to match: reach/heap stays
+// at the real machine's ratio (64 × 8 KB = 512 KB against a ~1.4 GB heap
+// becomes 64 × 1 KB = 64 KB against the ~72 MB simulated heap). ISM's 4 MB
+// pages map the whole simulated heap, so an ISM machine models no TLB.
+const (
+	// entries is the TLB size (the UltraSPARC II dTLB held 64 entries).
+	entries = 64
+	// pageShift is log2 of the scaled base page size, 1 KB.
+	pageShift = 10
+	// missPenalty is the software-refill cost in cycles (a trap into the
+	// kernel TSB handler).
+	missPenalty uint64 = 110
+)
 
 // TLB is one processor's translation lookaside buffer: fully associative,
 // true-LRU.
 type TLB struct {
-	cfg     Config
-	shift   uint
-	entries []entry
+	entries [entries]entry
 	clock   uint64
 
 	Lookups uint64
@@ -48,30 +49,14 @@ type entry struct {
 	lastUse uint64
 }
 
-// New builds a TLB. It panics on a non-power-of-two page size or a
-// non-positive entry count (static configuration).
-func New(cfg Config) *TLB {
-	if cfg.Entries <= 0 {
-		panic("tlb: need at least one entry")
-	}
-	if cfg.PageBytes == 0 || cfg.PageBytes&(cfg.PageBytes-1) != 0 {
-		panic("tlb: page size must be a power of two")
-	}
-	shift := uint(0)
-	for p := cfg.PageBytes; p > 1; p >>= 1 {
-		shift++
-	}
-	return &TLB{cfg: cfg, shift: shift, entries: make([]entry, cfg.Entries)}
-}
-
-// Config returns the TLB's configuration.
-func (t *TLB) Config() Config { return t.cfg }
+// New builds an empty TLB.
+func New() *TLB { return &TLB{} }
 
 // Access translates addr, returning the stall cycles (0 on a hit,
-// MissPenalty on a software refill).
+// missPenalty on a software refill).
 func (t *TLB) Access(addr mem.Addr) uint64 {
 	t.Lookups++
-	page := addr >> t.shift
+	page := addr >> pageShift
 	t.clock++
 	victim := 0
 	for i := range t.entries {
@@ -89,7 +74,7 @@ func (t *TLB) Access(addr mem.Addr) uint64 {
 	}
 	t.Misses++
 	t.entries[victim] = entry{page: page, valid: true, lastUse: t.clock}
-	return t.cfg.MissPenalty
+	return missPenalty
 }
 
 // MissRatio returns misses/lookups, or 0 when unused.

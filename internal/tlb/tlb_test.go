@@ -5,19 +5,15 @@ import (
 	"testing/quick"
 )
 
-// basePages is the UltraSPARC II dTLB with 8 KB base pages; ismPages the
-// same TLB with Solaris ISM's 4 MB pages. The miss penalty is the full
-// software refill on a loaded machine: the trap, the TSB probe and the
-// hash-table walk on a TSB miss.
-var (
-	basePages = Config{Entries: 64, PageBytes: 8 << 10, MissPenalty: 260}
-	ismPages  = Config{Entries: 64, PageBytes: 4 << 20, MissPenalty: 260}
-)
+const pageBytes = 1 << pageShift
+
+// page returns the address of the i'th base page.
+func page(i int) uint64 { return uint64(i) * pageBytes }
 
 func TestHitAfterMiss(t *testing.T) {
-	tl := New(basePages)
-	if tl.Access(0x12345) == 0 {
-		t.Fatal("cold access hit")
+	tl := New()
+	if tl.Access(0x12345) != missPenalty {
+		t.Fatal("cold access did not pay the refill")
 	}
 	if tl.Access(0x12346) != 0 {
 		t.Fatal("same-page access missed")
@@ -28,88 +24,85 @@ func TestHitAfterMiss(t *testing.T) {
 }
 
 func TestPageBoundary(t *testing.T) {
-	tl := New(Config{Entries: 4, PageBytes: 8 << 10, MissPenalty: 40})
+	tl := New()
 	tl.Access(0)
-	if tl.Access(8<<10-1) != 0 {
+	if tl.Access(pageBytes-1) != 0 {
 		t.Fatal("last byte of page missed")
 	}
-	if tl.Access(8<<10) == 0 {
+	if tl.Access(pageBytes) == 0 {
 		t.Fatal("next page hit")
 	}
 }
 
 func TestLRUReplacement(t *testing.T) {
-	tl := New(Config{Entries: 2, PageBytes: 8 << 10, MissPenalty: 40})
-	p := func(i uint64) uint64 { return i * (8 << 10) }
-	tl.Access(p(0))
-	tl.Access(p(1))
-	tl.Access(p(0)) // refresh 0; 1 becomes LRU
-	tl.Access(p(2)) // evicts 1
-	if tl.Access(p(0)) != 0 {
+	tl := New()
+	for i := 0; i < entries; i++ {
+		tl.Access(page(i))
+	}
+	tl.Access(page(0))       // refresh 0; 1 becomes LRU
+	tl.Access(page(entries)) // evicts 1
+	if tl.Access(page(0)) != 0 {
 		t.Fatal("page 0 evicted despite being MRU")
 	}
-	if tl.Access(p(1)) == 0 {
+	if tl.Access(page(1)) == 0 {
 		t.Fatal("page 1 survived eviction")
 	}
 }
 
-// TestReach: the TLB maps Entries pages at once. Cycling through Entries
+// TestReach: the TLB maps entries pages at once. Cycling through entries
 // pages hits on every pass after the first; one page more, and true LRU
 // misses on every access.
 func TestReach(t *testing.T) {
-	for _, cfg := range []Config{basePages, ismPages} {
-		for _, pages := range []int{cfg.Entries, cfg.Entries + 1} {
-			tl := New(cfg)
-			pass := func() {
-				for i := 0; i < pages; i++ {
-					tl.Access(uint64(i) * cfg.PageBytes)
-				}
+	for _, pages := range []int{entries, entries + 1} {
+		tl := New()
+		pass := func() {
+			for i := 0; i < pages; i++ {
+				tl.Access(page(i))
 			}
-			pass()
-			tl.ResetStats()
-			pass()
-			want := uint64(0)
-			if pages > cfg.Entries {
-				want = uint64(pages)
-			}
-			if tl.Misses != want {
-				t.Errorf("%d-byte pages, %d pages cycled: %d misses, want %d", cfg.PageBytes, pages, tl.Misses, want)
-			}
+		}
+		pass()
+		tl.ResetStats()
+		pass()
+		want := uint64(0)
+		if pages > entries {
+			want = uint64(pages)
+		}
+		if tl.Misses != want {
+			t.Errorf("%d pages cycled: %d misses, want %d", pages, tl.Misses, want)
 		}
 	}
 }
 
-// TestISMEliminatesThrashing is the §6 observation in miniature: a working
-// set beyond the base TLB's 512 KB reach thrashes 8 KB pages but fits
-// easily in 4 MB pages.
-func TestISMEliminatesThrashing(t *testing.T) {
-	run := func(cfg Config) float64 {
-		tl := New(cfg)
+// TestBeyondReachThrashes is the §6 observation in miniature: random
+// pointer chasing over an 8 MB working set, far beyond the base-page TLB's
+// 64 KB reach, thrashes it, while the same chase inside the reach never
+// misses once warm. ISM's 4 MB pages bring the whole heap within reach,
+// which is why an ISM machine models no TLB.
+func TestBeyondReachThrashes(t *testing.T) {
+	run := func(span uint64) float64 {
+		tl := New()
 		r := uint64(99)
-		// 8 MB working set, random pointer chasing.
 		for i := 0; i < 200000; i++ {
 			r = r*6364136223846793005 + 1442695040888963407
-			tl.Access((r >> 30) % (8 << 20))
+			tl.Access((r >> 30) % span)
 		}
 		tl.ResetStats()
 		for i := 0; i < 200000; i++ {
 			r = r*6364136223846793005 + 1442695040888963407
-			tl.Access((r >> 30) % (8 << 20))
+			tl.Access((r >> 30) % span)
 		}
 		return tl.MissRatio()
 	}
-	base := run(basePages)
-	ism := run(ismPages)
-	if base < 0.5 {
-		t.Fatalf("base pages should thrash on an 8MB set: miss ratio %v", base)
+	if beyond := run(8 << 20); beyond < 0.5 {
+		t.Fatalf("an 8MB set should thrash the base TLB: miss ratio %v", beyond)
 	}
-	if ism > 0.001 {
-		t.Fatalf("ISM pages should map 8MB entirely: miss ratio %v", ism)
+	if within := run(entries * pageBytes); within != 0 {
+		t.Fatalf("a set within reach should not miss once warm: miss ratio %v", within)
 	}
 }
 
 func TestResetStatsKeepsWarmth(t *testing.T) {
-	tl := New(basePages)
+	tl := New()
 	tl.Access(0x4000)
 	tl.ResetStats()
 	if tl.Lookups != 0 || tl.Misses != 0 {
@@ -120,28 +113,12 @@ func TestResetStatsKeepsWarmth(t *testing.T) {
 	}
 }
 
-func TestBadConfigsPanic(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"zero-entries": {Entries: 0, PageBytes: 8 << 10},
-		"odd-page":     {Entries: 4, PageBytes: 3000},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			New(cfg)
-		}()
-	}
-}
-
 func TestQuickSamePageAlwaysHitsAfterFill(t *testing.T) {
-	tl := New(basePages)
+	tl := New()
 	f := func(a uint32, off uint16) bool {
-		base := uint64(a) << 13 // page-aligned-ish
+		base := uint64(a) << pageShift
 		tl.Access(base)
-		return tl.Access(base+uint64(off)%(8<<10)) == 0
+		return tl.Access(base+uint64(off)%pageBytes) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

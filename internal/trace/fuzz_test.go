@@ -7,7 +7,7 @@ import "testing"
 func FuzzRecorderTotals(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 0, 0, 20, 2, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewRecorder("fuzz", true)
+		r := NewRecorder("fuzz")
 		var wantInstr uint64
 		var wantRefs int
 		for i := 0; i+1 < len(data); i += 2 {

@@ -116,15 +116,16 @@ type Recorder struct {
 	op Op
 }
 
-// NewRecorder returns a recorder for one operation.
-func NewRecorder(tag string, business bool) *Recorder {
-	return &Recorder{op: Op{Tag: tag, Business: business}}
+// NewRecorder returns a recorder for one operation that does not count
+// toward throughput; Reset re-arms it for a business operation.
+func NewRecorder(tag string) *Recorder {
+	return &Recorder{op: Op{Tag: tag}}
 }
 
 // NewRecorderCap is NewRecorder with room for n items before the trace
 // regrows: the collector sizes each collection's trace by the last one's.
-func NewRecorderCap(tag string, business bool, n int) *Recorder {
-	return &Recorder{op: Op{Tag: tag, Business: business, Items: make([]Item, 0, n)}}
+func NewRecorderCap(tag string, n int) *Recorder {
+	return &Recorder{op: Op{Tag: tag, Items: make([]Item, 0, n)}}
 }
 
 // Instr records n instructions of component comp. Zero counts are dropped.
@@ -204,10 +205,10 @@ func (r *Recorder) SemRelease(id uint64) {
 	r.op.Items = append(r.op.Items, Item{Kind: KindSemRel, ID: id})
 }
 
-// SetBusiness overrides whether the operation counts toward throughput —
-// the resilience layer demotes an operation that exhausted its retries or
-// was shed at admission, after recording has already begun.
-func (r *Recorder) SetBusiness(b bool) { r.op.Business = b }
+// Demote stops the operation counting toward throughput — the resilience
+// layer demotes an operation that exhausted its retries or was shed at
+// admission, after recording has already begun.
+func (r *Recorder) Demote() { r.op.Business = false }
 
 // SetTag renames the operation mid-recording (e.g. appending ".fail" so
 // failed operations report their own latency distribution).

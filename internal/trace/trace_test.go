@@ -6,7 +6,7 @@ import (
 )
 
 func TestRecorderCoalescesInstr(t *testing.T) {
-	r := NewRecorder("x", true)
+	r := NewRecorder("x")
 	r.Instr(1, 10)
 	r.Instr(1, 20)
 	r.Instr(2, 5)
@@ -24,7 +24,7 @@ func TestRecorderCoalescesInstr(t *testing.T) {
 }
 
 func TestRecorderNoCoalesceAcrossKinds(t *testing.T) {
-	r := NewRecorder("x", false)
+	r := NewRecorder("x")
 	r.Instr(1, 10)
 	r.Read(0x1000, 8)
 	r.Instr(1, 10)
@@ -35,7 +35,8 @@ func TestRecorderNoCoalesceAcrossKinds(t *testing.T) {
 }
 
 func TestOpMetadata(t *testing.T) {
-	r := NewRecorder("neworder", true)
+	r := NewRecorder("neworder")
+	r.Reset("neworder", true)
 	op := r.Finish()
 	if op.Tag != "neworder" || !op.Business {
 		t.Fatal("metadata lost")
@@ -57,7 +58,7 @@ func dataRefs(op *Op) int {
 // TestDataRefs: each read and write is one data-reference item; instruction
 // and lock items are not.
 func TestDataRefs(t *testing.T) {
-	r := NewRecorder("x", true)
+	r := NewRecorder("x")
 	r.Read(0x1000, 8)
 	r.Write(0x2000, 16)
 	r.Instr(0, 100)
@@ -70,13 +71,13 @@ func TestDataRefs(t *testing.T) {
 }
 
 func TestGCInstructionsCounted(t *testing.T) {
-	gcRec := NewRecorder("gc", false)
+	gcRec := NewRecorder("gc")
 	gcRec.Instr(3, 500)
 	gcRec.Read(0x5000, 64)
 	gcOp := gcRec.Finish()
 	gc := &GC{Items: gcOp.Items, LiveBytes: 1 << 20}
 
-	r := NewRecorder("alloc-heavy", true)
+	r := NewRecorder("alloc-heavy")
 	r.Instr(1, 100)
 	r.GCPause(gc)
 	op := r.Finish()
@@ -86,7 +87,7 @@ func TestGCInstructionsCounted(t *testing.T) {
 }
 
 func TestNetCallFields(t *testing.T) {
-	r := NewRecorder("x", true)
+	r := NewRecorder("x")
 	r.NetCall(2, 512, 4096)
 	op := r.Finish()
 	it := op.Items[0]
@@ -96,7 +97,7 @@ func TestNetCallFields(t *testing.T) {
 }
 
 func TestThinkZeroDropped(t *testing.T) {
-	r := NewRecorder("x", true)
+	r := NewRecorder("x")
 	r.Think(0)
 	r.Think(100)
 	op := r.Finish()
@@ -106,7 +107,7 @@ func TestThinkZeroDropped(t *testing.T) {
 }
 
 func TestFinishResets(t *testing.T) {
-	r := NewRecorder("a", true)
+	r := NewRecorder("a")
 	r.Instr(1, 5)
 	op1 := r.Finish()
 	if len(op1.Items) != 1 {
@@ -116,7 +117,7 @@ func TestFinishResets(t *testing.T) {
 
 func TestQuickInstructionTotals(t *testing.T) {
 	f := func(counts []uint16) bool {
-		r := NewRecorder("q", true)
+		r := NewRecorder("q")
 		var want uint64
 		for i, c := range counts {
 			r.Instr(2, uint32(c))

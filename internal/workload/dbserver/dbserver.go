@@ -23,45 +23,28 @@ import (
 	"repro/internal/trace"
 )
 
-// Config sizes the database.
-type Config struct {
-	// Tables and RowsPerTable size the buffer-pool-resident data.
-	Tables       int
-	RowsPerTable int
-	RowBytes     uint32
-	// IndexBytes is each table's B-tree index size; IndexDepth the lines
+// An ECperf-scale cached database.
+const (
+	// tables and rowsPerTable size the buffer-pool-resident data.
+	tables              = 8
+	rowsPerTable        = 2000
+	rowBytes     uint32 = 192
+	// indexBytes is each table's B-tree index size; indexDepth the lines
 	// read per key lookup.
-	IndexBytes uint32
-	IndexDepth int
-	// ParseInstr is the per-query SQL parse/plan cost; PerRowInstr the
-	// per-row execution cost; RowsPerQuery how many rows a query touches.
-	ParseInstr   uint32
-	PerRowInstr  uint32
-	RowsPerQuery int
-	// UpdateFrac is the fraction of requests that write (and log).
-	UpdateFrac float64
-	LogBytes   uint32
-	// PollCycles is the worker's idle-poll interval when no request is
+	indexBytes uint32 = 64 << 10
+	indexDepth        = 4
+	// parseInstr is the per-query SQL parse/plan cost; perRowInstr the
+	// per-row execution cost; rowsPerQuery how many rows a query touches.
+	parseInstr   uint32 = 6_000
+	perRowInstr  uint32 = 1_200
+	rowsPerQuery        = 3
+	// updateFrac is the fraction of requests that write (and log).
+	updateFrac float64 = 0.35
+	logBytes   uint32  = 256
+	// pollCycles is the worker's idle-poll interval when no request is
 	// queued.
-	PollCycles uint32
-}
-
-// DefaultConfig returns an ECperf-scale cached database.
-func DefaultConfig() Config {
-	return Config{
-		Tables:       8,
-		RowsPerTable: 2000,
-		RowBytes:     192,
-		IndexBytes:   64 << 10,
-		IndexDepth:   4,
-		ParseInstr:   6_000,
-		PerRowInstr:  1_200,
-		RowsPerQuery: 3,
-		UpdateFrac:   0.35,
-		LogBytes:     256,
-		PollCycles:   4_000,
-	}
-}
+	pollCycles uint32 = 4_000
+)
 
 // Components are the DBMS's code components.
 type Components struct {
@@ -86,7 +69,6 @@ type table struct {
 
 // Server is the database machine's workload.
 type Server struct {
-	cfg    Config
 	comps  Components
 	heap   *jvm.Heap
 	ns     *netsim.NetStack
@@ -107,17 +89,17 @@ type Server struct {
 }
 
 // New builds the buffer-pool-resident tables.
-func New(cfg Config, heap *jvm.Heap, comps Components, ns *netsim.NetStack, rng *simrand.Rand) *Server {
-	rec := trace.NewRecorder("db-build", false)
+func New(heap *jvm.Heap, comps Components, ns *netsim.NetStack, rng *simrand.Rand) *Server {
+	rec := trace.NewRecorder("db-build")
 	s := &Server{
-		cfg: cfg, comps: comps, heap: heap, ns: ns, rng: rng,
+		comps: comps, heap: heap, ns: ns, rng: rng,
 		inflight: make(map[*trace.Op]Request),
 	}
-	for t := 0; t < cfg.Tables; t++ {
-		tb := &table{index: heap.Alloc(rec, t, cfg.IndexBytes, 0)}
+	for t := 0; t < tables; t++ {
+		tb := &table{index: heap.Alloc(rec, t, indexBytes, 0)}
 		heap.AddRoot(tb.index)
-		for r := 0; r < cfg.RowsPerTable; r++ {
-			row := heap.Alloc(rec, t, cfg.RowBytes, 0)
+		for r := 0; r < rowsPerTable; r++ {
+			row := heap.Alloc(rec, t, rowBytes, 0)
 			heap.AddRoot(row)
 			tb.rows = append(tb.rows, row)
 		}
@@ -172,17 +154,17 @@ type workerSource struct {
 
 // WorkerSource returns the OpSource for worker i.
 func (s *Server) WorkerSource(i int) osmodel.OpSource {
-	return &workerSource{s: s, rng: s.rng.Derive(uint64(i)), rec: trace.NewRecorder("", false)}
+	return &workerSource{s: s, rng: s.rng.Derive(uint64(i)), rec: trace.NewRecorder("")}
 }
 
 // NextOp processes the next delivered request, or polls when none is due.
 func (w *workerSource) NextOp(tid int, now uint64) *trace.Op {
-	s, cfg := w.s, w.s.cfg
+	s := w.s
 	if len(s.queue) == 0 || s.queue[0].DeliverAt > now {
 		// Idle poll: a short sleep, as a blocked accept loop would.
 		rec := w.rec
 		rec.Reset("db-poll", false)
-		rec.Think(cfg.PollCycles)
+		rec.Think(pollCycles)
 		return rec.Handoff()
 	}
 	req := s.queue[0]
@@ -191,15 +173,15 @@ func (w *workerSource) NextOp(tid int, now uint64) *trace.Op {
 	rec := w.rec
 	rec.Reset("query", true)
 	s.ns.ReceiveRequest(rec, req.ReqBytes)
-	rec.Instr(s.comps.SQL.ID, cfg.ParseInstr)
+	rec.Instr(s.comps.SQL.ID, parseInstr)
 
 	tb := s.tables[w.rng.Intn(len(s.tables))]
-	update := w.rng.Bool(cfg.UpdateFrac)
-	for r := 0; r < cfg.RowsPerQuery; r++ {
+	update := w.rng.Bool(updateFrac)
+	for r := 0; r < rowsPerQuery; r++ {
 		// Index walk, then the row itself.
 		base := s.heap.Addr(tb.index)
-		lines := int64(cfg.IndexBytes / 64)
-		for d := 0; d < cfg.IndexDepth; d++ {
+		lines := int64(indexBytes / 64)
+		for d := 0; d < indexDepth; d++ {
 			rec.Read(base+uint64(w.rng.Int63n(lines))*64, 8)
 		}
 		row := tb.rows[w.rng.Intn(len(tb.rows))]
@@ -207,12 +189,12 @@ func (w *workerSource) NextOp(tid int, now uint64) *trace.Op {
 		if update {
 			s.heap.WriteField(rec, row, 1)
 		}
-		rec.Instr(s.comps.SQL.ID, cfg.PerRowInstr)
+		rec.Instr(s.comps.SQL.ID, perRowInstr)
 	}
 	if update {
 		// Log append (sequential writes, short-lived buffer).
-		s.heap.Alloc(rec, tid, cfg.LogBytes, 0)
-		rec.Instr(s.comps.SQL.ID, cfg.PerRowInstr/2)
+		s.heap.Alloc(rec, tid, logBytes, 0)
+		rec.Instr(s.comps.SQL.ID, perRowInstr/2)
 	}
 	s.ns.SendResponse(rec, req.RespBytes)
 	s.heap.ClearStack(tid)

@@ -18,12 +18,12 @@ func build(t *testing.T) *Server {
 	comps := Components{SQL: layout.Add("dbms", 256<<10, false, ifetch.Profile{})}
 	kern := layout.Add("kernel-net", 256<<10, true, ifetch.Profile{})
 	rng := simrand.New(9)
-	ns := netsim.NewNetStack(space, kern, netsim.StackConfig{SendInstr: 3_000, RecvInstr: 3_500, PerByteInstr: 0.25, HotLines: 6, BufferBytes: 2048}, rng.Derive(1))
+	ns := netsim.NewNetStack(space, kern, rng.Derive(1))
 	hcfg := jvm.DefaultConfig()
 	hcfg.HeapBytes = 32 << 20
 	hcfg.NewGenBytes = 6 << 20
 	heap := jvm.MustNewHeap(space, hcfg)
-	return New(DefaultConfig(), heap, comps, ns, rng.Derive(2))
+	return New(heap, comps, ns, rng.Derive(2))
 }
 
 func TestPollWhenEmpty(t *testing.T) {
@@ -52,7 +52,7 @@ func TestProcessDeliveredRequest(t *testing.T) {
 	if !op.Business || op.Tag != "query" {
 		t.Fatalf("expected query op, got %q business=%v", op.Tag, op.Business)
 	}
-	if op.Instructions() < uint64(DefaultConfig().ParseInstr) {
+	if op.Instructions() < uint64(parseInstr) {
 		t.Fatalf("query too cheap: %d instructions", op.Instructions())
 	}
 	// The inflight map routes the reply.

@@ -33,12 +33,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Peer machine indices on the simulated Ethernet.
-const (
-	PeerDatabase uint8 = 1
-	PeerSupplier uint8 = 2
-)
-
 // Entity-key domains (high bits of cache keys).
 const (
 	domCustomer uint64 = iota + 1
@@ -47,7 +41,7 @@ const (
 	domCorporate
 )
 
-// Config sizes the workload.
+// Config sizes the workload by injection rate and processor count.
 type Config struct {
 	// OIR is the Orders Injection Rate, ECperf's scale factor.
 	OIR int
@@ -55,46 +49,6 @@ type Config struct {
 	Workers int
 	// Connections is the database connection pool size.
 	Connections int
-
-	// CacheEntries / CacheTTLCycles size the object-level cache.
-	CacheEntries   int
-	CacheTTLCycles uint64
-
-	// Entity key-space sizes (middle-tier view; the database itself is
-	// remote and scales with OIR without affecting this machine).
-	Customers int
-	Items     int
-	Orders    int
-	Corporate int
-
-	BeanBytes    uint32
-	SessionBytes uint32 // per-request presentation garbage
-	XMLBytes     uint32 // purchase-order document size
-
-	// MetaBytes sizes the server's runtime metadata (session tables, JNDI
-	// registry, class/bean metadata); MetaReads is how many metadata lines
-	// each request phase walks. This is the bulk of a commercial app
-	// server's data working set.
-	MetaBytes uint32
-	MetaReads int
-
-	// WorkOrderBytes and the in-flight shape drive Figure 11's knee.
-	WorkOrderBytes uint32
-	InflightPerOIR int
-	InflightCap    int
-
-	// Path lengths (instructions) by component.
-	ServletInstr   uint32
-	BeanInstr      uint32
-	PerEntityInstr uint32
-	XMLInstr       uint32
-	CommitInstr    uint32
-
-	// DB message sizes.
-	QueryReqBytes, QueryRespBytes   uint32
-	UpdateReqBytes, UpdateRespBytes uint32
-
-	ZipfSkew float64
 }
 
 // DefaultConfig returns the tuned configuration for the given injection
@@ -102,33 +56,50 @@ type Config struct {
 // §3.2).
 func DefaultConfig(oir, processors int) Config {
 	return Config{
-		OIR:            oir,
-		Workers:        10*processors + 8,
-		Connections:    6*processors + 4,
-		CacheEntries:   8192,
-		CacheTTLCycles: 1_500_000,
-		Customers:      1500,
-		Items:          1000,
-		Orders:         2000,
-		Corporate:      200,
-		BeanBytes:      288,
-		SessionBytes:   1024,
-		XMLBytes:       2048,
-		MetaBytes:      256 << 10,
-		MetaReads:      110,
-		WorkOrderBytes: 2048,
-		InflightPerOIR: 40,
-		InflightCap:    240,
-		ServletInstr:   9_000,
-		BeanInstr:      10_000,
-		PerEntityInstr: 6_000,
-		XMLInstr:       9_000,
-		CommitInstr:    2_500,
-		QueryReqBytes:  300, QueryRespBytes: 1400,
-		UpdateReqBytes: 700, UpdateRespBytes: 200,
-		ZipfSkew: 1.0,
+		OIR:         oir,
+		Workers:     10*processors + 8,
+		Connections: 6*processors + 4,
 	}
 }
+
+// The calibrated middle tier.
+const (
+	// Entity key-space sizes (middle-tier view; the database itself is
+	// remote and scales with OIR without affecting this machine).
+	customers = 1500
+	items     = 1000
+	orders    = 2000
+	corporate = 200
+
+	beanBytes    uint32 = 288
+	sessionBytes uint32 = 1024 // per-request presentation garbage
+	xmlBytes     uint32 = 2048 // purchase-order document size
+
+	// metaBytes sizes the server's runtime metadata (session tables, JNDI
+	// registry, class/bean metadata); metaReads is how many metadata lines
+	// each request phase walks. This is the bulk of a commercial app
+	// server's data working set.
+	metaBytes uint32 = 256 << 10
+	metaReads        = 110
+
+	// workOrderBytes and the in-flight shape drive Figure 11's knee.
+	workOrderBytes uint32 = 2048
+	inflightPerOIR        = 40
+	inflightCap           = 240
+
+	// Path lengths (instructions) by component.
+	servletInstr   uint32 = 9_000
+	beanInstr      uint32 = 10_000
+	perEntityInstr uint32 = 6_000
+	xmlInstr       uint32 = 9_000
+	commitInstr    uint32 = 2_500
+
+	// DB message sizes.
+	queryReqBytes, queryRespBytes   uint32 = 300, 1400
+	updateReqBytes, updateRespBytes uint32 = 700, 200
+
+	zipfSkew float64 = 1.0
+)
 
 // Components are the middle tier's code components. The large aggregate
 // footprint (servlet container + EJB runtime + server infrastructure) is
@@ -142,7 +113,6 @@ type Components struct {
 
 // Workload is one middle-tier instance.
 type Workload struct {
-	cfg   Config
 	comps Components
 	heap  *jvm.Heap
 	ns    *netsim.NetStack
@@ -182,31 +152,30 @@ type Workload struct {
 // New wires the middle tier together. Construction traffic is discarded;
 // the heap state remains.
 func New(cfg Config, heap *jvm.Heap, comps Components, ns *netsim.NetStack, rng *simrand.Rand) *Workload {
-	rec := trace.NewRecorder("ecperf-build", false)
-	max := cfg.OIR * cfg.InflightPerOIR
-	if max > cfg.InflightCap {
-		max = cfg.InflightCap
+	rec := trace.NewRecorder("ecperf-build")
+	max := cfg.OIR * inflightPerOIR
+	if max > inflightCap {
+		max = inflightCap
 	}
 	if max < 1 {
 		max = 1
 	}
 	w := &Workload{
-		cfg:         cfg,
 		comps:       comps,
 		heap:        heap,
 		ns:          ns,
-		cache:       appserver.NewObjectCache(heap, rec, appserver.CacheConfig{Entries: cfg.CacheEntries, TTLCycles: cfg.CacheTTLCycles}),
+		cache:       appserver.NewObjectCache(heap, rec),
 		pool:        appserver.NewConnPool(heap, rec, cfg.Connections),
 		disp:        appserver.NewDispatcher(heap, rec),
 		inflightMax: max,
 		rng:         rng,
-		custZipf:    simrand.NewZipf(nil, cfg.Customers, cfg.ZipfSkew),
-		itemZipf:    simrand.NewZipf(nil, cfg.Items, cfg.ZipfSkew),
-		ordZipf:     simrand.NewZipf(nil, cfg.Orders, cfg.ZipfSkew),
-		corpZipf:    simrand.NewZipf(nil, cfg.Corporate, 1.1),
+		custZipf:    simrand.NewZipf(customers, zipfSkew),
+		itemZipf:    simrand.NewZipf(items, zipfSkew),
+		ordZipf:     simrand.NewZipf(orders, zipfSkew),
+		corpZipf:    simrand.NewZipf(corporate, 1.1),
 		BBops:       make(map[string]uint64),
 	}
-	w.meta = heap.AllocPermanent(rec, cfg.MetaBytes, 0)
+	w.meta = heap.AllocPermanent(rec, metaBytes)
 	heap.MinorGC(nil)
 	return w
 }
@@ -228,13 +197,12 @@ func (w *Workload) Cache() *appserver.ObjectCache { return w.cache }
 // saturation (the paper relaxed response-time limits and drove maximum
 // throughput, §2.2).
 type workerSource struct {
-	w         *Workload
-	rng       *simrand.Rand
-	custZipf  *simrand.Zipf
-	itemZipf  *simrand.Zipf
-	ordZipf   *simrand.Zipf
-	corpZipf  *simrand.Zipf
-	remaining int
+	w        *Workload
+	rng      *simrand.Rand
+	custZipf *simrand.Zipf
+	itemZipf *simrand.Zipf
+	ordZipf  *simrand.Zipf
+	corpZipf *simrand.Zipf
 
 	// Per-operation resilience state: tnow is the record-time clock (the
 	// dispatch time plus delays recorded so far, so breaker and fault
@@ -249,30 +217,22 @@ type workerSource struct {
 	rec *trace.Recorder
 }
 
-// Source returns the OpSource for worker i. maxOps bounds the operation
-// count (<0 for unlimited).
-func (w *Workload) Source(i int, maxOps int) osmodel.OpSource {
+// Source returns the OpSource for worker i.
+func (w *Workload) Source(i int) osmodel.OpSource {
 	rng := w.rng.Derive(uint64(i))
 	return &workerSource{
-		w:         w,
-		rng:       rng,
-		custZipf:  w.custZipf.With(rng),
-		itemZipf:  w.itemZipf.With(rng),
-		ordZipf:   w.ordZipf.With(rng),
-		corpZipf:  w.corpZipf.With(rng),
-		remaining: maxOps,
-		rec:       trace.NewRecorder("", false),
+		w:        w,
+		rng:      rng,
+		custZipf: w.custZipf.With(rng),
+		itemZipf: w.itemZipf.With(rng),
+		ordZipf:  w.ordZipf.With(rng),
+		corpZipf: w.corpZipf.With(rng),
+		rec:      trace.NewRecorder(""),
 	}
 }
 
 // NextOp records one BBop from the ECperf mix.
 func (s *workerSource) NextOp(tid int, now uint64) *trace.Op {
-	if s.remaining == 0 {
-		return nil
-	}
-	if s.remaining > 0 {
-		s.remaining--
-	}
 	s.tnow = now
 	s.failed = false
 	// Admission control sheds at the door: the request is answered with a
@@ -308,7 +268,7 @@ func (s *workerSource) shedOp(now uint64) *trace.Op {
 	rec := s.rec
 	rec.Reset("shed", false)
 	w.ns.ReceiveRequest(rec, 512)
-	rec.Instr(w.comps.Server.ID, w.cfg.ServletInstr/6)
+	rec.Instr(w.comps.Server.ID, servletInstr/6)
 	w.ns.SendResponse(rec, 256)
 	w.ShedOps++
 	w.BBops["shed"]++
@@ -346,7 +306,7 @@ func (s *workerSource) read(rec *trace.Recorder, obj jvm.ObjectID) {
 func (s *workerSource) finish(rec *trace.Recorder, tag string) *trace.Op {
 	w := s.w
 	if s.failed {
-		rec.SetBusiness(false)
+		rec.Demote()
 		rec.SetTag(tag + ".fail")
 		w.FailedOps++
 		w.BBops[tag+".fail"]++
@@ -363,13 +323,13 @@ func (s *workerSource) entity(rec *trace.Recorder, tid int, dom uint64, key int,
 	w := s.w
 	k := dom<<32 | uint64(key)
 	if obj, ok := w.cache.Get(rec, k, now); ok {
-		rec.Instr(w.comps.EJB.ID, w.cfg.PerEntityInstr/8)
+		rec.Instr(w.comps.EJB.ID, perEntityInstr/8)
 		s.metaWalk(rec, 4) // descriptor + interceptor lookups
 		return obj
 	}
 	s.metaWalk(rec, 16) // ORM mapping metadata for the load path
 	conn := w.pool.Acquire(rec)
-	ok := s.call(rec, PeerDatabase, w.cfg.QueryReqBytes, w.cfg.QueryRespBytes)
+	ok := s.call(rec, netsim.PeerDatabase, queryReqBytes, queryRespBytes)
 	w.pool.Release(rec, conn)
 	w.DBCalls++
 	if !ok {
@@ -378,9 +338,9 @@ func (s *workerSource) entity(rec *trace.Recorder, tid int, dom uint64, key int,
 		return jvm.NilObject
 	}
 	w.heap.SetAllocSite(tid, "ec.bean")
-	obj := w.heap.Alloc(rec, tid, w.cfg.BeanBytes, 0)
+	obj := w.heap.Alloc(rec, tid, beanBytes, 0)
 	w.heap.SetAllocSite(tid, "")
-	rec.Instr(w.comps.EJB.ID, w.cfg.PerEntityInstr) // ORM hydration
+	rec.Instr(w.comps.EJB.ID, perEntityInstr) // ORM hydration
 	w.cache.Put(rec, k, obj, now)
 	return obj
 }
@@ -389,11 +349,11 @@ func (s *workerSource) entity(rec *trace.Recorder, tid int, dom uint64, key int,
 func (s *workerSource) commit(rec *trace.Recorder, tid int) {
 	w := s.w
 	conn := w.pool.Acquire(rec)
-	ok := s.call(rec, PeerDatabase, w.cfg.UpdateReqBytes, w.cfg.UpdateRespBytes)
+	ok := s.call(rec, netsim.PeerDatabase, updateReqBytes, updateRespBytes)
 	w.pool.Release(rec, conn)
 	w.DBCalls++
 	if ok {
-		rec.Instr(w.comps.Server.ID, w.cfg.CommitInstr)
+		rec.Instr(w.comps.Server.ID, commitInstr)
 	}
 }
 
@@ -403,7 +363,7 @@ func (s *workerSource) commit(rec *trace.Recorder, tid int) {
 func (s *workerSource) metaWalk(rec *trace.Recorder, n int) {
 	h := s.w.heap
 	base := h.Addr(s.w.meta)
-	lines := int64(s.w.cfg.MetaBytes / 64)
+	lines := int64(metaBytes / 64)
 	for i := 0; i < n; i++ {
 		off := s.rng.Int63n(lines)
 		if s.rng.Bool(0.62) {
@@ -419,13 +379,13 @@ func (s *workerSource) begin(rec *trace.Recorder, tid int) {
 	w := s.w
 	w.ns.ReceiveRequest(rec, 512)
 	w.disp.Dispatch(rec)
-	rec.Instr(w.comps.Server.ID, w.cfg.ServletInstr/3)
-	s.metaWalk(rec, w.cfg.MetaReads)
-	rec.Instr(w.comps.Servlet.ID, w.cfg.ServletInstr)
-	s.metaWalk(rec, w.cfg.MetaReads/2)
+	rec.Instr(w.comps.Server.ID, servletInstr/3)
+	s.metaWalk(rec, metaReads)
+	rec.Instr(w.comps.Servlet.ID, servletInstr)
+	s.metaWalk(rec, metaReads/2)
 	// Session/request temporaries.
 	w.heap.SetAllocSite(tid, "ec.session")
-	n := w.cfg.SessionBytes
+	n := sessionBytes
 	for n > 0 {
 		sz := uint32(96 + s.rng.Intn(160))
 		if sz > n {
@@ -435,14 +395,14 @@ func (s *workerSource) begin(rec *trace.Recorder, tid int) {
 		n -= sz
 	}
 	w.heap.SetAllocSite(tid, "")
-	rec.Instr(w.comps.JVM.ID, w.cfg.SessionBytes/8)
+	rec.Instr(w.comps.JVM.ID, sessionBytes/8)
 }
 
 // end records the response half.
 func (s *workerSource) end(rec *trace.Recorder) {
 	w := s.w
-	rec.Instr(w.comps.Servlet.ID, w.cfg.ServletInstr/2)
-	s.metaWalk(rec, w.cfg.MetaReads/2)
+	rec.Instr(w.comps.Servlet.ID, servletInstr/2)
+	s.metaWalk(rec, metaReads/2)
 	w.ns.SendResponse(rec, 1024)
 }
 
@@ -451,7 +411,7 @@ func (s *workerSource) newOrder(tid int, now uint64) *trace.Op {
 	rec := s.rec
 	rec.Reset("neworder", true)
 	s.begin(rec, tid)
-	rec.Instr(w.comps.EJB.ID, w.cfg.BeanInstr)
+	rec.Instr(w.comps.EJB.ID, beanInstr)
 
 	cust := s.entity(rec, tid, domCustomer, s.custZipf.Next(), now)
 	s.read(rec, cust)
@@ -459,13 +419,13 @@ func (s *workerSource) newOrder(tid int, now uint64) *trace.Op {
 	for i := 0; i < nitems; i++ {
 		item := s.entity(rec, tid, domItem, s.itemZipf.Next(), now)
 		s.read(rec, item)
-		rec.Instr(w.comps.EJB.ID, w.cfg.PerEntityInstr/4)
+		rec.Instr(w.comps.EJB.ID, perEntityInstr/4)
 	}
 	if !s.failed {
 		// The new order bean: written through to the database; the local
 		// copy enters the cache.
 		h.SetAllocSite(tid, "ec.order")
-		order := h.Alloc(rec, tid, w.cfg.BeanBytes, 0)
+		order := h.Alloc(rec, tid, beanBytes, 0)
 		h.SetAllocSite(tid, "")
 		h.WriteField(rec, order, 1)
 		w.cache.Put(rec, domOrder<<32|uint64(s.ordZipf.Next()), order, now)
@@ -481,7 +441,7 @@ func (s *workerSource) changeOrder(tid int, now uint64) *trace.Op {
 	rec := s.rec
 	rec.Reset("changeorder", true)
 	s.begin(rec, tid)
-	rec.Instr(w.comps.EJB.ID, w.cfg.BeanInstr)
+	rec.Instr(w.comps.EJB.ID, beanInstr)
 	order := s.entity(rec, tid, domOrder, s.ordZipf.Next(), now)
 	s.read(rec, order)
 	if order != jvm.NilObject {
@@ -501,7 +461,7 @@ func (s *workerSource) orderStatus(tid int, now uint64) *trace.Op {
 	rec := s.rec
 	rec.Reset("orderstatus", true)
 	s.begin(rec, tid)
-	rec.Instr(w.comps.EJB.ID, w.cfg.BeanInstr/2)
+	rec.Instr(w.comps.EJB.ID, beanInstr/2)
 	order := s.entity(rec, tid, domOrder, s.ordZipf.Next(), now)
 	s.read(rec, order)
 	corp := s.entity(rec, tid, domCorporate, s.corpZipf.Next(), now)
@@ -515,7 +475,7 @@ func (s *workerSource) customerStatus(tid int, now uint64) *trace.Op {
 	rec := s.rec
 	rec.Reset("custstatus", true)
 	s.begin(rec, tid)
-	rec.Instr(w.comps.EJB.ID, w.cfg.BeanInstr/2)
+	rec.Instr(w.comps.EJB.ID, beanInstr/2)
 	cust := s.entity(rec, tid, domCustomer, s.custZipf.Next(), now)
 	s.read(rec, cust)
 	norders := 1 + s.rng.Intn(3)
@@ -535,10 +495,10 @@ func (s *workerSource) workOrder(tid int, now uint64) *trace.Op {
 	rec := s.rec
 	rec.Reset("workorder", true)
 	s.begin(rec, tid)
-	rec.Instr(w.comps.EJB.ID, w.cfg.BeanInstr)
+	rec.Instr(w.comps.EJB.ID, beanInstr)
 
 	h.SetAllocSite(tid, "ec.workorder")
-	wo := h.Alloc(rec, tid, w.cfg.WorkOrderBytes, 0)
+	wo := h.Alloc(rec, tid, workOrderBytes, 0)
 	h.SetAllocSite(tid, "")
 	h.AddRoot(wo)
 	// Bill of materials.
@@ -580,7 +540,7 @@ func (s *workerSource) purchase(tid int, now uint64) *trace.Op {
 	rec := s.rec
 	rec.Reset("purchase", true)
 	s.begin(rec, tid)
-	rec.Instr(w.comps.EJB.ID, w.cfg.BeanInstr/2)
+	rec.Instr(w.comps.EJB.ID, beanInstr/2)
 
 	for i := 0; i < 2; i++ {
 		item := s.entity(rec, tid, domItem, s.itemZipf.Next(), now)
@@ -588,16 +548,16 @@ func (s *workerSource) purchase(tid int, now uint64) *trace.Op {
 	}
 	// Format the XML document (allocation-heavy), send it, parse the reply.
 	h.SetAllocSite(tid, "ec.xml")
-	doc := h.Alloc(rec, tid, w.cfg.XMLBytes, 0)
+	doc := h.Alloc(rec, tid, xmlBytes, 0)
 	h.SetAllocSite(tid, "")
 	h.ReadObject(rec, doc)
-	rec.Instr(w.comps.Servlet.ID, w.cfg.XMLInstr)
-	if s.call(rec, PeerSupplier, w.cfg.XMLBytes, w.cfg.XMLBytes/2) {
+	rec.Instr(w.comps.Servlet.ID, xmlInstr)
+	if s.call(rec, netsim.PeerSupplier, xmlBytes, xmlBytes/2) {
 		h.SetAllocSite(tid, "ec.xml")
-		reply := h.Alloc(rec, tid, w.cfg.XMLBytes/2, 0)
+		reply := h.Alloc(rec, tid, xmlBytes/2, 0)
 		h.SetAllocSite(tid, "")
 		h.ReadObject(rec, reply)
-		rec.Instr(w.comps.Servlet.ID, w.cfg.XMLInstr/2)
+		rec.Instr(w.comps.Servlet.ID, xmlInstr/2)
 		s.commit(rec, tid)
 	}
 

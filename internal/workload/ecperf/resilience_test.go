@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/appserver"
 	"repro/internal/fault"
+	"repro/internal/netsim"
 	"repro/internal/simrand"
 	"repro/internal/trace"
 )
@@ -32,9 +33,9 @@ func resilient(t *testing.T, w *Workload, s *fault.Schedule) *appserver.Caller {
 func TestFailedOpsDemotedAndRetagged(t *testing.T) {
 	w, _ := build(t, 10)
 	c := resilient(t, w, &fault.Schedule{Events: []fault.Event{
-		{Kind: fault.Partition, At: 5_000_000, Duration: 60_000_000, Peer: PeerDatabase},
+		{Kind: fault.Partition, At: 5_000_000, Duration: 60_000_000, Peer: netsim.PeerDatabase},
 	}})
-	src := w.Source(0, -1)
+	src := w.Source(0)
 	now := uint64(0)
 	var failTagged, failBusiness int
 	for i := 0; i < 800; i++ {
@@ -68,9 +69,9 @@ func TestFailedOpsDemotedAndRetagged(t *testing.T) {
 func TestBreakerAndSheddingUnderSustainedFault(t *testing.T) {
 	w, _ := build(t, 10)
 	c := resilient(t, w, &fault.Schedule{Events: []fault.Event{
-		{Kind: fault.NodeCrash, At: 1_000_000, Duration: 200_000_000, Peer: PeerDatabase},
+		{Kind: fault.NodeCrash, At: 1_000_000, Duration: 200_000_000, Peer: netsim.PeerDatabase},
 	}})
-	src := w.Source(0, -1)
+	src := w.Source(0)
 	now := uint64(0)
 	for i := 0; i < 1200; i++ {
 		op := src.NextOp(0, now)
@@ -101,10 +102,10 @@ func TestFaultedWorkloadDeterministic(t *testing.T) {
 	run := func() ([]string, uint64, uint64, appserver.CallStats) {
 		w, _ := build(t, 10)
 		c := resilient(t, w, &fault.Schedule{Events: []fault.Event{
-			{Kind: fault.Partition, At: 3_000_000, Duration: 30_000_000, Peer: PeerDatabase},
-			{Kind: fault.NodeCrash, At: 50_000_000, Duration: 20_000_000, Peer: PeerSupplier},
+			{Kind: fault.Partition, At: 3_000_000, Duration: 30_000_000, Peer: netsim.PeerDatabase},
+			{Kind: fault.NodeCrash, At: 50_000_000, Duration: 20_000_000, Peer: netsim.PeerSupplier},
 		}})
-		src := w.Source(0, -1)
+		src := w.Source(0)
 		var tags []string
 		now := uint64(0)
 		for i := 0; i < 600; i++ {
@@ -132,7 +133,7 @@ func TestFaultedWorkloadDeterministic(t *testing.T) {
 func TestResilienceWithoutFaultsIsQuiet(t *testing.T) {
 	w, _ := build(t, 10)
 	c := resilient(t, w, nil)
-	src := w.Source(0, -1)
+	src := w.Source(0)
 	for i := 0; i < 400; i++ {
 		op := src.NextOp(0, uint64(i)*150_000)
 		if !op.Business {
@@ -156,9 +157,9 @@ func TestResilienceWithoutFaultsIsQuiet(t *testing.T) {
 func TestFailedOpsRecordThinkDelays(t *testing.T) {
 	w, _ := build(t, 10)
 	resilient(t, w, &fault.Schedule{Events: []fault.Event{
-		{Kind: fault.Partition, At: 1_000_000, Duration: 80_000_000, Peer: PeerDatabase},
+		{Kind: fault.Partition, At: 1_000_000, Duration: 80_000_000, Peer: netsim.PeerDatabase},
 	}})
-	src := w.Source(0, -1)
+	src := w.Source(0)
 	now := uint64(0)
 	for i := 0; i < 600; i++ {
 		op := src.NextOp(0, now)

@@ -26,76 +26,46 @@ import (
 	"repro/internal/trace"
 )
 
-// Config sizes the workload. Byte sizes are scaled-down versions of the
-// real benchmark (the paper's ~13 MB/warehouse becomes ~0.8 MB/warehouse by
-// default) preserving the linear-growth property that matters.
-type Config struct {
-	Warehouses int
+// The scaled benchmark. Byte sizes are scaled-down versions of the real
+// benchmark (the paper's ~13 MB/warehouse becomes ~0.8 MB/warehouse)
+// preserving the linear-growth property that matters.
+const (
+	districts         = 10  // districts per warehouse
+	customers         = 400 // customers per warehouse
+	items             = 800 // stock items per warehouse
+	ordersPerDistrict = 12  // order ring capacity per district
 
-	Districts         int // districts per warehouse
-	Customers         int // customers per warehouse
-	Items             int // stock items per warehouse
-	OrdersPerDistrict int // order ring capacity per district
+	customerBytes  uint32 = 160
+	itemBytes      uint32 = 224
+	orderBytes     uint32 = 96
+	orderLineBytes uint32 = 64
+	historyBytes   uint32 = 96
 
-	CustomerBytes  uint32
-	ItemBytes      uint32
-	OrderBytes     uint32
-	OrderLineBytes uint32
-	HistoryBytes   uint32
+	orderLinesMin, orderLinesMax = 5, 15
 
-	OrderLinesMin, OrderLinesMax int
-
-	// GarbagePerTxn is extra short-lived allocation per transaction
+	// garbagePerTxn is extra short-lived allocation per transaction
 	// (strings, iterators, BigDecimal temporaries).
-	GarbagePerTxn uint32
+	garbagePerTxn uint32 = 384
 
-	// IndexBytes sizes each warehouse's B-tree index nodes; IndexDepth is
+	// indexBytes sizes each warehouse's B-tree index nodes; indexDepth is
 	// the number of index lines touched per key lookup. SPECjbb stores its
 	// emulated database in trees of Java objects (§2.1); these walks are
 	// the tree traversals.
-	IndexBytes uint32
-	IndexDepth int
+	indexBytes uint32 = 64 << 10
+	indexDepth        = 8
 
 	// Path lengths per transaction type, in instructions of the benchmark
 	// component.
-	NewOrderInstr    uint32
-	PaymentInstr     uint32
-	OrderStatusInstr uint32
-	DeliveryInstr    uint32
-	StockLevelInstr  uint32
-	PerLineInstr     uint32 // extra per order line processed
+	newOrderInstr    uint32 = 26_000
+	paymentInstr     uint32 = 17_000
+	orderStatusInstr uint32 = 14_000
+	deliveryInstr    uint32 = 20_000
+	stockLevelInstr  uint32 = 23_000
+	perLineInstr     uint32 = 300 // extra per order line processed
 
-	// ZipfSkew shapes customer/item popularity.
-	ZipfSkew float64
-}
-
-// DefaultConfig returns the scaled benchmark configuration.
-func DefaultConfig(warehouses int) Config {
-	return Config{
-		Warehouses:        warehouses,
-		Districts:         10,
-		Customers:         400,
-		Items:             800,
-		OrdersPerDistrict: 12,
-		CustomerBytes:     160,
-		ItemBytes:         224,
-		OrderBytes:        96,
-		OrderLineBytes:    64,
-		HistoryBytes:      96,
-		OrderLinesMin:     5,
-		OrderLinesMax:     15,
-		GarbagePerTxn:     384,
-		IndexBytes:        64 << 10,
-		IndexDepth:        8,
-		NewOrderInstr:     26_000,
-		PaymentInstr:      17_000,
-		OrderStatusInstr:  14_000,
-		DeliveryInstr:     20_000,
-		StockLevelInstr:   23_000,
-		PerLineInstr:      300,
-		ZipfSkew:          0.35,
-	}
-}
+	// zipfSkew shapes customer/item popularity.
+	zipfSkew float64 = 0.35
+)
 
 // Components are the code components SPECjbb executes.
 type Components struct {
@@ -116,7 +86,7 @@ type warehouse struct {
 
 type district struct {
 	obj       jvm.ObjectID
-	orderRing jvm.ObjectID // ref-array object, capacity OrdersPerDistrict
+	orderRing jvm.ObjectID // ref-array object, capacity ordersPerDistrict
 	head      int          // next slot to overwrite
 	count     int
 }
@@ -126,7 +96,6 @@ type district struct {
 
 // Workload is one SPECjbb instance bound to a heap.
 type Workload struct {
-	cfg   Config
 	comps Components
 	heap  *jvm.Heap
 
@@ -151,28 +120,27 @@ type Workload struct {
 // behind is what matters. After building, the trees are aged into the old
 // generation with two forced minor collections, as they would be minutes
 // into a real run.
-func New(cfg Config, heap *jvm.Heap, comps Components, rng *simrand.Rand) *Workload {
+func New(warehouses int, heap *jvm.Heap, comps Components, rng *simrand.Rand) *Workload {
 	w := &Workload{
-		cfg:      cfg,
 		comps:    comps,
 		heap:     heap,
 		rng:      rng,
-		custZipf: simrand.NewZipf(nil, cfg.Customers, cfg.ZipfSkew),
-		itemZipf: simrand.NewZipf(nil, cfg.Items, cfg.ZipfSkew),
+		custZipf: simrand.NewZipf(customers, zipfSkew),
+		itemZipf: simrand.NewZipf(items, zipfSkew),
 		Txns:     make(map[string]uint64),
 	}
-	rec := trace.NewRecorder("jbb-build", false)
+	rec := trace.NewRecorder("jbb-build")
 	w.companyMon = heap.NewMonitor(rec)
-	w.companyObj = heap.AllocPermanent(rec, 640, 0)
-	w.statsObj = heap.AllocPermanent(rec, 12*64, 0)
+	w.companyObj = heap.AllocPermanent(rec, 640)
+	w.statsObj = heap.AllocPermanent(rec, 12*64)
 	w.edenMon = heap.NewMonitor(rec)
-	for i := 0; i < cfg.Warehouses; i++ {
+	for i := 0; i < warehouses; i++ {
 		w.warehouses = append(w.warehouses, w.buildWarehouse(rec, i))
 		rec.Reset("jbb-build", false) // construction traffic is discarded
 	}
 	// Construction frames are done; unpin, then promote the long-lived
 	// trees as they would be minutes into a real run.
-	for i := 0; i < cfg.Warehouses; i++ {
+	for i := 0; i < warehouses; i++ {
 		heap.ClearStack(i)
 	}
 	heap.MinorGC(nil)
@@ -187,33 +155,33 @@ func (w *Workload) buildWarehouse(rec *trace.Recorder, idx int) *warehouse {
 	wh.obj = h.Alloc(rec, idx, 128, 3)
 	h.AddRoot(wh.obj)
 	h.SetAllocSite(idx, "jbb.index")
-	wh.index = h.Alloc(rec, idx, w.cfg.IndexBytes, 0) // large: lands in old gen
+	wh.index = h.Alloc(rec, idx, indexBytes, 0) // large: lands in old gen
 	h.AddRoot(wh.index)
 
 	h.SetAllocSite(idx, "jbb.customer")
-	custArr := h.Alloc(rec, idx, uint32(8*w.cfg.Customers+jvm.HeaderBytes), w.cfg.Customers)
+	custArr := h.Alloc(rec, idx, uint32(8*customers+jvm.HeaderBytes), customers)
 	h.SetRef(rec, wh.obj, 0, custArr)
-	for c := 0; c < w.cfg.Customers; c++ {
-		cust := h.Alloc(rec, idx, w.cfg.CustomerBytes, 0)
+	for c := 0; c < customers; c++ {
+		cust := h.Alloc(rec, idx, customerBytes, 0)
 		h.SetRef(rec, custArr, c, cust)
 		wh.customers = append(wh.customers, cust)
 	}
 
 	h.SetAllocSite(idx, "jbb.item")
-	itemArr := h.Alloc(rec, idx, uint32(8*w.cfg.Items+jvm.HeaderBytes), w.cfg.Items)
+	itemArr := h.Alloc(rec, idx, uint32(8*items+jvm.HeaderBytes), items)
 	h.SetRef(rec, wh.obj, 1, itemArr)
-	for s := 0; s < w.cfg.Items; s++ {
-		item := h.Alloc(rec, idx, w.cfg.ItemBytes, 0)
+	for s := 0; s < items; s++ {
+		item := h.Alloc(rec, idx, itemBytes, 0)
 		h.SetRef(rec, itemArr, s, item)
 		wh.items = append(wh.items, item)
 	}
 
 	h.SetAllocSite(idx, "jbb.district")
-	distArr := h.Alloc(rec, idx, uint32(8*w.cfg.Districts+jvm.HeaderBytes), w.cfg.Districts)
+	distArr := h.Alloc(rec, idx, uint32(8*districts+jvm.HeaderBytes), districts)
 	h.SetRef(rec, wh.obj, 2, distArr)
-	for d := 0; d < w.cfg.Districts; d++ {
+	for d := 0; d < districts; d++ {
 		dobj := h.Alloc(rec, idx, 128, 1)
-		ring := h.Alloc(rec, idx, uint32(8*w.cfg.OrdersPerDistrict+jvm.HeaderBytes), w.cfg.OrdersPerDistrict)
+		ring := h.Alloc(rec, idx, uint32(8*ordersPerDistrict+jvm.HeaderBytes), ordersPerDistrict)
 		h.SetRef(rec, dobj, 0, ring)
 		h.SetRef(rec, distArr, d, dobj)
 		wh.districts = append(wh.districts, &district{obj: dobj, orderRing: ring})
@@ -227,44 +195,35 @@ func (w *Workload) Heap() *jvm.Heap { return w.heap }
 
 // threadSource generates transactions for one warehouse's thread.
 type threadSource struct {
-	w         *Workload
-	wh        *warehouse
-	whID      int
-	rng       *simrand.Rand
-	custZipf  *simrand.Zipf
-	itemZipf  *simrand.Zipf
-	remaining int // <0 = unlimited
+	w        *Workload
+	wh       *warehouse
+	whID     int
+	rng      *simrand.Rand
+	custZipf *simrand.Zipf
+	itemZipf *simrand.Zipf
 	// rec is the thread's reusable recorder: the engine consumes each op
 	// fully before asking for the next, so one recorder (and one Items
 	// backing array) serves every transaction of the thread.
 	rec *trace.Recorder
 }
 
-// Source returns the OpSource for warehouse whID's worker thread. maxOps
-// bounds the transaction count (<0 for unlimited, the usual case — the
-// engine's horizon ends the run).
-func (w *Workload) Source(whID int, maxOps int) osmodel.OpSource {
+// Source returns the OpSource for warehouse whID's worker thread; the
+// engine's horizon ends the run.
+func (w *Workload) Source(whID int) osmodel.OpSource {
 	rng := w.rng.Derive(uint64(whID))
 	return &threadSource{
-		w:         w,
-		wh:        w.warehouses[whID],
-		whID:      whID,
-		rng:       rng,
-		custZipf:  w.custZipf.With(rng),
-		itemZipf:  w.itemZipf.With(rng),
-		remaining: maxOps,
-		rec:       trace.NewRecorder("", false),
+		w:        w,
+		wh:       w.warehouses[whID],
+		whID:     whID,
+		rng:      rng,
+		custZipf: w.custZipf.With(rng),
+		itemZipf: w.itemZipf.With(rng),
+		rec:      trace.NewRecorder(""),
 	}
 }
 
 // NextOp records one transaction drawn from the SPECjbb mix.
 func (s *threadSource) NextOp(tid int, now uint64) *trace.Op {
-	if s.remaining == 0 {
-		return nil
-	}
-	if s.remaining > 0 {
-		s.remaining--
-	}
 	u := s.rng.Float64()
 	var op *trace.Op
 	switch {
@@ -310,16 +269,16 @@ func (s *threadSource) companyTouch(rec *trace.Recorder) {
 	}
 }
 
-// indexWalk records one B-tree key lookup: IndexDepth reads spread over
+// indexWalk records one B-tree key lookup: indexDepth reads spread over
 // the warehouse's index nodes.
 func (s *threadSource) indexWalk(rec *trace.Recorder) {
 	h := s.w.heap
 	base := h.Addr(s.wh.index)
-	lines := int64(s.w.cfg.IndexBytes / 64)
-	for d := 0; d < s.w.cfg.IndexDepth; d++ {
+	lines := int64(indexBytes / 64)
+	for d := 0; d < indexDepth; d++ {
 		rec.Read(base+uint64(s.rng.Int63n(lines))*64, 8)
 	}
-	rec.Instr(s.w.comps.App.ID, uint32(40*s.w.cfg.IndexDepth))
+	rec.Instr(s.w.comps.App.ID, uint32(40*indexDepth))
 }
 
 // garbage allocates the transaction's short-lived temporaries. Roughly one
@@ -327,7 +286,7 @@ func (s *threadSource) indexWalk(rec *trace.Recorder) {
 // under the shared eden lock.
 func (s *threadSource) garbage(rec *trace.Recorder, tid int) {
 	w := s.w
-	n := w.cfg.GarbagePerTxn
+	n := garbagePerTxn
 	if s.rng.Intn(3) == 0 {
 		// TLAB refill: the eden top pointer is one global line bumped
 		// under the allocator lock — classic JVM-internal contention.
@@ -347,14 +306,14 @@ func (s *threadSource) garbage(rec *trace.Recorder, tid int) {
 		n -= sz
 	}
 	w.heap.SetAllocSite(tid, "")
-	rec.Instr(w.comps.JVM.ID, w.cfg.GarbagePerTxn/8)
+	rec.Instr(w.comps.JVM.ID, garbagePerTxn/8)
 }
 
 func (s *threadSource) newOrder(tid int) *trace.Op {
 	w, h := s.w, s.w.heap
 	rec := s.rec
 	rec.Reset("neworder", true)
-	rec.Instr(w.comps.App.ID, w.cfg.NewOrderInstr/2)
+	rec.Instr(w.comps.App.ID, newOrderInstr/2)
 	s.companyTouch(rec)
 
 	s.wh.mon.Lock(rec)
@@ -366,7 +325,7 @@ func (s *threadSource) newOrder(tid int) *trace.Op {
 	cust := s.wh.customers[s.custZipf.Next()]
 	h.ReadObject(rec, cust)
 
-	nlines := w.cfg.OrderLinesMin + s.rng.Intn(w.cfg.OrderLinesMax-w.cfg.OrderLinesMin+1)
+	nlines := orderLinesMin + s.rng.Intn(orderLinesMax-orderLinesMin+1)
 	h.SetAllocSite(tid, "jbb.orderline")
 	lineArr := h.Alloc(rec, tid, uint32(8*nlines+jvm.HeaderBytes), nlines)
 	for i := 0; i < nlines; i++ {
@@ -374,26 +333,26 @@ func (s *threadSource) newOrder(tid int) *trace.Op {
 		item := s.wh.items[s.itemZipf.Next()]
 		h.ReadObject(rec, item)
 		h.WriteField(rec, item, 2) // stock quantity
-		line := h.Alloc(rec, tid, w.cfg.OrderLineBytes, 1)
+		line := h.Alloc(rec, tid, orderLineBytes, 1)
 		h.SetRef(rec, line, 0, item)
 		h.SetRef(rec, lineArr, i, line)
-		rec.Instr(w.comps.App.ID, w.cfg.PerLineInstr)
+		rec.Instr(w.comps.App.ID, perLineInstr)
 	}
 	h.SetAllocSite(tid, "jbb.order")
-	order := h.Alloc(rec, tid, w.cfg.OrderBytes, 2)
+	order := h.Alloc(rec, tid, orderBytes, 2)
 	h.SetRef(rec, order, 0, cust)
 	h.SetRef(rec, order, 1, lineArr)
 
 	// Ring-buffer the order into the district; the displaced order becomes
 	// garbage (the emulated database's steady state).
 	h.SetRef(rec, d.orderRing, d.head, order)
-	d.head = (d.head + 1) % w.cfg.OrdersPerDistrict
-	if d.count < w.cfg.OrdersPerDistrict {
+	d.head = (d.head + 1) % ordersPerDistrict
+	if d.count < ordersPerDistrict {
 		d.count++
 	}
 	s.wh.mon.Unlock(rec)
 
-	rec.Instr(w.comps.App.ID, w.cfg.NewOrderInstr/2)
+	rec.Instr(w.comps.App.ID, newOrderInstr/2)
 	s.garbage(rec, tid)
 	w.Txns["neworder"]++
 	return rec.Handoff()
@@ -403,7 +362,7 @@ func (s *threadSource) payment(tid int) *trace.Op {
 	w, h := s.w, s.w.heap
 	rec := s.rec
 	rec.Reset("payment", true)
-	rec.Instr(w.comps.App.ID, w.cfg.PaymentInstr/2)
+	rec.Instr(w.comps.App.ID, paymentInstr/2)
 	s.companyTouch(rec)
 
 	s.wh.mon.Lock(rec)
@@ -417,11 +376,11 @@ func (s *threadSource) payment(tid int) *trace.Op {
 	h.ReadObject(rec, cust)
 	h.WriteField(rec, cust, 1) // balance
 	h.SetAllocSite(tid, "jbb.history")
-	h.Alloc(rec, tid, w.cfg.HistoryBytes, 1) // history record (short-lived)
+	h.Alloc(rec, tid, historyBytes, 1) // history record (short-lived)
 	h.SetAllocSite(tid, "")
 	s.wh.mon.Unlock(rec)
 
-	rec.Instr(w.comps.App.ID, w.cfg.PaymentInstr/2)
+	rec.Instr(w.comps.App.ID, paymentInstr/2)
 	s.garbage(rec, tid)
 	w.Txns["payment"]++
 	return rec.Handoff()
@@ -431,14 +390,14 @@ func (s *threadSource) orderStatus(tid int) *trace.Op {
 	w, h := s.w, s.w.heap
 	rec := s.rec
 	rec.Reset("orderstatus", true)
-	rec.Instr(w.comps.App.ID, w.cfg.OrderStatusInstr)
+	rec.Instr(w.comps.App.ID, orderStatusInstr)
 
 	s.indexWalk(rec)
 	cust := s.wh.customers[s.custZipf.Next()]
 	h.ReadObject(rec, cust)
 	d := s.wh.districts[s.rng.Intn(len(s.wh.districts))]
 	if d.count > 0 {
-		slot := (d.head - 1 + w.cfg.OrdersPerDistrict) % w.cfg.OrdersPerDistrict
+		slot := (d.head - 1 + ordersPerDistrict) % ordersPerDistrict
 		order := h.GetRef(rec, d.orderRing, slot)
 		if order != jvm.NilObject {
 			h.ReadObject(rec, order)
@@ -461,14 +420,14 @@ func (s *threadSource) delivery(tid int) *trace.Op {
 	w, h := s.w, s.w.heap
 	rec := s.rec
 	rec.Reset("delivery", true)
-	rec.Instr(w.comps.App.ID, w.cfg.DeliveryInstr)
+	rec.Instr(w.comps.App.ID, deliveryInstr)
 
 	s.wh.mon.Lock(rec)
 	for _, d := range s.wh.districts {
 		if d.count == 0 {
 			continue
 		}
-		oldest := (d.head - d.count + w.cfg.OrdersPerDistrict) % w.cfg.OrdersPerDistrict
+		oldest := (d.head - d.count + ordersPerDistrict) % ordersPerDistrict
 		order := h.GetRef(rec, d.orderRing, oldest)
 		if order != jvm.NilObject {
 			cust := h.GetRef(rec, order, 0)
@@ -489,7 +448,7 @@ func (s *threadSource) stockLevel(tid int) *trace.Op {
 	w, h := s.w, s.w.heap
 	rec := s.rec
 	rec.Reset("stocklevel", true)
-	rec.Instr(w.comps.App.ID, w.cfg.StockLevelInstr)
+	rec.Instr(w.comps.App.ID, stockLevelInstr)
 
 	s.indexWalk(rec)
 	s.indexWalk(rec)
@@ -500,7 +459,7 @@ func (s *threadSource) stockLevel(tid int) *trace.Op {
 		scan = 10
 	}
 	for k := 0; k < scan; k++ {
-		slot := (d.head - 1 - k + 2*w.cfg.OrdersPerDistrict) % w.cfg.OrdersPerDistrict
+		slot := (d.head - 1 - k + 2*ordersPerDistrict) % ordersPerDistrict
 		order := h.GetRef(rec, d.orderRing, slot)
 		if order == jvm.NilObject {
 			continue

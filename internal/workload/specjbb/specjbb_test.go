@@ -22,7 +22,7 @@ func build(t *testing.T, warehouses int) (*Workload, *jvm.Heap) {
 	hcfg.HeapBytes = 96 << 20
 	hcfg.NewGenBytes = 12 << 20
 	heap := jvm.MustNewHeap(space, hcfg)
-	w := New(DefaultConfig(warehouses), heap, comps, simrand.New(42))
+	w := New(warehouses, heap, comps, simrand.New(42))
 	return w, heap
 }
 
@@ -42,7 +42,7 @@ func TestLiveMemoryScalesLinearly(t *testing.T) {
 	liveAt := func(whs int) uint64 {
 		w, heap := build(t, whs)
 		// Run some transactions so order rings populate.
-		src := w.Source(0, -1)
+		src := w.Source(0)
 		for i := 0; i < 300; i++ {
 			src.NextOp(0, uint64(i)*50_000)
 		}
@@ -67,7 +67,7 @@ func int64Min(a, b uint64) uint64 {
 
 func TestTransactionMix(t *testing.T) {
 	w, _ := build(t, 1)
-	src := w.Source(0, -1)
+	src := w.Source(0)
 	for i := 0; i < 4000; i++ {
 		op := src.NextOp(0, uint64(i)*10_000)
 		if op == nil {
@@ -96,21 +96,9 @@ func TestTransactionMix(t *testing.T) {
 	}
 }
 
-func TestMaxOpsBoundsSource(t *testing.T) {
-	w, _ := build(t, 1)
-	src := w.Source(0, 5)
-	n := 0
-	for src.NextOp(0, 0) != nil {
-		n++
-	}
-	if n != 5 {
-		t.Fatalf("bounded source yielded %d ops", n)
-	}
-}
-
 func TestOpsCarryWork(t *testing.T) {
 	w, _ := build(t, 1)
-	src := w.Source(0, -1)
+	src := w.Source(0)
 	var instr uint64
 	var reads, writes, locks int
 	for i := 0; i < 200; i++ {
@@ -142,7 +130,7 @@ func TestNoNetworkCalls(t *testing.T) {
 	// SPECjbb runs all three tiers in one JVM: no kernel networking at all
 	// (that is why its system time is ~zero in Figure 5).
 	w, _ := build(t, 1)
-	src := w.Source(0, -1)
+	src := w.Source(0)
 	for i := 0; i < 500; i++ {
 		op := src.NextOp(0, uint64(i)*10_000)
 		for _, it := range op.Items {
@@ -155,7 +143,7 @@ func TestNoNetworkCalls(t *testing.T) {
 
 func TestGCTriggersDuringRun(t *testing.T) {
 	w, heap := build(t, 2)
-	src := w.Source(0, -1)
+	src := w.Source(0)
 	before := heap.Stats.MinorGCs
 	sawPause := false
 	for i := 0; i < 30000 && !sawPause; i++ {
@@ -178,7 +166,7 @@ func TestLiveMemoryStabilizes(t *testing.T) {
 	srcs := []struct {
 		s interface{ NextOp(int, uint64) *trace.Op }
 	}{
-		{w.Source(0, -1)}, {w.Source(1, -1)},
+		{w.Source(0)}, {w.Source(1)},
 	}
 	measure := func(rounds int) uint64 {
 		for i := 0; i < rounds; i++ {
@@ -198,7 +186,7 @@ func TestLiveMemoryStabilizes(t *testing.T) {
 func TestDeterministicOps(t *testing.T) {
 	mk := func() []string {
 		w, _ := build(t, 1)
-		src := w.Source(0, -1)
+		src := w.Source(0)
 		var tags []string
 		for i := 0; i < 100; i++ {
 			tags = append(tags, src.NextOp(0, uint64(i)).Tag)
@@ -215,7 +203,7 @@ func TestDeterministicOps(t *testing.T) {
 
 func TestDeliveryDrainsRings(t *testing.T) {
 	w, _ := build(t, 1)
-	src := w.Source(0, -1).(*threadSource)
+	src := w.Source(0).(*threadSource)
 	// Fill rings with orders.
 	for i := 0; i < 600; i++ {
 		src.NextOp(0, uint64(i)*10_000)
@@ -229,15 +217,15 @@ func TestDeliveryDrainsRings(t *testing.T) {
 	}
 	// Rings stay bounded by capacity.
 	for _, d := range src.wh.districts {
-		if d.count > w.cfg.OrdersPerDistrict {
-			t.Fatalf("ring overflow: %d > %d", d.count, w.cfg.OrdersPerDistrict)
+		if d.count > ordersPerDistrict {
+			t.Fatalf("ring overflow: %d > %d", d.count, ordersPerDistrict)
 		}
 	}
 }
 
 func TestLockBalance(t *testing.T) {
 	w, _ := build(t, 2)
-	src := w.Source(0, -1)
+	src := w.Source(0)
 	var acq, rel int
 	for i := 0; i < 500; i++ {
 		op := src.NextOp(0, uint64(i)*10_000)
@@ -260,7 +248,7 @@ func TestCompanyStatsSharedAcrossWarehouses(t *testing.T) {
 	// communication the paper attributes SPECjbb's hot lines to.
 	w, _ := build(t, 2)
 	collect := func(whID int) map[uint64]bool {
-		src := w.Source(whID, -1)
+		src := w.Source(whID)
 		lines := map[uint64]bool{}
 		for i := 0; i < 100; i++ {
 			op := src.NextOp(whID, uint64(i)*10_000)

@@ -27,35 +27,23 @@ import (
 	"repro/internal/trace"
 )
 
-// Config sizes the chat benchmark.
-type Config struct {
-	// Rooms and UsersPerRoom shape the fan-out (VolanoMark's default room
+// The VolanoMark-flavored setup.
+const (
+	// rooms and usersPerRoom shape the fan-out (VolanoMark's default room
 	// size is 20: one inbound message causes 19 outbound deliveries).
-	Rooms        int
-	UsersPerRoom int
-	// MessageBytes is the chat message size.
-	MessageBytes uint32
-	// ProcInstr is the user-mode work per message (parsing, room lookup,
+	rooms        = 4
+	usersPerRoom = 20
+	// messageBytes is the chat message size.
+	messageBytes uint32 = 256
+	// procInstr is the user-mode work per message (parsing, room lookup,
 	// history append) — deliberately small; this benchmark is all kernel.
-	ProcInstr uint32
-	// ThinkCycles is the client pacing between a connection's messages.
-	ThinkCycles uint32
-	// HistoryBytes is the per-message allocation (message object + history
+	procInstr uint32 = 9_000
+	// thinkCycles is the client pacing between a connection's messages.
+	thinkCycles uint32 = 400_000
+	// historyBytes is the per-message allocation (message object + history
 	// entry).
-	HistoryBytes uint32
-}
-
-// DefaultConfig returns the VolanoMark-flavored setup.
-func DefaultConfig() Config {
-	return Config{
-		Rooms:        4,
-		UsersPerRoom: 20,
-		MessageBytes: 256,
-		ProcInstr:    9_000,
-		ThinkCycles:  400_000,
-		HistoryBytes: 512,
-	}
-}
+	historyBytes uint32 = 512
+)
 
 // Components are the code components the chat server executes.
 type Components struct {
@@ -64,87 +52,77 @@ type Components struct {
 
 // Workload is one simulated chat server.
 type Workload struct {
-	cfg   Config
 	comps Components
 	heap  *jvm.Heap
 	ns    *netsim.NetStack
 	rng   *simrand.Rand
 
-	// rooms[i] is the member list object for room i (read on every
+	// roomObjs[i] is the member list object for room i (read on every
 	// broadcast — shared across all of the room's connection threads).
-	rooms []jvm.ObjectID
+	roomObjs []jvm.ObjectID
 	// Messages counts delivered messages (the VolanoMark score unit).
 	Messages uint64
 }
 
 // New builds the rooms. Construction traffic is discarded, as for the
 // other workloads.
-func New(cfg Config, heap *jvm.Heap, comps Components, ns *netsim.NetStack, rng *simrand.Rand) *Workload {
-	rec := trace.NewRecorder("volano-build", false)
-	w := &Workload{cfg: cfg, comps: comps, heap: heap, ns: ns, rng: rng}
-	for i := 0; i < cfg.Rooms; i++ {
-		room := heap.AllocPermanent(rec, uint32(8*cfg.UsersPerRoom+jvm.HeaderBytes), 0)
-		w.rooms = append(w.rooms, room)
+func New(heap *jvm.Heap, comps Components, ns *netsim.NetStack, rng *simrand.Rand) *Workload {
+	rec := trace.NewRecorder("volano-build")
+	w := &Workload{comps: comps, heap: heap, ns: ns, rng: rng}
+	for i := 0; i < rooms; i++ {
+		room := heap.AllocPermanent(rec, uint32(8*usersPerRoom+jvm.HeaderBytes))
+		w.roomObjs = append(w.roomObjs, room)
 	}
 	return w
 }
 
 // Connections returns the total connection (= server thread) count.
-func (w *Workload) Connections() int { return w.cfg.Rooms * w.cfg.UsersPerRoom }
+func (w *Workload) Connections() int { return rooms * usersPerRoom }
 
 // connSource drives one connection's server thread.
 type connSource struct {
-	w         *Workload
-	room      int
-	rng       *simrand.Rand
-	remaining int
+	w    *Workload
+	room int
+	rng  *simrand.Rand
 	// rec is the connection's reusable recorder: the engine consumes each
 	// op fully before asking for the next.
 	rec *trace.Recorder
 }
 
 // Source returns the OpSource for connection i (thread-per-connection:
-// every connection gets its own). maxOps bounds the message count (<0
-// unlimited).
-func (w *Workload) Source(i int, maxOps int) osmodel.OpSource {
+// every connection gets its own).
+func (w *Workload) Source(i int) osmodel.OpSource {
 	return &connSource{
-		w:         w,
-		room:      i / w.cfg.UsersPerRoom,
-		rng:       w.rng.Derive(uint64(i)),
-		remaining: maxOps,
-		rec:       trace.NewRecorder("", false),
+		w:    w,
+		room: i / usersPerRoom,
+		rng:  w.rng.Derive(uint64(i)),
+		rec:  trace.NewRecorder(""),
 	}
 }
 
 // NextOp records one inbound chat message and its room-wide broadcast.
 func (s *connSource) NextOp(tid int, now uint64) *trace.Op {
-	if s.remaining == 0 {
-		return nil
-	}
-	if s.remaining > 0 {
-		s.remaining--
-	}
-	w, cfg := s.w, s.w.cfg
+	w := s.w
 	rec := s.rec
 	rec.Reset("message", true)
 
 	// Client pacing, then the inbound message arrives.
-	rec.Think(cfg.ThinkCycles + uint32(s.rng.Intn(int(cfg.ThinkCycles/2)+1)))
-	w.ns.ReceiveRequest(rec, cfg.MessageBytes)
+	rec.Think(thinkCycles + uint32(s.rng.Intn(int(thinkCycles/2)+1)))
+	w.ns.ReceiveRequest(rec, messageBytes)
 
 	// Minimal user-mode work: parse, look up the room, append to history.
-	rec.Instr(w.comps.App.ID, cfg.ProcInstr)
-	w.heap.ReadObject(rec, w.rooms[s.room])
+	rec.Instr(w.comps.App.ID, procInstr)
+	w.heap.ReadObject(rec, w.roomObjs[s.room])
 	w.heap.SetAllocSite(tid, "volano.history")
-	w.heap.Alloc(rec, tid, cfg.HistoryBytes, 0)
+	w.heap.Alloc(rec, tid, historyBytes, 0)
 	w.heap.SetAllocSite(tid, "")
 
 	// Broadcast: one kernel send per other member of the room. This
 	// fan-out is the whole story — ~95% of the path is kernel code.
-	for m := 1; m < cfg.UsersPerRoom; m++ {
-		w.ns.SendResponse(rec, cfg.MessageBytes)
+	for m := 1; m < usersPerRoom; m++ {
+		w.ns.SendResponse(rec, messageBytes)
 	}
-	w.Messages += uint64(cfg.UsersPerRoom - 1)
+	w.Messages += uint64(usersPerRoom - 1)
 
 	w.heap.ClearStack(tid)
 	return rec.Handoff()
