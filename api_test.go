@@ -789,10 +789,9 @@ func fieldOwner(p *apiPkg, v *types.Var) string {
 // knobAllowlist names knobs that stay settable on purpose, each with its
 // reason. Keep it at most knobAllowlistCap entries.
 var knobAllowlist = map[string]string{
-	"internal/memsys: field Latencies.L2Hit":     "a memory-system latency the sensitivity map perturbs",
-	"internal/memsys: field Latencies.Memory":    "a memory-system latency the sensitivity map perturbs",
-	"internal/memsys: field Latencies.Upgrade":   "a memory-system latency the sensitivity map perturbs",
-	"internal/memsys: param Hierarchy.DTLB(cpu)": "an index, not a knob: the per-processor accessor, like L1D and L1I; the ISM ablation reads processor 0's TLB",
+	"internal/memsys: field Latencies.L2Hit":   "a memory-system latency the sensitivity map perturbs",
+	"internal/memsys: field Latencies.Memory":  "a memory-system latency the sensitivity map perturbs",
+	"internal/memsys: field Latencies.Upgrade": "a memory-system latency the sensitivity map perturbs",
 }
 
 const knobAllowlistCap = 6

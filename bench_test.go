@@ -1,7 +1,7 @@
 // Benchmark harness: one testing.B benchmark per figure of the paper's
-// evaluation (Figures 4-16). Each benchmark runs the reduced (Quick*)
-// configuration of the same driver cmd/figures uses at full fidelity and
-// reports the figure's headline quantity as a custom metric, so
+// evaluation (Figures 4-16). Each benchmark runs the quick preset of the
+// same study cmd/figures runs at full fidelity and reports the figure's
+// headline quantity as a custom metric, so
 //
 //	go test -bench=. -benchmem
 //
@@ -16,19 +16,19 @@ import (
 	"repro/internal/core"
 )
 
-// benchOpts returns the reduced scaling configuration shared by the
-// Figure 4-9 benchmarks.
-func benchOpts() core.Opts {
-	o := core.QuickOpts()
-	o.Procs = []int{1, 8, 15}
-	return o
+// quick is the reduced study every benchmark runs.
+var quick = core.Study{Quick: true}
+
+// point measures the quick scaling cell for kind on procs processors, first
+// seed.
+func point(kind core.Kind, procs int) core.CellResult {
+	return quick.ScalingCell(kind, procs, quick.SeedList()[0]).Run()
 }
 
 func BenchmarkFig04ThroughputScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := benchOpts()
-		jbb := core.RunScalingSweep(core.SPECjbb, o)
-		ec := core.RunScalingSweep(core.ECperf, o)
+		jbb := core.RunScalingSweep(core.SPECjbb, quick)
+		ec := core.RunScalingSweep(core.ECperf, quick)
 		f := core.Fig4Throughput(jbb, ec)
 		last := f.Series[0].Y[len(f.Series[0].Y)-1]
 		b.ReportMetric(last, "ecperf-speedup@15p")
@@ -39,8 +39,7 @@ func BenchmarkFig04ThroughputScaling(b *testing.B) {
 
 func BenchmarkFig05ExecutionModes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := benchOpts()
-		p := core.RunScalingPoint(core.ECperf, 15, o.Seeds[0], o)
+		p := point(core.ECperf, 15)
 		b.ReportMetric(100*p.SystemFrac, "ecperf-system-pct@15p")
 		b.ReportMetric(100*(p.IdleFrac+p.GCIdleFrac+p.IOFrac), "ecperf-nonbusy-pct@15p")
 	}
@@ -48,9 +47,8 @@ func BenchmarkFig05ExecutionModes(b *testing.B) {
 
 func BenchmarkFig06CPIBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := benchOpts()
-		p1 := core.RunScalingPoint(core.ECperf, 1, o.Seeds[0], o)
-		p15 := core.RunScalingPoint(core.ECperf, 15, o.Seeds[0], o)
+		p1 := point(core.ECperf, 1)
+		p15 := point(core.ECperf, 15)
 		b.ReportMetric(p1.CPI, "ecperf-cpi@1p")
 		b.ReportMetric(p15.CPI, "ecperf-cpi@15p")
 	}
@@ -58,8 +56,7 @@ func BenchmarkFig06CPIBreakdown(b *testing.B) {
 
 func BenchmarkFig07DataStall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := benchOpts()
-		p := core.RunScalingPoint(core.ECperf, 15, o.Seeds[0], o)
+		p := point(core.ECperf, 15)
 		b.ReportMetric(100*p.DSC2C, "c2c-pct-of-dstall@15p")
 		b.ReportMetric(100*p.DSMem, "mem-pct-of-dstall@15p")
 	}
@@ -67,9 +64,8 @@ func BenchmarkFig07DataStall(b *testing.B) {
 
 func BenchmarkFig08C2CRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := benchOpts()
-		jbb := core.RunScalingPoint(core.SPECjbb, 15, o.Seeds[0], o)
-		ec := core.RunScalingPoint(core.ECperf, 15, o.Seeds[0], o)
+		jbb := point(core.SPECjbb, 15)
+		ec := point(core.ECperf, 15)
 		b.ReportMetric(100*jbb.C2CRatio, "jbb-c2c-pct@15p")
 		b.ReportMetric(100*ec.C2CRatio, "ecperf-c2c-pct@15p")
 	}
@@ -77,8 +73,7 @@ func BenchmarkFig08C2CRatio(b *testing.B) {
 
 func BenchmarkFig09GCScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := benchOpts()
-		p := core.RunScalingPoint(core.SPECjbb, 15, o.Seeds[0], o)
+		p := point(core.SPECjbb, 15)
 		b.ReportMetric(100*p.GCWallFrac, "jbb-gc-wall-pct@15p")
 		b.ReportMetric(p.ThroughputNoGC/p.Throughput, "jbb-nogc-speedup-ratio")
 	}
@@ -86,9 +81,7 @@ func BenchmarkFig09GCScaling(b *testing.B) {
 
 func BenchmarkFig10C2CTimeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := core.QuickCommOpts()
-		o.MeasureCycles = 30_000_000
-		p := core.RunCommProfile(core.SPECjbb, o)
+		p := quick.CommCell(core.SPECjbb).Run().Comm
 		peak, min := 0.0, 1e18
 		for _, v := range p.Timeline {
 			if v > peak {
@@ -107,8 +100,7 @@ func BenchmarkFig10C2CTimeline(b *testing.B) {
 
 func BenchmarkFig11MemoryScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := core.QuickMemScaleOpts()
-		f := core.Fig11MemoryScaling(o)
+		f := core.MemScaleStudy.Run(quick)[0]
 		for _, s := range f.Series {
 			b.ReportMetric(s.Y[len(s.Y)-1]/s.Y[0], s.Label+"-growth-ratio")
 		}
@@ -117,7 +109,7 @@ func BenchmarkFig11MemoryScaling(b *testing.B) {
 
 func BenchmarkFig12ICacheMissRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cs := core.RunCacheSweeps(core.QuickSweepOpts())
+		cs := core.RunCacheSweeps(quick.SweepOpts())
 		f := core.Fig12ICacheMissRate(cs)
 		_ = f
 		b.ReportMetric(imissAt(cs, "ECperf"), "ecperf-imiss@256KB")
@@ -127,7 +119,7 @@ func BenchmarkFig12ICacheMissRate(b *testing.B) {
 
 func BenchmarkFig13DCacheMissRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cs := core.RunCacheSweeps(core.QuickSweepOpts())
+		cs := core.RunCacheSweeps(quick.SweepOpts())
 		b.ReportMetric(dmissAt(cs, "ECperf"), "ecperf-dmiss@1MB")
 		b.ReportMetric(dmissAt(cs, "SPECjbb-25"), "jbb25-dmiss@1MB")
 		b.ReportMetric(dmissAt(cs, "SPECjbb-1"), "jbb1-dmiss@1MB")
@@ -162,8 +154,7 @@ func dmissAt(cs *core.CacheSweeps, label string) float64 {
 
 func BenchmarkFig14C2CDistribution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := core.QuickCommOpts()
-		jbb := core.RunCommProfile(core.SPECjbb, o)
+		jbb := quick.CommCell(core.SPECjbb).Run().Comm
 		b.ReportMetric(100*jbb.TopLineShare, "jbb-hottest-line-pct")
 		b.ReportMetric(100*jbb.Top01PctShare, "jbb-hottest-0.1pct-lines-pct")
 	}
@@ -171,9 +162,8 @@ func BenchmarkFig14C2CDistribution(b *testing.B) {
 
 func BenchmarkFig15C2CFootprint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := core.QuickCommOpts()
-		jbb := core.RunCommProfile(core.SPECjbb, o)
-		ec := core.RunCommProfile(core.ECperf, o)
+		jbb := quick.CommCell(core.SPECjbb).Run().Comm
+		ec := quick.CommCell(core.ECperf).Run().Comm
 		b.ReportMetric(float64(jbb.LinesTransferring), "jbb-comm-lines")
 		b.ReportMetric(float64(ec.LinesTransferring), "ecperf-comm-lines")
 	}
@@ -182,7 +172,7 @@ func BenchmarkFig15C2CFootprint(b *testing.B) {
 func BenchmarkFig16SharedCaches(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// The quick grouping is {1, 8}: each series reads (private, shared).
-		f := core.Fig16SharedCaches(core.QuickSharedCacheOpts())
+		f := core.SharedCacheStudy.Run(quick)[0]
 		ec, jbb := f.Series[0].Y, f.Series[1].Y
 		b.ReportMetric(ec[1]/ec[0], "ecperf-shared-over-private")
 		b.ReportMetric(jbb[1]/jbb[0], "jbb25-shared-over-private")
@@ -190,14 +180,13 @@ func BenchmarkFig16SharedCaches(b *testing.B) {
 }
 
 // BenchmarkCoSimulation runs the two-machine co-simulated deployment
-// (application server + real database machine) and reports the agreement
-// with the queueing-model database.
+// (application server + real database machine) beside the queueing-model
+// database and reports their agreement.
 func BenchmarkCoSimulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := core.RunCoSim(4, 1, 4_000_000, 12_000_000)
-		if r.ModelThroughput > 0 {
-			b.ReportMetric(r.CoSimThroughput/r.ModelThroughput, "cosim-over-model")
+		y := core.CoSimStudy.Run(quick)[0].Series[0].Y // model, co-simulated
+		if y[0] > 0 {
+			b.ReportMetric(y[1]/y[0], "cosim-over-model")
 		}
-		b.ReportMetric(100*r.DBBusyFrac, "db-busy-pct")
 	}
 }

@@ -1,7 +1,8 @@
 // Command ablations runs the design-choice studies the paper motivates in
 // prose: Solaris ISM pages (§6), collector parallelism (§4.1),
 // cache-to-cache latency sensitivity (§4.3), and the invalidation protocol
-// (§4.5). See internal/core/ablations.go.
+// (§4.5). See internal/core/ablations.go. Every study's cells share one
+// scheduler sized to the host and run under -memmodel.
 //
 // Usage:
 //
@@ -39,25 +40,11 @@ type appFlags struct {
 	ofl      obs.Flags
 }
 
-// studies are the design-choice studies in the order they render, each
-// under its -which name.
-var studies = []struct {
-	name string
-	run  func(core.AblationOpts) core.Figure
-}{
-	{"ism", core.AblationISM},
-	{"gc", core.AblationGCThreads},
-	{"latency", core.AblationC2CLatency},
-	{"protocol", core.AblationProtocol},
-	{"volano", core.RelatedWorkKernelTime},
-	{"cosim", core.CoSimExperiment},
-}
-
 // studyNames lists the -which values.
 func studyNames() string {
-	names := make([]string, len(studies))
-	for i, s := range studies {
-		names[i] = s.name
+	names := make([]string, len(core.Ablations))
+	for i, e := range core.Ablations {
+		names[i] = e.Name
 	}
 	return strings.Join(names, ", ")
 }
@@ -86,39 +73,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 }
 
-// runStudies renders the requested design-choice studies, then the
+// runStudies runs the requested design-choice studies' cells on one
+// scheduler sized to the host, renders them in study order, then runs the
 // observed points.
 func runStudies(sess *core.Session, af *appFlags, stdout io.Writer) error {
-	known := *af.which == ""
-	for _, s := range studies {
-		known = known || s.name == *af.which
+	var run []*core.Experiment
+	for _, e := range core.Ablations {
+		if *af.which == "" || *af.which == e.Name {
+			run = append(run, e)
+		}
 	}
-	if !known {
+	if len(run) == 0 {
 		return &core.ExitError{Err: fmt.Errorf("no such study: %q (use one of %s)", *af.which, studyNames())}
 	}
-	o := core.DefaultAblationOpts()
-	if *af.quick {
-		o = core.QuickAblationOpts()
-	}
-	o.MemModel = af.memModel
+	st := core.Study{Quick: *af.quick, MemModel: af.memModel}
 
-	for _, s := range studies {
-		if *af.which == "" || *af.which == s.name {
-			report.Render(stdout, s.run(o))
+	sched := core.NewScheduler(core.DefaultWorkers())
+	sched.Progress = sess.Heartbeat()
+	renders := make([]func() []core.Figure, len(run))
+	for i, e := range run {
+		renders[i] = e.Schedule(sched, st)
+	}
+	sched.Wait()
+	for _, render := range renders {
+		for _, f := range render() {
+			report.Render(stdout, f)
 		}
 	}
 
 	// One fully-observed point per workload at the studies' shape.
-	runOpts := core.Opts{
-		WarmupCycles:  o.WarmupCycles,
-		MeasureCycles: o.MeasureCycles,
-		MemModel:      o.MemModel,
-	}
-	if err := sess.ObservePoints(core.StudyProcessors, o.Seed, runOpts); err != nil {
+	if err := sess.ObservePoints(st.AblationCell); err != nil {
 		return err
 	}
-	return sess.Finish([]uint64{o.Seed}, map[string]any{
-		"ablation": o,
-		"observed": map[string]any{"processors": core.StudyProcessors, "seed": o.Seed},
+	return sess.Finish([]uint64{core.StudySeed}, map[string]any{
+		"study":    st,
+		"observed": map[string]any{"processors": core.StudyProcessors, "seed": core.StudySeed},
 	})
 }

@@ -67,15 +67,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 // calibrate prints the diagnostic table, then runs the observed points.
 func calibrate(sess *core.Session, af *appFlags, stdout io.Writer) error {
 	seed := *af.seed
-	o := core.QuickOpts()
-	o.MeasureCycles = *af.measure
-	o.MemModel = af.memModel
+	st := core.Study{Quick: true, MemModel: af.memModel}
+	// cell is the quick scaling cell at -seed, measured over -measure.
+	cell := func(kind core.Kind, procs int) core.Cell {
+		c := st.ScalingCell(kind, procs, seed)
+		c.Measure = *af.measure
+		return c
+	}
 
 	procs := []int{1, 2, 4, 8, 12, 15}
 	for _, kind := range []core.Kind{core.SPECjbb, core.ECperf} {
 		for _, p := range procs {
 			t0 := time.Now()
-			pt := core.RunScalingPointDebug(kind, p, seed, o)
+			c := cell(kind, p)
+			c.Attach = core.BusDiagnostic
+			pt := c.Run()
 			fmt.Fprintf(stdout, "%-8s P=%-2d thr=%8.0f cpi=%.2f(o=%.2f i=%.2f d=%.2f) u=%.2f s=%.2f io=%.2f id=%.2f gci=%.2f c2c=%.2f gc=%d gcf=%.3f i/op=%.0f\n  %s [%s]\n",
 				kind, p, pt.Throughput, pt.CPI, pt.OtherCPI, pt.IStallCPI, pt.DStallCPI,
 				pt.UserFrac, pt.SystemFrac, pt.IOFrac, pt.IdleFrac, pt.GCIdleFrac,
@@ -86,11 +92,12 @@ func calibrate(sess *core.Session, af *appFlags, stdout io.Writer) error {
 
 	// One fully-observed point per workload at the largest sweep shape.
 	obsProcs := procs[len(procs)-1]
-	if err := sess.ObservePoints(obsProcs, seed, o); err != nil {
+	if err := sess.ObservePoints(func(k core.Kind) core.Cell { return cell(k, obsProcs) }); err != nil {
 		return err
 	}
 	return sess.Finish([]uint64{seed}, map[string]any{
-		"sweep":    o,
+		"study":    st,
+		"measure":  *af.measure,
 		"observed": map[string]any{"processors": obsProcs, "seed": seed},
 	})
 }

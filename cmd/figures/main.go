@@ -33,13 +33,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/memsys"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/stats"
 )
 
 // appFlags is the full flag surface; registerFlags keeps it testable (the
@@ -85,44 +85,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 // figures schedules the requested figures' cells, renders them in order,
 // and runs the observed points.
 func figures(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
-	fig, quick, seeds, md := af.fig, af.quick, af.seeds, af.md
-
-	opts := core.DefaultOpts()
-	sweepOpts := core.DefaultSweepOpts()
-	memOpts := core.DefaultMemScaleOpts()
-	commOpts := core.DefaultCommOpts()
-	sharedOpts := core.DefaultSharedCacheOpts()
-	if *quick {
-		opts = core.QuickOpts()
-		sweepOpts = core.QuickSweepOpts()
-		memOpts = core.QuickMemScaleOpts()
-		commOpts = core.QuickCommOpts()
-		sharedOpts = core.QuickSharedCacheOpts()
-	}
-	if *seeds > 0 {
-		opts.Seeds = stats.Seeds(20030208, *seeds)
-		sharedOpts.Seeds = opts.Seeds
-	}
-	// The memory model only affects the timing simulations (the scaling
-	// sweeps and observed points); the uniprocessor cache sweeps (Figures
-	// 12/13) count misses, not cycles.
-	opts.MemModel = af.memModel
-
-	want := func(n int) bool { return *fig == 0 || *fig == n }
-	emitted := 0
-	emit := func(f core.Figure) {
-		if *md {
-			report.Markdown(stdout, f)
-		} else {
-			report.Render(stdout, f)
-		}
-		emitted++
-	}
-
+	st := core.Study{Quick: *af.quick, Seeds: *af.seeds, MemModel: af.memModel}
 	start := time.Now()
 
-	// Admission: every requested figure submits its cells to one global
-	// queue. Only requested groups submit anything — a single-figure run
+	// Admission: every requested study submits its cells to one global
+	// queue. Only requested studies submit anything — a single-figure run
 	// never executes unrelated sweeps.
 	workers := core.DefaultWorkers()
 	if *af.serial {
@@ -130,104 +97,46 @@ func figures(sess *core.Session, af *appFlags, stdout, stderr io.Writer) error {
 	}
 	sched := core.NewScheduler(workers)
 	sched.Progress = sess.Heartbeat()
-
-	var jbb, ec *core.ScalingSweep
-	if want(4) || want(5) || want(6) || want(7) || want(8) || want(9) {
-		fmt.Fprintf(stderr, "running scaling sweeps (procs=%v, %d seeds)...\n", opts.Procs, len(opts.Seeds))
-		jbb = core.ScheduleScalingSweep(sched, core.SPECjbb, opts)
-		ec = core.ScheduleScalingSweep(sched, core.ECperf, opts)
+	var renders []func() []core.Figure
+	for _, e := range core.FigureStudies {
+		if *af.fig == 0 || slices.Contains(e.Figs, *af.fig) {
+			fmt.Fprintf(stderr, "running %s...\n", e.Name)
+			renders = append(renders, e.Schedule(sched, st))
+		}
 	}
-
-	var commJbb, commEc *core.CommProfile
-	if want(10) || want(14) || want(15) {
-		fmt.Fprintln(stderr, "running communication profiles (8 processors)...")
-		commJbb, commEc = core.ScheduleCommProfiles(sched, commOpts)
-	}
-
-	var fig11 func() core.Figure
-	if want(11) {
-		fmt.Fprintln(stderr, "running memory-scaling study...")
-		fig11 = core.ScheduleMemScale(sched, memOpts)
-	}
-
-	var cs *core.CacheSweeps
-	if want(12) || want(13) {
-		fmt.Fprintln(stderr, "running uniprocessor cache sweeps...")
-		cs = core.ScheduleCacheSweeps(sched, sweepOpts, core.SweepSize, 0)
-	}
-
-	var fig16 func() core.Figure
-	if want(16) {
-		fmt.Fprintln(stderr, "running shared-cache CMP study...")
-		fig16 = core.ScheduleSharedCache(sched, sharedOpts)
-	}
-
 	sched.Wait()
 
 	// Rendering: serial figure order, independent of cell completion
 	// order, so stdout is byte-identical to a -serial run.
-	if jbb != nil {
-		if want(4) {
-			emit(core.Fig4Throughput(jbb, ec))
-		}
-		if want(5) {
-			emit(core.Fig5ExecutionModes(ec))
-			emit(core.Fig5ExecutionModes(jbb))
-		}
-		if want(6) {
-			emit(core.Fig6CPIBreakdown(ec))
-			emit(core.Fig6CPIBreakdown(jbb))
-		}
-		if want(7) {
-			emit(core.Fig7DataStall(ec))
-			emit(core.Fig7DataStall(jbb))
-		}
-		if want(8) {
-			emit(core.Fig8C2CRatio(jbb, ec))
-		}
-		if want(9) {
-			emit(core.Fig9GCScaling(jbb, ec))
+	emitted := 0
+	for _, render := range renders {
+		for _, f := range render() {
+			if *af.fig != 0 && f.ID != fmt.Sprintf("Fig %d", *af.fig) {
+				continue
+			}
+			if *af.md {
+				report.Markdown(stdout, f)
+			} else {
+				report.Render(stdout, f)
+			}
+			emitted++
 		}
 	}
-	if commJbb != nil {
-		if want(10) {
-			emit(core.Fig10C2CTimeline(*commJbb))
-		}
-		if want(14) {
-			emit(core.Fig14C2CDistribution(*commJbb, *commEc))
-		}
-		if want(15) {
-			emit(core.Fig15C2CFootprint(*commJbb, *commEc))
-		}
-	}
-	if fig11 != nil {
-		emit(fig11())
-	}
-	if cs != nil {
-		if want(12) {
-			emit(core.Fig12ICacheMissRate(cs))
-		}
-		if want(13) {
-			emit(core.Fig13DCacheMissRate(cs))
-		}
-	}
-	if fig16 != nil {
-		emit(fig16())
-	}
-
 	if emitted == 0 {
-		return &core.ExitError{Err: fmt.Errorf("no such figure: %d (the paper has Figures 4-16)", *fig)}
+		return &core.ExitError{Err: fmt.Errorf("no such figure: %d (the paper has Figures 4-16)", *af.fig)}
 	}
 
 	// One fully-observed point per workload: the largest sweep point, first
 	// seed.
-	procs, seed := opts.Procs[len(opts.Procs)-1], opts.Seeds[0]
-	if err := sess.ObservePoints(procs, seed, opts); err != nil {
+	procs, seeds := st.Procs(), st.SeedList()
+	obsProcs, seed := procs[len(procs)-1], seeds[0]
+	err := sess.ObservePoints(func(k core.Kind) core.Cell { return st.ScalingCell(k, obsProcs, seed) })
+	if err != nil {
 		return err
 	}
-	err := sess.Finish(opts.Seeds, map[string]any{
-		"scaling":  opts,
-		"observed": map[string]any{"processors": procs, "seed": seed},
+	err = sess.Finish(seeds, map[string]any{
+		"study":    st,
+		"observed": map[string]any{"processors": obsProcs, "seed": seed},
 	})
 	if err != nil {
 		return err

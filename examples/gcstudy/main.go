@@ -20,23 +20,17 @@ import (
 )
 
 func main() {
-	// 1. Transfer-rate timeline on an 8-processor SPECjbb run.
+	// 1. Transfer-rate timeline on an 8-processor SPECjbb run. The
+	// full-fidelity window is long enough to hold a collection; the quick
+	// one is not.
 	fmt.Fprintln(os.Stderr, "profiling cache-to-cache transfers over time...")
-	comm := core.RunCommProfile(core.SPECjbb, core.CommOpts{
-		Seed:          3,
-		WarmupCycles:  8_000_000,
-		MeasureCycles: 40_000_000,
-	})
-	report.Render(os.Stdout, core.Fig10C2CTimeline(comm))
+	comm := core.Study{}.CommCell(core.SPECjbb).Run().Comm
+	report.Render(os.Stdout, core.Fig10C2CTimeline(*comm))
 	fmt.Printf("collections in window: %d\n\n", comm.GCCount)
 
 	// 2. Live memory vs. scale factor for both benchmarks.
 	fmt.Fprintln(os.Stderr, "running memory-scaling study...")
-	f := core.Fig11MemoryScaling(core.MemScaleOpts{
-		Scales:          []int{1, 4, 8, 16, 24, 32, 40},
-		OpsPerScaleUnit: 600,
-		Seed:            3,
-	})
+	f := core.MemScaleStudy.Run(core.Study{Quick: true})[0]
 	report.Render(os.Stdout, f)
 
 	for _, s := range f.Series {

@@ -18,11 +18,7 @@ import (
 
 func main() {
 	fmt.Fprintln(os.Stderr, "running three workloads on 8 processors...")
-	f := core.RelatedWorkKernelTime(core.AblationOpts{
-		Seed:          17,
-		WarmupCycles:  6_000_000,
-		MeasureCycles: 24_000_000,
-	})
+	f := core.KernelTimeStudy.Run(core.Study{Quick: true})[0]
 	report.Render(os.Stdout, f)
 
 	y := f.Series[0].Y

@@ -1,5 +1,5 @@
 // Quickstart: build one simulated machine, run the SPECjbb workload on four
-// processors for a tenth of a simulated second, and read off the three
+// processors for the quick preset's window, and read off the three
 // measurements the library is organized around — throughput, the
 // execution-mode breakdown, and the memory-system counters.
 package main
@@ -15,21 +15,19 @@ func main() {
 	// private 1 MB L2 caches on a snooping bus, a Solaris-like scheduler,
 	// a simulated JVM heap with a generational collector, and the chosen
 	// workload already wired to worker threads.
-	sys := core.BuildSystem(core.SystemParams{
-		Kind:       core.SPECjbb,
-		Processors: 4, // psrset: the workload is bound to 4 of the 16 CPUs
-		Seed:       42,
-	})
+	// The quick preset's scaling cell declares it: SPECjbb bound (psrset)
+	// to 4 of the 16 CPUs, with the preset's warm-up and measurement window.
+	cell := core.Study{Quick: true}.ScalingCell(core.SPECjbb, 4, core.StudySeed)
+	sys := core.BuildSystem(cell.Params)
 
 	// Warm the caches, then measure a clean window (the paper reports
 	// steady-state intervals only).
-	const warmup, window = 10_000_000, 25_000_000
-	sys.Engine.Run(warmup)
+	sys.Engine.Run(cell.Warmup)
 	sys.Engine.ResetStats()
-	sys.Engine.Run(warmup + window)
+	sys.Engine.Run(cell.Warmup + cell.Measure)
 
 	res := sys.Engine.Results()
-	seconds := float64(window) / core.CyclesPerSecond
+	seconds := float64(cell.Measure) / core.CyclesPerSecond
 
 	fmt.Printf("throughput: %.0f transactions/s\n", float64(res.BusinessOps)/seconds)
 

@@ -14,21 +14,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/report"
-	"repro/internal/stats"
 )
 
 func main() {
-	opts := core.Opts{
-		Procs:         []int{1, 2, 4, 8, 12, 15},
-		Seeds:         stats.Seeds(7, 2),
-		WarmupCycles:  6_000_000,
-		MeasureCycles: 24_000_000,
-	}
+	st := core.Study{Quick: true}
 
 	fmt.Fprintln(os.Stderr, "sweeping SPECjbb...")
-	jbb := core.RunScalingSweep(core.SPECjbb, opts)
+	jbb := core.RunScalingSweep(core.SPECjbb, st)
 	fmt.Fprintln(os.Stderr, "sweeping ECperf...")
-	ec := core.RunScalingSweep(core.ECperf, opts)
+	ec := core.RunScalingSweep(core.ECperf, st)
 
 	report.Render(os.Stdout, core.Fig4Throughput(jbb, ec))
 	report.Render(os.Stdout, core.Fig8C2CRatio(jbb, ec))

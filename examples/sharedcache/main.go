@@ -15,18 +15,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/report"
-	"repro/internal/stats"
 )
 
 func main() {
-	opts := core.SharedCacheOpts{
-		Grouping:      []int{1, 2, 4, 8},
-		Seeds:         stats.Seeds(11, 2),
-		WarmupCycles:  8_000_000,
-		MeasureCycles: 20_000_000,
-	}
-	fmt.Fprintln(os.Stderr, "running 8 configurations (2 workloads x 4 groupings x 2 seeds)...")
-	f := core.Fig16SharedCaches(opts)
+	fmt.Fprintln(os.Stderr, "running 4 configurations (2 workloads x private and fully shared L2)...")
+	f := core.SharedCacheStudy.Run(core.Study{Quick: true})[0]
 	report.Render(os.Stdout, f)
 
 	ec := f.Series[0]

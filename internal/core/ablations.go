@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/coherence"
-	"repro/internal/memsys"
 )
 
 // This file holds the ablation studies DESIGN.md calls out: experiments the
@@ -12,193 +11,166 @@ import (
 // choice of the modeled system.
 //
 //   - ISM (§3.2, §6): the paper tuned Solaris with Intimate Shared Memory
-//     (4 MB pages) and reports ECperf gained >10% from it. AblationISM
+//     (4 MB pages) and reports ECperf gained >10% from it. ismStudy
 //     re-runs with base 8 KB pages and a 64-entry TLB.
 //   - Collector parallelism (§4.1): "the JVM we ran uses a single-threaded
 //     garbage collector ... during collection only 1 processor is active".
-//     AblationGCThreads gives the collector 1, 2, 4, and 8 threads.
+//     gcThreadsStudy gives the collector 1, 2, 4, and 8 threads.
 //   - Cache-to-cache latency (§4.3): on the E6000 a dirty transfer costs
 //     ~40% more than memory; on NUMA directory machines 200-300% more.
-//     AblationC2CLatency sweeps that penalty.
+//     c2cLatencyStudy sweeps that penalty.
 //   - Protocol (§4.5): the paper reasons about GC behavior under "a simple
-//     MSI invalidation protocol". AblationProtocol runs MSI, MESI, and the
+//     MSI invalidation protocol". protocolStudy runs MSI, MESI, and the
 //     E6000's MOSI.
+//
+// Every study's cells are AblationCell with one parameter varied.
 
-// StudyProcessors is the processor-set size of the communication profile
-// (Figures 10/14/15), the ablation studies and the co-simulation.
-const StudyProcessors = 8
-
-// AblationOpts size the ablation runs.
-type AblationOpts struct {
-	Seed          uint64
-	WarmupCycles  uint64
-	MeasureCycles uint64
-	// MemModel selects the memory timing model for every study run
-	// (default memsys.MemFixed).
-	MemModel memsys.MemModel
-}
-
-// DefaultAblationOpts is the full-fidelity configuration.
-func DefaultAblationOpts() AblationOpts {
-	return AblationOpts{Seed: 20030208, WarmupCycles: 10_000_000, MeasureCycles: 40_000_000}
-}
-
-// QuickAblationOpts is the reduced test/bench configuration.
-func QuickAblationOpts() AblationOpts {
-	return AblationOpts{Seed: 20030208, WarmupCycles: 4_000_000, MeasureCycles: 16_000_000}
-}
-
-// point runs one study cell: params on StudyProcessors with the study's
-// seed and memory model, measured over the study's window. The system is returned
-// for study-specific reads.
-func (o AblationOpts) point(params SystemParams) (ScalingPoint, *System) {
-	params.Processors, params.Seed, params.MemModel = StudyProcessors, o.Seed, o.MemModel
-	sys := BuildSystem(params)
-	return measurePoint(sys, nil, o.WarmupCycles, o.MeasureCycles), sys
-}
-
-// AblationISM compares ECperf with ISM (4 MB pages, the paper's tuning)
+// ismStudy compares ECperf with ISM (4 MB pages, the paper's tuning)
 // against base 8 KB pages. The paper reports ISM was worth >10%.
-func AblationISM(o AblationOpts) Figure {
-	f := Figure{
-		ID:     "Ablation: ISM",
-		Title:  "Intimate Shared Memory (4 MB pages) vs. base 8 KB pages (ECperf)",
-		XLabel: "configuration (0=ISM, 1=base pages)",
-		YLabel: "Throughput (BBops/s)",
-	}
-	ism, _ := o.point(SystemParams{Kind: ECperf})
-	base, baseSys := o.point(SystemParams{Kind: ECperf, BasePages: true})
-
-	f.Series = append(f.Series, Series{
-		Label: "ECperf",
-		X:     []float64{0, 1},
-		Y:     []float64{ism.Throughput, base.Throughput},
-		Err:   []float64{0, 0},
-	})
-	var tlbMiss float64
-	if d := baseSys.Hier.DTLB(0); d != nil {
-		tlbMiss = d.MissRatio()
-	}
-	f.Notes = append(f.Notes,
-		fmt.Sprintf("ISM speedup over base pages: %.1f%% (paper: \"more than 10%%\")", 100*(ism.Throughput/base.Throughput-1)),
-		fmt.Sprintf("base-page dTLB miss ratio %.3f; CPI with base pages %.2f", tlbMiss, base.CPI))
-	return f
+var ismStudy = &Experiment{
+	Name: "ism",
+	cells: func(st Study) []Cell {
+		return vary(st.AblationCell(ECperf), []bool{false, true}, func(c *Cell, base bool) { c.Params.BasePages = base })
+	},
+	render: func(_ Study, rs []CellResult) []Figure {
+		ism, base := rs[0], rs[1]
+		return []Figure{{
+			ID:     "Ablation: ISM",
+			Title:  "Intimate Shared Memory (4 MB pages) vs. base 8 KB pages (ECperf)",
+			XLabel: "configuration (0=ISM, 1=base pages)",
+			YLabel: "Throughput (BBops/s)",
+			Series: []Series{flat("ECperf", []float64{0, 1}, []float64{ism.Throughput, base.Throughput})},
+			Notes: []string{
+				fmt.Sprintf("ISM speedup over base pages: %.1f%% (paper: \"more than 10%%\")", 100*(ism.Throughput/base.Throughput-1)),
+				fmt.Sprintf("base-page dTLB miss ratio %.3f; CPI with base pages %.2f", base.dtlbMissRatio, base.CPI),
+			},
+		}}
+	},
 }
 
-// AblationGCThreads gives the collector 1..8 threads on an 8-processor
-// SPECjbb run: the single-threaded collector's idle tax disappears.
-func AblationGCThreads(o AblationOpts) Figure {
-	f := Figure{
-		ID:     "Ablation: GC threads",
-		Title:  "Collector parallelism (SPECjbb, 8 processors)",
-		XLabel: "GC threads",
-		YLabel: "Throughput (transactions/s)",
-	}
-	// Collections are sparse; give this study a window long enough to
-	// contain several.
-	o.MeasureCycles *= 3
-	thrS := Series{Label: "throughput"}
-	idleS := Series{Label: "GC idle frac ×1e5"}
-	for _, threads := range []int{1, 2, 4, 8} {
-		pt, _ := o.point(SystemParams{Kind: SPECjbb, GCThreads: threads})
-		thrS.X = append(thrS.X, float64(threads))
-		thrS.Y = append(thrS.Y, pt.Throughput)
-		thrS.Err = append(thrS.Err, 0)
-		idleS.X = append(idleS.X, float64(threads))
-		idleS.Y = append(idleS.Y, 1e5*pt.GCIdleFrac)
-		idleS.Err = append(idleS.Err, 0)
-	}
-	f.Series = append(f.Series, thrS, idleS)
-	f.Notes = append(f.Notes, fmt.Sprintf(
-		"8-thread collector vs single-threaded: %+.1f%% throughput",
-		100*(thrS.Y[len(thrS.Y)-1]/thrS.Y[0]-1)))
-	return f
+// gcThreadsStudy gives the collector 1..8 threads on an 8-processor SPECjbb
+// run: the single-threaded collector's idle tax disappears.
+var gcThreadsStudy = &Experiment{
+	Name: "gc",
+	cells: func(st Study) []Cell {
+		base := st.AblationCell(SPECjbb)
+		// Collections are sparse; give this study a window long enough to
+		// contain several.
+		base.Measure *= 3
+		return vary(base, []int{1, 2, 4, 8}, func(c *Cell, threads int) { c.Params.GCThreads = threads })
+	},
+	render: func(_ Study, rs []CellResult) []Figure {
+		var threads, thr, idle []float64
+		for _, r := range rs {
+			threads = append(threads, float64(r.Cell.Params.GCThreads))
+			thr = append(thr, r.Throughput)
+			idle = append(idle, 1e5*r.GCIdleFrac)
+		}
+		return []Figure{{
+			ID:     "Ablation: GC threads",
+			Title:  "Collector parallelism (SPECjbb, 8 processors)",
+			XLabel: "GC threads",
+			YLabel: "Throughput (transactions/s)",
+			Series: []Series{flat("throughput", threads, thr), flat("GC idle frac ×1e5", threads, idle)},
+			Notes: []string{fmt.Sprintf("8-thread collector vs single-threaded: %+.1f%% throughput",
+				100*(thr[len(thr)-1]/thr[0]-1))},
+		}}
+	},
 }
 
-// AblationC2CLatency sweeps the dirty-transfer penalty from SMP-like to
+// c2cLatencyStudy sweeps the dirty-transfer penalty from SMP-like to
 // NUMA-like, on both workloads. The paper (§4.3): NUMA systems pay 2-3× the
 // memory latency per cache-to-cache transfer, so sharing-heavy workloads
 // suffer disproportionately there.
-func AblationC2CLatency(o AblationOpts) Figure {
-	f := Figure{
-		ID:     "Ablation: C2C latency",
-		Title:  "Sensitivity to cache-to-cache transfer latency (8 processors)",
-		XLabel: "C2C latency (cycles; memory = 75)",
-		YLabel: "Throughput relative to E6000 latency",
-	}
-	lats := []uint64{75, 105, 150, 225}
-	for _, kind := range []Kind{ECperf, SPECjbb} {
-		s := Series{Label: kind.String()}
-		var base float64
-		for _, lat := range lats {
-			pt, _ := o.point(SystemParams{Kind: kind, C2CLatency: lat})
-			if lat == 105 {
-				base = pt.Throughput
+var c2cLatencyStudy = &Experiment{
+	Name: "latency",
+	cells: func(st Study) []Cell {
+		var cells []Cell
+		for _, kind := range []Kind{ECperf, SPECjbb} {
+			cells = append(cells, vary(st.AblationCell(kind), []uint64{75, 105, 150, 225},
+				func(c *Cell, lat uint64) { c.Params.C2CLatency = lat })...)
+		}
+		return cells
+	},
+	render: func(_ Study, rs []CellResult) []Figure {
+		f := Figure{
+			ID:     "Ablation: C2C latency",
+			Title:  "Sensitivity to cache-to-cache transfer latency (8 processors)",
+			XLabel: "C2C latency (cycles; memory = 75)",
+			YLabel: "Throughput relative to E6000 latency",
+		}
+		n := len(rs) / 2
+		for _, kind := range [][]CellResult{rs[:n], rs[n:]} {
+			var lats, thr []float64
+			var base float64
+			for _, r := range kind {
+				if r.Cell.Params.C2CLatency == 105 { // the E6000's
+					base = r.Throughput
+				}
+				lats = append(lats, float64(r.Cell.Params.C2CLatency))
+				thr = append(thr, r.Throughput)
 			}
-			s.X = append(s.X, float64(lat))
-			s.Y = append(s.Y, pt.Throughput)
-			s.Err = append(s.Err, 0)
+			for i := range thr {
+				thr[i] /= base
+			}
+			f.Series = append(f.Series, flat(kind[0].Cell.Params.Kind.String(), lats, thr))
 		}
-		for i := range s.Y {
-			s.Y[i] /= base
-		}
-		f.Series = append(f.Series, s)
-	}
-	return f
+		return []Figure{f}
+	},
 }
 
-// RelatedWorkKernelTime reproduces the §6 comparison with VolanoMark:
+// protocolStudy runs the bus under MSI, MESI, and MOSI and reports the
+// cache-to-cache ratio and bus traffic for SPECjbb.
+var protocolStudy = &Experiment{
+	Name: "protocol",
+	cells: func(st Study) []Cell {
+		return vary(st.AblationCell(SPECjbb), []coherence.Protocol{coherence.MOSI, coherence.MSI, coherence.MESI},
+			func(c *Cell, p coherence.Protocol) { c.Params.Protocol = p })
+	},
+	render: func(_ Study, rs []CellResult) []Figure {
+		f := Figure{
+			ID:     "Ablation: protocol",
+			Title:  "Invalidation protocol (SPECjbb, 8 processors)",
+			XLabel: "protocol (0=MOSI, 1=MSI, 2=MESI)",
+			YLabel: "value",
+		}
+		var x, c2c, thr []float64
+		for i, r := range rs {
+			x = append(x, float64(i))
+			c2c = append(c2c, 100*r.C2CRatio)
+			thr = append(thr, r.Throughput/1000)
+			f.Notes = append(f.Notes, fmt.Sprintf("%v: c2c ratio %.1f%%, writebacks %d, upgrades %d",
+				r.Cell.Params.Protocol, 100*r.C2CRatio, r.writebacks, r.upgrades))
+		}
+		f.Series = []Series{flat("C2C ratio (%)", x, c2c), flat("throughput (k tx/s)", x, thr)}
+		return []Figure{f}
+	},
+}
+
+// KernelTimeStudy reproduces the §6 comparison with VolanoMark:
 // thread-per-connection chat traffic is kernel-dominated, while the
 // middleware benchmarks are not ("the middle tier of the ECperf benchmark
 // spends much less time in the kernel than VolanoMark. SPECjbb also has a
 // much lower kernel component").
-func RelatedWorkKernelTime(o AblationOpts) Figure {
-	f := Figure{
-		ID:     "Related work: VolanoMark",
-		Title:  "Kernel (system) time share by workload (8 processors)",
-		XLabel: "workload (0=SPECjbb, 1=ECperf, 2=VolanoMark)",
-		YLabel: "System time (% of busy time)",
-	}
-	s := Series{Label: "system %"}
-	for i, kind := range []Kind{SPECjbb, ECperf, VolanoMark} {
-		_, sys := o.point(SystemParams{Kind: kind})
-		res := sys.Engine.Results()
-		pct := 0.0
-		if busy := res.Modes.Busy(); busy > 0 {
-			pct = 100 * float64(res.Modes.System) / float64(busy)
+var KernelTimeStudy = &Experiment{
+	Name: "volano",
+	cells: func(st Study) []Cell {
+		return []Cell{st.AblationCell(SPECjbb), st.AblationCell(ECperf), st.AblationCell(VolanoMark)}
+	},
+	render: func(_ Study, rs []CellResult) []Figure {
+		f := Figure{
+			ID:     "Related work: VolanoMark",
+			Title:  "Kernel (system) time share by workload (8 processors)",
+			XLabel: "workload (0=SPECjbb, 1=ECperf, 2=VolanoMark)",
+			YLabel: "System time (% of busy time)",
 		}
-		s.X = append(s.X, float64(i))
-		s.Y = append(s.Y, pct)
-		s.Err = append(s.Err, 0)
-		f.Notes = append(f.Notes, fmt.Sprintf("%v: system %.1f%% of busy time", kind, pct))
-	}
-	f.Series = append(f.Series, s)
-	return f
-}
-
-// AblationProtocol runs the bus under MSI, MESI, and MOSI and reports the
-// cache-to-cache ratio and bus traffic for SPECjbb.
-func AblationProtocol(o AblationOpts) Figure {
-	f := Figure{
-		ID:     "Ablation: protocol",
-		Title:  "Invalidation protocol (SPECjbb, 8 processors)",
-		XLabel: "protocol (0=MOSI, 1=MSI, 2=MESI)",
-		YLabel: "value",
-	}
-	protos := []coherence.Protocol{coherence.MOSI, coherence.MSI, coherence.MESI}
-	c2c := Series{Label: "C2C ratio (%)"}
-	thr := Series{Label: "throughput (k tx/s)"}
-	for i, proto := range protos {
-		pt, sys := o.point(SystemParams{Kind: SPECjbb, Protocol: proto})
-		c2c.X = append(c2c.X, float64(i))
-		c2c.Y = append(c2c.Y, 100*pt.C2CRatio)
-		c2c.Err = append(c2c.Err, 0)
-		thr.X = append(thr.X, float64(i))
-		thr.Y = append(thr.Y, pt.Throughput/1000)
-		thr.Err = append(thr.Err, 0)
-		f.Notes = append(f.Notes, fmt.Sprintf("%v: c2c ratio %.1f%%, writebacks %d, upgrades %d",
-			proto, 100*pt.C2CRatio, sys.Hier.Bus().Stats.Writebacks, sys.Hier.Bus().Stats.Upgrades))
-	}
-	f.Series = append(f.Series, c2c, thr)
-	return f
+		var x, pct []float64
+		for i, r := range rs {
+			x = append(x, float64(i))
+			pct = append(pct, r.systemBusyPct)
+			f.Notes = append(f.Notes, fmt.Sprintf("%v: system %.1f%% of busy time", r.Cell.Params.Kind, r.systemBusyPct))
+		}
+		f.Series = []Series{flat("system %", x, pct)}
+		return []Figure{f}
+	},
 }

@@ -114,7 +114,7 @@ func TestAttrReportShape(t *testing.T) {
 // (reference-level) and label heap objects.
 func TestSweepAttr(t *testing.T) {
 	var col *attr.Collector
-	o := QuickSweepOpts()
+	o := Study{Quick: true}.SweepOpts()
 	o.Observe = func(label string) *obs.Observer {
 		ob := &obs.Observer{Attr: attr.NewCollector(attr.Options{})}
 		col = ob.Attr

@@ -4,38 +4,12 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/obs"
 	"repro/internal/obs/attr"
 )
 
 // commTimelineBin is the Figure 10 sampling interval in cycles (the paper
 // used 100 ms of wall time; the simulated equivalent is scaled).
 const commTimelineBin = 1_000_000
-
-// CommOpts size the communication-behavior experiments (Figures 10/14/15).
-type CommOpts struct {
-	Seed          uint64
-	WarmupCycles  uint64
-	MeasureCycles uint64
-}
-
-// DefaultCommOpts is the full-fidelity configuration.
-func DefaultCommOpts() CommOpts {
-	return CommOpts{
-		Seed:          20030208,
-		WarmupCycles:  12_000_000,
-		MeasureCycles: 60_000_000,
-	}
-}
-
-// QuickCommOpts is the reduced test/bench configuration.
-func QuickCommOpts() CommOpts {
-	return CommOpts{
-		Seed:          20030208,
-		WarmupCycles:  4_000_000,
-		MeasureCycles: 20_000_000,
-	}
-}
 
 // CommProfile is one workload's measured communication behavior.
 type CommProfile struct {
@@ -51,8 +25,8 @@ type CommProfile struct {
 	// Top01PctShare is the share of the hottest 0.1% of touched lines
 	// (§5.2: >70% for SPECjbb, 56% for ECperf).
 	Top01PctShare float64
-	// LinesTouched and LinesTransferring size the footprints.
-	LinesTouched      int
+	// LinesTransferring sizes the communication footprint; len(Shares) is
+	// the touched one.
 	LinesTransferring int
 	// Timeline is the C2C-per-bin series (Figure 10), and GCCount the
 	// collections inside the window.
@@ -60,31 +34,34 @@ type CommProfile struct {
 	GCCount  uint64
 }
 
-// RunCommProfile measures one workload's communication profile on a run
-// with an exact attribution collector attached: its touched lines and
-// per-line transfers give Figures 14/15, its transfer timeline Figure 10.
-func RunCommProfile(kind Kind, o CommOpts) CommProfile {
-	sys := BuildSystem(SystemParams{Kind: kind, Processors: StudyProcessors, Seed: o.Seed})
-	ac := attr.NewCollector(attr.Options{Exact: true, TimelineBin: commTimelineBin})
-	pt := measurePoint(sys, &obs.Observer{Attr: ac}, o.WarmupCycles, o.MeasureCycles) // the reset restarts ac
+// CommCell is kind's communication-profile cell: an 8-processor run with
+// the exact attribution collector attached, whose touched lines and per-line
+// transfers give Figures 14/15 and whose transfer timeline gives Figure 10.
+func (st Study) CommCell(kind Kind) Cell {
+	c := st.cell(st.preset().comm, SystemParams{Kind: kind, Processors: StudyProcessors, Seed: StudySeed})
+	c.Attach = CommCollector
+	return c
+}
 
-	p := CommProfile{Kind: kind, Shares: ac.Shares(), GCCount: pt.GCCount}
-	for _, c := range p.Shares {
-		p.Transfers += c
-		if c > 0 {
+// newCommProfile reads the communication profile off cell c's finished
+// collector; gcs is the collections inside the window.
+func newCommProfile(ac *attr.Collector, c Cell, gcs uint64) *CommProfile {
+	p := &CommProfile{Kind: c.Params.Kind, Shares: ac.Shares(), GCCount: gcs}
+	for _, n := range p.Shares {
+		p.Transfers += n
+		if n > 0 {
 			p.LinesTransferring++
 		}
 	}
-	p.LinesTouched = len(p.Shares)
 	p.TopLineShare = p.topShare(1)
-	p.Top01PctShare = p.topShare(max(1, int(math.Ceil(0.001*float64(p.LinesTouched)))))
+	p.Top01PctShare = p.topShare(max(1, int(math.Ceil(0.001*float64(len(p.Shares))))))
 	// The timeline bins are indexed by absolute simulated time; keep the
 	// measurement window's bins. The engine can finish an event a little
 	// past the window's end, so the bin that starts there holds only a
 	// sliver of accesses and is dropped with the warm-up prefix.
 	bins := ac.Timeline()
-	lo := min(int(o.WarmupCycles/commTimelineBin), len(bins))
-	hi := min(lo+int(o.MeasureCycles/commTimelineBin), len(bins))
+	lo := min(int(c.Warmup/commTimelineBin), len(bins))
+	hi := min(lo+int(c.Measure/commTimelineBin), len(bins))
 	for _, v := range bins[lo:hi] {
 		p.Timeline = append(p.Timeline, float64(v))
 	}
@@ -104,15 +81,17 @@ func (p *CommProfile) topShare(k int) float64 {
 	return float64(sum) / float64(p.Transfers)
 }
 
-// ScheduleCommProfiles submits both workloads' communication profiles as
-// cells; the pointees are filled by sched.Wait.
-func ScheduleCommProfiles(sched *Scheduler, o CommOpts) (jbb, ec *CommProfile) {
-	ps := grid(sched, 2, func(i int) CommProfile {
-		p := RunCommProfile([]Kind{SPECjbb, ECperf}[i], o)
-		sched.Progress.AddCycles(o.WarmupCycles + o.MeasureCycles)
-		return p
-	})
-	return &ps[0], &ps[1]
+// commStudy is Figures 10/14/15: both workloads' communication profiles.
+var commStudy = &Experiment{
+	Name: "communication profiles (8 processors)",
+	Figs: []int{10, 14, 15},
+	cells: func(st Study) []Cell {
+		return []Cell{st.CommCell(SPECjbb), st.CommCell(ECperf)}
+	},
+	render: func(_ Study, rs []CellResult) []Figure {
+		jbb, ec := *rs[0].Comm, *rs[1].Comm
+		return []Figure{Fig10C2CTimeline(jbb), Fig14C2CDistribution(jbb, ec), Fig15C2CFootprint(jbb, ec)}
+	},
 }
 
 // Fig14C2CDistribution reproduces Figure 14: the cumulative fraction of
@@ -126,20 +105,19 @@ func Fig14C2CDistribution(jbb, ec CommProfile) Figure {
 		YLabel: "Cache-to-cache transfers (%)",
 	}
 	for _, p := range []CommProfile{ec, jbb} {
-		s := Series{Label: p.Kind.String()}
 		// Sample the cumulative curve at every step-th line and the last.
+		var x, y []float64
 		n := len(p.Shares)
 		step := max(n/100, 1)
 		var cum uint64
 		for i, c := range p.Shares {
 			cum += c
 			if p.Transfers > 0 && ((i+1)%step == 0 || i+1 == n) {
-				s.X = append(s.X, 100*(float64(i+1)/float64(n)))
-				s.Y = append(s.Y, 100*(float64(cum)/float64(p.Transfers)))
-				s.Err = append(s.Err, 0)
+				x = append(x, 100*(float64(i+1)/float64(n)))
+				y = append(y, 100*(float64(cum)/float64(p.Transfers)))
 			}
 		}
-		f.Series = append(f.Series, s)
+		f.Series = append(f.Series, flat(p.Kind.String(), x, y))
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"%s: hottest line %.1f%% of transfers; hottest 0.1%% of lines %.1f%%",
 			p.Kind, 100*p.TopLineShare, 100*p.Top01PctShare))
@@ -159,19 +137,17 @@ func Fig15C2CFootprint(jbb, ec CommProfile) Figure {
 		LogX:   true,
 	}
 	for _, p := range []CommProfile{ec, jbb} {
-		s := Series{Label: p.Kind.String()}
-		for k := 1; k <= p.LinesTouched; k *= 2 {
-			s.X = append(s.X, float64(k))
-			s.Y = append(s.Y, 100*p.topShare(k))
-			s.Err = append(s.Err, 0)
+		var x, y []float64
+		for k := 1; k <= len(p.Shares); k *= 2 {
+			x = append(x, float64(k))
+			y = append(y, 100*p.topShare(k))
 		}
-		s.X = append(s.X, float64(p.LinesTouched))
-		s.Y = append(s.Y, 100)
-		s.Err = append(s.Err, 0)
-		f.Series = append(f.Series, s)
+		x = append(x, float64(len(p.Shares)))
+		y = append(y, 100)
+		f.Series = append(f.Series, flat(p.Kind.String(), x, y))
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"%s: %d lines touched, %d lines ever transferred",
-			p.Kind, p.LinesTouched, p.LinesTransferring))
+			p.Kind, len(p.Shares), p.LinesTransferring))
 	}
 	return f
 }
@@ -190,21 +166,16 @@ func Fig10C2CTimeline(p CommProfile) Figure {
 	}
 	peak := 0.0
 	for _, v := range p.Timeline {
-		if v > peak {
-			peak = v
-		}
+		peak = max(peak, v)
 	}
-	s := Series{Label: p.Kind.String()}
+	x, y := make([]float64, len(p.Timeline)), make([]float64, len(p.Timeline))
 	for i, v := range p.Timeline {
-		s.X = append(s.X, float64(i))
-		y := 0.0
+		x[i] = float64(i)
 		if peak > 0 {
-			y = v / peak
+			y[i] = v / peak
 		}
-		s.Y = append(s.Y, y)
-		s.Err = append(s.Err, 0)
 	}
-	f.Series = append(f.Series, s)
+	f.Series = append(f.Series, flat(p.Kind.String(), x, y))
 	f.Notes = append(f.Notes, fmt.Sprintf("%d garbage collections in the window", p.GCCount))
 	return f
 }

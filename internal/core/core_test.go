@@ -6,7 +6,7 @@ import (
 )
 
 // Shape tests: each asserts the qualitative result the paper reports for a
-// figure, on reduced (QuickOpts-sized) runs. Absolute values are not
+// figure, on reduced (quick-preset) runs. Absolute values are not
 // checked — the substrate is a simulator — only orderings, trends, knees,
 // and crossovers.
 
@@ -40,11 +40,8 @@ func TestSystemDefaults(t *testing.T) {
 }
 
 func TestScalingPointDeterministic(t *testing.T) {
-	o := QuickOpts()
-	o.WarmupCycles = 2_000_000
-	o.MeasureCycles = 6_000_000
-	a := RunScalingPoint(SPECjbb, 2, 7, o)
-	b := RunScalingPoint(SPECjbb, 2, 7, o)
+	c := Cell{Params: SystemParams{Kind: SPECjbb, Processors: 2, Seed: 7}, Warmup: 2_000_000, Measure: 6_000_000}
+	a, b := c.Run(), c.Run()
 	if a.Throughput != b.Throughput || a.CPI != b.CPI || a.C2CRatio != b.C2CRatio {
 		t.Fatalf("scaling point not deterministic:\n%+v\n%+v", a, b)
 	}
@@ -53,18 +50,18 @@ func TestScalingPointDeterministic(t *testing.T) {
 // quickSweeps hold one quick scaling sweep per workload, run once and
 // shared by the Figure 4–8 shape tests.
 var quickSweeps = map[Kind]func() *ScalingSweep{
-	SPECjbb: sync.OnceValue(func() *ScalingSweep { return RunScalingSweep(SPECjbb, QuickOpts()) }),
-	ECperf:  sync.OnceValue(func() *ScalingSweep { return RunScalingSweep(ECperf, QuickOpts()) }),
+	SPECjbb: sync.OnceValue(func() *ScalingSweep { return RunScalingSweep(SPECjbb, Study{Quick: true}) }),
+	ECperf:  sync.OnceValue(func() *ScalingSweep { return RunScalingSweep(ECperf, Study{Quick: true}) }),
 }
 
 // quickPoint returns kind's quick-sweep point at procs processors (first
-// seed): the same point RunScalingPoint measures with QuickOpts.
+// seed): the quick study's ScalingCell.
 func quickPoint(t *testing.T, kind Kind, procs int) ScalingPoint {
 	t.Helper()
 	sw := quickSweeps[kind]()
 	for i := range sw.Cells {
 		if sw.Cells[i].Processors == procs {
-			return sw.Cells[i].Points[0]
+			return sw.Cells[i].Points[0].ScalingPoint
 		}
 	}
 	t.Fatalf("%v: quick sweep has no %d-processor cell", kind, procs)
@@ -196,7 +193,7 @@ func TestFig12And13Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	cs := RunCacheSweeps(QuickSweepOpts())
+	cs := RunCacheSweeps(Study{Quick: true}.SweepOpts())
 	ecI := missAt(cs, "ECperf", 256<<10, true)
 	jbbI := missAt(cs, "SPECjbb-25", 256<<10, true)
 	if ecI < 2*jbbI {
@@ -227,14 +224,14 @@ func TestFig11Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	o := QuickMemScaleOpts()
-	jbb4 := memScalePoint(SPECjbb, 4, o)
-	jbb16 := memScalePoint(SPECjbb, 16, o)
+	ops := presets[true].opsPerScaleUnit
+	jbb4 := memScalePoint(SPECjbb, 4, ops)
+	jbb16 := memScalePoint(SPECjbb, 16, ops)
 	if jbb16 < 2.5*jbb4 {
 		t.Fatalf("SPECjbb live memory not ~linear: 4wh=%vMB 16wh=%vMB", jbb4, jbb16)
 	}
-	ec8 := memScalePoint(ECperf, 8, o)
-	ec40 := memScalePoint(ECperf, 40, o)
+	ec8 := memScalePoint(ECperf, 8, ops)
+	ec40 := memScalePoint(ECperf, 40, ops)
 	if ec40 > ec8*1.3 {
 		t.Fatalf("ECperf live memory keeps growing: OIR8=%vMB OIR40=%vMB", ec8, ec40)
 	}
@@ -246,9 +243,9 @@ func TestFig10And14And15Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	o := QuickCommOpts()
-	o.MeasureCycles = 30_000_000 // long enough for a GC
-	jbb := RunCommProfile(SPECjbb, o)
+	c := Study{Quick: true}.CommCell(SPECjbb)
+	c.Measure = 30_000_000 // long enough for a GC
+	jbb := c.Run().Comm
 
 	// Fig 14: hot concentration — the top 0.1% of lines carries a large
 	// share (paper: >70% for SPECjbb; one line alone 20%).
@@ -284,7 +281,7 @@ func TestFig16Shapes(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	// The quick grouping is {1, 8}: each series reads (private, shared).
-	f := Fig16SharedCaches(QuickSharedCacheOpts())
+	f := SharedCacheStudy.Run(Study{Quick: true})[0]
 	ecPriv, ecShared := f.Series[0].Y[0], f.Series[0].Y[1]
 	jbbPriv, jbbShared := f.Series[1].Y[0], f.Series[1].Y[1]
 
@@ -302,7 +299,7 @@ func TestAblationISM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	f := AblationISM(QuickAblationOpts())
+	f := ismStudy.Run(Study{Quick: true})[0]
 	checkGolden(t, "ablation_ism", f)
 	ism, base := f.Series[0].Y[0], f.Series[0].Y[1]
 	if gain := ism/base - 1; gain < 0.05 {
@@ -316,7 +313,7 @@ func TestAblationGCThreads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	f := AblationGCThreads(QuickAblationOpts())
+	f := gcThreadsStudy.Run(Study{Quick: true})[0]
 	checkGolden(t, "ablation_gcthreads", f)
 	thr := f.Series[0]
 	if thr.Y[len(thr.Y)-1] <= thr.Y[0] {
@@ -334,7 +331,7 @@ func TestAblationC2CLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	f := AblationC2CLatency(QuickAblationOpts())
+	f := c2cLatencyStudy.Run(Study{Quick: true})[0]
 	checkGolden(t, "ablation_c2c", f)
 	for _, s := range f.Series {
 		if s.Y[len(s.Y)-1] >= s.Y[0] {
@@ -350,7 +347,7 @@ func TestAblationProtocol(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	f := AblationProtocol(QuickAblationOpts())
+	f := protocolStudy.Run(Study{Quick: true})[0]
 	checkGolden(t, "ablation_protocol", f)
 	c2c := f.Series[0] // MOSI, MSI, MESI
 	if c2c.Y[1] >= c2c.Y[0] {
@@ -365,7 +362,7 @@ func TestGeometrySweeps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	o := QuickSweepOpts()
+	o := Study{Quick: true}.SweepOpts()
 	sweep := func(mode GeometryMode) *CacheSweeps {
 		return runPrivate(func(s *Scheduler) *CacheSweeps { return ScheduleCacheSweeps(s, o, mode, 256<<10) })
 	}
@@ -421,7 +418,7 @@ func TestRelatedWorkKernelOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	f := RelatedWorkKernelTime(QuickAblationOpts())
+	f := KernelTimeStudy.Run(Study{Quick: true})[0]
 	checkGolden(t, "kerneltime", f)
 	y := f.Series[0].Y // SPECjbb, ECperf, VolanoMark
 	if !(y[2] > y[1] && y[1] > y[0]) {
@@ -452,7 +449,15 @@ func TestCoSimAgreesWithModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	r := RunCoSim(4, 1, 4_000_000, 12_000_000)
+	base := Cell{Params: SystemParams{Kind: ECperf, Processors: 4, Seed: 1}, Warmup: 4_000_000, Measure: 12_000_000}
+	co := base
+	co.Params.CoSimDB = true
+	rs := runPrivate(func(s *Scheduler) []CellResult { return runCells(s, []Cell{base, co}) })
+	// The golden file pins these four values in this order.
+	r := struct {
+		ModelThroughput, CoSimThroughput, DBBusyFrac float64
+		DBQueries                                    uint64
+	}{rs[0].Throughput, rs[1].Throughput, rs[1].dbBusyFrac, rs[1].dbQueries}
 	checkGolden(t, "cosim", r)
 	if r.CoSimThroughput <= 0 || r.ModelThroughput <= 0 {
 		t.Fatalf("degenerate run: %+v", r)

@@ -14,35 +14,33 @@ import (
 	"repro/internal/workload/dbserver"
 )
 
-// CoSim is a co-simulated two-machine ECperf deployment: the application
+// coSim is a co-simulated two-machine ECperf deployment: the application
 // server (measured, as always) plus a real simulated database machine,
 // coupled by a cluster coordinator — the paper's §3.3 methodology, where
 // all tiers ran under simulation and only the middle tier was profiled.
-type CoSim struct {
-	App   *System
-	DBEng *osmodel.Engine
-	DBSrv *dbserver.Server
-	Coord *cluster.Coordinator
+type coSim struct {
+	app   *System
+	db    *osmodel.Engine
+	dbMem *memsys.Hierarchy
+	srv   *dbserver.Server
+	coord *cluster.Coordinator
 }
 
-// BuildCoSim assembles the deployment. The database machine is an
-// 8-processor system of the same family running the dbserver workload with
-// 16 worker threads.
-func BuildCoSim(procs int, seed uint64) *CoSim {
-	app := BuildSystem(SystemParams{
-		Kind:       ECperf,
-		Processors: procs,
-		Seed:       seed,
-		CoSimDB:    true,
-	})
+// coSimDBProcs is the database machine's processor count.
+const coSimDBProcs = 8
+
+// buildCoSim assembles the deployment for the application server's
+// parameters p (Params.CoSimDB set). The database machine is an 8-processor
+// system of the same family, under the same memory model, running the
+// dbserver workload with 16 worker threads.
+func buildCoSim(p SystemParams) *coSim {
+	app := BuildSystem(p)
 
 	// The database machine.
-	rng := simrand.New(seed ^ 0xdb)
+	rng := simrand.New(p.Seed ^ 0xdb)
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
-	comps := dbserver.Components{
-		SQL: layout.Add("dbms", 384<<10, false, codeProfile()),
-	}
+	comps := dbserver.Components{SQL: layout.Add("dbms", 384<<10, false, codeProfile())}
 	gcComp := layout.Add("jvm-gc", 96<<10, false, codeProfile())
 	kern := layout.Add("kernel-net", 256<<10, true, codeProfile())
 
@@ -53,9 +51,8 @@ func BuildCoSim(procs int, seed uint64) *CoSim {
 	net := netsim.NewNetwork()
 	ns := netsim.NewNetStack(space, kern, rng.Derive(1))
 
-	mcfg := memsys.DefaultConfig(8)
-	hier := memsys.New(mcfg)
-	ecfg := osmodel.DefaultConfig(8)
+	hier := memsys.New(p.memConfig(coSimDBProcs))
+	ecfg := osmodel.DefaultConfig(coSimDBProcs)
 	eng := osmodel.NewEngine(ecfg, hier, layout, net, rng.Derive(2))
 	osmodel.AddOSDaemons(eng, space, kern, rng.Derive(3))
 
@@ -65,64 +62,56 @@ func BuildCoSim(procs int, seed uint64) *CoSim {
 	}
 
 	coord := cluster.New(app.Engine, eng, srv)
-	return &CoSim{App: app, DBEng: eng, DBSrv: srv, Coord: coord}
+	return &coSim{app: app, db: eng, dbMem: hier, srv: srv, coord: coord}
 }
 
-// CoSimResult compares the queueing-model database against the
-// co-simulated one.
-type CoSimResult struct {
-	ModelThroughput float64 // BBops/s with the internal/db timing model
-	CoSimThroughput float64 // BBops/s with the real database machine
-	DBBusyFrac      float64 // database machine busy fraction (mpstat view)
-	DBQueries       uint64
-}
-
-// RunCoSim measures both configurations at the same seed and window.
-func RunCoSim(procs int, seed uint64, warmup, measure uint64) CoSimResult {
-	// Queueing-model baseline.
-	base := BuildSystem(SystemParams{Kind: ECperf, Processors: procs, Seed: seed})
-	res := CoSimResult{ModelThroughput: measurePoint(base, nil, warmup, measure).Throughput}
-
-	// Co-simulated deployment.
-	cs := BuildCoSim(procs, seed)
-	cs.Coord.Run(warmup)
-	cs.App.Engine.ResetStats()
-	cs.DBEng.ResetStats()
-	cs.Coord.Run(warmup + measure)
-	res.CoSimThroughput = float64(cs.App.Engine.Results().BusinessOps) / (float64(measure) / CyclesPerSecond)
-	dbm := cs.DBEng.Results().Modes
+// runCoSim measures a co-simulated deployment cell on the coordinator's
+// loop: both machines reset their stats at the warm-up boundary.
+func (c Cell) runCoSim() CellResult {
+	cs := buildCoSim(c.Params)
+	cs.coord.Run(c.Warmup)
+	cs.app.Engine.ResetStats()
+	cs.db.ResetStats()
+	cs.coord.Run(c.Warmup + c.Measure)
+	r := summarize(cs.app, c)
+	dbm := cs.db.Results().Modes
 	if total := float64(dbm.Total()); total > 0 {
-		res.DBBusyFrac = float64(dbm.Busy()) / total
+		r.dbBusyFrac = float64(dbm.Busy()) / total
 	}
-	res.DBQueries = cs.DBSrv.Served
-	return res
+	r.dbQueries = cs.srv.Served
+	return r
 }
 
-// CoSimExperiment renders the comparison: the queueing abstraction the
-// other experiments use should agree with the fully simulated database to
-// within a modest margin, and the database machine itself should be far
-// from saturated ("ECperf does not overly stress the database", §2.2).
-func CoSimExperiment(o AblationOpts) Figure {
-	r := RunCoSim(StudyProcessors, o.Seed, o.WarmupCycles, o.MeasureCycles)
-	f := Figure{
-		ID:     "Co-simulation",
-		Title:  "Queueing-model database vs. co-simulated database machine",
-		XLabel: "configuration (0=model, 1=co-simulated)",
-		YLabel: "Throughput (BBops/s)",
-	}
-	f.Series = append(f.Series, Series{
-		Label: "ECperf",
-		X:     []float64{0, 1},
-		Y:     []float64{r.ModelThroughput, r.CoSimThroughput},
-		Err:   []float64{0, 0},
-	})
-	ratio := 0.0
-	if r.ModelThroughput > 0 {
-		ratio = r.CoSimThroughput / r.ModelThroughput
-	}
-	f.Notes = append(f.Notes,
-		fmt.Sprintf("co-simulated throughput is %.0f%% of the queueing model's", 100*ratio),
-		fmt.Sprintf("database machine busy %.0f%% of its cycles over %d queries — not a bottleneck (§2.2)",
-			100*r.DBBusyFrac, r.DBQueries))
-	return f
+// CoSimStudy compares the queueing-model database with a co-simulated
+// database machine, both machines under the study's memory model: the
+// queueing abstraction the other experiments use should agree with the
+// fully simulated database to within a modest margin, and the database
+// machine itself should be far from saturated ("ECperf does not overly
+// stress the database", §2.2).
+var CoSimStudy = &Experiment{
+	Name: "cosim",
+	// The queueing-model cell, then the same cell co-simulating a real
+	// database machine.
+	cells: func(st Study) []Cell {
+		return vary(st.AblationCell(ECperf), []bool{false, true}, func(c *Cell, co bool) { c.Params.CoSimDB = co })
+	},
+	render: func(_ Study, rs []CellResult) []Figure {
+		model, co := rs[0], rs[1]
+		ratio := 0.0
+		if model.Throughput > 0 {
+			ratio = co.Throughput / model.Throughput
+		}
+		return []Figure{{
+			ID:     "Co-simulation",
+			Title:  "Queueing-model database vs. co-simulated database machine",
+			XLabel: "configuration (0=model, 1=co-simulated)",
+			YLabel: "Throughput (BBops/s)",
+			Series: []Series{flat("ECperf", []float64{0, 1}, []float64{model.Throughput, co.Throughput})},
+			Notes: []string{
+				fmt.Sprintf("co-simulated throughput is %.0f%% of the queueing model's", 100*ratio),
+				fmt.Sprintf("database machine busy %.0f%% of its cycles over %d queries — not a bottleneck (§2.2)",
+					100*co.dbBusyFrac, co.dbQueries),
+			},
+		}}
+	},
 }

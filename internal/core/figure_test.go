@@ -8,13 +8,11 @@ import (
 // fabricate builds a ScalingSweep from synthetic points so figure drivers
 // can be tested without simulation.
 func fabricate(kind Kind, procs []int, seeds int) *ScalingSweep {
-	sw := &ScalingSweep{Kind: kind, Opts: Opts{Procs: procs}}
+	sw := &ScalingSweep{Kind: kind}
 	for _, p := range procs {
 		cell := SweepCell{Processors: p}
 		for s := 0; s < seeds; s++ {
 			pt := ScalingPoint{
-				Processors:     p,
-				Seed:           uint64(s),
 				Throughput:     1000 * float64(p) * (1 - 0.02*float64(p)) * (1 + 0.001*float64(s)),
 				ThroughputNoGC: 1050 * float64(p) * (1 - 0.02*float64(p)) * (1 + 0.001*float64(s)),
 				UserFrac:       0.8,
@@ -31,7 +29,7 @@ func fabricate(kind Kind, procs []int, seeds int) *ScalingSweep {
 				GCWallFrac:     0.05,
 				InstrPerOp:     10000,
 			}
-			cell.Points = append(cell.Points, pt)
+			cell.Points = append(cell.Points, CellResult{ScalingPoint: pt})
 		}
 		sw.Cells = append(sw.Cells, cell)
 	}

@@ -35,18 +35,17 @@ func Fig4Throughput(jbb, ec *ScalingSweep) Figure {
 		f.Series = append(f.Series, seriesFromSweep(sw, sw.Kind.String(),
 			func(p *ScalingPoint) float64 { return p.Throughput / base }))
 	}
-	f.Series = append(f.Series, linearSeries(jbb.Opts.Procs))
+	f.Series = append(f.Series, linearSeries(jbb))
 	return f
 }
 
-func linearSeries(procs []int) Series {
-	s := Series{Label: "Linear"}
-	for _, p := range procs {
-		s.X = append(s.X, float64(p))
-		s.Y = append(s.Y, float64(p))
-		s.Err = append(s.Err, 0)
+// linearSeries is perfect scaling over the sweep's processor counts.
+func linearSeries(sw *ScalingSweep) Series {
+	var procs []float64
+	for i := range sw.Cells {
+		procs = append(procs, float64(sw.Cells[i].Processors))
 	}
-	return s
+	return flat("Linear", procs, procs)
 }
 
 // Fig5ExecutionModes reproduces Figure 5: the mpstat execution-mode
@@ -156,14 +155,7 @@ func Fig9GCScaling(jbb, ec *ScalingSweep) Figure {
 	}
 	for _, sw := range []*ScalingSweep{ec, jbb} {
 		base := sw.BaseThroughput()
-		baseNoGC := func() float64 {
-			for i := range sw.Cells {
-				if sw.Cells[i].Processors == 1 {
-					return sw.Cells[i].Metric(func(p *ScalingPoint) float64 { return p.ThroughputNoGC }).Mean()
-				}
-			}
-			return base
-		}()
+		baseNoGC := sw.base(func(p *ScalingPoint) float64 { return p.ThroughputNoGC })
 		f.Series = append(f.Series,
 			seriesFromSweep(sw, sw.Kind.String(),
 				func(p *ScalingPoint) float64 { return p.Throughput / base }),
@@ -172,6 +164,6 @@ func Fig9GCScaling(jbb, ec *ScalingSweep) Figure {
 		)
 		f.Notes = append(f.Notes, gcSignificance(sw))
 	}
-	f.Series = append(f.Series, linearSeries(jbb.Opts.Procs))
+	f.Series = append(f.Series, linearSeries(jbb))
 	return f
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/memsys"
@@ -37,11 +39,14 @@ func TestMemModelLoadedDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 20M-cycle runs")
 	}
-	o := QuickOpts()
-	o.MemModel = memsys.MemLoaded
+	st := Study{Quick: true, MemModel: memsys.MemLoaded}
+	c := st.ScalingCell(ECperf, 8, st.SeedList()[0])
 	run := func() uint64 {
-		sys := BuildSystem(o.systemParams(ECperf, 8, o.Seeds[0]))
-		measurePoint(sys, nil, o.WarmupCycles, o.MeasureCycles)
+		sys := BuildSystem(c.Params)
+		r := &Run{Sys: sys, slice: c.Warmup + c.Measure}
+		if err := r.Measure(c.Warmup, c.Measure, nil); err != nil {
+			t.Fatal(err)
+		}
 		return Fingerprint(sys)
 	}
 	a, b := run(), run()
@@ -58,10 +63,11 @@ func TestMemModelLoadedMovesTowardPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 20M-cycle runs")
 	}
-	o := QuickOpts()
-	fixed := RunScalingPoint(ECperf, 15, o.Seeds[0], o)
-	o.MemModel = memsys.MemLoaded
-	loaded := RunScalingPoint(ECperf, 15, o.Seeds[0], o)
+	point := func(model memsys.MemModel) CellResult {
+		st := Study{Quick: true, MemModel: model}
+		return st.ScalingCell(ECperf, 15, st.SeedList()[0]).Run()
+	}
+	fixed, loaded := point(memsys.MemFixed), point(memsys.MemLoaded)
 	if loaded.CPI <= fixed.CPI {
 		t.Errorf("loaded CPI %.3f not above fixed %.3f at 15 processors", loaded.CPI, fixed.CPI)
 	}
@@ -90,5 +96,38 @@ func TestMemModelCurveOverride(t *testing.T) {
 	}
 	if ls.MemMult != 1 || ls.C2CMult != 1 {
 		t.Fatalf("flat curve override ignored: %+v", ls)
+	}
+}
+
+// TestNoTimingStudyIgnoresMemModel lists every study's declared cells under
+// a loaded quick Study, without running them: each timing cell (and the
+// co-simulated database machine) must take the loaded model, and only the
+// functional uniprocessor studies, Fig 11 and Figs 12/13, may declare
+// themselves timing-free.
+func TestNoTimingStudyIgnoresMemModel(t *testing.T) {
+	st := Study{Quick: true, MemModel: memsys.MemLoaded}
+	var timingFree []string
+	for _, e := range append(slices.Clone(FigureStudies), Ablations...) {
+		if e.cells == nil {
+			timingFree = append(timingFree, fmt.Sprint(e.Figs))
+			continue
+		}
+		cells := e.cells(st)
+		if len(cells) == 0 {
+			t.Errorf("%s: timing study declares no cells", e.Name)
+		}
+		for i, c := range cells {
+			if c.Params.MemModel != memsys.MemLoaded {
+				t.Errorf("%s: cell %d runs under %s", e.Name, i, c.Params.MemModel)
+			}
+			if c.Params.CoSimDB {
+				if m := buildCoSim(c.Params).dbMem.Model(); m != memsys.MemLoaded {
+					t.Errorf("%s: cell %d's database machine runs under %s", e.Name, i, m)
+				}
+			}
+		}
+	}
+	if want := []string{"[11]", "[12 13]"}; !slices.Equal(timingFree, want) {
+		t.Errorf("timing-free studies %v, want Fig 11 and Figs 12/13 %v", timingFree, want)
 	}
 }

@@ -182,15 +182,15 @@ func TestObserveRunGCSpans(t *testing.T) {
 // figure metrics as the plain driver — observation must not perturb the
 // simulation — with a full observer and with none.
 func TestRunObservedPointAgrees(t *testing.T) {
-	o := Opts{Procs: []int{2}, Seeds: []uint64{7}, WarmupCycles: 1_000_000, MeasureCycles: 4_000_000}
-	plain := RunScalingPoint(SPECjbb, 2, 7, o)
+	c := Cell{Params: SystemParams{Kind: SPECjbb, Processors: 2, Seed: 7}, Warmup: 1_000_000, Measure: 4_000_000}
+	plain := c.Run()
 	for _, ob := range []*obs.Observer{newObserver(), nil} {
 		r := &Run{Observer: ob}
-		r.attach(BuildSystem(o.systemParams(SPECjbb, 2, 7)))
-		if err := r.Measure(o.WarmupCycles, o.MeasureCycles, nil); err != nil {
+		r.attach(BuildSystem(c.Params))
+		if err := r.Measure(c.Warmup, c.Measure, nil); err != nil {
 			t.Fatal(err)
 		}
-		if got := summarizePoint(r.Sys, o.MeasureCycles); got != plain {
+		if got := summarize(r.Sys, c); got.ScalingPoint != plain.ScalingPoint {
 			t.Errorf("observed point diverged (observer %v):\nplain    %+v\nobserved %+v", ob != nil, plain, got)
 		}
 		if ob != nil && (r.Delta == nil || counter(t, r.Delta, "workload.ops") == 0) {
@@ -204,7 +204,7 @@ func TestRunObservedPointAgrees(t *testing.T) {
 func TestSweepObserve(t *testing.T) {
 	var observers []*obs.Observer
 	var labels []string
-	o := QuickSweepOpts()
+	o := Study{Quick: true}.SweepOpts()
 	o.Observe = func(label string) *obs.Observer {
 		ob := newObserver()
 		observers = append(observers, ob)

@@ -3,54 +3,11 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/memsys"
 	"repro/internal/stats"
 )
 
-// Opts control a timing experiment's sweep shape and statistical effort.
-type Opts struct {
-	// Procs are the processor-set sizes to sweep (Figures 4–9).
-	Procs []int
-	// Seeds drive the variability methodology (one run per seed).
-	Seeds []uint64
-	// WarmupCycles are simulated then excluded from measurement.
-	WarmupCycles uint64
-	// MeasureCycles is the steady-state measurement window.
-	MeasureCycles uint64
-	// MemModel selects the memory timing model for every run in the sweep
-	// (default memsys.MemFixed).
-	MemModel memsys.MemModel
-}
-
-// DefaultOpts is the full-fidelity configuration used by cmd/figures:
-// the paper's processor counts, three seeds, and a window long enough for
-// several garbage collections at every point.
-func DefaultOpts() Opts {
-	return Opts{
-		Procs:         []int{1, 2, 4, 6, 8, 10, 12, 14, 15},
-		Seeds:         stats.Seeds(20030208, 3), // HPCA 2003's opening day
-		WarmupCycles:  12_000_000,
-		MeasureCycles: 50_000_000,
-	}
-}
-
-// QuickOpts is a reduced configuration for tests and benchmarks: fewer
-// points, one seed, shorter windows. The shapes survive; the error bars do
-// not.
-func QuickOpts() Opts {
-	return Opts{
-		Procs:         []int{1, 4, 8, 15},
-		Seeds:         stats.Seeds(20030208, 1),
-		WarmupCycles:  4_000_000,
-		MeasureCycles: 16_000_000,
-	}
-}
-
 // ScalingPoint is everything Figures 4–9 need from one run.
 type ScalingPoint struct {
-	Processors int
-	Seed       uint64
-
 	// Throughput in business operations per simulated second.
 	Throughput float64
 	// ThroughputNoGC factors GC wall time out of the window (Figure 9).
@@ -77,101 +34,70 @@ type ScalingPoint struct {
 	// InstrPerOp is the dynamic path length per business operation (§4.4).
 	InstrPerOp float64
 
-	// Debug carries bus-level diagnostics (populated by
-	// RunScalingPointDebug only).
+	// Debug is the calibration's bus-level diagnostic line (BusDiagnostic
+	// cells only).
 	Debug string
 }
 
-// RunScalingPoint builds the system, warms it, and measures one point.
-func RunScalingPoint(kind Kind, procs int, seed uint64, o Opts) ScalingPoint {
-	return measurePoint(BuildSystem(o.systemParams(kind, procs, seed)), nil, o.WarmupCycles, o.MeasureCycles)
-}
-
-// RunScalingPointDebug is RunScalingPoint plus a bus-level diagnostic
-// string (miss mix per 1000 instructions, with the address-class miss
-// diagnostic enabled) for calibration work.
-func RunScalingPointDebug(kind Kind, procs int, seed uint64, o Opts) ScalingPoint {
-	sys := BuildSystem(o.systemParams(kind, procs, seed))
-	sys.Hier.Bus().ClassifyAddr = regionClassifier(sys)
-	p := measurePoint(sys, nil, o.WarmupCycles, o.MeasureCycles)
+// busDiagnostic is the calibration line of a finished BusDiagnostic cell:
+// the miss mix per 1000 instructions, with misses by address class, and the
+// lock waits.
+func busDiagnostic(sys *System, measure uint64) string {
 	r := sys.Engine.Results()
-	bs := sys.Hier.Bus().Stats
+	bs, mc := sys.Hier.Bus().Stats, sys.Hier.Bus().MissClass
 	instr := float64(r.CPU.Instructions)
-	if instr > 0 {
-		p.Debug = fmt.Sprintf("bus/1k[gets=%.2f getm=%.2f upg=%.2f c2c=%.2f mem=%.2f dmiss=%.2f fmiss=%.2f] lockwait=%.2f",
-			1000*float64(bs.GetS)/instr, 1000*float64(bs.GetM)/instr,
-			1000*float64(bs.Upgrades)/instr, 1000*float64(bs.C2CTransfers)/instr,
-			1000*float64(bs.MemTransfers)/instr,
-			1000*float64(sys.Hier.DataMisses)/instr, 1000*float64(sys.Hier.FetchMisses)/instr,
-			float64(r.LockWaitCycles)/float64(o.MeasureCycles)/float64(procs))
-		p.Debug += fmt.Sprintf(" blk=%d/%d wait[mon=%.1fM spin=%.1fM sem=%.1fM]",
-			r.LockBlocks, r.LockAcquires,
-			float64(r.WaitMonitor)/1e6, float64(r.WaitSpin)/1e6, float64(r.WaitSem)/1e6)
-		if sys.DB != nil {
-			p.Debug += fmt.Sprintf(" dbutil=%.2f suputil=%.2f hit=%.2f", sys.DB.Utilization(), sys.Supplier.Utilization(), sys.EC.Cache().HitRatio())
-		}
-		mc := sys.Hier.Bus().MissClass
-		p.Debug += fmt.Sprintf(" memclass[code=%.2f kern=%.2f eden=%.2f surv=%.2f old=%.2f perm=%.2f oth=%.2f]",
-			1000*float64(mc[0])/instr, 1000*float64(mc[1])/instr, 1000*float64(mc[2])/instr,
-			1000*float64(mc[3])/instr, 1000*float64(mc[4])/instr, 1000*float64(mc[5])/instr,
-			1000*float64(mc[6])/instr)
+	if instr == 0 {
+		return ""
 	}
-	return p
-}
-
-// systemParams builds one sweep run's parameters from the sweep options.
-func (o Opts) systemParams(kind Kind, procs int, seed uint64) SystemParams {
-	return SystemParams{
-		Kind: kind, Processors: procs, Seed: seed, MemModel: o.MemModel,
+	k := func(n uint64) float64 { return 1000 * float64(n) / instr } // per 1000 instructions
+	d := fmt.Sprintf("bus/1k[gets=%.2f getm=%.2f upg=%.2f c2c=%.2f mem=%.2f dmiss=%.2f fmiss=%.2f] lockwait=%.2f blk=%d/%d wait[mon=%.1fM spin=%.1fM sem=%.1fM]",
+		k(bs.GetS), k(bs.GetM), k(bs.Upgrades), k(bs.C2CTransfers), k(bs.MemTransfers), k(sys.Hier.DataMisses), k(sys.Hier.FetchMisses),
+		float64(r.LockWaitCycles)/float64(measure)/float64(sys.Params.Processors),
+		r.LockBlocks, r.LockAcquires, float64(r.WaitMonitor)/1e6, float64(r.WaitSpin)/1e6, float64(r.WaitSem)/1e6)
+	if sys.DB != nil {
+		d += fmt.Sprintf(" dbutil=%.2f suputil=%.2f hit=%.2f", sys.DB.Utilization(), sys.Supplier.Utilization(), sys.EC.Cache().HitRatio())
 	}
+	return d + fmt.Sprintf(" memclass[code=%.2f kern=%.2f eden=%.2f surv=%.2f old=%.2f perm=%.2f oth=%.2f]",
+		k(mc[0]), k(mc[1]), k(mc[2]), k(mc[3]), k(mc[4]), k(mc[5]), k(mc[6]))
 }
 
 // regionClassifier maps addresses to coarse region classes for the
 // calibration diagnostics.
 func regionClassifier(sys *System) func(a uint64) int {
 	return func(a uint64) int {
-		var reg string
-		if r, ok := sys.Space.FindRegion(a); ok {
-			reg = r.Name
+		r, ok := sys.Space.FindRegion(a)
+		if c, known := regionClasses[r.Name]; ok && known {
+			return c
 		}
-		switch {
-		case len(reg) > 5 && reg[:5] == "code:":
-			if reg == "code:kernel" || reg == "code:kernel-net" {
-				return 1
-			}
+		if ok && len(r.Name) > 5 && r.Name[:5] == "code:" {
 			return 0
-		case reg == "heap:eden":
-			return 2
-		case reg == "heap:surv0" || reg == "heap:surv1":
-			return 3
-		case reg == "heap:old":
-			return 4
-		case reg == "heap:perm":
-			return 5
-		default:
-			return 6
 		}
+		return 6
 	}
 }
 
-// summarizePoint reduces a finished measurement window to the figure
-// metrics. The engine must have been reset at the warm-up boundary and run
-// through measure cycles.
-func summarizePoint(sys *System, measure uint64) ScalingPoint {
+// regionClasses are the classes regionClassifier names; other code regions
+// are class 0, everything else class 6.
+var regionClasses = map[string]int{
+	"code:kernel": 1, "code:kernel-net": 1,
+	"heap:eden": 2, "heap:surv0": 3, "heap:surv1": 3, "heap:old": 4, "heap:perm": 5,
+}
+
+// summarize reduces cell's finished measurement window to what the studies
+// read. The engine must have been reset at the warm-up boundary and run
+// through the window.
+func summarize(sys *System, cell Cell) CellResult {
 	res := sys.Engine.Results()
 
-	window := float64(measure)
+	window := float64(cell.Measure)
 	seconds := window / CyclesPerSecond
 	p := ScalingPoint{
-		Processors: sys.Params.Processors,
-		Seed:       sys.Params.Seed,
 		Throughput: float64(res.BusinessOps) / seconds,
 		GCCount:    res.GCCount,
 	}
-	if res.GCWall < measure {
+	p.ThroughputNoGC = p.Throughput
+	if res.GCWall < cell.Measure {
 		p.ThroughputNoGC = float64(res.BusinessOps) / ((window - float64(res.GCWall)) / CyclesPerSecond)
-	} else {
-		p.ThroughputNoGC = p.Throughput
 	}
 	p.GCWallFrac = float64(res.GCWall) / window
 
@@ -201,22 +127,35 @@ func summarizePoint(sys *System, measure uint64) ScalingPoint {
 	if res.BusinessOps > 0 {
 		p.InstrPerOp = float64(c.Instructions) / float64(res.BusinessOps)
 	}
-	p.C2CRatio = sys.Hier.Bus().Stats.C2CRatio()
-	return p
+	bs := sys.Hier.Bus().Stats
+	p.C2CRatio = bs.C2CRatio()
+
+	r := CellResult{
+		Cell:          cell,
+		ScalingPoint:  p,
+		dataMPKI:      sys.Hier.DataMissesPer1000(c.Instructions),
+		dtlbMissRatio: sys.Hier.DTLBMissRatio(),
+		writebacks:    bs.Writebacks,
+		upgrades:      bs.Upgrades,
+	}
+	if busy := res.Modes.Busy(); busy > 0 {
+		r.systemBusyPct = 100 * float64(res.Modes.System) / float64(busy)
+	}
+	return r
 }
 
-// SweepCell aggregates the per-seed points of one (workload, processors)
+// SweepCell aggregates the per-seed results of one (workload, processors)
 // configuration.
 type SweepCell struct {
 	Processors int
-	Points     []ScalingPoint
+	Points     []CellResult
 }
 
 // Metric summarizes fn over the cell's seeds.
 func (c *SweepCell) Metric(fn func(*ScalingPoint) float64) *stats.Summary {
 	var s stats.Summary
 	for i := range c.Points {
-		s.Add(fn(&c.Points[i]))
+		s.Add(fn(&c.Points[i].ScalingPoint))
 	}
 	return &s
 }
@@ -225,41 +164,70 @@ func (c *SweepCell) Metric(fn func(*ScalingPoint) float64) *stats.Summary {
 // shared substrate of Figures 4, 5, 6, 7, 8, and 9.
 type ScalingSweep struct {
 	Kind  Kind
-	Opts  Opts
 	Cells []SweepCell
 }
 
-// ScheduleScalingSweep submits every (processor count × seed) cell of the
-// sweep to the scheduler and returns the sweep skeleton immediately; the
-// points are filled in by the time sched.Wait returns. Each cell is an
-// independent single-threaded simulation writing to its own slot, so the
-// sweep is deterministic regardless of completion order.
-func ScheduleScalingSweep(sched *Scheduler, kind Kind, o Opts) *ScalingSweep {
-	ns := len(o.Seeds)
-	pts := grid(sched, len(o.Procs)*ns, func(i int) ScalingPoint {
-		p := RunScalingPoint(kind, o.Procs[i/ns], o.Seeds[i%ns], o)
-		sched.Progress.AddCycles(o.WarmupCycles + o.MeasureCycles)
-		return p
-	})
-	sw := &ScalingSweep{Kind: kind, Opts: o}
-	for pi, procs := range o.Procs {
-		sw.Cells = append(sw.Cells, SweepCell{Processors: procs, Points: pts[pi*ns : (pi+1)*ns]})
+// scalingCells declares kind's sweep: every (processor count × seed) cell.
+func scalingCells(st Study, kind Kind) []Cell {
+	var cells []Cell
+	for _, procs := range st.Procs() {
+		for _, seed := range st.SeedList() {
+			cells = append(cells, st.ScalingCell(kind, procs, seed))
+		}
+	}
+	return cells
+}
+
+// newScalingSweep groups kind's finished scalingCells by processor count.
+func newScalingSweep(st Study, kind Kind, rs []CellResult) *ScalingSweep {
+	ns := len(st.SeedList())
+	sw := &ScalingSweep{Kind: kind}
+	for pi, procs := range st.Procs() {
+		sw.Cells = append(sw.Cells, SweepCell{Processors: procs, Points: rs[pi*ns : (pi+1)*ns]})
 	}
 	return sw
 }
 
-// RunScalingSweep measures every (processor count × seed) cell on a
-// private scheduler sized to the host.
-func RunScalingSweep(kind Kind, o Opts) *ScalingSweep {
-	return runPrivate(func(s *Scheduler) *ScalingSweep { return ScheduleScalingSweep(s, kind, o) })
+// RunScalingSweep measures kind's sweep on a private scheduler sized to the
+// host.
+func RunScalingSweep(kind Kind, st Study) *ScalingSweep {
+	rs := runPrivate(func(s *Scheduler) []CellResult { return runCells(s, scalingCells(st, kind)) })
+	return newScalingSweep(st, kind, rs)
+}
+
+// scalingStudy is Figures 4–9: both workloads' sweeps, SPECjbb's cells
+// first.
+var scalingStudy = &Experiment{
+	Name: "scaling sweeps",
+	Figs: []int{4, 5, 6, 7, 8, 9},
+	cells: func(st Study) []Cell {
+		return append(scalingCells(st, SPECjbb), scalingCells(st, ECperf)...)
+	},
+	render: func(st Study, rs []CellResult) []Figure {
+		n := len(rs) / 2
+		jbb, ec := newScalingSweep(st, SPECjbb, rs[:n]), newScalingSweep(st, ECperf, rs[n:])
+		return []Figure{
+			Fig4Throughput(jbb, ec),
+			Fig5ExecutionModes(ec), Fig5ExecutionModes(jbb),
+			Fig6CPIBreakdown(ec), Fig6CPIBreakdown(jbb),
+			Fig7DataStall(ec), Fig7DataStall(jbb),
+			Fig8C2CRatio(jbb, ec),
+			Fig9GCScaling(jbb, ec),
+		}
+	},
 }
 
 // BaseThroughput returns mean single-processor throughput (speedup
 // denominator). It requires the sweep to include processors=1.
 func (sw *ScalingSweep) BaseThroughput() float64 {
+	return sw.base(func(p *ScalingPoint) float64 { return p.Throughput })
+}
+
+// base is fn's mean over the single-processor cell.
+func (sw *ScalingSweep) base(fn func(*ScalingPoint) float64) float64 {
 	for i := range sw.Cells {
 		if sw.Cells[i].Processors == 1 {
-			return sw.Cells[i].Metric(func(p *ScalingPoint) float64 { return p.Throughput }).Mean()
+			return sw.Cells[i].Metric(fn).Mean()
 		}
 	}
 	panic("core: scaling sweep lacks a 1-processor cell")

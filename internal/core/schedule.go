@@ -7,13 +7,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Scheduler is the figure runner's global work queue. Every requested
-// figure submits its independent simulation cells through grid (one cell =
-// one deterministic single-threaded run: a (workload, processor-count, seed)
-// scaling point, one uniprocessor sweep configuration, one shared-cache
-// seed, one memory-scaling scale factor, one communication profile) into
-// a single pool, so host cores stay busy across figure boundaries instead
-// of draining at each per-figure barrier.
+// Scheduler is the studies' global work queue. Every requested study
+// submits its independent simulation cells through grid (one cell = one
+// deterministic single-threaded run: a timing Cell, one uniprocessor sweep
+// configuration, one memory-scaling scale factor) into a single pool, so
+// host cores stay busy across study boundaries instead of draining at each
+// per-study barrier.
 //
 // Determinism: a cell's result depends only on its own parameters — each
 // cell builds its own System from its own seed-derived PCG streams — and

@@ -238,22 +238,23 @@ func (s *Session) Measure(label string, spec RunSpec) (*Run, error) {
 	return r, nil
 }
 
-// ObservePoints runs one fully observed point per workload at the given
-// shape when the flags ask for any artifact: the figure-style drivers'
-// sweep cells stay unobserved (and recorder-free), and these two runs carry
-// the trace, metrics, profile, attribution, latency, and flight recorder.
-// Workloads are kept apart by pid on the trace timeline and by scope in the
-// folded profile.
-func (s *Session) ObservePoints(procs int, seed uint64, o Opts) error {
+// ObservePoints runs one fully observed cell per workload, cell(kind), when
+// the flags ask for any artifact: the figure-style drivers' study cells stay
+// unobserved (and recorder-free), and these two runs carry the trace,
+// metrics, profile, attribution, latency, and flight recorder. They run in
+// the standard slices, so the live attachments see them. Workloads are kept
+// apart by pid on the trace timeline and by scope in the folded profile.
+func (s *Session) ObservePoints(cell func(Kind) Cell) error {
 	if !s.flags.Enabled() {
 		return nil
 	}
 	for _, kind := range []Kind{SPECjbb, ECperf} {
-		fmt.Fprintf(s.stderr, "observed run: %s, %d processors, seed %d...\n", kind, procs, seed)
-		s.insp.SetNote(fmt.Sprintf("observed run: %s, %d processors", kind, procs))
+		c := cell(kind)
+		fmt.Fprintf(s.stderr, "observed run: %s, %d processors, seed %d...\n", kind, c.Params.Processors, c.Params.Seed)
+		s.insp.SetNote(fmt.Sprintf("observed run: %s, %d processors", kind, c.Params.Processors))
 		r := s.newRun(kind.String(), s.Label+"-"+kind.String())
-		r.attach(BuildSystem(o.systemParams(kind, procs, seed)))
-		if err := r.Measure(o.WarmupCycles, o.MeasureCycles, nil); err != nil {
+		r.attach(BuildSystem(c.Params))
+		if err := r.Measure(c.Warmup, c.Measure, nil); err != nil {
 			return err
 		}
 	}
@@ -265,10 +266,10 @@ func (s *Session) ObservePoints(procs int, seed uint64, o Opts) error {
 // parameters BuildSystem cannot build are an error, found before either run
 // starts.
 func (s *Session) FaultExperiment(label string, o FaultRunOpts) (FaultRunResult, error) {
-	if o.MeasureCycles == 0 {
+	if o.Cell.Measure == 0 {
 		return FaultRunResult{}, ErrEmptyWindow
 	}
-	if err := o.params().validate(); err != nil {
+	if err := o.Cell.Params.validate(); err != nil {
 		return FaultRunResult{}, err
 	}
 	return runFaultExperiment(o, s.newRun(label, s.Label)), nil

@@ -148,15 +148,9 @@ type SweepOpts struct {
 	Observe func(label string) *obs.Observer
 }
 
-// DefaultSweepOpts is the full-fidelity configuration.
-func DefaultSweepOpts() SweepOpts {
-	return SweepOpts{WarmupOps: 120, MeasureOps: 600, Seed: 20030208}
-}
-
-// QuickSweepOpts is the reduced test/bench configuration.
-func QuickSweepOpts() SweepOpts {
-	return SweepOpts{WarmupOps: 30, MeasureOps: 120, Seed: 20030208}
-}
+// SweepOpts is the study's Figure 12/13 sweep: the preset's per-thread
+// operation counts at StudySeed.
+func (st Study) SweepOpts() SweepOpts { return st.preset().sweep }
 
 // SweepResult is one workload configuration's miss curves.
 type SweepResult struct {
@@ -230,20 +224,20 @@ type CacheSweeps struct {
 	Results []SweepResult // ECperf, SPECjbb-25, SPECjbb-10, SPECjbb-1
 }
 
-// sweepSpecs are the paper's four uniprocessor workload configurations.
-type sweepSpec struct {
+// workloadSpec is one labelled workload configuration; scale 0 picks the
+// tuned value for the processor count.
+type workloadSpec struct {
 	kind  Kind
 	scale int
 	label string
 }
 
-func sweepSpecs() []sweepSpec {
-	return []sweepSpec{
-		{ECperf, 10, "ECperf"},
-		{SPECjbb, 25, "SPECjbb-25"},
-		{SPECjbb, 10, "SPECjbb-10"},
-		{SPECjbb, 1, "SPECjbb-1"},
-	}
+// sweepSpecs are the paper's four uniprocessor workload configurations.
+var sweepSpecs = []workloadSpec{
+	{ECperf, 10, "ECperf"},
+	{SPECjbb, 25, "SPECjbb-25"},
+	{SPECjbb, 10, "SPECjbb-10"},
+	{SPECjbb, 1, "SPECjbb-1"},
 }
 
 // ScheduleCacheSweeps submits the four uniprocessor configurations as
@@ -258,9 +252,8 @@ func ScheduleCacheSweeps(sched *Scheduler, o SweepOpts, mode GeometryMode, fixed
 	case SweepBlock:
 		ladder = func(name string) []cache.Config { return cache.BlockSweepConfigs(name, fixedBytes) }
 	}
-	specs := sweepSpecs()
-	results := grid(sched, len(specs), func(i int) SweepResult {
-		sp := specs[i]
+	results := grid(sched, len(sweepSpecs), func(i int) SweepResult {
+		sp := sweepSpecs[i]
 		r := runUniSweep(sp.kind, sp.scale, sp.label, o, ladder("I"), ladder("D"))
 		sched.Progress.AddCycles(r.Instructions)
 		return r
@@ -274,6 +267,17 @@ func RunCacheSweeps(o SweepOpts) *CacheSweeps {
 	return runPrivate(func(s *Scheduler) *CacheSweeps { return ScheduleCacheSweeps(s, o, SweepSize, 0) })
 }
 
+// cacheSweepStudy is Figures 12/13. It is timing-free: the uniprocessor
+// sweeps count misses, not cycles, so the memory model does not apply.
+var cacheSweepStudy = &Experiment{
+	Name: "uniprocessor cache sweeps",
+	Figs: []int{12, 13},
+	functional: func(sched *Scheduler, st Study) func() []Figure {
+		cs := ScheduleCacheSweeps(sched, st.SweepOpts(), SweepSize, 0)
+		return func() []Figure { return []Figure{Fig12ICacheMissRate(cs), Fig13DCacheMissRate(cs)} }
+	},
+}
+
 func curveFigure(id, title string, cs *CacheSweeps, pick func(SweepResult) []cache.Point) Figure {
 	f := Figure{
 		ID:     id,
@@ -284,13 +288,12 @@ func curveFigure(id, title string, cs *CacheSweeps, pick func(SweepResult) []cac
 		LogY:   true,
 	}
 	for _, r := range cs.Results {
-		s := Series{Label: r.Label}
+		var x, y []float64
 		for _, p := range pick(r) {
-			s.X = append(s.X, float64(p.SizeBytes)/1024)
-			s.Y = append(s.Y, p.MissesPer1000)
-			s.Err = append(s.Err, 0)
+			x = append(x, float64(p.SizeBytes)/1024)
+			y = append(y, p.MissesPer1000)
 		}
-		f.Series = append(f.Series, s)
+		f.Series = append(f.Series, flat(r.Label, x, y))
 	}
 	return f
 }

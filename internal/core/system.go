@@ -113,7 +113,8 @@ type SystemParams struct {
 	C2CLatency uint64
 	// CoSimDB marks the ECperf database as a co-simulated machine rather
 	// than a queueing model: the peer is registered external and a cluster
-	// coordinator must deliver its traffic (BuildCoSim wires everything).
+	// coordinator must deliver its traffic (a co-simulated cell runs on the
+	// coordinator's loop).
 	CoSimDB bool
 
 	// Robustness knobs (zero values: no faults, no watchdog).
@@ -225,6 +226,19 @@ func (p SystemParams) withDefaults() SystemParams {
 	return p
 }
 
+// memConfig is a cpus-processor machine's memory system under p's timing
+// model.
+func (p SystemParams) memConfig(cpus int) memsys.Config {
+	cfg := memsys.DefaultConfig(cpus)
+	if p.MemModel != memsys.MemFixed {
+		cfg.Model = p.MemModel
+		if p.MemCurve != nil {
+			cfg.Loaded = *p.MemCurve
+		}
+	}
+	return cfg
+}
+
 // BuildSystem assembles the machine for the given parameters.
 func BuildSystem(p SystemParams) *System {
 	p = p.withDefaults()
@@ -232,17 +246,11 @@ func BuildSystem(p SystemParams) *System {
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
 
-	mcfg := memsys.DefaultConfig(p.TotalCPUs)
+	mcfg := p.memConfig(p.TotalCPUs)
 	mcfg.CPUsPerL2 = p.CPUsPerL2
 	mcfg.DTLB = p.BasePages
 	if p.C2CLatency != 0 {
 		mcfg.Lat.C2C = p.C2CLatency
-	}
-	if p.MemModel != memsys.MemFixed {
-		mcfg.Model = p.MemModel
-		if p.MemCurve != nil {
-			mcfg.Loaded = *p.MemCurve
-		}
 	}
 	hier := memsys.New(mcfg)
 	hier.Bus().Protocol = p.Protocol

@@ -353,8 +353,21 @@ func (h *Hierarchy) L1I(cpu int) *cache.Cache { return h.ports[cpu].l1i }
 // L1D returns a CPU's data cache (for stats).
 func (h *Hierarchy) L1D(cpu int) *cache.Cache { return h.ports[cpu].l1d }
 
-// DTLB returns a CPU's data TLB, or nil when translation is not modeled.
-func (h *Hierarchy) DTLB(cpu int) *tlb.TLB { return h.ports[cpu].dtlb }
+// DTLBMissRatio is the machine's data-TLB miss ratio: misses over lookups
+// summed across every processor's TLB (0 when translation is not modeled).
+func (h *Hierarchy) DTLBMissRatio() float64 {
+	var lookups, misses uint64
+	for _, p := range h.ports {
+		if p.dtlb != nil {
+			lookups += p.dtlb.Lookups
+			misses += p.dtlb.Misses
+		}
+	}
+	if lookups == 0 {
+		return 0
+	}
+	return float64(misses) / float64(lookups)
+}
 
 // L2MissesPer1000 returns bus data requests (L2 misses) per 1000 of the
 // given instruction count.

@@ -288,17 +288,18 @@ func TestDTLBWiring(t *testing.T) {
 	if r.TLBStall != 0 {
 		t.Fatalf("same-page access paid TLB stall %d", r.TLBStall)
 	}
-	if h.DTLB(0) == nil || h.DTLB(0).Misses == 0 {
-		t.Fatal("TLB not exposed or not counting")
+	if got := h.DTLBMissRatio(); got != 0.5 {
+		t.Fatalf("dTLB miss ratio %v after one refill in two lookups, want 0.5", got)
 	}
 	// Fetches are not translated by the dTLB.
 	f := h.Fetch(0, 0x900000, 0)
 	if f.TLBStall != 0 {
 		t.Fatal("instruction fetch charged a dTLB stall")
 	}
-	// No TLB configured -> no stalls, nil accessor.
+	// No TLB configured -> no stalls, no ratio.
 	h2 := New(smallCfg(1, 1))
-	if h2.DTLB(0) != nil {
-		t.Fatal("unconfigured TLB present")
+	h2.Read(0, 0x100000, 0)
+	if h2.DTLBMissRatio() != 0 {
+		t.Fatal("unconfigured TLB counted")
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 )
@@ -39,8 +40,13 @@ type AtomicFile struct {
 }
 
 // AtomicCreate opens a temporary file next to path for writing. Close
-// publishes it at path atomically; Abort discards it.
+// publishes it at path atomically; Abort discards it. A path that exists
+// and is not a regular file (a device, FIFO, socket or directory) is
+// refused: the rename would replace the node itself, not write through it.
 func AtomicCreate(path string) (*AtomicFile, error) {
+	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("%s is not a regular file (%s)", path, fi.Mode().Type())
+	}
 	dir, base := filepath.Split(path)
 	f, err := os.CreateTemp(dir, "."+base+".tmp*")
 	if err != nil {

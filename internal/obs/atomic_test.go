@@ -5,9 +5,34 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
+
+// TestAtomicWriteFileRefusesFIFO: a FIFO at the target (like a device node
+// or a socket) is refused before any temporary file is made, and stays a
+// FIFO — writing an artifact to it must not replace the node.
+func TestAtomicWriteFileRefusesFIFO(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fifo")
+	if err := syscall.Mkfifo(path, 0o600); err != nil {
+		t.Skipf("mkfifo: %v", err)
+	}
+	if err := AtomicWriteFile(path, []byte("{}")); err == nil {
+		t.Fatal("AtomicWriteFile over a FIFO succeeded")
+	}
+	fi, err := os.Lstat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode().Type() != os.ModeNamedPipe {
+		t.Fatalf("target is now %v, want a FIFO", fi.Mode().Type())
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("directory has %d entries, want only the FIFO", len(ents))
+	}
+}
 
 func TestAtomicWriteFile(t *testing.T) {
 	dir := t.TempDir()

@@ -61,7 +61,7 @@ func TestQuickSummaryBounds(t *testing.T) {
 }
 
 func TestSeedsDistinct(t *testing.T) {
-	seeds := Seeds(1, 5)
+	seeds := Seeds(5)
 	if len(seeds) != 5 {
 		t.Fatalf("Seeds returned %d", len(seeds))
 	}
