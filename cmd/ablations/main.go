@@ -77,21 +77,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 // scheduler sized to the host, renders them in study order, then runs the
 // observed points.
 func runStudies(sess *core.Session, af *appFlags, stdout io.Writer) error {
-	var run []*core.Experiment
+	var chosen []*core.Experiment
 	for _, e := range core.Ablations {
 		if *af.which == "" || *af.which == e.Name {
-			run = append(run, e)
+			chosen = append(chosen, e)
 		}
 	}
-	if len(run) == 0 {
+	if len(chosen) == 0 {
 		return &core.ExitError{Err: fmt.Errorf("no such study: %q (use one of %s)", *af.which, studyNames())}
 	}
 	st := core.Study{Quick: *af.quick, MemModel: af.memModel}
 
 	sched := core.NewScheduler(core.DefaultWorkers())
 	sched.Progress = sess.Heartbeat()
-	renders := make([]func() []core.Figure, len(run))
-	for i, e := range run {
+	renders := make([]func() []core.Figure, len(chosen))
+	for i, e := range chosen {
 		renders[i] = e.Schedule(sched, st)
 	}
 	sched.Wait()
