@@ -81,7 +81,10 @@ func BenchmarkFig09GCScaling(b *testing.B) {
 
 func BenchmarkFig10C2CTimeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p := quick.CommCell(core.SPECjbb).Run().Comm
+		// The quick window, stretched to 30M measured cycles.
+		c := quick.CommCell(core.SPECjbb)
+		c.Measure = 30_000_000
+		p := c.Run().Comm
 		peak, min := 0.0, 1e18
 		for _, v := range p.Timeline {
 			if v > peak {
@@ -180,13 +183,17 @@ func BenchmarkFig16SharedCaches(b *testing.B) {
 }
 
 // BenchmarkCoSimulation runs the two-machine co-simulated deployment
-// (application server + real database machine) beside the queueing-model
-// database and reports their agreement.
+// (application server + real database machine) and reports the agreement
+// with the queueing-model database.
 func BenchmarkCoSimulation(b *testing.B) {
+	model := core.Cell{Params: core.SystemParams{Kind: core.ECperf, Processors: 4, Seed: 1}, Warmup: 4_000_000, Measure: 12_000_000}
+	cosim := model
+	cosim.Params.CoSimDB = true
 	for i := 0; i < b.N; i++ {
-		y := core.CoSimStudy.Run(quick)[0].Series[0].Y // model, co-simulated
-		if y[0] > 0 {
-			b.ReportMetric(y[1]/y[0], "cosim-over-model")
+		m, co := model.Run(), cosim.Run()
+		if m.Throughput > 0 {
+			b.ReportMetric(co.Throughput/m.Throughput, "cosim-over-model")
 		}
+		b.ReportMetric(100*co.DBBusyFrac, "db-busy-pct")
 	}
 }

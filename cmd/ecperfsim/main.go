@@ -159,11 +159,14 @@ func runFaultExperiment(sess *core.Session, af *appFlags, stdout io.Writer) erro
 			return err
 		}
 	}
-	clean := core.SystemParams{Kind: core.ECperf, Processors: p.Processors, Seed: p.Seed, MemModel: p.MemModel}
 	r, err := sess.FaultExperiment("ECperf-faulted", core.FaultRunOpts{
-		Cell:      core.Cell{Params: clean, Warmup: warmup, Measure: measure},
-		Schedule:  sched,
-		BinCycles: *af.faultBin,
+		Processors:    p.Processors,
+		Seed:          p.Seed,
+		MemModel:      p.MemModel,
+		Schedule:      sched,
+		WarmupCycles:  warmup,
+		MeasureCycles: measure,
+		BinCycles:     *af.faultBin,
 	})
 	if err != nil {
 		return err

@@ -39,7 +39,12 @@ var ismStudy = &Experiment{
 			Title:  "Intimate Shared Memory (4 MB pages) vs. base 8 KB pages (ECperf)",
 			XLabel: "configuration (0=ISM, 1=base pages)",
 			YLabel: "Throughput (BBops/s)",
-			Series: []Series{flat("ECperf", []float64{0, 1}, []float64{ism.Throughput, base.Throughput})},
+			Series: []Series{{
+				Label: "ECperf",
+				X:     []float64{0, 1},
+				Y:     []float64{ism.Throughput, base.Throughput},
+				Err:   []float64{0, 0},
+			}},
 			Notes: []string{
 				fmt.Sprintf("ISM speedup over base pages: %.1f%% (paper: \"more than 10%%\")", 100*(ism.Throughput/base.Throughput-1)),
 				fmt.Sprintf("base-page dTLB miss ratio %.3f; CPI with base pages %.2f", base.dtlbMissRatio, base.CPI),
@@ -60,20 +65,25 @@ var gcThreadsStudy = &Experiment{
 		return vary(base, []int{1, 2, 4, 8}, func(c *Cell, threads int) { c.Params.GCThreads = threads })
 	},
 	render: func(_ Study, rs []CellResult) []Figure {
-		var threads, thr, idle []float64
+		thrS := Series{Label: "throughput"}
+		idleS := Series{Label: "GC idle frac ×1e5"}
 		for _, r := range rs {
-			threads = append(threads, float64(r.Cell.Params.GCThreads))
-			thr = append(thr, r.Throughput)
-			idle = append(idle, 1e5*r.GCIdleFrac)
+			threads := float64(r.Cell.Params.GCThreads)
+			thrS.X = append(thrS.X, threads)
+			thrS.Y = append(thrS.Y, r.Throughput)
+			thrS.Err = append(thrS.Err, 0)
+			idleS.X = append(idleS.X, threads)
+			idleS.Y = append(idleS.Y, 1e5*r.GCIdleFrac)
+			idleS.Err = append(idleS.Err, 0)
 		}
 		return []Figure{{
 			ID:     "Ablation: GC threads",
 			Title:  "Collector parallelism (SPECjbb, 8 processors)",
 			XLabel: "GC threads",
 			YLabel: "Throughput (transactions/s)",
-			Series: []Series{flat("throughput", threads, thr), flat("GC idle frac ×1e5", threads, idle)},
+			Series: []Series{thrS, idleS},
 			Notes: []string{fmt.Sprintf("8-thread collector vs single-threaded: %+.1f%% throughput",
-				100*(thr[len(thr)-1]/thr[0]-1))},
+				100*(thrS.Y[len(thrS.Y)-1]/thrS.Y[0]-1))},
 		}}
 	},
 }
@@ -101,19 +111,20 @@ var c2cLatencyStudy = &Experiment{
 		}
 		n := len(rs) / 2
 		for _, kind := range [][]CellResult{rs[:n], rs[n:]} {
-			var lats, thr []float64
+			s := Series{Label: kind[0].Cell.Params.Kind.String()}
 			var base float64
 			for _, r := range kind {
 				if r.Cell.Params.C2CLatency == 105 { // the E6000's
 					base = r.Throughput
 				}
-				lats = append(lats, float64(r.Cell.Params.C2CLatency))
-				thr = append(thr, r.Throughput)
+				s.X = append(s.X, float64(r.Cell.Params.C2CLatency))
+				s.Y = append(s.Y, r.Throughput)
+				s.Err = append(s.Err, 0)
 			}
-			for i := range thr {
-				thr[i] /= base
+			for i := range s.Y {
+				s.Y[i] /= base
 			}
-			f.Series = append(f.Series, flat(kind[0].Cell.Params.Kind.String(), lats, thr))
+			f.Series = append(f.Series, s)
 		}
 		return []Figure{f}
 	},
@@ -134,15 +145,19 @@ var protocolStudy = &Experiment{
 			XLabel: "protocol (0=MOSI, 1=MSI, 2=MESI)",
 			YLabel: "value",
 		}
-		var x, c2c, thr []float64
+		c2c := Series{Label: "C2C ratio (%)"}
+		thr := Series{Label: "throughput (k tx/s)"}
 		for i, r := range rs {
-			x = append(x, float64(i))
-			c2c = append(c2c, 100*r.C2CRatio)
-			thr = append(thr, r.Throughput/1000)
+			c2c.X = append(c2c.X, float64(i))
+			c2c.Y = append(c2c.Y, 100*r.C2CRatio)
+			c2c.Err = append(c2c.Err, 0)
+			thr.X = append(thr.X, float64(i))
+			thr.Y = append(thr.Y, r.Throughput/1000)
+			thr.Err = append(thr.Err, 0)
 			f.Notes = append(f.Notes, fmt.Sprintf("%v: c2c ratio %.1f%%, writebacks %d, upgrades %d",
 				r.Cell.Params.Protocol, 100*r.C2CRatio, r.writebacks, r.upgrades))
 		}
-		f.Series = []Series{flat("C2C ratio (%)", x, c2c), flat("throughput (k tx/s)", x, thr)}
+		f.Series = append(f.Series, c2c, thr)
 		return []Figure{f}
 	},
 }
@@ -164,13 +179,14 @@ var KernelTimeStudy = &Experiment{
 			XLabel: "workload (0=SPECjbb, 1=ECperf, 2=VolanoMark)",
 			YLabel: "System time (% of busy time)",
 		}
-		var x, pct []float64
+		s := Series{Label: "system %"}
 		for i, r := range rs {
-			x = append(x, float64(i))
-			pct = append(pct, r.systemBusyPct)
+			s.X = append(s.X, float64(i))
+			s.Y = append(s.Y, r.systemBusyPct)
+			s.Err = append(s.Err, 0)
 			f.Notes = append(f.Notes, fmt.Sprintf("%v: system %.1f%% of busy time", r.Cell.Params.Kind, r.systemBusyPct))
 		}
-		f.Series = []Series{flat("system %", x, pct)}
+		f.Series = append(f.Series, s)
 		return []Figure{f}
 	},
 }

@@ -25,8 +25,8 @@ type CommProfile struct {
 	// Top01PctShare is the share of the hottest 0.1% of touched lines
 	// (§5.2: >70% for SPECjbb, 56% for ECperf).
 	Top01PctShare float64
-	// LinesTransferring sizes the communication footprint; len(Shares) is
-	// the touched one.
+	// LinesTouched and LinesTransferring size the footprints.
+	LinesTouched      int
 	LinesTransferring int
 	// Timeline is the C2C-per-bin series (Figure 10), and GCCount the
 	// collections inside the window.
@@ -53,8 +53,9 @@ func newCommProfile(ac *attr.Collector, c Cell, gcs uint64) *CommProfile {
 			p.LinesTransferring++
 		}
 	}
+	p.LinesTouched = len(p.Shares)
 	p.TopLineShare = p.topShare(1)
-	p.Top01PctShare = p.topShare(max(1, int(math.Ceil(0.001*float64(len(p.Shares))))))
+	p.Top01PctShare = p.topShare(max(1, int(math.Ceil(0.001*float64(p.LinesTouched)))))
 	// The timeline bins are indexed by absolute simulated time; keep the
 	// measurement window's bins. The engine can finish an event a little
 	// past the window's end, so the bin that starts there holds only a
@@ -105,19 +106,20 @@ func Fig14C2CDistribution(jbb, ec CommProfile) Figure {
 		YLabel: "Cache-to-cache transfers (%)",
 	}
 	for _, p := range []CommProfile{ec, jbb} {
+		s := Series{Label: p.Kind.String()}
 		// Sample the cumulative curve at every step-th line and the last.
-		var x, y []float64
 		n := len(p.Shares)
 		step := max(n/100, 1)
 		var cum uint64
 		for i, c := range p.Shares {
 			cum += c
 			if p.Transfers > 0 && ((i+1)%step == 0 || i+1 == n) {
-				x = append(x, 100*(float64(i+1)/float64(n)))
-				y = append(y, 100*(float64(cum)/float64(p.Transfers)))
+				s.X = append(s.X, 100*(float64(i+1)/float64(n)))
+				s.Y = append(s.Y, 100*(float64(cum)/float64(p.Transfers)))
+				s.Err = append(s.Err, 0)
 			}
 		}
-		f.Series = append(f.Series, flat(p.Kind.String(), x, y))
+		f.Series = append(f.Series, s)
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"%s: hottest line %.1f%% of transfers; hottest 0.1%% of lines %.1f%%",
 			p.Kind, 100*p.TopLineShare, 100*p.Top01PctShare))
@@ -137,17 +139,19 @@ func Fig15C2CFootprint(jbb, ec CommProfile) Figure {
 		LogX:   true,
 	}
 	for _, p := range []CommProfile{ec, jbb} {
-		var x, y []float64
-		for k := 1; k <= len(p.Shares); k *= 2 {
-			x = append(x, float64(k))
-			y = append(y, 100*p.topShare(k))
+		s := Series{Label: p.Kind.String()}
+		for k := 1; k <= p.LinesTouched; k *= 2 {
+			s.X = append(s.X, float64(k))
+			s.Y = append(s.Y, 100*p.topShare(k))
+			s.Err = append(s.Err, 0)
 		}
-		x = append(x, float64(len(p.Shares)))
-		y = append(y, 100)
-		f.Series = append(f.Series, flat(p.Kind.String(), x, y))
+		s.X = append(s.X, float64(p.LinesTouched))
+		s.Y = append(s.Y, 100)
+		s.Err = append(s.Err, 0)
+		f.Series = append(f.Series, s)
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"%s: %d lines touched, %d lines ever transferred",
-			p.Kind, len(p.Shares), p.LinesTransferring))
+			p.Kind, p.LinesTouched, p.LinesTransferring))
 	}
 	return f
 }
@@ -166,16 +170,21 @@ func Fig10C2CTimeline(p CommProfile) Figure {
 	}
 	peak := 0.0
 	for _, v := range p.Timeline {
-		peak = max(peak, v)
-	}
-	x, y := make([]float64, len(p.Timeline)), make([]float64, len(p.Timeline))
-	for i, v := range p.Timeline {
-		x[i] = float64(i)
-		if peak > 0 {
-			y[i] = v / peak
+		if v > peak {
+			peak = v
 		}
 	}
-	f.Series = append(f.Series, flat(p.Kind.String(), x, y))
+	s := Series{Label: p.Kind.String()}
+	for i, v := range p.Timeline {
+		s.X = append(s.X, float64(i))
+		y := 0.0
+		if peak > 0 {
+			y = v / peak
+		}
+		s.Y = append(s.Y, y)
+		s.Err = append(s.Err, 0)
+	}
+	f.Series = append(f.Series, s)
 	f.Notes = append(f.Notes, fmt.Sprintf("%d garbage collections in the window", p.GCCount))
 	return f
 }

@@ -457,7 +457,7 @@ func TestCoSimAgreesWithModel(t *testing.T) {
 	r := struct {
 		ModelThroughput, CoSimThroughput, DBBusyFrac float64
 		DBQueries                                    uint64
-	}{rs[0].Throughput, rs[1].Throughput, rs[1].dbBusyFrac, rs[1].dbQueries}
+	}{rs[0].Throughput, rs[1].Throughput, rs[1].DBBusyFrac, rs[1].dbQueries}
 	checkGolden(t, "cosim", r)
 	if r.CoSimThroughput <= 0 || r.ModelThroughput <= 0 {
 		t.Fatalf("degenerate run: %+v", r)

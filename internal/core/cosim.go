@@ -40,7 +40,9 @@ func buildCoSim(p SystemParams) *coSim {
 	rng := simrand.New(p.Seed ^ 0xdb)
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
-	comps := dbserver.Components{SQL: layout.Add("dbms", 384<<10, false, codeProfile())}
+	comps := dbserver.Components{
+		SQL: layout.Add("dbms", 384<<10, false, codeProfile()),
+	}
 	gcComp := layout.Add("jvm-gc", 96<<10, false, codeProfile())
 	kern := layout.Add("kernel-net", 256<<10, true, codeProfile())
 
@@ -76,7 +78,7 @@ func (c Cell) runCoSim() CellResult {
 	r := summarize(cs.app, c)
 	dbm := cs.db.Results().Modes
 	if total := float64(dbm.Total()); total > 0 {
-		r.dbBusyFrac = float64(dbm.Busy()) / total
+		r.DBBusyFrac = float64(dbm.Busy()) / total
 	}
 	r.dbQueries = cs.srv.Served
 	return r
@@ -106,11 +108,16 @@ var CoSimStudy = &Experiment{
 			Title:  "Queueing-model database vs. co-simulated database machine",
 			XLabel: "configuration (0=model, 1=co-simulated)",
 			YLabel: "Throughput (BBops/s)",
-			Series: []Series{flat("ECperf", []float64{0, 1}, []float64{model.Throughput, co.Throughput})},
+			Series: []Series{{
+				Label: "ECperf",
+				X:     []float64{0, 1},
+				Y:     []float64{model.Throughput, co.Throughput},
+				Err:   []float64{0, 0},
+			}},
 			Notes: []string{
 				fmt.Sprintf("co-simulated throughput is %.0f%% of the queueing model's", 100*ratio),
 				fmt.Sprintf("database machine busy %.0f%% of its cycles over %d queries — not a bottleneck (§2.2)",
-					100*co.dbBusyFrac, co.dbQueries),
+					100*co.DBBusyFrac, co.dbQueries),
 			},
 		}}
 	},

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/appserver"
 	"repro/internal/fault"
+	"repro/internal/memsys"
 )
 
 // FaultRunOpts size a throughput-under-fault experiment: the same (seed,
@@ -13,12 +14,16 @@ import (
 // visible as a curve.
 //
 // Schedule timestamps are absolute simulated cycles, so windows meant to hit
-// the measurement interval must be placed after the cell's warm-up.
+// the measurement interval must be placed after WarmupCycles.
 type FaultRunOpts struct {
-	// Cell is the clean run (an ECperf cell, with its memory model and
-	// window); the faulted run adds Schedule to its parameters.
-	Cell     Cell
-	Schedule *fault.Schedule
+	Processors int
+	Seed       uint64
+	// MemModel selects the memory timing model for both runs of the pair
+	// (default memsys.MemFixed).
+	MemModel      memsys.MemModel
+	Schedule      *fault.Schedule
+	WarmupCycles  uint64
+	MeasureCycles uint64
 	// BinCycles is the throughput sampling interval.
 	BinCycles uint64
 }
@@ -58,6 +63,12 @@ type FaultRunResult struct {
 	System *System
 }
 
+// params is the clean run's machine; the faulted run adds the schedule and
+// the policy.
+func (o FaultRunOpts) params() SystemParams {
+	return SystemParams{Kind: ECperf, Processors: o.Processors, Seed: o.Seed, MemModel: o.MemModel}
+}
+
 // binnedRun measures r with one loop slice per throughput bin, recording
 // business ops per bin.
 func binnedRun(r *Run, o FaultRunOpts) []uint64 {
@@ -70,7 +81,7 @@ func binnedRun(r *Run, o FaultRunOpts) []uint64 {
 		prev = ops
 	}
 	// Without a checkpoint plan or a replay, Measure cannot fail.
-	_ = r.Measure(o.Cell.Warmup, o.Cell.Measure, nil)
+	_ = r.Measure(o.WarmupCycles, o.MeasureCycles, nil)
 	return bins
 }
 
@@ -84,14 +95,14 @@ func runFaultExperiment(o FaultRunOpts, r *Run) FaultRunResult {
 		o.BinCycles = 4_000_000
 	}
 	res := FaultRunResult{Opts: o}
-	for t := o.Cell.Warmup; t < o.Cell.Warmup+o.Cell.Measure; t += o.BinCycles {
+	for t := o.WarmupCycles; t < o.WarmupCycles+o.MeasureCycles; t += o.BinCycles {
 		res.BinStart = append(res.BinStart, t)
 	}
 
-	clean := &Run{Sys: BuildSystem(o.Cell.Params), Progress: r.Progress}
+	clean := &Run{Sys: BuildSystem(o.params()), Progress: r.Progress}
 	res.Baseline = binnedRun(clean, o)
 
-	p := o.Cell.Params
+	p := o.params()
 	p.FaultSchedule = o.Schedule
 	r.attach(BuildSystem(p))
 	res.Faulted = binnedRun(r, o)
@@ -126,20 +137,22 @@ func runFaultExperiment(o FaultRunOpts, r *Run) FaultRunResult {
 
 // FaultFigure renders an already-measured fault run.
 func FaultFigure(r FaultRunResult) Figure {
+	o := r.Opts
 	f := Figure{
 		ID:     "Fault injection",
 		Title:  "ECperf throughput under injected faults (same seed, schedule armed vs clean)",
 		XLabel: "Simulated time (s)",
 		YLabel: "Throughput (BBops/s)",
 	}
-	binSec := float64(r.Opts.BinCycles) / CyclesPerSecond
+	binSec := float64(o.BinCycles) / CyclesPerSecond
 	mk := func(label string, bins []uint64) Series {
-		var x, y []float64
+		s := Series{Label: label}
 		for i, b := range bins {
-			x = append(x, float64(r.BinStart[i])/CyclesPerSecond)
-			y = append(y, float64(b)/binSec)
+			s.X = append(s.X, float64(r.BinStart[i])/CyclesPerSecond)
+			s.Y = append(s.Y, float64(b)/binSec)
+			s.Err = append(s.Err, 0)
 		}
-		return flat(label, x, y)
+		return s
 	}
 	f.Series = append(f.Series, mk("clean", r.Baseline), mk("faulted", r.Faulted))
 

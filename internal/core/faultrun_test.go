@@ -12,7 +12,9 @@ import (
 // inside a short run.
 func quickFaultRunOpts() FaultRunOpts {
 	return FaultRunOpts{
-		Cell:      Cell{Params: SystemParams{Kind: ECperf, Processors: 2, Seed: 20030208}, Warmup: 4_000_000, Measure: 36_000_000},
+		Processors:   2,
+		Seed:         20030208,
+		WarmupCycles: 4_000_000, MeasureCycles: 36_000_000,
 		BinCycles: 2_000_000,
 		Schedule: &fault.Schedule{Events: []fault.Event{
 			{Kind: fault.Partition, At: 12_000_000, Duration: 8_000_000, Peer: 1},
@@ -75,7 +77,7 @@ func TestFaultRunCurveAndRecovery(t *testing.T) {
 // schedule reproduce the identical faulted curve and counters.
 func TestFaultRunDeterministic(t *testing.T) {
 	o := quickFaultRunOpts()
-	o.Cell.Measure = 16_000_000
+	o.MeasureCycles = 16_000_000
 	o.Schedule.Events[0].At = 8_000_000
 	o.Schedule.Events[0].Duration = 4_000_000
 	a, b := runFaultExperiment(o, &Run{}), runFaultExperiment(o, &Run{})
@@ -96,7 +98,7 @@ func TestFaultRunDeterministic(t *testing.T) {
 // attribution epoch is closed.
 func TestFaultRunMeasuresWindow(t *testing.T) {
 	o := quickFaultRunOpts()
-	o.Cell.Measure = 16_000_000
+	o.MeasureCycles = 16_000_000
 	o.Schedule.Events[0].At = 8_000_000
 	o.Schedule.Events[0].Duration = 4_000_000
 	ob := newObserver()
@@ -156,7 +158,7 @@ func TestFaultMetricsAndTraceEvents(t *testing.T) {
 // the resilience note.
 func TestFaultFigureRenders(t *testing.T) {
 	o := quickFaultRunOpts()
-	o.Cell.Measure = 16_000_000
+	o.MeasureCycles = 16_000_000
 	o.Schedule.Events[0].At = 8_000_000
 	o.Schedule.Events[0].Duration = 4_000_000
 	f := FaultFigure(runFaultExperiment(o, &Run{}))

@@ -41,11 +41,13 @@ func Fig4Throughput(jbb, ec *ScalingSweep) Figure {
 
 // linearSeries is perfect scaling over the sweep's processor counts.
 func linearSeries(sw *ScalingSweep) Series {
-	var procs []float64
-	for i := range sw.Cells {
-		procs = append(procs, float64(sw.Cells[i].Processors))
+	s := Series{Label: "Linear"}
+	for _, c := range sw.Cells {
+		s.X = append(s.X, float64(c.Processors))
+		s.Y = append(s.Y, float64(c.Processors))
+		s.Err = append(s.Err, 0)
 	}
-	return flat("Linear", procs, procs)
+	return s
 }
 
 // Fig5ExecutionModes reproduces Figure 5: the mpstat execution-mode
@@ -155,7 +157,14 @@ func Fig9GCScaling(jbb, ec *ScalingSweep) Figure {
 	}
 	for _, sw := range []*ScalingSweep{ec, jbb} {
 		base := sw.BaseThroughput()
-		baseNoGC := sw.base(func(p *ScalingPoint) float64 { return p.ThroughputNoGC })
+		baseNoGC := func() float64 {
+			for i := range sw.Cells {
+				if sw.Cells[i].Processors == 1 {
+					return sw.Cells[i].Metric(func(p *ScalingPoint) float64 { return p.ThroughputNoGC }).Mean()
+				}
+			}
+			return base
+		}()
 		f.Series = append(f.Series,
 			seriesFromSweep(sw, sw.Kind.String(),
 				func(p *ScalingPoint) float64 { return p.Throughput / base }),

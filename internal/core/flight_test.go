@@ -79,7 +79,9 @@ func TestFlightPassivity(t *testing.T) {
 func stormOpts(dir string) (FaultRunOpts, *flightrec.Recorder, *obs.Observer) {
 	ob, rec := flightrec.FromFlags(flightFlags(dir), "storm", nil)
 	return FaultRunOpts{
-		Cell:      Cell{Params: SystemParams{Kind: ECperf, Processors: 2, Seed: 20030208}, Warmup: 4_000_000, Measure: 24_000_000},
+		Processors:   2,
+		Seed:         20030208,
+		WarmupCycles: 4_000_000, MeasureCycles: 24_000_000,
 		BinCycles: 2_000_000,
 		Schedule: &fault.Schedule{Events: []fault.Event{
 			{Kind: fault.DBLockStorm, At: 12_000_000, Duration: 8_000_000, Magnitude: 30},
@@ -158,7 +160,7 @@ func TestFlightDumpDeterminism(t *testing.T) {
 	read := func() []byte {
 		dir := t.TempDir()
 		o, rec, ob := stormOpts(dir)
-		o.Cell.Measure = 16_000_000
+		o.MeasureCycles = 16_000_000
 		o.Schedule.Events[0].Duration = 4_000_000
 		runFaultExperiment(o, &Run{Observer: ob, Flight: rec})
 		dumps := rec.Dumps()

@@ -146,7 +146,9 @@ func TestLatencySLOUnderDBLockStorm(t *testing.T) {
 	}
 	rt := reqtrace.NewCollector(reqtrace.Options{Objectives: objs})
 	o := FaultRunOpts{
-		Cell:      Cell{Params: SystemParams{Kind: ECperf, Processors: 2, Seed: 20030208}, Warmup: 4_000_000, Measure: 36_000_000},
+		Processors:   2,
+		Seed:         20030208,
+		WarmupCycles: 4_000_000, MeasureCycles: 36_000_000,
 		BinCycles: 4_000_000,
 		Schedule: &fault.Schedule{Events: []fault.Event{
 			// Absolute cycles 16M-26M = intervals 2-4 of the collector's 5M

@@ -93,12 +93,14 @@ var MemScaleStudy = &Experiment{
 				XLabel: "Scale factor (warehouses / orders injection rate)",
 				YLabel: "Live memory (MB)",
 			}
-			var x []float64
-			for _, scale := range p.scales {
-				x = append(x, float64(scale))
-			}
 			for ki, kind := range kinds {
-				f.Series = append(f.Series, flat(kind.String(), x, vals[ki*ns:][:ns]))
+				s := Series{Label: kind.String()}
+				for si, scale := range p.scales {
+					s.X = append(s.X, float64(scale))
+					s.Y = append(s.Y, vals[ki*ns+si])
+					s.Err = append(s.Err, 0)
+				}
+				f.Series = append(f.Series, s)
 			}
 			return []Figure{f}
 		}

@@ -44,43 +44,57 @@ type ScalingPoint struct {
 // lock waits.
 func busDiagnostic(sys *System, measure uint64) string {
 	r := sys.Engine.Results()
-	bs, mc := sys.Hier.Bus().Stats, sys.Hier.Bus().MissClass
+	bs := sys.Hier.Bus().Stats
 	instr := float64(r.CPU.Instructions)
 	if instr == 0 {
 		return ""
 	}
-	k := func(n uint64) float64 { return 1000 * float64(n) / instr } // per 1000 instructions
-	d := fmt.Sprintf("bus/1k[gets=%.2f getm=%.2f upg=%.2f c2c=%.2f mem=%.2f dmiss=%.2f fmiss=%.2f] lockwait=%.2f blk=%d/%d wait[mon=%.1fM spin=%.1fM sem=%.1fM]",
-		k(bs.GetS), k(bs.GetM), k(bs.Upgrades), k(bs.C2CTransfers), k(bs.MemTransfers), k(sys.Hier.DataMisses), k(sys.Hier.FetchMisses),
-		float64(r.LockWaitCycles)/float64(measure)/float64(sys.Params.Processors),
-		r.LockBlocks, r.LockAcquires, float64(r.WaitMonitor)/1e6, float64(r.WaitSpin)/1e6, float64(r.WaitSem)/1e6)
+	d := fmt.Sprintf("bus/1k[gets=%.2f getm=%.2f upg=%.2f c2c=%.2f mem=%.2f dmiss=%.2f fmiss=%.2f] lockwait=%.2f",
+		1000*float64(bs.GetS)/instr, 1000*float64(bs.GetM)/instr,
+		1000*float64(bs.Upgrades)/instr, 1000*float64(bs.C2CTransfers)/instr,
+		1000*float64(bs.MemTransfers)/instr,
+		1000*float64(sys.Hier.DataMisses)/instr, 1000*float64(sys.Hier.FetchMisses)/instr,
+		float64(r.LockWaitCycles)/float64(measure)/float64(sys.Params.Processors))
+	d += fmt.Sprintf(" blk=%d/%d wait[mon=%.1fM spin=%.1fM sem=%.1fM]",
+		r.LockBlocks, r.LockAcquires,
+		float64(r.WaitMonitor)/1e6, float64(r.WaitSpin)/1e6, float64(r.WaitSem)/1e6)
 	if sys.DB != nil {
 		d += fmt.Sprintf(" dbutil=%.2f suputil=%.2f hit=%.2f", sys.DB.Utilization(), sys.Supplier.Utilization(), sys.EC.Cache().HitRatio())
 	}
-	return d + fmt.Sprintf(" memclass[code=%.2f kern=%.2f eden=%.2f surv=%.2f old=%.2f perm=%.2f oth=%.2f]",
-		k(mc[0]), k(mc[1]), k(mc[2]), k(mc[3]), k(mc[4]), k(mc[5]), k(mc[6]))
+	mc := sys.Hier.Bus().MissClass
+	d += fmt.Sprintf(" memclass[code=%.2f kern=%.2f eden=%.2f surv=%.2f old=%.2f perm=%.2f oth=%.2f]",
+		1000*float64(mc[0])/instr, 1000*float64(mc[1])/instr, 1000*float64(mc[2])/instr,
+		1000*float64(mc[3])/instr, 1000*float64(mc[4])/instr, 1000*float64(mc[5])/instr,
+		1000*float64(mc[6])/instr)
+	return d
 }
 
 // regionClassifier maps addresses to coarse region classes for the
 // calibration diagnostics.
 func regionClassifier(sys *System) func(a uint64) int {
 	return func(a uint64) int {
-		r, ok := sys.Space.FindRegion(a)
-		if c, known := regionClasses[r.Name]; ok && known {
-			return c
+		var reg string
+		if r, ok := sys.Space.FindRegion(a); ok {
+			reg = r.Name
 		}
-		if ok && len(r.Name) > 5 && r.Name[:5] == "code:" {
+		switch {
+		case len(reg) > 5 && reg[:5] == "code:":
+			if reg == "code:kernel" || reg == "code:kernel-net" {
+				return 1
+			}
 			return 0
+		case reg == "heap:eden":
+			return 2
+		case reg == "heap:surv0" || reg == "heap:surv1":
+			return 3
+		case reg == "heap:old":
+			return 4
+		case reg == "heap:perm":
+			return 5
+		default:
+			return 6
 		}
-		return 6
 	}
-}
-
-// regionClasses are the classes regionClassifier names; other code regions
-// are class 0, everything else class 6.
-var regionClasses = map[string]int{
-	"code:kernel": 1, "code:kernel-net": 1,
-	"heap:eden": 2, "heap:surv0": 3, "heap:surv1": 3, "heap:old": 4, "heap:perm": 5,
 }
 
 // summarize reduces cell's finished measurement window to what the studies
@@ -95,9 +109,10 @@ func summarize(sys *System, cell Cell) CellResult {
 		Throughput: float64(res.BusinessOps) / seconds,
 		GCCount:    res.GCCount,
 	}
-	p.ThroughputNoGC = p.Throughput
 	if res.GCWall < cell.Measure {
 		p.ThroughputNoGC = float64(res.BusinessOps) / ((window - float64(res.GCWall)) / CyclesPerSecond)
+	} else {
+		p.ThroughputNoGC = p.Throughput
 	}
 	p.GCWallFrac = float64(res.GCWall) / window
 
@@ -220,14 +235,9 @@ var scalingStudy = &Experiment{
 // BaseThroughput returns mean single-processor throughput (speedup
 // denominator). It requires the sweep to include processors=1.
 func (sw *ScalingSweep) BaseThroughput() float64 {
-	return sw.base(func(p *ScalingPoint) float64 { return p.Throughput })
-}
-
-// base is fn's mean over the single-processor cell.
-func (sw *ScalingSweep) base(fn func(*ScalingPoint) float64) float64 {
 	for i := range sw.Cells {
 		if sw.Cells[i].Processors == 1 {
-			return sw.Cells[i].Metric(fn).Mean()
+			return sw.Cells[i].Metric(func(p *ScalingPoint) float64 { return p.Throughput }).Mean()
 		}
 	}
 	panic("core: scaling sweep lacks a 1-processor cell")

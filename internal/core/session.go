@@ -266,10 +266,10 @@ func (s *Session) ObservePoints(cell func(Kind) Cell) error {
 // parameters BuildSystem cannot build are an error, found before either run
 // starts.
 func (s *Session) FaultExperiment(label string, o FaultRunOpts) (FaultRunResult, error) {
-	if o.Cell.Measure == 0 {
+	if o.MeasureCycles == 0 {
 		return FaultRunResult{}, ErrEmptyWindow
 	}
-	if err := o.Cell.Params.validate(); err != nil {
+	if err := o.params().validate(); err != nil {
 		return FaultRunResult{}, err
 	}
 	return runFaultExperiment(o, s.newRun(label, s.Label)), nil

@@ -137,7 +137,7 @@ func TestResumeKeepsAttachments(t *testing.T) {
 func TestSessionFaultExperimentDelta(t *testing.T) {
 	s, dir := testSession(t)
 	o := quickFaultRunOpts()
-	o.Cell.Measure = 16_000_000
+	o.MeasureCycles = 16_000_000
 	o.Schedule.Events[0].At = 8_000_000
 	o.Schedule.Events[0].Duration = 4_000_000
 	res, err := s.FaultExperiment("ECperf-faulted", o)
@@ -151,7 +151,7 @@ func TestSessionFaultExperimentDelta(t *testing.T) {
 	if got, want := counter(t, r.Delta, "workload.ops"), res.System.Engine.Results().BusinessOps; got != want {
 		t.Errorf("metrics delta ops = %d, measurement window = %d", got, want)
 	}
-	if err := s.Finish([]uint64{o.Cell.Params.Seed}, nil); err != nil {
+	if err := s.Finish([]uint64{o.Seed}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"metrics.txt", "latency.json", "latency.json.manifest.json"} {

@@ -134,14 +134,16 @@ type CellResult struct {
 	ScalingPoint
 	// Comm is the communication profile (CommCollector only).
 	Comm *CommProfile
+	// DBBusyFrac is the co-simulated database machine's busy fraction
+	// (CoSimDB cells only).
+	DBBusyFrac float64
 
 	dataMPKI      float64 // L2 data misses per 1000 instructions (Figure 16)
 	dtlbMissRatio float64 // the machine's data-TLB miss ratio (ISM; 0 without base pages)
 	systemBusyPct float64 // system time, % of busy time (kernel time)
 	writebacks    uint64  // bus writebacks (protocol)
 	upgrades      uint64  // bus upgrades (protocol)
-	dbBusyFrac    float64 // co-simulated database machine's busy fraction
-	dbQueries     uint64  // queries it served
+	dbQueries     uint64  // queries the co-simulated database machine served
 }
 
 // Run builds the cell's machine, runs it through the warm-up and the
@@ -233,9 +235,4 @@ func vary[T any](base Cell, vals []T, set func(*Cell, T)) []Cell {
 		set(&cells[i], v)
 	}
 	return cells
-}
-
-// flat is a series without error bars.
-func flat(label string, x, y []float64) Series {
-	return Series{Label: label, X: x, Y: y, Err: make([]float64, len(x))}
 }

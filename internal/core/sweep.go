@@ -288,12 +288,13 @@ func curveFigure(id, title string, cs *CacheSweeps, pick func(SweepResult) []cac
 		LogY:   true,
 	}
 	for _, r := range cs.Results {
-		var x, y []float64
+		s := Series{Label: r.Label}
 		for _, p := range pick(r) {
-			x = append(x, float64(p.SizeBytes)/1024)
-			y = append(y, p.MissesPer1000)
+			s.X = append(s.X, float64(p.SizeBytes)/1024)
+			s.Y = append(s.Y, p.MissesPer1000)
+			s.Err = append(s.Err, 0)
 		}
-		f.Series = append(f.Series, flat(r.Label, x, y))
+		f.Series = append(f.Series, s)
 	}
 	return f
 }
