@@ -64,8 +64,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 }
 
-// calibrate prints the diagnostic table, then runs the observed points.
+// calibrate prints the diagnostic table, then runs the observed points. An
+// empty measurement window is an error before any output.
 func calibrate(sess *core.Session, af *appFlags, stdout io.Writer) error {
+	if *af.measure == 0 {
+		return core.ErrEmptyWindow
+	}
 	seed := *af.seed
 	st := core.Study{Quick: true, MemModel: af.memModel}
 	// cell is the quick scaling cell at -seed, measured over -measure.

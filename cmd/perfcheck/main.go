@@ -71,10 +71,11 @@ import (
 // generator's NextRun, the cpu core's ExecInstr segment, simrand's
 // uniform and bounded draws, and the attribution collector (one bus event
 // into a sampled table at its cap, and the top-20 report over it, whose
-// allocs/op do not grow with the table).
+// allocs/op do not grow with the table), and the memory hierarchy's Fetch and
+// Read on the 16-processor machine.
 const pinnedBench = "^(BenchmarkFig08C2CRatio|BenchmarkFig13DCacheMissRate|BenchmarkFig16SharedCaches|" +
 	"BenchmarkProbeTouchHit|BenchmarkProbeTouchLRUWay|BenchmarkAllocateMissStream|BenchmarkSweepNineConfigs|BenchmarkSweepFetchRuns|" +
-	"BenchmarkReadLocalHit|BenchmarkMigratoryWrite16Nodes|BenchmarkReadSharedGetS16Nodes|" +
+	"BenchmarkReadLocalHit|BenchmarkMigratoryWrite16Nodes|BenchmarkReadSharedGetS16Nodes|BenchmarkHierarchyFetch|BenchmarkHierarchyRead|" +
 	"BenchmarkHDRRecord|BenchmarkCurveLookup|BenchmarkLoadTrackerRecord|" +
 	"BenchmarkTracerInstantSampledOut|BenchmarkTracerInstantRing|BenchmarkTracerInstantLinear|BenchmarkWriteChromeTrace|" +
 	"BenchmarkEngineThroughput|BenchmarkAllocSmall|BenchmarkMinorGC|" +
@@ -122,10 +123,14 @@ func (r Result) value() float64 {
 	return r.NsPerOp
 }
 
-// String renders the gated value at a human scale.
+// String renders the gated value at a human scale; a baseline entry that
+// pins only allocs/op has none.
 func (r Result) String() string {
-	if r.Ratio != 0 {
+	switch {
+	case r.Ratio != 0:
 		return fmt.Sprintf("%.3fx", r.Ratio)
+	case r.NsPerOp == 0:
+		return "allocs only"
 	}
 	return fmtNs(r.NsPerOp)
 }
@@ -235,14 +240,20 @@ func main() {
 			continue
 		}
 		bl := baseRep.Benchmarks[b]
-		ratio := cur.value() / bl.value()
-		status := "ok  "
-		if ratio > 1+*tol {
-			status = "FAIL"
-			failed = true
+		if bl.value() == 0 {
+			// An allocs/op-only pin: the run records ns/op for the trend
+			// table, and only allocs/op gates.
+			fmt.Printf("    %-40s %12s  ns/op not pinned\n", b, cur)
+		} else {
+			ratio := cur.value() / bl.value()
+			status := "ok  "
+			if ratio > 1+*tol {
+				status = "FAIL"
+				failed = true
+			}
+			fmt.Printf("%s %-40s %12s  baseline %12s  (%+.1f%%)\n",
+				status, b, cur, bl, (ratio-1)*100)
 		}
-		fmt.Printf("%s %-40s %12s  baseline %12s  (%+.1f%%)\n",
-			status, b, cur, bl, (ratio-1)*100)
 		if bl.AllocsPerOp != nil && cur.AllocsPerOp != nil {
 			limit := allocLimit(*bl.AllocsPerOp, *allocTol)
 			st := "ok  "

@@ -76,7 +76,8 @@ func TestAllocLimit(t *testing.T) {
 }
 
 // TestResultValue: an e2e:ObsOverhead entry gates on its ratio and renders
-// as one; every other entry gates on ns/op.
+// as one; every other entry gates on ns/op, but for an allocs/op-only pin,
+// which has no value to gate.
 func TestResultValue(t *testing.T) {
 	ratio := Result{Ratio: 1.245}
 	if ratio.value() != 1.245 || ratio.String() != "1.245x" {
@@ -85,5 +86,10 @@ func TestResultValue(t *testing.T) {
 	ns := Result{NsPerOp: 2.5e9}
 	if ns.value() != 2.5e9 || ns.String() != "2.50s" {
 		t.Errorf("ns/op entry: value %v, %q", ns.value(), ns.String())
+	}
+	var zero uint64
+	allocs := Result{AllocsPerOp: &zero}
+	if allocs.value() != 0 || allocs.String() != "allocs only" {
+		t.Errorf("allocs/op-only entry: value %v, %q", allocs.value(), allocs.String())
 	}
 }

@@ -3,11 +3,19 @@
 // (the stand-in for the Sumo cache simulator the paper used with Simics).
 //
 // A Cache is a purely structural model: tags, ways, LRU, and an opaque
-// three-bit per-line state, packed into one word per way. The coherence
-// protocol (internal/coherence) and the hierarchy assembly (internal/memsys)
-// decide what states mean and when to allocate or invalidate. The
-// uniprocessor Sweep does not use Cache: it keeps its own compact
-// move-to-front tag arrays (see Sweep).
+// three-bit per-line state, packed into one 4-byte word per way. The
+// coherence protocol (internal/coherence) and the hierarchy assembly
+// (internal/memsys) decide what states mean and when to allocate or
+// invalidate. The uniprocessor Sweep does not use Cache: it keeps its own
+// compact move-to-front tag arrays (see Sweep), also 4 bytes per way.
+//
+// Both store only a block's tag, the address bits above the set index, so a
+// word is 4 bytes whatever the address width. A geometry therefore covers
+// addresses below a bound: 2^28 tags per set in a Cache and 2^30 in a Sweep,
+// 2^41 bytes for a 16 KB 2-way cache of 64 B blocks and more for any larger
+// one. A Cache panics when asked to store a block at or above its bound, and
+// a probe for one matches nothing; a Sweep panics on any reference to one.
+// Either way no block aliases another.
 package cache
 
 import (
@@ -56,22 +64,22 @@ func (c Config) String() string {
 	return fmt.Sprintf("%s %dKB/%dway/%dB", c.Name, c.SizeBytes/1024, c.Assoc, c.BlockBytes)
 }
 
-// Line is one way of a cache set packed into a word: the block address in
-// the high bits, the dirty bit in bit 3 and the state in bits 0-2. A way whose
-// state is 0 is all zero. Read and write it only through its
-// methods.
-type Line uint64
+// Line is one way of a cache set packed into a 4-byte word: the block's tag
+// (its address above the set index and block offset) from bit 4 up, the
+// dirty bit in bit 3 and the state in bits 0-2. A way whose state is 0 is
+// all zero. Read and write it only through its methods.
+type Line uint32
 
 const (
 	stateBits Line = 7
 	dirtyBit  Line = 8
-	// minBlockBytes keeps a block address's low four bits free for the state
-	// and dirty bit.
-	minBlockBytes = 16
+	// lineTagShift is the tag's position in a Line, above the state and
+	// dirty bit; maxTag is the largest tag the word holds, and maxKey that
+	// tag in place.
+	lineTagShift        = 4
+	maxTag       uint64 = 1<<(32-lineTagShift) - 1
+	maxKey              = maxTag << lineTagShift
 )
-
-// Tag returns the line's block address.
-func (l Line) Tag() uint64 { return uint64(l &^ (stateBits | dirtyBit)) }
 
 // State returns the line's state.
 func (l Line) State() State { return State(l & stateBits) }
@@ -131,7 +139,7 @@ func (s Stats) MissRatio() float64 {
 }
 
 // Cache is a set-associative cache with true-LRU replacement. Each set is
-// assoc Lines, one 8-byte word per way, with the valid ways in
+// assoc Lines, one 4-byte word per way, with the valid ways in
 // most-recently-used-first order: a hit moves its word to the front, Allocate
 // shifts the set right from its first invalid way (or its last way, the LRU
 // victim, when the set is full) and puts the new word at the front, and
@@ -148,27 +156,25 @@ type Cache struct {
 	assoc      uint64
 	setMask    uint64
 	blockShift uint
+	tagShift   uint // blockShift plus the set-index width: a block's tag is ba >> tagShift
 	Stats      Stats
 }
 
 // New builds a cache; it panics on an invalid geometry (geometries are
-// static experiment configuration, so an invalid one is a programming bug)
-// and on blocks under 16 B, whose addresses leave no room for the state.
+// static experiment configuration, so an invalid one is a programming bug).
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.BlockBytes < minBlockBytes {
-		panic(fmt.Sprintf("cache %q: block %d B under the %d B minimum: a block address's low 4 bits hold the line state",
-			cfg.Name, cfg.BlockBytes, minBlockBytes))
-	}
 	sets := cfg.Sets()
+	blockShift := uint(bits.TrailingZeros(uint(cfg.BlockBytes)))
 	return &Cache{
 		cfg:        cfg,
 		lines:      make([]Line, sets*cfg.Assoc),
 		assoc:      uint64(cfg.Assoc),
 		setMask:    uint64(sets - 1),
-		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
+		blockShift: blockShift,
+		tagShift:   blockShift + uint(bits.TrailingZeros(uint(sets))),
 	}
 }
 
@@ -179,24 +185,34 @@ func (c *Cache) Config() Config { return c.cfg }
 // block size.
 func (c *Cache) BlockAddr(a mem.Addr) uint64 { return a >> c.blockShift << c.blockShift }
 
-// set returns the ways of block ba's set. The full-slice expression gives
-// the compiler the way count, so scans over it carry no bounds checks.
-func (c *Cache) set(ba uint64) []Line {
-	base := (ba >> c.blockShift & c.setMask) * c.assoc
-	return c.lines[base : base+c.assoc : base+c.assoc]
+// locate returns block ba's set and its key: ba's tag shifted into place,
+// the word of a line of ba with the state and dirty bit clear. The full-slice
+// expression gives the compiler the way count, so scans over the set carry no
+// bounds checks, and masking each shift count to 6 bits spares it the fixup
+// for counts of 64 and more. A key keeps all 64 bits, so the key of a block
+// whose tag does not fit a Line matches no line; Allocate refuses to store
+// one.
+func (c *Cache) locate(ba uint64) ([]Line, uint64) {
+	base := (ba >> (c.blockShift & 63) & c.setMask) * c.assoc
+	return c.lines[base : base+c.assoc : base+c.assoc], ba >> (c.tagShift & 63) << lineTagShift
 }
 
-// holds reports whether word l is a valid line of block ba. An invalid word
-// is zero and ba's low four bits are, so l^ba is 1..15 exactly when the block
-// matches and the state is non-zero.
-func holds(l Line, ba uint64) bool { return uint64(l)^ba-1 < 15 }
+// holds reports whether word l is a valid line with key key. An invalid word
+// is zero and a key's low four bits are, so l^key is 1..15 exactly when the
+// tags match and the state is non-zero.
+func holds(l Line, key uint64) bool { return uint64(l)^key-1 < 15 }
+
+// block rebuilds the block address of word l, a valid line of set set.
+func (c *Cache) block(l Line, set uint64) uint64 {
+	return uint64(l>>lineTagShift)<<(c.tagShift&63) | set<<(c.blockShift&63)
+}
 
 // Probe returns the line holding block ba, or nil. It does not update LRU.
 // ba must be block-aligned (a BlockAddr result).
 func (c *Cache) Probe(ba uint64) *Line {
-	set := c.set(ba)
+	set, key := c.locate(ba)
 	for i := range set {
-		if holds(set[i], ba) {
+		if holds(set[i], key) {
 			return &set[i]
 		}
 	}
@@ -206,9 +222,9 @@ func (c *Cache) Probe(ba uint64) *Line {
 // ProbeTouch is Probe plus a most-recently-used update: a hit moves its word
 // to the front of the set. It is the hit path of every L1/L2 access.
 func (c *Cache) ProbeTouch(ba uint64) *Line {
-	set := c.set(ba)
+	set, key := c.locate(ba)
 	for i, l := range set {
-		if holds(l, ba) {
+		if holds(l, key) {
 			for ; i > 0; i-- {
 				set[i] = set[i-1]
 			}
@@ -221,12 +237,16 @@ func (c *Cache) ProbeTouch(ba uint64) *Line {
 
 // Allocate inserts block ba, which must not be resident, with the given
 // state, evicting the LRU way if the set is full. It returns the inserted
-// line and the victim, if any, so callers that need to mark the fresh line
-// (Dirty, a state tweak) can do so without paying a second associative
-// Probe. The new line is most recently used and clean.
-func (c *Cache) Allocate(ba uint64, st State) (l *Line, victim Line, evicted bool) {
+// line, so callers that need to mark the fresh line (Dirty, a state tweak)
+// can do so without paying a second associative Probe, and the victim: its
+// word, zero when the set had a free way, and its block address, rebuilt from
+// the set it was evicted from. The new line is most recently used and clean.
+func (c *Cache) Allocate(ba uint64, st State) (l *Line, victim Line, victimBA uint64) {
 	checkState(st)
-	set := c.set(ba)
+	set, key := c.locate(ba)
+	if key > maxKey {
+		c.tagOverflow(ba)
+	}
 	n := len(set) - 1
 	for i, w := range set {
 		if w == 0 {
@@ -235,7 +255,7 @@ func (c *Cache) Allocate(ba uint64, st State) (l *Line, victim Line, evicted boo
 		}
 	}
 	if victim = set[n]; victim != 0 {
-		evicted = true
+		victimBA = c.block(victim, ba>>(c.blockShift&63)&c.setMask)
 		c.Stats.Evictions++
 		if victim.Dirty() {
 			c.Stats.DirtyEvictions++
@@ -244,15 +264,24 @@ func (c *Cache) Allocate(ba uint64, st State) (l *Line, victim Line, evicted boo
 	for ; n > 0; n-- {
 		set[n] = set[n-1]
 	}
-	set[0] = Line(ba) | Line(st)
-	return &set[0], victim, evicted
+	set[0] = Line(key) | Line(st)
+	return &set[0], victim, victimBA
+}
+
+// tagOverflow panics on a block whose tag does not fit a Line, rather than
+// let its truncated tag alias another block.
+//
+//go:noinline
+func (c *Cache) tagOverflow(ba uint64) {
+	panic(fmt.Sprintf("cache %v: block %#x at or above the tag bound %#x",
+		c.cfg, ba, (maxTag+1)<<c.tagShift))
 }
 
 // Invalidate removes block ba if present, returning whether it was dirty.
 func (c *Cache) Invalidate(ba uint64) (wasDirty, wasPresent bool) {
-	set := c.set(ba)
+	set, key := c.locate(ba)
 	for i := range set {
-		if holds(set[i], ba) {
+		if holds(set[i], key) {
 			wasDirty = set[i].Dirty()
 			set[i] = 0
 			return wasDirty, true

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -250,24 +249,91 @@ func TestAllocatePanicsOnInvalidState(t *testing.T) {
 	New(small()).Allocate(0, 0)
 }
 
-// TestNewRejectsSmallBlocks: a block address's low four bits hold the packed
-// line state, so New refuses blocks under 16 B while the sweep, which keeps
-// its own tag words, still takes them.
-func TestNewRejectsSmallBlocks(t *testing.T) {
+// TestSmallBlocks: the state and dirty bit sit below a line's tag, not in
+// its block offset, so Cache takes blocks under 16 B just as the sweep does.
+func TestSmallBlocks(t *testing.T) {
 	tiny := Config{Name: "s", SizeBytes: 1 << 10, Assoc: 2, BlockBytes: 8}
-	func() {
-		defer func() {
-			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "16 B minimum") {
-				t.Errorf("New with 8 B blocks: panic %q, want the 16 B minimum", msg)
-			}
-		}()
-		New(tiny)
-	}()
-	New(Config{Name: "s", SizeBytes: 1 << 10, Assoc: 2, BlockBytes: 16})
+	c := New(tiny)
+	access(c, 0x100, mem.Read)
+	if !access(c, 0x104, mem.Read) || access(c, 0x108, mem.Read) {
+		t.Fatal("8 B cache does not hit within a block and miss across one")
+	}
 	sw := NewSweep([]Config{tiny})
 	sw.AccessRange(0x100, 1, mem.Read)
 	if !hit(sw, 0x104, mem.Read) || hit(sw, 0x108, mem.Read) {
 		t.Fatal("8 B sweep geometry does not hit within a block and miss across one")
+	}
+}
+
+// TestCacheTagBound: small() has 8 sets of 64 B blocks, so its 28-bit tags
+// cover addresses below 2^37. The highest block below the bound and the
+// block that differs from it only in the top tag bit are distinct lines. The
+// block at the bound, whose tag truncated to 28 bits is block 0's, matches
+// nothing while block 0 is resident, and Allocate refuses it with a panic
+// that names the geometry and the address.
+func TestCacheTagBound(t *testing.T) {
+	const bound = 1 << 37
+	c := New(small())
+	top, low := uint64(bound-64), uint64(bound-64-bound/2)
+	access(c, top, mem.Write)
+	if access(c, low, mem.Read) {
+		t.Fatalf("block %#x hit on block %#x", low, top)
+	}
+	if l := c.Probe(top); l == nil || lineBlock(c, l) != top || !l.Dirty() {
+		t.Fatalf("block %#x not resident and dirty", top)
+	}
+	access(c, 0, mem.Write)
+	if c.Probe(bound) != nil || c.ProbeTouch(bound) != nil {
+		t.Fatalf("block %#x hit on block 0", uint64(bound))
+	}
+	if _, present := c.Invalidate(bound); present || c.Probe(0) == nil {
+		t.Fatalf("invalidating block %#x reached block 0", uint64(bound))
+	}
+	defer func() {
+		want := "cache t 1KB/2way/64B: block 0x2000000000 at or above the tag bound 0x2000000000"
+		if msg := fmt.Sprint(recover()); msg != want {
+			t.Errorf("Allocate(%#x): panic %q, want %q", uint64(bound), msg, want)
+		}
+	}()
+	c.Allocate(bound, 1)
+}
+
+// TestSweepTagBound: a group's bound is its smallest member's, the one with
+// the fewest sets and so the widest tags: 2^30 tags of 8 sets of 64 B
+// blocks cover addresses below 2^39. Its highest block is tracked apart
+// from block 0 in every member, and a reference that reaches the bound
+// panics, whether a single access, the end of a range or of a fetch run.
+func TestSweepTagBound(t *testing.T) {
+	const bound = 1 << 39
+	cfgs := []Config{
+		{Name: "s", SizeBytes: 8 << 10, Assoc: 2, BlockBytes: 64},
+		{Name: "s", SizeBytes: 1 << 10, Assoc: 2, BlockBytes: 64},
+	}
+	sw := NewSweep(cfgs)
+	sw.AccessRange(bound-64, 64, mem.Read)
+	sw.AccessRange(0, 64, mem.Read)
+	for i := range cfgs {
+		if st := sw.stats(i); st.ReadMisses != 2 {
+			t.Fatalf("%v: %d misses on two blocks, want 2", cfgs[i], st.ReadMisses)
+		}
+	}
+	if !hit(sw, bound-64, mem.Read) {
+		t.Fatal("the highest block was evicted by block 0")
+	}
+	for name, op := range map[string]func(){
+		"AccessRange at the bound": func() { sw.AccessRange(bound, 1, mem.Read) },
+		"AccessRange across it":    func() { sw.AccessRange(bound-64, 65, mem.Write) },
+		"FetchRun across it":       func() { sw.FetchRun(bound-128, 3) },
+	} {
+		func() {
+			defer func() {
+				want := "cache sweep s 1KB/2way/64B: block 0x8000000000 at or above the tag bound 0x8000000000"
+				if msg := fmt.Sprint(recover()); msg != want {
+					t.Errorf("%s: panic %q, want %q", name, msg, want)
+				}
+			}()
+			op()
+		}()
 	}
 }
 
@@ -293,7 +359,7 @@ func TestQuickProbeAfterAllocate(t *testing.T) {
 		ba := c.BlockAddr(mem.Addr(raw))
 		nl, _, _ := c.Allocate(ba, 2)
 		l := c.Probe(ba)
-		return l != nil && l == nl && l.Tag() == ba && l.State() == 2
+		return l != nil && l == nl && lineBlock(c, l) == ba && l.State() == 2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -303,16 +369,23 @@ func TestQuickProbeAfterAllocate(t *testing.T) {
 func TestVictimReported(t *testing.T) {
 	c := New(Config{Name: "v", SizeBytes: 128, Assoc: 1, BlockBytes: 64}) // 2 sets
 	c.Allocate(0, 2)
-	l, v, had := c.Allocate(128, 3) // same set (2 sets * 64 = 128 stride)
-	if !had || v.Tag() != 0 || v.State() != 2 {
-		t.Fatalf("victim = %+v had=%v", v, had)
+	l, v, vba := c.Allocate(128, 3) // same set (2 sets * 64 = 128 stride)
+	if v == 0 || vba != 0 || v.State() != 2 {
+		t.Fatalf("victim = %#x block %#x", v, vba)
 	}
-	if l == nil || l.Tag() != 128 || l.State() != 3 {
+	if l == nil || lineBlock(c, l) != 128 || l.State() != 3 {
 		t.Fatalf("inserted line = %+v", l)
 	}
-	_, _, had = c.Allocate(64, 2) // other set, empty
-	if had {
-		t.Fatal("unexpected victim from empty set")
+	_, v, vba = c.Allocate(192, 1) // second set: 64 B blocks, 2 sets
+	if v != 0 || vba != 0 {
+		t.Fatalf("victim %#x block %#x from an empty set", v, vba)
+	}
+	c.ProbeTouch(128)
+	if _, v, vba = c.Allocate(256, 2); v.State() != 3 || vba != 128 {
+		t.Fatalf("victim = %#x block %#x, want block 0x80 in state 3", v, vba)
+	}
+	if _, v, vba = c.Allocate(320, 2); v.State() != 1 || vba != 192 {
+		t.Fatalf("victim = %#x block %#x, want block 0xc0 in state 1", v, vba)
 	}
 }
 

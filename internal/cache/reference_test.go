@@ -125,15 +125,27 @@ func (c *refCache) resident() []string {
 	return out
 }
 
+// resident lists c's valid lines like refCache.resident, each block address
+// rebuilt from its tag and the set the line sits in.
 func resident(c *Cache) []string {
 	var out []string
-	for _, l := range c.lines {
+	for i, l := range c.lines {
 		if l != 0 {
-			out = append(out, fmt.Sprintf("%#x %d %v", l.Tag(), l.State(), l.Dirty()))
+			out = append(out, fmt.Sprintf("%#x %d %v", c.block(l, uint64(i)/c.assoc), l.State(), l.Dirty()))
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// lineBlock returns the block address of *l, a valid line of c.
+func lineBlock(c *Cache, l *Line) uint64 {
+	for i := range c.lines {
+		if &c.lines[i] == l {
+			return c.block(*l, uint64(i)/c.assoc)
+		}
+	}
+	panic("cache: line not in this cache")
 }
 
 // modelGeometries cover associativity 1 to 16 at 16 B and 64 B blocks, each
@@ -153,8 +165,8 @@ func modelGeometries() []Config {
 // first byte pick the operation (Probe, ProbeTouch twice, Allocate twice,
 // Invalidate, SetState, SetDirty) and its upper bits the state or dirty value;
 // the second byte picks the block from three times the cache's capacity, with
-// its top bit adding a high address bit. After every operation the results,
-// the Stats and the resident lines must agree.
+// its top bit setting the geometry's highest tag bit. After every operation
+// the results, the Stats and the resident lines must agree.
 func checkCacheAgainstReference(t testing.TB, cfg Config, ops []byte) {
 	t.Helper()
 	c, r := New(cfg), newRefCache(cfg)
@@ -163,13 +175,13 @@ func checkCacheAgainstReference(t testing.TB, cfg Config, ops []byte) {
 		if l == nil || rl == nil {
 			return l == nil && rl == nil
 		}
-		return l.Tag() == rl.Tag && l.State() == rl.State && l.Dirty() == rl.Dirty
+		return lineBlock(c, l) == rl.Tag && l.State() == rl.State && l.Dirty() == rl.Dirty
 	}
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, arg, sel := ops[i]&7, ops[i]>>3, uint64(ops[i+1])
 		ba := sel & 0x7f % span * uint64(cfg.BlockBytes)
 		if sel&0x80 != 0 {
-			ba |= 1 << 40
+			ba |= 1 << (c.tagShift + 31 - lineTagShift)
 		}
 		st := State(arg%7 + 1)
 		var what string
@@ -190,11 +202,11 @@ func checkCacheAgainstReference(t testing.TB, cfg Config, ops []byte) {
 			if r.Probe(ba) != nil {
 				continue
 			}
-			l, v, ev := c.Allocate(ba, st)
+			l, v, vba := c.Allocate(ba, st)
 			rl, rv, rev := r.Allocate(ba, st)
-			if !same(l, rl) || ev != rev || v.Tag() != rv.Tag || v.State() != rv.State || v.Dirty() != rv.Dirty {
-				t.Fatalf("%v: op %d: %s: line %#x victim %#x %v, reference %+v victim %+v %v",
-					cfg, i/2, what, *l, v, ev, *rl, rv, rev)
+			if !same(l, rl) || (v != 0) != rev || vba != rv.Tag || v.State() != rv.State || v.Dirty() != rv.Dirty {
+				t.Fatalf("%v: op %d: %s: line %#x victim %#x block %#x, reference %+v victim %+v %v",
+					cfg, i/2, what, *l, v, vba, *rl, rv, rev)
 			}
 		case 5:
 			what = fmt.Sprintf("Invalidate(%#x)", ba)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
 
@@ -12,12 +13,15 @@ import (
 // miss rate versus cache size for a fixed associativity and block size.
 //
 // It does not use Cache: the sweep needs no coherence state and no *Line
-// pointers, so each geometry is a bare array of tag words, assoc per set, kept
-// in most-recently-used-first order as in Cache. A word is
-// block<<2 | dirty<<1 | valid; a hit moves its word to the front and a miss
-// shifts the set right, evicting the last word when it is valid. That is
-// exact true LRU in 8 bytes per way with no clock. Block numbers must fit in
-// 62 bits; unlike Cache, the sweep takes blocks of any power-of-two size.
+// pointers, so each geometry is a bare array of 4-byte tag words, assoc per
+// set, kept in most-recently-used-first order as in Cache. A word is
+// tag<<2 | dirty<<1 | valid, where the tag is the block number above the set
+// index; a hit moves its word to the front and a miss shifts the set right,
+// evicting the last word when it is valid. That is exact true LRU in 4 bytes
+// per way with no clock. Unlike Cache, the sweep takes blocks of any
+// power-of-two size. A tag must fit 30 bits: a reference to a block at or
+// above 2^30 times the set count of its group's smallest geometry panics,
+// naming the geometry and the address.
 //
 // Geometries sharing a block size and associativity form a group, sorted by
 // set count. Power-of-two bit-selection sets nest, so under LRU every block
@@ -43,6 +47,11 @@ type sweepGroup struct {
 	blockShift uint
 	assoc      uint64
 	geoms      []sweepGeom // ascending set count
+	// limit is the first block number whose tag overflows a word of the
+	// smallest member, smallest, which has the fewest sets and so the widest
+	// tags.
+	limit    uint64
+	smallest Config
 	// acc counts block accesses by kind: every reference to the group is an
 	// access in every member, so accesses are counted once per group.
 	acc [4]uint64
@@ -50,8 +59,9 @@ type sweepGroup struct {
 
 // sweepGeom is one geometry's MRU-first tag words and its own counters.
 type sweepGeom struct {
-	words          []uint64
+	words          []uint32
 	setMask        uint64
+	setBits        uint      // log2 of the set count: a block's tag is blk >> setBits
 	miss           [4]uint64 // by kind, like sweepGroup.acc
 	evictions      uint64
 	dirtyEvictions uint64
@@ -98,11 +108,13 @@ func NewSweep(cfgs []Config) *Sweep {
 		for j, i := range m {
 			sets := cfgs[i].Sets()
 			g.geoms = append(g.geoms, sweepGeom{
-				words:   make([]uint64, sets*cfgs[i].Assoc),
+				words:   make([]uint32, sets*cfgs[i].Assoc),
 				setMask: uint64(sets - 1),
+				setBits: uint(bits.TrailingZeros(uint(sets))),
 			})
 			s.order[i] = geomRef{sizeBytes: cfgs[i].SizeBytes, grp: g, idx: j}
 		}
+		g.limit, g.smallest = (maxSweepTag+1)<<g.geoms[0].setBits, cfgs[m[0]]
 	}
 	return s
 }
@@ -147,7 +159,7 @@ func (s *Sweep) AccessRange(a mem.Addr, size uint64, t mem.AccessType) {
 	if size == 0 {
 		return
 	}
-	var dirty uint64
+	var dirty uint32
 	if t == mem.Write {
 		dirty = 2
 	}
@@ -156,6 +168,10 @@ func (s *Sweep) AccessRange(a mem.Addr, size uint64, t mem.AccessType) {
 		g.access(a>>g.blockShift, (a+size-1)>>g.blockShift, dirty, k)
 	}
 }
+
+// maxSweepTag is the largest tag a sweep word holds, above its dirty and
+// valid bits.
+const maxSweepTag = 1<<30 - 1
 
 // fetchBlockBytes is the instruction-fetch block (ifetch.BlockBytes).
 const fetchBlockBytes = 64
@@ -174,30 +190,46 @@ func (s *Sweep) FetchRun(a mem.Addr, n uint64) {
 }
 
 // access feeds blocks first..last to every member of the group; dirty is 2
-// for a write and 0 otherwise.
-func (g *sweepGroup) access(first, last, dirty uint64, k int) {
+// for a write and 0 otherwise. A block whose tag does not fit a word of the
+// smallest member, the one with the widest tags, panics here, once per
+// reference, rather than alias another block.
+func (g *sweepGroup) access(first, last uint64, dirty uint32, k int) {
+	if last >= g.limit {
+		g.tagOverflow(last)
+	}
 	g.acc[k&3] += last - first + 1
 	small := &g.geoms[0]
 	for blk := first; blk <= last; blk++ {
-		want := blk<<2 | 1
-		if w := small.words[(blk&small.setMask)*g.assoc]; w&^2 == want && w|dirty == w {
+		if w := small.words[(blk&small.setMask)*g.assoc]; w&^2 == small.word(blk) && w|dirty == w {
 			continue // at the front everywhere, and dirty already if written
 		}
 		for i := range g.geoms {
-			if g.geoms[i].touch(blk, want, dirty, k, g.assoc) {
+			if g.geoms[i].touch(blk, dirty, k, g.assoc) {
 				break // at the front here, so in every larger member too
 			}
 		}
 	}
 }
 
-// touch moves block blk (tag word want) to the front of its set, allocating
-// it on a miss. It reports whether the block was already at the front, and
-// dirty already if dirty is set: then the set is unchanged, and by
-// inclusion so is every larger member's.
-func (m *sweepGeom) touch(blk, want, dirty uint64, k int, assoc uint64) bool {
+// tagOverflow panics on block blk, at or above the group's limit.
+//
+//go:noinline
+func (g *sweepGroup) tagOverflow(blk uint64) {
+	panic(fmt.Sprintf("cache sweep %v: block %#x at or above the tag bound %#x",
+		g.smallest, blk<<g.blockShift, g.limit<<g.blockShift))
+}
+
+// word is the valid, clean tag word of block blk in this geometry.
+func (m *sweepGeom) word(blk uint64) uint32 { return uint32(blk>>m.setBits)<<2 | 1 }
+
+// touch moves block blk to the front of its set, allocating it on a miss. It
+// reports whether the block was already at the front, and dirty already if
+// dirty is set: then the set is unchanged, and by inclusion so is every
+// larger member's.
+func (m *sweepGeom) touch(blk uint64, dirty uint32, k int, assoc uint64) bool {
 	base := (blk & m.setMask) * assoc
 	set := m.words[base : base+assoc : base+assoc]
+	want := m.word(blk)
 	for i, w := range set {
 		if w&^2 == want {
 			if i == 0 && w|dirty == w {
@@ -214,7 +246,7 @@ func (m *sweepGeom) touch(blk, want, dirty uint64, k int, assoc uint64) bool {
 	n := len(set) - 1
 	if victim := set[n]; victim&1 != 0 {
 		m.evictions++
-		m.dirtyEvictions += victim >> 1 & 1
+		m.dirtyEvictions += uint64(victim >> 1 & 1)
 	}
 	for ; n > 0; n-- {
 		set[n] = set[n-1]

@@ -78,7 +78,7 @@ func (s *Sweep) checkInclusion() error {
 						}
 						break
 					}
-					blk := w >> 2
+					blk := uint64(w>>2)<<m.setBits | base/g.assoc
 					for k := i + 1; k < len(g.geoms); k++ {
 						pos, bw := g.geoms[k].find(blk, g.assoc)
 						switch {
@@ -98,10 +98,10 @@ func (s *Sweep) checkInclusion() error {
 }
 
 // find returns blk's way and tag word in the geometry, or -1.
-func (m *sweepGeom) find(blk, assoc uint64) (int, uint64) {
+func (m *sweepGeom) find(blk, assoc uint64) (int, uint32) {
 	base := (blk & m.setMask) * assoc
 	for i, w := range m.words[base : base+assoc] {
-		if w&1 != 0 && w>>2 == blk {
+		if w&^2 == m.word(blk) {
 			return i, w
 		}
 	}

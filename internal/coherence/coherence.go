@@ -247,7 +247,7 @@ func (n *Node) Read(addr mem.Addr, now uint64) Source {
 		anyCopy = v&fMaskBits&^(1<<uint(n.id)) != 0
 		if o := fOwner(v); o >= 0 {
 			if l := n.bus.nodes[o].l2.Probe(ba); l != nil {
-				if n.bus.snoopGetS(l) {
+				if n.bus.snoopGetS(l, ba) {
 					src = SrcCache
 				}
 				if l.State() == Shared {
@@ -290,9 +290,9 @@ func (n *Node) Read(addr mem.Addr, now uint64) Source {
 	return src
 }
 
-// snoopGetS applies a GetS snoop to one remote copy of the block, returning
+// snoopGetS applies a GetS snoop to one remote copy l of block ba, returning
 // whether that cache supplies the data (a snoop copyback).
-func (b *Bus) snoopGetS(l *cache.Line) bool {
+func (b *Bus) snoopGetS(l *cache.Line, ba uint64) bool {
 	switch l.State() {
 	case Modified:
 		if b.Protocol == MOSI {
@@ -304,7 +304,7 @@ func (b *Bus) snoopGetS(l *cache.Line) bool {
 			l.SetDirty(false)
 			b.Stats.Writebacks++
 			if b.Attr != nil {
-				b.Attr.RecordWriteback(l.Tag(), -1)
+				b.Attr.RecordWriteback(ba, -1)
 			}
 		}
 		return true
@@ -428,18 +428,18 @@ func (n *Node) invalidateRemotes(ba uint64) (anyCopy, dirty bool) {
 // insert allocates ba in this node's L2, returning the fresh line, writing
 // back a dirty victim, and notifying the node's L1s of the eviction.
 func (n *Node) insert(ba uint64, st cache.State) *cache.Line {
-	l, victim, had := n.l2.Allocate(ba, st)
+	l, victim, victimBA := n.l2.Allocate(ba, st)
 	n.bus.filterAdd(n.id, ba, st != Shared)
-	if !had {
+	if victim == 0 {
 		return l
 	}
-	n.bus.filterEvict(n.id, victim.Tag())
+	n.bus.filterEvict(n.id, victimBA)
 	if victim.State() == Modified || victim.State() == Owned {
 		n.bus.Stats.Writebacks++
 		if n.bus.Attr != nil {
-			n.bus.Attr.RecordWriteback(victim.Tag(), n.id)
+			n.bus.Attr.RecordWriteback(victimBA, n.id)
 		}
 	}
-	n.notifyInvalidate(victim.Tag())
+	n.notifyInvalidate(victimBA)
 	return l
 }

@@ -54,7 +54,7 @@ func (b *refBus) read(id int, addr mem.Addr, now uint64) Source {
 		}
 		if l := other.Probe(ba); l != nil {
 			anyCopy = true
-			if b.snoopGetS(l) {
+			if b.snoopGetS(l, ba) {
 				src = SrcCache
 			}
 		}
@@ -73,9 +73,9 @@ func (b *refBus) read(id int, addr mem.Addr, now uint64) Source {
 	return src
 }
 
-// snoopGetS applies a GetS snoop to one remote copy, returning whether that
-// cache supplies the data.
-func (b *refBus) snoopGetS(l *cache.Line) bool {
+// snoopGetS applies a GetS snoop to one remote copy l of block ba,
+// returning whether that cache supplies the data.
+func (b *refBus) snoopGetS(l *cache.Line, ba uint64) bool {
 	switch l.State() {
 	case Modified:
 		if b.proto == MOSI {
@@ -84,7 +84,7 @@ func (b *refBus) snoopGetS(l *cache.Line) bool {
 			l.SetState(Shared)
 			l.SetDirty(false)
 			b.Stats.Writebacks++
-			b.attr.RecordWriteback(l.Tag(), -1)
+			b.attr.RecordWriteback(ba, -1)
 		}
 		return true
 	case Owned:
@@ -157,15 +157,15 @@ func (b *refBus) write(id int, addr mem.Addr, now uint64) Source {
 // insert fills ba into node id's L2, writing back a dirty victim and
 // notifying the node of the eviction.
 func (b *refBus) insert(id int, ba uint64, st cache.State) *cache.Line {
-	l, victim, had := b.l2[id].Allocate(ba, st)
-	if !had {
+	l, victim, victimBA := b.l2[id].Allocate(ba, st)
+	if victim == 0 {
 		return l
 	}
 	if victim.State() == Modified || victim.State() == Owned {
 		b.Stats.Writebacks++
-		b.attr.RecordWriteback(victim.Tag(), id)
+		b.attr.RecordWriteback(victimBA, id)
 	}
-	b.notify(id, victim.Tag())
+	b.notify(id, victimBA)
 	return l
 }
 
