@@ -59,9 +59,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// String renders the geometry compactly, e.g. "L2 1MB/4way/64B".
+// String renders the geometry compactly, e.g. "L2 1024KB/4way/64B", or in
+// bytes for a size under 1 KB, e.g. "tiny 512B/2way/64B".
 func (c Config) String() string {
-	return fmt.Sprintf("%s %dKB/%dway/%dB", c.Name, c.SizeBytes/1024, c.Assoc, c.BlockBytes)
+	size := fmt.Sprintf("%dKB", c.SizeBytes/1024)
+	if c.SizeBytes < 1024 {
+		size = fmt.Sprintf("%dB", c.SizeBytes)
+	}
+	return fmt.Sprintf("%s %s/%dway/%dB", c.Name, size, c.Assoc, c.BlockBytes)
 }
 
 // Line is one way of a cache set packed into a 4-byte word: the block's tag

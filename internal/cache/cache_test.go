@@ -61,6 +61,25 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigString: sizes of 1 KB and up print in KB, smaller ones in
+// bytes, so two sub-KB geometries never read the same.
+func TestConfigString(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Name: "L2", SizeBytes: 1 << 20, Assoc: 4, BlockBytes: 64}, "L2 1024KB/4way/64B"},
+		{Config{Name: "t", SizeBytes: 1 << 10, Assoc: 2, BlockBytes: 64}, "t 1KB/2way/64B"},
+		{Config{Name: "tiny", SizeBytes: 512, Assoc: 2, BlockBytes: 64}, "tiny 512B/2way/64B"},
+		{Config{Name: "tiny", SizeBytes: 256, Assoc: 2, BlockBytes: 64}, "tiny 256B/2way/64B"},
+		{Config{Name: "dm", SizeBytes: 16, Assoc: 1, BlockBytes: 16}, "dm 16B/1way/16B"},
+	} {
+		if got := tc.cfg.String(); got != tc.want {
+			t.Errorf("%+v: String() = %q, want %q", tc.cfg, got, tc.want)
+		}
+	}
+}
+
 func TestHitAfterMiss(t *testing.T) {
 	sw := NewSweep([]Config{small()})
 	if hit(sw, 0x1000, mem.Read) {

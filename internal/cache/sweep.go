@@ -33,6 +33,14 @@ import (
 // least as long), so it skips every probe. The same holds for each member
 // against the larger ones, so a reference walks the members in ascending
 // size and stops at the first that already holds the block at the front.
+//
+// A 4-way group (the size ladder's and the block ladder's) walks its members
+// in one loop per block, each member's move-to-front inline as four compares
+// and a fixed shift; other groups check the smallest member's front word and
+// then touch each member in turn. A fetch run reaches a group whose blocks
+// are the 64 B fetch blocks as one range of consecutive blocks, one call for
+// the run rather than one per fetch. EXPERIMENTS.md ("Host performance")
+// has the A/B measurements of both.
 type Sweep struct {
 	groups []*sweepGroup
 	// order locates each geometry, in configuration order, for MissCurve.
@@ -173,15 +181,30 @@ func (s *Sweep) AccessRange(a mem.Addr, size uint64, t mem.AccessType) {
 // valid bits.
 const maxSweepTag = 1<<30 - 1
 
-// fetchBlockBytes is the instruction-fetch block (ifetch.BlockBytes).
-const fetchBlockBytes = 64
+// fetchBlockBytes is the instruction-fetch block (ifetch.BlockBytes), and
+// fetchBlockShift its log2.
+const (
+	fetchBlockBytes = 64
+	fetchBlockShift = 6
+)
 
 // FetchRun feeds an instruction-fetch run to every cache in the sweep: n
 // single-byte fetches, one per 64 B fetch block from a, so a geometry with
-// smaller blocks sees only the first block of each fetch block.
+// smaller blocks sees only the first block of each fetch block. A group whose
+// blocks are fetch blocks takes the run as one range of n blocks; a group
+// with larger blocks takes each fetch as its own reference, since two
+// fetches can share one of its blocks.
 func (s *Sweep) FetchRun(a mem.Addr, n uint64) {
+	if n == 0 {
+		return
+	}
 	k := kind(mem.IFetch)
 	for _, g := range s.groups {
+		if g.blockShift == fetchBlockShift {
+			first := a >> fetchBlockShift
+			g.access(first, first+n-1, 0, k)
+			continue
+		}
 		for i := uint64(0); i < n; i++ {
 			blk := (a + i*fetchBlockBytes) >> g.blockShift
 			g.access(blk, blk, 0, k)
@@ -193,11 +216,21 @@ func (s *Sweep) FetchRun(a mem.Addr, n uint64) {
 // for a write and 0 otherwise. A block whose tag does not fit a word of the
 // smallest member, the one with the widest tags, panics here, once per
 // reference, rather than alias another block.
+//
+// Each block walks the members in ascending size, moving its word to the
+// front of its set in each (allocating it on a miss), and stops at the
+// first member that already holds it at the front, dirty already if
+// written: that set is unchanged, and by inclusion so is every larger
+// member's.
 func (g *sweepGroup) access(first, last uint64, dirty uint32, k int) {
 	if last >= g.limit {
 		g.tagOverflow(last)
 	}
 	g.acc[k&3] += last - first + 1
+	if g.assoc == 4 {
+		g.access4(first, last, dirty, k)
+		return
+	}
 	small := &g.geoms[0]
 	for blk := first; blk <= last; blk++ {
 		if w := small.words[(blk&small.setMask)*g.assoc]; w&^2 == small.word(blk) && w|dirty == w {
@@ -207,6 +240,47 @@ func (g *sweepGroup) access(first, last uint64, dirty uint32, k int) {
 			if g.geoms[i].touch(blk, dirty, k, g.assoc) {
 				break // at the front here, so in every larger member too
 			}
+		}
+	}
+}
+
+// access4 is access's walk for a 4-way group: the set is an array, the
+// search four compares, and the move to the front a fixed shift of the words
+// ahead of the hit (all four on a miss, the last one the victim).
+func (g *sweepGroup) access4(first, last uint64, dirty uint32, k int) {
+	for blk := first; blk <= last; blk++ {
+		for i := range g.geoms {
+			m := &g.geoms[i]
+			set := (*[4]uint32)(m.words[(blk&m.setMask)*4:])
+			want := m.word(blk)
+			w0 := set[0]
+			if w0&^2 == want {
+				if w0|dirty == w0 {
+					break // at the front here, so in every larger member too
+				}
+				set[0] = w0 | dirty
+				continue
+			}
+			w1 := set[1]
+			if w1&^2 == want {
+				set[1], set[0] = w0, w1|dirty
+				continue
+			}
+			w2 := set[2]
+			if w2&^2 == want {
+				set[2], set[1], set[0] = w1, w0, w2|dirty
+				continue
+			}
+			w3 := set[3]
+			if w3&^2 != want {
+				m.miss[k&3]++
+				if w3&1 != 0 {
+					m.evictions++
+					m.dirtyEvictions += uint64(w3 >> 1 & 1)
+				}
+				w3 = want
+			}
+			set[3], set[2], set[1], set[0] = w2, w1, w0, w3|dirty
 		}
 	}
 }

@@ -160,7 +160,9 @@ func testStreams(n int) []struct {
 
 // referenceGeometries are the size, associativity and block ladders plus
 // tiny caches that evict constantly, 1-way, 16-way, 16 B and 256 B blocks,
-// and a duplicated geometry.
+// a duplicated geometry, and small 4-way caches at 64 B and 128 B blocks
+// whose set counts step x2 and then x4, nested below the ladders' 4-way
+// members of the same block size.
 func referenceGeometries() []Config {
 	cfgs := SizeSweepConfigs("S")
 	cfgs = append(cfgs, AssocSweepConfigs("A", 256<<10)...)
@@ -173,6 +175,12 @@ func referenceGeometries() []Config {
 		Config{Name: "16B", SizeBytes: 2 << 10, Assoc: 4, BlockBytes: 16},
 		Config{Name: "256B", SizeBytes: 4 << 10, Assoc: 4, BlockBytes: 256},
 		Config{Name: "dup", SizeBytes: 256, Assoc: 2, BlockBytes: 64},
+		Config{Name: "n64", SizeBytes: 1 << 10, Assoc: 4, BlockBytes: 64},
+		Config{Name: "n64", SizeBytes: 2 << 10, Assoc: 4, BlockBytes: 64},
+		Config{Name: "n64", SizeBytes: 8 << 10, Assoc: 4, BlockBytes: 64},
+		Config{Name: "n128", SizeBytes: 2 << 10, Assoc: 4, BlockBytes: 128},
+		Config{Name: "n128", SizeBytes: 4 << 10, Assoc: 4, BlockBytes: 128},
+		Config{Name: "n128", SizeBytes: 16 << 10, Assoc: 4, BlockBytes: 128},
 	)
 }
 

@@ -107,6 +107,15 @@ func (b *Bus) checkFilter(ba uint64, probedMask uint64, probedOwner int, copies 
 // per-transaction path, where a general map's hashing and bucket machinery
 // is measurable; block addresses hash well with one Fibonacci multiply.
 // An empty slot is val == 0; block address zero is carried out-of-line.
+//
+// A new table holds no slots of its own: it points at emptySlots, one
+// shared empty slot, with mask 0 and shift 64, so every key hashes to that
+// slot and finds it empty. lookup and del only read it, and the first ref
+// finds the table full (n >= 0) and grows it to 2^initialFilterBits slots,
+// its first allocation. A bus that never carries a transaction, such as
+// a functional cache sweep's, so allocates nothing, and one that does grows
+// through the same sizes as a table allocated up front, probing in the same
+// order.
 type filterTable struct {
 	slots   []fslot
 	mask    uint64
@@ -119,12 +128,17 @@ type fslot struct {
 	key, val uint64
 }
 
+// initialFilterBits sizes a table's first allocation for a few L2s' worth
+// of resident blocks; multi-node runs reach hundreds of thousands of
+// entries anyway, so starting tiny only buys a cascade of rehashes.
+const initialFilterBits = 16
+
+// emptySlots is the one empty slot every new table shares until its first
+// ref. Nothing writes it.
+var emptySlots [1]fslot
+
 func newFilterTable() filterTable {
-	// Sized for a few L2s' worth of resident blocks up front; multi-node
-	// runs reach hundreds of thousands of entries anyway, so starting tiny
-	// only buys a cascade of rehashes.
-	const initialBits = 16
-	return filterTable{slots: make([]fslot, 1<<initialBits), mask: 1<<initialBits - 1, shift: 64 - initialBits}
+	return filterTable{slots: emptySlots[:], shift: 64}
 }
 
 func (t *filterTable) hash(key uint64) uint64 {
@@ -221,9 +235,13 @@ func (t *filterTable) reinsert(e fslot) {
 
 func (t *filterTable) grow() {
 	old := t.slots
-	t.slots = make([]fslot, 2*len(old))
-	t.mask = uint64(len(t.slots) - 1)
-	t.shift--
+	size, shift := 2*len(old), t.shift-1
+	if len(old) == len(emptySlots) {
+		size, shift = 1<<initialFilterBits, 64-initialFilterBits
+	}
+	t.slots = make([]fslot, size)
+	t.mask = uint64(size - 1)
+	t.shift = shift
 	t.n = 0
 	for _, s := range old {
 		if s.val != 0 {

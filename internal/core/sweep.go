@@ -161,11 +161,20 @@ type SweepResult struct {
 	Instructions uint64
 }
 
+// uniSweepParams is the machine a sweep builds: a uniprocessor, since the
+// sweep streams the workload's references through its own geometries and
+// never touches the machine's caches, bus or timing engine. Like Figure
+// 11's memScalePoint, it sizes the memory hierarchy to the processors it
+// runs rather than to the 16-processor default.
+func uniSweepParams(kind Kind, scale int, seed uint64) SystemParams {
+	return SystemParams{Kind: kind, Processors: 1, TotalCPUs: 1, Scale: scale, Seed: seed}
+}
+
 // runUniSweep builds the workload on a uniprocessor machine and streams
 // its operations (round-robin over threads, like a time-shared CPU)
 // through sweeps over the given instruction- and data-cache geometries.
 func runUniSweep(kind Kind, scale int, label string, o SweepOpts, icfgs, dcfgs []cache.Config) SweepResult {
-	sys := BuildSystem(SystemParams{Kind: kind, Processors: 1, Scale: scale, Seed: o.Seed})
+	sys := BuildSystem(uniSweepParams(kind, scale, o.Seed))
 	f := newFeeder(sys.Layout, simrand.New(o.Seed).Derive(77), icfgs, dcfgs)
 
 	var ob *obs.Observer

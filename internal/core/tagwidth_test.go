@@ -38,7 +38,7 @@ func TestTagWidthCoversAddressSpace(t *testing.T) {
 			SystemParams{Kind: k, Processors: MachineCPUs, Scale: maxScale})
 	}
 	for _, sp := range sweepSpecs {
-		params = append(params, SystemParams{Kind: sp.kind, Processors: 1, Scale: sp.scale})
+		params = append(params, uniSweepParams(sp.kind, sp.scale, 0))
 	}
 
 	// top is the highest address any machine hands out: the next region's
