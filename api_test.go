@@ -30,6 +30,8 @@ var apiAllowlist = map[string]string{
 	"internal/drivertest: func FlagParity":                 "shared helper of the drivers' TestFlagParity tests",
 	"internal/drivertest: func StdoutPassivity":            "shared helper of the drivers' TestStdoutPassivity tests",
 	"internal/drivertest: func Golden":                     "shared golden-file helper of the driver and package tests",
+	"internal/drivertest: func Run":                        "shared helper of the drivers' TestScenarios end-to-end runs",
+	"internal/drivertest: func TraceMetadataFirst":         "shared -trace artifact check of the ecperfsim and cachesweep TestScenarios",
 	"internal/cluster: field Coordinator.OnWindow":         "test seam: the per-window conservation test checks the books as each lockstep window closes",
 	"internal/workload/dbserver: method Server.QueueDepth": "ground truth for the co-simulation's per-window conservation test in internal/cluster",
 	"internal/workload/dbserver: method Server.InService":  "ground truth for the co-simulation's per-window conservation test in internal/cluster",
@@ -183,6 +185,7 @@ func loadAPI(root string, siblings, rootFiles []string) (*apiChecker, error) {
 		callee:     map[*ast.Ident]bool{},
 		asValue:    map[token.Pos]bool{},
 		viaIface:   map[token.Pos]bool{},
+		zeroFill:   map[token.Pos]string{},
 	}
 	for _, p := range sortedPkgs(pkgs) {
 		if err := c.check(p); err != nil {
@@ -242,6 +245,7 @@ type apiChecker struct {
 	callee   map[*ast.Ident]bool  // identifiers naming the function a call calls
 	asValue  map[token.Pos]bool   // functions referred to other than by calling them
 	viaIface map[token.Pos]bool   // methods reachable through an interface
+	zeroFill map[token.Pos]string // fields a defaults filler sets when zero: the constant it sets
 }
 
 func modulePath(gomod string) (string, error) {
@@ -434,6 +438,8 @@ func (c *apiChecker) collectUses(info *types.Info, f *ast.File) {
 					convert(v, info.TypeOf(n.Type))
 				}
 			}
+		case *ast.IfStmt:
+			c.defaultsFiller(info, n)
 		case *ast.IncDecStmt:
 			setField(n.X, "")
 		case *ast.UnaryExpr:
@@ -463,6 +469,39 @@ func (c *apiChecker) collectUses(info *types.Info, f *ast.File) {
 		return true
 	}
 	ast.Inspect(f, visit)
+}
+
+// defaultsFiller records a zero-filling default of a numeric field,
+// if x.F == 0 { x.F = K }: a construction that leaves F zero gives it K.
+// Two fillers that disagree leave F's zero value standing for no one
+// constant.
+func (c *apiChecker) defaultsFiller(info *types.Info, n *ast.IfStmt) {
+	cond, ok := n.Cond.(*ast.BinaryExpr)
+	if !ok || n.Init != nil || n.Else != nil || cond.Op != token.EQL || len(n.Body.List) != 1 {
+		return
+	}
+	as, ok := n.Body.List[0].(*ast.AssignStmt)
+	if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return
+	}
+	field := func(e ast.Expr) types.Object {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				return origin(s.Obj())
+			}
+		}
+		return nil
+	}
+	f := field(cond.X)
+	if f == nil || f != field(as.Lhs[0]) || types.ExprString(cond.X) != types.ExprString(as.Lhs[0]) ||
+		constValue(info, cond.Y) != "0" || zeroValue(f.Type()) != "0" {
+		return
+	}
+	k := constValue(info, as.Rhs[0])
+	if old, ok := c.zeroFill[f.Pos()]; ok && old != k {
+		k = ""
+	}
+	c.zeroFill[f.Pos()] = k
 }
 
 func (c *apiChecker) compositeLit(info *types.Info, n *ast.CompositeLit, convert func(ast.Expr, types.Type)) {
@@ -835,6 +874,7 @@ func TestNoOneValueKnobsFixture(t *testing.T) {
 		got = append(got, f.Name+" = "+f.Value)
 	}
 	want := []string{
+		"internal/lib: field Config.Depth = 8",
 		"internal/lib: field Config.Ways = 4",
 		"internal/lib: field Config.Zero = 0",
 		"internal/lib: param New(limit) = -1",
@@ -869,16 +909,25 @@ func (c *apiChecker) knob(k knobKey, v string, explicit bool) {
 	u.explicit = u.explicit || explicit
 }
 
-// oneValue returns the constant every construction or call gives k.
+// oneValue returns the constant every construction or call gives k. A
+// field's zero value counts as the constant its defaults filler sets.
 func (c *apiChecker) oneValue(k knobKey) (string, bool) {
 	u := c.knobs[k]
-	if u == nil || !u.explicit || len(u.values) != 1 {
+	if u == nil || !u.explicit {
 		return "", false
 	}
+	fill, filled := c.zeroFill[k.pos]
+	one := ""
 	for v := range u.values {
-		return v, v != ""
+		if filled && k.param < 0 && v == "0" {
+			v = fill
+		}
+		if v == "" || (one != "" && v != one) {
+			return "", false
+		}
+		one = v
 	}
-	return "", false
+	return one, one != ""
 }
 
 // constValue is the exact value of a constant expression, "nil" for nil,

@@ -40,6 +40,33 @@ func TestModeGolden(t *testing.T) {
 	}
 }
 
+// TestScenarios runs the driver end to end, under the race detector when
+// go test has -race: each sweep mode at a short window, whose cells build
+// their machines concurrently, and a -trace run at the default window,
+// whose concurrent per-cell tracers merge into one file. drivertest.Run
+// checks that each run exits 0, its JSON artifacts parse and it leaves no
+// spill or temporary file; check, when set, checks the run's artifacts.
+func TestScenarios(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		check func(t *testing.T)
+	}{
+		{name: "size", args: []string{"-warm", "5", "-ops", "20", "-mode", "size"}},
+		{name: "assoc", args: []string{"-warm", "5", "-ops", "20", "-mode", "assoc"}},
+		{name: "block", args: []string{"-warm", "5", "-ops", "20", "-mode", "block", "-fixed", "1024"}},
+		{name: "trace", args: []string{"-trace", "cachesweep-trace.json"},
+			check: func(t *testing.T) { drivertest.TraceMetadataFirst(t, "cachesweep-trace.json") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			drivertest.Run(t, run, tc.args...)
+			if tc.check != nil {
+				tc.check(t)
+			}
+		})
+	}
+}
+
 // TestUnknownMode: an unknown -mode is a usage error on stderr with exit
 // status 2, and stdout stays empty.
 func TestUnknownMode(t *testing.T) {

@@ -57,3 +57,26 @@ func TestInvalidRunParameters(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarios runs the driver end to end at full size, under the race
+// detector when go test has -race: per-line attribution with -attr, SLO
+// evaluation with the -latency artifact, and the loaded memory model with
+// -metrics. drivertest.Run checks that each run exits 0, its JSON artifacts
+// parse and it leaves no spill or temporary file.
+func TestScenarios(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"attr", []string{"-p", "4", "-warmup", "4000000", "-measure", "16000000",
+			"-attr", "jbbsim-attr.json"}},
+		{"latency", []string{"-p", "4", "-warmup", "4000000", "-measure", "16000000",
+			"-slo", "p99<=40ms", "-latency", "jbbsim-latency.json"}},
+		{"loaded", []string{"-p", "8", "-warmup", "4000000", "-measure", "16000000",
+			"-memmodel", "loaded", "-metrics", "jbbsim-loaded-metrics.json"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			drivertest.Run(t, run, tc.args...)
+		})
+	}
+}

@@ -133,8 +133,8 @@ func buildConfig(af *appFlags) (cluster.OpenConfig, error) {
 	if err != nil {
 		return cfg, err
 	}
-	ac := arrival.Config{Pattern: pat, Rate: cfg.Arrival.Rate}.Defaults()
-	if pat == arrival.Flash && ac.FlashAt == 0 {
+	ac := arrival.Config{Pattern: pat, Rate: cfg.Arrival.Rate}
+	if pat == arrival.Flash {
 		// Spike a third of the way in, so the controls see steady state
 		// first and the drain after the spike is visible.
 		ac.FlashAt = *af.horizon / 3

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -198,6 +200,48 @@ func TestBadFlagsPrintNothing(t *testing.T) {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1, an empty stdout and an error",
 				strings.Join(args, " "), code, stdout.String(), stderr.String())
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
+
+// TestArrivalGolden pins the sweep's stdout for each arrival pattern, so a
+// change to an arrival process or its shape constants that moves any
+// offered, shed or latency figure shows.
+func TestArrivalGolden(t *testing.T) {
+	for _, pat := range []string{"poisson", "bursty", "diurnal", "flash"} {
+		t.Run(pat, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := []string{"-arrival", pat, "-sweep", "0.5,3", "-controls", "both", "-horizon", "20000000", "-flight", "off"}
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr.String())
+			}
+			drivertest.Golden(t, filepath.Join("testdata", "arrival-"+pat+".golden"), stdout.Bytes(), *updateGolden)
+		})
+	}
+}
+
+// TestScenarios runs the driver end to end at full size, under the race
+// detector when go test has -race: a sweep of both control settings past
+// saturation, and a flash crowd across a node crash with SLO evaluation.
+// drivertest.Run checks that each run exits 0, its JSON artifacts parse and
+// it leaves no spill or temporary file; each must also write its -report.
+func TestScenarios(t *testing.T) {
+	for _, tc := range []struct {
+		name, report string
+		args         []string
+	}{
+		{"sweep", "loadsim-sweep.md", []string{"-sweep", "0.3,1,3", "-controls", "both",
+			"-horizon", "60000000"}},
+		{"flash-crash", "loadsim-flash.md", []string{"-arrival", "flash", "-faults", "crash",
+			"-horizon", "100000000", "-slo", "p99<=25ms", "-latency", "loadsim-flash-latency.json"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			drivertest.Run(t, run, append(tc.args, "-report", tc.report)...)
+			if fi, err := os.Stat(tc.report); err != nil || fi.Size() == 0 {
+				t.Errorf("-report %s not written (%v)", tc.report, err)
+			}
+		})
 	}
 }
 

@@ -76,79 +76,50 @@ func ParsePattern(s string) (Pattern, error) {
 	return 0, fmt.Errorf("arrival: unknown pattern %q (want poisson, bursty, diurnal, or flash)", s)
 }
 
-// Config parameterizes an arrival source. Rate is the only mandatory field;
-// the pattern-specific knobs all have workable defaults applied by New.
+// Config parameterizes an arrival source. The shape of each pattern is
+// fixed by the constants below; the rate and the flash spike's start are
+// what a run sets.
 type Config struct {
 	Pattern Pattern
 	// Rate is the mean arrival rate in requests per cycle (e.g. 4e-5 is
 	// 10k req/s at the 250 MHz clock). For Poisson, Bursty, and Diurnal it
 	// is the long-run mean; for Flash it is the pre-spike base rate.
 	Rate float64
-
-	// BurstFactor multiplies the rate inside the burst state (> 1).
-	BurstFactor float64
-	// BurstFrac is the long-run fraction of time spent bursting (0, 1).
-	BurstFrac float64
-	// BurstDwellCycles is the mean dwell time of the burst state; the quiet
-	// state's dwell follows from BurstFrac.
-	BurstDwellCycles uint64
-
-	// PeriodCycles is the diurnal period on the simulated clock.
-	PeriodCycles uint64
-	// DiurnalAmplitude in [0, 1) swings the rate between Rate*(1-A) and
-	// Rate*(1+A) over each period.
-	DiurnalAmplitude float64
-
-	// FlashAt is the spike's start cycle; FlashRamp/FlashHold/FlashDecay
-	// shape it (linear up, plateau, linear down).
-	FlashAt, FlashRamp, FlashHold, FlashDecay uint64
-	// FlashFactor is the plateau rate multiplier (> 1).
-	FlashFactor float64
+	// FlashAt is the flash spike's start cycle.
+	FlashAt uint64
 }
 
-// Defaults fills zero-valued pattern knobs. The burst defaults give 4x
-// bursts about 12% of the time with 8 ms dwells; the diurnal default is one
-// "day" per 200 Mcy (800 ms) swinging ±80%; the flash default is a 6x spike
-// ramping over 4 Mcy, holding 20 Mcy.
-func (c Config) Defaults() Config {
-	if c.BurstFactor == 0 {
-		c.BurstFactor = 4
-	}
-	if c.BurstFrac == 0 {
-		c.BurstFrac = 0.125
-	}
-	if c.BurstDwellCycles == 0 {
-		c.BurstDwellCycles = 2_000_000
-	}
-	if c.PeriodCycles == 0 {
-		c.PeriodCycles = 200_000_000
-	}
-	if c.DiurnalAmplitude == 0 {
-		c.DiurnalAmplitude = 0.8
-	}
-	if c.FlashFactor == 0 {
-		c.FlashFactor = 6
-	}
-	if c.FlashRamp == 0 {
-		c.FlashRamp = 4_000_000
-	}
-	if c.FlashHold == 0 {
-		c.FlashHold = 20_000_000
-	}
-	if c.FlashDecay == 0 {
-		c.FlashDecay = 8_000_000
-	}
-	return c
-}
-
-// Bounds that keep every accepted process cheap to sample.
+// Pattern shapes. Bursty gives 4x bursts 12.5% of the time with 8 ms mean
+// dwells; Diurnal is one "day" per 200 Mcy (800 ms) swinging ±80%; Flash is
+// a 6x spike ramping up linearly over 4 Mcy, holding 20 Mcy and decaying
+// linearly over 8 Mcy.
 const (
-	// maxRate is one arrival per cycle, the finest the clock resolves.
-	maxRate = 1.0
-	// maxFlashFactor bounds the spike: off the spike, thinning draws about
-	// FlashFactor candidates per accepted arrival.
-	maxFlashFactor = 1000.0
+	// burstFactor multiplies the rate inside the burst state.
+	burstFactor float64 = 4
+	// burstFrac is the long-run fraction of time spent bursting.
+	burstFrac float64 = 0.125
+	// burstDwellCycles is the mean dwell time of the burst state; the quiet
+	// state's dwell follows from burstFrac.
+	burstDwellCycles uint64 = 2_000_000
+
+	// periodCycles is the diurnal period on the simulated clock.
+	periodCycles uint64 = 200_000_000
+	// diurnalAmplitude swings the rate between Rate*(1-A) and Rate*(1+A)
+	// over each period.
+	diurnalAmplitude float64 = 0.8
+
+	// flashFactor is the spike's plateau rate multiplier; off the spike,
+	// thinning draws about flashFactor candidates per accepted arrival.
+	flashFactor float64 = 6
+	// flashRamp, flashHold and flashDecay shape the spike: linear up,
+	// plateau, linear down.
+	flashRamp  uint64 = 4_000_000
+	flashHold  uint64 = 20_000_000
+	flashDecay uint64 = 8_000_000
 )
+
+// maxRate is one arrival per cycle, the finest the clock resolves.
+const maxRate = 1.0
 
 // Validate rejects configurations that cannot generate a process, or that
 // would take unbounded work per arrival to generate one.
@@ -159,37 +130,13 @@ func (c Config) Validate() error {
 	if !(c.Rate > 0 && c.Rate <= maxRate) {
 		return fmt.Errorf("arrival: rate %g outside (0, %g] per cycle", c.Rate, maxRate)
 	}
-	switch c.Pattern {
-	case Bursty:
-		if !(c.BurstFactor > 1) || math.IsInf(c.BurstFactor, 1) {
-			return fmt.Errorf("arrival: burst factor %g must be finite and exceed 1", c.BurstFactor)
-		}
-		if !(c.BurstFrac > 0 && c.BurstFrac < 1) {
-			return fmt.Errorf("arrival: burst fraction %g outside (0, 1)", c.BurstFrac)
-		}
+	if c.Pattern == Bursty {
 		// A burst that holds less than one arrival on average is no burst,
 		// and the process would flip state many times per arrival.
-		burst := c.Rate / (1 - c.BurstFrac + c.BurstFrac*c.BurstFactor) * c.BurstFactor
-		if !(burst*float64(c.BurstDwellCycles) >= 1) {
+		burst := c.Rate / (1 - burstFrac + burstFrac*burstFactor) * burstFactor
+		if !(burst*float64(burstDwellCycles) >= 1) {
 			return fmt.Errorf("arrival: burst dwell %d holds %.3g arrivals at burst rate %g, want at least 1",
-				c.BurstDwellCycles, burst*float64(c.BurstDwellCycles), burst)
-		}
-	case Diurnal:
-		if c.PeriodCycles == 0 {
-			return fmt.Errorf("arrival: diurnal period must be positive")
-		}
-		if !(c.DiurnalAmplitude >= 0 && c.DiurnalAmplitude < 1) {
-			return fmt.Errorf("arrival: diurnal amplitude %g outside [0, 1)", c.DiurnalAmplitude)
-		}
-	case Flash:
-		if !(c.FlashFactor > 1 && c.FlashFactor <= maxFlashFactor) {
-			return fmt.Errorf("arrival: flash factor %g outside (1, %g]", c.FlashFactor, maxFlashFactor)
-		}
-		if c.FlashRamp == 0 || c.FlashDecay == 0 {
-			return fmt.Errorf("arrival: flash ramp and decay must be positive")
-		}
-		if up := c.FlashRamp + c.FlashHold; up < c.FlashRamp || up+c.FlashDecay < up {
-			return fmt.Errorf("arrival: flash spike length overflows the clock")
+				burstDwellCycles, burst*float64(burstDwellCycles), burst)
 		}
 	}
 	return nil
@@ -212,10 +159,9 @@ type Source struct {
 	Generated uint64
 }
 
-// New builds a source from cfg (defaults applied) drawing from rng, which
-// must be a dedicated stream derived from the run seed.
+// New builds a source from cfg drawing from rng, which must be a dedicated
+// stream derived from the run seed.
 func New(cfg Config, rng *simrand.Rand) (*Source, error) {
-	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -223,15 +169,12 @@ func New(cfg Config, rng *simrand.Rand) (*Source, error) {
 	if cfg.Pattern == Bursty {
 		// Solve quiet/burst rates so frac*burst + (1-frac)*quiet = Rate with
 		// burst = factor*quiet.
-		s.quietRate = cfg.Rate / (1 - cfg.BurstFrac + cfg.BurstFrac*cfg.BurstFactor)
-		s.burstRate = s.quietRate * cfg.BurstFactor
+		s.quietRate = cfg.Rate / (1 - burstFrac + burstFrac*burstFactor)
+		s.burstRate = s.quietRate * burstFactor
 		s.scheduleState(0)
 	}
 	return s, nil
 }
-
-// Config returns the source's effective (defaulted) configuration.
-func (s *Source) Config() Config { return s.cfg }
 
 // Rate returns the instantaneous expected arrival rate at cycle t, in
 // requests per cycle. For the bursty process this is the long-run mean (the
@@ -255,17 +198,17 @@ func (s *Source) PeakRate() float64 {
 	case Bursty:
 		return s.burstRate
 	case Diurnal:
-		return s.cfg.Rate * (1 + s.cfg.DiurnalAmplitude)
+		return s.cfg.Rate * (1 + diurnalAmplitude)
 	case Flash:
-		return s.cfg.Rate * s.cfg.FlashFactor
+		return s.cfg.Rate * flashFactor
 	default:
 		return s.cfg.Rate
 	}
 }
 
 func (s *Source) diurnalRate(t uint64) float64 {
-	phase := 2 * math.Pi * float64(t%s.cfg.PeriodCycles) / float64(s.cfg.PeriodCycles)
-	return s.cfg.Rate * (1 + s.cfg.DiurnalAmplitude*math.Sin(phase))
+	phase := 2 * math.Pi * float64(t%periodCycles) / float64(periodCycles)
+	return s.cfg.Rate * (1 + diurnalAmplitude*math.Sin(phase))
 }
 
 func (s *Source) flashRate(t uint64) float64 {
@@ -275,30 +218,30 @@ func (s *Source) flashRate(t uint64) float64 {
 		return base
 	}
 	dt := t - c.FlashAt
-	peak := base * c.FlashFactor
+	peak := base * flashFactor
 	switch {
-	case dt < c.FlashRamp:
-		return base + (peak-base)*float64(dt)/float64(c.FlashRamp)
-	case dt < c.FlashRamp+c.FlashHold:
+	case dt < flashRamp:
+		return base + (peak-base)*float64(dt)/float64(flashRamp)
+	case dt < flashRamp+flashHold:
 		return peak
-	case dt < c.FlashRamp+c.FlashHold+c.FlashDecay:
-		d := dt - c.FlashRamp - c.FlashHold
-		return peak - (peak-base)*float64(d)/float64(c.FlashDecay)
+	case dt < flashRamp+flashHold+flashDecay:
+		d := dt - flashRamp - flashHold
+		return peak - (peak-base)*float64(d)/float64(flashDecay)
 	default:
 		return base
 	}
 }
 
 // scheduleState enters the next modulating state at cycle t (bursty only).
-// Dwell times are exponential: the chain spends BurstDwellCycles mean in the
+// Dwell times are exponential: the chain spends burstDwellCycles mean in the
 // burst state and the complementary time in the quiet state, giving the
-// configured long-run burst fraction.
+// long-run burst fraction burstFrac.
 func (s *Source) scheduleState(t uint64) {
 	var mean float64
 	if s.inBurst {
-		mean = float64(s.cfg.BurstDwellCycles)
+		mean = float64(burstDwellCycles)
 	} else {
-		mean = float64(s.cfg.BurstDwellCycles) * (1 - s.cfg.BurstFrac) / s.cfg.BurstFrac
+		mean = float64(burstDwellCycles) * (1 - burstFrac) / burstFrac
 	}
 	dwell := s.rng.Exp(mean)
 	if dwell < 1 {

@@ -157,7 +157,7 @@ func DefaultOpenConfig() OpenConfig {
 		Mix:            DefaultMix(),
 		DeadlineCycles: 6_250_000,
 		Controls:       true,
-		Arrival:        arrival.Config{Pattern: arrival.Poisson, Rate: 5e-5}.Defaults(),
+		Arrival:        arrival.Config{Pattern: arrival.Poisson, Rate: 5e-5},
 	}
 }
 

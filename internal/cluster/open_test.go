@@ -391,7 +391,7 @@ func TestOpenClosedEquivalenceAtLowLoad(t *testing.T) {
 	// Match the open arrival rate to the closed loop's realized throughput.
 	rate := float64(sc.Stats.Offered) / float64(sc.now)
 	open := DefaultOpenConfig()
-	open.Arrival = arrival.Config{Pattern: arrival.Poisson, Rate: rate}.Defaults()
+	open.Arrival = arrival.Config{Pattern: arrival.Poisson, Rate: rate}
 	collO := reqtrace.NewCollector(reqtrace.Options{})
 	so := openRun(t, open, 29, horizon, nil, collO)
 

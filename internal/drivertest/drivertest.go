@@ -4,6 +4,7 @@ package drivertest
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -43,15 +44,7 @@ func FlagParity[T any](t *testing.T, register func(*flag.FlagSet) T, own ...stri
 // flight dumps cannot land in the source tree.
 func StdoutPassivity(t *testing.T, run Main, mask *regexp.Regexp, args ...string) {
 	t.Helper()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.Chdir(wd) })
-
+	chdirTemp(t)
 	dir := t.TempDir()
 	var want []byte
 	for i, extra := range [][]string{
@@ -78,6 +71,102 @@ func StdoutPassivity(t *testing.T, run Main, mask *regexp.Regexp, args ...string
 			want = got
 		case !bytes.Equal(got, want):
 			t.Errorf("extra flags %q: stdout differs from -flight off:\n%s\nwant:\n%s", extra, got, want)
+		}
+	}
+}
+
+// chdirTemp makes a fresh temporary directory the working directory until
+// the test ends.
+func chdirTemp(t *testing.T) {
+	t.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+}
+
+// jsonFlags are the observability flags whose artifact is JSON.
+var jsonFlags = map[string]bool{"-trace": true, "-latency": true, "-attr": true}
+
+// Run runs the driver with args in a fresh temporary working directory,
+// which stays the working directory until the test ends, so relative
+// artifact paths and default flight dumps land there. It fails the test
+// unless the driver exits 0, every -trace, -latency and -attr file named in
+// args parses as JSON, and no spill or temporary file (a name holding
+// ".spill" or ".tmp") is left in the directory.
+func Run(t *testing.T, run Main, args ...string) {
+	t.Helper()
+	chdirTemp(t)
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("%s: exit %d\n%s", strings.Join(args, " "), code, stderr.String())
+	}
+	for i := 0; i+1 < len(args); i++ {
+		if f := args[i+1]; jsonFlags[args[i]] && f != "-" {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !json.Valid(b) {
+				t.Errorf("%s %s: not valid JSON", args[i], f)
+			}
+		}
+	}
+	left, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		if n := e.Name(); strings.Contains(n, ".spill") || strings.Contains(n, ".tmp") {
+			t.Errorf("%s: spill or temporary file %s left behind", strings.Join(args, " "), n)
+		}
+	}
+}
+
+// TraceMetadataFirst fails the test unless the Chrome trace at path is a
+// JSON array whose first record is metadata ("ph":"M"), every pid's
+// metadata records come before that pid's events, and the trace's
+// directory holds nothing besides the trace and its manifest.
+func TraceMetadataFirst(t *testing.T, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []struct {
+		Ph  string `json:"ph"`
+		Pid int    `json:"pid"`
+	}
+	if err := json.Unmarshal(b, &recs); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if len(recs) == 0 || recs[0].Ph != "M" {
+		t.Fatalf("%s: first record is not track metadata", path)
+	}
+	events := map[int]bool{} // pids whose events have begun
+	for i, r := range recs {
+		switch {
+		case r.Ph != "M":
+			events[r.Pid] = true
+		case events[r.Pid]:
+			t.Fatalf("%s: record %d is pid %d's track metadata, after its events", path, i, r.Pid)
+		}
+	}
+	dir, name := filepath.Split(path)
+	if dir == "" {
+		dir = "."
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		if e.Name() != name && e.Name() != name+".manifest.json" {
+			t.Errorf("%s: %s left beside the trace", path, e.Name())
 		}
 	}
 }

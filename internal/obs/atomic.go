@@ -47,7 +47,12 @@ func AtomicCreate(path string) (*AtomicFile, error) {
 	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
 		return nil, fmt.Errorf("%s is not a regular file (%s)", path, fi.Mode().Type())
 	}
+	// The temporary file sits beside path, so the rename stays on one
+	// filesystem; a bare name's directory is ".", not os.TempDir().
 	dir, base := filepath.Split(path)
+	if dir == "" {
+		dir = "."
+	}
 	f, err := os.CreateTemp(dir, "."+base+".tmp*")
 	if err != nil {
 		return nil, err

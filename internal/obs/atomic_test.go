@@ -65,6 +65,37 @@ func TestAtomicWriteFile(t *testing.T) {
 	}
 }
 
+// TestAtomicCreateBareName: a path with no directory part stages its
+// temporary file in the working directory, beside the artifact, not in
+// $TMPDIR, which may be another filesystem that rename cannot cross.
+func TestAtomicCreateBareName(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	t.Setenv("TMPDIR", filepath.Join(dir, "missing"))
+
+	w, err := AtomicCreate("out.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ents, _ := os.ReadDir("."); len(ents) != 1 || !strings.HasPrefix(ents[0].Name(), ".out.json.tmp") {
+		t.Fatalf("pending write not staged in the working directory: %v", ents)
+	}
+	w.Write([]byte("{}"))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ents, _ := os.ReadDir("."); len(ents) != 1 || ents[0].Name() != "out.json" {
+		t.Fatalf("directory holds %v, want only out.json", ents)
+	}
+}
+
 func TestAtomicAbortLeavesOriginal(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.json")

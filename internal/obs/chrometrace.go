@@ -155,7 +155,7 @@ func (e *traceEncoder) event(ev *Event) {
 
 // appendEvent appends one event record. Timestamps and durations are
 // microseconds with three decimals (%.3f); argument values render as fmt
-// renders them: strings quoted, integers %d, floats %g, bools %v.
+// renders them: strings quoted, integers %d, floats %g.
 func appendEvent(b []byte, e *Event) []byte {
 	b = append(b, `{"name":`...)
 	b = appendQuoted(b, e.Name)

@@ -35,13 +35,13 @@ type Event struct {
 	Args []Arg
 }
 
-// Arg is one typed event annotation, built by Str, U64, I64, F64 or Bool.
+// Arg is one typed event annotation, built by Str, U64 or F64.
 // The value is held unboxed, so passing arguments to Span or Instant never
 // allocates.
 type Arg struct {
 	Key  string
 	kind argKind
-	num  uint64 // U64; I64 as two's complement; F64 as IEEE bits; Bool as 0/1
+	num  uint64 // U64; F64 as IEEE bits
 	str  string
 }
 

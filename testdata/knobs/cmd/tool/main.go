@@ -9,8 +9,8 @@ import (
 )
 
 func main() {
-	a := lib.Config{Ways: 4, Zero: 0, Sets: 64, Limit: 1}
-	b := lib.Config{Ways: 4, Zero: 0, Limit: 2}
+	a := lib.Config{Ways: 4, Zero: 0, Sets: 64, Limit: 1}.Defaults()
+	b := lib.Config{Ways: 4, Zero: 0, Limit: 2, Burst: 2}.Defaults()
 	st := lib.State{Saved: 1}
 	if err := json.Unmarshal([]byte(`{"Saved":2}`), &st); err != nil {
 		panic(err)

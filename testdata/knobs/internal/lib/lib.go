@@ -8,6 +8,20 @@ type Config struct {
 	Zero  int // 0, spelled out in both literals: a finding
 	Sets  int // 64 in one literal, left out (zero) in the other: not a finding
 	Limit int // a different constant in each literal: not a finding
+	Depth int // left out (zero) in both literals, which Defaults fills with 8: a finding
+	Burst int // 2 in one literal, left out in the other, which Defaults fills with 8: not a finding
+}
+
+// Defaults fills Depth and Burst when they are zero; cmd/tool calls it on
+// both literals.
+func (c Config) Defaults() Config {
+	if c.Depth == 0 {
+		c.Depth = 8
+	}
+	if c.Burst == 0 {
+		c.Burst = 8
+	}
+	return c
 }
 
 // State is decoded with encoding/json by cmd/tool, which also builds one
