@@ -1,10 +1,10 @@
 // Dead-API check: every name declared under internal/, exported or not,
 // must have a user outside the _test.go files. A package-level function,
 // type, constant or variable, or a method, that only tests use, or a struct
-// field that only tests set, is code the simulator does not need; delete
-// it, or move it into the test file that uses it. Declarations local to a
-// function are out of scope. The one-value knob check (TestNoOneValueKnobs,
-// below) reads the same load.
+// field that non-test code does not both set and read, is code the
+// simulator does not need; delete it, or move it into the test file that
+// uses it. Declarations local to a function are out of scope. The one-value
+// knob check (TestNoOneValueKnobs, below) reads the same load.
 package main
 
 import (
@@ -16,8 +16,10 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -88,10 +90,14 @@ func TestNoTestOnlyAPIFixture(t *testing.T) {
 	want := []string{
 		"internal/lib: field Config.Knob",
 		"internal/lib: field Config.limit",
+		"internal/lib: field Counter.calls",
+		"internal/lib: field Counter.peak",
+		"internal/lib: field Counter.ticks",
 		"internal/lib: func TestOnly",
 		"internal/lib: func helper",
 		"internal/lib: method Counter.Reset",
 		"internal/lib: method Fake.Next",
+		"internal/lib: method Pool.Config",
 		"internal/lib: type Fake",
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -107,43 +113,53 @@ type apiFinding struct {
 }
 
 // loadAPI type-checks the non-test packages of the module at root, plus
-// rootFiles, test files of its root directory, and records how that code
-// uses the names declared under internal/. Nested modules are not
-// part of the module; siblings names those (relative to root) that import
-// it, and their non-test files are read without types (see readSibling).
+// rootFiles, test files of its root directory, and those of the nested
+// modules siblings names (relative to root), which import this one; other
+// nested modules are not part of the load. It records how that code uses
+// the names declared under internal/.
 //
 // A name is used when non-test code refers to it outside its own
 // declaration (a type's declaration includes its methods). A struct field
-// is used only when that code sets it: a keyed or positional literal, an
-// assignment, ++/--, &x.f, a pointer-receiver call on x.f, or decoding a
-// value of its type with encoding/json. A method is used when a value of
-// its type is converted to an interface that has it. MarshalJSON,
-// UnmarshalJSON, String and Error are used by reflection, and init by the
-// runtime, so exempt.
+// is used only when that code both sets it and reads it. It is set by a
+// keyed or positional literal, an assignment, ++/--, &x.f, a pointer-receiver
+// call on x.f, or decoding a value of its type with encoding/json; a field
+// so decoded counts as used. An assignment's left side, ++/--, an
+// op-assign, a literal key and a reference in the value assigned to it
+// (x.n = x.n + 1) only write it; any other reference reads it, &x.f too,
+// as the pointer may be read through, and so does converting a value that
+// contains it to an empty interface, as encoding/json and fmt take it and
+// read it by reflection. A method is
+// used when a value of its type is converted to an interface that has it.
+// MarshalJSON, UnmarshalJSON, String and Error are used by reflection, and
+// init by the runtime, so exempt.
 func loadAPI(root string, siblings, rootFiles []string) (*apiChecker, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
+	mods := map[string]string{".": modPath} // module directory, relative to root -> module path
 	fset := token.NewFileSet()
 	pkgs := map[string]*apiPkg{} // by import path
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		base := d.Name()
-		if path != root && (base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
-			return filepath.SkipDir
-		}
-		if path != root {
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir
-			}
-		}
 		rel, _ := filepath.Rel(root, path)
 		rel = filepath.ToSlash(rel)
 		names := rootFiles
 		if path != root {
+			base := d.Name()
+			if base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				if !slices.Contains(siblings, rel) {
+					return filepath.SkipDir
+				}
+				if mods[rel], err = modulePath(filepath.Join(path, "go.mod")); err != nil {
+					return err
+				}
+			}
 			bp, err := build.ImportDir(path, 0)
 			if _, none := err.(*build.NoGoError); none {
 				return nil
@@ -152,10 +168,8 @@ func loadAPI(root string, siblings, rootFiles []string) (*apiChecker, error) {
 			}
 			names = bp.GoFiles
 		}
-		p := &apiPkg{dir: rel, path: modPath}
-		if rel != "." {
-			p.path += "/" + rel
-		}
+		p := &apiPkg{dir: rel}
+		p.path, p.sibling = importPath(mods, rel)
 		for _, n := range names {
 			f, err := parser.ParseFile(fset, filepath.Join(path, n), nil, parser.SkipObjectResolution)
 			if err != nil {
@@ -179,7 +193,8 @@ func loadAPI(root string, siblings, rootFiles []string) (*apiChecker, error) {
 		own:        map[token.Pos][]span{},
 		used:       map[token.Pos]bool{},
 		set:        map[token.Pos]bool{},
-		siblingUse: map[string]bool{},
+		read:       map[token.Pos]bool{},
+		siblingUse: map[token.Pos]bool{},
 		knobs:      map[knobKey]*knobUse{},
 		decoded:    map[token.Pos]bool{},
 		callee:     map[*ast.Ident]bool{},
@@ -200,6 +215,9 @@ func loadAPI(root string, siblings, rootFiles []string) (*apiChecker, error) {
 	for _, p := range pkgs {
 		for id, o := range p.info.Uses {
 			c.use(o, id.Pos())
+			if p.sibling {
+				c.siblingUse[origin(o).Pos()] = true
+			}
 		}
 		for _, f := range p.files {
 			c.collectUses(p.info, f)
@@ -212,12 +230,24 @@ func loadAPI(root string, siblings, rootFiles []string) (*apiChecker, error) {
 			}
 		}
 	}
-	for _, s := range siblings {
-		if err := c.readSibling(filepath.Join(root, s)); err != nil {
-			return nil, err
+	return c, nil
+}
+
+// importPath is the import path of the package in directory rel: the path
+// of the innermost module holding it, joined with rel's path inside it.
+// nested reports whether that module is a nested one.
+func importPath(mods map[string]string, rel string) (ipath string, nested bool) {
+	for d := rel; ; d = path.Dir(d) {
+		if mp, ok := mods[d]; ok {
+			switch d {
+			case rel:
+				return mp, d != "."
+			case ".":
+				return mp + "/" + rel, false
+			}
+			return mp + "/" + strings.TrimPrefix(rel, d+"/"), true
 		}
 	}
-	return c, nil
 }
 
 type apiPkg struct {
@@ -226,18 +256,21 @@ type apiPkg struct {
 	types     *types.Package
 	info      *types.Info
 	checking  bool
+	sibling   bool // in a nested module
 }
 
 type span struct{ from, to token.Pos }
 
 type apiChecker struct {
-	fset       *token.FileSet
-	pkgs       map[string]*apiPkg
-	std        types.Importer
-	own        map[token.Pos][]span // declaration position -> its own declaration's extent
-	used       map[token.Pos]bool
-	set        map[token.Pos]bool // struct fields that non-test code sets
-	siblingUse map[string]bool    // "path.Name" and member names that sibling modules use
+	fset *token.FileSet
+	pkgs map[string]*apiPkg
+	std  types.Importer
+	own  map[token.Pos][]span // declaration position -> its own declaration's extent
+	used map[token.Pos]bool
+	set  map[token.Pos]bool // struct fields that non-test code sets
+	read map[token.Pos]bool // struct fields that non-test code reads
+
+	siblingUse map[token.Pos]bool // names the nested modules use
 
 	// For the one-value knob check:
 	knobs    map[knobKey]*knobUse // the values non-test code gives each field and parameter
@@ -354,27 +387,55 @@ func (c *apiChecker) use(o types.Object, at token.Pos) {
 	c.used[o.Pos()] = true
 }
 
-// collectUses marks the fields one non-test file sets and the methods it
-// converts to an interface, and records the values its literals,
-// assignments and calls give fields and parameters (see knob).
+// collectUses marks the fields one non-test file sets and reads and the
+// methods it converts to an interface, and records the values its
+// literals, assignments and calls give fields and parameters (see knob).
 func (c *apiChecker) collectUses(info *types.Info, f *ast.File) {
+	writes := map[*ast.SelectorExpr]bool{} // field selections that only write
 	// setField marks the fields selected along an lvalue such as a.b[i].c:
 	// c is given value v (see constValue), and a and b change in place.
-	var setField func(e ast.Expr, v string)
-	setField = func(e ast.Expr, v string) {
+	// When the lvalue is assigned to (write), the selections whose storage
+	// changes in place are writes; one reached through a pointer, slice or
+	// map is still read.
+	var setField func(e ast.Expr, v string, write bool)
+	setField = func(e ast.Expr, v string, write bool) {
 		switch e := e.(type) {
 		case *ast.ParenExpr:
-			setField(e.X, v)
+			setField(e.X, v, write)
 		case *ast.IndexExpr:
-			setField(e.X, "")
+			_, array := info.TypeOf(e.X).Underlying().(*types.Array)
+			setField(e.X, "", write && array)
 		case *ast.SelectorExpr:
 			if s := info.Selections[e]; s != nil && s.Kind() == types.FieldVal {
 				pos := origin(s.Obj()).Pos()
 				c.set[pos] = true
 				c.knob(knobKey{pos, -1}, v, true)
-				setField(e.X, "")
+				writes[e] = write
+				setField(e.X, "", write && !s.Indirect())
 			}
 		}
+	}
+	// selfReads marks the selections of lvalue l's field inside r, the
+	// value assigned to it, as writes: x.n = x.n + 1 reads n only to
+	// write it.
+	selfReads := func(l, r ast.Expr) {
+		sel, ok := ast.Unparen(l).(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		s := info.Selections[sel]
+		if s == nil || s.Kind() != types.FieldVal {
+			return
+		}
+		f := origin(s.Obj())
+		ast.Inspect(r, func(n ast.Node) bool {
+			if e, ok := n.(*ast.SelectorExpr); ok {
+				if s := info.Selections[e]; s != nil && s.Kind() == types.FieldVal && origin(s.Obj()) == f {
+					writes[e] = true
+				}
+			}
+			return true
+		})
 	}
 	// convert marks the methods of e's type that interface type to has.
 	convert := func(e ast.Expr, to types.Type) {
@@ -385,6 +446,9 @@ func (c *apiChecker) collectUses(info *types.Info, f *ast.File) {
 		from := info.TypeOf(e)
 		if from == nil || types.IsInterface(from) {
 			return
+		}
+		if iface.Empty() { // as encoding/json and fmt take it
+			c.readAll(from, map[types.Type]bool{})
 		}
 		for i := 0; i < iface.NumMethods(); i++ {
 			m := iface.Method(i)
@@ -425,8 +489,9 @@ func (c *apiChecker) collectUses(info *types.Info, f *ast.File) {
 				if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
 					v = constValue(info, n.Rhs[i])
 				}
-				setField(l, v)
+				setField(l, v, true)
 				if len(n.Lhs) == len(n.Rhs) {
+					selfReads(l, n.Rhs[i])
 					if t := info.TypeOf(l); t != nil {
 						convert(n.Rhs[i], t)
 					}
@@ -441,22 +506,25 @@ func (c *apiChecker) collectUses(info *types.Info, f *ast.File) {
 		case *ast.IfStmt:
 			c.defaultsFiller(info, n)
 		case *ast.IncDecStmt:
-			setField(n.X, "")
+			setField(n.X, "", true)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				setField(n.X, "")
+				setField(n.X, "", false)
 			}
 		case *ast.SendStmt:
 			if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
 				convert(n.Value, ch.Elem())
 			}
 		case *ast.SelectorExpr:
+			if s := info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !writes[n] {
+				c.read[origin(s.Obj()).Pos()] = true
+			}
 			// x.f.M() with a pointer receiver takes &x.f.
 			if s := info.Selections[n]; s != nil && s.Kind() == types.MethodVal {
 				if sig := s.Obj().Type().(*types.Signature); sig.Recv() != nil {
 					if _, ptr := sig.Recv().Type().(*types.Pointer); ptr && !types.IsInterface(s.Recv()) {
 						if _, isPtr := s.Recv().(*types.Pointer); !isPtr {
-							setField(n.X, "")
+							setField(n.X, "", false)
 						}
 					}
 				}
@@ -634,81 +702,42 @@ func calledFunc(info *types.Info, fun ast.Expr) *types.Func {
 	return nil
 }
 
+// setAll marks the fields encoding/json can reach from a value of type t
+// as decoded.
 func (c *apiChecker) setAll(t types.Type, seen map[types.Type]bool) {
+	eachField(t, seen, func(f *types.Var) {
+		c.set[origin(f).Pos()] = true
+		c.decoded[origin(f).Pos()] = true
+	})
+}
+
+// readAll marks the fields a value of type t contains as read.
+func (c *apiChecker) readAll(t types.Type, seen map[types.Type]bool) {
+	eachField(t, seen, func(f *types.Var) { c.read[origin(f).Pos()] = true })
+}
+
+// eachField calls do on every struct field a value of type t contains,
+// through pointers, slices, arrays, map elements and nested structs.
+func eachField(t types.Type, seen map[types.Type]bool, do func(*types.Var)) {
 	if t == nil || seen[t] {
 		return
 	}
 	seen[t] = true
 	switch u := t.Underlying().(type) {
 	case *types.Pointer:
-		c.setAll(u.Elem(), seen)
+		eachField(u.Elem(), seen, do)
 	case *types.Slice:
-		c.setAll(u.Elem(), seen)
+		eachField(u.Elem(), seen, do)
 	case *types.Array:
-		c.setAll(u.Elem(), seen)
+		eachField(u.Elem(), seen, do)
 	case *types.Map:
-		c.setAll(u.Elem(), seen)
+		eachField(u.Elem(), seen, do)
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
-			c.set[origin(u.Field(i)).Pos()] = true
-			c.decoded[origin(u.Field(i)).Pos()] = true
-			c.setAll(u.Field(i).Type(), seen)
+			do(u.Field(i))
+			eachField(u.Field(i).Type(), seen, do)
 		}
 	}
-}
-
-// readSibling records the names a nested module's non-test files use. Such
-// a module imports this one by path, so it is read without types: pkg.Name
-// is a use of that package-level name, and any other x.Name or Name: key a
-// use of every method and field so named.
-func (c *apiChecker) readSibling(dir string) error {
-	return filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != dir && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		imports := map[string]string{} // local name -> import path
-		for _, imp := range f.Imports {
-			ipath := strings.Trim(imp.Path.Value, `"`)
-			name := ipath[strings.LastIndex(ipath, "/")+1:]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = ipath
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					c.siblingUse[imports[x.Name]+"."+n.Sel.Name] = true
-				} else {
-					c.siblingUse[n.Sel.Name] = true
-				}
-			case *ast.CompositeLit:
-				for _, e := range n.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if k, ok := kv.Key.(*ast.Ident); ok {
-							c.siblingUse[k.Name] = true
-						}
-					}
-				}
-			}
-			return true
-		})
-		return nil
-	})
 }
 
 // exemptMethods are found by encoding/json and fmt through reflection.
@@ -731,9 +760,6 @@ func (c *apiChecker) findings() []apiFinding {
 			if o == nil || id.Name == "_" {
 				continue
 			}
-			if c.siblingUses(p, id, o) {
-				continue
-			}
 			pos := o.Pos()
 			switch o := o.(type) {
 			case *types.Func:
@@ -752,7 +778,7 @@ func (c *apiChecker) findings() []apiFinding {
 				}
 			case *types.Var:
 				if o.IsField() {
-					if !o.Anonymous() && !c.set[pos] {
+					if !o.Anonymous() && !c.decoded[pos] && !(c.set[pos] && c.read[pos]) {
 						if owner := fieldOwner(p, o); owner != "" {
 							report(p, "field", owner+"."+o.Name(), pos)
 						}
@@ -773,12 +799,6 @@ func (c *apiChecker) findings() []apiFinding {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// siblingUses reports whether a sibling module may use the name id
-// declares. A sibling module can reach only exported names.
-func (c *apiChecker) siblingUses(p *apiPkg, id *ast.Ident, o types.Object) bool {
-	return id.IsExported() && (c.siblingUse[id.Name] && !isPkgLevel(p, o) || c.siblingUse[p.path+"."+id.Name])
 }
 
 func isPkgLevel(p *apiPkg, o types.Object) bool { return o.Parent() == p.types.Scope() }
@@ -977,7 +997,7 @@ func (c *apiChecker) knobFindings() []apiFinding {
 			continue
 		}
 		for id, o := range p.info.Defs {
-			if o == nil || !id.IsExported() || c.siblingUses(p, id, o) {
+			if o == nil || !id.IsExported() || c.siblingUse[o.Pos()] {
 				continue
 			}
 			pos := o.Pos()

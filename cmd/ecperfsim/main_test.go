@@ -42,7 +42,7 @@ func TestStdoutPassivity(t *testing.T) {
 	})
 }
 
-// TestInvalidRunParameters: a processor set larger than the machine, in a
+// TestInvalidRunParameters: a processor set outside the machine, in a
 // plain or a -faults run, a checkpoint naming an unknown workload, a
 // negative injection rate or an empty measurement window ends the run with
 // exit code 1 and a one-line error, before anything reaches stdout.
@@ -58,6 +58,9 @@ func TestInvalidRunParameters(t *testing.T) {
 	}{
 		{[]string{"-p", "40"}, "ecperfsim: processor set 40 outside 1..16\n"},
 		{[]string{"-p", "40", "-faults", "demo"}, "ecperfsim: processor set 40 outside 1..16\n"},
+		{[]string{"-p", "0"}, "ecperfsim: processor set 0 outside 1..16\n"},
+		{[]string{"-p", "-4"}, "ecperfsim: processor set -4 outside 1..16\n"},
+		{[]string{"-p", "0", "-faults", "demo"}, "ecperfsim: processor set 0 outside 1..16\n"},
 		{[]string{"-resume", cp}, "ecperfsim: checkpoint " + cp + ": unknown workload kind 7\n"},
 		{[]string{"-oir", "-3"}, "ecperfsim: negative scale -3\n"},
 		{[]string{"-measure", "0"}, "ecperfsim: empty measurement window (-measure 0)\n"},

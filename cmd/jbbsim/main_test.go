@@ -38,9 +38,9 @@ func TestShortFlightWindow(t *testing.T) {
 	}
 }
 
-// TestInvalidRunParameters: negative warehouses or an empty measurement
-// window end the run with exit code 1 and a one-line error, before anything
-// reaches stdout.
+// TestInvalidRunParameters: negative warehouses, a processor set outside
+// the machine or an empty measurement window end the run with exit code 1
+// and a one-line error, before anything reaches stdout.
 func TestInvalidRunParameters(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -48,9 +48,11 @@ func TestInvalidRunParameters(t *testing.T) {
 	}{
 		{[]string{"-w", "-1"}, "jbbsim: negative scale -1\n"},
 		{[]string{"-measure", "0"}, "jbbsim: empty measurement window (-measure 0)\n"},
+		{[]string{"-p", "0"}, "jbbsim: processor set 0 outside 1..16\n"},
+		{[]string{"-p", "-4"}, "jbbsim: processor set -4 outside 1..16\n"},
 	} {
 		var stdout, stderr bytes.Buffer
-		code := run(append(tc.args, "-p", "2", "-warmup", "100000", "-flight", "off"), &stdout, &stderr)
+		code := run(append([]string{"-p", "2", "-warmup", "100000", "-flight", "off"}, tc.args...), &stdout, &stderr)
 		if code != 1 || stdout.Len() != 0 || stderr.String() != tc.want {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 and %q",
 				strings.Join(tc.args, " "), code, stdout.String(), stderr.String(), tc.want)

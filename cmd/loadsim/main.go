@@ -39,6 +39,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -106,6 +107,10 @@ func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 // buildConfig turns the flag surface into a topology. The arrival rate is a
 // placeholder; each sweep point sets it from its multiplier (pointConfig).
 func buildConfig(af *appFlags) (cluster.OpenConfig, error) {
+	if *af.horizon == 0 {
+		// Every rate the table reports would divide by zero.
+		return cluster.OpenConfig{}, errors.New("-horizon 0: empty arrival window")
+	}
 	// The millisecond flags must give a positive cycle count a uint64 holds.
 	if d := *af.deadlineMS * cyclesPerMS; !(d >= 1 && d < 1<<63) {
 		return cluster.OpenConfig{}, fmt.Errorf("-deadline-ms %v: want a positive deadline", *af.deadlineMS)

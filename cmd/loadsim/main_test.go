@@ -193,9 +193,10 @@ func TestBadFlagsPrintNothing(t *testing.T) {
 		{"-deadline-ms", "NaN"},
 		{"-queue-cap", "0"},
 		{"-nodes", "0"},
+		{"-horizon", "0"},
 	} {
 		var stdout, stderr bytes.Buffer
-		code := run(append(args, "-horizon", "1000000", "-flight", "off"), &stdout, &stderr)
+		code := run(append([]string{"-horizon", "1000000", "-flight", "off"}, args...), &stdout, &stderr)
 		if code != 1 || stdout.Len() != 0 || stderr.Len() == 0 {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1, an empty stdout and an error",
 				strings.Join(args, " "), code, stdout.String(), stderr.String())

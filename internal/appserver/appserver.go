@@ -55,7 +55,7 @@ type ObjectCache struct {
 	lruHead *cacheEntry // most recent
 	lruTail *cacheEntry // least recent
 
-	Hits, Misses, Expirations, Evictions uint64
+	Hits, Misses uint64
 }
 
 // NewObjectCache builds the cache, allocating its table and monitor in the
@@ -125,7 +125,6 @@ func (c *ObjectCache) Get(rec *trace.Recorder, key uint64, now uint64) (jvm.Obje
 	if ok {
 		// Present but stale: drop it; the caller reloads.
 		c.removeLocked(e)
-		c.Expirations++
 	}
 	c.Misses++
 	c.mon.Unlock(rec)
@@ -141,7 +140,6 @@ func (c *ObjectCache) Put(rec *trace.Recorder, key uint64, obj jvm.ObjectID, now
 	}
 	if len(c.index) >= cacheEntries {
 		c.removeLocked(c.lruTail)
-		c.Evictions++
 	}
 	e := &cacheEntry{key: key, obj: obj, loadedAt: now}
 	c.index[key] = e
@@ -179,7 +177,6 @@ type ConnPool struct {
 	semID    uint64
 	capacity int
 	book     mem.Addr
-	Acquires uint64
 }
 
 // connPoolSemBase namespaces pool semaphore IDs.
@@ -202,15 +199,11 @@ func NewConnPool(heap *jvm.Heap, rec *trace.Recorder, n int) *ConnPool {
 	}
 }
 
-// Size returns the pool capacity.
-func (p *ConnPool) Size() int { return p.capacity }
-
 // Acquire records checking out a connection; the return value feeds the
 // matching Release.
 func (p *ConnPool) Acquire(rec *trace.Recorder) int {
 	rec.SemAcquire(p.semID, uint32(p.capacity))
 	rec.Write(p.book, 8)
-	p.Acquires++
 	return 0
 }
 
@@ -223,10 +216,9 @@ func (p *ConnPool) Release(rec *trace.Recorder, i int) {
 // Dispatcher is the request dispatch queue: one monitor every request
 // crosses briefly, plus a queue-depth field the dispatcher updates.
 type Dispatcher struct {
-	mon        *jvm.Monitor
-	state      jvm.ObjectID
-	heap       *jvm.Heap
-	Dispatches uint64
+	mon   *jvm.Monitor
+	state jvm.ObjectID
+	heap  *jvm.Heap
 }
 
 // NewDispatcher allocates the dispatch monitor and its state object.
@@ -244,5 +236,4 @@ func (d *Dispatcher) Dispatch(rec *trace.Recorder) {
 	d.heap.ReadField(rec, d.state, 0)
 	d.heap.WriteField(rec, d.state, 0)
 	d.mon.Unlock(rec)
-	d.Dispatches++
 }

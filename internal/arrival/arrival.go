@@ -154,9 +154,6 @@ type Source struct {
 	stateEnd uint64
 	// quietRate/burstRate derive from Rate so the long-run mean is Rate.
 	quietRate, burstRate float64
-
-	// Generated counts emitted arrivals.
-	Generated uint64
 }
 
 // New builds a source from cfg drawing from rng, which must be a dedicated
@@ -263,7 +260,6 @@ func (s *Source) Next() uint64 {
 	default:
 		s.now = s.after(s.now, s.cfg.Rate)
 	}
-	s.Generated++
 	return s.now
 }
 

@@ -11,7 +11,7 @@
 //
 // Both store only a block's tag, the address bits above the set index, so a
 // word is 4 bytes whatever the address width. A geometry therefore covers
-// addresses below a bound: 2^28 tags per set in a Cache and 2^30 in a Sweep,
+// addresses below a bound: 2^28 tags per set in a Cache and 2^31 in a Sweep,
 // 2^41 bytes for a 16 KB 2-way cache of 64 B blocks and more for any larger
 // one. A Cache panics when asked to store a block at or above its bound, and
 // a probe for one matches nothing; a Sweep panics on any reference to one.
@@ -124,8 +124,6 @@ type Stats struct {
 	Reads, ReadMisses    uint64
 	Writes, WriteMisses  uint64
 	Fetches, FetchMisses uint64
-	Evictions            uint64
-	DirtyEvictions       uint64
 }
 
 // Accesses returns the total access count.
@@ -182,9 +180,6 @@ func New(cfg Config) *Cache {
 		tagShift:   blockShift + uint(bits.TrailingZeros(uint(sets))),
 	}
 }
-
-// Config returns the cache's geometry.
-func (c *Cache) Config() Config { return c.cfg }
 
 // BlockAddr returns the block-aligned address containing a, in this cache's
 // block size.
@@ -261,10 +256,6 @@ func (c *Cache) Allocate(ba uint64, st State) (l *Line, victim Line, victimBA ui
 	}
 	if victim = set[n]; victim != 0 {
 		victimBA = c.block(victim, ba>>(c.blockShift&63)&c.setMask)
-		c.Stats.Evictions++
-		if victim.Dirty() {
-			c.Stats.DirtyEvictions++
-		}
 	}
 	for ; n > 0; n-- {
 		set[n] = set[n-1]

@@ -118,8 +118,8 @@ func TestDirtyEviction(t *testing.T) {
 	sw.AccessRange(0x0000, 1, mem.Write)
 	sw.AccessRange(0x0200, 1, mem.Read)
 	sw.AccessRange(0x0400, 1, mem.Read) // evicts dirty 0x0000
-	if st := sw.stats(0); st.DirtyEvictions != 1 || st.Evictions != 1 {
-		t.Fatalf("evictions = %d, dirty = %d", st.Evictions, st.DirtyEvictions)
+	if !hit(sw, 0x0200, mem.Read) || hit(sw, 0x0000, mem.Read) {
+		t.Fatal("the dirty LRU block was not evicted like a clean one")
 	}
 }
 
@@ -318,12 +318,12 @@ func TestCacheTagBound(t *testing.T) {
 }
 
 // TestSweepTagBound: a group's bound is its smallest member's, the one with
-// the fewest sets and so the widest tags: 2^30 tags of 8 sets of 64 B
-// blocks cover addresses below 2^39. Its highest block is tracked apart
+// the fewest sets and so the widest tags: 2^31 tags of 8 sets of 64 B
+// blocks cover addresses below 2^40. Its highest block is tracked apart
 // from block 0 in every member, and a reference that reaches the bound
 // panics, whether a single access, the end of a range or of a fetch run.
 func TestSweepTagBound(t *testing.T) {
-	const bound = 1 << 39
+	const bound = 1 << 40
 	cfgs := []Config{
 		{Name: "s", SizeBytes: 8 << 10, Assoc: 2, BlockBytes: 64},
 		{Name: "s", SizeBytes: 1 << 10, Assoc: 2, BlockBytes: 64},
@@ -346,7 +346,7 @@ func TestSweepTagBound(t *testing.T) {
 	} {
 		func() {
 			defer func() {
-				want := "cache sweep s 1KB/2way/64B: block 0x8000000000 at or above the tag bound 0x8000000000"
+				want := "cache sweep s 1KB/2way/64B: block 0x10000000000 at or above the tag bound 0x10000000000"
 				if msg := fmt.Sprint(recover()); msg != want {
 					t.Errorf("%s: panic %q, want %q", name, msg, want)
 				}

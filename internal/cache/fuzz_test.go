@@ -35,16 +35,16 @@ func FuzzSweepMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{255, 0, 255, 0, 128, 64, 32, 16, 8})
 	f.Add([]byte{0, 0x42, 0xfe, 0x10, 0x01, 0xc8, 0x10, 0x01, 0xc8}) // runs, then a repeated one
-	// Writes to clean blocks at way 2 of f4 512B and at way 1 of f128 1KB,
-	// each the smallest member of its group. The blocks ahead of each sit in
+	// Writes to blocks at way 2 of f4 512B and at way 1 of f128 1KB, each
+	// the smallest member of its group. The blocks ahead of each sit in
 	// other sets of the next member (f4 1KB, f128 2KB), where the written
-	// block is at the front; the write must still dirty it there and in
-	// every larger member.
+	// block is at the front; the walk must move it to the front of the
+	// smallest member before it stops there.
 	f.Add([]byte{
 		0x00, 0x00, 0x00, 0x00, 0x80, 0x00, 0x02, 0x80, 0x00, 0x00, 0x00, 0x01,
 		0x10, 0x00, 0x00, 0x11, 0x00, 0x00, 0x10, 0x00, 0x01,
 	})
-	// Writes to clean blocks at ways 1 and 2 of f4 512B, after a run of five
+	// Writes to blocks at ways 1 and 2 of f4 512B, after a run of five
 	// fetches has filled its sets.
 	f.Add([]byte{0x00, 0x00, 0xd0, 0x00, 0x80, 0x01, 0x00, 0x00, 0x01})
 	// Four reads fill a set of f4 512B, a read hits at way 2, and two misses

@@ -90,10 +90,6 @@ func (c *refCache) Allocate(ba uint64, st State) (*refLine, refLine, bool) {
 	evicted := v >= 0
 	if evicted {
 		victim = set[v]
-		c.Stats.Evictions++
-		if victim.Dirty {
-			c.Stats.DirtyEvictions++
-		}
 	} else {
 		v = -1 - v
 	}

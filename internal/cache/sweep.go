@@ -15,12 +15,13 @@ import (
 // It does not use Cache: the sweep needs no coherence state and no *Line
 // pointers, so each geometry is a bare array of 4-byte tag words, assoc per
 // set, kept in most-recently-used-first order as in Cache. A word is
-// tag<<2 | dirty<<1 | valid, where the tag is the block number above the set
-// index; a hit moves its word to the front and a miss shifts the set right,
-// evicting the last word when it is valid. That is exact true LRU in 4 bytes
-// per way with no clock. Unlike Cache, the sweep takes blocks of any
-// power-of-two size. A tag must fit 30 bits: a reference to a block at or
-// above 2^30 times the set count of its group's smallest geometry panics,
+// tag<<1 | valid, where the tag is the block number above the set index; a
+// hit moves its word to the front and a miss shifts the set right, evicting
+// the last word when it is valid. That is exact true LRU in 4 bytes per way
+// with no clock. The sweep counts misses only, so a word keeps no dirty bit
+// and a write moves a block like a read. Unlike Cache, the sweep takes blocks
+// of any power-of-two size. A tag must fit 31 bits: a reference to a block at
+// or above 2^31 times the set count of its group's smallest geometry panics,
 // naming the geometry and the address.
 //
 // Geometries sharing a block size and associativity form a group, sorted by
@@ -28,11 +29,10 @@ import (
 // resident in a group member is resident in each member with more sets
 // (Mattson; Hill & Smith), and a block at the front of its set in the
 // smallest member is at the front of its set in every member. A reference to
-// such a block changes no member's contents (for a write, provided the
-// smallest member already holds it dirty: the larger members have held it at
-// least as long), so it skips every probe. The same holds for each member
-// against the larger ones, so a reference walks the members in ascending
-// size and stops at the first that already holds the block at the front.
+// such a block changes no member's contents, so it skips every probe. The
+// same holds for each member against the larger ones, so a reference walks
+// the members in ascending size and stops at the first that already holds
+// the block at the front.
 //
 // A 4-way group (the size ladder's and the block ladder's) walks its members
 // in one loop per block, each member's move-to-front inline as four compares
@@ -67,12 +67,10 @@ type sweepGroup struct {
 
 // sweepGeom is one geometry's MRU-first tag words and its own counters.
 type sweepGeom struct {
-	words          []uint32
-	setMask        uint64
-	setBits        uint      // log2 of the set count: a block's tag is blk >> setBits
-	miss           [4]uint64 // by kind, like sweepGroup.acc
-	evictions      uint64
-	dirtyEvictions uint64
+	words   []uint32
+	setMask uint64
+	setBits uint      // log2 of the set count: a block's tag is blk >> setBits
+	miss    [4]uint64 // by kind, like sweepGroup.acc
 }
 
 type geomRef struct {
@@ -167,19 +165,14 @@ func (s *Sweep) AccessRange(a mem.Addr, size uint64, t mem.AccessType) {
 	if size == 0 {
 		return
 	}
-	var dirty uint32
-	if t == mem.Write {
-		dirty = 2
-	}
 	k := kind(t)
 	for _, g := range s.groups {
-		g.access(a>>g.blockShift, (a+size-1)>>g.blockShift, dirty, k)
+		g.access(a>>g.blockShift, (a+size-1)>>g.blockShift, k)
 	}
 }
 
-// maxSweepTag is the largest tag a sweep word holds, above its dirty and
-// valid bits.
-const maxSweepTag = 1<<30 - 1
+// maxSweepTag is the largest tag a sweep word holds, above its valid bit.
+const maxSweepTag = 1<<31 - 1
 
 // fetchBlockBytes is the instruction-fetch block (ifetch.BlockBytes), and
 // fetchBlockShift its log2.
@@ -202,42 +195,41 @@ func (s *Sweep) FetchRun(a mem.Addr, n uint64) {
 	for _, g := range s.groups {
 		if g.blockShift == fetchBlockShift {
 			first := a >> fetchBlockShift
-			g.access(first, first+n-1, 0, k)
+			g.access(first, first+n-1, k)
 			continue
 		}
 		for i := uint64(0); i < n; i++ {
 			blk := (a + i*fetchBlockBytes) >> g.blockShift
-			g.access(blk, blk, 0, k)
+			g.access(blk, blk, k)
 		}
 	}
 }
 
-// access feeds blocks first..last to every member of the group; dirty is 2
-// for a write and 0 otherwise. A block whose tag does not fit a word of the
+// access feeds blocks first..last to every member of the group, counting
+// them as accesses of kind k. A block whose tag does not fit a word of the
 // smallest member, the one with the widest tags, panics here, once per
 // reference, rather than alias another block.
 //
 // Each block walks the members in ascending size, moving its word to the
 // front of its set in each (allocating it on a miss), and stops at the
-// first member that already holds it at the front, dirty already if
-// written: that set is unchanged, and by inclusion so is every larger
-// member's.
-func (g *sweepGroup) access(first, last uint64, dirty uint32, k int) {
+// first member that already holds it at the front: that set is unchanged,
+// and by inclusion so is every larger member's.
+func (g *sweepGroup) access(first, last uint64, k int) {
 	if last >= g.limit {
 		g.tagOverflow(last)
 	}
 	g.acc[k&3] += last - first + 1
 	if g.assoc == 4 {
-		g.access4(first, last, dirty, k)
+		g.access4(first, last, k)
 		return
 	}
 	small := &g.geoms[0]
 	for blk := first; blk <= last; blk++ {
-		if w := small.words[(blk&small.setMask)*g.assoc]; w&^2 == small.word(blk) && w|dirty == w {
-			continue // at the front everywhere, and dirty already if written
+		if small.words[(blk&small.setMask)*g.assoc] == small.word(blk) {
+			continue // at the front everywhere
 		}
 		for i := range g.geoms {
-			if g.geoms[i].touch(blk, dirty, k, g.assoc) {
+			if g.geoms[i].touch(blk, k, g.assoc) {
 				break // at the front here, so in every larger member too
 			}
 		}
@@ -247,40 +239,30 @@ func (g *sweepGroup) access(first, last uint64, dirty uint32, k int) {
 // access4 is access's walk for a 4-way group: the set is an array, the
 // search four compares, and the move to the front a fixed shift of the words
 // ahead of the hit (all four on a miss, the last one the victim).
-func (g *sweepGroup) access4(first, last uint64, dirty uint32, k int) {
+func (g *sweepGroup) access4(first, last uint64, k int) {
 	for blk := first; blk <= last; blk++ {
 		for i := range g.geoms {
 			m := &g.geoms[i]
 			set := (*[4]uint32)(m.words[(blk&m.setMask)*4:])
 			want := m.word(blk)
 			w0 := set[0]
-			if w0&^2 == want {
-				if w0|dirty == w0 {
-					break // at the front here, so in every larger member too
-				}
-				set[0] = w0 | dirty
-				continue
+			if w0 == want {
+				break // at the front here, so in every larger member too
 			}
 			w1 := set[1]
-			if w1&^2 == want {
-				set[1], set[0] = w0, w1|dirty
+			if w1 == want {
+				set[1], set[0] = w0, want
 				continue
 			}
 			w2 := set[2]
-			if w2&^2 == want {
-				set[2], set[1], set[0] = w1, w0, w2|dirty
+			if w2 == want {
+				set[2], set[1], set[0] = w1, w0, want
 				continue
 			}
-			w3 := set[3]
-			if w3&^2 != want {
+			if set[3] != want {
 				m.miss[k&3]++
-				if w3&1 != 0 {
-					m.evictions++
-					m.dirtyEvictions += uint64(w3 >> 1 & 1)
-				}
-				w3 = want
 			}
-			set[3], set[2], set[1], set[0] = w2, w1, w0, w3|dirty
+			set[3], set[2], set[1], set[0] = w2, w1, w0, want
 		}
 	}
 }
@@ -293,39 +275,31 @@ func (g *sweepGroup) tagOverflow(blk uint64) {
 		g.smallest, blk<<g.blockShift, g.limit<<g.blockShift))
 }
 
-// word is the valid, clean tag word of block blk in this geometry.
-func (m *sweepGeom) word(blk uint64) uint32 { return uint32(blk>>m.setBits)<<2 | 1 }
+// word is the valid tag word of block blk in this geometry.
+func (m *sweepGeom) word(blk uint64) uint32 { return uint32(blk>>m.setBits)<<1 | 1 }
 
 // touch moves block blk to the front of its set, allocating it on a miss. It
-// reports whether the block was already at the front, and dirty already if
-// dirty is set: then the set is unchanged, and by inclusion so is every
-// larger member's.
-func (m *sweepGeom) touch(blk uint64, dirty uint32, k int, assoc uint64) bool {
+// reports whether the block was already at the front: then the set is
+// unchanged, and by inclusion so is every larger member's.
+func (m *sweepGeom) touch(blk uint64, k int, assoc uint64) bool {
 	base := (blk & m.setMask) * assoc
 	set := m.words[base : base+assoc : base+assoc]
 	want := m.word(blk)
-	for i, w := range set {
-		if w&^2 == want {
-			if i == 0 && w|dirty == w {
-				return true
-			}
-			for ; i > 0; i-- {
-				set[i] = set[i-1]
-			}
-			set[0] = w | dirty
-			return false
-		}
+	i := 0
+	for i < len(set) && set[i] != want {
+		i++
 	}
-	m.miss[k&3]++
-	n := len(set) - 1
-	if victim := set[n]; victim&1 != 0 {
-		m.evictions++
-		m.dirtyEvictions += uint64(victim >> 1 & 1)
+	if i == 0 {
+		return true
 	}
-	for ; n > 0; n-- {
-		set[n] = set[n-1]
+	if i == len(set) {
+		m.miss[k&3]++
+		i--
 	}
-	set[0] = want | dirty
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = want
 	return false
 }
 
@@ -338,8 +312,7 @@ func (s *Sweep) ResetStats() {
 	for _, g := range s.groups {
 		g.acc = [4]uint64{}
 		for i := range g.geoms {
-			m := &g.geoms[i]
-			m.miss, m.evictions, m.dirtyEvictions = [4]uint64{}, 0, 0
+			g.geoms[i].miss = [4]uint64{}
 		}
 	}
 	s.Instructions = 0
@@ -353,7 +326,6 @@ func (s *Sweep) stats(i int) Stats {
 		Reads: acc[mem.Read], ReadMisses: m.miss[mem.Read],
 		Writes: acc[mem.Write], WriteMisses: m.miss[mem.Write],
 		Fetches: acc[mem.IFetch], FetchMisses: m.miss[mem.IFetch],
-		Evictions: m.evictions, DirtyEvictions: m.dirtyEvictions,
 	}
 }
 

@@ -60,9 +60,9 @@ func checkAgainstReference(t testing.TB, cfgs []Config, refs []ref) *Sweep {
 
 // checkInclusion verifies, for every group, the invariants the sweep's
 // shortcut rests on: each set holds its valid words first; every block
-// resident in a member is resident in each member with more sets, dirty
-// there if dirty here; and a block at the front of its set is at the front
-// of its set in every larger member.
+// resident in a member is resident in each member with more sets; and a
+// block at the front of its set is at the front of its set in every larger
+// member.
 func (s *Sweep) checkInclusion() error {
 	for _, g := range s.groups {
 		for i := range g.geoms {
@@ -78,14 +78,12 @@ func (s *Sweep) checkInclusion() error {
 						}
 						break
 					}
-					blk := uint64(w>>2)<<m.setBits | base/g.assoc
+					blk := uint64(w>>1)<<m.setBits | base/g.assoc
 					for k := i + 1; k < len(g.geoms); k++ {
-						pos, bw := g.geoms[k].find(blk, g.assoc)
+						pos := g.geoms[k].find(blk, g.assoc)
 						switch {
 						case pos < 0:
 							return fmt.Errorf("block %#x in member %d missing from member %d", blk, i, k)
-						case w&2 != 0 && bw&2 == 0:
-							return fmt.Errorf("block %#x dirty in member %d, clean in member %d", blk, i, k)
 						case j == 0 && pos != 0:
 							return fmt.Errorf("block %#x at the front in member %d, at way %d in member %d", blk, i, pos, k)
 						}
@@ -97,15 +95,15 @@ func (s *Sweep) checkInclusion() error {
 	return nil
 }
 
-// find returns blk's way and tag word in the geometry, or -1.
-func (m *sweepGeom) find(blk, assoc uint64) (int, uint32) {
+// find returns blk's way in the geometry, or -1.
+func (m *sweepGeom) find(blk, assoc uint64) int {
 	base := (blk & m.setMask) * assoc
 	for i, w := range m.words[base : base+assoc] {
-		if w&^2 == m.word(blk) {
-			return i, w
+		if w == m.word(blk) {
+			return i
 		}
 	}
-	return -1, 0
+	return -1
 }
 
 type lcg uint64

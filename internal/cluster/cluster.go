@@ -28,14 +28,6 @@ import (
 type Coordinator struct {
 	app *osmodel.Engine
 	db  *osmodel.Engine
-	srv *dbserver.Server
-
-	// Requests counts app→db calls; Replies counts completed round trips.
-	// At every lockstep window boundary the requests in flight,
-	// Requests - Replies, equal the database server's
-	// QueueDepth() + InService() (the conservation test checks it).
-	Requests uint64
-	Replies  uint64
 
 	// OnWindow, when set, runs after each lockstep window with the window's
 	// end cycle — both engines have reached t and all deliveries and
@@ -54,9 +46,8 @@ const (
 // New wires the two machines together. The application server's network
 // must have the database co-simulated (netsim.Network.CoSimulateDatabase).
 func New(app, db *osmodel.Engine, srv *dbserver.Server) *Coordinator {
-	c := &Coordinator{app: app, db: db, srv: srv}
+	c := &Coordinator{app: app, db: db}
 	app.OnExternalCall = func(tid int, peer uint8, req, resp uint32, t uint64) {
-		c.Requests++
 		srv.Enqueue(dbserver.Request{
 			SourceThread: tid,
 			ReqBytes:     req,
@@ -69,7 +60,6 @@ func New(app, db *osmodel.Engine, srv *dbserver.Server) *Coordinator {
 		if !ok {
 			return
 		}
-		c.Replies++
 		app.WakeExternal(req.SourceThread, t+latency)
 	}
 	return c

@@ -50,7 +50,7 @@ func rig(t *testing.T, calls int) (*Coordinator, *osmodel.Engine, *osmodel.Engin
 	comps := dbserver.Components{SQL: dLayout.Add("dbms", 128<<10, false, ifetch.Profile{})}
 	kern := dLayout.Add("kernel-net", 128<<10, true, ifetch.Profile{})
 	dNet := netsim.NewNetwork()
-	ns := netsim.NewNetStack(dSpace, kern, simrand.New(2))
+	ns := netsim.NewNetStack(dSpace, kern)
 	hcfg := jvm.DefaultConfig()
 	hcfg.HeapBytes = 32 << 20
 	hcfg.NewGenBytes = 6 << 20
@@ -65,14 +65,14 @@ func rig(t *testing.T, calls int) (*Coordinator, *osmodel.Engine, *osmodel.Engin
 }
 
 func TestRoundTripCompletes(t *testing.T) {
-	coord, app, _, _ := rig(t, 5)
+	coord, app, _, srv := rig(t, 5)
 	coord.Run(20_000_000)
 	res := app.Results()
 	if res.BusinessOps != 5 {
 		t.Fatalf("completed calls = %d, want 5", res.BusinessOps)
 	}
-	if coord.Requests != 5 || coord.Replies != 5 {
-		t.Fatalf("requests/replies = %d/%d", coord.Requests, coord.Replies)
+	if srv.Served != 5 {
+		t.Fatalf("database served %d requests, want 5", srv.Served)
 	}
 }
 
@@ -124,24 +124,28 @@ func TestDBMachineMeasurable(t *testing.T) {
 	}
 }
 
-// TestPerWindowConservationGroundTruth checks the coordinator's books at
-// EVERY lockstep window boundary, not just at quiescence, against the
-// database server's own state: the requests in flight, Requests - Replies,
-// must equal exactly the requests the server holds (queued + claimed by
-// workers).
+// TestPerWindowConservationGroundTruth checks the books at EVERY lockstep
+// window boundary, not just at quiescence: every request the application
+// server has issued so far must be, exactly, either queued at the database
+// server or taken by one of its workers (Served).
 func TestPerWindowConservationGroundTruth(t *testing.T) {
 	const calls = 200
 	coord, app, _, srv := rig(t, calls)
+	var requests uint64
+	call := app.OnExternalCall
+	app.OnExternalCall = func(tid int, peer uint8, req, resp uint32, now uint64) {
+		requests++
+		call(tid, peer, req, resp, now)
+	}
 
 	windows, busy := 0, 0
 	coord.OnWindow = func(tw uint64) {
 		windows++
-		inFlight := coord.Requests - coord.Replies
-		if got, want := inFlight, uint64(srv.QueueDepth()+srv.InService()); got != want {
-			t.Fatalf("window %d: coordinator counts %d in flight, server holds %d (%d queued + %d in service)",
-				tw, got, want, srv.QueueDepth(), srv.InService())
+		if got := uint64(srv.QueueDepth()) + srv.Served; got != requests {
+			t.Fatalf("window %d: %d requests issued, server accounts for %d (%d queued + %d served)",
+				tw, requests, got, srv.QueueDepth(), srv.Served)
 		}
-		if inFlight > 0 {
+		if srv.QueueDepth()+srv.InService() > 0 {
 			busy++
 		}
 	}
@@ -150,8 +154,9 @@ func TestPerWindowConservationGroundTruth(t *testing.T) {
 	if windows == 0 || busy == 0 {
 		t.Fatalf("check never exercised: %d windows, %d with a request in flight", windows, busy)
 	}
-	if coord.Requests != calls || coord.Replies != calls {
-		t.Fatalf("requests/replies = %d/%d at quiescence, want %d/%d", coord.Requests, coord.Replies, calls, calls)
+	if requests != calls || srv.Served != calls || srv.QueueDepth()+srv.InService() != 0 {
+		t.Fatalf("at quiescence: %d issued, %d served, %d queued, %d in service; want %d, %d, 0, 0",
+			requests, srv.Served, srv.QueueDepth(), srv.InService(), calls, calls)
 	}
 	if got := app.Results().BusinessOps; got != calls {
 		t.Fatalf("caller completed %d ops, want %d", got, calls)

@@ -458,9 +458,6 @@ const tickCycles = 2_000_000
 // work, for heartbeat and inspection snapshots.
 func (s *OpenSim) SetTick(fn func(t uint64, s *OpenSim)) { s.onTick = fn }
 
-// Config returns the (validated, possibly adjusted) configuration.
-func (s *OpenSim) Config() OpenConfig { return s.cfg }
-
 // schedule pushes an event at time at.
 func (s *OpenSim) schedule(at uint64, kind uint8, node int, r *openReq) {
 	s.seq++
@@ -587,7 +584,6 @@ func (s *OpenSim) admit(r *openReq, t uint64) {
 		return
 	}
 	if n.brown != nil && n.brown.DropClass(s.cfg.Mix[r.class].Priority) {
-		n.brown.Stats.Shed++
 		s.shed(r, t, shedBrownout)
 		return
 	}
@@ -700,7 +696,6 @@ func (s *OpenSim) attempt(n *openNode, r *openReq, br *fault.Breaker, lim *shard
 
 	// Client-side concurrency limit: refused attempts never leave the node.
 	if lim != nil && !lim.tryAcquire(t) {
-		lim.aimd.Reject()
 		s.Stats.LimiterHits++
 		r.think += localRejectCycles
 		return attemptResult{doneAt: t + localRejectCycles}

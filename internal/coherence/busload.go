@@ -128,10 +128,6 @@ func (t *LoadTracker) advance(now uint64) {
 	}
 }
 
-// Counts returns the window's read (GetS) and write (GetM) transaction
-// totals.
-func (t *LoadTracker) Counts() (reads, writes uint64) { return t.reads, t.writes }
-
 // Utilization converts the window's weighted transaction occupancy into
 // channel utilization. It can exceed 1 when offered load outruns the
 // channel; consumers clamp as needed.

@@ -10,12 +10,16 @@ func testLoadConfig() LoadConfig {
 	}
 }
 
+// counts returns the window's read (GetS) and write (GetM) transaction
+// totals.
+func counts(lt *LoadTracker) (reads, writes uint64) { return lt.reads, lt.writes }
+
 func TestLoadTrackerCounts(t *testing.T) {
 	lt := NewLoadTracker(testLoadConfig())
 	lt.Record(0, false)
 	lt.Record(10, false)
 	lt.Record(20, true)
-	r, w := lt.Counts()
+	r, w := counts(lt)
 	if r != 2 || w != 1 {
 		t.Fatalf("Counts = %d,%d, want 2,1", r, w)
 	}
@@ -30,7 +34,7 @@ func TestLoadTrackerRetiresOldBuckets(t *testing.T) {
 	for now := uint64(100); now < 1100; now += 100 {
 		lt.Record(now, false)
 	}
-	r, w := lt.Counts()
+	r, w := counts(lt)
 	if w != 0 {
 		t.Fatalf("write from retired bucket still counted (r=%d w=%d)", r, w)
 	}
@@ -47,7 +51,7 @@ func TestLoadTrackerSkipsWholeWindow(t *testing.T) {
 	}
 	// A gap longer than the window clears everything.
 	lt.Record(1_000_000, false)
-	r, w := lt.Counts()
+	r, w := counts(lt)
 	if r != 1 || w != 0 {
 		t.Fatalf("Counts after idle gap = %d,%d, want 1,0", r, w)
 	}
@@ -59,12 +63,12 @@ func TestLoadTrackerClampsBackwardsTime(t *testing.T) {
 	// A lagging CPU's earlier timestamp lands in the current bucket, never
 	// un-advancing the window.
 	lt.Record(100, true)
-	r, w := lt.Counts()
+	r, w := counts(lt)
 	if r != 1 || w != 1 {
 		t.Fatalf("Counts = %d,%d, want 1,1", r, w)
 	}
 	lt.Record(951, false)
-	if r2, _ := lt.Counts(); r2 != 2 {
+	if r2, _ := counts(lt); r2 != 2 {
 		t.Fatalf("tracker lost the window position after a backwards stamp")
 	}
 }
@@ -190,7 +194,7 @@ func TestLoadTrackerDeterministic(t *testing.T) {
 				iv++
 			}
 		}
-		r, w := lt.Counts()
+		r, w := counts(lt)
 		return r, w, iv, lt.Utilization()
 	}
 	r1, w1, iv1, u1 := run()

@@ -176,13 +176,14 @@ type busPair struct {
 	bus         *Bus
 	ref         *refBus
 	nodes       []*Node
+	geo         cache.Config    // every node's L2 geometry
 	inv, refInv []int           // invalidation-callback counts per node
 	touched     map[uint64]bool // every block either bus was asked about
 }
 
 func newBusPair(proto Protocol, nodes int, geo cache.Config) *busPair {
 	p := &busPair{
-		bus: NewBus(), ref: &refBus{proto: proto},
+		bus: NewBus(), ref: &refBus{proto: proto}, geo: geo,
 		inv: make([]int, nodes), refInv: make([]int, nodes),
 		touched: map[uint64]bool{},
 	}
@@ -218,7 +219,7 @@ func (p *busPair) access(t *testing.T, i, n int, ba uint64, write bool) {
 func (p *busPair) run(t *testing.T, seed uint64, accesses int) {
 	t.Helper()
 	rng := simrand.New(seed)
-	geo := p.nodes[0].l2.Config()
+	geo := p.geo
 	blocks := uint64(geo.SizeBytes) / uint64(geo.BlockBytes) * 3
 	for i := 0; i < accesses; i++ {
 		n := rng.Intn(len(p.nodes))

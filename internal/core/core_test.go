@@ -431,11 +431,12 @@ func TestRelatedWorkKernelOrdering(t *testing.T) {
 
 func TestVolanoSystemBuilds(t *testing.T) {
 	sys := BuildSystem(SystemParams{Kind: VolanoMark, Processors: 4, Seed: 1})
-	if sys.Vol == nil {
-		t.Fatal("volano workload missing")
-	}
 	sys.Engine.Run(2_000_000)
-	if sys.Engine.Results().BusinessOps == 0 {
+	res := sys.Engine.Results()
+	if res.OpsByTag["message"] == 0 {
+		t.Fatalf("volano workload missing: ops by tag %v", res.OpsByTag)
+	}
+	if res.BusinessOps == 0 {
 		t.Fatal("no messages processed")
 	}
 }

@@ -21,7 +21,6 @@ import (
 type coSim struct {
 	app   *System
 	db    *osmodel.Engine
-	dbMem *memsys.Hierarchy
 	srv   *dbserver.Server
 	coord *cluster.Coordinator
 }
@@ -51,7 +50,10 @@ func buildCoSim(p SystemParams) *coSim {
 	heap := jvm.MustNewHeap(space, hcfg)
 
 	net := netsim.NewNetwork()
-	ns := netsim.NewNetStack(space, kern, rng.Derive(1))
+	// Reserved for the network stack, which draws nothing; the streams
+	// derived after it keep their seeds.
+	rng.Derive(1)
+	ns := netsim.NewNetStack(space, kern)
 
 	hier := memsys.New(p.memConfig(coSimDBProcs))
 	ecfg := osmodel.DefaultConfig(coSimDBProcs)
@@ -64,7 +66,7 @@ func buildCoSim(p SystemParams) *coSim {
 	}
 
 	coord := cluster.New(app.Engine, eng, srv)
-	return &coSim{app: app, db: eng, dbMem: hier, srv: srv, coord: coord}
+	return &coSim{app: app, db: eng, srv: srv, coord: coord}
 }
 
 // runCoSim measures a co-simulated deployment cell on the coordinator's

@@ -30,12 +30,11 @@ type FaultRunOpts struct {
 
 // FaultRecovery is the measured recovery from one scheduled fault window.
 type FaultRecovery struct {
-	Kind      string
-	WindowEnd uint64 // absolute cycle the fault lifted
-	// RecoveredAt is the start of the first post-window bin whose faulted
-	// throughput reached 90% of the clean run's same bin; Recovered is
-	// false when the run ended first.
-	RecoveredAt    uint64
+	Kind string
+	// RecoveryCycles runs from the cycle the fault lifted to the start of
+	// the first post-window bin whose faulted throughput reached 90% of
+	// the clean run's same bin; Recovered is false when the run ended
+	// first.
 	RecoveryCycles uint64
 	Recovered      bool
 }
@@ -52,11 +51,10 @@ type FaultRunResult struct {
 	Recovery []FaultRecovery
 
 	// Resilience and injection activity of the faulted run.
-	Calls    appserver.CallStats
-	Breaker  fault.BreakerStats
-	Shed     uint64
-	Injected fault.InjectStats
-	Failed   uint64 // operations that took their error path
+	Calls   appserver.CallStats
+	Breaker fault.BreakerStats
+	Shed    uint64
+	Failed  uint64 // operations that took their error path
 
 	// System is the faulted run's machine, finished at the end of the
 	// measurement window.
@@ -114,18 +112,16 @@ func runFaultExperiment(o FaultRunOpts, r *Run) FaultRunResult {
 		res.Breaker = c.BreakerStats()
 		res.Shed = c.ShedCount()
 	}
-	res.Injected = faulted.Faults.Stats
 	res.Failed = faulted.EC.FailedOps
 
 	for _, e := range o.Schedule.Events {
-		rec := FaultRecovery{Kind: e.Kind.String(), WindowEnd: e.End()}
+		rec := FaultRecovery{Kind: e.Kind.String()}
 		for i, start := range res.BinStart {
 			if start < e.End() || i >= len(res.Faulted) {
 				continue
 			}
 			if base := res.Baseline[i]; res.Faulted[i]*10 >= base*9 {
 				rec.Recovered = true
-				rec.RecoveredAt = start
 				rec.RecoveryCycles = start - e.End()
 				break
 			}

@@ -62,8 +62,8 @@ func TestFaultRunCurveAndRecovery(t *testing.T) {
 	if r.Calls.Timeouts == 0 && r.Calls.FastFails == 0 {
 		t.Fatalf("no fault outcomes recorded: %+v", r.Calls)
 	}
-	if r.Injected.DroppedPartition == 0 {
-		t.Fatalf("injector saw no partition drops: %+v", r.Injected)
+	if inj := r.System.Faults.Stats; inj.DroppedPartition == 0 {
+		t.Fatalf("injector saw no partition drops: %+v", inj)
 	}
 	if len(r.Recovery) != 1 {
 		t.Fatalf("want 1 recovery record, got %d", len(r.Recovery))
@@ -81,9 +81,10 @@ func TestFaultRunDeterministic(t *testing.T) {
 	o.Schedule.Events[0].At = 8_000_000
 	o.Schedule.Events[0].Duration = 4_000_000
 	a, b := runFaultExperiment(o, &Run{}), runFaultExperiment(o, &Run{})
-	if a.Calls != b.Calls || a.Shed != b.Shed || a.Injected != b.Injected || a.Failed != b.Failed {
+	ai, bi := a.System.Faults.Stats, b.System.Faults.Stats
+	if a.Calls != b.Calls || a.Shed != b.Shed || ai != bi || a.Failed != b.Failed {
 		t.Fatalf("counters differ:\n%+v %d %+v %d\n%+v %d %+v %d",
-			a.Calls, a.Shed, a.Injected, a.Failed, b.Calls, b.Shed, b.Injected, b.Failed)
+			a.Calls, a.Shed, ai, a.Failed, b.Calls, b.Shed, bi, b.Failed)
 	}
 	for i := range a.Faulted {
 		if a.Faulted[i] != b.Faulted[i] {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/memsys"
+	"repro/internal/trace"
+	"repro/internal/workload/dbserver"
 )
 
 // TestMemModelFixedPassivity pins the fixed-model fingerprint of a quick
@@ -100,10 +102,11 @@ func TestMemModelCurveOverride(t *testing.T) {
 }
 
 // TestNoTimingStudyIgnoresMemModel lists every study's declared cells under
-// a loaded quick Study, without running them: each timing cell (and the
-// co-simulated database machine) must take the loaded model, and only the
-// functional uniprocessor studies, Fig 11 and Figs 12/13, may declare
-// themselves timing-free.
+// a loaded quick Study, without running the cells: each timing cell must take the
+// loaded model, and only the functional uniprocessor studies, Fig 11 and
+// Figs 12/13, may declare themselves timing-free. A co-simulated cell's
+// database machine must run under the loaded model too: alone on the same
+// requests, it stalls longer on memory than under the fixed model.
 func TestNoTimingStudyIgnoresMemModel(t *testing.T) {
 	st := Study{Quick: true, MemModel: memsys.MemLoaded}
 	var timingFree []string
@@ -121,8 +124,11 @@ func TestNoTimingStudyIgnoresMemModel(t *testing.T) {
 				t.Errorf("%s: cell %d runs under %s", e.Name, i, c.Params.MemModel)
 			}
 			if c.Params.CoSimDB {
-				if m := buildCoSim(c.Params).dbMem.Model(); m != memsys.MemLoaded {
-					t.Errorf("%s: cell %d's database machine runs under %s", e.Name, i, m)
+				fixed := c.Params
+				fixed.MemModel = memsys.MemFixed
+				if l, f := dbMemStall(c.Params), dbMemStall(fixed); l <= f {
+					t.Errorf("%s: cell %d's database machine stalls %d cycles on memory under %s, %d under %s",
+						e.Name, i, l, c.Params.MemModel, f, fixed.MemModel)
 				}
 			}
 		}
@@ -130,4 +136,18 @@ func TestNoTimingStudyIgnoresMemModel(t *testing.T) {
 	if want := []string{"[11]", "[12 13]"}; !slices.Equal(timingFree, want) {
 		t.Errorf("timing-free studies %v, want Fig 11 and Figs 12/13 %v", timingFree, want)
 	}
+}
+
+// dbMemStall builds the co-simulated deployment for p and runs its database
+// machine alone on a fixed stream of requests, returning the machine's
+// memory-stall cycles. The application server is built but never run, so
+// only the database machine's own memory system can move the result.
+func dbMemStall(p SystemParams) uint64 {
+	cs := buildCoSim(p)
+	cs.db.OnOpComplete = func(op *trace.Op, _ int, _ uint64) { cs.srv.TakeRequest(op) }
+	for i := 0; i < 200; i++ {
+		cs.srv.Enqueue(dbserver.Request{ReqBytes: 300, RespBytes: 1400, DeliverAt: uint64(i) * 10_000})
+	}
+	cs.db.Run(2_000_000)
+	return cs.db.Results().CPU.DStallMem
 }

@@ -224,8 +224,12 @@ func TestSweepObserve(t *testing.T) {
 	if got := counter(t, snap, "sweep.instructions"); got != r.Instructions {
 		t.Errorf("sweep.instructions = %d, result says %d", got, r.Instructions)
 	}
-	if ob.Profiler.Total() != r.Instructions {
-		t.Errorf("profiler total %d != measured instructions %d", ob.Profiler.Total(), r.Instructions)
+	var total uint64
+	for _, c := range ob.Profiler.ComponentTotals() {
+		total += c
+	}
+	if total != r.Instructions {
+		t.Errorf("profiler total %d != measured instructions %d", total, r.Instructions)
 	}
 	if len(traceRecords(t, ob.Tracer)) == 0 {
 		t.Error("sweep trace is empty")

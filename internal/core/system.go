@@ -140,10 +140,9 @@ type System struct {
 	Layout *ifetch.CodeLayout
 	Space  *mem.AddrSpace
 
-	// Exactly one of these is set, by Params.Kind.
+	// The workload, by Params.Kind; a VolanoMark system keeps neither.
 	JBB *specjbb.Workload
 	EC  *ecperf.Workload
-	Vol *volano.Workload
 
 	// Remote tiers (ECperf only).
 	DB       *db.Server
@@ -186,12 +185,13 @@ func heapConfig() jvm.Config {
 // validate rejects parameters BuildSystem cannot build, so a bad flag or
 // checkpoint ends a run with an error instead of a panic.
 func (p SystemParams) validate() error {
+	procs := p.Processors // before withDefaults, which builds one for zero
 	p = p.withDefaults()
 	switch {
 	case p.Kind < SPECjbb || p.Kind > VolanoMark:
 		return fmt.Errorf("unknown workload kind %d", p.Kind)
-	case p.Processors > p.TotalCPUs:
-		return fmt.Errorf("processor set %d outside 1..%d", p.Processors, p.TotalCPUs)
+	case procs < 1 || procs > p.TotalCPUs:
+		return fmt.Errorf("processor set %d outside 1..%d", procs, p.TotalCPUs)
 	case p.Scale < 0:
 		return fmt.Errorf("negative scale %d", p.Scale)
 	case p.MemModel > memsys.MemLoaded:
@@ -319,7 +319,10 @@ func BuildSystem(p SystemParams) *System {
 		}
 		sys.Supplier = db.NewServer(supplierConfig(), rng.Derive(11))
 		net.AddPeer(netsim.PeerSupplier, sys.Supplier)
-		ns := netsim.NewNetStack(space, kern, rng.Derive(12))
+		// Reserved for the network stack, which draws nothing; the streams
+		// derived after it keep their seeds.
+		rng.Derive(12)
+		ns := netsim.NewNetStack(space, kern)
 
 		eng := osmodel.NewEngine(ecfg, hier, layout, net, rng.Derive(1))
 		osmodel.AddOSDaemons(eng, space, kern, rng.Derive(2))
@@ -355,7 +358,10 @@ func BuildSystem(p SystemParams) *System {
 		// Clients are loopback; no remote peers are needed, but the kernel
 		// stack is the whole point.
 		net := netsim.NewNetwork()
-		ns := netsim.NewNetStack(space, kern, rng.Derive(12))
+		// Reserved for the network stack, which draws nothing; the streams
+		// derived after it keep their seeds.
+		rng.Derive(12)
+		ns := netsim.NewNetStack(space, kern)
 
 		eng := osmodel.NewEngine(ecfg, hier, layout, net, rng.Derive(1))
 		osmodel.AddOSDaemons(eng, space, kern, rng.Derive(2))
@@ -364,7 +370,7 @@ func BuildSystem(p SystemParams) *System {
 		for i := 0; i < w.Connections(); i++ {
 			eng.AddThread("volano-conn", w.Source(i))
 		}
-		sys.Engine, sys.Heap, sys.Vol = eng, heap, w
+		sys.Engine, sys.Heap = eng, heap
 	}
 	if sys.Faults != nil {
 		// GC-pause storms act at playback time inside the engine.

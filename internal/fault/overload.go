@@ -39,8 +39,7 @@ const (
 
 // CoDelStats counts controller decisions.
 type CoDelStats struct {
-	Admits uint64 // dequeues allowed through
-	Drops  uint64 // head drops
+	Drops uint64 // head drops
 }
 
 // CoDel is the controlled-delay admission controller, consulted at every
@@ -73,7 +72,6 @@ func (c *CoDel) OnDequeue(now, qdelay uint64) (drop bool) {
 		// Standing delay resolved: leave dropping state, reset tracking.
 		c.firstAbove = 0
 		c.dropping = false
-		c.Stats.Admits++
 		return false
 	}
 	if c.firstAbove == 0 {
@@ -86,7 +84,6 @@ func (c *CoDel) OnDequeue(now, qdelay uint64) (drop bool) {
 			c.Stats.Drops++
 			return true
 		}
-		c.Stats.Admits++
 		return false
 	}
 	if now >= c.firstAbove {
@@ -97,7 +94,6 @@ func (c *CoDel) OnDequeue(now, qdelay uint64) (drop bool) {
 		c.Stats.Drops++
 		return true
 	}
-	c.Stats.Admits++
 	return false
 }
 
@@ -139,13 +135,6 @@ const (
 	aimdCooldownCycles = 2_500_000
 )
 
-// AIMDStats counts limiter activity.
-type AIMDStats struct {
-	Increases uint64 // additive steps (fast completions)
-	Decreases uint64 // multiplicative cuts
-	Rejected  uint64 // acquisitions refused at the limit (caller-reported)
-}
-
 // AIMD is the adaptive concurrency control law. It owns only the limit;
 // the caller tracks its own in-flight population against Limit() (in a
 // discrete-event simulation, in-flight bookkeeping needs the caller's event
@@ -153,8 +142,6 @@ type AIMDStats struct {
 type AIMD struct {
 	limit        float64
 	lastDecrease uint64
-
-	Stats AIMDStats
 }
 
 // NewAIMD starts the limiter at the midpoint of its range.
@@ -164,9 +151,6 @@ func NewAIMD() *AIMD {
 
 // Limit returns the current concurrency limit (floor it for admission).
 func (l *AIMD) Limit() float64 { return l.limit }
-
-// Reject records an admission refused at the limit.
-func (l *AIMD) Reject() { l.Stats.Rejected++ }
 
 // Outcome feeds one completed call: ok is the logical result, rtt its
 // round-trip cycles, now the completion cycle. Slow or failed calls cut the
@@ -179,7 +163,6 @@ func (l *AIMD) Outcome(now, rtt uint64, ok bool) {
 				l.limit = aimdMinLimit
 			}
 			l.lastDecrease = now
-			l.Stats.Decreases++
 		}
 		return
 	}
@@ -187,7 +170,6 @@ func (l *AIMD) Outcome(now, rtt uint64, ok bool) {
 	if l.limit > aimdMaxLimit {
 		l.limit = aimdMaxLimit
 	}
-	l.Stats.Increases++
 }
 
 // The retry budget allows 10% steady-state retries with a burst of 20 —
@@ -201,18 +183,10 @@ const (
 	retryBurst = 20.0
 )
 
-// RetryBudgetStats counts budget activity.
-type RetryBudgetStats struct {
-	Spent  uint64 // retries admitted
-	Denied uint64 // retries refused (bucket empty)
-}
-
 // RetryBudget is the token bucket that bounds retry amplification. Earn is
 // called once per primary (first-attempt) request; Allow gates each retry.
 type RetryBudget struct {
 	tokens float64
-
-	Stats RetryBudgetStats
 }
 
 // NewRetryBudget returns a full bucket.
@@ -230,10 +204,8 @@ func (b *RetryBudget) Earn() {
 func (b *RetryBudget) Allow() bool {
 	if b.tokens >= 1 {
 		b.tokens--
-		b.Stats.Spent++
 		return true
 	}
-	b.Stats.Denied++
 	return false
 }
 
@@ -260,21 +232,12 @@ const (
 	brownHoldCycles = 6_250_000
 )
 
-// BrownoutStats counts degradation activity.
-type BrownoutStats struct {
-	Engagements uint64 // level increases
-	Releases    uint64 // level decreases
-	Shed        uint64 // optional requests dropped (caller-reported)
-}
-
 // Brownout is the stepped degradation controller. Observe feeds it queue
 // delays (typically at every dequeue); DropClass answers admission-time
 // questions about optional work.
 type Brownout struct {
 	level      int
 	lastChange uint64
-
-	Stats BrownoutStats
 }
 
 // NewBrownout returns an un-degraded controller.
@@ -293,17 +256,14 @@ func (b *Brownout) Observe(now, qdelay uint64) {
 	case qdelay >= brownEngageDelayCycles && b.level < brownMaxLevel:
 		b.level++
 		b.lastChange = now
-		b.Stats.Engagements++
 	case qdelay <= brownDisengageDelayCycles && b.level > 0:
 		b.level--
 		b.lastChange = now
-		b.Stats.Releases++
 	}
 }
 
 // DropClass reports whether a request of the given priority should be shed
-// at the current level. Priority 0 is never shed; the stats are updated by
-// the caller only when it actually sheds (it may have no such request).
+// at the current level. Priority 0 is never shed.
 func (b *Brownout) DropClass(priority int) bool {
 	return priority > 0 && priority <= b.level
 }

@@ -107,9 +107,6 @@ func TestAIMDConverges(t *testing.T) {
 	if got, want := l.Limit(), before*aimdDecreaseFactor; got != want {
 		t.Errorf("limit %.2f after one congested burst, want single cut to %.2f", got, want)
 	}
-	if l.Stats.Decreases != 1 {
-		t.Errorf("decreases = %d within one cooldown, want 1", l.Stats.Decreases)
-	}
 	// Sustained congestion across cooldowns: floor holds.
 	for i := 0; i < 100; i++ {
 		now += aimdCooldownCycles + 1
@@ -133,9 +130,6 @@ func TestRetryBudgetStopsStorms(t *testing.T) {
 	}
 	if admitted != int(retryBurst) {
 		t.Errorf("storm admitted %d retries, want exactly the burst %d", admitted, int(retryBurst))
-	}
-	if b.Stats.Denied != 1000-uint64(admitted) {
-		t.Errorf("denied = %d, want %d", b.Stats.Denied, 1000-admitted)
 	}
 	// Steady state: 10 primaries earn one retry.
 	b2 := NewRetryBudget()
@@ -189,16 +183,13 @@ func TestBrownoutSteps(t *testing.T) {
 	if b.Level() != brownMaxLevel {
 		t.Errorf("level %d exceeded max", b.Level())
 	}
-	// Relief walks back down.
-	for i := 0; i < 2; i++ {
+	// Relief walks back down, one step per hold period.
+	for want := brownMaxLevel - 1; want >= 0; want-- {
 		now += brownHoldCycles
 		b.Observe(now, brownDisengageDelayCycles)
-	}
-	if b.Level() != 0 {
-		t.Errorf("level %d after sustained relief, want 0", b.Level())
-	}
-	if b.Stats.Engagements != 2 || b.Stats.Releases != 2 {
-		t.Errorf("engagements/releases = %d/%d, want 2/2", b.Stats.Engagements, b.Stats.Releases)
+		if b.Level() != want {
+			t.Errorf("level %d after relief, want %d", b.Level(), want)
+		}
 	}
 }
 

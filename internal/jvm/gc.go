@@ -36,13 +36,11 @@ func (h *Heap) sortedTIDs() []int {
 
 // gcTrace is what a collection records into. A played collection records
 // its trace into rec; an unplayed one (rec nil) keeps no items, since
-// nothing plays it back and only its instruction count is read. Either
-// way instrs sums the collector's instructions and items counts the
-// recorded items, which sizes the next trace of the collection's kind.
+// nothing plays it back. Either way items counts the recorded items, which
+// sizes the next trace of the collection's kind.
 type gcTrace struct {
-	rec    *trace.Recorder
-	instrs uint64
-	items  int
+	rec   *trace.Recorder
+	items int
 }
 
 // newGCTrace starts a collection's trace. A played collection (rec != nil)
@@ -57,7 +55,6 @@ func newGCTrace(rec *trace.Recorder, tag string, hint int) gcTrace {
 }
 
 func (t *gcTrace) Instr(comp mem.ComponentID, n uint32) {
-	t.instrs += uint64(n)
 	t.items++ // the collector never records two instruction segments in a row
 	if t.rec != nil {
 		t.rec.Instr(comp, n)
@@ -78,11 +75,10 @@ func (t *gcTrace) Write(addr mem.Addr, size uint32) {
 	}
 }
 
-// finishGC counts the collection's instructions, keeps its trace length in
-// *hint to size the next collection of its kind and, when it is played,
-// hands gc its trace and appends the pause to rec.
+// finishGC keeps the collection's trace length in *hint to size the next
+// collection of its kind and, when it is played, hands gc its trace and
+// appends the pause to rec.
 func (h *Heap) finishGC(rec *trace.Recorder, t *gcTrace, gc *trace.GC, hint *int) {
-	h.Stats.GCInstructions += t.instrs
 	*hint = t.items
 	if rec != nil {
 		gc.Items = t.rec.Finish().Items
@@ -93,8 +89,8 @@ func (h *Heap) finishGC(rec *trace.Recorder, t *gcTrace, gc *trace.GC, hint *int
 // MinorGC runs a stop-the-world copying collection of the new generation on
 // the single collector thread, recording the collector's memory behavior
 // and appending a GC pause to rec. It returns the recorded collection.
-// With rec nil the collection is not played: it only counts its
-// GCInstructions, keeping no trace, and the returned GC's Items are nil.
+// With rec nil the collection is not played: it keeps no trace, and the
+// returned GC's Items are nil.
 //
 // The collector is deliberately single-threaded, like HotSpot 1.3.1's: the
 // playback engine runs the returned trace on one processor while every
@@ -149,7 +145,7 @@ func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 	}
 
 	// Copy phase: breadth-first over live young objects.
-	var copiedBytes, copiedObjs uint64
+	var copiedObjs uint64
 	for len(work) > 0 {
 		id := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -169,7 +165,6 @@ func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 		gcRec.Instr(h.cfg.GCComp, perObjInstr+uint32(perByteInstr*float64(o.size)))
 		o.addr = newAddr
 		o.young = h.inYoung(newAddr)
-		copiedBytes += uint64(o.size)
 		copiedObjs++
 
 		for _, ref := range o.refs {
@@ -214,7 +209,6 @@ func (h *Heap) MinorGC(rec *trace.Recorder) *trace.GC {
 	h.from = to
 
 	h.Stats.MinorGCs++
-	h.Stats.CopiedBytes += copiedBytes
 	h.Stats.LiveAfterLastGC = survivorBytes + h.oldUsed
 	gc := &trace.GC{
 		LiveBytes:  h.Stats.LiveAfterLastGC,
@@ -240,7 +234,6 @@ func (h *Heap) promote(size uint64) mem.Addr {
 	a := h.oldNext
 	h.oldNext += mem.Addr(size)
 	h.oldUsed += size
-	h.Stats.PromotedBytes += size
 	return a
 }
 
@@ -336,14 +329,13 @@ func (h *Heap) MajorGC(rec *trace.Recorder) *trace.GC {
 
 	// Compact: slide old residents down, then append promoted young.
 	next := h.old.Base
-	var movedBytes, relocated uint64
+	var relocated uint64
 	place := func(id ObjectID, alwaysCopy bool) {
 		o := h.obj(id)
 		if alwaysCopy || o.addr != next {
 			gcRec.Read(o.addr, o.size)
 			gcRec.Write(next, o.size)
 			gcRec.Instr(h.cfg.GCComp, perObjInstr+uint32(perByteInstr*float64(o.size)))
-			movedBytes += uint64(o.size)
 			relocated++
 		}
 		o.addr = next
@@ -365,7 +357,6 @@ func (h *Heap) MajorGC(rec *trace.Recorder) *trace.GC {
 	clear(h.remset) // no young objects remain
 
 	h.Stats.MajorGCs++
-	h.Stats.CopiedBytes += movedBytes
 	h.Stats.LiveAfterLastGC = h.oldUsed
 	gc := &trace.GC{
 		Major:      true,

@@ -116,11 +116,7 @@ type Stats struct {
 	MinorGCs        uint64
 	MajorGCs        uint64
 	AllocatedBytes  uint64
-	AllocatedObjs   uint64
-	PromotedBytes   uint64
-	CopiedBytes     uint64
 	LiveAfterLastGC uint64 // heap bytes in use immediately after the last GC
-	GCInstructions  uint64
 }
 
 // Heap is one simulated JVM heap. Not safe for concurrent use; the
@@ -223,9 +219,6 @@ func MustNewHeap(space *mem.AddrSpace, cfg Config) *Heap {
 	return h
 }
 
-// Config returns the heap's configuration.
-func (h *Heap) Config() Config { return h.cfg }
-
 // obj returns the table slot of id, which must be below h.slots.
 func (h *Heap) obj(id ObjectID) *object {
 	return &h.pages[id>>pageShift][id&(pageSize-1)]
@@ -234,9 +227,6 @@ func (h *Heap) obj(id ObjectID) *object {
 // Addr returns the current address of an object. Addresses are only valid
 // until the next collection.
 func (h *Heap) Addr(id ObjectID) mem.Addr { return h.obj(id).addr }
-
-// Size returns the object's size in bytes.
-func (h *Heap) Size(id ObjectID) uint32 { return h.obj(id).size }
 
 // NumRefs returns the number of reference slots in the object.
 func (h *Heap) NumRefs(id ObjectID) int { return len(h.obj(id).refs) }
@@ -305,7 +295,6 @@ func (h *Heap) Alloc(rec *trace.Recorder, tid int, size uint32, nRefs int) Objec
 		o.refs = make([]ObjectID, nRefs)
 	}
 	h.Stats.AllocatedBytes += uint64(size)
-	h.Stats.AllocatedObjs++
 	h.stackRoots[tid] = append(h.stackRoots[tid], id)
 	rec.Write(addr, size) // zeroing + header init
 	return id

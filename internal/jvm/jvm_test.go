@@ -97,8 +97,8 @@ func TestAllocBasics(t *testing.T) {
 	if id == NilObject {
 		t.Fatal("nil object returned")
 	}
-	if h.Size(id) != 104 { // padded to 8
-		t.Fatalf("size = %d", h.Size(id))
+	if h.obj(id).size != 104 { // padded to 8
+		t.Fatalf("size = %d", h.obj(id).size)
 	}
 	if !h.obj(id).young || !h.IsLive(id) {
 		t.Fatal("fresh object not live+young")
@@ -116,8 +116,8 @@ func TestAllocBasics(t *testing.T) {
 func TestMinSize(t *testing.T) {
 	h := newHeap(t)
 	id := h.Alloc(rec(), 1, 1, 0)
-	if h.Size(id) != HeaderBytes {
-		t.Fatalf("min size = %d, want %d", h.Size(id), HeaderBytes)
+	if h.obj(id).size != HeaderBytes {
+		t.Fatalf("min size = %d, want %d", h.obj(id).size, HeaderBytes)
 	}
 }
 
@@ -213,14 +213,15 @@ func TestPromotionAfterAge(t *testing.T) {
 	r := rec()
 	id := h.Alloc(r, 1, 128, 0)
 	h.AddRoot(id)
-	for i := 0; i < int(h.Config().PromoteAge); i++ {
+	old := h.OldUsed()
+	for i := 0; i < int(h.cfg.PromoteAge); i++ {
 		h.MinorGC(r)
 	}
 	if h.obj(id).young {
 		t.Fatal("object not promoted after aging")
 	}
-	if h.Stats.PromotedBytes == 0 {
-		t.Fatal("no promoted bytes counted")
+	if got, want := h.OldUsed()-old, uint64(h.obj(id).size); got != want {
+		t.Fatalf("old generation grew by %d bytes, want the promoted object's %d", got, want)
 	}
 }
 
@@ -247,7 +248,7 @@ func TestRememberedSetKeepsYoungAlive(t *testing.T) {
 	r := rec()
 	old := h.Alloc(r, 1, 128, 1)
 	h.AddRoot(old)
-	for i := 0; i < int(h.Config().PromoteAge); i++ {
+	for i := 0; i < int(h.cfg.PromoteAge); i++ {
 		h.MinorGC(r)
 	}
 	if h.obj(old).young {
@@ -268,7 +269,7 @@ func TestEdenExhaustionTriggersGC(t *testing.T) {
 	r := rec()
 	keep := h.Alloc(r, 1, 1024, 0)
 	h.AddRoot(keep)
-	edenBytes := h.Config().NewGenBytes - 2*uint64(float64(h.Config().NewGenBytes)*survivorFrac)
+	edenBytes := h.cfg.NewGenBytes - 2*uint64(float64(h.cfg.NewGenBytes)*survivorFrac)
 	n := int(edenBytes/1024) * 3
 	for i := 0; i < n; i++ {
 		h.Alloc(r, 1, 1024, 0)
@@ -291,7 +292,7 @@ func TestMajorGCCompactsAndReclaims(t *testing.T) {
 		h.AddRoot(id)
 		ids = append(ids, id)
 	}
-	for i := 0; i < int(h.Config().PromoteAge); i++ {
+	for i := 0; i < int(h.cfg.PromoteAge); i++ {
 		h.MinorGC(r)
 	}
 	usedBefore := h.OldUsed()
@@ -563,7 +564,7 @@ func TestRemsetPrunedAfterTargetPromotes(t *testing.T) {
 	r := rec()
 	parent := h.Alloc(r, 1, 64, 1)
 	h.AddRoot(parent)
-	for i := 0; i < int(h.Config().PromoteAge); i++ {
+	for i := 0; i < int(h.cfg.PromoteAge); i++ {
 		h.MinorGC(r) // promote parent
 	}
 	child := h.Alloc(r, 1, 64, 0)
@@ -571,7 +572,7 @@ func TestRemsetPrunedAfterTargetPromotes(t *testing.T) {
 	if len(h.remset) == 0 {
 		t.Fatal("old->young ref did not enter the remembered set")
 	}
-	for i := 0; i < int(h.Config().PromoteAge); i++ {
+	for i := 0; i < int(h.cfg.PromoteAge); i++ {
 		h.MinorGC(r) // child promotes too
 	}
 	if h.obj(child).young {
@@ -629,15 +630,21 @@ func TestGCStatsProgression(t *testing.T) {
 	r := rec()
 	id := h.Alloc(r, 1, 1<<10, 0)
 	h.AddRoot(id)
-	h.MinorGC(r)
-	if h.Stats.AllocatedObjs == 0 || h.Stats.AllocatedBytes == 0 {
+	gc := h.MinorGC(r)
+	if h.Stats.AllocatedBytes == 0 {
 		t.Fatal("allocation stats empty")
 	}
-	if h.Stats.CopiedBytes == 0 {
-		t.Fatal("no copied bytes after GC of live data")
+	if gc.CopiedObjs == 0 {
+		t.Fatal("no objects copied by a GC of live data")
 	}
-	if h.Stats.GCInstructions == 0 {
-		t.Fatal("collector charged no instructions")
+	var instrs uint64
+	for _, it := range gc.Items {
+		if it.Kind == trace.KindInstr {
+			instrs += uint64(it.N)
+		}
+	}
+	if instrs == 0 {
+		t.Fatal("collector recorded no instructions")
 	}
 }
 
@@ -691,8 +698,8 @@ func TestPageBoundaryIDs(t *testing.T) {
 		t.Fatal("a slot moved when later pages were added")
 	}
 	for _, id := range []ObjectID{pageSize - 1, pageSize, pageSize + 1, 2*pageSize - 1, 2 * pageSize, n} {
-		if p := at[id]; h.Addr(id) != p.addr || h.Size(id) != p.size || !h.IsLive(id) {
-			t.Fatalf("ID %d: addr %#x size %d live %v, want %#x %d true", id, h.Addr(id), h.Size(id), h.IsLive(id), p.addr, p.size)
+		if p := at[id]; h.Addr(id) != p.addr || h.obj(id).size != p.size || !h.IsLive(id) {
+			t.Fatalf("ID %d: addr %#x size %d live %v, want %#x %d true", id, h.Addr(id), h.obj(id).size, h.IsLive(id), p.addr, p.size)
 		}
 	}
 
@@ -702,8 +709,8 @@ func TestPageBoundaryIDs(t *testing.T) {
 		if live := h.IsLive(id); live != (id%2 == 0) {
 			t.Fatalf("ID %d live=%v after GC, want %v", id, live, id%2 == 0)
 		}
-		if id%2 == 0 && h.Size(id) != at[id].size {
-			t.Fatalf("ID %d size %d after GC, want %d", id, h.Size(id), at[id].size)
+		if id%2 == 0 && h.obj(id).size != at[id].size {
+			t.Fatalf("ID %d size %d after GC, want %d", id, h.obj(id).size, at[id].size)
 		}
 	}
 	// The odd IDs were freed in ascending order; reuse pops the highest.
@@ -753,7 +760,7 @@ func TestSteadyStateGCAllocs(t *testing.T) {
 }
 
 // TestUnplayedGCCountsLikePlayed: an unplayed collection keeps no trace,
-// yet it charges the same GCInstructions as the played collection of an
+// yet it reports the same collection as the played collection of an
 // identical heap, and leaves the same trace-length hint for the next
 // collection of its kind, minor and major alike.
 func TestUnplayedGCCountsLikePlayed(t *testing.T) {
@@ -778,26 +785,20 @@ func TestUnplayedGCCountsLikePlayed(t *testing.T) {
 		{"minor", (*Heap).MinorGC, func(h *Heap) int { return h.minorItems }},
 		{"major", (*Heap).MajorGC, func(h *Heap) int { return h.majorItems }},
 	} {
-		before := played.Stats.GCInstructions
 		gc := step.gc(played, r)
-		if got := step.gc(unplayed, nil); got.Items != nil {
+		got := step.gc(unplayed, nil)
+		if got.Items != nil {
 			t.Fatalf("%s: an unplayed collection kept %d trace items", step.name, len(got.Items))
 		}
-		var want uint64
-		for _, it := range gc.Items {
-			if it.Kind == trace.KindInstr {
-				want += uint64(it.N)
-			}
+		if p, u := *gc, *got; p.Major != u.Major || p.LiveBytes != u.LiveBytes || p.CopiedObjs != u.CopiedObjs || p.FreedBytes != u.FreedBytes {
+			t.Errorf("%s: unplayed collection %+v, played %+v", step.name, u, p)
 		}
-		if played.Stats.GCInstructions != unplayed.Stats.GCInstructions {
-			t.Errorf("%s: unplayed GCInstructions %d, played %d", step.name, unplayed.Stats.GCInstructions, played.Stats.GCInstructions)
+		if played.Stats != unplayed.Stats {
+			t.Errorf("%s: unplayed heap stats %+v, played %+v", step.name, unplayed.Stats, played.Stats)
 		}
 		if n := step.items(played); n != len(gc.Items) || step.items(unplayed) != n {
 			t.Errorf("%s: trace-length hints %d (played) and %d (unplayed), trace has %d items",
 				step.name, n, step.items(unplayed), len(gc.Items))
-		}
-		if got := played.Stats.GCInstructions - before; got != want {
-			t.Errorf("%s: charged %d GCInstructions, trace holds %d instructions", step.name, got, want)
 		}
 	}
 }

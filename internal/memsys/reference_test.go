@@ -82,10 +82,6 @@ func (c *refCache) fill(ba uint64, st cache.State, dirty bool) (l *refLine, vict
 	if len(*s) == c.cfg.Assoc {
 		victim = (*s)[len(*s)-1]
 		vl = c.drop(victim)
-		c.stats.Evictions++
-		if vl.dirty {
-			c.stats.DirtyEvictions++
-		}
 	}
 	l = &refLine{state: st, dirty: dirty}
 	c.lines[ba] = l

@@ -16,7 +16,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ifetch"
 	"repro/internal/mem"
-	"repro/internal/simrand"
 	"repro/internal/trace"
 )
 
@@ -130,12 +129,11 @@ type NetStack struct {
 	bufBase  mem.Addr
 	bufSize  uint64
 	bufNext  uint64
-	rng      *simrand.Rand
 }
 
 // NewNetStack carves kernel data out of the machine's address space. comp
 // must be a kernel component registered in the machine's code layout.
-func NewNetStack(space *mem.AddrSpace, comp *ifetch.Component, rng *simrand.Rand) *NetStack {
+func NewNetStack(space *mem.AddrSpace, comp *ifetch.Component) *NetStack {
 	if !comp.Kernel {
 		panic("netsim: network stack component must be a kernel component")
 	}
@@ -148,7 +146,6 @@ func NewNetStack(space *mem.AddrSpace, comp *ifetch.Component, rng *simrand.Rand
 		lockAddr: lockRegion.Base,
 		bufBase:  bufRegion.Base,
 		bufSize:  bufRegion.Size,
-		rng:      rng,
 	}
 	for i := 0; i < hotLines; i++ {
 		ns.hot = append(ns.hot, hotRegion.Base+uint64(i)*mem.LineBytes)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ifetch"
 	"repro/internal/mem"
-	"repro/internal/simrand"
 	"repro/internal/trace"
 )
 
@@ -43,7 +42,7 @@ func buildStack(t *testing.T) *NetStack {
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
 	kern := layout.Add("kernel-net", 256<<10, true, ifetch.Profile{})
-	return NewNetStack(space, kern, simrand.New(3))
+	return NewNetStack(space, kern)
 }
 
 func TestCallRecordsKernelPath(t *testing.T) {
@@ -121,5 +120,5 @@ func TestNonKernelComponentPanics(t *testing.T) {
 	space := mem.NewAddrSpace()
 	layout := ifetch.NewCodeLayout(space)
 	user := layout.Add("app", 64<<10, false, ifetch.Profile{})
-	NewNetStack(space, user, simrand.New(1))
+	NewNetStack(space, user)
 }

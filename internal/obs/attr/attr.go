@@ -177,11 +177,9 @@ type lineState struct {
 	// Transition counters, updated on each ownership handoff (a write by a
 	// node that is not the previous writer): a handoff preceded by the new
 	// owner's own read is migratory evidence; a handoff straight from the
-	// previous owner's write is ping-pong evidence. Consumer reads (a read
-	// by a node other than the last writer) are producer-consumer evidence.
-	migrations    uint32
-	pingpongs     uint32
-	consumerReads uint32
+	// previous owner's write is ping-pong evidence.
+	migrations uint32
+	pingpongs  uint32
 
 	readers, writers uint32 // node bitmask (nodes >= maskNodes are not masked)
 	epoch            epochCounts
@@ -590,9 +588,6 @@ func (c *Collector) RecordGetS(ba uint64, node int, c2c bool, now uint64) {
 		e.epoch.C2C++
 	}
 	e.readers |= nodeBit(node)
-	if e.lastWriter >= 0 && int(e.lastWriter) != node {
-		e.consumerReads++
-	}
 	e.lastReader = int16(node)
 	e.lastOp = opRead
 }

@@ -12,13 +12,13 @@ import (
 // refLine is the reference collector's per-line state: full-width counts,
 // 64-bit masks and the label as a string.
 type refLine struct {
-	addr                                 uint64
-	total, epoch                         Counts
-	readers, writers                     uint64
-	lastWriter, lastReader               int
-	lastOp                               uint8
-	migrations, pingpongs, consumerReads uint64
-	label                                string
+	addr                   uint64
+	total, epoch           Counts
+	readers, writers       uint64
+	lastWriter, lastReader int
+	lastOp                 uint8
+	migrations, pingpongs  uint64
+	label                  string
 }
 
 func (e *refLine) classify() Pattern {
@@ -131,9 +131,6 @@ func (r *refCollector) read(ba uint64, node int, c2c bool, now uint64) {
 		e.epoch.C2C++
 	}
 	e.readers |= refBit(node)
-	if e.lastWriter >= 0 && e.lastWriter != node {
-		e.consumerReads++
-	}
 	e.lastReader, e.lastOp = node, opRead
 }
 

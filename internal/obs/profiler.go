@@ -156,22 +156,6 @@ func (p *Profiler) Reset() {
 	}
 }
 
-// Total returns all attributed cycles.
-func (p *Profiler) Total() uint64 {
-	if p == nil {
-		return 0
-	}
-	var n uint64
-	for _, m := range p.cycles {
-		for c := range m {
-			for k := range m[c] {
-				n += m[c][k]
-			}
-		}
-	}
-	return n
-}
-
 // ComponentTotals sums cycles per component name across phases and
 // categories.
 func (p *Profiler) ComponentTotals() map[string]uint64 {

@@ -124,9 +124,6 @@ func NewZipf(n int, s float64) *Zipf {
 // thread) cost one O(n) build.
 func (z *Zipf) With(r *Rand) *Zipf { return &Zipf{cdf: z.cdf, r: r} }
 
-// N returns the number of items in the sampler's domain.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Next draws a rank in [0, n), rank 0 being the most popular.
 func (z *Zipf) Next() int {
 	u := z.r.Float64()

@@ -77,14 +77,6 @@ func (t *TLB) Access(addr mem.Addr) uint64 {
 	return missPenalty
 }
 
-// MissRatio returns misses/lookups, or 0 when unused.
-func (t *TLB) MissRatio() float64 {
-	if t.Lookups == 0 {
-		return 0
-	}
-	return float64(t.Misses) / float64(t.Lookups)
-}
-
 // ResetStats zeroes the counters, keeping contents warm.
 func (t *TLB) ResetStats() {
 	t.Lookups = 0

@@ -91,7 +91,7 @@ func TestBeyondReachThrashes(t *testing.T) {
 			r = r*6364136223846793005 + 1442695040888963407
 			tl.Access((r >> 30) % span)
 		}
-		return tl.MissRatio()
+		return float64(tl.Misses) / float64(tl.Lookups)
 	}
 	if beyond := run(8 << 20); beyond < 0.5 {
 		t.Fatalf("an 8MB set should thrash the base TLB: miss ratio %v", beyond)

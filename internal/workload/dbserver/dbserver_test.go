@@ -18,7 +18,10 @@ func build(t *testing.T) *Server {
 	comps := Components{SQL: layout.Add("dbms", 256<<10, false, ifetch.Profile{})}
 	kern := layout.Add("kernel-net", 256<<10, true, ifetch.Profile{})
 	rng := simrand.New(9)
-	ns := netsim.NewNetStack(space, kern, rng.Derive(1))
+	// Reserved for the network stack, which draws nothing; the streams
+	// derived after it keep their seeds.
+	rng.Derive(1)
+	ns := netsim.NewNetStack(space, kern)
 	hcfg := jvm.DefaultConfig()
 	hcfg.HeapBytes = 32 << 20
 	hcfg.NewGenBytes = 6 << 20

@@ -145,8 +145,6 @@ type Workload struct {
 	// admission control before any work.
 	FailedOps uint64
 	ShedOps   uint64
-	// DBCalls counts database round trips (path-length diagnostics).
-	DBCalls uint64
 }
 
 // New wires the middle tier together. Construction traffic is discarded;
@@ -186,9 +184,6 @@ func (w *Workload) EnableResilience(c *appserver.Caller) { w.caller = c }
 
 // Caller returns the resilient call path, or nil when disabled.
 func (w *Workload) Caller() *appserver.Caller { return w.caller }
-
-// Heap returns the middle tier's heap.
-func (w *Workload) Heap() *jvm.Heap { return w.heap }
 
 // Cache returns the object-level cache (for hit-rate diagnostics).
 func (w *Workload) Cache() *appserver.ObjectCache { return w.cache }
@@ -331,7 +326,6 @@ func (s *workerSource) entity(rec *trace.Recorder, tid int, dom uint64, key int,
 	conn := w.pool.Acquire(rec)
 	ok := s.call(rec, netsim.PeerDatabase, queryReqBytes, queryRespBytes)
 	w.pool.Release(rec, conn)
-	w.DBCalls++
 	if !ok {
 		// Load failed: nothing to hydrate or cache; the operation takes
 		// its error path with a nil entity.
@@ -351,7 +345,6 @@ func (s *workerSource) commit(rec *trace.Recorder, tid int) {
 	conn := w.pool.Acquire(rec)
 	ok := s.call(rec, netsim.PeerDatabase, updateReqBytes, updateRespBytes)
 	w.pool.Release(rec, conn)
-	w.DBCalls++
 	if ok {
 		rec.Instr(w.comps.Server.ID, commitInstr)
 	}

@@ -190,14 +190,10 @@ func (w *Workload) buildWarehouse(rec *trace.Recorder, idx int) *warehouse {
 	return wh
 }
 
-// Heap returns the workload's heap (for memory-scaling measurements).
-func (w *Workload) Heap() *jvm.Heap { return w.heap }
-
 // threadSource generates transactions for one warehouse's thread.
 type threadSource struct {
 	w        *Workload
 	wh       *warehouse
-	whID     int
 	rng      *simrand.Rand
 	custZipf *simrand.Zipf
 	itemZipf *simrand.Zipf
@@ -214,7 +210,6 @@ func (w *Workload) Source(whID int) osmodel.OpSource {
 	return &threadSource{
 		w:        w,
 		wh:       w.warehouses[whID],
-		whID:     whID,
 		rng:      rng,
 		custZipf: w.custZipf.With(rng),
 		itemZipf: w.itemZipf.With(rng),

@@ -64,8 +64,6 @@ type Workload struct {
 	// roomObjs[i] is the member list object for room i (read on every
 	// broadcast — shared across all of the room's connection threads).
 	roomObjs []jvm.ObjectID
-	// Messages counts delivered messages (the VolanoMark score unit).
-	Messages uint64
 }
 
 // New builds the rooms. Construction traffic is discarded, as for the
@@ -127,8 +125,6 @@ func (s *connSource) NextOp(tid int, now uint64) *trace.Op {
 	for m := 1; m < usersPerRoom; m++ {
 		w.ns.SendResponse(rec, messageBytes)
 	}
-	w.Messages += uint64(usersPerRoom - 1)
-
 	w.heap.ClearStack(tid)
 	return rec.Handoff()
 }

@@ -6,4 +6,4 @@ import (
 	"deadapi/internal/lib"
 )
 
-func main() { fmt.Println(lib.BenchOnly()) }
+func main() { fmt.Println(lib.BenchOnly(), lib.NewMachine().Config().Name) }

@@ -18,5 +18,9 @@ func main() {
 	if err := json.Unmarshal([]byte(`{"Saved":1}`), &st); err != nil {
 		panic(err)
 	}
-	fmt.Println(lib.Run(lib.Config{Name: "x"}), st.Saved)
+	out, err := json.Marshal(lib.Report{Total: c.Value()})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(lib.Run(lib.Config{Name: "x"}), st.Saved, string(out), &lib.Pool{})
 }

@@ -7,10 +7,23 @@ import (
 )
 
 // Counter is used by cmd/tool.
-type Counter struct{ n int }
+type Counter struct {
+	n     int // set by Add and Reset, read by Value
+	calls int // incremented by Add, never read: a finding
+	peak  int // set by Add, read only by lib_test.go: a finding
+	ticks int // read by Add only to set it again: a finding
+}
 
 // Add is called by cmd/tool.
-func (c *Counter) Add() { c.n++ }
+func (c *Counter) Add() {
+	c.n++
+	c.calls++
+	c.peak = max(c.n, 0)
+	c.ticks = c.ticks + 1
+}
+
+// Value is called by cmd/tool.
+func (c *Counter) Value() int { return c.n }
 
 // Reset is called only by lib_test.go: a finding.
 func (c *Counter) Reset() { c.n = 0 }
@@ -73,3 +86,23 @@ func (l *Level) String() string { return fmt.Sprint(int(*l)) }
 
 // BenchOnly is called only from the sibling module bench/.
 func BenchOnly() int { return 2 }
+
+// Report is built by cmd/tool, which sets Total and hands the report to
+// json.Marshal: encoding/json reads Total by reflection.
+type Report struct{ Total int }
+
+// Machine is built by NewMachine, which the sibling module bench/ calls.
+type Machine struct{ cfg Config }
+
+// NewMachine returns a machine named m.
+func NewMachine() *Machine { return &Machine{cfg: Config{Name: "m"}} }
+
+// Config is called by bench/.
+func (m *Machine) Config() Config { return m.cfg }
+
+// Pool is built by cmd/tool.
+type Pool struct{}
+
+// Config is called by nothing, though bench/ calls Machine.Config: a
+// finding.
+func (p *Pool) Config() Config { return Config{} }

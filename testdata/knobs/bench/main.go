@@ -6,4 +6,4 @@ import (
 	"knobs/internal/lib"
 )
 
-func main() { fmt.Println(lib.Tuned(2)) }
+func main() { fmt.Println(lib.Tuned(1)) }
